@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.exec import RunSpec, SweepExecutor
 from repro.experiments.common import CcEnv, build_cc_env, launch_flows
+from repro.experiments.fct_experiment import drive_fct
 from repro.lb import LbConfig
 from repro.metrics.fct import FctCollector
 from repro.sim.engine import Simulator
@@ -33,7 +34,7 @@ from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
 from repro.traffic.distributions import websearch_cdf
 from repro.traffic.generator import PoissonWorkload, permutation_flows
-from repro.units import KB, MS, us
+from repro.units import KB, us
 
 LBS = ("ecmp", "spray", "flowlet", "conweave")
 CCS = ("dcqcn", "hpcc", "fncc")
@@ -239,21 +240,12 @@ def run_lb_cell(
         obs.attach(sim, topo, collector=collector)
 
     total = len(flows)
-    horizon = round(max_horizon_ms * MS)
-    chunk = MS // 2
     with obs.guard(sim=sim, topo=topo) if obs is not None else nullcontext():
         launch_flows(topo, flows, env)
-        t = 0
-        while collector.completed() < total and t < horizon:
-            t = min(t + chunk, horizon)
-            sim.run(until=t)
-            if obs is not None and obs.progress is not None:
-                obs.progress.tick(
-                    sim, completed=collector.completed(), total=total,
-                    horizon_ps=horizon,
-                )
-            if sim.peek() is None:
-                break
+        drive_fct(
+            sim, collector, total, max_horizon_ms,
+            progress=obs.progress if obs is not None else None,
+        )
     return LbCell((topo_name, workload, lb, cc), collector, total, sim, topo=topo)
 
 

@@ -49,21 +49,23 @@ retires accounting entries as the clock passes their start times, so
 ``qbytes_total`` reads exactly what the old eager engine reported (waiting
 bytes, excluding the frame in service) at amortized O(1) per frame.
 
-Frame trains (DESIGN.md §2.2): back-to-back bursts crossing an untapped,
-zero-latency switch with a *static per-flow* router ride a **fused hop
-pipeline** — :meth:`Port._tx_deliver` executes departure bookkeeping, the
-switch forwarding decision (memoized per same-flow train), and the egress
+Frame trains (DESIGN.md §2.2): back-to-back bursts crossing an untapped
+switch with a *static per-flow* router ride a **fused hop pipeline** —
+:meth:`Port._tx_deliver` executes departure bookkeeping, the switch
+forwarding decision (memoized per same-flow train), and the egress
 enqueue in one pass, per frame, in the exact order and at the exact
-timestamps of the per-frame path, so every counter, RNG draw and wire time
-is byte-identical with trains off.  On the commit side, train formation
-widens the pending window from ``commit_lookahead`` to ``train_max`` on
-pause-free ports, batching the lazy top-up; the PR 3 invariant (identical
-wire schedule for every window size) makes the widening unconditionally
-exact.  Any per-frame mechanism splits the train back to the classic
-path the moment it needs frame granularity: control frames, a PFC-paused
-or previously XOFF'd port, a PacketTap or test spy wrapping ``receive``,
-a per-packet LB strategy (spray/flowlet/conweave), switch latency, or a
-host endpoint (ACK/CC semantics are per-frame by construction).
+timestamps of the classic ``on_departure -> receive -> enqueue`` chain, so
+every counter, RNG draw and wire time is byte-identical to it.  On the
+commit side, train formation widens the pending window from
+``commit_lookahead`` to ``TRAIN_MAX`` on pause-free ports, batching the
+lazy top-up; the PR 3 invariant (identical wire schedule for every window
+size) makes the widening unconditionally exact.  The port picks the path
+per frame from state it already observes — there is no user switch — and
+any per-frame mechanism puts the hop back on the classic chain the moment
+it needs frame granularity: control frames, a PFC-paused or previously
+XOFF'd port, a PacketTap or test spy wrapping ``receive``, a per-packet LB
+strategy (spray/flowlet/conweave), a watchdog-isolated storm, or a host
+endpoint (ACK/CC semantics are per-frame by construction).
 """
 
 from __future__ import annotations
@@ -169,13 +171,13 @@ CTRL_PRIO = -1
 #: wire schedule.
 COMMIT_LOOKAHEAD = 3
 
-#: Default train formation cap: how many frames a single lazy top-up may
-#: commit on a pause-free port when trains are enabled (the widened window
-#: batches the per-delivery ``_commit`` cost across a burst).  Identical
-#: wire schedule for any value >= 1 (the PR 3 invariant); the only cost of
-#: a larger value is that a PFC XOFF on a previously pause-free port
-#: re-sequences O(train_max) frames once, after which the port drops back
-#: to the tight ``commit_lookahead`` window for good.
+#: Train formation cap: how many frames a single lazy top-up may commit on
+#: a pause-free port that feeds a switch (the widened window batches the
+#: per-delivery ``_commit`` cost across a burst).  Identical wire schedule
+#: for any value >= 1 (the PR 3 invariant); the only cost of a larger
+#: value is that a PFC XOFF on a previously pause-free port re-sequences
+#: O(TRAIN_MAX) frames once, after which the port drops back to the tight
+#: ``commit_lookahead`` window for good.
 TRAIN_MAX = 8
 
 # Lazily resolved symbols from repro.net.switch (circular import: switch
@@ -226,7 +228,6 @@ class Port:
         "ecn_rng",
         "next_free_ps",
         "commit_lookahead",
-        "train_max",
         "train_frames",
         "_inflight",
         "_acct",
@@ -235,7 +236,6 @@ class Port:
         "_del_ev",
         "_departure_hook",
         "_ser",
-        "_trains",
         "_own_sw",
         "_peer_sw",
         "_rt_cache",
@@ -285,18 +285,11 @@ class Port:
         # of the serializer (plus the cover floor); a PFC transition costs
         # O(commit_lookahead), never O(backlog).
         self.commit_lookahead = COMMIT_LOOKAHEAD
-        # Train formation: the widened pending-window cap a lazy top-up may
-        # fill to on a pause-free port when trains are enabled (exact for
-        # any value — see the module docstring).
-        self.train_max = TRAIN_MAX
         self.train_frames = 0  # frame-hops that rode the fused train path
         # Per-port serialization-time memo: size -> round(size*8000/rate).
         # The rate is fixed for the port's lifetime and the memo stores the
         # very expression the hot paths inline, so a hit is bit-exact.
         self._ser: dict = {}
-        # Snapshot of the engine's train switch (A/B runs build fresh
-        # Simulators; ports deliberately do not track mid-run flips).
-        self._trains = sim.trains_enabled
         # Fused-path classification (lazy — peers are wired after
         # construction): False = not yet classified, None = ineligible.
         self._own_sw = False
@@ -598,16 +591,16 @@ class Port:
         paused = self.paused
         qb = self.qbytes
         k = self.commit_lookahead
-        if self._peer_sw and k < self.train_max and self.stats.pause_received == 0:
+        if self._peer_sw and k < TRAIN_MAX and self.stats.pause_received == 0:
             # Train formation: on a pause-free, train-eligible port (the
             # peer is a stock switch — classified at first delivery) the
-            # pending window may batch-fill to train_max, amortizing the
+            # pending window may batch-fill to TRAIN_MAX, amortizing the
             # per-delivery top-up over a burst.  Exact for any cap (PR 3
             # invariant); a port that has been XOFF'd keeps the tight
             # window so pause storms stay O(commit_lookahead) per
             # transition, and test/sink fabrics keep the documented
             # commit_lookahead bound.
-            k = self.train_max
+            k = TRAIN_MAX
         # The cover target is the armed delivery's arrival: fixed for the
         # whole call (commits append at the FIFO tail, never the head).
         cover = inflight[0][0] if inflight else None
@@ -650,13 +643,13 @@ class Port:
     def _classify_train_path(self):
         """One-time (per port) static classification for the fused train
         path.  The owner side qualifies when its departure hook is absent
-        or the stock ``Switch.on_departure``; the peer side when trains
-        are enabled and the peer node is a switch whose class-level
-        ``receive`` is the stock one.  The *dynamic* split triggers —
-        PacketTap wrapping, router identity, strategy staticness — live in
-        the peer switch's ``_train_ok`` flag plus the per-frame router
-        identity compare; class-level overrides follow the same bind-once
-        discipline as ``_departure_hook``."""
+        or the stock ``Switch.on_departure``; the peer side when the peer
+        node is a switch whose class-level ``receive`` is the stock one.
+        The *dynamic* split triggers — PacketTap wrapping, router identity,
+        strategy staticness, watchdog storms — live in the peer switch's
+        ``_train_ok`` flag plus the per-frame router identity compare;
+        class-level overrides follow the same bind-once discipline as
+        ``_departure_hook``."""
         Switch = _Switch if _Switch is not None else _resolve_train_symbols()
         node = self.node
         self._own_sw = (
@@ -664,13 +657,7 @@ class Port:
         )
         peer = self.peer
         pn = peer.node if peer is not None else None
-        B = (
-            pn
-            if self._trains
-            and pn is not None
-            and type(pn).receive is Switch.receive
-            else None
-        )
+        B = pn if pn is not None and type(pn).receive is Switch.receive else None
         self._peer_sw = B
         return B
 
@@ -679,17 +666,17 @@ class Port:
         ingress at the peer, then re-arm for the next in-flight frame.
 
         Frame-train fast path (DESIGN.md §2.2): when the hop terminates at
-        an untapped, zero-latency switch whose installed router is a static
-        per-flow function, the whole frame-hop — departure bookkeeping,
-        forwarding decision (memoized per same-flow train), shared-buffer
-        admission, PFC accounting, ECN draw and egress enqueue — runs as
-        one fused pass below, replicating the classic
-        ``on_departure -> receive -> enqueue`` chain operation for
-        operation (keep the three in sync!).  Same order, same timestamps,
-        same RNG draws: byte-identical observables, pinned by
-        tests/property/test_trains.py.  Any split trigger (control frame,
-        tap, per-packet LB, latency, host peer) falls through to the
-        classic calls."""
+        an untapped switch whose installed router is a static per-flow
+        function, the whole frame-hop — departure bookkeeping, forwarding
+        decision (memoized per same-flow train), shared-buffer admission,
+        PFC accounting, ECN draw and egress enqueue — runs as one fused
+        pass below, replicating the classic ``Switch.on_departure`` ->
+        ``Switch.receive`` -> ``Port.enqueue`` chain operation for
+        operation (each inlined block names its twin — change them
+        together).  Same order, same timestamps, same RNG draws:
+        byte-identical observables, pinned by tests/property/test_trains.py.
+        Any split trigger (control frame, tap, per-packet LB, watchdog
+        storm, host peer) falls through to the classic calls."""
         inflight = self._inflight
         pkt = inflight.popleft()[1]
         size = pkt.size
@@ -704,7 +691,7 @@ class Port:
         if (
             B is not None
             and kind < PAUSE  # control frames always go per-frame
-            and B._train_ok  # static LB, zero latency, untapped (live)
+            and B._train_ok  # static LB, untapped, no storm (live)
             and B.router is B._lb_router  # router not swapped by hand
         ):
             # ---- fused frame-train hop --------------------------------
@@ -721,9 +708,9 @@ class Port:
                     if counters[prio] <= A._xon and A._pfc_paused_up[in_a][prio]:
                         A._pfc_paused_up[in_a][prio] = False
                         A._send_pfc(in_a, prio, RESUME)
-                # Telemetry stamping moved to forward time (Switch.receive
-                # / _stamp_forward): A stamped this frame one hop ago, and
-                # B's stamp happens below, before B's admission.
+                # Telemetry is stamped at forward time: A stamped this
+                # frame one hop ago, and B's stamp happens below, before
+                # B's admission.
             else:
                 hook = self._departure_hook
                 if hook is not None:  # non-switch custom hook: honor it
@@ -748,8 +735,8 @@ class Port:
                 raise RuntimeError(
                     f"{B.name}: routing loop, {pkt!r} back out port {out}"
                 )
-            # Switch.receive's forward-time stamp, inlined (third copy of
-            # the block — keep in sync with receive/_stamp_forward).
+            # Switch.receive's forward-time stamp, inlined (the other copy
+            # of this block lives there — change them together).
             mode = B._int_mode
             if mode is not _NONE_INT:
                 if mode is _HPCC:
@@ -896,8 +883,8 @@ class Port:
             # window is still at/above commit_lookahead *and* covered.
             # Deliberate hysteresis: the refill TRIGGER is the tight
             # commit_lookahead while _commit's FILL cap is the widened
-            # train_max on train-eligible ports, so a draining window
-            # refills in batches of ~(train_max - K) frames once per
+            # TRAIN_MAX on train-eligible ports, so a draining window
+            # refills in batches of ~(TRAIN_MAX - K) frames once per
             # several deliveries instead of one frame every delivery.  On
             # non-widened ports the skipped call is exactly one that would
             # commit nothing (control frames never park across events, so

@@ -53,7 +53,6 @@ class SwitchConfig:
         "pfc_xon",
         "int_mode",
         "ecn",
-        "latency_ps",
         "int_table_refresh_ps",
         "n_prio",
     )
@@ -66,7 +65,6 @@ class SwitchConfig:
         pfc_xon: Optional[int] = None,
         int_mode: IntMode = IntMode.NONE,
         ecn: Optional[EcnConfig] = None,
-        latency_ps: int = 0,
         int_table_refresh_ps: int = 0,
         n_prio: int = 1,
     ) -> None:
@@ -82,7 +80,6 @@ class SwitchConfig:
         self.pfc_xon = pfc_xon
         self.int_mode = int_mode
         self.ecn = ecn
-        self.latency_ps = latency_ps
         self.int_table_refresh_ps = int_table_refresh_ps
         self.n_prio = n_prio
 
@@ -100,7 +97,6 @@ class Switch(Node):
         # Hot-path caches: SwitchConfig is immutable after construction, so
         # the per-hop data path reads these flat attributes instead of
         # chasing the config chain.
-        self._latency_ps = config.latency_ps
         self._buffer_bytes = config.buffer_bytes
         self._pfc_on = config.pfc_enabled
         self._xoff = config.pfc_xoff
@@ -115,8 +111,8 @@ class Switch(Node):
         # is the exact closure the installed strategy produced (set by
         # repro.lb.install_lb); ``_train_ok`` is the live gate the fused
         # frame-train path in net/port.py reads per frame: it is True only
-        # while a *static per-flow* strategy is installed on a zero-latency,
-        # untapped switch.  install_lb derives it from the strategy's
+        # while a *static per-flow* strategy is installed on an untapped,
+        # storm-free switch.  install_lb derives it from the strategy's
         # ``train_transparent`` flag; PacketTap clears and restores it
         # around installs.  A router swapped in by hand no longer matches
         # ``_lb_router`` and splits trains per-frame regardless; anything
@@ -209,12 +205,10 @@ class Switch(Node):
         if kind == ACK:
             pkt.fncc_in_port = in_port
         pkt.hops += 1
-        lat = self._latency_ps
-        if lat > 0:
-            self.sim.schedule(lat, self._forward, pkt, self.lane)
-            return
-        # Zero-latency fast path: _forward's body inlined (one Python call
-        # per packet-hop saved; the latency>0 branch keeps the method).
+        # From here to the enqueue call, the fused pass in
+        # net/port.py::Port._tx_deliver carries the other copy of this
+        # body (forward decision, INT/RoCC stamp, admission, PFC) — change
+        # them together; tests/property/test_trains.py compares the two.
         router = self.router
         if router is None:
             raise RuntimeError(f"switch {self.name} has no routing installed")
@@ -225,11 +219,15 @@ class Switch(Node):
                 f"{self.name}: routing loop, {pkt!r} back out port {out_port}"
             )
         # INT stamping happens HERE — at forward time, not at delivery.
-        # The stamp is a pure function of this switch's state at this
-        # event, so a frame's bytes are final the moment it is forwarded:
-        # the shard boundary protocol (DESIGN.md §11) exports frames from
-        # the egress in-flight window and replays them in another engine,
-        # which is only sound because nothing rewrites them afterwards.
+        # HPCC stamps the egress queue a data frame is about to join; FNCC
+        # stamps the request-direction port the ACK arrived on (Alg. 1
+        # line 8); RoCC min-combines the fair rate of that same port's
+        # controller.  The stamp is a pure function of this switch's state
+        # at this event, so a frame's bytes are final the moment it is
+        # forwarded: the shard boundary protocol (DESIGN.md §11) exports
+        # frames from the egress in-flight window and replays them in
+        # another engine, which is only sound because nothing rewrites
+        # them afterwards.
         # It also sits BEFORE shared-buffer/PFC admission so the size
         # admitted here is the size on_departure later releases.
         mode = self._int_mode
@@ -254,9 +252,9 @@ class Switch(Node):
                         recs.append(rec)
                     pkt.size += INT_RECORD_BYTES
             elif kind == ACK:  # FNCC
-                # _int_table_entry + add_int inlined (per-ACK-hop hot
-                # path); the record is built via __new__ to skip one
-                # Python call.
+                # All_INT_Table lookup (Fig. 8) + add_int inlined
+                # (per-ACK-hop hot path); the record is built via __new__
+                # to skip one Python call.
                 snap = self._int_snapshot
                 rec = INTRecord.__new__(INTRecord)
                 if snap is not None:
@@ -294,7 +292,6 @@ class Switch(Node):
             return
         self.buffer_used += size
         if self._pfc_on and kind < PAUSE:  # non-control, single compare
-            # _pfc_admit inlined (per-hop hot path).
             prio = pkt.priority
             counters = self._pfc_bytes[in_p]
             counters[prio] += size
@@ -303,70 +300,17 @@ class Switch(Node):
                 self._send_pfc(in_p, prio, PAUSE)
         self.ports[out_port].enqueue(pkt)
 
-    def _forward(self, pkt: Packet) -> None:
-        if self.router is None:
-            raise RuntimeError(f"switch {self.name} has no routing installed")
-        out_port = self.router(self, pkt)
-        if out_port == pkt.in_port:
-            raise RuntimeError(
-                f"{self.name}: routing loop, {pkt!r} back out port {out_port}"
-            )
-        self._stamp_forward(pkt, out_port)
-        # Shared-buffer admission (post-stamp size, matching on_departure).
-        if self.buffer_used + pkt.size > self.config.buffer_bytes:
-            self.drops += 1
-            self.ports[pkt.in_port].stats.drops += 1
-            return
-        self.buffer_used += pkt.size
-        if self.config.pfc_enabled and not pkt.is_control():
-            self._pfc_admit(pkt)
-        self.ports[out_port].enqueue(pkt)
-
-    def _stamp_forward(self, pkt: Packet, out_port: int) -> None:
-        """Forward-time telemetry stamping (the cold-path twin of the block
-        inlined in :meth:`receive`; the fused train path in net/port.py
-        carries a third copy — keep all three in sync).  HPCC stamps the
-        egress queue a data frame is about to join; FNCC stamps the
-        request-direction port the ACK arrived on (Alg. 1 line 8); RoCC
-        min-combines the fair rate of that same port's controller.  All
-        reads are of *this* switch at *this* event, which is what makes a
-        forwarded frame immutable from here to its next hop (DESIGN.md
-        §11)."""
-        kind = pkt.kind
-        mode = self._int_mode
-        if mode is IntMode.HPCC:
-            if kind == DATA:
-                eg = self.ports[out_port]
-                now = self.sim.now
-                acct = eg._acct
-                if acct and acct[0][0] <= now:
-                    eg._prune(now)
-                pkt.add_int(
-                    INTRecord(eg.rate_gbps, now, eg.tx_bytes, eg._queued_bytes)
-                )
-                pkt.size += INT_RECORD_BYTES
-        elif mode is IntMode.FNCC:
-            if kind == ACK:
-                pkt.add_int(self._int_table_entry(pkt.fncc_in_port))
-                pkt.size += INT_RECORD_BYTES
-        if kind == ACK and pkt.fncc_in_port >= 0:
-            ctrl = self.port_controllers[pkt.fncc_in_port]
-            if ctrl is not None:
-                rate = ctrl.fair_rate_gbps
-                if pkt.rocc_rate_gbps is None or rate < pkt.rocc_rate_gbps:
-                    pkt.rocc_rate_gbps = rate
-
     def on_departure(self, pkt: Packet, port: Port) -> None:
         # Pure accounting: buffer release + PFC ingress-counter release.
-        # Telemetry stamping moved to forward time (_stamp_forward /
-        # receive's inline) so a frame is immutable once it sits in a
-        # port's in-flight window — the property the shard boundary export
-        # relies on (DESIGN.md §11).  The frame's size therefore no longer
-        # changes between admission and here: one read balances both.
+        # Telemetry is stamped at forward time (receive) so a frame is
+        # immutable once it sits in a port's in-flight window — the
+        # property the shard boundary export relies on (DESIGN.md §11).
+        # The frame's size therefore no longer changes between admission
+        # and here: one read balances both.  (Port._tx_deliver's fused
+        # pass inlines this body — change them together.)
         size = pkt.size
         self.buffer_used -= size
         if self._pfc_on and pkt.kind < PAUSE:  # non-control, single compare
-            # _pfc_release inlined (per-hop hot path).
             in_p, prio = pkt.in_port, pkt.priority
             counters = self._pfc_bytes[in_p]
             counters[prio] -= size
@@ -375,14 +319,6 @@ class Switch(Node):
                 self._send_pfc(in_p, prio, RESUME)
 
     # -- All_INT_Table (Fig. 8) --------------------------------------------------
-    def _int_table_entry(self, port_idx: int) -> INTRecord:
-        """INT of the request-direction egress queue indexed by the ACK's
-        input port (Alg. 1 line 8)."""
-        if self._int_snapshot is not None:
-            return self._int_snapshot[port_idx].copy()
-        p = self.ports[port_idx]
-        return INTRecord(p.rate_gbps, self.sim.now, p.tx_bytes, p.qbytes_total)
-
     def _refresh_int_table(self, _now: int) -> None:
         self._int_snapshot = [
             INTRecord(p.rate_gbps, self.sim.now, p.tx_bytes, p.qbytes_total)
@@ -390,22 +326,6 @@ class Switch(Node):
         ]
 
     # -- PFC ------------------------------------------------------------------------
-    def _pfc_admit(self, pkt: Packet) -> None:
-        in_port, prio = pkt.in_port, pkt.priority
-        counters = self._pfc_bytes[in_port]
-        counters[prio] += pkt.size
-        if counters[prio] >= self.config.pfc_xoff and not self._pfc_paused_up[in_port][prio]:
-            self._pfc_paused_up[in_port][prio] = True
-            self._send_pfc(in_port, prio, PAUSE)
-
-    def _pfc_release(self, pkt: Packet) -> None:
-        in_port, prio = pkt.in_port, pkt.priority
-        counters = self._pfc_bytes[in_port]
-        counters[prio] -= pkt.size
-        if counters[prio] <= self.config.pfc_xon and self._pfc_paused_up[in_port][prio]:
-            self._pfc_paused_up[in_port][prio] = False
-            self._send_pfc(in_port, prio, RESUME)
-
     def _send_pfc(self, port_idx: int, prio: int, kind: int) -> None:
         frame = Packet(kind, size=PAUSE_FRAME_SIZE)
         frame.pause_prio = prio
@@ -429,7 +349,6 @@ class Switch(Node):
         self._train_ok = (
             lb is not None
             and getattr(lb, "train_transparent", False)
-            and self._latency_ps == 0
             and self.router is self._lb_router
             and "receive" not in self.__dict__
             # A watchdog-isolated storm must see every frame per-port so
@@ -440,7 +359,7 @@ class Switch(Node):
     def train_transparent(self) -> bool:
         """True when the frame-train fast path may forward fused bursts
         through this switch: a static per-flow strategy is installed and
-        unswapped on a zero-latency, untapped switch.  A tap installed
+        unswapped on an untapped, storm-free switch.  A tap installed
         mid-run or a router swap takes effect on the very next frame.
         (Introspection/tests; recomputes, so it is always truthful — a
         wrapped ``receive`` keeps the recomputed gate closed.)"""

@@ -5,7 +5,8 @@ Everything here is **per-run owned, never global**: experiments build a
 :class:`RunObservability` bundle, attach it to one simulator + fabric,
 and ship its snapshot with the run's summary.  Registry/counter-level
 observability is pull-based and byte-identical (fingerprints are pinned
-with it on and off, trains on and off — ``tests/obs``); tracer hooks are
+with it on and off, on the fused and the classic hop path —
+``tests/obs``); tracer hooks are
 train-safe except the explicitly tap-like ``pkt`` category (see
 :mod:`repro.obs.trace`).
 """

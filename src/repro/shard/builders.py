@@ -43,16 +43,6 @@ def _raise_bomb(arg) -> None:
     raise ShardBomb(f"scheduled shard crash at {arg} ps")
 
 
-def _set_trains(trains: Optional[bool]) -> None:
-    """Pin the frame-train flag before any port is built (ports snapshot
-    it at construction).  Spawn workers import everything fresh, so a
-    trains-off identity run must ship the flag in the build kwargs."""
-    if trains is not None:
-        import repro.sim.engine as engine
-
-        engine.TRAINS = trains
-
-
 def portstats_rows(nodes) -> List[tuple]:
     """Every PortStats counter of every port — the per-shard half of the
     byte-identity witness.  ``train_frames`` rides in the last column;
@@ -109,14 +99,12 @@ def build_microbench_shard(
     monitor_switch: int = 0,
     monitor_port: Optional[int] = None,
     trace: bool = False,
-    trains: Optional[bool] = None,
     crash_at_us: Optional[float] = None,
     crash_shard: int = 0,
     **cc_params,
 ) -> ShardFabric:
     """One shard of :func:`repro.experiments.common.run_microbench` —
     same construction order, ownership-gated launch."""
-    _set_trains(trains)
     sim = Simulator()
     seeds = SeedSequenceFactory(seed)
     env = build_cc_env(cc, link_rate_gbps=link_rate_gbps, pfc_xoff=pfc_xoff, **cc_params)
@@ -211,7 +199,6 @@ def build_fct_shard(
     cc: str = "fncc",
     workload: str = "websearch",
     trace: bool = False,
-    trains: Optional[bool] = None,
     crash_at_us: Optional[float] = None,
     crash_shard: int = 0,
     **kwargs,
@@ -220,8 +207,6 @@ def build_fct_shard(
     (the §5.5 fat-tree cell) — shared fabric builder, ownership-gated
     launch, completion counted where each flow's receiver lives."""
     from repro.experiments.fct_experiment import build_fct_fabric
-
-    _set_trains(trains)
 
     fab = build_fct_fabric(cc, workload=workload, **kwargs)
     topo, env = fab.topo, fab.env

@@ -215,12 +215,12 @@ def run_sharded_microbench(
     from repro.experiments.common import run_microbench
 
     # Plan off a throwaway serial build (cheap: nothing runs).  The
-    # builder-only knobs (trains pinning, crash bombs) don't exist on
-    # the serial entry point.
+    # builder-only knobs (crash bombs) don't exist on the serial entry
+    # point.
     probe_kwargs = {
         k: v
         for k, v in kwargs.items()
-        if k not in ("trains", "crash_at_us", "crash_shard")
+        if k not in ("crash_at_us", "crash_shard")
     }
     probe = run_microbench(cc, duration_us=0.0, **probe_kwargs)
     plan = dumbbell_plan(probe.topo, n_shards)
@@ -265,7 +265,7 @@ def run_sharded_fct(
     probe_kwargs = {
         k: v
         for k, v in kwargs.items()
-        if k not in ("trains", "crash_at_us", "crash_shard")
+        if k not in ("crash_at_us", "crash_shard")
     }
     fab = build_fct_fabric(cc, workload=workload, **probe_kwargs)
     plan = fattree_plan(fab.topo, shards)

@@ -51,22 +51,6 @@ from .sanitize import TieRecorder, parse_sanitize
 #: in the paper scenarios, small enough to be irrelevant for memory.
 _POOL_MAX = 8192
 
-#: Default for :attr:`Simulator.trains_enabled` — the frame-train fast path
-#: (DESIGN.md §2.2).  A train is a back-to-back same-direction burst whose
-#: frame-hops ride a fused delivery pipeline (departure bookkeeping, switch
-#: forwarding, egress enqueue in one pass) and whose port commits batch up
-#: to ``Port.train_max`` frames at a time.  Trains never change observable
-#: behavior: the wire schedule, counters, ECN/PFC decisions and RNG draw
-#: order are byte-identical to the per-frame path (the property suite in
-#: tests/property/test_trains.py pins this), so the toggle exists only for
-#: A/B measurement (``tools/bench.py --trains off/on``) and for debugging.
-#: Flip the module global before building a Simulator, or pass ``trains=``
-#: explicitly; ports snapshot the flag at construction.  The default honors
-#: the ``REPRO_TRAINS`` environment variable ("off" disables) so the mode
-#: survives into spawn-started sweep workers, which re-import this module
-#: rather than inheriting the parent's globals — tools/bench.py sets both.
-TRAINS = os.environ.get("REPRO_TRAINS", "on") != "off"
-
 #: Packed event-key layout: ``time << 64 | lane << 44 | seq``.  44 bits of
 #: sequence space is ~17.6 trillion events per run; 20 bits of lane space is
 #: ~1M entities — both far beyond any scenario, and Python's unbounded ints
@@ -76,6 +60,10 @@ TRAINS = os.environ.get("REPRO_TRAINS", "on") != "off"
 LANE_BITS = 20
 SEQ_BITS = 44
 _MAX_LANES = 1 << LANE_BITS
+
+#: ``run(until=None)``'s horizon: compares above every packed event key, so
+#: the drain case is the horizon loop with a bound no event reaches.
+_NO_HORIZON = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -147,7 +135,6 @@ class Simulator:
         "_running",
         "_stopped",
         "events_dispatched",
-        "trains_enabled",
         "obs",
         "monitors",
         "sanitize",
@@ -155,11 +142,7 @@ class Simulator:
         "faults",
     )
 
-    def __init__(
-        self,
-        trains: Optional[bool] = None,
-        sanitize: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, sanitize: Optional[Any] = None) -> None:
         self.now: int = 0
         self._heap: list = []
         self._seq: int = 0
@@ -168,15 +151,12 @@ class Simulator:
         self._running: bool = False
         self._stopped: bool = False
         self.events_dispatched: int = 0
-        # Frame-train fast path (see module docstring / TRAINS).  Read by
-        # ports at construction time; semantics are identical either way.
-        self.trains_enabled: bool = TRAINS if trains is None else trains
         # Debug-only runtime sanitizers (DESIGN.md §9).  ``sanitize`` is the
         # frozenset of active modes ({"tie", "pool"}); hosts consult it to
-        # pick their PacketPool class.  Unlike TRAINS, the environment
-        # default is read here at construction (not import) time so tools
-        # can toggle REPRO_SANITIZE in-process, and spawn-started sweep
-        # workers still inherit it through the environment.
+        # pick their PacketPool class.  The environment default is read
+        # here at construction (not import) time so tools can toggle
+        # REPRO_SANITIZE in-process, and spawn-started sweep workers still
+        # inherit it through the environment.
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "")
         self.sanitize = parse_sanitize(sanitize)
@@ -310,57 +290,39 @@ class Simulator:
         heap = self._heap
         pool = self._pool
         pop = heappop
+        # Horizon test hoisted into key space: one compare per iteration
+        # covers "time > until" exactly; pop first and push back on the
+        # (once-per-run) horizon hit — cheaper than peeking every
+        # iteration.  ``until=None`` (drain the queue) is the same loop
+        # under a horizon no key reaches.
+        horizon_key = _NO_HORIZON if until is None else (until + 1) << 64
         try:
-            if until is None:
-                # Unbounded drain: pop directly, no peek needed.
-                while heap and not self._stopped:
-                    ev = pop(heap)[1]
-                    if not ev.alive:
-                        # Lazy deletion: cancelled in place, recycle it.
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                        continue
-                    self.now = ev.time
-                    ev.alive = False
-                    seq = ev.seq
-                    ev.fn(ev.arg)
-                    # Recycle only if the callback neither re-armed the
-                    # event (schedule_reuse bumps seq, so seq unchanged
-                    # proves it is not back in the heap) nor left it alive.
-                    # A re-armed-then-cancelled event stays out of the pool
-                    # and is recycled by lazy deletion when it pops.
-                    if not ev.alive and ev.seq == seq:
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                    dispatched += 1
-            else:
-                # Horizon test hoisted into key space: one int compare per
-                # iteration covers "time > until" exactly.  Pop first and
-                # push back on the (once-per-run) horizon hit — cheaper than
-                # peeking every iteration.
-                horizon_key = (until + 1) << 64
-                while heap and not self._stopped:
-                    item = pop(heap)
-                    if item[0] >= horizon_key:
-                        heappush(heap, item)
-                        break
-                    ev = item[1]
-                    if not ev.alive:
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                        continue
-                    self.now = ev.time
-                    ev.alive = False
-                    seq = ev.seq
-                    ev.fn(ev.arg)
-                    if not ev.alive and ev.seq == seq:  # see drain loop note
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                    dispatched += 1
+            while heap and not self._stopped:
+                item = pop(heap)
+                if item[0] >= horizon_key:
+                    heappush(heap, item)
+                    break
+                ev = item[1]
+                if not ev.alive:
+                    # Lazy deletion: cancelled in place, recycle it.
+                    ev.fn = ev.arg = None
+                    if len(pool) < _POOL_MAX:
+                        pool.append(ev)
+                    continue
+                self.now = ev.time
+                ev.alive = False
+                seq = ev.seq
+                ev.fn(ev.arg)
+                # Recycle only if the callback neither re-armed the event
+                # (schedule_reuse bumps seq, so seq unchanged proves it is
+                # not back in the heap) nor left it alive.  A
+                # re-armed-then-cancelled event stays out of the pool and
+                # is recycled by lazy deletion when it pops.
+                if not ev.alive and ev.seq == seq:
+                    ev.fn = ev.arg = None
+                    if len(pool) < _POOL_MAX:
+                        pool.append(ev)
+                dispatched += 1
         finally:
             self._running = False
         if until is not None and self.now < until and not self._stopped:
@@ -371,9 +333,9 @@ class Simulator:
         return dispatched
 
     def _run_tie(self, until: Optional[int]) -> int:
-        """The :meth:`run` loops with the event-tie detector woven in
+        """The :meth:`run` loop with the event-tie detector woven in
         (``sanitize="tie"``, DESIGN.md §9).  Kept out of :meth:`run` so the
-        un-sanitized hot loops pay nothing for the feature.
+        un-sanitized hot loop pays nothing for the feature.
 
         Semantics are identical to :meth:`run` — same pop order, same clock
         updates, same recycling rule — plus, before each dispatch, a peek at
@@ -403,53 +365,31 @@ class Simulator:
         # bits, i.e. is below the 64-bit lane+sequence field — one int op
         # per pop.
         seq_mask = (1 << 64) - 1
+        horizon_key = _NO_HORIZON if until is None else (until + 1) << 64
         try:
-            if until is None:
-                while heap and not self._stopped:
-                    item = pop(heap)
-                    ev = item[1]
-                    if not ev.alive:
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                        continue
-                    pops += 1
-                    if heap and heap[0][0] ^ item[0] <= seq_mask:
-                        self._tie_peek(rec, ev, heap, pool, pop)
-                    self.now = ev.time
-                    ev.alive = False
-                    seq = ev.seq
-                    ev.fn(ev.arg)
-                    if not ev.alive and ev.seq == seq:  # see run() note
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                    dispatched += 1
-            else:
-                horizon_key = (until + 1) << 64
-                while heap and not self._stopped:
-                    item = pop(heap)
-                    if item[0] >= horizon_key:
-                        heappush(heap, item)
-                        break
-                    ev = item[1]
-                    if not ev.alive:
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                        continue
-                    pops += 1
-                    if heap and heap[0][0] ^ item[0] <= seq_mask:
-                        self._tie_peek(rec, ev, heap, pool, pop)
-                    self.now = ev.time
-                    ev.alive = False
-                    seq = ev.seq
-                    ev.fn(ev.arg)
-                    if not ev.alive and ev.seq == seq:  # see run() note
-                        ev.fn = ev.arg = None
-                        if len(pool) < _POOL_MAX:
-                            pool.append(ev)
-                    dispatched += 1
+            while heap and not self._stopped:
+                item = pop(heap)
+                if item[0] >= horizon_key:
+                    heappush(heap, item)
+                    break
+                ev = item[1]
+                if not ev.alive:
+                    ev.fn = ev.arg = None
+                    if len(pool) < _POOL_MAX:
+                        pool.append(ev)
+                    continue
+                pops += 1
+                if heap and heap[0][0] ^ item[0] <= seq_mask:
+                    self._tie_peek(rec, ev, heap, pool, pop)
+                self.now = ev.time
+                ev.alive = False
+                seq = ev.seq
+                ev.fn(ev.arg)
+                if not ev.alive and ev.seq == seq:  # see run() note
+                    ev.fn = ev.arg = None
+                    if len(pool) < _POOL_MAX:
+                        pool.append(ev)
+                dispatched += 1
         finally:
             self._running = False
             rec.total_pops += pops
@@ -484,29 +424,6 @@ class Simulator:
         if self.tie_recorder is None:
             return None
         return self.tie_recorder.report()
-
-    def step(self) -> bool:
-        """Dispatch the single next live event.  Returns False if none left."""
-        heap = self._heap
-        pool = self._pool
-        while heap:
-            ev = heappop(heap)[1]
-            if not ev.alive:
-                ev.fn = ev.arg = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(ev)
-                continue
-            self.now = ev.time
-            ev.alive = False
-            seq = ev.seq
-            ev.fn(ev.arg)
-            if not ev.alive and ev.seq == seq:  # see run() note
-                ev.fn = ev.arg = None
-                if len(pool) < _POOL_MAX:
-                    pool.append(ev)
-            self.events_dispatched += 1
-            return True
-        return False
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current callback returns."""

@@ -51,8 +51,8 @@ Frame trains (DESIGN.md §2.2): hosts are *train-opaque* — the port layer's
 fused delivery pipeline never fuses into a host, so a train arriving at
 the last hop unrolls to per-frame ``on_data`` calls automatically.  Every
 ACK, CNP and reorder decision therefore observes exactly the per-frame
-arrival sequence whether trains are on or off; nothing in this module
-needs to split anything.
+arrival sequence whichever hop path upstream frames took; nothing in
+this module needs to split anything.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ layer's fused delivery pipeline rides downstream.  The sender contributes
 the formation side only (the pacing-gap memo keeps burst emission cheap
 without moving a single timestamp); delivery and ACK processing stay
 strictly per-frame, so ACK clocking, CC window updates and retransmission
-semantics are untouched by the trains toggle.
+semantics are the same on either hop path.
 """
 
 from __future__ import annotations

@@ -79,14 +79,6 @@ class TestCheckRegression:
         )
         assert bench.main(["--check", "--out", str(out)]) == 1
 
-    def test_negative_lookahead_rejected_at_cli(self):
-        # A port with commit_lookahead < 1 would IndexError deep in the
-        # hot path; the CLI must reject it with a clear message instead.
-        import pytest
-
-        with pytest.raises(SystemExit):
-            bench.main(["--lookahead", "-1", "--no-write"])
-
 
 class TestJobsProvenance:
     """--check only compares entries measured at the same worker count: a
@@ -153,7 +145,7 @@ class TestJobsProvenance:
 
 
 class TestSanitizeProvenance:
-    """--check partitions by sanitize mode exactly like jobs/trains/backend:
+    """--check partitions by sanitize mode exactly like jobs/backend:
     a sanitized wall time is debug instrumentation, not a regression."""
 
     def test_mismatched_sanitize_not_compared(self, capsys):
@@ -236,9 +228,9 @@ class TestSanitizeProvenance:
         assert "REPRO_SANITIZE" not in os.environ
 
     def test_sanitize_defaults_from_environment(self, tmp_path, monkeypatch):
-        # REPRO_SANITIZE is the spawn-worker propagation channel (like
-        # REPRO_TRAINS); the flag default reads it so an env-configured CI
-        # job records honest provenance without repeating itself.
+        # REPRO_SANITIZE is the spawn-worker propagation channel; the flag
+        # default reads it so an env-configured CI job records honest
+        # provenance without repeating itself.
         monkeypatch.setenv("REPRO_SANITIZE", "tie")
         out = tmp_path / "traj.json"
         assert (

@@ -1,7 +1,10 @@
 """Cross-directory test helpers (importable because conftest.py puts the
 tests/ directory on sys.path)."""
 
+from unittest import mock
+
 from repro.experiments.common import build_cc_env, launch_flows
+from repro.net.port import Port
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.base import LinkSpec
 from repro.topo.dumbbell import dumbbell
@@ -32,3 +35,22 @@ def run_one_flow(sim, topo, env, size_bytes=2 * MB, src=0, horizon_us=5000):
     launch_flows(topo, [flow], env)
     sim.run(until=us(horizon_us))
     return topo.hosts[dst].receivers[0]
+
+
+def classic_hops_only():
+    """Reference mode for the fused-vs-classic equivalence suites: a context
+    manager under which every port built and run takes the classic
+    ``on_departure -> receive -> enqueue`` chain on every hop.
+
+    The product has no such switch — the port picks the path itself — so
+    this patches the port's one-time peer classification to find no
+    fusable peer, which also keeps the commit window at its un-widened
+    ``commit_lookahead``.  Callers keep the engagement guards honest:
+    ``train_frames == 0`` inside the block, ``> 0`` outside it."""
+    stock = Port._classify_train_path
+
+    def classify(port):
+        stock(port)
+        port._peer_sw = None
+
+    return mock.patch.object(Port, "_classify_train_path", classify)

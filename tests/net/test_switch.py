@@ -6,7 +6,7 @@ from repro.net.node import Node
 from repro.net.packet import ACK, DATA, PAUSE, RESUME, Packet
 from repro.net.port import connect
 from repro.net.switch import INT_RECORD_BYTES, IntMode, Switch, SwitchConfig
-from repro.units import ACK_SIZE, KB, serialization_ps
+from repro.units import ACK_SIZE, KB
 
 
 class Endpoint(Node):
@@ -68,14 +68,6 @@ class TestForwarding:
         a.ports[0].enqueue(data())
         with pytest.raises(RuntimeError):
             sim.run()
-
-    def test_switch_latency_delays_forwarding(self, sim):
-        cfg = SwitchConfig(latency_ps=5000)
-        a, sw, b = chain(sim, cfg)
-        a.ports[0].enqueue(data())
-        sim.run()
-        base = 2 * serialization_ps(1518, 100.0)
-        assert b.arrivals[0][0] == base + 5000
 
 
 class TestSharedBuffer:

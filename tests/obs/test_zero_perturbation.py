@@ -4,7 +4,8 @@ Registry/counter-level observability is pull-based: enabling a full
 :class:`repro.obs.RunObservability` bundle (registry + tracer + flight
 recorder) must leave every simulation observable byte-identical — FCT
 fingerprints, every per-port :class:`PortStats` counter, the PFC frame
-ledger — with frame trains ON and OFF, and must NOT close the frame-train
+ledger — on the fused hop path and on the classic-only reference
+(:func:`helpers.classic_hops_only`), and must NOT close the frame-train
 gate (unlike :class:`repro.metrics.tap.PacketTap` and the tap-like ``pkt``
 trace category, which wrap ``receive`` and therefore demote trains).
 
@@ -12,20 +13,15 @@ Extends the A/B pattern of ``tests/property/test_trains.py`` with a third
 axis: obs on vs off.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
-import repro.sim.engine as engine
+from helpers import classic_hops_only
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.experiments.lbmatrix import run_lb_cell
 from repro.metrics import pfc_frame_totals
 from repro.obs import EventTracer, FlightRecorder, MetricsRegistry, RunObservability
-
-
-@pytest.fixture(autouse=True)
-def _restore_trains_flag():
-    saved = engine.TRAINS
-    yield
-    engine.TRAINS = saved
 
 
 def _nodes(topo):
@@ -116,11 +112,11 @@ def _lb_cell_obs(obs):
 
 
 def _ab_obs(run, trains: bool):
-    """The same scenario with obs off and with a full bundle attached."""
-    engine.TRAINS = trains
-    plain = run(None)
-    engine.TRAINS = trains
-    observed = run(_full_bundle())
+    """The same scenario with obs off and with a full bundle attached;
+    ``trains=False`` runs both on the classic-only reference path."""
+    with nullcontext() if trains else classic_hops_only():
+        plain = run(None)
+        observed = run(_full_bundle())
     return plain, observed
 
 
@@ -153,7 +149,6 @@ class TestObsIsByteIdentical:
 
 class TestTraceHooksObserve:
     def test_pfc_and_flow_events_captured_without_perturbation(self):
-        engine.TRAINS = True
         obs = _full_bundle()
         _pause_storm_obs(obs)
         assert obs.tracer.counts["flow"] > 0
@@ -163,7 +158,6 @@ class TestTraceHooksObserve:
         assert snap["counters"]["flows.completed"] > 0
 
     def test_lb_reroute_callback_fires(self):
-        engine.TRAINS = True
         obs = _full_bundle()
         cell_obs = _lb_cell_obs(obs)
         snap = obs.snapshot()
@@ -186,7 +180,6 @@ class TestTapLikeHooksCloseGate:
         from repro.topo.dumbbell import dumbbell
         from repro.units import us
 
-        engine.TRAINS = True
         sim = Simulator()
         topo = dumbbell(
             sim,

@@ -3,25 +3,30 @@
 Trains are a pure representation change: the fused delivery pipeline, the
 per-train route memo and the widened commit window must never move a wire
 timestamp, a counter, an RNG draw, or an FCT.  Every test here runs the
-same scenario with trains on and trains off and asserts byte-identical
-observables — FCT fingerprints, every per-port :class:`PortStats` counter,
-ECN mark counts, :func:`repro.metrics.pfc_frame_totals` ledgers and the
-sampled series — plus one *engagement* guard: on a train-friendly fabric
-the fused path must actually fire (``Port.train_frames > 0``), so a
-silently broken predicate cannot pass as vacuous equivalence.
+same scenario as shipped (the port fuses every hop it may) and again under
+:func:`helpers.classic_hops_only` (every hop on the classic per-frame
+chain — the reference) and asserts byte-identical observables — FCT
+fingerprints, every per-port :class:`PortStats` counter, ECN mark counts,
+:func:`repro.metrics.pfc_frame_totals` ledgers and the sampled series —
+plus one *engagement* guard: on a train-friendly fabric the fused path must
+actually fire (``Port.train_frames > 0``), so a silently broken predicate
+cannot pass as vacuous equivalence.
 
 Split triggers covered: PFC XOFF mid-train (both injected ``pause()``
 calls and real PFC storms under a tight XOFF threshold), ECN kmin
 crossings mid-train (DCQCN's RED marking draws from the shared RNG
 stream), a PacketTap attached to a switch, and per-packet LB strategies
-(spray) whose switches refuse fusion outright.
+(spray) whose switches refuse fusion outright.  Both copies of the
+forward-time stamp are exercised branch by branch: FNCC live and
+snapshot-table (``int_table_refresh_ps > 0``) ACK stamps, HPCC DATA
+stamps, RoCC fair-rate min-combine.
 """
 
 import random
 
 import pytest
 
-import repro.sim.engine as engine
+from helpers import classic_hops_only
 from repro.experiments.common import run_microbench, summarize_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.experiments.lbmatrix import run_lb_cell
@@ -29,13 +34,6 @@ from repro.metrics import pfc_frame_totals
 from repro.metrics.tap import PacketTap
 from repro.net.packet import DATA
 from repro.units import KB, us
-
-
-@pytest.fixture(autouse=True)
-def _restore_trains_flag():
-    saved = engine.TRAINS
-    yield
-    engine.TRAINS = saved
 
 
 def _nodes(topo):
@@ -83,11 +81,11 @@ def _microbench_obs(**kw):
 
 
 def _ab(fn):
-    """Run ``fn`` under trains on and off; return both observations."""
-    engine.TRAINS = True
+    """Run ``fn`` fused (as shipped) and on the classic-only reference;
+    return both observations."""
     on = fn()
-    engine.TRAINS = False
-    off = fn()
+    with classic_hops_only():
+        off = fn()
     return on, off
 
 
@@ -100,8 +98,8 @@ class TestScenarioEquivalence:
         )
         assert on[:3] == off[:3]
         # Engagement guard: the INT-heavy FNCC dumbbell is the train
-        # archetype — the fused path must actually fire with trains on
-        # and must never fire with trains off.
+        # archetype — the fused path must actually fire as shipped and
+        # must never fire on the reference.
         assert on[3] > 0
         assert off[3] == 0
 
@@ -140,19 +138,80 @@ class TestScenarioEquivalence:
         pauses = on[2]["pause_sent"]
         assert pauses > 0, "scenario must actually exercise PFC"
 
-    def test_fct_experiment_websearch(self):
+    @pytest.mark.parametrize("cc", ["fncc", "hpcc", "rocc"])
+    def test_fct_experiment_websearch(self, cc):
+        # One CC per stamp branch the two copies carry: FNCC stamps ACKs
+        # from the live All_INT_Table, HPCC stamps DATA with the egress
+        # queue it is about to join, RoCC min-combines the per-port
+        # controller's fair rate into every ACK.
         def run():
             r = run_fct_experiment(
-                "fncc", workload="websearch", n_flows=60, seed=5, max_horizon_ms=30.0
+                cc, workload="websearch", n_flows=60, seed=5, max_horizon_ms=30.0
             )
             return (
                 r.fct_fingerprint(),
                 port_stats_fingerprint(r.topo),
                 pfc_frame_totals(_nodes(r.topo)),
+                train_frames_total(r.topo),
+                any(
+                    c is not None
+                    for sw in r.topo.switches
+                    for c in sw.port_controllers
+                ),
             )
 
         on, off = _ab(run)
-        assert on == off
+        assert on[:3] == off[:3]
+        assert on[3] > 0 and off[3] == 0
+        assert on[4] == off[4] == (cc == "rocc"), "RoCC controllers installed"
+
+    def test_fncc_snapshot_int_table(self):
+        # int_table_refresh_ps > 0 (the staleness ablation's knob): ACKs
+        # are stamped from the periodically refreshed snapshot instead of
+        # live port state — the other arm of the FNCC stamp branch.
+        def run():
+            from repro.experiments.common import build_cc_env, launch_flows
+            from repro.metrics.fct import FctCollector
+            from repro.net.switch import IntMode, SwitchConfig
+            from repro.sim.engine import Simulator
+            from repro.sim.rng import SeedSequenceFactory
+            from repro.topo.base import LinkSpec
+            from repro.topo.dumbbell import dumbbell
+            from repro.traffic.generator import staggered_elephants
+            from repro.units import MB
+
+            sim = Simulator()
+            env = build_cc_env("fncc")
+            topo = dumbbell(
+                sim,
+                n_senders=2,
+                link=LinkSpec(100.0, us(1.5)),
+                switch_config=SwitchConfig(
+                    int_mode=IntMode.FNCC, int_table_refresh_ps=us(2)
+                ),
+                seeds=SeedSequenceFactory(1),
+            )
+            collector = FctCollector(topo)
+            flows = staggered_elephants(
+                [h.host_id for h in topo.hosts[:2]],
+                topo.hosts[-1].host_id,
+                1 * MB,
+                us(30),
+            )
+            launch_flows(topo, flows, env)
+            sim.run(until=us(600))
+            assert all(sw._int_snapshot is not None for sw in topo.switches)
+            return (
+                tuple(sorted((r.flow.flow_id, r.fct_ps) for r in collector.records)),
+                port_stats_fingerprint(topo),
+                pfc_frame_totals(_nodes(topo)),
+                train_frames_total(topo),
+            )
+
+        on, off = _ab(run)
+        assert on[:3] == off[:3]
+        assert len(on[0]) == 2, "both elephants must complete"
+        assert on[3] > 0 and off[3] == 0
 
     def test_spray_cell_refuses_fusion_but_matches(self):
         def run():
@@ -169,7 +228,7 @@ class TestScenarioEquivalence:
         on, off = _ab(run)
         assert on[:2] == off[:2]
         # Per-packet LB: every switch refuses fusion, so zero frames ride
-        # the fused path even with trains enabled.
+        # the fused path even as shipped.
         assert on[2] == 0 and off[2] == 0
         assert on[3] and off[3]
 
@@ -247,10 +306,7 @@ class TestRandomizedPauseScripts:
                 train_frames_total(topo),
             )
 
-        engine.TRAINS = True
-        on = run_scripted()
-        engine.TRAINS = False
-        off = run_scripted()
+        on, off = _ab(run_scripted)
         assert on[:2] == off[:2]
 
 
@@ -306,15 +362,13 @@ class TestSplitTriggers:
                 assert topo.switches[1].train_transparent()
             return captured, fused_into_tapped, stats
 
-        engine.TRAINS = True
         cap_on, fused_on, stats_on = run(tap_switch=True)
         assert fused_on == 0, "a tapped switch must split trains per-frame"
-        engine.TRAINS = False
-        cap_off, fused_off, stats_off = run(tap_switch=True)
+        with classic_hops_only():
+            cap_off, fused_off, stats_off = run(tap_switch=True)
         assert cap_on == cap_off
         assert stats_on == stats_off
         # Untapped control run: fusion engages through the same switch.
-        engine.TRAINS = True
         _, fused_untapped, _ = run(tap_switch=False)
         assert fused_untapped > 0
 
@@ -330,7 +384,6 @@ class TestSplitTriggers:
         from repro.topo.base import LinkSpec
         from repro.topo.dumbbell import dumbbell
 
-        engine.TRAINS = True
         sim = Simulator()
         topo = dumbbell(
             sim,
@@ -359,7 +412,6 @@ class TestSplitTriggers:
         from repro.topo.base import LinkSpec
         from repro.topo.dumbbell import dumbbell
 
-        engine.TRAINS = True
         sim = Simulator()
         topo = dumbbell(
             sim,
@@ -375,15 +427,14 @@ class TestSplitTriggers:
         sw.router = lambda s, p: orig(s, p)
         assert not sw.train_transparent()
 
-    def test_trains_off_never_fuses_and_demotion_after_pfc(self):
-        engine.TRAINS = False
-        r = run_microbench(
-            cc="fncc", link_rate_gbps=100.0, duration_us=120.0, seed=1
-        )
+    def test_reference_never_fuses_and_demotion_after_pfc(self):
+        with classic_hops_only():
+            r = run_microbench(
+                cc="fncc", link_rate_gbps=100.0, duration_us=120.0, seed=1
+            )
         assert train_frames_total(r.topo) == 0
         # Real PFC traffic demotes the widened train window: a port that
         # has received XOFF keeps the tight commit_lookahead bound.
-        engine.TRAINS = True
         r = run_microbench(
             cc="fncc",
             link_rate_gbps=100.0,

@@ -2,8 +2,9 @@
 
 The acceptance bar for the whole shard subsystem (DESIGN.md §11): FCT
 fingerprints, every PortStats counter and the PFC ledger must match the
-serial engine byte for byte, in-process AND process-backed, trains on
-AND off, including runs where PFC PAUSE/RESUME frames cross the cut.
+serial engine byte for byte, in-process AND process-backed, fused AND on
+the classic-only reference path, including runs where PFC PAUSE/RESUME
+frames cross the cut.
 
 ``train_frames`` is masked on the two cut ports only: a boundary hop
 cannot fuse (the stub peer fails the train classifier's switch check, by
@@ -18,20 +19,13 @@ import os
 
 import pytest
 
-import repro.sim.engine as engine
+from helpers import classic_hops_only
 from repro.experiments.common import run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.faults.audit import FaultAuditor
 from repro.shard import ShardCrash, run_sharded_fct, run_sharded_microbench
 from repro.shard.builders import portstats_rows
 from repro.units import KB
-
-
-@pytest.fixture(autouse=True)
-def _restore_trains_flag():
-    saved = engine.TRAINS
-    yield
-    engine.TRAINS = saved
 
 
 def serial_rows(result):
@@ -68,13 +62,9 @@ def serial_series(result):
     )
 
 
-def assert_microbench_identical(cc, process=False, trains=None, **kw):
-    if trains is not None:
-        engine.TRAINS = trains
+def assert_microbench_identical(cc, process=False, **kw):
     serial = run_microbench(cc, **kw)
-    sharded = run_sharded_microbench(
-        cc, n_shards=2, process=process, trains=trains, **kw
-    )
+    sharded = run_sharded_microbench(cc, n_shards=2, process=process, **kw)
     cuts = cut_ports(serial.topo, sharded.plan)
     assert masked(serial_rows(serial), cuts) == masked(sharded.portstats, cuts)
     assert serial_series(serial) == sharded.series_fingerprint()
@@ -90,7 +80,10 @@ def test_dumbbell_identity_trains_on():
 
 
 def test_dumbbell_identity_trains_off():
-    assert_microbench_identical("fncc", trains=False, duration_us=400.0)
+    # In-process shards only: the reference patch lives in this process.
+    with classic_hops_only():
+        _, sharded = assert_microbench_identical("fncc", duration_us=400.0)
+    assert sum(r[-1] for r in sharded.portstats) == 0
 
 
 def test_dumbbell_identity_hpcc_int_across_cut():

@@ -107,7 +107,7 @@ class TestRunUntil:
         assert sim.events_dispatched == 4
 
 
-class TestStopAndStep:
+class TestStop:
     def test_stop_halts_run(self, sim):
         log = []
         sim.schedule(1, lambda _: (log.append(1), sim.stop()))
@@ -116,15 +116,6 @@ class TestStopAndStep:
         assert log == [1]
         sim.run()
         assert log == [1, 2]
-
-    def test_step_single_event(self, sim):
-        log = []
-        sim.schedule(1, log.append, "a")
-        sim.schedule(2, log.append, "b")
-        assert sim.step() is True
-        assert log == ["a"]
-        assert sim.step() is True
-        assert sim.step() is False
 
     def test_run_not_reentrant(self, sim):
         def naughty(_):

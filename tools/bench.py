@@ -34,20 +34,11 @@ provenance.
 backend-capable scenarios (``paper_scale``, ``million_flows``,
 ``million_flows_quick``); entries record a ``backend`` provenance field
 and ``--check``/speedup baselines only compare matching backends (like
-``jobs``/``trains``).  The ≥10x hybrid-vs-packet claim is read off two
+``jobs``).  The ≥10x hybrid-vs-packet claim is read off two
 explicitly labelled back-to-back entries::
 
     python tools/bench.py --scenario paper_scale --backend packet --repeats 1
     python tools/bench.py --scenario paper_scale --backend hybrid --repeats 1
-
-``--trains off`` disables the frame-train fast path (byte-identical
-results, per-frame execution) for A/B measurement; entries record the
-mode and ``--check`` only compares entries with matching ``trains`` (like
-``jobs``).  ``--ab-trains`` measures the selected scenarios under *both*
-modes in one process and fails (exit 1) when trains-on is slower than
-trains-off beyond ``--threshold`` on any scenario — the CI gate that keeps
-the fast path from ever costing wall-clock.  (Semantic equivalence of the
-two modes is pinned separately by tests/property/test_trains.py.)
 
 ``--shards N`` runs the shard-capable scenarios (``shard_scale``) on the
 topology-partitioned conservative-sync engine (DESIGN.md §11) with N
@@ -68,7 +59,7 @@ for the ≥2x projected speedup at 4 shards on a 4-core machine.
 sanitizers (``REPRO_SANITIZE``; DESIGN.md §9 — debug-only, observation-
 only).  Entries record a ``sanitize`` provenance field (``"off"`` when
 none) and ``--check``/speedup baselines only compare matching sanitize
-modes, exactly like ``jobs``/``trains``/``backend`` — a sanitized wall
+modes, exactly like ``jobs``/``backend`` — a sanitized wall
 time is never a regression signal against an unsanitized one.
 ``--ab-sanitize`` measures the selected scenarios with sanitizers off AND
 ``tie,pool`` in one process and fails (exit 1) when the sanitized run is
@@ -78,7 +69,7 @@ that keeps the sanitizers cheap enough to actually get used.
 Entry schema (one JSON object per run)::
 
     timestamp, git_rev, python, label    provenance
-    repeats, jobs, cpu_count, trains     measurement parameters
+    repeats, jobs, cpu_count             measurement parameters
     sanitize                             runtime sanitizers ("off" or modes)
     shards                               engine partition count (1 = serial)
     scenarios: {name: {
@@ -90,6 +81,10 @@ Entry schema (one JSON object per run)::
         frame_hops, frame_hops_per_sec,  # simulated-work throughput
     }}
     speedup_vs_baseline: {name: ratio}   # informational, median-based
+
+(Entries recorded before the frame-train toggle was removed also carry
+``"trains": "on"``; nothing reads it — the fused pass they ran with is the
+only mode left.)
 
 Works both installed (``pip install -e .``) and from a bare checkout (it
 adds ``src/`` and the repo root to ``sys.path`` itself).
@@ -151,18 +146,16 @@ def load_trajectory(path: Path) -> list:
 def find_baseline(
     trajectory: list,
     jobs: int = 1,
-    trains: str = "on",
     backend: str = "default",
     sanitize: str = "off",
     shards: int = 1,
 ) -> dict:
     """The speedup reference: the entry tagged ``"label": "baseline"``, else
     the oldest entry — considering only entries measured with the same
-    ``jobs`` value, ``trains`` mode, ``backend``, ``sanitize`` modes and
-    ``shards`` count.  Comparing wall times across worker counts would
-    report parallelism as hot-path speedup, across train modes would report
-    the fast path as history, across backends would report the fluid tier
-    as a packet-engine win, across sanitize modes would report debug
+    ``jobs`` value, ``backend``, ``sanitize`` modes and ``shards`` count.
+    Comparing wall times across worker counts would report parallelism as
+    hot-path speedup, across backends would report the fluid tier as a
+    packet-engine win, across sanitize modes would report debug
     instrumentation as a regression, and across shard counts would report
     the partitioned engine's sync overhead (or its parallelism, on a
     multi-core recorder) as a hot-path delta (the same rules ``--check``
@@ -171,7 +164,6 @@ def find_baseline(
         e
         for e in trajectory
         if entry_jobs(e) == jobs
-        and entry_trains(e) == trains
         and entry_backend(e) == backend
         and entry_sanitize(e) == sanitize
         and entry_shards(e) == shards
@@ -186,14 +178,6 @@ def entry_jobs(entry: dict) -> int:
     """The worker count an entry was measured with (pre-provenance entries
     recorded no ``jobs`` key and were all serial)."""
     return int(entry.get("jobs", 1))
-
-
-def entry_trains(entry: dict) -> str:
-    """The frame-train mode an entry was measured with.  Entries predating
-    the toggle count as ``"on"``: trains are on by default, and gating a
-    new trains-on entry against the pre-train per-frame engine is exactly
-    the cross-PR regression comparison the gate exists for."""
-    return str(entry.get("trains", "on"))
 
 
 def entry_backend(entry: dict) -> str:
@@ -264,7 +248,6 @@ def check_regression(trajectory: list, threshold: float = 0.15) -> int:
         return 0
     newest = trajectory[-1]
     jobs = entry_jobs(newest)
-    trains = entry_trains(newest)
     backend = entry_backend(newest)
     sanitize = entry_sanitize(newest)
     shards = entry_shards(newest)
@@ -274,7 +257,6 @@ def check_regression(trajectory: list, threshold: float = 0.15) -> int:
         cand = trajectory[pos]
         if (
             entry_jobs(cand) == jobs
-            and entry_trains(cand) == trains
             and entry_backend(cand) == backend
             and entry_sanitize(cand) == sanitize
             and entry_shards(cand) == shards
@@ -285,7 +267,7 @@ def check_regression(trajectory: list, threshold: float = 0.15) -> int:
     if prev is None:
         print(
             f"check: no previous entry measured with jobs={jobs} "
-            f"trains={trains} backend={backend} sanitize={sanitize} "
+            f"backend={backend} sanitize={sanitize} "
             f"shards={shards} "
             f"(newest: {newest.get('label') or newest.get('git_rev')}) — "
             "nothing comparable to gate against yet"
@@ -305,7 +287,7 @@ def check_regression(trajectory: list, threshold: float = 0.15) -> int:
     print(
         f"check: entry #{len(trajectory)} ({newest.get('label') or newest.get('git_rev')}) "
         f"vs #{prev_pos + 1} ({prev.get('label') or prev.get('git_rev')}), "
-        f"jobs={jobs}, trains={trains}, backend={backend}, "
+        f"jobs={jobs}, backend={backend}, "
         f"sanitize={sanitize}, shards={shards}, "
         f"threshold +{threshold:.0%} on wall_min_s"
     )
@@ -387,14 +369,6 @@ def _main(argv=None) -> int:
         "compares entries with matching jobs",
     )
     parser.add_argument(
-        "--lookahead",
-        type=int,
-        default=0,
-        help="override Port.commit_lookahead for this run (0 = default; "
-        "a huge value reproduces the eager commit-everything port, for "
-        "apples-to-apples pause-cost comparisons on one machine)",
-    )
-    parser.add_argument(
         "--backend",
         choices=("packet", "flow", "hybrid"),
         default="",
@@ -403,22 +377,6 @@ def _main(argv=None) -> int:
         "default (packet for paper_scale — the ground-truth baseline — "
         "hybrid for the million_flows pair); recorded in the entry so "
         "--check only compares matching backends",
-    )
-    parser.add_argument(
-        "--trains",
-        choices=("on", "off"),
-        default="on",
-        help="frame-train fast path toggle (byte-identical results either "
-        "way); recorded in the entry so --check only compares matching "
-        "modes",
-    )
-    parser.add_argument(
-        "--ab-trains",
-        action="store_true",
-        help="measure the selected scenarios under trains off AND on in "
-        "one process, print the A/B, and exit 1 if trains-on is slower "
-        "than trains-off beyond --threshold on any scenario (never "
-        "writes the trajectory)",
     )
     parser.add_argument(
         "--sanitize",
@@ -492,24 +450,6 @@ def _main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.shards < 1:
         parser.error("--shards must be >= 1 (1 = serial engine)")
-    if args.lookahead < 0:
-        parser.error("--lookahead must be >= 1 (0 = keep the port default)")
-    if args.lookahead:
-        import repro.net.port as _port
-
-        _port.COMMIT_LOOKAHEAD = args.lookahead
-
-    import repro.sim.engine as _engine
-
-    def _set_trains(mode: str) -> None:
-        # Both the in-process global AND the env var: spawn-started sweep
-        # workers (--jobs > 1) re-import repro.sim.engine rather than
-        # inheriting this process's module state, and the engine default
-        # reads REPRO_TRAINS at import.
-        _engine.TRAINS = mode == "on"
-        os.environ["REPRO_TRAINS"] = mode
-
-    _set_trains(args.trains)
 
     def _set_sanitize(spec: str) -> None:
         # Env var only: the engine reads REPRO_SANITIZE at *construction*
@@ -528,31 +468,6 @@ def _main(argv=None) -> int:
 
     if args.check:
         return check_regression(load_trajectory(args.out), args.threshold)
-
-    if args.ab_trains:
-        names = list(QUICK_SCENARIOS) if args.quick else (
-            args.scenario or list(SCENARIOS)
-        )
-        repeats = 3 if args.quick else args.repeats
-        print(f"A/B trains off vs on: {names} (repeats={repeats}) ...", flush=True)
-        walls = {}
-        for mode in ("off", "on"):
-            _set_trains(mode)
-            walls[mode] = measure_all(names, repeats=repeats, jobs=args.jobs)
-        failures = 0
-        print(f"{'scenario':>18} {'off(s)':>9} {'on(s)':>9} {'on/off':>8}")
-        for name in names:
-            off = walls["off"][name].get("wall_min_s") or walls["off"][name]["wall_s"]
-            on = walls["on"][name].get("wall_min_s") or walls["on"][name]["wall_s"]
-            ratio = on / off
-            verdict = "FAIL" if ratio > 1 + args.threshold else "ok"
-            if verdict == "FAIL":
-                failures += 1
-            print(f"{name:>18} {off:9.3f} {on:9.3f} {ratio:8.2f} {verdict}")
-        if failures:
-            print(f"ab-trains: trains-on regressed on {failures} scenario(s)")
-            return 1
-        return 0
 
     if args.ab_sanitize:
         names = list(QUICK_SCENARIOS) if args.quick else (
@@ -868,7 +783,6 @@ def _main(argv=None) -> int:
     baseline = find_baseline(
         trajectory,
         jobs=effective_jobs,
-        trains=args.trains,
         backend=effective_backend,
         sanitize=sanitize,
         shards=effective_shards,
@@ -881,7 +795,6 @@ def _main(argv=None) -> int:
         "repeats": repeats,
         "jobs": effective_jobs,
         "cpu_count": os.cpu_count(),
-        "trains": args.trains,
         "backend": effective_backend,
         "sanitize": sanitize,
         "shards": effective_shards,

@@ -21,8 +21,6 @@ Caveats baked into the output header:
 * The profiled run uses the same fixed seeds as the bench harness, after
   one untimed warmup, so the profile corresponds to the recorded
   trajectory numbers.
-* ``--trains off`` profiles the per-frame path (the same toggle as
-  ``tools/bench.py --trains``).
 
 Works both installed and from a bare checkout.
 """
@@ -75,12 +73,6 @@ def main(argv=None) -> int:
         "work is invisible to cProfile; use --jobs 1 to see it in-process)",
     )
     parser.add_argument(
-        "--trains",
-        choices=("on", "off"),
-        default="on",
-        help="frame-train fast path toggle (default on, like the bench)",
-    )
-    parser.add_argument(
         "--no-warmup",
         action="store_true",
         help="skip the untimed warmup run (profiles cold-start costs too)",
@@ -102,15 +94,6 @@ def main(argv=None) -> int:
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-
-    import os
-
-    import repro.sim.engine as engine
-
-    # Module global for this process, env var for any spawned sweep
-    # workers (they re-import the engine; its default reads REPRO_TRAINS).
-    engine.TRAINS = args.trains == "on"
-    os.environ["REPRO_TRAINS"] = args.trains
 
     fn = SCENARIOS[args.scenario]
     kwargs = {"jobs": args.jobs} if args.scenario in JOBS_SCENARIOS else {}
@@ -136,7 +119,7 @@ def main(argv=None) -> int:
     prof.disable()
 
     print(
-        f"# scenario={args.scenario} trains={args.trains} jobs={args.jobs}\n"
+        f"# scenario={args.scenario} jobs={args.jobs}\n"
         "# NOTE: cProfile inflates per-call overhead; confirm findings with\n"
         "# tools/bench.py wall-clock A/Bs before optimizing.\n"
     )
