@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.hybrid.fluid import FluidEngine
+from repro.hybrid.fluid import FluidEngine, RateHistory
 from repro.metrics.ideal import ideal_fct_ps
 from repro.transport.flow import Flow, FlowRecord
 from repro.units import DEFAULT_MTU
@@ -49,9 +49,10 @@ class FlowSimResult:
         #: LinkKey -> merged [(t0, t1)] congestion intervals (only when
         #: ``run(congestion=...)`` was requested).
         self.congestion_intervals: Dict[LinkKey, List[Tuple[float, float]]] = {}
-        #: LinkKey -> {epoch index: offered bytes} for the tracked subset
-        #: (only when ``run(bg=...)`` was requested).
-        self.bg_bytes: Dict[LinkKey, Dict[int, float]] = {}
+        #: Every committed rate change of the run (only when
+        #: ``run(keep_history=True)`` was requested); what
+        #: :meth:`FlowLevelSimulator.replay_bg` integrates.
+        self.history: Optional[RateHistory] = None
         self.n_events = 0
         self.end_time = 0.0
         self.max_active = 0
@@ -108,7 +109,7 @@ class FlowLevelSimulator:
         mtu: int = DEFAULT_MTU,
         header: int = 48,
         congestion: Optional[Tuple[float, int]] = None,
-        bg: Optional[Tuple[int, Sequence[LinkKey], Sequence[int]]] = None,
+        keep_history: bool = False,
         cap_schedule: Optional[Sequence[Tuple[int, LinkKey, float]]] = None,
         rate_eps: float = 0.02,
         ripple_rounds: Optional[int] = None,
@@ -118,20 +119,15 @@ class FlowLevelSimulator:
 
         The keyword hooks are the hybrid tier boundary (DESIGN.md §6):
         ``congestion=(util_threshold, min_flows)`` records per-link
-        congested intervals; ``bg=(epoch_ps, link_keys, flow_ids)``
-        accumulates the named flows' offered bytes per (link, epoch);
+        congested intervals; ``keep_history=True`` keeps the rate history
+        that :meth:`replay_bg` turns into any flow subset's
+        offered bytes per (link, epoch), without another run;
         ``cap_schedule=[(t_ps, link_key, rate_gbps), ...]`` applies
         piecewise-constant capacity changes (residual capacity feedback).
         """
         result = FlowSimResult()
         link_ids = self._link_ids
 
-        bg_cfg = None
-        tracked: frozenset = frozenset()
-        if bg is not None:
-            epoch_ps, bg_keys, bg_flow_ids = bg
-            bg_cfg = (epoch_ps, [link_ids[k] for k in bg_keys if k in link_ids])
-            tracked = frozenset(bg_flow_ids)
         sched = None
         if cap_schedule:
             sched = [
@@ -142,7 +138,7 @@ class FlowLevelSimulator:
         engine = FluidEngine(
             self._caps,
             congestion=congestion,
-            bg=bg_cfg,
+            keep_history=keep_history,
             cap_schedule=sched,
             rate_eps=rate_eps,
             ripple_rounds=ripple_rounds,
@@ -165,12 +161,7 @@ class FlowLevelSimulator:
                 lids.append(lid)
             links = [self._link_attrs[lk] for lk in path]
             ideal = ideal_fct_ps(f.size_bytes, links, mtu=mtu, header=header)
-            engine.add_flow(
-                lids,
-                f.size_bytes * wire_factor,
-                f.start_ps,
-                tracked=f.flow_id in tracked,
-            )
+            engine.add_flow(lids, f.size_bytes * wire_factor, f.start_ps)
             meta.append((f, ideal))
             result.paths[f.flow_id] = path
 
@@ -192,13 +183,42 @@ class FlowLevelSimulator:
         result.congestion_intervals = {
             inv[l]: iv for l, iv in engine.congestion_intervals.items()
         }
-        result.bg_bytes = {inv[l]: d for l, d in engine.bg_bytes.items() if d}
+        result.history = engine.history
         result.n_events = engine.n_events
         result.end_time = engine.end_time
         result.max_active = engine.max_active
         result.n_rate_changes = engine.n_rate_changes
         result.n_waterfills = engine.n_waterfills
         return result
+
+    def replay_bg(
+        self,
+        result: FlowSimResult,
+        epoch_ps: int,
+        link_keys: Sequence[LinkKey],
+        flow_ids: Sequence[int],
+    ) -> Dict[LinkKey, Dict[int, float]]:
+        """``{LinkKey: {epoch index: bytes}}`` the flows in ``flow_ids``
+        offered on each of ``link_keys`` during the run that produced
+        ``result`` (links that saw none are left out), integrated from its
+        rate history — bit-identical to accumulating inside the run, for
+        any selection, any number of times (see
+        :meth:`repro.hybrid.fluid.RateHistory.replay_bg`)."""
+        if result.history is None:
+            raise RuntimeError("no rate history: run(keep_history=True) first")
+        lids = []
+        for k in link_keys:
+            lid = self._link_ids.get(k)
+            if lid is None:
+                raise KeyError(f"unknown background link {k}")
+            lids.append(lid)
+        wanted = frozenset(flow_ids)
+        # result.paths is keyed in flow order: position = dense flow index.
+        per_link = result.history.replay_bg(
+            epoch_ps, lids, [i for i, fid in enumerate(result.paths) if fid in wanted]
+        )
+        inv = self._id_to_key
+        return {inv[l]: d for l, d in per_link.items() if d}
 
 
 def from_topology(topo) -> Tuple[FlowLevelSimulator, PathFn]:

@@ -6,11 +6,18 @@ coupled tiers:
 1. **Classify** — the whole flow set runs under the incremental max-min
    fluid model, recording per-link intervals during which utilization sits
    at/above ``threshold`` with at least ``min_link_flows`` concurrent
-   flows.  Flows whose fluid lifetime overlaps a congested interval on any
-   path link are *demoted* to the packet tier; everything else stays fluid.
-2. **Background pass** — the fluid model re-runs accumulating, per
-   (link, epoch), the bytes the *fluid* flows offer on links the demoted
-   flows cross (the tier boundary's forward direction).
+   flows, and keeping the run's rate history.  Flows whose fluid lifetime
+   overlaps a congested interval on any path link are *demoted* to the
+   packet tier; everything else stays fluid.
+2. **Background replay** — the classification pass's rate history is
+   replayed into, per (link, epoch), the bytes the *fluid* flows offer on
+   links the demoted flows cross (the tier boundary's forward direction).
+   No second simulation: a background pass would run the same flows on
+   the same capacities with the same ``rate_eps`` / ``ripple_rounds``, the
+   congestion and history recorders only observe, and replay performs the
+   accumulator's float operations in the same order — so the bytes are
+   bit-identical to re-simulating, for round 0 and for every refine
+   round's new (shared links, fluid flows) selection alike.
 3. **Packet phase** — only the demoted flows are launched on the real
    discrete-event fabric.  Fluid background load is presented to the
    shared ports as serializer drains (:meth:`repro.net.port.Port.bg_drain`)
@@ -25,6 +32,10 @@ coupled tiers:
    capacities (link capacity minus measured packet bytes, floored at
    ``residual_floor``) on the shared links: the tier boundary's reverse
    direction.  Packet records and fluid records merge into one result.
+
+So a cell costs two fluid passes however often it refines, and one when
+nothing is demoted (the classification pass's records are then the answer).
+``stats["fluid_passes"]`` / ``stats["bg_replay_entries"]`` report both.
 
 The two degenerate thresholds short-circuit: ``threshold <= 0`` demotes
 everything (byte-identical to :func:`run_fct_experiment` by construction);
@@ -110,6 +121,12 @@ class HybridConfig:
         mouse_bytes: Optional[int] = None,
         congested_frac: float = 0.15,
     ) -> None:
+        if threshold is not None and math.isnan(threshold):
+            raise ValueError("threshold must not be NaN (None or inf keeps everything fluid)")
+        if refine_rounds < 0:
+            raise ValueError("refine_rounds must be non-negative")
+        if not rate_eps >= 0:
+            raise ValueError("rate_eps must be non-negative")
         if not (0.0 <= residual_floor < 1.0):
             raise ValueError("residual_floor must be in [0, 1)")
         if min_link_flows < 1:
@@ -331,14 +348,18 @@ def run_fct_hybrid(
     cfg = config or HybridConfig()
     thr = cfg.threshold if threshold is _UNSET else threshold
 
-    def _observed(stats: Dict[str, int]) -> Dict[str, int]:
+    # Where the fluid time went: FlowLevelSimulator.run calls made, and
+    # rate-history entries walked by background replays.
+    stats: Dict[str, int] = {"fluid_passes": 0, "bg_replay_entries": 0}
+
+    def _observed(**final: int) -> Dict[str, int]:
+        stats.update(final)
         if obs is not None:
             obs.observe_hybrid(stats)
         return stats
 
-    # -- degenerate tiers ---------------------------------------------------
-    if classify_fn is None and thr is not None and thr <= 0:
-        # Everything demotes: the packet experiment verbatim, so the FCT
+    def _all_packet(rounds_used: int) -> HybridFctResult:
+        # Everything demoted: the packet experiment verbatim, so the FCT
         # fingerprint is byte-identical by construction.
         res = run_fct_experiment(
             cc, workload=workload, max_horizon_ms=max_horizon_ms, obs=obs,
@@ -347,8 +368,12 @@ def run_fct_hybrid(
         return HybridFctResult(
             cc, workload, list(res.collector.records), res.bins, res.n_flows,
             res.sim, res.topo,
-            _observed({"demoted": res.n_flows, "fluid": 0, "refine_rounds": 0}),
+            _observed(demoted=res.n_flows, fluid=0, refine_rounds=rounds_used),
         )
+
+    # -- degenerate tiers ---------------------------------------------------
+    if classify_fn is None and thr is not None and thr <= 0:
+        return _all_packet(0)
 
     fab = build_fct_fabric(cc, workload=workload, **fabric_kwargs)
     if obs is not None:
@@ -364,39 +389,48 @@ def run_fct_hybrid(
     def _guard():
         return obs.guard(sim=fab.sim, topo=fab.topo) if obs is not None else nullcontext()
 
-    all_fluid = classify_fn is None and (
-        thr is None or (isinstance(thr, float) and math.isinf(thr))
-    )
-    if all_fluid:
-        if obs is not None:
-            obs.phase("fluid", flows=n_flows)
+    def _fluid_pass(pass_flows, **hooks):
+        stats["fluid_passes"] += 1
         with _guard():
-            fres = fls.run(
-                flows, path_fn, rate_eps=cfg.rate_eps, ripple_rounds=cfg.ripple_rounds
+            return fls.run(
+                pass_flows, path_fn, rate_eps=cfg.rate_eps,
+                ripple_rounds=cfg.ripple_rounds, **hooks,
             )
+
+    def _all_fluid(fres) -> HybridFctResult:
+        # Nothing demoted: a pass over the whole flow set is the answer.
         return HybridFctResult(
             cc, workload, list(fres.records), fab.bins, n_flows, None, fab.topo,
-            _observed({"demoted": 0, "fluid": n_flows, "refine_rounds": 0,
-                       "fluid_events": fres.n_events}),
+            _observed(demoted=0, fluid=n_flows, refine_rounds=0,
+                      fluid_events=fres.n_events),
         )
 
+    if classify_fn is None and (
+        thr is None or (isinstance(thr, float) and math.isinf(thr))
+    ):
+        if obs is not None:
+            obs.phase("fluid", flows=n_flows)
+        return _all_fluid(_fluid_pass(flows))
+
     # -- 1. classification pass --------------------------------------------
-    stats: Dict[str, int] = {}
+    # Either way ``cres`` is the one simulation of the whole flow set, and
+    # its rate history is what every background replay below integrates.
     if classify_fn is not None:
         demoted: Set[int] = {f.flow_id for f in flows if classify_fn(f)}
-        # Paths are still needed for the background-pass link overlap.
-        paths = {f.flow_id: path_fn(f) for f in flows}
+        if len(demoted) == n_flows:
+            return _all_packet(0)
+        # No classification pass to reuse: a plain pass supplies the
+        # history (and the paths for the shared-link overlap).
+        if obs is not None:
+            obs.phase("fluid", flows=n_flows)
+        cres = _fluid_pass(flows, keep_history=True)
+        paths = cres.paths
     else:
         if obs is not None:
             obs.phase("classify", flows=n_flows, threshold=thr)
-        with _guard():
-            cres = fls.run(
-                flows,
-                path_fn,
-                congestion=(thr, cfg.min_link_flows),
-                rate_eps=cfg.rate_eps,
-                ripple_rounds=cfg.ripple_rounds,
-            )
+        cres = _fluid_pass(
+            flows, congestion=(thr, cfg.min_link_flows), keep_history=True
+        )
         paths = cres.paths
         demoted = set()
         frac = cfg.congested_frac
@@ -451,40 +485,19 @@ def run_fct_hybrid(
     if obs is not None:
         obs.trace_each("hybrid", "demote", sorted(demoted), key="flow")
 
+    if not demoted:
+        # Without demoted flows there is no tier boundary, and the final
+        # pass would repeat the pass above capacity for capacity.
+        return _all_fluid(cres)
+
     by_id = {f.flow_id: f for f in flows}
     rounds_used = 0
     while True:
         fluid_ids = [f.flow_id for f in flows if f.flow_id not in demoted]
         if not fluid_ids:
             # Refinement (or the classifier) demoted everything.
-            res = run_fct_experiment(
-                cc, workload=workload, max_horizon_ms=max_horizon_ms, obs=obs,
-                **fabric_kwargs,
-            )
-            stats.update(
-                {"demoted": n_flows, "fluid": 0, "refine_rounds": rounds_used}
-            )
-            return HybridFctResult(
-                cc, workload, list(res.collector.records), res.bins, n_flows,
-                res.sim, res.topo, _observed(stats),
-            )
+            return _all_packet(rounds_used)
         demoted_flows = [f for f in flows if f.flow_id in demoted]
-        if not demoted_flows:
-            if obs is not None:
-                obs.phase("fluid", flows=n_flows)
-            with _guard():
-                fres = fls.run(
-                    flows, path_fn, rate_eps=cfg.rate_eps,
-                    ripple_rounds=cfg.ripple_rounds,
-                )
-            stats.update(
-                {"demoted": 0, "fluid": n_flows, "refine_rounds": rounds_used,
-                 "fluid_events": fres.n_events}
-            )
-            return HybridFctResult(
-                cc, workload, list(fres.records), fab.bins, n_flows, None,
-                fab.topo, _observed(stats),
-            )
 
         # Links where the tiers meet: on a demoted path AND a fluid path.
         fluid_links: Set[Tuple[str, str]] = set()
@@ -497,19 +510,14 @@ def run_fct_hybrid(
                     shared_links.add(lk)
         shared = sorted(shared_links)
 
-        # -- 2. background pass ------------------------------------------
+        # -- 2. background replay ----------------------------------------
         if obs is not None:
             obs.phase(
                 "background", round=rounds_used, shared_links=len(shared)
             )
         with _guard():
-            bres = fls.run(
-                flows,
-                path_fn,
-                bg=(epoch_ps, shared, fluid_ids),
-                rate_eps=cfg.rate_eps,
-                ripple_rounds=cfg.ripple_rounds,
-            )
+            bg_bytes = fls.replay_bg(cres, epoch_ps, shared, fluid_ids)
+        stats["bg_replay_entries"] += len(cres.history)
 
         # -- 3. packet phase ---------------------------------------------
         if rounds_used > 0:
@@ -521,7 +529,7 @@ def run_fct_hybrid(
             if obs is not None:
                 obs.attach(fab.sim, fab.topo, collector=fab.collector)
         stats["bg_drain_events"] = _schedule_bg_drains(
-            fab, bres.bg_bytes, epoch_ps, cfg.bg_quantum_bytes
+            fab, bg_bytes, epoch_ps, cfg.bg_quantum_bytes
         )
         sampler = _ResidualSampler(fab, shared, epoch_ps, obs=obs)
         if obs is not None:
@@ -588,30 +596,20 @@ def run_fct_hybrid(
         obs.phase(
             "final-fluid", flows=len(fluid_flows), cap_entries=len(sched)
         )
-    with _guard():
-        fres = fls.run(
-            fluid_flows,
-            path_fn,
-            cap_schedule=sched,
-            rate_eps=cfg.rate_eps,
-            ripple_rounds=cfg.ripple_rounds,
-        )
+    fres = _fluid_pass(fluid_flows, cap_schedule=sched)
 
     records = list(fab.collector.records) + list(fres.records)
-    stats.update(
-        {
-            "demoted": len(demoted),
-            "fluid": len(fluid_ids),
-            "refine_rounds": rounds_used,
-            "shared_links": len(shared),
-            "packet_events": fab.sim.events_dispatched,
-            "fluid_events": fres.n_events,
-            "cap_schedule_entries": len(sched),
-        }
-    )
     return HybridFctResult(
         cc, workload, records, fab.bins, n_flows, fab.sim, fab.topo,
-        _observed(stats),
+        _observed(
+            demoted=len(demoted),
+            fluid=len(fluid_ids),
+            refine_rounds=rounds_used,
+            shared_links=len(shared),
+            packet_events=fab.sim.events_dispatched,
+            fluid_events=fres.n_events,
+            cap_schedule_entries=len(sched),
+        ),
     )
 
 

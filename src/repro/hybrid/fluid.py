@@ -6,7 +6,7 @@ keeps the waterfilling *incremental*: an event re-solves only the flows
 that share a link with the arrival/completion (expanding outward while
 rates keep changing — the "ripple"), with the per-set solve done by a
 heap-based progressive filling instead of repeated full scans.  Flow
-completions are tracked lazily (a versioned heap of predicted finish
+completions are kept lazily (a versioned heap of predicted finish
 times), so an event costs O(affected · log n), not O(active).
 
 Beyond plain max-min service the engine carries the three hooks the
@@ -15,11 +15,22 @@ hybrid tier boundary needs (DESIGN.md §6):
 * **congestion recording** — per-link intervals during which utilization
   is at/above a threshold with at least ``min_flows`` concurrent flows
   (the demotion predicate);
-* **background accumulation** — per-(link, epoch) byte integrals of a
-  tracked flow subset's offered load (what the fluid tier presents to
-  packet ports as virtual arrivals);
+* **rate history** — one ``(t, flow, delta)`` entry per committed rate
+  change, in commit order (:class:`RateHistory`).  The background load
+  the fluid tier presents to packet ports — per-(link, epoch) byte
+  integrals of a flow subset's offered load — is *replayed* from it
+  (:meth:`RateHistory.replay_bg`) for any (epoch, links, flows)
+  selection, any number of times, without simulating again;
 * **capacity schedules** — piecewise-constant per-link capacity changes
   (how measured packet-tier throughput is fed back as residual capacity).
+
+Both recorders only observe: neither feeds anything back into the rates,
+so a run produces the same trajectory with them on or off.  Replay walks
+the history in commit order and, link by link, performs the flush-then-add
+sequence an accumulator inside :meth:`FluidEngine.run` would perform at
+each rate change, on the same floats in the same order — so the replayed
+integrals are bit-identical to in-loop accumulation (per-link state is
+independent, which is what lets one history serve every selection).
 
 Time is float picoseconds internally; capacities are bytes/ps.
 """
@@ -27,9 +38,10 @@ Time is float picoseconds internally; capacities are bytes/ps.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["FluidEngine", "FluidFlowResult", "FluidStallError"]
+__all__ = ["FluidEngine", "FluidFlowResult", "FluidStallError", "RateHistory"]
 
 #: Relative slack when comparing a link's load against ``cap * threshold``:
 #: a saturated link's load is a sum of waterfill shares and may sit a few
@@ -64,6 +76,84 @@ class FluidFlowResult:
         self.solo_rate = solo_rate
 
 
+def _integrate(acc: Dict[int, float], ep: int, t0: float, t: float, rho: float) -> None:
+    """Add ``rho`` bytes/ps held over [t0, t] to the per-epoch totals."""
+    e0 = int(t0 // ep)
+    e1 = int(t // ep)
+    if e0 == e1:
+        acc[e0] = acc.get(e0, 0.0) + rho * (t - t0)
+        return
+    acc[e0] = acc.get(e0, 0.0) + rho * ((e0 + 1) * ep - t0)
+    full = rho * ep
+    for e in range(e0 + 1, e1):
+        acc[e] = acc.get(e, 0.0) + full
+    tail = t - e1 * ep
+    if tail > 0.0:
+        acc[e1] = acc.get(e1, 0.0) + rho * tail
+
+
+class RateHistory:
+    """Every committed rate change of one :meth:`FluidEngine.run`, in commit
+    order, as three packed columns (20 bytes an entry): ``t[j]`` float ps,
+    ``flow[j]`` dense flow index, ``delta[j]`` rate change in bytes/ps."""
+
+    __slots__ = ("t", "flow", "delta", "end_time", "_flow_links")
+
+    def __init__(self, flow_links: List[Tuple[int, ...]]) -> None:
+        self.t = array("d")
+        self.flow = array("i")
+        self.delta = array("d")
+        #: When the recorded run ended (the last integration boundary).
+        self.end_time = 0.0
+        self._flow_links = flow_links
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(c.itemsize * len(c) for c in (self.t, self.flow, self.delta))
+
+    def replay_bg(
+        self, epoch_ps: int, links: Iterable[int], flows: Iterable[int]
+    ) -> Dict[int, Dict[int, float]]:
+        """Bytes offered per epoch on each of ``links`` by the flows whose
+        dense indices are in ``flows``: ``{link: {epoch_index: bytes}}``.
+
+        Each call starts from zero load at t = 0 and keeps nothing, so
+        different selections replayed off one history cannot affect each
+        other.
+        """
+        if epoch_ps <= 0:
+            raise ValueError("bg epoch must be positive")
+        ep = int(epoch_ps)
+        chosen = frozenset(links)
+        acc: Dict[int, Dict[int, float]] = {l: {} for l in chosen}
+        load = {l: 0.0 for l in chosen}
+        last = {l: 0.0 for l in chosen}
+
+        def flush(l: int, t: float) -> None:
+            t0 = last[l]
+            if t > t0:
+                last[l] = t
+                if load[l] > 0.0:
+                    _integrate(acc[l], ep, t0, t, load[l])
+
+        # Per flow, the chosen links it crosses (empty for the rest).
+        picked = frozenset(flows)
+        crossed = [
+            tuple(l for l in ls if l in chosen) if i in picked else ()
+            for i, ls in enumerate(self._flow_links)
+        ]
+        for t, i, delta in zip(self.t, self.flow, self.delta):
+            for l in crossed[i]:
+                flush(l, t)
+                load[l] += delta
+        for l in chosen:
+            flush(l, self.end_time)
+        return acc
+
+
 class FluidEngine:
     """One fluid run over integer-id links.
 
@@ -76,14 +166,12 @@ class FluidEngine:
         time intervals during which ``load >= cap * threshold`` while at
         least ``min_flows`` flows are on the link.  Available as
         :attr:`congestion_intervals` after :meth:`run`.
-    bg:
-        Optional ``(epoch_ps, links)``: accumulate, for each link id in
-        ``links``, the bytes offered per epoch by flows added with
-        ``tracked=True``.  Available as :attr:`bg_bytes` after
-        :meth:`run` (``{link: {epoch_index: bytes}}``).
+    keep_history:
+        Record every committed rate change; available as :attr:`history`
+        (a :class:`RateHistory`) after :meth:`run`, ``None`` otherwise.
     cap_schedule:
         Optional sequence of ``(t_ps, link, cap_bytes_per_ps)`` capacity
-        changes, applied in time order.
+        changes (> 0), applied in time order.
     rate_eps:
         Ripple damping: a re-solved rate within ``rate_eps`` (relative) of
         a flow's committed rate is left uncommitted, which stops the
@@ -108,7 +196,7 @@ class FluidEngine:
         self,
         capacities: Sequence[float],
         congestion: Optional[Tuple[float, int]] = None,
-        bg: Optional[Tuple[int, Sequence[int]]] = None,
+        keep_history: bool = False,
         cap_schedule: Optional[Sequence[Tuple[int, int, float]]] = None,
         rate_eps: float = 0.0,
         ripple_rounds: Optional[int] = None,
@@ -128,30 +216,25 @@ class FluidEngine:
         self._on_link: List[Dict[int, None]] = [{} for _ in range(n_links)]
         self._load = [0.0] * n_links
         self._cap_schedule = sorted(cap_schedule or [], key=lambda e: (e[0], e[1]))
+        for _t, l, c in self._cap_schedule:
+            if not 0 <= l < n_links:
+                raise KeyError(f"capacity schedule: unknown link id {l}")
+            if c <= 0:
+                raise ValueError("capacity schedule values must be positive")
 
         # Congestion recording.
         self._cong = congestion
         self.congestion_intervals: Dict[int, List[Tuple[float, float]]] = {}
         self._cong_open: Dict[int, float] = {}
 
-        # Background accumulation.
-        self._bg_epoch = 0
-        self._bg_links: frozenset = frozenset()
-        if bg is not None:
-            epoch_ps, links = bg
-            if epoch_ps <= 0:
-                raise ValueError("bg epoch must be positive")
-            self._bg_epoch = int(epoch_ps)
-            self._bg_links = frozenset(links)
-        self.bg_bytes: Dict[int, Dict[int, float]] = {l: {} for l in self._bg_links}
-        self._bg_load = {l: 0.0 for l in self._bg_links}
-        self._bg_last = {l: 0.0 for l in self._bg_links}
-
         # Flow table (filled by add_flow).
         self._links: List[Tuple[int, ...]] = []
         self._wire: List[float] = []
         self._start: List[int] = []
-        self._tracked: List[bool] = []
+
+        self.history: Optional[RateHistory] = (
+            RateHistory(self._links) if keep_history else None
+        )
 
         self.end_time = 0.0
         self.n_events = 0
@@ -160,7 +243,7 @@ class FluidEngine:
         self.max_active = 0
 
     # -- construction ----------------------------------------------------------
-    def add_flow(self, links: Sequence[int], wire_bytes: float, start_ps: int, tracked: bool = False) -> int:
+    def add_flow(self, links: Sequence[int], wire_bytes: float, start_ps: int) -> int:
         """Register one flow; returns its dense index."""
         if not links:
             raise ValueError("flow path must contain at least one link")
@@ -172,7 +255,6 @@ class FluidEngine:
         self._links.append(tuple(links))
         self._wire.append(float(wire_bytes))
         self._start.append(int(start_ps))
-        self._tracked.append(bool(tracked))
         return len(self._links) - 1
 
     # -- core ------------------------------------------------------------------
@@ -196,6 +278,9 @@ class FluidEngine:
         cap = self._cap
         flinks = self._links
         touched: set = set()
+        hist = self.history
+        if hist is not None:
+            log_t, log_flow, log_delta = hist.t.append, hist.flow.append, hist.delta.append
 
         def set_rate(i: int, new: float, t: float) -> None:
             old = rate[i]
@@ -208,17 +293,13 @@ class FluidEngine:
             if clean[i] and new != solo[i]:
                 clean[i] = False
             delta = new - old
-            if self._tracked[i]:
-                for l in flinks[i]:
-                    if l in self._bg_load:
-                        self._bg_flush(l, t)
-                        self._bg_load[l] += delta
-                    load[l] += delta
-                    touched.add(l)
-            else:
-                for l in flinks[i]:
-                    load[l] += delta
-                    touched.add(l)
+            if hist is not None:
+                log_t(t)
+                log_flow(i)
+                log_delta(delta)
+            for l in flinks[i]:
+                load[l] += delta
+                touched.add(l)
             ver[i] += 1
             self.n_rate_changes += 1
             if new > 0.0:
@@ -366,8 +447,6 @@ class FluidEngine:
                 now = tcap
                 _, l, newcap = caps[ci]
                 ci += 1
-                if newcap <= 0:
-                    raise ValueError("capacity schedule values must be positive")
                 cap[l] = float(newcap)
                 touched.add(l)
                 ripple(set(on_link[l]), now)
@@ -394,7 +473,7 @@ class FluidEngine:
         self._finalize(now)
         return results
 
-    # -- congestion / background bookkeeping ----------------------------------
+    # -- congestion bookkeeping -----------------------------------------------
     def _record_congestion(self, links, t: float) -> None:
         threshold, min_flows = self._cong
         for l in links:
@@ -408,32 +487,9 @@ class FluidEngine:
                 if t > t0:
                     self.congestion_intervals.setdefault(l, []).append((t0, t))
 
-    def _bg_flush(self, l: int, t: float) -> None:
-        t0 = self._bg_last[l]
-        if t <= t0:
-            return
-        self._bg_last[l] = t
-        rho = self._bg_load[l]
-        if rho <= 0.0:
-            return
-        ep = self._bg_epoch
-        acc = self.bg_bytes[l]
-        e0 = int(t0 // ep)
-        e1 = int(t // ep)
-        if e0 == e1:
-            acc[e0] = acc.get(e0, 0.0) + rho * (t - t0)
-            return
-        acc[e0] = acc.get(e0, 0.0) + rho * ((e0 + 1) * ep - t0)
-        full = rho * ep
-        for e in range(e0 + 1, e1):
-            acc[e] = acc.get(e, 0.0) + full
-        tail = t - e1 * ep
-        if tail > 0.0:
-            acc[e1] = acc.get(e1, 0.0) + rho * tail
-
     def _finalize(self, t: float) -> None:
-        for l in self._bg_links:
-            self._bg_flush(l, t)
+        if self.history is not None:
+            self.history.end_time = t
         for l, t0 in list(self._cong_open.items()):
             if t > t0:
                 self.congestion_intervals.setdefault(l, []).append((t0, t))

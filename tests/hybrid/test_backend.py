@@ -97,6 +97,71 @@ class TestPartitionInvariance:
         assert res.completed() == CELL["n_flows"]
 
 
+@pytest.fixture
+def fluid_passes(monkeypatch):
+    """Counts FlowLevelSimulator.run calls (what a fluid pass costs)."""
+    from repro.analysis.flowsim import FlowLevelSimulator
+
+    calls = []
+    real = FlowLevelSimulator.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowLevelSimulator, "run", counted)
+    return calls
+
+
+class TestPassCount:
+    """The fluid trajectory is simulated once; background load is replayed
+    from its history, so refining costs no extra passes."""
+
+    def test_demoting_cell_runs_two_passes(self, fluid_passes):
+        res = run_fct_hybrid("fncc", **CELL)
+        assert 0 < res.stats["demoted"] < CELL["n_flows"]
+        assert len(fluid_passes) == 2 == res.stats["fluid_passes"]
+        assert res.stats["bg_replay_entries"] > 0
+        # Only the pass that is replayed keeps a history.
+        assert [bool(kw.get("keep_history")) for kw in fluid_passes] == [True, False]
+
+    def test_refining_cell_still_runs_two_passes(self, fluid_passes):
+        # DCQCN marks ECN, which triggers refinement (FNCC cells this
+        # small produce nothing the fluid tier cannot see).
+        cell = dict(CELL, seed=1)
+        res = run_fct_hybrid("dcqcn", **cell)
+        assert res.stats["refine_rounds"] >= 1
+        assert len(fluid_passes) == 2 == res.stats["fluid_passes"]
+        # One replay per round, each over the whole history.
+        rounds = res.stats["refine_rounds"] + 1
+        assert res.stats["bg_replay_entries"] % rounds == 0
+
+    def test_nothing_demoted_cell_runs_one_pass(self, fluid_passes):
+        # A flow floor no link reaches: the predicate demotes nothing and
+        # the classification pass's records are the answer.
+        cfg = HybridConfig(min_link_flows=10_000, mouse_bytes=0)
+        res = run_fct_hybrid("fncc", config=cfg, **CELL)
+        assert res.stats["demoted"] == 0
+        assert len(fluid_passes) == 1 == res.stats["fluid_passes"]
+        assert res.stats["bg_replay_entries"] == 0
+        pure = run_fct_hybrid("fncc", threshold=None, **CELL)
+        assert res.fct_fingerprint() == pure.fct_fingerprint()
+        assert res.stats["fluid_events"] == pure.stats["fluid_events"]
+
+    def test_classify_fn_cell_runs_two_passes(self, fluid_passes):
+        res = run_fct_hybrid(
+            "fncc", classify_fn=lambda f: f.flow_id % 2 == 0, **CELL
+        )
+        assert res.stats["demoted"] == CELL["n_flows"] // 2
+        assert len(fluid_passes) == 2 == res.stats["fluid_passes"]
+
+    def test_degenerate_partitions_skip_what_they_do_not_need(self, fluid_passes):
+        res = run_fct_hybrid("fncc", classify_fn=lambda f: True, **CELL)
+        assert len(fluid_passes) == 0 == res.stats["fluid_passes"]
+        res = run_fct_hybrid("fncc", classify_fn=lambda f: False, **CELL)
+        assert len(fluid_passes) == 1 == res.stats["fluid_passes"]
+
+
 class TestDumbbellFairness:
     def test_fluid_tier_fairness_matches_packet(self):
         """Two equal elephants on the dumbbell: the fluid tier's max-min
@@ -160,3 +225,15 @@ class TestBackendSelection:
             HybridConfig(congested_frac=1.5)
         with pytest.raises(ValueError):
             HybridConfig(ripple_rounds=0)
+        # Knobs that used to reach the run: rate_eps < 0 failed inside the
+        # first fluid pass (after the fabric build), refine_rounds=-1 ran
+        # as 0, threshold=nan compared false everywhere and demoted nothing.
+        with pytest.raises(ValueError, match="rate_eps"):
+            HybridConfig(rate_eps=-0.01)
+        with pytest.raises(ValueError, match="refine_rounds"):
+            HybridConfig(refine_rounds=-1)
+        with pytest.raises(ValueError, match="threshold"):
+            HybridConfig(threshold=float("nan"))
+        # The documented "keep everything fluid" spellings stay legal.
+        HybridConfig(threshold=None)
+        HybridConfig(threshold=float("inf"))

@@ -131,6 +131,22 @@ class TestStall:
         with pytest.raises(ValueError, match="capacity schedule"):
             fls.run([Flow(0, 0, 9, MB)], path_via_s, cap_schedule=sched)
 
+    def test_late_zero_capacity_entry_costs_no_simulation(self, monkeypatch):
+        # The bad entry sits 10 ms in: validating it when the loop reaches
+        # it would simulate 10 ms first.  It must fail before any event.
+        runs = []
+        monkeypatch.setattr(FluidEngine, "run", lambda self: runs.append(self))
+        sched = [(0, ("s", "r"), 50.0), (us(10_000), ("s", "r"), 0.0)]
+        with pytest.raises(ValueError, match="capacity schedule"):
+            simple_sim().run([Flow(0, 0, 9, 100 * MB)], path_via_s, cap_schedule=sched)
+        assert runs == []  # n_events == 0: the loop was never entered
+
+    def test_engine_validates_schedule_at_construction(self):
+        with pytest.raises(ValueError, match="capacity schedule"):
+            FluidEngine([1.0, 1.0], cap_schedule=[(us(10_000), 1, -0.5)])
+        with pytest.raises(KeyError, match="unknown link id 2"):
+            FluidEngine([1.0, 1.0], cap_schedule=[(us(10_000), 2, 0.5)])
+
     def test_deep_capacity_dip_recovers(self):
         fls = simple_sim()
         sched = [(0, ("s", "r"), 0.1), (us(100), ("s", "r"), 100.0)]
@@ -175,8 +191,9 @@ class TestTierExchange:
     def test_bg_bytes_integrates_flow_volume(self):
         fls = simple_sim()
         flows = [Flow(0, 0, 9, 10 * MB), Flow(1, 1, 9, 4 * MB)]
-        res = fls.run(flows, path_via_s, bg=(us(50), [("s", "r")], [0, 1]))
-        total = sum(res.bg_bytes[("s", "r")].values())
+        res = fls.run(flows, path_via_s, keep_history=True)
+        bg = fls.replay_bg(res, us(50), [("s", "r")], [0, 1])
+        total = sum(bg[("s", "r")].values())
         # Wire bytes exceed payload (header overhead), within a few %.
         assert total >= 14 * MB
         assert total <= 14.8 * MB
@@ -184,6 +201,26 @@ class TestTierExchange:
     def test_bg_subset_only_counts_listed_flows(self):
         fls = simple_sim()
         flows = [Flow(0, 0, 9, 10 * MB), Flow(1, 1, 9, 4 * MB)]
-        res = fls.run(flows, path_via_s, bg=(us(50), [("s", "r")], [1]))
-        total = sum(res.bg_bytes[("s", "r")].values())
+        res = fls.run(flows, path_via_s, keep_history=True)
+        bg = fls.replay_bg(res, us(50), [("s", "r")], [1])
+        total = sum(bg[("s", "r")].values())
         assert 4 * MB <= total <= 4.3 * MB
+        # Links the listed flows never cross are left out, not zero-filled.
+        assert fls.replay_bg(res, us(50), [("a", "s")], [1]) == {}
+
+    def test_replay_rejects_unknown_link_by_name(self):
+        fls = simple_sim()
+        res = fls.run([Flow(0, 0, 9, MB)], path_via_s, keep_history=True)
+        with pytest.raises(KeyError, match=r"\('s', 'nowhere'\)"):
+            fls.replay_bg(res, us(50), [("s", "r"), ("s", "nowhere")], [0])
+
+    def test_history_is_kept_only_on_request(self):
+        fls = simple_sim()
+        res = fls.run([Flow(0, 0, 9, MB)], path_via_s)
+        assert res.history is None
+        with pytest.raises(RuntimeError, match="keep_history"):
+            fls.replay_bg(res, us(50), [("s", "r")], [0])
+        kept = fls.run([Flow(0, 0, 9, MB)], path_via_s, keep_history=True)
+        # One flow alone: rate up at start, down at finish.
+        assert len(kept.history) == 2 == kept.n_rate_changes
+        assert kept.history.nbytes == 2 * 20
