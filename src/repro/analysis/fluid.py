@@ -6,7 +6,9 @@ Equation 3:  with equal windows, W_i = Bandwidth * RTT / N
 
 :func:`simulate_queue` integrates Eq. 1 with scipy for an arbitrary window
 schedule, which lets tests verify both the queue-growth phase the paper's
-Fig. 1 motivates and the Observation-4 fixed point LHCS jumps to.
+Fig. 1 motivates and the Observation-4 fixed point LHCS jumps to.  scipy is
+the ``analysis`` extra and is imported by that call alone; nothing on the
+packet path needs it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class FluidLink:
@@ -58,6 +59,12 @@ def simulate_queue(
     owe bytes).  Returns (times_ps, queue_bytes)."""
     if t_end_ps <= 0:
         raise ValueError("t_end must be positive")
+    try:
+        from scipy.integrate import solve_ivp
+    except ImportError as exc:
+        raise ImportError(
+            "simulate_queue needs scipy: pip install '.[analysis]'"
+        ) from exc
     b = link.bandwidth_bytes_per_ps
     rtt = link.rtt_ps
 

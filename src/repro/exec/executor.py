@@ -14,9 +14,12 @@ Design points:
 * ``jobs>1`` uses :class:`concurrent.futures.ProcessPoolExecutor` on the
   **spawn** start method by default.  Spawn is the portable, thread-safe
   choice (fork would duplicate live simulator state and numpy internals);
-  it also means workers import everything fresh, which is exactly the
-  isolation the determinism guarantee relies on.  A dead worker raises
-  ``BrokenProcessPool`` instead of hanging the pool.
+  each worker is a fresh interpreter that imports this package, the module
+  of the spec's ``fn`` and what that module imports — numpy and the
+  simulator core, not scipy or networkx (DESIGN.md §5.4 has the per-process
+  cost) — which is exactly the isolation the determinism guarantee relies
+  on.  A dead worker raises ``BrokenProcessPool`` instead of hanging the
+  pool.
 * A spec that raises inside a worker surfaces the *original traceback*
   (captured as text in the worker, re-raised here as :class:`SweepError`)
   — not a bare ``RemoteTraceback`` or a hung pool.

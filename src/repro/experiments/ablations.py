@@ -87,7 +87,7 @@ def _elephant_dumbbell_peak_queue_kb(
     )
     launch_flows(topo, flows, env)
     sw = topo.switches[0]
-    port_idx = topo.graph.edges[sw.name, topo.switches[1].name]["ports"][sw.name]
+    port_idx = topo.adj[sw.name][topo.switches[1].name]["ports"][sw.name]
     qmon = QueueSampler(sim, sw.ports[port_idx], us(1))
     sim.run(until=us(duration_us))
     return qmon.series.max() / KB

@@ -319,7 +319,7 @@ def run_microbench(
             if monitor_switch + 1 < len(topo.switches)
             else receiver.name
         )
-        monitor_port = topo.graph.edges[sw.name, nxt]["ports"][sw.name]
+        monitor_port = topo.adj[sw.name][nxt]["ports"][sw.name]
     port = sw.ports[monitor_port]
     qmon = QueueSampler(sim, port, interval_ps=us(sample_us))
     umon = UtilizationSampler(sim, port, interval_ps=us(5 * sample_us))

@@ -91,7 +91,12 @@ def main(jobs: int = 1, seed: int = 1) -> None:
 def shape_correlation(a: SlowdownTable, b: SlowdownTable) -> float:
     """Spearman rank correlation of per-bin p95 slowdowns between two
     tables (bins compared positionally)."""
-    from scipy.stats import spearmanr
+    try:
+        from scipy.stats import spearmanr
+    except ImportError as exc:
+        raise ImportError(
+            "paper-scale's rank correlation needs scipy: pip install '.[analysis]'"
+        ) from exc
 
     xs, ys = [], []
     for ba, bb in zip(a.bins, b.bins):

@@ -6,6 +6,7 @@ are marked — those accept ``--jobs N`` process-pool fan-out and ``--seed``).
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import sys
 from typing import Callable, Dict
@@ -13,43 +14,31 @@ from typing import Callable, Dict
 from repro.experiments.common import quick_dumbbell  # noqa: F401 (re-export)
 
 
-def _experiments() -> Dict[str, Callable[..., None]]:
-    # Imported lazily so `import repro` stays fast.
-    from repro.experiments import (
-        ablations,
-        fig1_hw_trends,
-        fig1_queue_motivation,
-        fig3_pause_frames,
-        fig9_microbench,
-        fig13_congestion_location,
-        fig13_fairness,
-        fig14_websearch,
-        fig15_hadoop,
-        faultmatrix,
-        headline,
-        lbmatrix,
-        paper_scale,
-        related_work,
-        theory,
-    )
+# Experiment name -> module under repro.experiments (each exposes main()).
+# Only the one asked for is imported: a figure's process pays for its own
+# module graph, not for all fifteen (--list imports them all to read the
+# signatures).
+_MODULES: Dict[str, str] = {
+    "fig1a": "fig1_hw_trends",
+    "fig1": "fig1_queue_motivation",
+    "fig3": "fig3_pause_frames",
+    "fig9": "fig9_microbench",
+    "fig13": "fig13_congestion_location",
+    "fig13e": "fig13_fairness",
+    "fig14": "fig14_websearch",
+    "fig15": "fig15_hadoop",
+    "headline": "headline",
+    "lbmatrix": "lbmatrix",
+    "faultmatrix": "faultmatrix",
+    "ablations": "ablations",
+    "theory": "theory",
+    "related-work": "related_work",
+    "paper-scale": "paper_scale",
+}
 
-    return {
-        "fig1a": fig1_hw_trends.main,
-        "fig1": fig1_queue_motivation.main,
-        "fig3": fig3_pause_frames.main,
-        "fig9": fig9_microbench.main,
-        "fig13": fig13_congestion_location.main,
-        "fig13e": fig13_fairness.main,
-        "fig14": fig14_websearch.main,
-        "fig15": fig15_hadoop.main,
-        "headline": headline.main,
-        "lbmatrix": lbmatrix.main,
-        "faultmatrix": faultmatrix.main,
-        "ablations": ablations.main,
-        "theory": theory.main,
-        "related-work": related_work.main,
-        "paper-scale": paper_scale.main,
-    }
+
+def _experiment_main(name: str) -> Callable[..., None]:
+    return importlib.import_module(f"repro.experiments.{_MODULES[name]}").main
 
 
 def _accepted_options(fn: Callable[..., None]) -> set:
@@ -116,10 +105,9 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
-    table = _experiments()
     if args.list or not args.experiment:
-        for name, fn in table.items():
-            opts = _accepted_options(fn)
+        for name in _MODULES:
+            opts = _accepted_options(_experiment_main(name))
             marker = ""
             if "jobs" in opts:
                 flags = "/".join(
@@ -130,10 +118,10 @@ def main(argv=None) -> int:
                 marker = f"[sweep: {flags}]"
             print(f"{name:<14}{marker}")
         return 0
-    fn = table.get(args.experiment)
-    if fn is None:
+    if args.experiment not in _MODULES:
         print(f"unknown experiment {args.experiment!r}; use --list", file=sys.stderr)
         return 2
+    fn = _experiment_main(args.experiment)
     opts = _accepted_options(fn)
     kwargs = {}
     if "jobs" in opts:

@@ -16,9 +16,10 @@ loops and causing deadlocks".  This module makes that analyzable:
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 PathNames = Sequence[Hashable]  # node names along one routed path
 
@@ -40,6 +41,8 @@ def buffer_dependency_graph(
     TCP-Bolt makes multiple spanning trees deadlock-free — each tree gets
     its own priority class.  Omitted, every path shares class 0.
     """
+    import networkx as nx
+
     if classes is not None and len(classes) != len(paths):
         raise ValueError("classes must align with paths")
     g = nx.DiGraph()
@@ -59,6 +62,8 @@ def find_deadlock_cycles(
     paths: Sequence[PathNames], classes: Optional[Sequence[int]] = None
 ) -> List[List[Tuple]]:
     """All elementary cyclic buffer dependencies among the given paths."""
+    import networkx as nx
+
     g = buffer_dependency_graph(paths, classes)
     return [cycle for cycle in nx.simple_cycles(g)]
 
@@ -67,6 +72,8 @@ def routing_is_deadlock_free(
     paths: Sequence[PathNames], classes: Optional[Sequence[int]] = None
 ) -> bool:
     """True iff the paths admit no cyclic buffer dependency."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(buffer_dependency_graph(paths, classes))
 
 

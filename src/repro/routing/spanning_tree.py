@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-import networkx as nx
-
 from repro.routing.tables import RoutingTables, build_graph_tables
 from repro.sim.rng import stable_hash64
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.net.packet import Packet
     from repro.net.switch import Switch
     from repro.topo.base import Topology
@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 def build_trees(topo: "Topology", n_trees: int, seed: int) -> List[nx.Graph]:
     """``n_trees`` spanning trees of the topology graph, deterministic in
     ``seed``.  Host access links appear in every tree (hosts are leaves)."""
+    import networkx as nx
+
     if n_trees < 1:
         raise ValueError("need at least one tree")
     g = topo.graph

@@ -9,12 +9,14 @@ equal-rate fabrics.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topo.base import Topology
+
+# ``name -> {neighbour -> link attrs}``: Topology.adj, or an nx.Graph (a
+# spanning tree) — both answer ``g[u]`` and ``g[u][v]["ports"]``.
+Adjacency = Mapping[str, Mapping[str, dict]]
 
 
 class RoutingTables:
@@ -22,7 +24,7 @@ class RoutingTables:
 
     __slots__ = ("graph", "tables")
 
-    def __init__(self, graph: nx.Graph, tables: Dict[str, Dict[int, List[int]]]) -> None:
+    def __init__(self, graph: Adjacency, tables: Dict[str, Dict[int, List[int]]]) -> None:
         self.graph = graph
         self.tables = tables
 
@@ -36,7 +38,8 @@ class RoutingTables:
         return ports
 
 
-def _bfs_distances(graph: nx.Graph, source: str) -> Dict[str, int]:
+def bfs_distances(graph: Adjacency, source: str) -> Dict[str, int]:
+    """Hop count from ``source`` to every node it reaches."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -49,19 +52,22 @@ def _bfs_distances(graph: nx.Graph, source: str) -> Dict[str, int]:
     return dist
 
 
-def build_graph_tables(topo: "Topology", graph: nx.Graph = None) -> RoutingTables:
-    """Equal-cost next-hop tables on ``graph`` (default: the full topology).
+def build_graph_tables(
+    topo: "Topology", graph: Optional[Adjacency] = None
+) -> RoutingTables:
+    """Equal-cost next-hop tables on ``graph`` (default: the full topology,
+    read from its adjacency map).
 
     Hosts never forward, so only switches get entries.  Next-hop lists are
     sorted by neighbor name: the consistent ordering that makes canonical
     ECMP hashing pick mirror-image paths in both directions (Fig. 5).
     """
-    g = graph if graph is not None else topo.graph
+    g = graph if graph is not None else topo.adj
     tables: Dict[str, Dict[int, List[int]]] = {sw.name: {} for sw in topo.switches}
     for host in topo.hosts:
         if host.name not in g:
             continue
-        dist = _bfs_distances(g, host.name)
+        dist = bfs_distances(g, host.name)
         for sw in topo.switches:
             if sw.name not in dist:
                 continue
@@ -69,6 +75,6 @@ def build_graph_tables(topo: "Topology", graph: nx.Graph = None) -> RoutingTable
             next_hops = sorted(
                 v for v in g[sw.name] if dist.get(v, 1 << 30) == d - 1
             )
-            ports = [g.edges[sw.name, v]["ports"][sw.name] for v in next_hops]
+            ports = [g[sw.name][v]["ports"][sw.name] for v in next_hops]
             tables[sw.name][host.host_id] = ports
     return RoutingTables(g, tables)

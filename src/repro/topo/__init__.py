@@ -1,7 +1,9 @@
 """Topology builders.
 
 * :class:`~repro.topo.base.Topology` — generic container: nodes, links, the
-  networkx graph used by routing, base-RTT/path computation.
+  adjacency map (``topo.adj``) that routing and base-RTT/path computation
+  read, and ``topo.graph``, the same wiring as a networkx graph built on
+  first use (importing this package does not import networkx).
 * :func:`~repro.topo.dumbbell.dumbbell` — Fig. 10: N senders, a chain of M
   switches, one receiver.
 * :func:`~repro.topo.parkinglot.congestion_at` — Fig. 11: two senders whose

@@ -1,25 +1,33 @@
 """Topology container: nodes, wires, and path arithmetic.
 
-A :class:`Topology` owns the simulator's node population and mirrors the
-physical wiring into a :mod:`networkx` graph that the routing installers
-consume.  It also computes per-flow base RTTs (the ``T`` of Alg. 3) from
-store-and-forward first-packet latency in both directions.
+A :class:`Topology` owns the simulator's node population and records the
+physical wiring in one insertion-ordered adjacency map, :attr:`Topology.adj`
+(``name -> {neighbour -> link attrs}``), which the routing installers and
+the path arithmetic read directly.  :attr:`Topology.graph` is the same
+wiring as a :mod:`networkx` graph, built (and networkx imported) the first
+time something asks for it: graph algorithms — spanning trees, shard
+partitioning, the flow-level link table — use the view, a process that only
+runs flows never loads networkx.  It also computes per-flow base RTTs (the
+``T`` of Alg. 3) from store-and-forward first-packet latency in both
+directions.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.port import connect
 from repro.net.switch import Switch, SwitchConfig
+from repro.routing.tables import bfs_distances
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.transport.sender import TransportConfig
 from repro.units import ACK_SIZE, DEFAULT_MTU, serialization_ps, us
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class LinkSpec:
@@ -36,7 +44,7 @@ class LinkSpec:
 
 
 class Topology:
-    """Nodes + wiring + the graph view used for routing and RTT math."""
+    """Nodes + wiring (the adjacency map) + routing and RTT math on it."""
 
     def __init__(
         self,
@@ -61,7 +69,13 @@ class Topology:
         self.pool_packets = pool_packets
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
-        self.graph = nx.Graph()
+        # The wiring: name -> {neighbour -> attrs}, nodes in creation order,
+        # a node's neighbours in the order its links were added; both
+        # directions of a link share one attrs dict (ports, rate_gbps,
+        # prop_delay_ps).  Everything else here is derived from it.
+        self.adj: Dict[str, Dict[str, dict]] = {}
+        self._graph: Optional[nx.Graph] = None  # networkx view of adj
+        self._dist: Dict[str, Dict[str, int]] = {}  # dst name -> hop counts
         self._by_name: Dict[str, object] = {}
         # Set by repro.lb.install_lb: the installed strategy config and the
         # next-hop tables it computed (None for hand-wired routing).
@@ -86,7 +100,8 @@ class Topology:
         )
         self.hosts.append(host)
         self._by_name[name] = host
-        self.graph.add_node(name, kind="host", host_id=host.host_id)
+        self.adj[name] = {}
+        self._wiring_changed()
         return host
 
     def add_switch(self, name: str, config: Optional[SwitchConfig] = None) -> Switch:
@@ -97,7 +112,8 @@ class Topology:
             sw.set_ecn_rng(self.seeds.stream(f"ecn.{name}"))
         self.switches.append(sw)
         self._by_name[name] = sw
-        self.graph.add_node(name, kind="switch")
+        self.adj[name] = {}
+        self._wiring_changed()
         return sw
 
     def link(
@@ -117,14 +133,58 @@ class Topology:
             else self.default_link.prop_delay_ps
         )
         pa, pb = connect(self.sim, node_a, node_b, rate, delay)
-        self.graph.add_edge(
-            node_a.name,
-            node_b.name,
-            ports={node_a.name: pa.index, node_b.name: pb.index},
-            rate_gbps=rate,
-            prop_delay_ps=delay,
-        )
+        attrs = {
+            "ports": {node_a.name: pa.index, node_b.name: pb.index},
+            "rate_gbps": rate,
+            "prop_delay_ps": delay,
+        }
+        self.adj[node_a.name][node_b.name] = attrs
+        self.adj[node_b.name][node_a.name] = attrs
+        self._wiring_changed()
         return pa, pb
+
+    def _wiring_changed(self) -> None:
+        self._graph = None
+        self._dist.clear()
+
+    @property
+    def graph(self) -> nx.Graph:
+        """The wiring as a :class:`networkx.Graph`: nodes carry ``kind``
+        (and ``host_id``), edges the link attrs, node and per-node neighbour
+        order as in :attr:`adj`.  Built on first access, kept until the
+        next ``add_host`` / ``add_switch`` / ``link``."""
+        if self._graph is None:
+            self._graph = self._build_graph()
+        return self._graph
+
+    def _build_graph(self) -> nx.Graph:
+        import networkx as nx
+
+        adj = self.adj
+        g = nx.Graph()
+        for name in adj:
+            node = self._by_name[name]
+            if isinstance(node, Host):
+                g.add_node(name, kind="host", host_id=node.host_id)
+            else:
+                g.add_node(name, kind="switch")
+        # add_edge appends to both endpoints' neighbour lists, so the links
+        # are replayed in an order that respects every node's own: a link
+        # goes in once it is next in line at both of its ends.
+        order = {u: list(nbrs) for u, nbrs in adj.items()}
+        done = dict.fromkeys(adj, 0)
+        ready = list(adj)
+        while ready:
+            u = ready.pop()
+            while done[u] < len(order[u]):
+                v = order[u][done[u]]
+                if order[v][done[v]] != u:
+                    break  # v has earlier links pending; v's turn adds this one
+                g.add_edge(u, v, **adj[u][v])
+                done[u] += 1
+                done[v] += 1
+                ready.append(v)
+        return g
 
     def node(self, name: str):
         return self._by_name[name]
@@ -142,9 +202,21 @@ class Topology:
         """One shortest path (node names), deterministic tie-break."""
         src = self.hosts[src_host_id].name
         dst = self.hosts[dst_host_id].name
-        return min(
-            nx.all_shortest_paths(self.graph, src, dst), key=lambda p: tuple(p)
-        )
+        dist = self._dist.get(dst)
+        if dist is None:
+            dist = self._dist[dst] = bfs_distances(self.adj, dst)
+        if src not in dist:
+            raise ValueError(f"no path between {src} and {dst}")
+        # Of all shortest paths the smallest as a tuple of names: every one
+        # has the same length, so taking the smallest next name that is one
+        # hop nearer at each step decides the comparison in order.
+        adj = self.adj
+        path = [src]
+        cur = src
+        for d in range(dist[src] - 1, -1, -1):
+            cur = min(v for v in adj[cur] if dist.get(v) == d)
+            path.append(cur)
+        return path
 
     def path_links(
         self, src_host_id: int, dst_host_id: int
@@ -153,7 +225,7 @@ class Topology:
         names = self.path_names(src_host_id, dst_host_id)
         links = []
         for u, v in zip(names, names[1:]):
-            e = self.graph.edges[u, v]
+            e = self.adj[u][v]
             links.append((e["rate_gbps"], e["prop_delay_ps"]))
         return links
 
@@ -179,5 +251,5 @@ class Topology:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Topology hosts={len(self.hosts)} switches={len(self.switches)} "
-            f"links={self.graph.number_of_edges()}>"
+            f"links={sum(map(len, self.adj.values())) // 2}>"
         )

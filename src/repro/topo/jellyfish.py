@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from repro.net.switch import SwitchConfig
 from repro.routing import install_spanning_trees
 from repro.sim.engine import Simulator
@@ -40,6 +38,8 @@ def jellyfish(
     multi-path routing under that strategy instead (generally *asymmetric*
     on Jellyfish — the Observation 2 regime the lbmatrix experiment
     probes)."""
+    import networkx as nx
+
     if switch_degree >= n_switches:
         raise ValueError("degree must be below the switch count")
     if (n_switches * switch_degree) % 2:

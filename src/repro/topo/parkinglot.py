@@ -73,5 +73,5 @@ def congestion_at(
     # next element of the chain (or the receiver for the last switch).
     sw_name = switches[congested].name
     nxt = switches[congested + 1].name if congested + 1 < n_switches else receiver.name
-    topo.congested_port_index = topo.graph.edges[sw_name, nxt]["ports"][sw_name]
+    topo.congested_port_index = topo.adj[sw_name][nxt]["ports"][sw_name]
     return topo

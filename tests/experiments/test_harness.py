@@ -150,6 +150,58 @@ class TestRunnerCli:
         from repro.experiments.runner import main
 
         assert main(["nonexistent"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unknown experiment 'nonexistent'; use --list\n"
+
+    def test_list_output_is_pinned(self, capsys):
+        """Byte-for-byte what the runner printed when ``--list`` read the
+        signatures off an eagerly imported table of all fifteen mains."""
+        from repro.experiments.runner import main
+
+        assert main(["--list"]) == 0
+        assert capsys.readouterr().out == (
+            "fig1a         \n"
+            "fig1          \n"
+            "fig3          \n"
+            "fig9          [sweep: --jobs/--seed]\n"
+            "fig13         \n"
+            "fig13e        \n"
+            "fig14         [sweep: --jobs/--seed/--quick/--backend/--trace/--progress]\n"
+            "fig15         [sweep: --jobs/--seed/--backend]\n"
+            "headline      [sweep: --jobs/--seed]\n"
+            "lbmatrix      [sweep: --jobs/--seed/--quick]\n"
+            "faultmatrix   [sweep: --jobs/--seed/--quick]\n"
+            "ablations     [sweep: --jobs]\n"
+            "theory        \n"
+            "related-work  \n"
+            "paper-scale   [sweep: --jobs/--seed]\n"
+        )
+
+    def test_running_one_experiment_imports_only_its_module(self):
+        """A figure's process pays for its own module graph: after
+        ``fncc-exp fig1a`` none of the other fourteen figure modules is
+        loaded (``common``/``fct_experiment`` are shared infrastructure)."""
+        import json
+        import subprocess
+        import sys
+
+        from repro.experiments.runner import _MODULES
+
+        code = (
+            "import json, sys\n"
+            "from repro.experiments.runner import main\n"
+            "assert main(['fig1a']) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('repro.experiments.')]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        figure_modules = {f"repro.experiments.{m}" for m in _MODULES.values()}
+        assert len(figure_modules) == 15
+        assert loaded & figure_modules == {"repro.experiments.fig1_hw_trends"}
 
     def test_fig1a_runs(self, capsys):
         from repro.experiments.runner import main

@@ -526,6 +526,88 @@ def test_h302_suppressed():
     ) == []
 
 
+# -- H303: heavy libraries are imported where they are used -------------------
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import networkx as nx",
+        "import scipy.stats",
+        "from scipy.integrate import solve_ivp",
+        # Still import time: a guarded module-level import loads it whenever
+        # it is installed.
+        """
+        try:
+            import networkx
+        except ImportError:
+            networkx = None
+        """,
+        """
+        class Tables:
+            import networkx as nx
+        """,
+    ],
+)
+def test_h303_import_time_import(snippet):
+    assert rules_hit(snippet, rules=["H303"]) == ["H303"]
+
+
+def test_h303_names_the_module():
+    (finding,) = run("from scipy.stats import spearmanr", rules=["H303"])
+    assert "'scipy.stats'" in finding.message
+
+
+def test_h303_clean_function_local_and_type_checking():
+    assert rules_hit(
+        """
+        from typing import TYPE_CHECKING
+        import typing
+
+        import numpy as np
+        import networkx_lookalike
+
+        if TYPE_CHECKING:
+            import networkx as nx
+        if typing.TYPE_CHECKING:
+            from scipy.sparse import csr_matrix
+
+        def trees(g) -> "nx.Graph":
+            import networkx as nx
+            return nx.minimum_spanning_tree(g)
+
+        class Model:
+            def solve(self):
+                from scipy.integrate import solve_ivp
+                return solve_ivp
+        """,
+        rules=["H303"],
+    ) == []
+
+
+def test_h303_else_of_type_checking_runs_at_import():
+    assert rules_hit(
+        """
+        from typing import TYPE_CHECKING
+        if TYPE_CHECKING:
+            import networkx as nx
+        else:
+            import networkx as nx
+        """,
+        rules=["H303"],
+    ) == ["H303"]
+
+
+def test_h303_suppressed():
+    assert rules_hit(
+        """
+        # fncc-lint: allow[H303] analysis-only module, imported by no experiment
+        import scipy
+        """,
+        rules=["H303"],
+    ) == []
+
+
 # -- O401: pull-only collectors ----------------------------------------------
 
 O401_BAD = """
@@ -715,7 +797,7 @@ def test_s501_suppressible_with_justification():
 
 def test_every_registered_rule_has_a_design_ref():
     assert set(RULES) >= {
-        "D101", "D102", "D103", "P201", "P202", "H301", "H302", "O401", "O402",
+        "D101", "D102", "D103", "P201", "P202", "H301", "H302", "H303", "O401", "O402",
         "S501",
     }
     for name, (_, summary, ref) in RULES.items():

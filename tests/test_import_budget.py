@@ -1,0 +1,159 @@
+"""The cold-start budget as an invariant (DESIGN.md §5.4): a process that
+runs a paper figure loads neither scipy nor networkx, and scipy may be
+absent altogether.  Checked on ``sys.modules`` in fresh interpreters — a
+property of the import graph, not a timing."""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from repro.exec import RunSpec, SweepExecutor
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def heavy_loaded() -> list:
+    """Which of the deferred libraries this process has imported."""
+    return sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "networkx"})
+
+
+#: Appended to every probe: its last stdout line is heavy_loaded() as JSON.
+REPORT = (
+    "import json, sys\n"
+    + inspect.getsource(heavy_loaded)
+    + "print(json.dumps(heavy_loaded()))\n"
+)
+
+#: k=4 fat-tree with ECMP installed, one flow launched and drained: the
+#: packet path end to end (topology, routing tables, base RTT, transport).
+ONE_FLOW = """
+from repro.experiments.common import build_cc_env, launch_flows
+from repro.sim.engine import Simulator
+from repro.topo import fattree
+from repro.transport.flow import Flow
+
+env = build_cc_env("fncc")
+sim = Simulator()
+topo = fattree(sim, k=4, switch_config=env.switch_config)
+launch_flows(topo, [Flow(0, 0, 15, 20_000)], env)
+sim.run()
+assert topo.hosts[15].receivers[0].completed
+"""
+
+#: A clean install without the ``analysis`` extra: importing scipy fails.
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+"""
+
+
+def run_probe(*parts: str) -> list:
+    """Run the concatenated snippets in a fresh interpreter; returns the
+    deferred libraries it ended up with."""
+    code = "\n".join(textwrap.dedent(part) for part in (*parts, REPORT))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_process_runs_a_flow_without_scipy_or_networkx():
+    assert run_probe("import repro.experiments.runner", ONE_FLOW) == []
+
+
+def test_spawn_worker_imports_run_a_flow_without_scipy_or_networkx():
+    # What a sweep worker and a shard worker import before their first cell.
+    assert run_probe("import repro.exec.executor, repro.shard.runtime", ONE_FLOW) == []
+
+
+def test_the_graph_view_is_what_loads_networkx():
+    assert run_probe("import repro.experiments.runner", ONE_FLOW, "topo.graph") == [
+        "networkx"
+    ]
+
+
+def test_fig15_jobs2_parent_loads_neither():
+    body = """
+    import contextlib, io
+    from repro.experiments.runner import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fig15", "--jobs", "2", "--seed", "1"]) == 0
+    assert "completed flows: {'dcqcn': 300, 'hpcc': 300, 'fncc': 300}" in out.getvalue()
+    """
+    assert run_probe(body) == []
+
+
+def fig15_cell_then_heavy_loaded(cc: str) -> list:
+    """Pool-worker body: one reduced fig15 cell, then what got imported."""
+    from repro.experiments.fct_experiment import run_fct_summary
+
+    run_fct_summary(cc, workload="hadoop", k=4, load=0.5, n_flows=40, scale=1.0, seed=1)
+    return heavy_loaded()
+
+
+def test_fig15_cell_in_a_spawned_pool_worker_loads_neither():
+    specs = [
+        RunSpec(fn=fig15_cell_then_heavy_loaded, kwargs={"cc": cc})
+        for cc in ("fncc", "dcqcn")
+    ]
+    results = SweepExecutor(jobs=2).map(specs)
+    assert [r.value for r in results] == [[], []]
+
+
+# -- scipy is optional -------------------------------------------------------
+
+
+def test_import_and_figures_work_without_scipy():
+    body = """
+    import contextlib, io
+    import repro
+    from repro.experiments.runner import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in (["--list"], ["fig1a"], ["theory"]):
+            assert main(argv) == 0
+    assert "paper-scale" in out.getvalue()
+    """
+    run_probe(NO_SCIPY, body, ONE_FLOW)
+
+
+@pytest.mark.parametrize(
+    "call, who",
+    [
+        (
+            "from repro.analysis import FluidLink, simulate_queue\n"
+            "simulate_queue(FluidLink(100.0, 10_000_000), [lambda t: 1e5], 1e8)",
+            "simulate_queue",
+        ),
+        (
+            "from repro.experiments.paper_scale import shape_correlation\n"
+            "shape_correlation(None, None)",
+            "rank correlation",
+        ),
+    ],
+)
+def test_scipy_users_name_the_extra_when_it_is_missing(call, who):
+    check = f"""
+try:
+{textwrap.indent(call, "    ")}
+except ImportError as exc:
+    msg = str(exc)
+    assert "\\n" not in msg and {who!r} in msg and "pip install '.[analysis]'" in msg, msg
+else:
+    raise AssertionError("expected ImportError")
+"""
+    run_probe(NO_SCIPY, check)

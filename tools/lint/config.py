@@ -117,6 +117,12 @@ DEFAULTS: Dict[str, Any] = {
             "_was_enabled": ["src/repro/net/packet.py"],
         },
     },
+    "h303": {
+        # Libraries no paper figure's packet path executes (DESIGN.md §5.4):
+        # imported inside the functions that use them, never at module
+        # import, so `import repro` and every spawn worker skip them.
+        "deferred_imports": ["scipy", "networkx"],
+    },
     "h302": {
         # Modules whose classes are instantiated per-frame / per-event: an
         # instance __dict__ here is a real memory + attribute-lookup cost.

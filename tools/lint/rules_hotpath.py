@@ -6,13 +6,16 @@ The hot path trades encapsulation for speed in a few documented places
 because the set of modules allowed to touch each piece of internal state
 is closed.  H301 enforces that closure; H302 enforces ``__slots__`` on
 classes living in per-frame modules, where an instance ``__dict__`` is a
-real memory and lookup cost.
+real memory and lookup cost.  H303 keeps the cold-start budget (§5.4):
+the heavy optional libraries are imported by the function that uses them,
+so every process — CLI, sweep worker, shard worker — loads them only if
+its run gets there.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from tools.lint.core import FileContext, Finding, rule
 
@@ -102,3 +105,50 @@ def check_h302(ctx: FileContext) -> Iterator[Finding]:
                 f"no __slots__; an instance __dict__ here costs memory and "
                 f"attribute-lookup time at frame rates",
             )
+
+
+def _import_time_stmts(body: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements that execute when the module is imported: everything
+    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.If) and _last_attr(stmt.test) == "TYPE_CHECKING":
+            yield from _import_time_stmts(stmt.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            yield from _import_time_stmts(getattr(stmt, field, ()))
+        for handler in getattr(stmt, "handlers", ()):
+            yield from _import_time_stmts(handler.body)
+
+
+@rule(
+    "H303",
+    "import-time import of a deferred heavy library (scipy, networkx)",
+    "DESIGN.md §5.4",
+)
+def check_h303(ctx: FileContext) -> Iterator[Finding]:
+    deferred = tuple(ctx.rule_cfg("h303").get("deferred_imports", ()))
+    if not deferred:
+        return
+    for stmt in _import_time_stmts(ctx.tree.body):
+        if isinstance(stmt, ast.Import):
+            modules = [a.name for a in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.level == 0 and stmt.module:
+            modules = [stmt.module]
+        else:
+            continue
+        for mod in modules:
+            top = mod.split(".")[0]
+            if top in deferred:
+                yield Finding(
+                    "H303",
+                    ctx.relpath,
+                    stmt.lineno,
+                    stmt.col_offset + 1,
+                    f"{mod!r} is imported when this module is; import {top} "
+                    f"inside the function that uses it (annotations go under "
+                    f"`if TYPE_CHECKING:`) so processes that never call it "
+                    f"do not pay for it at start-up",
+                )
