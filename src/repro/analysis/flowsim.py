@@ -238,7 +238,7 @@ def from_topology(topo) -> Tuple[FlowLevelSimulator, PathFn]:
     from repro.net.packet import DATA, Packet
 
     fls = FlowLevelSimulator()
-    for u, v, attrs in topo.graph.edges(data=True):
+    for u, v, attrs in topo.edges():
         fls.add_link(u, v, attrs["rate_gbps"], attrs["prop_delay_ps"])
 
     # One probe frame reused across walks (static routers read only the
@@ -274,7 +274,7 @@ def from_topology(topo) -> Tuple[FlowLevelSimulator, PathFn]:
             pkt = Packet(DATA, flow_id=flow.flow_id, src=flow.src, dst=flow.dst)
         src_name = topo.hosts[flow.src].name
         dst_name = topo.hosts[flow.dst].name
-        current = next(iter(topo.graph[src_name]))
+        current = next(iter(topo.adj[src_name]))
         hops: List[LinkKey] = [(src_name, current)]
         peers = state["peers"]
         guard = 0

@@ -57,7 +57,7 @@ def build_fault_profile(profile: str, topo, active_ps: int) -> FaultPlan:
         return FaultPlan.noop()
     victim_agg = "agg_0_0"
     victim_core = next(
-        n for n in topo.graph.neighbors(victim_agg) if n.startswith("core")
+        n for n in topo.adj[victim_agg] if n.startswith("core")
     )
     t10 = active_ps // 10
     plan = FaultPlan(f"profile-{profile}")

@@ -144,7 +144,7 @@ class FaultInjector:
 
     def _edge_ports(self, a: str, b: str) -> Dict[str, int]:
         try:
-            return self.topo.graph.edges[a, b]["ports"]
+            return self.topo.adj[a][b]["ports"]
         except KeyError:
             raise ValueError(f"fault plan {self.plan.name!r}: no link {a!r}-{b!r}")
 

@@ -218,7 +218,7 @@ def _overlap_time(
 
 def _directed_port(topo, u: str, v: str):
     """The egress Port of node ``u`` on the (u, v) wire, plus its rate."""
-    e = topo.graph.edges[u, v]
+    e = topo.adj[u][v]
     return topo.node(u).ports[e["ports"][u]], e["rate_gbps"]
 
 

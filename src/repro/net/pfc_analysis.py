@@ -89,7 +89,7 @@ def all_pairs_paths(topo, trace_fn=None) -> List[List[Hashable]]:
         pkt = Packet(DATA, flow_id=src * 65536 + dst, src=src, dst=dst)
         src_name = topo.hosts[src].name
         dst_name = topo.hosts[dst].name
-        current = next(iter(topo.graph[src_name]))
+        current = next(iter(topo.adj[src_name]))
         names = [src_name, current]
         guard = 0
         while True:

@@ -15,7 +15,8 @@ frames whose serialization finished inside the closing window
 (``watermark < finish <= horizon``).  Such frames are committed — their
 wire slot started at or before ``now``, so a PFC XOFF can no longer
 uncommit them (``_uncommit_pending`` only evicts ``start > now``) — and
-their arrival ``finish + prop`` is strictly beyond the next barrier, so
+their arrival ``finish + prop`` is strictly beyond the barrier (the
+horizon rule in :func:`repro.shard.runtime.run_sharded` sees to that), so
 the receiving shard can still schedule them.  The sender's own delivery
 event fires later at the exact serial time, running ``on_departure``
 (buffer release, PFC XON) against the local switch before the frame dies
@@ -81,11 +82,15 @@ class _StubPort:
 class Boundary:
     """One shard's half of one cut link: export + injection."""
 
-    __slots__ = ("cut", "port", "inject_lane", "watermark", "injected", "exported")
+    __slots__ = (
+        "cut", "port", "remote", "inject_lane", "watermark", "injected", "exported"
+    )
 
-    def __init__(self, cut: Cut, port, inject_lane: int = 0) -> None:
+    def __init__(self, cut: Cut, port, remote: int, inject_lane: int = 0) -> None:
         self.cut = cut
         self.port = port
+        # The shard that owns the far end: where exported frames go.
+        self.remote = remote
         # The remote transmitting port's tie-break lane: an injection must
         # pop at exactly the heap rank the serial delivery event holds, so
         # same-instant ordering against local events matches the serial
@@ -97,16 +102,17 @@ class Boundary:
 
     def export(self, horizon: int) -> List[tuple]:
         """Frames whose serialization finished in ``(watermark, horizon]``,
-        as ``(cut_index, arrival_ps, frame_tuple)`` messages in wire
+        as ``(arrival_ps, cut_index, frame_tuple)`` messages in wire
         order.  The in-flight FIFO is bounded by the commit window, so
         the walk is O(window), not O(backlog)."""
         prop = self.port.prop_delay_ps
         wm = self.watermark
+        index = self.cut.index
         out = []
         for arrival, pkt in self.port._inflight:
             finish = arrival - prop
             if wm < finish <= horizon:
-                out.append((self.cut.index, arrival, encode_frame(pkt)))
+                out.append((arrival, index, encode_frame(pkt)))
         self.watermark = horizon
         self.exported += len(out)
         return out
@@ -134,18 +140,19 @@ def rewire_boundaries(
     topo: Topology, plan: PartitionPlan, shard_id: int
 ) -> Dict[int, Boundary]:
     """Stub out every cut link's local port; return cut index ->
-    :class:`Boundary` for the cuts touching this shard."""
+    :class:`Boundary` for the cuts touching this shard, in cut-index
+    order (the order a shard exports in)."""
     node_by_name = {h.name: h for h in topo.hosts}
     node_by_name.update({sw.name: sw for sw in topo.switches})
     boundaries: Dict[int, Boundary] = {}
     for cut in plan.cuts:
         if shard_id == cut.owner_a:
-            local, remote = cut.a, cut.b
+            local, remote, remote_shard = cut.a, cut.b, cut.owner_b
         elif shard_id == cut.owner_b:
-            local, remote = cut.b, cut.a
+            local, remote, remote_shard = cut.b, cut.a, cut.owner_a
         else:
             continue
-        ports = topo.graph.edges[cut.a, cut.b]["ports"]
+        ports = topo.adj[cut.a][cut.b]["ports"]
         port = node_by_name[local].ports[ports[local]]
         remote_lane = node_by_name[remote].ports[ports[remote]].lane
         # The local port keeps transmitting on the serial schedule; its
@@ -154,5 +161,5 @@ def rewire_boundaries(
         # what a local delivery would have set (the value is dead — the
         # stub discards — but keeps flight-dump output comprehensible).
         port.peer = _StubPort(f"stub:{remote}", ports[remote])
-        boundaries[cut.index] = Boundary(cut, port, remote_lane)
+        boundaries[cut.index] = Boundary(cut, port, remote_shard, remote_lane)
     return boundaries

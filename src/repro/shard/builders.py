@@ -153,7 +153,7 @@ def build_microbench_shard(
                 if monitor_switch + 1 < len(topo.switches)
                 else receiver.name
             )
-            monitor_port = topo.graph.edges[sw.name, nxt]["ports"][sw.name]
+            monitor_port = topo.adj[sw.name][nxt]["ports"][sw.name]
         port = sw.ports[monitor_port]
         qmon = QueueSampler(sim, port, interval_ps=us(sample_us))
         umon = UtilizationSampler(sim, port, interval_ps=us(5 * sample_us))
@@ -252,4 +252,11 @@ def build_fct_shard(
             payload["trace_dropped"] = tracer.dropped
         return payload
 
-    return ShardFabric(fab.sim, topo, collect, completed=collector.completed, tracer=tracer)
+    return ShardFabric(
+        fab.sim,
+        topo,
+        collect,
+        completed=collector.completed,
+        tracer=tracer,
+        target=len(fab.flows),
+    )

@@ -2,9 +2,10 @@
 
 The drivers own the three steps the runtime deliberately does not:
 
-1. **Plan** — build a throwaway serial topology, derive the partition
-   (dumbbell chain split / fat-tree pod split) and discard the fabric;
-   only the plain ownership map travels further.
+1. **Plan** — derive the partition (dumbbell chain split / fat-tree pod
+   split) from a throwaway topology; only the plain ownership map
+   travels further.  The process-backed group starts its workers first
+   and plans while they import.
 2. **Run** — spin up :class:`InProcessShards` or :class:`ProcessShards`
    over the matching builder and drive :func:`run_sharded`.
 3. **Merge** — fold the per-shard plain-data payloads into one result
@@ -15,7 +16,7 @@ The drivers own the three steps the runtime deliberately does not:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.metrics.series import TimeSeries
 from repro.shard.partition import PartitionPlan, dumbbell_plan, fattree_plan
@@ -25,6 +26,9 @@ from repro.shard.runtime import (
     build_engine,
     run_sharded,
 )
+from repro.sim.engine import Simulator
+from repro.topo.base import LinkSpec
+from repro.topo.fattree import fattree_wiring
 from repro.units import MS, us
 
 
@@ -191,13 +195,19 @@ class ShardedFctResult(ShardedRunResult):
         return table
 
 
-def _make_group(build: dict, plan: PartitionPlan, process: bool, dump_dir):
+def _make_group(
+    build: dict,
+    n_shards: int,
+    planner: Callable[[], PartitionPlan],
+    process: bool,
+    dump_dir,
+):
     if process:
-        return ProcessShards(build, plan, dump_dir=dump_dir)
-    engines = [
-        build_engine(build, plan.to_dict(), sid) for sid in range(plan.n_shards)
-    ]
-    return InProcessShards(engines)
+        return ProcessShards(build, (n_shards, planner), dump_dir=dump_dir)
+    plan_dict = planner().to_dict()
+    return InProcessShards(
+        [build_engine(build, plan_dict, sid) for sid in range(n_shards)]
+    )
 
 
 def run_sharded_microbench(
@@ -212,26 +222,28 @@ def run_sharded_microbench(
 ) -> ShardedMicrobenchResult:
     """Sharded :func:`~repro.experiments.common.run_microbench` over the
     dumbbell chain, split into ``n_shards`` contiguous switch runs."""
-    from repro.experiments.common import run_microbench
 
-    # Plan off a throwaway serial build (cheap: nothing runs).  The
-    # builder-only knobs (crash bombs) don't exist on the serial entry
-    # point.
-    probe_kwargs = {
-        k: v
-        for k, v in kwargs.items()
-        if k not in ("crash_at_us", "crash_shard")
-    }
-    probe = run_microbench(cc, duration_us=0.0, **probe_kwargs)
-    plan = dumbbell_plan(probe.topo, n_shards)
-    del probe
+    def planner() -> PartitionPlan:
+        from repro.experiments.common import run_microbench
+
+        # Plan off a throwaway serial build (cheap: nothing runs).  The
+        # builder-only knobs (crash bombs) don't exist on the serial entry
+        # point.
+        probe_kwargs = {
+            k: v
+            for k, v in kwargs.items()
+            if k not in ("crash_at_us", "crash_shard")
+        }
+        probe = run_microbench(cc, duration_us=0.0, **probe_kwargs)
+        return dumbbell_plan(probe.topo, n_shards)
 
     build = {
         "fn": "repro.shard.builders:build_microbench_shard",
         "kwargs": dict(kwargs, cc=cc, trace=trace_path is not None),
     }
-    group = _make_group(build, plan, process, dump_dir)
+    group = _make_group(build, n_shards, planner, process, dump_dir)
     try:
+        plan = group.plan
         end = run_sharded(group, plan, until=us(duration_us), window_ps=window_ps)
         payloads = group.collect_all()
     finally:
@@ -250,40 +262,37 @@ def run_sharded_fct(
     max_horizon_ms: float = 50.0,
     trace_path: Optional[str] = None,
     dump_dir: Optional[str] = None,
+    k: int = 4,
     **kwargs,
 ) -> ShardedFctResult:
     """Sharded §5.5 FCT experiment: the k-ary fat-tree is split at the
     agg↔core boundary into ``shards`` pod groups (cores ride shard 0).
 
     Stop rule matches the serial driver exactly: completion is checked
-    only at ``MS // 2`` chunk boundaries (every window divides the
-    chunk), so the final barrier lands on the same timestamp serial
-    ``drive_fct`` would have stopped at.
+    only at ``MS // 2`` chunk boundaries (every horizon stops at the next
+    one at the latest), so the final barrier lands on the same timestamp
+    serial ``drive_fct`` would have stopped at; the flow count it waits
+    for comes from the shards' own builds.
     """
-    from repro.experiments.fct_experiment import build_fct_fabric
 
-    probe_kwargs = {
-        k: v
-        for k, v in kwargs.items()
-        if k not in ("crash_at_us", "crash_shard")
-    }
-    fab = build_fct_fabric(cc, workload=workload, **probe_kwargs)
-    plan = fattree_plan(fab.topo, shards)
-    n_flows = len(fab.flows)
-    del fab
+    def planner() -> PartitionPlan:
+        # Ownership and the cut set need names, links and propagation
+        # delays only: the wiring build_fct_fabric routes, without its
+        # routing install, CC environment or flow list.
+        link = LinkSpec(prop_delay_ps=us(1.5))
+        return fattree_plan(fattree_wiring(Simulator(), k=k, link=link), shards)
 
     build = {
         "fn": "repro.shard.builders:build_fct_shard",
-        "kwargs": dict(kwargs, cc=cc, workload=workload, trace=trace_path is not None),
+        "kwargs": dict(
+            kwargs, cc=cc, workload=workload, k=k, trace=trace_path is not None
+        ),
     }
-    group = _make_group(build, plan, process, dump_dir)
+    group = _make_group(build, shards, planner, process, dump_dir)
     try:
+        plan = group.plan
         end = run_sharded(
-            group,
-            plan,
-            chunk_ps=MS // 2,
-            target=n_flows,
-            max_horizon_ps=round(max_horizon_ms * MS),
+            group, plan, chunk_ps=MS // 2, max_horizon_ps=round(max_horizon_ms * MS)
         )
         payloads = group.collect_all()
     finally:

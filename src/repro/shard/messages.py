@@ -6,6 +6,11 @@ receiving shard.  This is the *only* way state crosses a cut — shards
 never share live objects (lint rule S501 enforces the discipline), so
 the process-backed and in-process runtimes are observably identical.
 
+Frames travel in *batches*: everything one shard exported for one
+destination shard at one barrier, as a single byte string
+(:func:`encode_batch`).  Only the two shards read it; the coordinator
+forwards it by destination unopened.
+
 The snapshot is sound because frames are immutable from forward time
 onward: every per-hop mutation (INT stamp, RoCC min-stamp, ECN draw,
 size growth) happens when the owning switch *forwards* the frame, before
@@ -15,7 +20,8 @@ from.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import pickle
+from typing import List, Optional, Tuple
 
 from repro.net.packet import INTRecord, Packet
 
@@ -86,3 +92,15 @@ def decode_frame(data: tuple) -> Packet:
     pkt.lb_tag = data[19]
     pkt.lb_tail = data[20]
     return pkt
+
+
+def encode_batch(messages: List[tuple]) -> bytes:
+    """Pack one barrier's ``(arrival_ps, cut_index, frame_tuple)``
+    messages for one destination shard, in export order."""
+    return pickle.dumps(messages, pickle.HIGHEST_PROTOCOL)
+
+
+def decode_batch(data: bytes) -> List[tuple]:
+    """The messages of a batch another shard of this run encoded, in the
+    order they were exported."""
+    return pickle.loads(data)

@@ -36,9 +36,9 @@ class Cut:
     """One boundary link: the edge ``(a, b)`` with its propagation delay.
 
     ``index`` is the cut's stable id across shards and processes: cuts
-    are enumerated in the topology's deterministic edge-insertion order,
-    which is identical on every shard because every shard builds the
-    same topology from the same seed.
+    are enumerated in :meth:`Topology.edges` order, which is identical on
+    every shard because every shard builds the same topology from the
+    same seed.
     """
 
     __slots__ = ("index", "a", "b", "owner_a", "owner_b", "prop_delay_ps")
@@ -97,8 +97,9 @@ class PartitionPlan:
 def plan_partition(
     topo: Topology, owner: Mapping[str, int], n_shards: Optional[int] = None
 ) -> PartitionPlan:
-    """Validate an ownership map against a built fabric and derive the
-    cut set + lookahead window.
+    """Validate an ownership map against a fabric's wiring (nodes and
+    links; routing need not be installed) and derive the cut set +
+    lookahead window.
 
     Raises :class:`PartitionError` when a node is unassigned, a shard is
     empty, a host–switch link is cut, or the cut set is empty (a serial
@@ -119,9 +120,9 @@ def plan_partition(
         )
     cuts: List[Cut] = []
     lookahead: Optional[int] = None
-    # Edge-insertion order is deterministic (same construction on every
+    # The edge order depends on construction alone (the same on every
     # shard), so cut indices agree everywhere without coordination.
-    for a, b, attrs in topo.graph.edges(data=True):
+    for a, b, attrs in topo.edges():
         sa, sb = owner[a], owner[b]
         if sa == sb:
             continue
@@ -160,8 +161,7 @@ def dumbbell_plan(topo: Topology, n_shards: int = 2) -> PartitionPlan:
     for i, sw in enumerate(switches):
         owner[sw.name] = min(int(i / per), n_shards - 1)
     for host in topo.hosts:
-        attached = [n for n in topo.graph.neighbors(host.name)]
-        owner[host.name] = owner[attached[0]]
+        owner[host.name] = owner[next(iter(topo.adj[host.name]))]
     return plan_partition(topo, owner, n_shards)
 
 

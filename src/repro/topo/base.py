@@ -3,19 +3,20 @@
 A :class:`Topology` owns the simulator's node population and records the
 physical wiring in one insertion-ordered adjacency map, :attr:`Topology.adj`
 (``name -> {neighbour -> link attrs}``), which the routing installers and
-the path arithmetic read directly.  :attr:`Topology.graph` is the same
-wiring as a :mod:`networkx` graph, built (and networkx imported) the first
-time something asks for it: graph algorithms — spanning trees, shard
-partitioning, the flow-level link table — use the view, a process that only
-runs flows never loads networkx.  It also computes per-flow base RTTs (the
-``T`` of Alg. 3) from store-and-forward first-packet latency in both
-directions.
+the path arithmetic read directly; :meth:`Topology.edges` lists every link
+once in a fixed order (shard cut indices and flow-level link ids are
+positions in it).  :attr:`Topology.graph` is the same wiring as a
+:mod:`networkx` graph, built (and networkx imported) the first time
+something asks for it: only graph algorithms (spanning trees) use the view,
+so a process that runs flows — serial, sharded, hybrid or under a fault
+plan — never loads networkx.  It also computes per-flow base RTTs (the ``T``
+of Alg. 3) from store-and-forward first-packet latency in both directions.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.port import connect
@@ -146,6 +147,19 @@ class Topology:
     def _wiring_changed(self) -> None:
         self._graph = None
         self._dist.clear()
+
+    def edges(self) -> Iterator[Tuple[str, str, dict]]:
+        """Every link once, as ``(u, v, attrs)``, in the order
+        ``graph.edges(data=True)`` lists them: grouped by the endpoint
+        created first, a node's links in the order they were added.  The
+        order depends on construction alone, so every process that builds
+        the same topology enumerates the same links at the same positions."""
+        seen = set()
+        for u, nbrs in self.adj.items():
+            for v, attrs in nbrs.items():
+                if v not in seen:
+                    yield u, v, attrs
+            seen.add(u)
 
     @property
     def graph(self) -> nx.Graph:

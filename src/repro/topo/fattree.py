@@ -24,7 +24,7 @@ from repro.topo.base import LinkSpec, Topology
 from repro.transport.sender import TransportConfig
 
 
-def fattree(
+def fattree_wiring(
     sim: Simulator,
     k: int = 4,
     link: Optional[LinkSpec] = None,
@@ -32,12 +32,10 @@ def fattree(
     transport_config: Optional[TransportConfig] = None,
     seeds: Optional[SeedSequenceFactory] = None,
     cnp_enabled: bool = False,
-    symmetric_ecmp: bool = True,
-    lb=None,
 ) -> Topology:
-    """``lb`` selects the load-balancing strategy (an
-    :class:`repro.lb.LbConfig` or a strategy name); None keeps the ECMP
-    baseline controlled by ``symmetric_ecmp``."""
+    """The fat-tree's nodes and links with nothing installed or started:
+    what :func:`fattree` routes, and all the shard planner needs (names,
+    adjacency, propagation delays)."""
     if k < 2 or k % 2:
         raise ValueError(f"fat-tree arity k must be even and >= 2, got {k}")
     half = k // 2
@@ -66,7 +64,26 @@ def fattree(
                     f"h_{pod}_{e}_{h}", cnp_enabled=cnp_enabled
                 )
                 topo.link(host, tor)
+    return topo
 
+
+def fattree(
+    sim: Simulator,
+    k: int = 4,
+    link: Optional[LinkSpec] = None,
+    switch_config: Optional[SwitchConfig] = None,
+    transport_config: Optional[TransportConfig] = None,
+    seeds: Optional[SeedSequenceFactory] = None,
+    cnp_enabled: bool = False,
+    symmetric_ecmp: bool = True,
+    lb=None,
+) -> Topology:
+    """``lb`` selects the load-balancing strategy (an
+    :class:`repro.lb.LbConfig` or a strategy name); None keeps the ECMP
+    baseline controlled by ``symmetric_ecmp``."""
+    topo = fattree_wiring(
+        sim, k, link, switch_config, transport_config, seeds, cnp_enabled
+    )
     if lb is None:
         install_ecmp(topo, symmetric=symmetric_ecmp)
     else:

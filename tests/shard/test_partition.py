@@ -83,6 +83,27 @@ def test_fattree_plan_cuts_at_core():
         fattree_plan(fab.topo, 3)
 
 
+@pytest.mark.parametrize("k, shards", [(4, 2), (4, 4), (8, 2)])
+def test_plan_from_wiring_equals_plan_from_the_built_fabric(k, shards):
+    """The coordinator plans from an unrouted fat-tree; the workers derive
+    the cut set from their fully built ones.  Same cuts, same indices."""
+    from repro.experiments.fct_experiment import build_fct_fabric
+    from repro.shard import run_sharded_fct
+
+    def facts(plan):
+        cuts = [
+            (c.index, c.a, c.b, c.owner_a, c.owner_b, c.prop_delay_ps)
+            for c in plan.cuts
+        ]
+        return plan.n_shards, plan.owner, cuts, plan.lookahead_ps
+
+    cell = dict(k=k, n_flows=1, scale=0.1)
+    wired = run_sharded_fct("fncc", shards=shards, **cell).plan
+    built = fattree_plan(build_fct_fabric("fncc", **cell).topo, shards)
+    assert facts(wired) == facts(built)
+    assert len(wired.cuts) == (k // 2) ** 2 * (k - k // shards)
+
+
 def test_aligned_window_divides_chunk():
     w = aligned_window(us(1.5), MS // 2)
     assert w <= us(1.5)

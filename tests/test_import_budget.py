@@ -113,6 +113,82 @@ def test_fig15_cell_in_a_spawned_pool_worker_loads_neither():
     assert [r.value for r in results] == [[], []]
 
 
+# -- every run path, not only the serial packet engine -------------------------
+
+#: Reduced §5.5 cell shared by the shard and hybrid probes.
+SMALL_CELL = dict(workload="websearch", k=4, load=0.5, n_flows=12, scale=0.05, seed=1)
+
+
+def test_inprocess_sharded_cell_loads_neither():
+    body = f"""
+    from repro.shard import run_sharded_fct
+
+    result = run_sharded_fct("fncc", shards=2, **{SMALL_CELL!r})
+    assert result.completed == result.n_flows == 12
+    """
+    assert run_probe(body) == []
+
+
+def fct_shard_reporting_imports(shard_id, owner, n_shards, **kwargs):
+    """Shard builder: ``build_fct_shard`` whose collect payload also says
+    which deferred libraries the worker had loaded by the end of its run."""
+    from repro.shard.builders import build_fct_shard
+
+    fabric = build_fct_shard(shard_id, owner, n_shards, **kwargs)
+    collect = fabric.collect
+
+    def collect_and_report() -> dict:
+        return dict(collect(), heavy_loaded=heavy_loaded())
+
+    fabric.collect = collect_and_report
+    return fabric
+
+
+def test_spawned_shard_worker_builds_and_advances_without_networkx():
+    from repro.shard.partition import fattree_plan
+    from repro.shard.runtime import ProcessShards, run_sharded
+    from repro.sim.engine import Simulator
+    from repro.topo.fattree import fattree_wiring
+    from repro.units import MS
+
+    build = {
+        "fn": f"{__name__}:fct_shard_reporting_imports",
+        "kwargs": dict(SMALL_CELL, cc="fncc"),
+    }
+    plan = fattree_plan(fattree_wiring(Simulator(), k=4), 2)
+    group = ProcessShards(build, plan)
+    try:
+        run_sharded(group, plan, chunk_ps=MS // 2, max_horizon_ps=50 * MS)
+        payloads = group.collect_all()
+    finally:
+        group.stop()
+    assert sum(len(p["records"]) for p in payloads.values()) == 12
+    assert [p["heavy_loaded"] for p in payloads.values()] == [[], []]
+
+
+def test_hybrid_cell_loads_neither():
+    body = f"""
+    from repro.experiments.fct_experiment import run_fct_summary
+
+    summary = run_fct_summary("fncc", backend="hybrid", **{SMALL_CELL!r})
+    assert summary.completed() == 12
+    """
+    assert run_probe(body) == []
+
+
+def test_faultmatrix_quick_loads_neither():
+    body = """
+    import contextlib, io
+    from repro.experiments.runner import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["faultmatrix", "--quick"]) == 0
+    assert "all cells resolved every flow" in out.getvalue()
+    """
+    assert run_probe(body) == []
+
+
 # -- scipy is optional -------------------------------------------------------
 
 

@@ -160,6 +160,13 @@ def test_graph_is_cached_until_the_wiring_changes():
     assert topo.graph.nodes["c"] == {"kind": "host", "host_id": 2}
 
 
+@pytest.mark.parametrize("name", sorted(FABRICS))
+def test_edges_lists_the_links_in_the_graph_views_order(name):
+    # Shard cut indices and flow-level link ids are positions in this order.
+    topo = FABRICS[name]()
+    assert list(topo.edges()) == list(topo.graph.edges(data=True))
+
+
 def test_graph_view_matches_an_eager_graph_for_any_link_order():
     """The view must reproduce what add_node/add_edge calls interleaved with
     construction would have built — including each node's neighbour order,
@@ -190,3 +197,4 @@ def test_graph_view_matches_an_eager_graph_for_any_link_order():
                 prop_delay_ps=us(1.5),
             )
         assert _graph_repr(topo.graph) == _graph_repr(eager)
+        assert list(topo.edges()) == list(eager.edges(data=True))
