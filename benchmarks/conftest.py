@@ -1,9 +1,10 @@
-"""Benchmark-wide knobs.
+"""Claim-check knobs.
 
-Every benchmark regenerates one figure of the paper on scaled-down defaults
-(DESIGN.md documents the scaling).  pytest-benchmark runs each scenario a
-single round — these are scenario regenerations, not microbenchmarks, and
-the interesting output is the printed paper-style rows plus the timing.
+Every ``benchmarks/test_*.py`` regenerates one figure of the paper on
+scaled-down defaults (DESIGN.md documents the scaling), prints its
+paper-style rows and asserts the claim's direction.  Nothing here is
+timed: speed is the repo benchmark's business (``benchmarks/suite``,
+DESIGN.md §7).
 """
 
 import pytest
@@ -14,14 +15,10 @@ def pytest_addoption(parser):
         "--paper-scale",
         action="store_true",
         default=False,
-        help="run benches at closer-to-paper scale (much slower)",
+        help="run the claim checks at closer-to-paper scale (much slower)",
     )
 
 
 @pytest.fixture(scope="session")
 def paper_scale(request):
     return request.config.getoption("--paper-scale")
-
-
-#: single-round pedantic settings shared by all scenario benches
-BENCH_KW = dict(iterations=1, rounds=1, warmup_rounds=0)

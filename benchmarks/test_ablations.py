@@ -1,10 +1,7 @@
-"""Bench: ablations of FNCC's design choices (not paper figures — the
+"""Claim check: ablations of FNCC's design choices (not paper figures — the
 studies DESIGN.md calls out: beta/alpha sweeps, ACK coalescing, LHCS
-contribution, INT staleness, engine throughput)."""
+contribution, INT staleness)."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.ablations import (
     ack_coalescing_sweep,
     alpha_sweep,
@@ -14,17 +11,15 @@ from repro.experiments.ablations import (
 )
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_lhcs_contribution(benchmark):
-    res = benchmark.pedantic(lhcs_contribution, **BENCH_KW)
+def test_lhcs_contribution():
+    res = lhcs_contribution()
     print(f"\nLHCS ablation (last-hop peak queue KB): {res}")
     assert res["fncc_lhcs"] <= res["fncc_nolhcs"]
     assert res["fncc_lhcs"] < res["hpcc"]
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_beta_sweep(benchmark):
-    res = benchmark.pedantic(beta_sweep, **BENCH_KW)
+def test_beta_sweep():
+    res = beta_sweep()
     print("\nbeta sweep (peakQ KB, util):")
     for b, (q, u) in res.items():
         print(f"  beta={b:4.2f}: q={q:7.1f}KB util={u:.3f}")
@@ -32,49 +27,22 @@ def test_beta_sweep(benchmark):
     assert res[0.7][0] <= res[0.95][0] * 1.1
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_alpha_sweep(benchmark):
-    res = benchmark.pedantic(alpha_sweep, **BENCH_KW)
+def test_alpha_sweep():
+    res = alpha_sweep()
     print(f"\nalpha sweep (peakQ KB): {res}")
     # A threshold too high to ever fire behaves like no LHCS: deepest queue.
     assert res[1.05] <= res[1.5] * 1.1
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ack_coalescing_sweep(benchmark):
-    res = benchmark.pedantic(ack_coalescing_sweep, **BENCH_KW)
+def test_ack_coalescing_sweep():
+    res = ack_coalescing_sweep()
     print(f"\nACK coalescing m -> peakQ KB: {res}")
     # Coarser ACKs mean staler notification: m=8 must not beat m=1.
     assert res[1] <= res[8] * 1.1
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_int_staleness_sweep(benchmark):
-    res = benchmark.pedantic(int_staleness_sweep, **BENCH_KW)
+def test_int_staleness_sweep():
+    res = int_staleness_sweep()
     print(f"\nAll_INT_Table refresh us -> peakQ KB: {res}")
     # Live readout (0) must not be worse than 20 us-stale telemetry.
     assert res[0.0] <= res[20.0] * 1.1
-
-
-@pytest.mark.benchmark(group="engine")
-def test_engine_event_throughput(benchmark):
-    """Raw engine dispatch rate — the number DESIGN.md's scaling argument
-    rests on (a genuine pytest-benchmark microbenchmark, many rounds)."""
-    from repro.sim.engine import Simulator
-
-    def run_20k_events():
-        sim = Simulator()
-
-        def chain(_):
-            nonlocal left
-            left -= 1
-            if left:
-                sim.schedule(100, chain)
-
-        left = 20_000
-        sim.schedule(100, chain)
-        sim.run()
-        return sim.events_dispatched
-
-    events = benchmark(run_20k_events)
-    assert events == 20_000

@@ -1,19 +1,13 @@
-"""Bench: Fig. 13e — the four-flow fairness staircase."""
+"""Claim check: Fig. 13e — the four-flow fairness staircase."""
 
 import pytest
 
-from conftest import BENCH_KW
 from repro.experiments.fig13_fairness import run_fairness
 
 
-@pytest.mark.benchmark(group="fig13e")
-def test_fig13e_fairness_staircase(benchmark, paper_scale):
+def test_fig13e_fairness_staircase(paper_scale):
     epoch_us = 1000.0 if not paper_scale else 100_000.0
-
-    def scenario():
-        return run_fairness("fncc", n_flows=4, epoch_us=epoch_us, sample_us=10.0)
-
-    res = benchmark.pedantic(scenario, **BENCH_KW)
+    res = run_fairness("fncc", n_flows=4, epoch_us=epoch_us, sample_us=10.0)
 
     print("\nFig 13e — FNCC fairness staircase")
     print(f"{'epoch':>6} {'active':>7} {'fair':>7} {'jain':>6}")

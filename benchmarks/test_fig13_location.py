@@ -1,8 +1,7 @@
-"""Bench: Figs. 13a-d — congestion location study with the LHCS ablation."""
+"""Claim check: Figs. 13a-d — congestion location study with the LHCS ablation."""
 
 import pytest
 
-from conftest import BENCH_KW
 from repro.experiments.fig13_congestion_location import (
     queue_reduction_pct,
     run_fig13,
@@ -11,12 +10,8 @@ from repro.experiments.fig13_congestion_location import (
 from repro.units import KB, us
 
 
-@pytest.mark.benchmark(group="fig13")
-def test_fig13_congestion_location(benchmark):
-    def scenario():
-        return run_fig13(duration_us=800.0)
-
-    results = benchmark.pedantic(scenario, **BENCH_KW)
+def test_fig13_congestion_location():
+    results = run_fig13(duration_us=800.0)
 
     print("\nFig 13a-c — FNCC queue-depth reduction vs HPCC (paper: 37.5/29.5/8.4/38.5%)")
     for loc, cells in results.items():
@@ -48,14 +43,9 @@ def test_fig13_congestion_location(benchmark):
     )
 
 
-@pytest.mark.benchmark(group="fig13")
-def test_fig13d_lhcs_rate_snap(benchmark):
+def test_fig13d_lhcs_rate_snap():
     """Fig. 13d: with LHCS the joining flows snap to fair*beta quickly."""
-
-    def scenario():
-        return run_location("fncc", "last", duration_us=600.0)
-
-    res = benchmark.pedantic(scenario, **BENCH_KW)
+    res = run_location("fncc", "last", duration_us=600.0)
     fair_beta = 100.0 / 2 * 0.9
     # Within ~15 RTTs of the 300 us join both flows sit near fair*beta.
     t = us(500)

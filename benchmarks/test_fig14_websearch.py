@@ -1,25 +1,18 @@
-"""Bench: Fig. 14 — WebSearch FCT slowdown on the fat-tree at 50% load."""
+"""Claim check: Fig. 14 — WebSearch FCT slowdown on the fat-tree at 50%
+load."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.fct_experiment import format_panel
 from repro.experiments.fig14_websearch import run_fig14
 from repro.metrics.fct import PERCENTILE_COLUMNS
 
 
-@pytest.mark.benchmark(group="fig14")
-def test_fig14_websearch_fct(benchmark, paper_scale):
+def test_fig14_websearch_fct(paper_scale):
     kwargs = (
         dict(k=4, n_flows=200, scale=0.1, seed=1)
         if not paper_scale
         else dict(k=8, n_flows=2000, scale=1.0, seed=1)
     )
-
-    def scenario():
-        return run_fig14(**kwargs)
-
-    results = benchmark.pedantic(scenario, **BENCH_KW)
+    results = run_fig14(**kwargs)
 
     for col in PERCENTILE_COLUMNS:
         print("\n" + format_panel(results, col, f"Fig 14 ({col}) — WebSearch @50%"))

@@ -1,25 +1,17 @@
-"""Bench: Fig. 15 — FB_Hadoop FCT slowdown on the fat-tree at 50% load."""
+"""Claim check: Fig. 15 — FB_Hadoop FCT slowdown on the fat-tree at 50% load."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.fct_experiment import format_panel
 from repro.experiments.fig15_hadoop import run_fig15, short_flow_p95_reduction
 from repro.metrics.fct import PERCENTILE_COLUMNS
 
 
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_hadoop_fct(benchmark, paper_scale):
+def test_fig15_hadoop_fct(paper_scale):
     kwargs = (
         dict(k=4, n_flows=500, scale=1.0, seed=3)
         if not paper_scale
         else dict(k=8, n_flows=5000, scale=1.0, seed=3)
     )
-
-    def scenario():
-        return run_fig15(**kwargs)
-
-    results = benchmark.pedantic(scenario, **BENCH_KW)
+    results = run_fig15(**kwargs)
 
     for col in PERCENTILE_COLUMNS:
         print("\n" + format_panel(results, col, f"Fig 15 ({col}) — FB_Hadoop @50%"))

@@ -1,15 +1,11 @@
-"""Bench: Fig. 1a — the hardware-trend dataset (static, trivially fast;
-kept as a bench so every figure has exactly one regeneration target)."""
+"""Claim check: Fig. 1a — the hardware-trend dataset (static, trivially
+fast; kept so every figure has exactly one regeneration target)."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.fig1_hw_trends import absorption_is_shrinking, run_fig1a
 
 
-@pytest.mark.benchmark(group="fig1a")
-def test_fig1a_hw_trends(benchmark):
-    rows = benchmark.pedantic(run_fig1a, **BENCH_KW)
+def test_fig1a_hw_trends():
+    rows = run_fig1a()
     print("\nFig 1a — buffer/capacity (us):")
     for name, cap, buf, t in rows:
         print(f"  {name:>22}: {cap:5.1f} Tb/s, {buf:6.1f} MB -> {t:6.2f} us")

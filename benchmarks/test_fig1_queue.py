@@ -1,25 +1,17 @@
-"""Bench: Figs. 1b-d — queue depth vs link rate, FNCC/HPCC/DCQCN.
+"""Claim check: Figs. 1b-d — queue depth vs link rate, FNCC/HPCC/DCQCN.
 
 Regenerates the motivation plot's data and asserts the paper's shape:
 queues deepen with rate for the sluggish schemes, FNCC stays shallowest.
 """
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.fig1_queue_motivation import run_fig1_queue
 from repro.units import KB
 
 
-@pytest.mark.benchmark(group="fig1")
-def test_fig1_queue_vs_rate(benchmark, paper_scale):
+def test_fig1_queue_vs_rate(paper_scale):
     rates = (100.0, 200.0, 400.0)
     duration = 600.0 if not paper_scale else 1200.0
-
-    def scenario():
-        return run_fig1_queue(rates=rates, duration_us=duration)
-
-    results = benchmark.pedantic(scenario, **BENCH_KW)
+    results = run_fig1_queue(rates=rates, duration_us=duration)
 
     print("\nFig 1b-d — peak queue at congestion point (KB)")
     print(f"{'rate':>8} {'fncc':>9} {'hpcc':>9} {'dcqcn':>9}")

@@ -1,19 +1,11 @@
-"""Bench: Fig. 3 — pause-frame counts at 200/400 Gb/s."""
+"""Claim check: Fig. 3 — pause-frame counts at 200/400 Gb/s."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.fig3_pause_frames import run_fig3
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_pause_frames(benchmark, paper_scale):
+def test_fig3_pause_frames(paper_scale):
     duration = 600.0 if not paper_scale else 1500.0
-
-    def scenario():
-        return run_fig3(duration_us=duration)
-
-    counts = benchmark.pedantic(scenario, **BENCH_KW)
+    counts = run_fig3(duration_us=duration)
 
     print("\nFig 3 — pause frames at the congestion point")
     print(f"{'rate':>8} {'dcqcn':>7} {'hpcc':>7} {'fncc':>7}")

@@ -1,9 +1,6 @@
-"""Bench: Fig. 9 — the full micro-benchmark (queue, response, convergence,
+"""Claim check: Fig. 9 — the full micro-benchmark (queue, response, convergence,
 utilization) for all four schemes at 100/200/400 Gb/s."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.fig9_microbench import (
     convergence_time_us,
     response_time_us,
@@ -12,14 +9,9 @@ from repro.experiments.fig9_microbench import (
 from repro.units import KB, us
 
 
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_microbenchmark(benchmark, paper_scale):
+def test_fig9_microbenchmark(paper_scale):
     rates = (100.0, 200.0, 400.0) if paper_scale else (100.0, 400.0)
-
-    def scenario():
-        return run_fig9(rates=rates, duration_us=800.0)
-
-    results = benchmark.pedantic(scenario, **BENCH_KW)
+    results = run_fig9(rates=rates, duration_us=800.0)
 
     for rate, per_cc in results.items():
         print(f"\nFig 9 @ {rate:.0f}Gbps")

@@ -1,14 +1,10 @@
-"""Bench: the abstract's headline claims, end to end."""
+"""Claim check: the abstract's headline claims, end to end."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.headline import run_headline
 
 
-@pytest.mark.benchmark(group="headline")
-def test_headline_claims(benchmark):
-    res = benchmark.pedantic(lambda: run_headline(seed=3), **BENCH_KW)
+def test_headline_claims():
+    res = run_headline(seed=3)
 
     hp = res["hadoop_p95_reduction"]
     ws = res["websearch_median_reduction"]

@@ -1,4 +1,4 @@
-"""Bench: the hybrid backend's fidelity gate vs packet ground truth.
+"""Claim check: the hybrid backend's fidelity gate vs packet ground truth.
 
 Runs :func:`repro.hybrid.validate.validate` on the fig14/fig15 scenarios:
 per-size-bin mean slowdown within 10% and p99 within 20% of the packet

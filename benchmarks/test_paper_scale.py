@@ -1,24 +1,13 @@
-"""Bench: paper-scale (k=8, 128 hosts) cross-validation via the flow-level
-model, justifying DESIGN.md's scaling substitution."""
+"""Claim check: paper-scale (k=8, 128 hosts) cross-validation via the
+flow-level model, justifying DESIGN.md's scaling substitution."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.paper_scale import run_flow_level, shape_correlation
 
 
-@pytest.mark.benchmark(group="paper-scale")
-def test_paper_scale_cross_validation(benchmark, paper_scale):
+def test_paper_scale_cross_validation(paper_scale):
     n_flows = 2000 if paper_scale else 800
-
-    def scenario():
-        return {
-            "k8_full": run_flow_level(k=8, n_flows=n_flows, scale=1.0, seed=1),
-            "k4_scaled": run_flow_level(k=4, n_flows=n_flows, scale=0.1, seed=1),
-        }
-
-    tables = benchmark.pedantic(scenario, **BENCH_KW)
-    full, scaled = tables["k8_full"], tables["k4_scaled"]
+    full = run_flow_level(k=8, n_flows=n_flows, scale=1.0, seed=1)
+    scaled = run_flow_level(k=4, n_flows=n_flows, scale=0.1, seed=1)
     rho = shape_correlation(full, scaled)
     print(
         f"\nk=8 full-size vs k=4 x0.1 (flow-level, {n_flows} WebSearch flows @50%):"

@@ -1,14 +1,10 @@
-"""Bench: §5.4.1 theoretical model vs simulation (the Fig. 12 analysis)."""
+"""Claim check: §5.4.1 theoretical model vs simulation (the Fig. 12 analysis)."""
 
-import pytest
-
-from conftest import BENCH_KW
 from repro.experiments.theory import run_theory
 
 
-@pytest.mark.benchmark(group="theory")
-def test_theory_vs_simulation(benchmark):
-    rows = benchmark.pedantic(lambda: run_theory(duration_us=500.0), **BENCH_KW)
+def test_theory_vs_simulation():
+    rows = run_theory(duration_us=500.0)
 
     print("\n§5.4.1 theory vs measured response gap (us)")
     print(f"{'loc':>7} {'theory gain':>12} {'measured':>9}")

@@ -304,7 +304,7 @@ def run_fct_experiment(
     (``tests/obs`` pins it).  ``faults`` arms a
     :class:`repro.faults.FaultPlan` against the freshly built fabric
     before any flow launches; None (and the no-op plan) is provably
-    zero-perturbation (``tools/bench.py --ab-faults``).  See
+    zero-perturbation (``tests/faults/test_inject.py``).  See
     :func:`build_fct_fabric` for the remaining knobs.
     """
     fab = build_fct_fabric(cc, workload=workload, **kwargs)

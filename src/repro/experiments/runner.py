@@ -41,6 +41,19 @@ def _experiment_main(name: str) -> Callable[..., None]:
     return importlib.import_module(f"repro.experiments.{_MODULES[name]}").main
 
 
+# Per-experiment option -> (the parsed value that means "not given", what
+# the note says when the experiment's main() has no such parameter).  The
+# order is the order of the ``--list`` markers and of the notes.
+_OPTIONS = {
+    "jobs": (1, "is not sweep-enabled; ignoring --jobs"),
+    "seed": (None, "does not take --seed; ignoring"),
+    "quick": (False, "has no --quick slice; ignoring"),
+    "backend": (None, "does not take --backend; ignoring"),
+    "trace": (None, "does not take --trace; ignoring"),
+    "progress": (False, "does not take --progress; ignoring"),
+}
+
+
 def _accepted_options(fn: Callable[..., None]) -> set:
     """Which of the per-experiment options this main() accepts.  An
     experiment is 'sweep-enabled' iff its main takes ``jobs`` — the
@@ -50,7 +63,7 @@ def _accepted_options(fn: Callable[..., None]) -> set:
         params = inspect.signature(fn).parameters
     except (TypeError, ValueError):  # pragma: no cover - builtins etc.
         return set()
-    return {"jobs", "seed", "quick", "backend", "trace", "progress"} & set(params)
+    return set(_OPTIONS) & set(params)
 
 
 def main(argv=None) -> int:
@@ -76,7 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced slice for experiments that support it (lbmatrix)",
+        help="reduced slice for experiments that support it (see --list)",
     )
     parser.add_argument(
         "--backend",
@@ -110,11 +123,7 @@ def main(argv=None) -> int:
             opts = _accepted_options(_experiment_main(name))
             marker = ""
             if "jobs" in opts:
-                flags = "/".join(
-                    f"--{o}"
-                    for o in ("jobs", "seed", "quick", "backend", "trace", "progress")
-                    if o in opts
-                )
+                flags = "/".join(f"--{o}" for o in _OPTIONS if o in opts)
                 marker = f"[sweep: {flags}]"
             print(f"{name:<14}{marker}")
         return 0
@@ -124,53 +133,14 @@ def main(argv=None) -> int:
     fn = _experiment_main(args.experiment)
     opts = _accepted_options(fn)
     kwargs = {}
-    if "jobs" in opts:
-        kwargs["jobs"] = args.jobs
-    elif args.jobs != 1:
-        print(
-            f"note: {args.experiment} is not sweep-enabled; ignoring --jobs",
-            file=sys.stderr,
-        )
-    if args.seed is not None:
-        if "seed" in opts:
-            kwargs["seed"] = args.seed
+    for opt, (not_given, note) in _OPTIONS.items():
+        value = getattr(args, opt)
+        if value == not_given:
+            continue  # main()'s own default applies (jobs: 1 in every main)
+        if opt in opts:
+            kwargs[opt] = value
         else:
-            print(
-                f"note: {args.experiment} does not take --seed; ignoring",
-                file=sys.stderr,
-            )
-    if args.quick:
-        if "quick" in opts:
-            kwargs["quick"] = True
-        else:
-            print(
-                f"note: {args.experiment} has no --quick slice; ignoring",
-                file=sys.stderr,
-            )
-    if args.backend is not None:
-        if "backend" in opts:
-            kwargs["backend"] = args.backend
-        else:
-            print(
-                f"note: {args.experiment} does not take --backend; ignoring",
-                file=sys.stderr,
-            )
-    if args.trace is not None:
-        if "trace" in opts:
-            kwargs["trace"] = args.trace
-        else:
-            print(
-                f"note: {args.experiment} does not take --trace; ignoring",
-                file=sys.stderr,
-            )
-    if args.progress:
-        if "progress" in opts:
-            kwargs["progress"] = True
-        else:
-            print(
-                f"note: {args.experiment} does not take --progress; ignoring",
-                file=sys.stderr,
-            )
+            print(f"note: {args.experiment} {note}", file=sys.stderr)
     fn(**kwargs)
     return 0
 

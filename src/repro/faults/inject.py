@@ -22,7 +22,8 @@ fault — the same protocol PacketTap uses.
 
 Nodes not named by the plan are untouched: arming ``FaultPlan.noop()``
 installs nothing and schedules nothing, which is how ``faults=None`` is
-proved zero-perturbation (``tools/bench.py --ab-faults``).
+proved zero-perturbation
+(``tests/faults/test_inject.py::test_noop_plan_is_zero_perturbation``).
 
 Recovery wiring
 ---------------

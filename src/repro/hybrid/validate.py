@@ -18,8 +18,10 @@ job runs the ``--quick`` slice.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.common import build_cc_env
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.hybrid.backend import HybridConfig, run_fct_hybrid
 from repro.metrics.fct import ks_distance
@@ -197,6 +199,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--threshold", type=float, default=None,
                     help="override the demotion utilization threshold")
     args = ap.parse_args(argv)
+    try:
+        build_cc_env(args.cc)  # the one place that knows the scheme names
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cfg = HybridConfig(threshold=args.threshold) if args.threshold is not None else None
     report = validate(args.scenario, cc=args.cc, seed=args.seed, quick=args.quick,
                       config=cfg)

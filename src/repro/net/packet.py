@@ -297,7 +297,7 @@ class PacketPool:
 
 #: Frames walked per captured stack.  Stored as raw (code, lineno) pairs and
 #: formatted only when an error actually fires, keeping capture cheap enough
-#: for the bench overhead gate (tools/bench.py --ab-sanitize, ≤15%).
+#: to leave the sanitizer on through a long repro session (DESIGN.md §9.2).
 _STACK_DEPTH = 8
 
 #: Default sampling stride for :class:`SanitizingPacketPool` — one tracked

@@ -1,12 +1,12 @@
 """Live progress heartbeats for long runs (DESIGN.md §8).
 
-``million_flows`` runs three minutes with zero feedback; a heartbeat every
-few wall-seconds — sim-time advance, events/s, flows completed, ETA —
-turns "is it stuck?" into a glance.  :class:`ProgressReporter` is wall-
+A 100k-flow hybrid cell runs three minutes with zero feedback; a heartbeat
+every few wall-seconds — sim-time advance, events/s, flows completed, ETA
+— turns "is it stuck?" into a glance.  :class:`ProgressReporter` is wall-
 clock rate-limited (the drive loops call :meth:`tick` every sim-time
 chunk / hybrid epoch; almost all calls return without formatting
 anything), writes to stderr so piped experiment output stays clean, and
-is wired in by ``fncc-exp --progress`` / ``tools/bench.py --progress``.
+is wired in by ``fncc-exp --progress``.
 
 ETA comes from the sim-time advance rate against the drive horizon; once
 flows complete, the flow completion rate usually beats the horizon bound

@@ -222,10 +222,26 @@ class TestRunnerCli:
     def test_jobs_on_non_sweep_experiment_noted_and_ignored(self, capsys):
         from repro.experiments.runner import main
 
-        assert main(["fig1a", "--jobs", "2", "--seed", "9"]) == 0
-        err = capsys.readouterr().err
-        assert "ignoring --jobs" in err
-        assert "ignoring" in err  # --seed note too
+        # One loop rather than one parametrized test per option: the test
+        # id is part of the tier-1 floor.
+        cases = (
+            (["--jobs", "2"], "is not sweep-enabled; ignoring --jobs"),
+            (["--seed", "9"], "does not take --seed; ignoring"),
+            (["--quick"], "has no --quick slice; ignoring"),
+            (["--backend", "flow"], "does not take --backend; ignoring"),
+            (["--trace", "/nonexistent/t.json"], "does not take --trace; ignoring"),
+            (["--progress"], "does not take --progress; ignoring"),
+        )
+        for argv, note in cases:
+            assert main(["fig1a", *argv]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == f"note: fig1a {note}\n", argv
+            assert "spectrum" in captured.out, argv  # ran all the same
+        # All six at once, given in reverse: one note each, in table order.
+        assert main(["fig1a", *(a for argv, _ in reversed(cases) for a in argv)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"note: fig1a {note}\n" for _, note in cases
+        )
 
     def test_bad_jobs_rejected(self):
         from repro.experiments.runner import main

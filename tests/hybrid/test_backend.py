@@ -237,3 +237,13 @@ class TestBackendSelection:
         # The documented "keep everything fluid" spellings stay legal.
         HybridConfig(threshold=None)
         HybridConfig(threshold=float("inf"))
+
+    def test_validate_cli_unknown_cc_is_one_line_error(self, capsys):
+        """``python -m repro.hybrid.validate --cc nope`` used to die with
+        build_cc_env's ValueError traceback, after building nothing."""
+        from repro.hybrid.validate import main
+
+        assert main(["--scenario", "fig14", "--quick", "--cc", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown CC scheme 'nope'\n"

@@ -822,3 +822,39 @@ def test_repo_lints_clean_with_empty_dh_baseline():
     assert findings == [], [f.format() for f in findings]
     for key in baseline:
         assert not key.startswith(("D", "H")), f"D/H debt must be fixed, not baselined: {key}"
+
+
+# -- CLI: a run that lints nothing is an error, not a pass ----------------------
+
+
+def test_cli_missing_path_is_one_line_error_not_ok(capsys):
+    """``fncc-lint some/typo`` used to print "OK — 0 unbaselined finding(s)
+    across 0 file(s)" and exit 0: a renamed package turned the gate green."""
+    from tools.lint.cli import main
+
+    assert main(["--root", _REPO_ROOT, "src/repro", "no/such/path"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fncc-lint: no such path under {_REPO_ROOT}: no/such/path\n"
+
+
+def test_cli_zero_files_linted_is_one_line_error(tmp_path, capsys):
+    from tools.lint.cli import main
+
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "notes.txt").write_text("no python here\n")
+    assert main(["--root", str(tmp_path), "pkg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fncc-lint: no Python files under pkg; nothing linted\n"
+
+
+def test_cli_configured_paths_gate_the_real_tree(capsys):
+    """The same entry point with no arguments: the configured paths exist,
+    files are linted, nothing is found."""
+    from tools.lint.cli import main
+
+    assert main(["--root", _REPO_ROOT, "--check-baseline"]) == 0
+    out = capsys.readouterr().out
+    assert "OK — 0 unbaselined finding(s) across" in out
+    assert " across 0 file(s)" not in out

@@ -10,7 +10,8 @@ Modes::
     fncc-lint --list-rules         # rule catalog with DESIGN.md references
 
 Exit status: 0 clean (or fully baselined), 1 findings the baseline does not
-cover, 2 usage/configuration error.
+cover, 2 usage/configuration error — including a path that does not exist
+and a run that found no Python file to lint.
 """
 
 from __future__ import annotations
@@ -89,9 +90,23 @@ def main(argv: List[str] = None) -> int:
             print(f"fncc-lint: unknown rule(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
 
+    # A mistyped path (or a package renamed under [tool.fncc-lint].paths)
+    # must not turn the gate green by linting nothing.
+    try:
+        files = list(iter_py_files(root, paths))
+    except FileNotFoundError as exc:
+        print(f"fncc-lint: {exc}", file=sys.stderr)
+        return 2
+    if not files:
+        print(
+            f"fncc-lint: no Python files under {', '.join(paths)}; nothing linted",
+            file=sys.stderr,
+        )
+        return 2
+
     findings: List[Finding] = []
     sources: Dict[str, List[str]] = {}
-    for abspath, relpath in iter_py_files(root, paths):
+    for abspath, relpath in files:
         with open(abspath, "r", encoding="utf-8") as fh:
             text = fh.read()
         sources[relpath] = text.splitlines()

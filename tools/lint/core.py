@@ -184,12 +184,16 @@ def lint_source(
 
 def iter_py_files(root: str, paths: Iterable[str]) -> Iterator[Tuple[str, str]]:
     """Yield ``(abspath, repo-relative posix path)`` for every .py file under
-    the given repo-relative paths (files accepted verbatim)."""
+    the given repo-relative paths (files accepted verbatim).  A path that
+    does not exist raises: ``os.walk`` would silently yield nothing, and a
+    lint run over nothing reads as a clean one."""
     for p in paths:
         ap = os.path.join(root, p)
         if os.path.isfile(ap):
             yield ap, p.replace(os.sep, "/")
             continue
+        if not os.path.isdir(ap):
+            raise FileNotFoundError(f"no such path under {root}: {p}")
         for dirpath, dirnames, filenames in os.walk(ap):
             dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
             for fn in sorted(filenames):

@@ -1,26 +1,29 @@
 #!/usr/bin/env python
-"""cProfile wrapper over the perf-harness scenarios.
+"""cProfile over one cell of a repo-benchmark workload.
 
-Future perf PRs should start from data, not guesses: this runs any
-:mod:`benchmarks.perf_harness` scenario under ``cProfile`` and prints the
-top functions by *cumulative* and by *internal* (tottime) cost.
+Future perf PRs should start from data, not guesses: this profiles the
+exact cell whose rate the repo benchmark reports as ``work_per_s`` —
+``IMPL[name].cell(FULL[name], sub_seed(1, 0), Spans(False))`` from
+:mod:`benchmarks.suite` (cell 0 of ``--seed 1``, after the same reduced
+warm-up cell the measuring child runs) — and prints the top functions by
+*cumulative* and by *internal* (tottime) cost.  The scenario definitions
+are the suite's; this file holds none of its own.
 
 Usage::
 
-    python tools/profile.py --scenario fig14_websearch --top 25
-    python tools/profile.py --scenario fig9_micro --sort tottime
-    python tools/profile.py --scenario sweep --jobs 1 --out fig14.pstats
+    python tools/profile.py --workload websearch_fattree --top 25
+    python tools/profile.py --workload incast_lasthop --sort tottime
+    python tools/profile.py --workload hybrid_fluid_5k --out hybrid.pstats
 
-Caveats baked into the output header:
+Only the workloads whose cell runs in this process are offered:
+``cli_fig15_jobs2`` and ``shard_fattree_2proc`` do their work in child
+processes, which cProfile cannot see.
 
-* cProfile charges a fixed overhead per *function call*, so call-heavy
-  code looks relatively more expensive than it is on the plain
-  interpreter (CPython 3.11 calls are cheap).  Treat the ranking as a
-  map, confirm any conclusion with an A/B wall-clock measurement
-  (``tools/bench.py``) before optimizing.
-* The profiled run uses the same fixed seeds as the bench harness, after
-  one untimed warmup, so the profile corresponds to the recorded
-  trajectory numbers.
+cProfile charges a fixed overhead per *function call*, so call-heavy code
+looks relatively more expensive than it is on the plain interpreter
+(CPython 3.11 calls are cheap).  Treat the ranking as a map, and confirm
+any conclusion with paired runs of the benchmark (DESIGN.md §7) before
+optimizing.
 
 Works both installed and from a bare checkout.
 """
@@ -46,17 +49,16 @@ for p in (REPO_ROOT / "src", REPO_ROOT):
     if str(p) not in sys.path:
         sys.path.insert(0, str(p))
 
+WORKLOADS = ("websearch_fattree", "incast_lasthop", "hybrid_fluid_5k")
+
 
 def main(argv=None) -> int:
-    # Import late so --help works even on a broken checkout.
-    from benchmarks.perf_harness import JOBS_SCENARIOS, OBS_SCENARIOS, SCENARIOS
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--scenario",
-        default="fig14_websearch",
-        choices=sorted(SCENARIOS),
-        help="perf_harness scenario to profile",
+        "--workload",
+        default="websearch_fattree",
+        choices=WORKLOADS,
+        help="benchmark workload whose cell to profile",
     )
     parser.add_argument("--top", type=int, default=25, help="rows per view")
     parser.add_argument(
@@ -66,25 +68,6 @@ def main(argv=None) -> int:
         help="which ranking(s) to print",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweep-capable scenarios (subprocess "
-        "work is invisible to cProfile; use --jobs 1 to see it in-process)",
-    )
-    parser.add_argument(
-        "--no-warmup",
-        action="store_true",
-        help="skip the untimed warmup run (profiles cold-start costs too)",
-    )
-    parser.add_argument(
-        "--obs",
-        action="store_true",
-        help="attach a telemetry bundle (metrics registry + event tracer) "
-        "to obs-capable scenarios and print its registry snapshot and top "
-        "trace categories alongside the profile",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -92,36 +75,24 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    # Import late so --help works even on a broken checkout.
+    from benchmarks.suite.cells import IMPL
+    from benchmarks.suite.specs import FULL, SMOKE, sub_seed
+    from benchmarks.suite.trace import Spans
 
-    fn = SCENARIOS[args.scenario]
-    kwargs = {"jobs": args.jobs} if args.scenario in JOBS_SCENARIOS else {}
-    bundle = None
-    if args.obs:
-        if args.scenario not in OBS_SCENARIOS:
-            parser.error(
-                f"--obs: {args.scenario} takes no obs bundle (capable: "
-                f"{sorted(OBS_SCENARIOS)})"
-            )
-        from benchmarks.perf_harness import make_obs
-
-        # categories=None: every trace category, including the per-ack
-        # ``cc`` hook — a profile wants the full event picture, and its
-        # wall-clock is already distorted by cProfile anyway.
-        bundle = kwargs["obs"] = make_obs(args.scenario, categories=None)
-    if not args.no_warmup:
-        fn(**kwargs)  # imports, routing tables, allocator steady state
+    impl, off = IMPL[args.workload], Spans(False)
+    impl.warmup(SMOKE[args.workload], off)  # imports, allocator steady state
 
     prof = cProfile.Profile()
     prof.enable()
-    fn(**kwargs)
+    cell = impl.cell(FULL[args.workload], sub_seed(1, 0), off)
     prof.disable()
 
     print(
-        f"# scenario={args.scenario} jobs={args.jobs}\n"
+        f"# workload={args.workload} work={cell['work']} "
+        f"completed={cell['completed']}/{cell['attempted']}\n"
         "# NOTE: cProfile inflates per-call overhead; confirm findings with\n"
-        "# tools/bench.py wall-clock A/Bs before optimizing.\n"
+        "# paired benchmark runs (DESIGN.md §7) before optimizing.\n"
     )
     views = (
         ("cumulative", "tottime")
@@ -135,16 +106,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         stats.dump_stats(args.out)
         print(f"raw pstats written to {args.out}")
-    if bundle is not None:
-        import json
-
-        print("== registry snapshot (profiled run) ==")
-        print(json.dumps(bundle.snapshot(), indent=2, sort_keys=True))
-        if bundle.tracer is not None:
-            print("== top trace categories ==")
-            for cat, n in bundle.tracer.top_categories():
-                print(f"  {cat:>8}: {n}")
-    return 0
+    return 1 if cell["problems"] else 0
 
 
 if __name__ == "__main__":

@@ -1,40 +1,69 @@
 #!/usr/bin/env python
-"""Generate the event-tie ordering-hazard report (DESIGN.md §4/§9).
+"""Generate the event-tie ordering-hazard report (DESIGN.md §4.1/§9).
 
-Runs the named harness scenarios under the event-tie sanitizer
-(``REPRO_SANITIZE=tie``) and writes one merged tie report per scenario to
-``benchmarks/TIE_REPORT.json`` — the artifact the topology-partitioned
-sharded engine (ROADMAP) consumes as its ordering-hazard map.  Each site
-pair names the callback popped and the same-timestamp callback left
-pending, as ``module:qualname``; a pair that appears here is a dispatch
-order the engine currently resolves by insertion sequence alone, i.e. an
-order a sharded engine must either prove commutative or synchronize.
+Runs three traffic regimes under the event-tie sanitizer
+(``REPRO_SANITIZE=tie``) and writes one merged tie report per regime to
+``benchmarks/TIE_REPORT.json``.  Each site pair names the callback popped
+and the same-timestamp callback left pending, as ``module:qualname``;
+DESIGN.md §4.1 sorts every pair into a bucket and says how the sharded
+engine's lane key orders it.
 
-The default scenario set covers the three traffic regimes: the paper's
-websearch FCT workload (``fig14_websearch``), the PFC pause/resume storm
-(``pause_storm``), and a load-balancer matrix slice (``lbmatrix``).
+The regimes are defined here, through public entry points, because the
+report needs live ``Simulator`` objects (the repo benchmark's cells return
+counts and digests only): the paper's websearch FCT workload, a
+load-balancer matrix slice and a PFC-heavy dumbbell.
 
 Usage::
 
-    python tools/tie_report.py                     # default set -> benchmarks/
-    python tools/tie_report.py --scenario pause_storm --out /tmp/ties.json
+    python tools/tie_report.py                     # all three -> benchmarks/
+    python tools/tie_report.py --scenario pfc_dumbbell --out /tmp/ties.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-for p in (REPO_ROOT / "src", REPO_ROOT):
-    if str(p) not in sys.path:
-        sys.path.insert(0, str(p))
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
 
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "TIE_REPORT.json"
-DEFAULT_SCENARIOS = ("fig14_websearch", "pause_storm", "lbmatrix")
+
+
+def _fig14_websearch() -> list:
+    from repro.experiments.fct_experiment import compare_ccs
+
+    results = compare_ccs(("fncc",), workload="websearch", n_flows=200, seed=1)
+    return [r.sim for r in results.values()]
+
+
+def _lbmatrix() -> list:
+    from repro.experiments.lbmatrix import run_lb_cell
+    from repro.units import KB
+
+    spray = run_lb_cell("spray", "fncc", workload="websearch", n_flows=200, seed=1)
+    conweave = run_lb_cell(
+        "conweave", "fncc", workload="permutation", perm_flow_bytes=600 * KB, seed=1
+    )
+    return [spray.sim, conweave.sim]
+
+
+def _pfc_dumbbell() -> list:
+    from repro.experiments.common import run_microbench
+
+    # A tight XOFF keeps the switch in sustained PAUSE/RESUME churn.
+    return [run_microbench("fncc", duration_us=400.0, seed=3, pfc_xoff=40_000).sim]
+
+
+#: regime name -> zero-arg callable returning the Simulators it ran
+SCENARIOS = {
+    "fig14_websearch": _fig14_websearch,
+    "lbmatrix": _lbmatrix,
+    "pfc_dumbbell": _pfc_dumbbell,
+}
 
 
 def main(argv=None) -> int:
@@ -42,7 +71,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scenario",
         action="append",
-        help=f"harness scenario (repeatable; default {list(DEFAULT_SCENARIOS)})",
+        choices=sorted(SCENARIOS),
+        help="regime to scan (repeatable; default: all three)",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     parser.add_argument(
@@ -55,22 +85,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Construction-time default: every Simulator the scenarios build picks
-    # this up (and spawn-started sweep workers would inherit it).
+    # this up.
     os.environ["REPRO_SANITIZE"] = "tie"
 
-    from benchmarks.perf_harness import SCENARIOS
-    from repro.sim.sanitize import TIE_REPORT_SCHEMA, merge_tie_reports
-
-    names = args.scenario or list(DEFAULT_SCENARIOS)
-    unknown = sorted(set(names) - set(SCENARIOS))
-    if unknown:
-        parser.error(f"unknown scenario(s) {unknown}; known: {sorted(SCENARIOS)}")
+    from repro.sim.sanitize import (
+        TIE_REPORT_SCHEMA,
+        merge_tie_reports,
+        write_tie_report,
+    )
 
     out = {"schema": TIE_REPORT_SCHEMA, "scenarios": {}}
-    for name in names:
+    for name in args.scenario or SCENARIOS:
         print(f"tie-scan {name} ...", flush=True)
-        sims, _topos = SCENARIOS[name]()
-        report = merge_tie_reports(s.tie_report() for s in sims)
+        report = merge_tie_reports(s.tie_report() for s in SCENARIOS[name]())
         if args.top and len(report["sites"]) > args.top:
             report["sites_dropped"] = len(report["sites"]) - args.top
             report["sites"] = report["sites"][: args.top]
@@ -83,9 +110,7 @@ def main(argv=None) -> int:
         )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    write_tie_report(args.out, out)
     print(f"wrote {args.out}")
     return 0
 
