@@ -58,6 +58,7 @@ class FlowSimResult:
         self.max_active = 0
         self.n_rate_changes = 0
         self.n_waterfills = 0
+        self.n_heap_pops = 0
 
     def add(self, rec: FlowRecord) -> None:
         self.records.append(rec)
@@ -128,12 +129,12 @@ class FlowLevelSimulator:
         result = FlowSimResult()
         link_ids = self._link_ids
 
-        sched = None
-        if cap_schedule:
-            sched = [
-                (t, link_ids[k], rate_gbps / 8000.0)
-                for (t, k, rate_gbps) in cap_schedule
-            ]
+        sched = []
+        for t, k, rate_gbps in cap_schedule or ():
+            lid = link_ids.get(k)
+            if lid is None:
+                raise KeyError(f"capacity schedule: unknown link {k}")
+            sched.append((t, lid, rate_gbps / 8000.0))
 
         engine = FluidEngine(
             self._caps,
@@ -189,6 +190,7 @@ class FlowLevelSimulator:
         result.max_active = engine.max_active
         result.n_rate_changes = engine.n_rate_changes
         result.n_waterfills = engine.n_waterfills
+        result.n_heap_pops = engine.n_heap_pops
         return result
 
     def replay_bg(

@@ -5,7 +5,12 @@ rate with an O(L²) min-scan on every arrival/completion.  This engine
 keeps the waterfilling *incremental*: an event re-solves only the flows
 that share a link with the arrival/completion (expanding outward while
 rates keep changing — the "ripple"), with the per-set solve done by a
-heap-based progressive filling instead of repeated full scans.  Flow
+heap-based progressive filling instead of repeated full scans.  The sets
+are small (a mean of 11 flows over 44 links in the repo benchmark's
+cell), so what a solve costs is heap traffic, and the heap holds only
+entries that can bind: one per link that two or more of the set's flows
+cross, one per flow for the links it crosses alone (DESIGN.md §6,
+"Waterfill heap"; :attr:`FluidEngine.n_heap_pops` counts the pops).  Flow
 completions are kept lazily (a versioned heap of predicted finish
 times), so an event costs O(affected · log n), not O(active).
 
@@ -240,7 +245,11 @@ class FluidEngine:
         self.n_events = 0
         self.n_rate_changes = 0
         self.n_waterfills = 0
+        #: Entries popped off waterfill heaps; per waterfill, the cost the
+        #: heap discipline of :meth:`run` keeps down (budgeted in tier-1).
+        self.n_heap_pops = 0
         self.max_active = 0
+        self._ran = False
 
     # -- construction ----------------------------------------------------------
     def add_flow(self, links: Sequence[int], wire_bytes: float, start_ps: int) -> int:
@@ -249,9 +258,13 @@ class FluidEngine:
             raise ValueError("flow path must contain at least one link")
         if wire_bytes <= 0:
             raise ValueError("flow wire size must be positive")
+        seen = set()
         for l in links:
             if not 0 <= l < len(self._cap):
                 raise KeyError(f"unknown link id {l}")
+            if l in seen:
+                raise ValueError(f"flow path crosses link id {l} more than once")
+            seen.add(l)
         self._links.append(tuple(links))
         self._wire.append(float(wire_bytes))
         self._start.append(int(start_ps))
@@ -260,7 +273,11 @@ class FluidEngine:
     # -- core ------------------------------------------------------------------
     def run(self) -> List[FluidFlowResult]:
         """Drive all registered flows to completion; returns per-flow
-        results in completion order."""
+        results in completion order.  An engine runs once: loads,
+        capacities, history and counters are left as the run ended."""
+        if self._ran:
+            raise RuntimeError("FluidEngine.run() called twice; build a new engine")
+        self._ran = True
         n = len(self._links)
         order = sorted(range(n), key=lambda i: self._start[i])
         state = [_PENDING] * n
@@ -282,7 +299,10 @@ class FluidEngine:
         if hist is not None:
             log_t, log_flow, log_delta = hist.t.append, hist.flow.append, hist.delta.append
 
+        n_rate_changes = n_waterfills = n_heap_pops = 0
+
         def set_rate(i: int, new: float, t: float) -> None:
+            nonlocal n_rate_changes
             old = rate[i]
             if new == old:
                 return
@@ -301,7 +321,7 @@ class FluidEngine:
                 load[l] += delta
                 touched.add(l)
             ver[i] += 1
-            self.n_rate_changes += 1
+            n_rate_changes += 1
             if new > 0.0:
                 heapq.heappush(comp, (t + rem[i] / new, ver[i], i))
 
@@ -309,67 +329,129 @@ class FluidEngine:
         # the ``links_used`` list (flat arrays indexed by link id beat
         # per-call dicts by a wide margin at fat-tree scale).
         n_links = len(cap)
-        w_avail = [0.0] * n_links
-        w_nuf = [0] * n_links
-        w_users: List[Optional[List[int]]] = [None] * n_links
+        w_avail = [0.0] * n_links  # capacity left for the unfixed members
+        w_nuf = [0] * n_links  # unfixed members on a contended link (solo: 0)
+        w_owner = [0] * n_links  # first member seen: the only one on a solo link
+        w_users: List[Optional[List[int]]] = [None] * n_links  # contended links only
+        w_key = [0.0] * n_links  # key of a contended link's live heap entry
         eps = self._rate_eps
+        heappush, heappop = heapq.heappush, heapq.heappop
 
         def waterfill(S: set, t: float) -> set:
             """Re-solve max-min for the flows in ``S`` with every other
             flow's rate held fixed; commits the new rates (damped by
-            ``rate_eps``) and returns the subset whose rate changed."""
-            self.n_waterfills += 1
+            ``rate_eps``) and returns the subset whose rate changed.
+
+            Progressive filling pops the lexicographic minimum of ``(share,
+            link)`` over the links that still have an unfixed member, where
+            ``share = w_avail / w_nuf``.  The heap holds only entries that
+            can be that minimum (DESIGN.md §6, "Waterfill heap"): one per
+            *contended* link (two or more members cross it) and one per
+            flow for its *solo* links (only it crosses them), whose shares
+            never move.
+            """
+            nonlocal n_waterfills, n_heap_pops
+            n_waterfills += 1
             members = sorted(S)
+            # Count members per link (in ``w_nuf``) and, in ``w_avail``
+            # for now, take their rates off the link's load in member order
+            # — the order, hence the floats, of a per-link scan of users.
             links_used: List[int] = []
             for f in members:
+                r = rate[f]
                 for l in flinks[f]:
-                    u = w_users[l]
-                    if u is None:
-                        w_users[l] = [f]
+                    k = w_nuf[l]
+                    if k == 0:
+                        w_nuf[l] = 1
+                        w_owner[l] = f
+                        w_avail[l] = load[l] - r
                         links_used.append(l)
                     else:
-                        u.append(f)
+                        w_nuf[l] = k + 1
+                        w_avail[l] -= r
+                        if k == 1:
+                            w_users[l] = [w_owner[l], f]
+                        else:
+                            w_users[l].append(f)
             heap: List[Tuple[float, int]] = []
+            # A solo link's share is its ``a`` until its flow is fixed, so
+            # of one flow's solo links only the smallest ``(a, link)`` can
+            # ever be the minimum.  ``links_used`` lists them flow by flow
+            # (a link enters it under the first member that crosses it).
+            owner = -1
+            best_a = 0.0
+            best_l = 0
             for l in links_used:
-                fs = w_users[l]
-                ext = load[l]
-                for f in fs:
-                    ext -= rate[f]
-                a = cap[l] - ext
+                a = cap[l] - w_avail[l]
                 if a < 0.0:
                     a = 0.0
-                w_avail[l] = a
-                w_nuf[l] = len(fs)
-                heap.append((a / len(fs), l))
+                if w_users[l] is None:
+                    w_nuf[l] = 0
+                    f = w_owner[l]
+                    if f != owner:
+                        if owner >= 0:
+                            heap.append((best_a, best_l))
+                        owner = f
+                        best_a = a
+                        best_l = l
+                    elif a < best_a or (a == best_a and l < best_l):
+                        best_a = a
+                        best_l = l
+                else:
+                    w_avail[l] = a
+                    w_key[l] = key = a / w_nuf[l]
+                    heap.append((key, l))
+            if owner >= 0:
+                heap.append((best_a, best_l))
             heapq.heapify(heap)
+            entries = len(heap)
             newrate: Dict[int, float] = {}
-            while heap:
-                share, l = heapq.heappop(heap)
-                k = w_nuf[l]
-                if k == 0:
-                    continue
-                if share != w_avail[l] / k:
-                    heapq.heappush(heap, (w_avail[l] / k, l))
-                    continue
-                for f in w_users[l]:
+            unfixed = len(members)
+            while unfixed:
+                share, l = heappop(heap)
+                users = w_users[l]
+                if users is None:
+                    f = w_owner[l]
+                    if f in newrate:
+                        continue
+                    users = (f,)
+                else:
+                    k = w_nuf[l]
+                    if k == 0:
+                        continue
+                    now_share = w_avail[l] / k
+                    if share != now_share:
+                        # Below the link's share: the live entry went
+                        # stale, re-key it.  Otherwise a superseded one.
+                        if share == w_key[l]:
+                            w_key[l] = now_share
+                            heappush(heap, (now_share, l))
+                            entries += 1
+                        continue
+                    w_nuf[l] = 0
+                for f in users:
                     if f in newrate:
                         continue
                     newrate[f] = share
+                    unfixed -= 1
                     for lk in flinks[f]:
-                        if lk == l or w_users[lk] is None:
-                            continue
                         kk = w_nuf[lk]
                         if kk == 0:
                             continue
                         a = w_avail[lk] - share
-                        w_avail[lk] = a if a > 0.0 else 0.0
-                        w_nuf[lk] = kk - 1
-                        if kk > 1:
-                            heapq.heappush(heap, (w_avail[lk] / (kk - 1), lk))
-                w_nuf[l] = 0
+                        w_avail[lk] = a = a if a > 0.0 else 0.0
+                        w_nuf[lk] = kk = kk - 1
+                        # Removing a flow at the minimum share cannot lower
+                        # a link's share — except by an ulp in floating
+                        # point; only then does the link need a new entry.
+                        if kk and a / kk < w_key[lk]:
+                            w_key[lk] = key = a / kk
+                            heappush(heap, (key, lk))
+                            entries += 1
+            n_heap_pops += entries - len(heap)
             changed = set()
             for f in members:
-                nr = newrate.get(f, 0.0)
+                nr = newrate[f]
                 cur = rate[f]
                 if nr != cur and (
                     cur == 0.0 or nr == 0.0 or abs(nr - cur) > eps * cur
@@ -378,12 +460,12 @@ class FluidEngine:
                     changed.add(f)
             for l in links_used:
                 w_users[l] = None
+                w_nuf[l] = 0
             return changed
 
         max_rounds = self._ripple_rounds
 
-        def ripple(seed: set, t: float) -> None:
-            S = set(seed)
+        def ripple(S: set, t: float) -> None:
             if not S:
                 return
             rounds = 0
@@ -395,9 +477,8 @@ class FluidEngine:
                 expand = set()
                 for f in changed:
                     for l in flinks[f]:
-                        for g in on_link[l]:
-                            if g not in S:
-                                expand.add(g)
+                        expand.update(on_link[l])
+                expand -= S
                 if not expand:
                     break
                 S |= expand
@@ -470,6 +551,9 @@ class FluidEngine:
             touched.clear()
 
         self.end_time = now
+        self.n_rate_changes = n_rate_changes
+        self.n_waterfills = n_waterfills
+        self.n_heap_pops = n_heap_pops
         self._finalize(now)
         return results
 

@@ -461,10 +461,13 @@ class Port:
         for their serialization, so co-located packet-tier frames queue
         behind them, but no frame is created — ``tx_bytes`` keeps counting
         real frames only, which is what the residual-capacity sampler
-        reads back.  Safe against the bounded-commit window invariants:
-        ``next_free_ps`` only ever moves forward, already-committed frames
-        keep their delivery times (the background bytes conceptually slot
-        in behind them), and future commits start from the new tail."""
+        reads back.  ``next_free_ps`` only ever moves forward,
+        already-committed frames keep their delivery times (the background
+        bytes conceptually slot in behind them), and future commits start
+        from the new tail.  One bounded-commit invariant does *not*
+        survive: a frame committed behind background bytes waits with no
+        frame in service ahead of it, so the whole of ``_inflight`` can be
+        pending — ``_uncommit_pending`` handles that case."""
         now = self.sim.now
         nf = self.next_free_ps
         base = nf if nf > now else now
@@ -518,10 +521,12 @@ class Port:
         """Return every committed-but-not-started frame to its queue,
         preserving order.  Caller must have pruned first, so the whole
         ``_acct`` deque is the pending set — which also mirrors the tail of
-        ``_inflight``.  The head of ``_inflight`` (the frame in service, if
-        any) is untouched, so the armed delivery event stays valid.  The
-        pending set is bounded by the commit window, so this is O(K), not
-        O(backlog)."""
+        ``_inflight``.  A frame in service or on the wire sits ahead of it
+        in ``_inflight`` and is untouched, so the armed delivery event
+        stays valid; when there is none (every committed frame was still
+        waiting behind ``bg_drain`` bytes) the delivery is disarmed with
+        its frame.  The pending set is bounded by the commit window, so
+        this is O(K), not O(backlog)."""
         acct = self._acct
         if not acct:
             return
@@ -539,6 +544,13 @@ class Port:
                 ctrl.appendleft(pkt)
             else:
                 queues[prio].appendleft(pkt)
+        if not inflight and self._del_ev is not None:
+            # The armed delivery's own frame went back to its queue (only
+            # after a bg_drain: real frames leave one in service ahead of
+            # the pending set).  Disarm, so _commit re-arms for whatever
+            # becomes the head instead of firing on an empty deque.
+            self._del_ev.cancel()
+            self._del_ev = None
 
     def _commit(self, now: int) -> None:
         """Commit transmittable frames to the wire arithmetically, up to

@@ -192,6 +192,23 @@ class TestDumbbellFairness:
             assert ps == pytest.approx(fs, rel=0.25)
 
 
+class TestPfcBehindBackgroundDrains:
+    def test_strict_cell_pausing_ports_that_drain_completes(self):
+        """At load 0.6 on k=4 the packet phase pauses ports whose only
+        committed frames wait behind ``bg_drain`` bytes: 16 uncommits of
+        this cell take the whole of ``_inflight``, and the run used to die
+        in ``Port._tx_deliver`` with ``IndexError: pop from an empty
+        deque``.  Of 24 cells at or under 1600 flows none reaches it."""
+        from golden import _strict_config
+
+        res = run_fct_hybrid(
+            "fncc", workload="websearch", k=4, load=0.6, n_flows=3000,
+            scale=0.01, seed=1, config=_strict_config(),
+        )
+        assert res.completed() == res.n_flows == 3000
+        assert res.stats["demoted"] and res.stats["bg_drain_events"]
+
+
 class TestBackendSelection:
     def test_simulator_factory(self):
         from repro.analysis.flowsim import FlowLevelSimulator

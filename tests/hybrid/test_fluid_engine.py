@@ -116,6 +116,28 @@ class TestRippleRounds:
         assert min(res.slowdowns()) >= 0.99
 
 
+class TestInputs:
+    def test_path_crossing_a_link_twice_is_rejected_at_add_flow(self):
+        # Used to be accepted and die at the flow's completion, on the
+        # second ``del on_link[0][i]``, with a bare ``KeyError: 0``.
+        eng = FluidEngine([1.0, 1.0])
+        with pytest.raises(ValueError, match="link id 0 more than once"):
+            eng.add_flow([0, 1, 0], 1000.0, 0)
+        eng.add_flow([0, 1], 1000.0, 0)
+        assert len(eng.run()) == 1
+
+    def test_an_engine_runs_once(self):
+        # A second run used to re-simulate on the first one's leftover
+        # loads, capacities and history, and doubled every counter.
+        eng = FluidEngine([1.0], keep_history=True)
+        eng.add_flow([0], 1000.0, 0)
+        eng.run()
+        counters = (eng.n_events, eng.n_rate_changes, eng.n_waterfills, len(eng.history))
+        with pytest.raises(RuntimeError, match="called twice"):
+            eng.run()
+        assert counters == (eng.n_events, eng.n_rate_changes, eng.n_waterfills, len(eng.history))
+
+
 class TestStall:
     def test_stall_error_is_a_clean_runtime_error(self):
         # The guard for "every active flow has zero max-min rate" (the old
@@ -146,6 +168,13 @@ class TestStall:
             FluidEngine([1.0, 1.0], cap_schedule=[(us(10_000), 1, -0.5)])
         with pytest.raises(KeyError, match="unknown link id 2"):
             FluidEngine([1.0, 1.0], cap_schedule=[(us(10_000), 2, 0.5)])
+
+    def test_schedule_rejects_unknown_link_by_name(self):
+        # Like replay_bg and flow paths: name the link, not a bare KeyError.
+        with pytest.raises(KeyError, match=r"capacity schedule: unknown link \('a', 'zz'\)"):
+            simple_sim().run(
+                [Flow(0, 0, 9, MB)], path_via_s, cap_schedule=[(0, ("a", "zz"), 50.0)]
+            )
 
     def test_deep_capacity_dip_recovers(self):
         fls = simple_sim()

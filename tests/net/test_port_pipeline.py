@@ -243,6 +243,43 @@ class TestResumeGuard:
         assert [t for t, _ in b.arrivals] == [(i + 1) * ser for i in range(4)]
 
 
+class TestUncommitBehindBackgroundDrain:
+    """``bg_drain`` books serializer time without a frame, so a frame
+    committed behind it waits with nothing in service ahead of it and an
+    uncommit takes the whole of ``_inflight`` — including the frame the
+    delivery event is armed for.  The event used to stay armed: it fired
+    on an empty deque, or at the old head's time for a new head."""
+
+    def test_pause_with_every_committed_frame_still_waiting(self, sim):
+        ser = serialization_ps(1518, 100.0)
+        a, b, pa, pb = wire(sim, delay=1000)
+        pa.bg_drain(50_000)
+        pa.enqueue(data())
+        pa.pause(0)
+        sim.run(until=10_000_000)  # IndexError: pop from an empty deque
+        assert b.arrivals == []
+        pa.resume(0)
+        sim.run()
+        assert [t for t, _ in b.arrivals] == [10_000_000 + ser + 1000]
+
+    def test_control_frame_jumps_a_frame_waiting_behind_a_drain(self, sim):
+        ser = serialization_ps(1518, 100.0)
+        xoff = serialization_ps(64, 100.0)
+        a, b, pa, pb = wire(sim, delay=1000)
+        pa.bg_drain(50_000)
+        free = pa.next_free_ps
+        pa.enqueue(data())
+        pa.enqueue(Packet(PAUSE, size=64))
+        sim.run()
+        # The control frame takes the first wire slot after the drained
+        # bytes and arrives when *it* is through, not when the data frame
+        # it displaced would have been.
+        assert [(t, p.kind) for t, p in b.arrivals] == [
+            (free + xoff + 1000, PAUSE),
+            (free + xoff + ser + 1000, DATA),
+        ]
+
+
 class TestPacketPool:
     def test_acquire_reuses_released_packet(self):
         pool = PacketPool(enabled=True)

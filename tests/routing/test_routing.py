@@ -7,11 +7,14 @@ import pytest
 from repro.net.packet import ACK, DATA, Packet
 from repro.routing.ecmp import install_ecmp
 from repro.routing.spanning_tree import build_trees, install_spanning_trees
-from repro.routing.tables import build_graph_tables
+from repro.routing.tables import bfs_distances, build_graph_tables
 from repro.sim.engine import Simulator
+from repro.sim.rng import SeedSequenceFactory
 from repro.topo.dumbbell import dumbbell
 from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
+from repro.topo.parkinglot import congestion_at
+from repro.topo.star import star
 
 
 def trace_path(topo, src, dst, flow_id, kind=DATA):
@@ -57,6 +60,103 @@ class TestTables:
         # A ToR reaching a remote pod has k/2 = 2 uplink choices.
         remote_host = topo.node("h_3_0_0").host_id
         assert len(rt.ports_for("tor_0_0", remote_host)) == 2
+
+
+def per_host_tables(topo, graph=None):
+    """The reference: one BFS per host, every switch's next hops read off
+    that host's own distances (what ``build_graph_tables`` did before it
+    walked once per attachment switch)."""
+    g = graph if graph is not None else topo.adj
+    tables = {sw.name: {} for sw in topo.switches}
+    for host in topo.hosts:
+        if host.name not in g:
+            continue
+        dist = bfs_distances(g, host.name)
+        for sw in topo.switches:
+            if sw.name not in dist:
+                continue
+            d = dist[sw.name]
+            next_hops = sorted(v for v in g[sw.name] if dist.get(v, 1 << 30) == d - 1)
+            tables[sw.name][host.host_id] = [
+                g[sw.name][v]["ports"][sw.name] for v in next_hops
+            ]
+    return tables
+
+
+def same_tables(got, want):
+    """Equal including insertion order, which fixes iteration order for
+    every consumer (``split_tables``, the LB installers)."""
+    return got == want and repr(got) == repr(want)
+
+
+class TestTablesMatchPerHostWalk:
+    @pytest.mark.parametrize("build", [
+        lambda sim: fattree(sim, k=4),
+        lambda sim: fattree(sim, k=8),
+        lambda sim: star(sim, n_hosts=6),
+        lambda sim: dumbbell(sim, n_senders=3, n_switches=3),
+        lambda sim: congestion_at(sim, "middle", n_switches=4),
+        lambda sim: jellyfish(sim, n_switches=10, switch_degree=4, hosts_per_switch=2,
+                              seeds=SeedSequenceFactory(1)),
+        lambda sim: jellyfish(sim, n_switches=10, switch_degree=4, hosts_per_switch=2,
+                              seeds=SeedSequenceFactory(2)),
+        lambda sim: jellyfish(sim, n_switches=12, switch_degree=3, hosts_per_switch=1,
+                              seeds=SeedSequenceFactory(3)),
+    ], ids=["fattree4", "fattree8", "star", "dumbbell", "parkinglot",
+            "jellyfish1", "jellyfish2", "jellyfish3"])
+    def test_full_topology(self, sim, build):
+        topo = build(sim)
+        assert same_tables(build_graph_tables(topo).tables, per_host_tables(topo))
+
+    def test_spanning_tree_graph(self, sim):
+        topo = jellyfish(sim, n_switches=10, switch_degree=4, hosts_per_switch=2)
+        for tree in build_trees(topo, 3, seed=1):
+            got = build_graph_tables(topo, tree).tables
+            assert same_tables(got, per_host_tables(topo, tree))
+
+    def test_entries_do_not_alias(self, sim):
+        topo = fattree(sim, k=4)
+        tables = build_graph_tables(topo).tables
+        a, b = topo.node("h_0_0_0").host_id, topo.node("h_0_0_1").host_id
+        assert tables["core_0_0"][a] == tables["core_0_0"][b]
+        assert tables["core_0_0"][a] is not tables["core_0_0"][b]
+
+    def _dumbbell_adj(self, sim):
+        topo = dumbbell(sim, n_senders=2, n_switches=3)
+        g = {u: dict(nbrs) for u, nbrs in topo.adj.items()}
+
+        def wire(u, v):
+            g[u][v] = g[v][u] = {"ports": {u: 70, v: 80}}
+
+        return topo, g, wire
+
+    def test_multi_homed_host_keeps_its_own_walk(self, sim):
+        topo, g, wire = self._dumbbell_adj(sim)
+        wire(topo.hosts[0].name, "sw2")
+        want = per_host_tables(topo, g)
+        assert same_tables(build_graph_tables(topo, g).tables, want)
+        # The second uplink really is a shorter way in: sw2 now reaches
+        # the host directly, where the attachment-switch walk would not.
+        assert want["sw2"][topo.hosts[0].host_id] == [80]
+
+    def test_host_wired_to_host_keeps_its_own_walk(self, sim):
+        topo, g, wire = self._dumbbell_adj(sim)
+        a, b = topo.hosts[0].name, topo.hosts[1].name
+        wire(a, b)
+        assert same_tables(build_graph_tables(topo, g).tables, per_host_tables(topo, g))
+        # Now b hangs off a alone: single-homed, but not to a switch.
+        (sw,) = (v for v in g[b] if v != a)
+        del g[sw][b], g[b][sw]
+        assert same_tables(build_graph_tables(topo, g).tables, per_host_tables(topo, g))
+
+    def test_host_missing_from_graph_gets_no_entries(self, sim):
+        topo, g, _wire = self._dumbbell_adj(sim)
+        gone = topo.hosts[1]
+        for v in g.pop(gone.name):
+            del g[v][gone.name]
+        got = build_graph_tables(topo, g).tables
+        assert same_tables(got, per_host_tables(topo, g))
+        assert all(gone.host_id not in entry for entry in got.values())
 
 
 class TestEcmp:
