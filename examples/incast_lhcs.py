@@ -13,11 +13,10 @@ We compare FNCC with and without LHCS, and HPCC, on peak queue and the
 Run:  python examples/incast_lhcs.py
 """
 
-import numpy as np
-
 from repro.experiments.common import build_cc_env, launch_flows
 from repro.metrics.fct import FctCollector
 from repro.metrics.monitors import QueueSampler
+from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.star import star
@@ -55,8 +54,8 @@ def run(cc: str, **cc_params):
     return {
         "peak_queue_kb": qmon.series.max() / KB,
         "queue_after_50us_kb": qmon.series.max_after(us(50)) / KB,
-        "p95_slowdown": float(np.percentile(slowdowns, 95)),
-        "mean_slowdown": float(slowdowns.mean()),
+        "p95_slowdown": percentile(slowdowns, 95),
+        "mean_slowdown": mean(slowdowns),
     }
 
 

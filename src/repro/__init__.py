@@ -41,7 +41,7 @@ from repro.metrics.tap import PacketTap
 from repro.net.pfc_analysis import routing_is_deadlock_free
 from repro.viz import ascii_plot, compare_series, sparkline
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "KB", "MB", "GB", "US", "MS", "SEC", "us", "ms",

@@ -7,15 +7,16 @@ Equation 3:  with equal windows, W_i = Bandwidth * RTT / N
 :func:`simulate_queue` integrates Eq. 1 with scipy for an arbitrary window
 schedule, which lets tests verify both the queue-growth phase the paper's
 Fig. 1 motivates and the Observation-4 fixed point LHCS jumps to.  scipy is
-the ``analysis`` extra and is imported by that call alone; nothing on the
-packet path needs it.
+the ``analysis`` extra; it and numpy are imported by that call alone —
+nothing on the packet path needs either.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class FluidLink:
@@ -59,6 +60,8 @@ def simulate_queue(
     owe bytes).  Returns (times_ps, queue_bytes)."""
     if t_end_ps <= 0:
         raise ValueError("t_end must be positive")
+    import numpy as np
+
     try:
         from scipy.integrate import solve_ivp
     except ImportError as exc:

@@ -9,17 +9,19 @@ scheduling.
 Design points:
 
 * ``jobs=1`` (the default) never touches ``multiprocessing``: specs run
-  in-process, in order, with zero pool/pickling overhead.  This is the
-  fallback every experiment uses when invoked without ``--jobs``.
+  in-process, in order, with zero pool/pickling overhead, and neither
+  ``multiprocessing`` nor ``concurrent.futures.process`` is imported —
+  only :meth:`SweepExecutor._map_pool` imports them (pinned by
+  ``tests/test_import_budget.py``).  This is the fallback every experiment
+  uses when invoked without ``--jobs``.
 * ``jobs>1`` uses :class:`concurrent.futures.ProcessPoolExecutor` on the
   **spawn** start method by default.  Spawn is the portable, thread-safe
-  choice (fork would duplicate live simulator state and numpy internals);
-  each worker is a fresh interpreter that imports this package, the module
-  of the spec's ``fn`` and what that module imports — numpy and the
-  simulator core, not scipy or networkx (DESIGN.md §5.4 has the per-process
-  cost) — which is exactly the isolation the determinism guarantee relies
-  on.  A dead worker raises ``BrokenProcessPool`` instead of hanging the
-  pool.
+  choice (fork would duplicate live simulator state); each worker is a
+  fresh interpreter that imports this package, the module of the spec's
+  ``fn`` and what that module imports — the simulator core, not numpy,
+  scipy or networkx (DESIGN.md §5.4 has the per-process cost) — which is
+  exactly the isolation the determinism guarantee relies on.  A dead worker
+  raises ``BrokenProcessPool`` instead of hanging the pool.
 * A spec that raises inside a worker surfaces the *original traceback*
   (captured as text in the worker, re-raised here as :class:`SweepError`)
   — not a bare ``RemoteTraceback`` or a hung pool.
@@ -30,12 +32,10 @@ Design points:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.exec.spec import RunResult, RunSpec
@@ -137,11 +137,14 @@ class SweepExecutor:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this platform "
-                f"(have {mp.get_all_start_methods()})"
-            )
+        if jobs > 1:
+            import multiprocessing as mp
+
+            if start_method not in mp.get_all_start_methods():
+                raise ValueError(
+                    f"start method {start_method!r} unavailable on this "
+                    f"platform (have {mp.get_all_start_methods()})"
+                )
         self.jobs = jobs
         self.start_method = start_method
         self.raise_on_error = raise_on_error
@@ -170,6 +173,9 @@ class SweepExecutor:
         return results
 
     def _map_pool(self, spec_list: Sequence[RunSpec]) -> List[RunResult]:
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+
         # An unpicklable spec cannot reach a worker; it becomes a
         # submission-side error *result* (pid = this process), so
         # raise_on_error=False still returns every other spec's outcome

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.exec import RunSpec, SweepExecutor
 from repro.experiments.common import CcEnv, build_cc_env, launch_flows
 from repro.experiments.lbmatrix import make_lb_config
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.fct import FctCollector
+from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.base import LinkSpec
@@ -141,12 +140,12 @@ class FaultCell:
     @property
     def mean_fct_us(self) -> float:
         fcts = [r.fct_ps for r in self.collector.records]
-        return float(np.mean(fcts)) / us(1) if fcts else float("nan")
+        return mean(fcts) / us(1) if fcts else float("nan")
 
     @property
     def p99_fct_us(self) -> float:
         fcts = [r.fct_ps for r in self.collector.records]
-        return float(np.percentile(fcts, 99)) / us(1) if fcts else float("nan")
+        return percentile(fcts, 99) / us(1) if fcts else float("nan")
 
     def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
         """(flow_id, fct_ps) pairs, sorted — the determinism witness."""

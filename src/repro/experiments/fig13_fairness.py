@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.experiments.common import CcEnv, build_cc_env, launch_flows
 from repro.metrics.monitors import RateSampler
 from repro.metrics.series import TimeSeries
+from repro.metrics.stats import total
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.base import LinkSpec
@@ -56,10 +55,11 @@ class FairnessResult:
         active = self.active_flows_at(t_ps)
         if not active:
             return 1.0
-        xs = np.array([self.rates[i].value_at(t_ps) for i in active])
-        if xs.sum() == 0:
+        xs = [self.rates[i].value_at(t_ps) for i in active]
+        s = total(xs)
+        if s == 0:
             return 1.0
-        return float(xs.sum() ** 2 / (len(xs) * (xs**2).sum()))
+        return s**2 / (len(xs) * total(x * x for x in xs))
 
     def epoch_probe_times(self, settle_fraction: float = 0.9) -> List[int]:
         """One probe per epoch, late in the epoch (post-convergence)."""

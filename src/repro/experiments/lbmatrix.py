@@ -20,13 +20,12 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.exec import RunSpec, SweepExecutor
 from repro.experiments.common import CcEnv, build_cc_env, launch_flows
 from repro.experiments.fct_experiment import drive_fct
 from repro.lb import LbConfig
 from repro.metrics.fct import FctCollector
+from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.base import LinkSpec
@@ -71,17 +70,17 @@ class LbCell:
     @property
     def mean_fct_us(self) -> float:
         fcts = [r.fct_ps for r in self.collector.records]
-        return float(np.mean(fcts)) / us(1) if fcts else float("nan")
+        return mean(fcts) / us(1) if fcts else float("nan")
 
     @property
     def p99_fct_us(self) -> float:
         fcts = [r.fct_ps for r in self.collector.records]
-        return float(np.percentile(fcts, 99)) / us(1) if fcts else float("nan")
+        return percentile(fcts, 99) / us(1) if fcts else float("nan")
 
     @property
     def mean_slowdown(self) -> float:
         s = self.collector.slowdowns()
-        return float(s.mean()) if len(s) else float("nan")
+        return mean(s) if s else float("nan")
 
     def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
         """(flow_id, fct_ps) pairs, sorted — the determinism witness."""

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.analysis.flowsim import from_topology
 from repro.metrics.fct import SIZE_BINS_WEBSEARCH, SlowdownTable
 from repro.sim.engine import Simulator

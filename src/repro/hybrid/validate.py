@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.common import build_cc_env
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.hybrid.backend import HybridConfig, run_fct_hybrid
-from repro.metrics.fct import ks_distance
+from repro.metrics.stats import ks_distance
 
 #: Scenario -> experiment kwargs.  The full rows match the fig14/fig15
 #: runner defaults; the quick slices shrink the flow count for CI.

@@ -3,8 +3,9 @@ pause-frame accounting, and FCT-slowdown collection.
 
 Everything samples on coarse timers or completion events — never per
 packet — so measurement does not distort the hot path (per the HPC guides'
-"profile realistic runs" advice).  Post-processing (percentiles, binning)
-is vectorized NumPy.
+"profile realistic runs" advice).  Post-processing (means, percentiles,
+binning) is plain python in :mod:`repro.metrics.stats`, bit-equal to the
+numpy reductions it replaced; no figure process imports numpy.
 """
 
 from repro.metrics.series import TimeSeries

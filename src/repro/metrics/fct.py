@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.metrics.ideal import ideal_fct_ps
+from repro.metrics.stats import mean, percentile
 from repro.transport.flow import FlowRecord
 from repro.units import KB, MB
 
@@ -32,6 +31,19 @@ SIZE_BINS_HADOOP: List[int] = [
 ]
 
 PERCENTILE_COLUMNS = ("average", "median", "p95", "p99")
+
+_PERCENTILE_OF = {"median": 50, "p95": 95, "p99": 99}
+
+
+def _column_stat(vals: List[float], column: str) -> Optional[float]:
+    """One ``PERCENTILE_COLUMNS`` statistic of ``vals``; None when empty."""
+    if column not in PERCENTILE_COLUMNS:
+        raise ValueError(f"unknown column {column!r}")
+    if not vals:
+        return None
+    if column == "average":
+        return mean(vals)
+    return percentile(vals, _PERCENTILE_OF[column])
 
 
 class FctCollector:
@@ -58,8 +70,8 @@ class FctCollector:
         self.records.append(rec)
 
     # -- summaries -----------------------------------------------------------------
-    def slowdowns(self) -> np.ndarray:
-        return np.array([r.slowdown for r in self.records], dtype=np.float64)
+    def slowdowns(self) -> List[float]:
+        return [r.slowdown for r in self.records]
 
     def completed(self) -> int:
         return len(self.records)
@@ -94,19 +106,7 @@ class SlowdownTable:
         self.overflow.append(slowdown)
 
     def stat(self, bin_upper: int, column: str) -> Optional[float]:
-        vals = self.by_bin.get(bin_upper)
-        if not vals:
-            return None
-        arr = np.asarray(vals)
-        if column == "average":
-            return float(arr.mean())
-        if column == "median":
-            return float(np.percentile(arr, 50))
-        if column == "p95":
-            return float(np.percentile(arr, 95))
-        if column == "p99":
-            return float(np.percentile(arr, 99))
-        raise ValueError(f"unknown column {column!r}")
+        return _column_stat(self.by_bin.get(bin_upper) or [], column)
 
     def aggregate(
         self, column: str, min_size: int = 0, max_size: int = 1 << 62
@@ -122,18 +122,7 @@ class SlowdownTable:
             prev = b
         if max_size >= 1 << 61:
             vals.extend(self.overflow)
-        if not vals:
-            return None
-        arr = np.asarray(vals)
-        if column == "average":
-            return float(arr.mean())
-        if column == "median":
-            return float(np.percentile(arr, 50))
-        if column == "p95":
-            return float(np.percentile(arr, 95))
-        if column == "p99":
-            return float(np.percentile(arr, 99))
-        raise ValueError(f"unknown column {column!r}")
+        return _column_stat(vals, column)
 
     def row_counts(self) -> Dict[int, int]:
         return {b: len(v) for b, v in self.by_bin.items()}
@@ -164,20 +153,3 @@ def _fmt_size(nbytes: int) -> str:
         return f"{nbytes / KB:g}KB"
     return f"{nbytes}B"
 
-
-def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic: the sup-norm distance
-    between the empirical CDFs of ``a`` and ``b``.
-
-    Used by the hybrid backend's validation gate (DESIGN.md §6) to compare
-    whole slowdown *distributions*, which per-bin percentile checks can't:
-    two backends may agree on every bin's p99 yet disagree on the shape in
-    between.  Pure numpy, no scipy dependency."""
-    xa = np.sort(np.asarray(a, dtype=np.float64))
-    xb = np.sort(np.asarray(b, dtype=np.float64))
-    if xa.size == 0 or xb.size == 0:
-        raise ValueError("ks_distance needs non-empty samples")
-    grid = np.concatenate([xa, xb])
-    cdf_a = np.searchsorted(xa, grid, side="right") / xa.size
-    cdf_b = np.searchsorted(xb, grid, side="right") / xb.size
-    return float(np.abs(cdf_a - cdf_b).max())

@@ -6,9 +6,15 @@ store-and-forward pipeline: frame ``i`` finishes crossing hop ``j`` at
 
     A(i, j) = max(A(i-1, j), A(i, j-1)) + ser_j(i)   [+ prop_j on arrival]
 
-With constant full-frame serialization per hop this prefix-max recurrence
-vectorizes per hop with ``np.maximum.accumulate`` (one O(K) pass per hop),
-so even a 30 MB flow costs a few tens of microseconds to evaluate.  Results
+Only the last frame may be short, so the recurrence has a closed form and
+the evaluation is integer arithmetic in O(hops), whatever the flow size.
+With ``s_l`` / ``t_l`` the full / last frame's serialization on hop ``l``,
+the last *full* frame (index ``n-2``) leaves hop ``j`` at
+
+    sum_{l<=j} s_l + (n-2) * max_{l<=j} s_l
+
+(the classic pipeline: fill once, then drain at the slowest hop so far) and
+the last frame at ``max(that, its own finish on hop j-1) + t_j``.  Results
 are memoized per (size, path) — fat-tree workloads reuse few distinct path
 shapes.
 """
@@ -17,8 +23,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Sequence, Tuple
-
-import numpy as np
 
 from repro.units import DEFAULT_MTU, serialization_ps
 from repro.transport.sender import HEADER_BYTES
@@ -44,21 +48,15 @@ def _ideal_cached(
     if n_frames == 1:
         return sum(serialization_ps(last_size, r) for r, _ in links) + total_prop
 
-    # Finish times of each frame after the first hop (back-to-back at the
-    # first link's rate).
-    s0 = serialization_ps(full_size, links[0][0])
-    finish = np.arange(1, n_frames + 1, dtype=np.float64) * s0
-    finish[-1] += serialization_ps(last_size, links[0][0]) - s0
-    for rate, _ in links[1:]:
+    full_sum = full_max = 0  # sum / max of s_l over the hops so far
+    finish = 0  # the last frame's finish on the previous hop
+    for rate, _ in links:
         s = serialization_ps(full_size, rate)
-        s_last = serialization_ps(last_size, rate)
-        # A_j(i) = s_j * i + max_{m<=i}(A_{j-1}(m) - s_j * m) + s_j
-        idx = np.arange(n_frames, dtype=np.float64)
-        ser = np.full(n_frames, float(s))
-        ser[-1] = float(s_last)
-        shifted = finish - idx * s
-        finish = idx * s + np.maximum.accumulate(shifted) + ser
-    return int(round(finish[-1])) + total_prop
+        full_sum += s
+        full_max = max(full_max, s)
+        last_full = full_sum + (n_frames - 2) * full_max
+        finish = max(finish, last_full) + serialization_ps(last_size, rate)
+    return finish + total_prop
 
 
 def ideal_fct_ps(

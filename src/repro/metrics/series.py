@@ -1,30 +1,33 @@
 """A small (time, value) series container with NumPy export.
 
 Times are append-only and sorted (samplers only move forward), so every
-windowed query locates its endpoints with ``bisect`` instead of the old
-O(n) zip-scan, and reductions run over a cached NumPy view of the values
-(rebuilt lazily when the length changes — append-only means a length
-check is a complete staleness test).
+windowed query locates its endpoints with ``bisect`` and reduces the slice
+of the plain ``values`` list behind them — means and percentiles through
+:mod:`repro.metrics.stats`, bit-equal to the numpy reductions they replaced.
+Only :meth:`TimeSeries.as_arrays`, the export for plotting and analysis
+callers, imports numpy, and only when called (DESIGN.md §5.4).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-import numpy as np
+from repro.metrics import stats
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class TimeSeries:
     """Append-only time series; values are floats, times are picoseconds."""
 
-    __slots__ = ("name", "times", "values", "_cache")
+    __slots__ = ("name", "times", "values")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.times: List[int] = []
         self.values: List[float] = []
-        self._cache: Optional[np.ndarray] = None
 
     def append(self, t_ps: int, value: float) -> None:
         self.times.append(t_ps)
@@ -33,15 +36,9 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def _vals(self) -> np.ndarray:
-        """The cached float64 view of ``values`` (hot for repeated
-        windowed queries during analysis; appends invalidate by length)."""
-        cache = self._cache
-        if cache is None or len(cache) != len(self.values):
-            self._cache = cache = np.asarray(self.values, dtype=np.float64)
-        return cache
-
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self.times, dtype=np.int64), np.asarray(
             self.values, dtype=np.float64
         )
@@ -50,14 +47,14 @@ class TimeSeries:
         return max(self.values) if self.values else 0.0
 
     def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else 0.0
+        return stats.mean(self.values) if self.values else 0.0
 
     def mean_after(self, t_ps: int) -> float:
         """Mean of samples at or after ``t_ps`` (skip warm-up transients)."""
         i = bisect_left(self.times, t_ps)
         if i >= len(self.values):
             return 0.0
-        return float(self._vals()[i:].mean())
+        return stats.mean(self.values[i:])
 
     def percentile(self, q: float, after_ps: int = 0) -> float:
         """The ``q``-th percentile (0-100, linear interpolation) of samples
@@ -65,13 +62,13 @@ class TimeSeries:
         i = bisect_left(self.times, after_ps) if after_ps else 0
         if i >= len(self.values):
             return 0.0
-        return float(np.percentile(self._vals()[i:], q))
+        return stats.percentile(self.values[i:], q)
 
     def max_after(self, t_ps: int) -> float:
         i = bisect_left(self.times, t_ps)
         if i >= len(self.values):
             return 0.0
-        return float(self._vals()[i:].max())
+        return float(max(self.values[i:]))
 
     def max_between(self, t0_ps: int, t1_ps: int) -> float:
         """Largest sample in the window [t0, t1]."""
@@ -79,7 +76,7 @@ class TimeSeries:
         hi = bisect_right(self.times, t1_ps)
         if lo >= hi:
             return 0.0
-        return float(self._vals()[lo:hi].max())
+        return float(max(self.values[lo:hi]))
 
     def value_at(self, t_ps: int) -> float:
         """Last sample at or before ``t_ps`` (step interpolation)."""
@@ -89,11 +86,15 @@ class TimeSeries:
     def first_time_below(self, threshold: float, after_ps: int = 0) -> int:
         """First sample time >= ``after_ps`` whose value is < ``threshold``;
         -1 if never."""
-        i = bisect_left(self.times, after_ps)
-        hits = np.nonzero(self._vals()[i:] < threshold)[0]
-        return self.times[i + int(hits[0])] if hits.size else -1
+        values = self.values
+        for i in range(bisect_left(self.times, after_ps), len(values)):
+            if values[i] < threshold:
+                return self.times[i]
+        return -1
 
     def first_time_above(self, threshold: float, after_ps: int = 0) -> int:
-        i = bisect_left(self.times, after_ps)
-        hits = np.nonzero(self._vals()[i:] > threshold)[0]
-        return self.times[i + int(hits[0])] if hits.size else -1
+        values = self.values
+        for i in range(bisect_left(self.times, after_ps), len(values)):
+            if values[i] > threshold:
+                return self.times[i]
+        return -1

@@ -13,8 +13,6 @@ import random
 import zlib
 from typing import Dict
 
-import numpy as np
-
 
 class SeedSequenceFactory:
     """Derives independent, stable child seeds from ``(root_seed, name)``.
@@ -28,7 +26,6 @@ class SeedSequenceFactory:
             raise ValueError("root seed must be a non-negative 63-bit integer")
         self.root_seed = int(root_seed)
         self._streams: Dict[str, random.Random] = {}
-        self._np_streams: Dict[str, np.random.Generator] = {}
 
     def child_seed(self, name: str) -> int:
         """A stable 64-bit seed for the named stream."""
@@ -41,14 +38,6 @@ class SeedSequenceFactory:
         if rng is None:
             rng = random.Random(self.child_seed(name))
             self._streams[name] = rng
-        return rng
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """The NumPy RNG for ``name`` (for vectorized sampling)."""
-        rng = self._np_streams.get(name)
-        if rng is None:
-            rng = np.random.default_rng(self.child_seed(name))
-            self._np_streams[name] = rng
         return rng
 
 

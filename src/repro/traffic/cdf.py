@@ -4,9 +4,23 @@ published in (and the format HPCC's public simulator consumes)."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
-import numpy as np
+
+def _interp(x: float, xp: List[float], fp: List[float]) -> float:
+    """``np.interp(x, xp, fp)`` for one finite ``x``, operation for
+    operation (``xp`` non-decreasing; clamped to ``fp[0]`` / ``fp[-1]``
+    outside it), so a seeded workload draws the sizes it always drew."""
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
 
 
 class PiecewiseCdf:
@@ -32,22 +46,16 @@ class PiecewiseCdf:
             raise ValueError("CDF must start >= 0 and end at 1.0")
         if scale <= 0:
             raise ValueError("scale must be positive")
-        self.sizes = np.asarray(sizes)
-        self.probs = np.asarray(probs)
+        self.sizes = sizes
+        self.probs = probs
         self.scale = scale
 
     def sample(self, rng: random.Random) -> int:
         """One flow size in bytes."""
         return self._invert(rng.random())
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized sampling (NumPy generator)."""
-        u = rng.random(n)
-        sizes = np.interp(u, self.probs, self.sizes) * self.scale
-        return np.maximum(1, sizes.round()).astype(np.int64)
-
     def _invert(self, u: float) -> int:
-        size = float(np.interp(u, self.probs, self.sizes)) * self.scale
+        size = _interp(u, self.probs, self.sizes) * self.scale
         return max(1, round(size))
 
     def mean(self) -> float:

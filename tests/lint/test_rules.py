@@ -535,6 +535,8 @@ def test_h302_suppressed():
         "import networkx as nx",
         "import scipy.stats",
         "from scipy.integrate import solve_ivp",
+        "import numpy as np",
+        "from numpy.random import default_rng",
         # Still import time: a guarded module-level import loads it whenever
         # it is installed.
         """
@@ -564,13 +566,18 @@ def test_h303_clean_function_local_and_type_checking():
         from typing import TYPE_CHECKING
         import typing
 
-        import numpy as np
+        import numpy_lookalike
         import networkx_lookalike
 
         if TYPE_CHECKING:
             import networkx as nx
+            import numpy as np
         if typing.TYPE_CHECKING:
             from scipy.sparse import csr_matrix
+
+        def as_arrays(values) -> "np.ndarray":
+            import numpy as np
+            return np.asarray(values)
 
         def trees(g) -> "nx.Graph":
             import networkx as nx

@@ -56,6 +56,12 @@ class TestSlowdownTable:
         with pytest.raises(ValueError):
             t.stat(10 * KB, "p50.5")
 
+    def test_unknown_column_rejected_on_an_empty_bin_too(self):
+        # The emptiness test used to run first: a typo returned None.
+        t = SlowdownTable([10 * KB])
+        with pytest.raises(ValueError, match="bogus"):
+            t.stat(10 * KB, "bogus")
+
     def test_aggregate_size_band(self):
         t = SlowdownTable([10 * KB, 100 * KB, MB])
         t.add(KB, 10.0)     # <=10KB
@@ -75,6 +81,14 @@ class TestSlowdownTable:
     def test_aggregate_empty_returns_none(self):
         t = SlowdownTable([10 * KB])
         assert t.aggregate("p95") is None
+
+    def test_aggregate_unknown_column_rejected_empty_or_not(self):
+        t = SlowdownTable([10 * KB])
+        with pytest.raises(ValueError, match="bogus"):
+            t.aggregate("bogus")
+        t.add(KB, 1.0)
+        with pytest.raises(ValueError, match="bogus"):
+            t.aggregate("bogus")
 
     def test_from_records(self):
         recs = [record(KB, 2.0), record(5 * MB, 3.0, flow_id=1)]

@@ -7,10 +7,12 @@ passages once pointed at a bench CLI nobody had consulted for five PRs.
 
 import json
 import re
+from importlib import metadata
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.runner import _MODULES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,3 +79,20 @@ def test_tie_census_in_design_matches_the_committed_report():
                r["tied_pops"], r["total_pops"])
         for name, r in report.items()
     }
+
+
+def test_there_is_one_version():
+    """``repro.__version__`` is the only literal: pyproject.toml reads it
+    (it said 0.2.0 while the package said 1.0.0), and an installed
+    distribution reports the same string."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]")[1].split("\n[")[0]
+    assert 'dynamic = ["version"]' in project
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert 'version = {attr = "repro.__version__"}' in pyproject
+    assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+    try:
+        installed = metadata.version("repro-fncc")
+    except metadata.PackageNotFoundError:  # PYTHONPATH=src, not installed
+        return
+    assert installed == repro.__version__

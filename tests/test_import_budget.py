@@ -1,6 +1,6 @@
 """The cold-start budget as an invariant (DESIGN.md §5.4): a process that
-runs a paper figure loads neither scipy nor networkx, and scipy may be
-absent altogether.  Checked on ``sys.modules`` in fresh interpreters — a
+runs a paper figure loads none of numpy, scipy and networkx, and scipy may
+be absent altogether.  Checked on ``sys.modules`` in fresh interpreters — a
 property of the import graph, not a timing."""
 
 import inspect
@@ -20,7 +20,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def heavy_loaded() -> list:
     """Which of the deferred libraries this process has imported."""
-    return sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "networkx"})
+    heavy = {"numpy", "scipy", "networkx"}
+    return sorted({m.split(".")[0] for m in sys.modules} & heavy)
 
 
 #: Appended to every probe: its last stdout line is heavy_loaded() as JSON.
@@ -52,6 +53,12 @@ import sys
 sys.modules["scipy"] = None
 """
 
+#: Importing numpy fails: whatever still runs does not need it.
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+"""
+
 
 def run_probe(*parts: str) -> list:
     """Run the concatenated snippets in a fresh interpreter; returns the
@@ -75,6 +82,38 @@ def test_cli_process_runs_a_flow_without_scipy_or_networkx():
 def test_spawn_worker_imports_run_a_flow_without_scipy_or_networkx():
     # What a sweep worker and a shard worker import before their first cell.
     assert run_probe("import repro.exec.executor, repro.shard.runtime", ONE_FLOW) == []
+
+
+def test_a_flow_runs_and_a_slowdown_table_prints_without_numpy():
+    body = """
+    from repro.metrics.fct import SIZE_BINS_WEBSEARCH, FctCollector
+
+    sim = Simulator()
+    topo = fattree(sim, k=4, switch_config=env.switch_config)
+    collector = FctCollector(topo)
+    launch_flows(topo, [Flow(0, 0, 15, 20_000)], env)
+    sim.run()
+    text = collector.table(SIZE_BINS_WEBSEARCH).format("one flow")
+    assert text.splitlines()[2].split()[:2] == ["10KB", "0"], text
+    assert text.splitlines()[3].split()[:2] == ["20KB", "1"], text
+    assert collector.slowdowns() == [collector.records[0].slowdown]
+    """
+    run_probe(NO_NUMPY, "import repro.experiments.runner", ONE_FLOW, body)
+
+
+def test_jobs1_map_does_not_import_the_process_pool():
+    # executor.py's docstring: "jobs=1 never touches multiprocessing".
+    body = """
+    import sys
+    from repro.exec import RunSpec, SweepExecutor
+
+    specs = [RunSpec(fn="builtins:dict", kwargs={"cell": i}) for i in range(2)]
+    results = SweepExecutor(jobs=1).map(specs)
+    assert [r.value for r in results] == [{"cell": 0}, {"cell": 1}]
+    loaded = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+    assert not loaded, loaded
+    """
+    run_probe("import repro.experiments.runner", body)
 
 
 def test_the_graph_view_is_what_loads_networkx():

@@ -121,7 +121,8 @@ DEFAULTS: Dict[str, Any] = {
         # Libraries no paper figure's packet path executes (DESIGN.md §5.4):
         # imported inside the functions that use them, never at module
         # import, so `import repro` and every spawn worker skip them.
-        "deferred_imports": ["scipy", "networkx"],
+        # numpy's reductions live in metrics/stats.py, bit-equal.
+        "deferred_imports": ["scipy", "networkx", "numpy"],
     },
     "h302": {
         # Modules whose classes are instantiated per-frame / per-event: an

@@ -125,7 +125,7 @@ def _import_time_stmts(body: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
 
 @rule(
     "H303",
-    "import-time import of a deferred heavy library (scipy, networkx)",
+    "import-time import of a deferred heavy library (scipy, networkx, numpy)",
     "DESIGN.md §5.4",
 )
 def check_h303(ctx: FileContext) -> Iterator[Finding]:
