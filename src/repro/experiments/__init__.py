@@ -2,8 +2,9 @@
 
 Each module exposes a ``run_*`` function returning a structured result and
 a ``main()`` that prints the paper-style rows.  ``python -m
-repro.experiments.runner --list`` enumerates them; DESIGN.md carries the
-figure-to-module index and EXPERIMENTS.md the paper-vs-measured record.
+repro.experiments.runner --list`` enumerates them; DESIGN.md §1 records
+the scale each figure is regenerated at and why the claim survives it,
+§5.1 the shape every cell shares.
 """
 
 from repro.experiments.common import (

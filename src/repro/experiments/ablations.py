@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from repro.exec import RunSpec, run_sweep
+from repro.experiments.common import run_microbench, sweep
 from repro.experiments.fig13_congestion_location import run_location
-from repro.units import KB, MB, us
+from repro.net.switch import IntMode, SwitchConfig
+from repro.transport.sender import TransportConfig
+from repro.units import KB, us
 
 
 # -- per-point spec targets (module-level, portable return values) ----------
@@ -49,57 +51,12 @@ def alpha_point(alpha: float, duration_us: float = 600.0) -> float:
     return r.queue.max_between(us(305), us(450)) / KB
 
 
-def _elephant_dumbbell_peak_queue_kb(
-    duration_us: float,
-    switch_config=None,
-    transport_config=None,
-) -> float:
-    """Shared ablation scaffold: two 20 MB staggered elephants on the
-    FNCC 100G dumbbell; returns the peak queue (KB) at the congested
-    egress.  ``switch_config``/``transport_config`` override the FNCC
-    defaults (the one knob each ablation point varies)."""
-    from repro.experiments.common import build_cc_env, launch_flows
-    from repro.metrics.monitors import QueueSampler
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import SeedSequenceFactory
-    from repro.topo.base import LinkSpec
-    from repro.topo.dumbbell import dumbbell
-    from repro.traffic.generator import staggered_elephants
-
-    sim = Simulator()
-    env = build_cc_env("fncc")
-    topo_kw = {}
-    if transport_config is not None:
-        topo_kw["transport_config"] = transport_config
-    topo = dumbbell(
-        sim,
-        n_senders=2,
-        link=LinkSpec(100.0, us(1.5)),
-        switch_config=switch_config if switch_config is not None else env.switch_config,
-        seeds=SeedSequenceFactory(1),
-        **topo_kw,
-    )
-    flows = staggered_elephants(
-        [h.host_id for h in topo.hosts[:2]],
-        topo.hosts[-1].host_id,
-        20 * MB,
-        us(300),
-    )
-    launch_flows(topo, flows, env)
-    sw = topo.switches[0]
-    port_idx = topo.adj[sw.name][topo.switches[1].name]["ports"][sw.name]
-    qmon = QueueSampler(sim, sw.ports[port_idx], us(1))
-    sim.run(until=us(duration_us))
-    return qmon.series.max() / KB
-
-
 def ack_point(m: int, duration_us: float = 600.0) -> float:
     """One ACK-per-m-packets setting -> peak queue KB (dumbbell, FNCC)."""
-    from repro.transport.sender import TransportConfig
-
-    return _elephant_dumbbell_peak_queue_kb(
-        duration_us, transport_config=TransportConfig(ack_every=m)
+    r = run_microbench(
+        "fncc", duration_us=duration_us, transport_config=TransportConfig(ack_every=m)
     )
+    return r.peak_queue_bytes / KB
 
 
 def lhcs_point(variant: str, duration_us: float = 800.0) -> float:
@@ -119,16 +76,15 @@ def lhcs_point(variant: str, duration_us: float = 800.0) -> float:
 def staleness_point(period_us: float, duration_us: float = 600.0) -> float:
     """One All_INT_Table refresh period -> peak queue KB.  0 = live
     readout."""
-    from repro.net.switch import IntMode, SwitchConfig
-
     cfg = SwitchConfig(
         int_mode=IntMode.FNCC,
         int_table_refresh_ps=us(period_us) if period_us > 0 else 0,
     )
-    return _elephant_dumbbell_peak_queue_kb(duration_us, switch_config=cfg)
+    r = run_microbench("fncc", duration_us=duration_us, switch_config=cfg)
+    return r.peak_queue_bytes / KB
 
 
-# -- the sweeps (spec emission + ordered reduce) ----------------------------
+# -- the sweeps (one spec per point, reduced in point order) ----------------
 
 _ABLATIONS = "repro.experiments.ablations"
 
@@ -139,11 +95,9 @@ def beta_sweep(
     jobs: int = 1,
 ) -> Dict[float, Tuple[float, float]]:
     """beta -> (peak queue KB, mean utilization) on last-hop congestion."""
-    specs = [
-        RunSpec(f"{_ABLATIONS}:beta_point", dict(beta=b, duration_us=duration_us), key=b)
-        for b in betas
-    ]
-    return dict(zip(betas, run_sweep(specs, jobs=jobs)))
+    return sweep(
+        f"{_ABLATIONS}:beta_point", dict(beta=betas), jobs=jobs, duration_us=duration_us
+    )
 
 
 def alpha_sweep(
@@ -156,11 +110,9 @@ def alpha_sweep(
     A threshold too high to ever fire (u tops out near 1 + q_peak/BDP
     ~ 1.5 here) degenerates to FNCC-without-LHCS.
     """
-    specs = [
-        RunSpec(f"{_ABLATIONS}:alpha_point", dict(alpha=a, duration_us=duration_us), key=a)
-        for a in alphas
-    ]
-    return dict(zip(alphas, run_sweep(specs, jobs=jobs)))
+    return sweep(
+        f"{_ABLATIONS}:alpha_point", dict(alpha=alphas), jobs=jobs, duration_us=duration_us
+    )
 
 
 def ack_coalescing_sweep(
@@ -169,21 +121,17 @@ def ack_coalescing_sweep(
     jobs: int = 1,
 ) -> Dict[int, float]:
     """ACK-per-m-packets -> peak queue KB (dumbbell, FNCC)."""
-    specs = [
-        RunSpec(f"{_ABLATIONS}:ack_point", dict(m=m, duration_us=duration_us), key=m)
-        for m in ms_
-    ]
-    return dict(zip(ms_, run_sweep(specs, jobs=jobs)))
+    return sweep(f"{_ABLATIONS}:ack_point", dict(m=ms_), jobs=jobs, duration_us=duration_us)
 
 
 def lhcs_contribution(duration_us: float = 800.0, jobs: int = 1) -> Dict[str, float]:
     """Peak queue (KB) on last-hop congestion: HPCC vs FNCC +- LHCS."""
-    variants = ("hpcc", "fncc_nolhcs", "fncc_lhcs")
-    specs = [
-        RunSpec(f"{_ABLATIONS}:lhcs_point", dict(variant=v, duration_us=duration_us), key=v)
-        for v in variants
-    ]
-    return dict(zip(variants, run_sweep(specs, jobs=jobs)))
+    return sweep(
+        f"{_ABLATIONS}:lhcs_point",
+        dict(variant=("hpcc", "fncc_nolhcs", "fncc_lhcs")),
+        jobs=jobs,
+        duration_us=duration_us,
+    )
 
 
 def int_staleness_sweep(
@@ -192,15 +140,12 @@ def int_staleness_sweep(
     jobs: int = 1,
 ) -> Dict[float, float]:
     """All_INT_Table refresh period -> peak queue KB.  0 = live readout."""
-    specs = [
-        RunSpec(
-            f"{_ABLATIONS}:staleness_point",
-            dict(period_us=p, duration_us=duration_us),
-            key=p,
-        )
-        for p in periods_us
-    ]
-    return dict(zip(periods_us, run_sweep(specs, jobs=jobs)))
+    return sweep(
+        f"{_ABLATIONS}:staleness_point",
+        dict(period_us=periods_us),
+        jobs=jobs,
+        duration_us=duration_us,
+    )
 
 
 def main(jobs: int = 1) -> None:

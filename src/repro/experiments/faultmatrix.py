@@ -22,21 +22,17 @@ that is the graceful-degradation acceptance bar, asserted by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.exec import RunSpec, SweepExecutor
-from repro.experiments.common import CcEnv, build_cc_env, launch_flows
+from repro.exec import SweepExecutor
+from repro.experiments.common import FctCell, build_fabric, sweep
+from repro.experiments.fct_experiment import launch_and_drive
 from repro.experiments.lbmatrix import make_lb_config
 from repro.faults import FaultInjector, FaultPlan
-from repro.metrics.fct import FctCollector
-from repro.metrics.stats import mean, percentile
-from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequenceFactory
-from repro.topo.base import LinkSpec
 from repro.topo.fattree import fattree
 from repro.traffic.generator import permutation_flows
 from repro.transport.sender import TransportConfig
-from repro.units import KB, MS, us
+from repro.units import KB, us
 
 PROFILES = ("none", "linkdown", "flap", "grayloss", "switchfail")
 LBS = ("ecmp", "flowlet", "conweave")
@@ -102,113 +98,6 @@ def count_failed(topo, completed_ids=()) -> int:
     return n
 
 
-def _completed_ids(collector: FctCollector) -> frozenset:
-    return frozenset(r.flow.flow_id for r in collector.records)
-
-
-class FaultCell:
-    """One matrix cell's outcome, with the fault/recovery tallies."""
-
-    def __init__(
-        self,
-        key: CellKey,
-        collector: FctCollector,
-        n_flows: int,
-        failed: int,
-        fault_counters: Dict[str, int],
-        sim: Simulator,
-        topo=None,
-    ) -> None:
-        self.key = key
-        self.collector = collector
-        self.n_flows = n_flows
-        self.failed = failed
-        self.fault_counters = fault_counters
-        self.sim = sim
-        self.topo = topo
-
-    @property
-    def completed(self) -> int:
-        return self.collector.completed()
-
-    @property
-    def hung(self) -> int:
-        """Flows neither completed nor failed at end of run — the
-        graceful-degradation criterion demands zero."""
-        return self.n_flows - self.completed - self.failed
-
-    @property
-    def mean_fct_us(self) -> float:
-        fcts = [r.fct_ps for r in self.collector.records]
-        return mean(fcts) / us(1) if fcts else float("nan")
-
-    @property
-    def p99_fct_us(self) -> float:
-        fcts = [r.fct_ps for r in self.collector.records]
-        return percentile(fcts, 99) / us(1) if fcts else float("nan")
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        """(flow_id, fct_ps) pairs, sorted — the determinism witness."""
-        return tuple(
-            sorted((r.flow.flow_id, r.fct_ps) for r in self.collector.records)
-        )
-
-
-class FaultCellSummary:
-    """Portable :class:`FaultCell` (what sweep workers return)."""
-
-    def __init__(
-        self,
-        key: CellKey,
-        seed: int,
-        n_flows: int,
-        completed: int,
-        failed: int,
-        hung: int,
-        mean_fct_us: float,
-        p99_fct_us: float,
-        fingerprint: Tuple[Tuple[int, int], ...],
-        fault_counters: Dict[str, int],
-        events_dispatched: int,
-    ) -> None:
-        self.key = key
-        self.seed = seed
-        self.n_flows = n_flows
-        self.completed = completed
-        self.failed = failed
-        self.hung = hung
-        self.mean_fct_us = mean_fct_us
-        self.p99_fct_us = p99_fct_us
-        self._fingerprint = fingerprint
-        self.fault_counters = fault_counters
-        self.events_dispatched = events_dispatched
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        return self._fingerprint
-
-
-def summarize_fault_cell(cell: FaultCell, seed: int) -> FaultCellSummary:
-    return FaultCellSummary(
-        key=cell.key,
-        seed=seed,
-        n_flows=cell.n_flows,
-        completed=cell.completed,
-        failed=cell.failed,
-        hung=cell.hung,
-        mean_fct_us=cell.mean_fct_us,
-        p99_fct_us=cell.p99_fct_us,
-        fingerprint=cell.fct_fingerprint(),
-        fault_counters=cell.fault_counters,
-        events_dispatched=cell.sim.events_dispatched,
-    )
-
-
-def run_fault_cell_summary(seed: int = 1, **kwargs) -> FaultCellSummary:
-    """Sweep-spec target (module-level, data-only arguments): one cell as
-    a portable summary, byte-identical in-process or in a spawn worker."""
-    return summarize_fault_cell(run_fault_cell(seed=seed, **kwargs), seed)
-
-
 def run_fault_cell(
     profile: str,
     lb: str = "ecmp",
@@ -221,85 +110,44 @@ def run_fault_cell(
     retx_timeout_us: int = 300,
     retx_max_timeouts: int = 7,
     **cc_params,
-) -> FaultCell:
+) -> FctCell:
     """Run one (profile, lb, cc) cell: fat-tree permutation traffic with
     the profile's fault plan armed and transport hardening on (RTO with
-    capped exponential backoff; ``retx_max_timeouts`` → flow-failed)."""
-    horizon = round(max_horizon_ms * MS)
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    env: CcEnv = build_cc_env(cc, link_rate_gbps=link_rate_gbps, **cc_params)
-    transport = TransportConfig(
-        retx_timeout_ps=us(retx_timeout_us),
-        retx_backoff_cap=3,
-        retx_max_timeouts=retx_max_timeouts,
-    )
-    topo = fattree(
-        sim,
-        k=k,
-        link=LinkSpec(rate_gbps=link_rate_gbps, prop_delay_ps=us(1.5)),
-        switch_config=env.switch_config,
-        seeds=seeds,
-        cnp_enabled=env.cnp_enabled,
-        transport_config=transport,
+    capped exponential backoff; ``retx_max_timeouts`` → flow-failed).
+    Module-level with data-only arguments: also :func:`run_faultmatrix`'s
+    spec target, byte-identical in-process or in a spawn worker."""
+    fab = build_fabric(
+        cc,
+        fattree,
+        dict(k=k),
+        seed=seed,
+        link_rate_gbps=link_rate_gbps,
+        transport_config=TransportConfig(
+            retx_timeout_ps=us(retx_timeout_us),
+            retx_backoff_cap=3,
+            retx_max_timeouts=retx_max_timeouts,
+        ),
         lb=make_lb_config(lb),
+        **cc_params,
     )
-    env.post_install(topo)
-    collector = FctCollector(topo)
+    topo, collector = fab.topo, fab.collector
     # Expected busy period: ~3x the per-flow serialization time (the
     # permutation is full-bisection, so congestion stretches ideal FCT by
     # a small factor) — faults anchored here hit live traffic.
     active_ps = round(perm_flow_bytes * 8000 / link_rate_gbps) * 3
     plan = build_fault_profile(profile, topo, active_ps)
-    injector = FaultInjector(plan).arm(sim, topo, seeds=seeds)
+    injector = FaultInjector(plan).arm(fab.sim, topo, seeds=fab.seeds)
 
-    flows = permutation_flows([h.host_id for h in topo.hosts], perm_flow_bytes, seeds)
-    launch_flows(topo, flows, env)
-    total = len(flows)
-    chunk = MS // 2
-    t = 0
-    while (
-        collector.completed() + count_failed(topo, _completed_ids(collector)) < total
-        and t < horizon
-    ):
-        t = min(t + chunk, horizon)
-        sim.run(until=t)
-        if sim.peek() is None:
-            break
-    return FaultCell(
-        (profile, lb, cc),
-        collector,
-        total,
-        count_failed(topo, _completed_ids(collector)),
-        dict(injector.counters),
-        sim,
-        topo=topo,
+    def failed() -> int:
+        return count_failed(topo, (r.flow.flow_id for r in collector.records))
+
+    flows = permutation_flows([h.host_id for h in topo.hosts], perm_flow_bytes, fab.seeds)
+    launch_and_drive(
+        fab, flows, max_horizon_ms, resolved=lambda: collector.completed() + failed()
     )
-
-
-def sweep_specs(
-    profiles: Sequence[str] = PROFILES,
-    lbs: Sequence[str] = LBS,
-    ccs: Sequence[str] = CCS,
-    seeds: Sequence[int] = (1,),
-    **kwargs,
-) -> List[RunSpec]:
-    """One :class:`~repro.exec.RunSpec` per (profile, lb, cc) × seed, in
-    deterministic nesting order so serial and pooled runs reduce alike."""
-    specs: List[RunSpec] = []
-    for seed in seeds:
-        for profile in profiles:
-            for lb in lbs:
-                for cc in ccs:
-                    specs.append(
-                        RunSpec(
-                            fn="repro.experiments.faultmatrix:run_fault_cell_summary",
-                            kwargs=dict(profile=profile, lb=lb, cc=cc, **kwargs),
-                            key=(profile, lb, cc, seed),
-                            seed=seed,
-                        )
-                    )
-    return specs
+    return FctCell(
+        (profile, lb, cc), seed, fab, len(flows), failed(), dict(injector.counters)
+    )
 
 
 def run_faultmatrix(
@@ -310,16 +158,18 @@ def run_faultmatrix(
     jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
     **kwargs,
-) -> Dict[CellKey, FaultCellSummary]:
+) -> Dict[CellKey, FctCell]:
     """The fault matrix, fanned out over ``jobs`` workers; fingerprints
     are byte-identical for any ``jobs`` (plans are picklable and all
     draws are seed-derived)."""
-    specs = sweep_specs(profiles=profiles, lbs=lbs, ccs=ccs, seeds=(seed,), **kwargs)
-    executor = executor or SweepExecutor(jobs=jobs)
-    out: Dict[CellKey, FaultCellSummary] = {}
-    for result in executor.map(specs):
-        out[result.value.key] = result.value
-    return out
+    return sweep(
+        "repro.experiments.faultmatrix:run_fault_cell",
+        dict(profile=profiles, lb=lbs, cc=ccs),
+        seed=seed,
+        jobs=jobs,
+        executor=executor,
+        **kwargs,
+    )
 
 
 def format_matrix(cells: Dict[CellKey, object]) -> str:

@@ -10,11 +10,11 @@ plain arguments (``k=8, scale=1.0, n_flows=...``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.exec import RunSpec, SweepExecutor
-
-from repro.experiments.common import CcEnv, build_cc_env, launch_flows
+from repro.exec import SweepExecutor
+from repro.experiments.common import CcEnv, build_fabric, launch_flows, sweep
 from repro.metrics.fct import (
     SIZE_BINS_HADOOP,
     SIZE_BINS_WEBSEARCH,
@@ -22,13 +22,13 @@ from repro.metrics.fct import (
     SlowdownTable,
 )
 from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequenceFactory
-from repro.topo.base import LinkSpec
+from repro.topo.base import Topology
 from repro.topo.fattree import fattree
 from repro.traffic.cdf import PiecewiseCdf
 from repro.traffic.distributions import fb_hadoop_cdf, websearch_cdf
 from repro.traffic.generator import PoissonWorkload
-from repro.units import MS, us
+from repro.transport.flow import Flow
+from repro.units import MS
 
 WORKLOADS = {
     "websearch": (websearch_cdf, SIZE_BINS_WEBSEARCH),
@@ -68,9 +68,7 @@ class FctResult:
 
     def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
         """(flow_id, fct_ps) pairs, sorted — the determinism witness."""
-        return tuple(
-            sorted((r.flow.flow_id, r.fct_ps) for r in self.collector.records)
-        )
+        return self.collector.fingerprint()
 
 
 class FctSummary:
@@ -185,21 +183,18 @@ def run_fct_summary(
     return summarize_fct_result(result, seed, backend=backend, obs=obs)
 
 
-class FctFabric:
+class FctFabric(NamedTuple):
     """One fully-built (CC, workload) cell, flows generated but *not*
     launched: the shared substrate of the packet experiment and the hybrid
     backend's packet phases (which launch only the demoted subset on it)."""
 
-    __slots__ = ("sim", "topo", "env", "collector", "flows", "bins", "cdf")
-
-    def __init__(self, sim, topo, env, collector, flows, bins, cdf) -> None:
-        self.sim = sim
-        self.topo = topo
-        self.env = env
-        self.collector = collector
-        self.flows = flows
-        self.bins = bins
-        self.cdf = cdf
+    sim: Simulator
+    topo: Topology
+    env: CcEnv
+    collector: FctCollector
+    flows: List[Flow]
+    bins: List[int]
+    cdf: PiecewiseCdf
 
 
 def build_fct_fabric(
@@ -224,29 +219,20 @@ def build_fct_fabric(
     cdf: PiecewiseCdf = cdf_fn(scale=scale)
     bins = list(bins) if bins is not None else [round(b * scale) for b in default_bins]
 
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    env: CcEnv = build_cc_env(cc, link_rate_gbps=link_rate_gbps, **cc_params)
-    topo = fattree(
-        sim,
-        k=k,
-        link=LinkSpec(rate_gbps=link_rate_gbps, prop_delay_ps=us(1.5)),
-        switch_config=env.switch_config,
-        seeds=seeds,
-        cnp_enabled=env.cnp_enabled,
-        lb=lb,
+    # ``fattree`` is read off this module at call time: the benchmark suite
+    # times it by replacing the attribute.
+    fab = build_fabric(
+        cc, fattree, dict(k=k), seed=seed, link_rate_gbps=link_rate_gbps, lb=lb,
+        **cc_params,
     )
-    env.post_install(topo)
-    collector = FctCollector(topo)
-
     flows = PoissonWorkload(
-        n_hosts=len(topo.hosts),
+        n_hosts=len(fab.topo.hosts),
         host_rate_gbps=link_rate_gbps,
         cdf=cdf,
         load=load,
-        seeds=seeds,
+        seeds=fab.seeds,
     ).generate(n_flows)
-    return FctFabric(sim, topo, env, collector, flows, bins, cdf)
+    return FctFabric(fab.sim, fab.topo, fab.env, fab.collector, flows, bins, cdf)
 
 
 def drive_fct(
@@ -255,10 +241,13 @@ def drive_fct(
     n_flows: int,
     max_horizon_ms: float,
     progress=None,
+    resolved: Optional[Callable[[], int]] = None,
 ) -> None:
     """Chunked drive loop: run until every launched flow completes or the
     horizon elapses (stragglers under a misbehaving CC should not hang the
-    harness; the completion count is part of the result).
+    harness; the completion count is part of the result).  ``resolved``
+    replaces the completion count as the stop test where a flow can also
+    end flow-failed (the fault matrix).
 
     ``progress`` (a :class:`repro.obs.ProgressReporter`) heartbeats once
     per chunk, wall-clock rate-limited; the first chunk is forced so even
@@ -268,7 +257,8 @@ def drive_fct(
     chunk = MS // 2
     t = 0
     first = True
-    while collector.completed() < n_flows and t < horizon:
+    resolved = resolved or collector.completed
+    while resolved() < n_flows and t < horizon:
         t = min(t + chunk, horizon)
         sim.run(until=t)
         if progress is not None:
@@ -284,6 +274,27 @@ def drive_fct(
             break
     if progress is not None:
         progress.finish(sim, completed=collector.completed(), total=n_flows)
+
+
+def launch_and_drive(
+    fab, flows, max_horizon_ms: float, obs=None, resolved=None
+) -> None:
+    """Launch ``flows`` on the unlaunched ``fab`` and :func:`drive_fct`
+    them, inside ``obs``'s guard when a
+    :class:`repro.obs.RunObservability` bundle is given (it is attached
+    first; its progress reporter heartbeats the drive)."""
+    if obs is not None:
+        obs.attach(fab.sim, fab.topo, collector=fab.collector)
+    with obs.guard(sim=fab.sim, topo=fab.topo) if obs is not None else nullcontext():
+        launch_flows(fab.topo, flows, fab.env)
+        drive_fct(
+            fab.sim,
+            fab.collector,
+            len(flows),
+            max_horizon_ms,
+            progress=obs.progress if obs is not None else None,
+            resolved=resolved,
+        )
 
 
 def run_fct_experiment(
@@ -318,20 +329,7 @@ def run_fct_experiment(
             registry=getattr(obs, "registry", None),
             tracer=getattr(obs, "tracer", None),
         )
-    if obs is None:
-        launch_flows(fab.topo, fab.flows, fab.env)
-        drive_fct(fab.sim, fab.collector, len(fab.flows), max_horizon_ms)
-    else:
-        obs.attach(fab.sim, fab.topo, collector=fab.collector)
-        with obs.guard(sim=fab.sim, topo=fab.topo):
-            launch_flows(fab.topo, fab.flows, fab.env)
-            drive_fct(
-                fab.sim,
-                fab.collector,
-                len(fab.flows),
-                max_horizon_ms,
-                progress=obs.progress,
-            )
+    launch_and_drive(fab, fab.flows, max_horizon_ms, obs=obs)
     return FctResult(
         cc, workload, fab.collector, fab.bins, len(fab.flows), fab.sim, topo=fab.topo
     )
@@ -361,17 +359,33 @@ def compare_ccs_sweep(
 ) -> Dict[str, FctSummary]:
     """Pool-capable :func:`compare_ccs`: one spec per CC, portable
     summaries back, reduced in CC order regardless of completion order."""
-    specs = [
-        RunSpec(
-            fn="repro.experiments.fct_experiment:run_fct_summary",
-            kwargs=dict(cc=cc, workload=workload, **kwargs),
-            key=(workload, cc, seed),
-            seed=seed,
-        )
-        for cc in ccs
-    ]
-    executor = executor or SweepExecutor(jobs=jobs)
-    return {r.value.cc: r.value for r in executor.map(specs)}
+    return sweep(
+        "repro.experiments.fct_experiment:run_fct_summary",
+        dict(cc=ccs),
+        seed=seed,
+        jobs=jobs,
+        executor=executor,
+        workload=workload,
+        **kwargs,
+    )
+
+
+def slowdown_reduction(
+    results: Dict[str, FctSummary], column: str, **size_filter
+) -> Dict[str, float]:
+    """FNCC's reduction (%) of one aggregate slowdown statistic against
+    every other CC in ``results``, over the flows ``size_filter``
+    (``min_size=`` / ``max_size=``, see :meth:`SlowdownTable.aggregate`)
+    selects — the form of every headline claim."""
+    fncc = results["fncc"].table.aggregate(column, **size_filter)
+    out = {}
+    for cc, result in results.items():
+        if cc == "fncc":
+            continue
+        base = result.table.aggregate(column, **size_filter)
+        if base and fncc:
+            out[cc] = 100.0 * (base - fncc) / base
+    return out
 
 
 def format_panel(

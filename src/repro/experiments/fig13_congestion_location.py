@@ -9,16 +9,20 @@ the last-hop flow rates snapping to ``fair * beta`` under LHCS.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict
 
-from repro.experiments.common import CcEnv, MicrobenchResult, build_cc_env, launch_flows
-from repro.metrics.monitors import QueueSampler, RateSampler, UtilizationSampler, pause_frame_count
-from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequenceFactory
-from repro.topo.base import LinkSpec
+from repro.experiments.common import MicrobenchResult, run_microbench
 from repro.topo.parkinglot import LOCATIONS, congestion_at
-from repro.traffic.generator import staggered_elephants
 from repro.units import KB, MB, us
+
+
+def fig11_chain(sim, location: str, n_senders: int, **kw):
+    """:func:`congestion_at` as a ``run_microbench`` topology builder:
+    Fig. 11's chains carry exactly two senders."""
+    if n_senders != 2:
+        raise ValueError(f"Fig. 11's chains carry two senders, got {n_senders}")
+    return congestion_at(sim, location, **kw)
 
 
 def run_location(
@@ -31,43 +35,17 @@ def run_location(
     seed: int = 1,
     **cc_params,
 ) -> MicrobenchResult:
-    """One cell of Fig. 13a-c: two elephants colliding at ``location``."""
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    env: CcEnv = build_cc_env(cc, link_rate_gbps=link_rate_gbps, **cc_params)
-    topo = congestion_at(
-        sim,
-        location,
-        link=LinkSpec(rate_gbps=link_rate_gbps, prop_delay_ps=us(1.5)),
-        switch_config=env.switch_config,
-        seeds=seeds,
-        cnp_enabled=env.cnp_enabled,
-    )
-    env.post_install(topo)
-    receiver = topo.node("receiver0")
-    senders = [topo.node("sender0"), topo.node("sender1")]
-    flows = staggered_elephants(
-        sender_ids=[s.host_id for s in senders],
-        receiver_id=receiver.host_id,
-        size_bytes=flow_size_bytes,
-        stagger_ps=us(stagger_us),
-    )
-    qps = launch_flows(topo, flows, env)
-
-    port = topo.switches[topo.congested_switch_index].ports[topo.congested_port_index]
-    qmon = QueueSampler(sim, port, interval_ps=us(1))
-    umon = UtilizationSampler(sim, port, interval_ps=us(5))
-    rmons = {fid: RateSampler(sim, qp, interval_ps=us(1)) for fid, qp in qps.items()}
-    sim.run(until=us(duration_us))
-    return MicrobenchResult(
-        cc=cc,
+    """One cell of Fig. 13a-c: two elephants colliding at ``location``,
+    sampled at the egress the topology names as congested."""
+    return run_microbench(
+        cc,
+        duration_us=duration_us,
         link_rate_gbps=link_rate_gbps,
-        queue=qmon.series,
-        rates={fid: m.series for fid, m in rmons.items()},
-        utilization=umon.series,
-        pause_frames=pause_frame_count(topo.switches),
-        topo=topo,
-        sim=sim,
+        flow_size_bytes=flow_size_bytes,
+        stagger_us=stagger_us,
+        seed=seed,
+        topo_builder=partial(fig11_chain, location=location),
+        **cc_params,
     )
 
 

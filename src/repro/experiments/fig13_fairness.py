@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import CcEnv, build_cc_env, launch_flows
+from repro.experiments.common import build_fabric, launch_flows
 from repro.metrics.monitors import RateSampler
 from repro.metrics.series import TimeSeries
 from repro.metrics.stats import total
 from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequenceFactory
-from repro.topo.base import LinkSpec
 from repro.topo.dumbbell import dumbbell
 from repro.transport.flow import Flow
 from repro.units import GB, ms, us
@@ -80,19 +78,15 @@ def run_fairness(
     sample_us: float = 10.0,
     **cc_params,
 ) -> FairnessResult:
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    env: CcEnv = build_cc_env(cc, link_rate_gbps=link_rate_gbps, **cc_params)
-    topo = dumbbell(
-        sim,
-        n_senders=n_flows,
-        n_switches=3,
-        link=LinkSpec(rate_gbps=link_rate_gbps, prop_delay_ps=us(1.5)),
-        switch_config=env.switch_config,
-        seeds=seeds,
-        cnp_enabled=env.cnp_enabled,
+    fab = build_fabric(
+        cc,
+        dumbbell,
+        dict(n_senders=n_flows, n_switches=3),
+        seed=seed,
+        link_rate_gbps=link_rate_gbps,
+        **cc_params,
     )
-    env.post_install(topo)
+    sim, topo = fab.sim, fab.topo
     epoch_ps = us(epoch_us)
     receiver = topo.hosts[-1]
     # Long-lived flows: big enough never to finish; exits are scheduled aborts.
@@ -100,7 +94,7 @@ def run_fairness(
         Flow(i, topo.hosts[i].host_id, receiver.host_id, 10 * GB, start_ps=i * epoch_ps)
         for i in range(n_flows)
     ]
-    qps = launch_flows(topo, flows, env)
+    qps = launch_flows(topo, flows, fab.env)
 
     def leave(fid: int) -> None:
         qps[fid].abort()

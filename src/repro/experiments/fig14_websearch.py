@@ -16,18 +16,24 @@ from repro.experiments.fct_experiment import (
     compare_ccs_sweep,
     format_panel,
     run_fct_summary,
+    slowdown_reduction,
 )
 from repro.metrics.fct import PERCENTILE_COLUMNS
 
 CCS = ("dcqcn", "hpcc", "fncc")
 
+#: The scaled-down Fig. 14 cell (DESIGN.md §1.1): ``run_fig14``'s defaults,
+#: and what the ``--trace`` / ``--progress`` path and the 1 MB cut read, so
+#: no path can run or bin a different cell from the plain one.
+K, LOAD, SCALE = 4, 0.5, 0.1
+
 
 def run_fig14(
     ccs: Sequence[str] = CCS,
-    k: int = 4,
-    load: float = 0.5,
+    k: int = K,
+    load: float = LOAD,
     n_flows: int = 200,
-    scale: float = 0.1,
+    scale: float = SCALE,
     seed: int = 1,
     jobs: int = 1,
     backend: str = "packet",
@@ -52,18 +58,12 @@ def run_fig14(
     )
 
 
-def long_flow_median_reduction(results: Dict[str, FctSummary], min_size_scaled: int) -> Dict[str, float]:
+def long_flow_median_reduction(
+    results: Dict[str, FctSummary], min_size_scaled: int = round(1_000_000 * SCALE)
+) -> Dict[str, float]:
     """FNCC's median-slowdown reduction (%) vs each baseline for flows
     larger than ``min_size_scaled`` (1 MB x scale in the paper)."""
-    fncc = results["fncc"].table.aggregate("median", min_size=min_size_scaled)
-    out = {}
-    for cc in results:
-        if cc == "fncc":
-            continue
-        base = results[cc].table.aggregate("median", min_size=min_size_scaled)
-        if base and fncc:
-            out[cc] = 100.0 * (base - fncc) / base
-    return out
+    return slowdown_reduction(results, "median", min_size=min_size_scaled)
 
 
 def _run_fig14_observed(
@@ -102,10 +102,10 @@ def _run_fig14_observed(
             backend=backend,
             obs=obs,
             workload="websearch",
-            k=4,
-            load=0.5,
+            k=K,
+            load=LOAD,
             n_flows=n_flows,
-            scale=0.1,
+            scale=SCALE,
         )
         obs.detach()
         bundles.append((cc, obs))
@@ -144,8 +144,7 @@ def main(
         print(format_panel(results, col, f"\nFig 14 ({col}) — WebSearch @50% load, FCT slowdown"))
     completed = {cc: r.completed() for cc, r in results.items()}
     print(f"\ncompleted flows: {completed}")
-    scale = 0.1
-    red = long_flow_median_reduction(results, round(1_000_000 * scale))
+    red = long_flow_median_reduction(results)
     for cc, pct in red.items():
         print(f"FNCC median slowdown reduction vs {cc} (flows > 1MB-equivalent): {pct:.1f}%")
 

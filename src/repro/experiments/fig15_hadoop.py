@@ -12,6 +12,7 @@ from repro.experiments.fct_experiment import (
     FctSummary,
     compare_ccs_sweep,
     format_panel,
+    slowdown_reduction,
 )
 from repro.metrics.fct import PERCENTILE_COLUMNS
 
@@ -52,15 +53,7 @@ def short_flow_p95_reduction(
 ) -> Dict[str, float]:
     """FNCC's p95 slowdown reduction (%) vs each baseline for flows shorter
     than ``max_size`` (100 KB in the paper)."""
-    fncc = results["fncc"].table.aggregate("p95", max_size=max_size)
-    out = {}
-    for cc in results:
-        if cc == "fncc":
-            continue
-        base = results[cc].table.aggregate("p95", max_size=max_size)
-        if base and fncc:
-            out[cc] = 100.0 * (base - fncc) / base
-    return out
+    return slowdown_reduction(results, "p95", max_size=max_size)
 
 
 def main(jobs: int = 1, seed: int = 1, backend: str = "packet") -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.experiments.common import MicrobenchResult, run_microbench
+from repro.experiments.common import MicrobenchResult, microbench_grid
 from repro.units import KB
 
 RATES_GBPS = (100.0, 200.0, 400.0)
@@ -23,15 +23,7 @@ def run_fig1_queue(
     seed: int = 1,
 ) -> Dict[float, Dict[str, MicrobenchResult]]:
     """All (rate, cc) cells of Figs. 1b-d."""
-    return {
-        rate: {
-            cc: run_microbench(
-                cc, link_rate_gbps=rate, duration_us=duration_us, seed=seed
-            )
-            for cc in ccs
-        }
-        for rate in rates
-    }
+    return microbench_grid(rates, ccs, duration_us=duration_us, seed=seed)
 
 
 def peak_queues_kb(results: Dict[float, Dict[str, MicrobenchResult]]) -> Dict[float, Dict[str, float]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.experiments.common import run_microbench
+from repro.experiments.common import microbench_grid
 from repro.units import KB
 
 RATES_GBPS = (200.0, 400.0)
@@ -23,19 +23,13 @@ def run_fig3(
     seed: int = 1,
 ) -> Dict[float, Dict[str, int]]:
     """Pause-frame counts per (rate, cc)."""
-    out: Dict[float, Dict[str, int]] = {}
-    for rate in rates:
-        out[rate] = {}
-        for cc in ccs:
-            r = run_microbench(
-                cc,
-                link_rate_gbps=rate,
-                pfc_xoff=pfc_xoff,
-                duration_us=duration_us,
-                seed=seed,
-            )
-            out[rate][cc] = r.pause_frames
-    return out
+    grid = microbench_grid(
+        rates, ccs, pfc_xoff=pfc_xoff, duration_us=duration_us, seed=seed
+    )
+    return {
+        rate: {cc: r.pause_frames for cc, r in per_cc.items()}
+        for rate, per_cc in grid.items()
+    }
 
 
 def main() -> None:

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.exec import RunSpec, SweepExecutor
-from repro.experiments.common import MicrobenchResult, run_microbench
+from repro.experiments.common import MicrobenchResult, microbench_grid
 from repro.units import KB, to_us, us
 
 RATES_GBPS = (100.0, 200.0, 400.0)
 CCS = ("fncc", "hpcc", "dcqcn", "rocc")
-
-#: ``response_time_us``/``convergence_time_us`` only touch the series and
-#: the link rate, so they accept either :class:`MicrobenchResult` or the
-#: portable :class:`~repro.experiments.common.MicrobenchSummary`.
 
 
 def response_time_us(
@@ -68,36 +63,8 @@ def run_fig9(
     seed: int = 1,
     jobs: int = 1,
 ) -> Dict[float, Dict[str, MicrobenchResult]]:
-    """The rate × CC grid.  ``jobs=1`` runs in-process and returns rich
-    :class:`MicrobenchResult`; ``jobs>1`` fans the independent cells over
-    a process pool and returns portable summaries with the same series
-    surface (byte-identical samples — the per-cell simulation does not
-    know how it was scheduled)."""
-    if jobs == 1:
-        return {
-            rate: {
-                cc: run_microbench(
-                    cc, link_rate_gbps=rate, duration_us=duration_us, seed=seed
-                )
-                for cc in ccs
-            }
-            for rate in rates
-        }
-    specs = [
-        RunSpec(
-            fn="repro.experiments.common:run_microbench_summary",
-            kwargs=dict(cc=cc, link_rate_gbps=rate, duration_us=duration_us),
-            key=(rate, cc),
-            seed=seed,
-        )
-        for rate in rates
-        for cc in ccs
-    ]
-    out: Dict[float, Dict[str, object]] = {rate: {} for rate in rates}
-    for result in SweepExecutor(jobs=jobs).map(specs):
-        rate, cc = result.key
-        out[rate][cc] = result.value
-    return out
+    """All (rate, cc) cells of Fig. 9, over ``jobs`` worker processes."""
+    return microbench_grid(rates, ccs, jobs=jobs, duration_us=duration_us, seed=seed)
 
 
 def main(jobs: int = 1, seed: int = 1) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import run_microbench
+from repro.experiments.common import microbench_grid
 from repro.experiments.fig14_websearch import long_flow_median_reduction, run_fig14
 from repro.experiments.fig15_hadoop import run_fig15, short_flow_p95_reduction
 from repro.units import us
@@ -22,15 +22,12 @@ from repro.units import us
 def run_headline(seed: int = 1, n_flows: int = 200, jobs: int = 1) -> Dict[str, object]:
     websearch = run_fig14(n_flows=n_flows, seed=seed, jobs=jobs)
     hadoop = run_fig15(n_flows=max(n_flows, 300), seed=seed, jobs=jobs)
-    micro400 = {
-        cc: run_microbench(cc, link_rate_gbps=400.0, duration_us=600.0, seed=seed)
-        for cc in ("fncc", "hpcc", "dcqcn")
-    }
+    micro400 = microbench_grid(
+        (400.0,), ("fncc", "hpcc", "dcqcn"), jobs=jobs, duration_us=600.0, seed=seed
+    )[400.0]
     return {
         "hadoop_p95_reduction": short_flow_p95_reduction(hadoop),
-        "websearch_median_reduction": long_flow_median_reduction(
-            websearch, round(1_000_000 * 0.1)
-        ),
+        "websearch_median_reduction": long_flow_median_reduction(websearch),
         "pause_frames_400g": {cc: r.pause_frames for cc, r in micro400.items()},
         "utilization_400g": {
             cc: r.utilization.mean_after(us(100)) for cc, r in micro400.items()

@@ -17,18 +17,12 @@ elephants on one uplink while spray/flowlet use the full path set.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.exec import RunSpec, SweepExecutor
-from repro.experiments.common import CcEnv, build_cc_env, launch_flows
-from repro.experiments.fct_experiment import drive_fct
+from repro.exec import SweepExecutor
+from repro.experiments.common import FctCell, build_fabric, sweep
+from repro.experiments.fct_experiment import launch_and_drive
 from repro.lb import LbConfig
-from repro.metrics.fct import FctCollector
-from repro.metrics.stats import mean, percentile
-from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequenceFactory
-from repro.topo.base import LinkSpec
 from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
 from repro.traffic.distributions import websearch_cdf
@@ -42,114 +36,6 @@ WORKLOADS = ("permutation", "websearch")
 
 #: A cell key: (topo, workload, lb, cc).
 CellKey = Tuple[str, str, str, str]
-
-
-class LbCell:
-    """One matrix cell's outcome."""
-
-    def __init__(
-        self,
-        key: CellKey,
-        collector: FctCollector,
-        n_flows: int,
-        sim: Simulator,
-        topo=None,
-    ) -> None:
-        self.key = key
-        self.collector = collector
-        self.n_flows = n_flows
-        self.sim = sim
-        # The live fabric (per-port tx counters feed the frame_hops
-        # metric); None for legacy callers.
-        self.topo = topo
-
-    @property
-    def completed(self) -> int:
-        return self.collector.completed()
-
-    @property
-    def mean_fct_us(self) -> float:
-        fcts = [r.fct_ps for r in self.collector.records]
-        return mean(fcts) / us(1) if fcts else float("nan")
-
-    @property
-    def p99_fct_us(self) -> float:
-        fcts = [r.fct_ps for r in self.collector.records]
-        return percentile(fcts, 99) / us(1) if fcts else float("nan")
-
-    @property
-    def mean_slowdown(self) -> float:
-        s = self.collector.slowdowns()
-        return mean(s) if s else float("nan")
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        """(flow_id, fct_ps) pairs, sorted — the determinism witness."""
-        return tuple(
-            sorted((r.flow.flow_id, r.fct_ps) for r in self.collector.records)
-        )
-
-
-class LbCellSummary:
-    """A portable :class:`LbCell`: the same statistics surface, computed
-    eagerly so the object crosses process boundaries (no simulator, no
-    collector, no live flows).  This is what sweep workers return."""
-
-    def __init__(
-        self,
-        key: CellKey,
-        seed: int,
-        n_flows: int,
-        completed: int,
-        mean_fct_us: float,
-        p99_fct_us: float,
-        mean_slowdown: float,
-        fingerprint: Tuple[Tuple[int, int], ...],
-        events_dispatched: int,
-        frame_hops: int = 0,
-    ) -> None:
-        self.key = key
-        self.seed = seed
-        self.n_flows = n_flows
-        self.completed = completed
-        self.mean_fct_us = mean_fct_us
-        self.p99_fct_us = p99_fct_us
-        self.mean_slowdown = mean_slowdown
-        self._fingerprint = fingerprint
-        self.events_dispatched = events_dispatched
-        # Frames delivered across any link (in-worker sum of per-port tx
-        # counters) — the perf harness's simulated-work unit.
-        self.frame_hops = frame_hops
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        return self._fingerprint
-
-
-def summarize_lb_cell(cell: LbCell, seed: int) -> LbCellSummary:
-    from repro.metrics.monitors import topo_frame_hops
-
-    topo = cell.topo
-    return LbCellSummary(
-        key=cell.key,
-        seed=seed,
-        n_flows=cell.n_flows,
-        completed=cell.completed,
-        mean_fct_us=cell.mean_fct_us,
-        p99_fct_us=cell.p99_fct_us,
-        mean_slowdown=cell.mean_slowdown,
-        fingerprint=cell.fct_fingerprint(),
-        events_dispatched=cell.sim.events_dispatched,
-        frame_hops=topo_frame_hops(topo) if topo is not None else 0,
-    )
-
-
-def run_lb_cell_summary(seed: int = 1, **kwargs) -> LbCellSummary:
-    """Sweep-spec target: one cell, returned as a portable summary.
-
-    Module-level and data-only by design — this is the function
-    :func:`sweep_specs` names, executed either in-process (``jobs=1``) or
-    in a spawned worker (``jobs>1``) with byte-identical results.
-    """
-    return summarize_lb_cell(run_lb_cell(seed=seed, **kwargs), seed)
 
 
 def make_lb_config(lb: str) -> LbConfig:
@@ -182,107 +68,46 @@ def run_lb_cell(
     max_horizon_ms: float = 20.0,
     obs=None,
     **cc_params,
-) -> LbCell:
+) -> FctCell:
     """Run one (topo, workload, lb, cc) cell and collect FCTs.
 
-    ``obs`` optionally attaches a :class:`repro.obs.RunObservability`
-    bundle to the cell (registry reads the LB reroute/probe counters at
-    snapshot time; the ``lb`` trace category hooks the reroute callback) —
-    in-process callers only, it is not picklable."""
+    Module-level with data-only arguments, so it is also the spec target of
+    :func:`run_lbmatrix` — byte-identical in-process and in a spawned
+    worker.  ``obs`` optionally attaches a
+    :class:`repro.obs.RunObservability` bundle to the cell (registry reads
+    the LB reroute/probe counters at snapshot time; the ``lb`` trace
+    category hooks the reroute callback) — in-process callers only, it is
+    not picklable."""
     if topo_name not in TOPOS:
         raise ValueError(f"topo must be one of {TOPOS}")
     if workload not in WORKLOADS:
         raise ValueError(f"workload must be one of {WORKLOADS}")
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    env: CcEnv = build_cc_env(cc, link_rate_gbps=link_rate_gbps, **cc_params)
-    link = LinkSpec(rate_gbps=link_rate_gbps, prop_delay_ps=us(1.5))
-    lb_config = make_lb_config(lb)
     if topo_name == "fattree":
-        topo = fattree(
-            sim,
-            k=k,
-            link=link,
-            switch_config=env.switch_config,
-            seeds=seeds,
-            cnp_enabled=env.cnp_enabled,
-            lb=lb_config,
-        )
+        builder, topo_kw = fattree, dict(k=k)
     else:
-        topo = jellyfish(
-            sim,
+        builder, topo_kw = jellyfish, dict(
             n_switches=n_switches,
             switch_degree=switch_degree,
             hosts_per_switch=hosts_per_switch,
-            link=link,
-            switch_config=env.switch_config,
-            seeds=seeds,
-            cnp_enabled=env.cnp_enabled,
-            lb=lb_config,
         )
-    env.post_install(topo)
-    collector = FctCollector(topo)
-
+    fab = build_fabric(
+        cc, builder, topo_kw, seed=seed, link_rate_gbps=link_rate_gbps,
+        lb=make_lb_config(lb), **cc_params,
+    )
     if workload == "permutation":
         flows = permutation_flows(
-            [h.host_id for h in topo.hosts], perm_flow_bytes, seeds
+            [h.host_id for h in fab.topo.hosts], perm_flow_bytes, fab.seeds
         )
     else:
         flows = PoissonWorkload(
-            n_hosts=len(topo.hosts),
+            n_hosts=len(fab.topo.hosts),
             host_rate_gbps=link_rate_gbps,
             cdf=websearch_cdf(scale=scale),
             load=load,
-            seeds=seeds,
+            seeds=fab.seeds,
         ).generate(n_flows)
-    if obs is not None:
-        obs.attach(sim, topo, collector=collector)
-
-    total = len(flows)
-    with obs.guard(sim=sim, topo=topo) if obs is not None else nullcontext():
-        launch_flows(topo, flows, env)
-        drive_fct(
-            sim, collector, total, max_horizon_ms,
-            progress=obs.progress if obs is not None else None,
-        )
-    return LbCell((topo_name, workload, lb, cc), collector, total, sim, topo=topo)
-
-
-def sweep_specs(
-    lbs: Sequence[str] = LBS,
-    ccs: Sequence[str] = CCS,
-    topos: Sequence[str] = TOPOS,
-    workloads: Sequence[str] = WORKLOADS,
-    seeds: Sequence[int] = (1,),
-    **kwargs,
-) -> List[RunSpec]:
-    """Emit one :class:`~repro.exec.RunSpec` per matrix cell × seed.
-
-    Spec keys are ``(topo, workload, lb, cc, seed)`` in deterministic
-    nesting order (seed outermost), so serial and pooled executions reduce
-    to the same sequence.
-    """
-    specs: List[RunSpec] = []
-    for seed in seeds:
-        for topo_name in topos:
-            for workload in workloads:
-                for lb in lbs:
-                    for cc in ccs:
-                        specs.append(
-                            RunSpec(
-                                fn="repro.experiments.lbmatrix:run_lb_cell_summary",
-                                kwargs=dict(
-                                    lb=lb,
-                                    cc=cc,
-                                    topo_name=topo_name,
-                                    workload=workload,
-                                    **kwargs,
-                                ),
-                                key=(topo_name, workload, lb, cc, seed),
-                                seed=seed,
-                            )
-                        )
-    return specs
+    launch_and_drive(fab, flows, max_horizon_ms, obs=obs)
+    return FctCell((topo_name, workload, lb, cc), seed, fab, len(flows))
 
 
 def run_lbmatrix(
@@ -294,7 +119,7 @@ def run_lbmatrix(
     jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
     **kwargs,
-) -> Dict[CellKey, LbCellSummary]:
+) -> Dict[CellKey, FctCell]:
     """The full (or any sliced) CC × LB × fabric × traffic sweep.
 
     Cells are independent runs, so they fan out over ``jobs`` worker
@@ -302,19 +127,19 @@ def run_lbmatrix(
     fingerprints are byte-identical for any ``jobs`` (gated by
     ``tests/exec/test_parallel_determinism.py``).
     """
-    specs = sweep_specs(
-        lbs=lbs, ccs=ccs, topos=topos, workloads=workloads, seeds=(seed,), **kwargs
+    return sweep(
+        "repro.experiments.lbmatrix:run_lb_cell",
+        dict(topo_name=topos, workload=workloads, lb=lbs, cc=ccs),
+        seed=seed,
+        jobs=jobs,
+        executor=executor,
+        **kwargs,
     )
-    executor = executor or SweepExecutor(jobs=jobs)
-    out: Dict[CellKey, LbCellSummary] = {}
-    for result in executor.map(specs):
-        out[result.value.key] = result.value
-    return out
 
 
 def format_matrix(cells: Dict[CellKey, object], column: str = "mean_fct_us") -> str:
-    """One block per (topo, workload): LB rows × CC columns (cells may be
-    :class:`LbCell` or :class:`LbCellSummary` — both expose the columns)."""
+    """One block per (topo, workload): LB rows × CC columns of one
+    :class:`FctCell` statistic."""
     lines = []
     groups: Dict[Tuple[str, str], Dict[Tuple[str, str], object]] = {}
     for (topo_name, workload, lb, cc), cell in cells.items():

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.experiments.common import MicrobenchResult, run_microbench
+from repro.experiments.common import MicrobenchResult, microbench_grid
 from repro.experiments.fig9_microbench import response_time_us
 from repro.units import KB, us
 
@@ -19,12 +19,8 @@ def run_related_work(
     duration_us: float = 700.0,
     seed: int = 1,
 ) -> Dict[str, MicrobenchResult]:
-    return {
-        cc: run_microbench(
-            cc, link_rate_gbps=link_rate_gbps, duration_us=duration_us, seed=seed
-        )
-        for cc in ccs
-    }
+    grid = microbench_grid((link_rate_gbps,), ccs, duration_us=duration_us, seed=seed)
+    return grid[link_rate_gbps]
 
 
 def main() -> None:

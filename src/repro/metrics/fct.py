@@ -7,7 +7,7 @@ falls in the first bin whose upper bound is >= its size).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.ideal import ideal_fct_ps
 from repro.metrics.stats import mean, percentile
@@ -75,6 +75,12 @@ class FctCollector:
 
     def completed(self) -> int:
         return len(self.records)
+
+    def fingerprint(self) -> Tuple[Tuple[int, int], ...]:
+        """``(flow_id, fct_ps)`` pairs, sorted — the FCT half of the
+        byte-identity witness (the other half is
+        :func:`repro.experiments.common.portstats_fingerprint`)."""
+        return tuple(sorted((r.flow.flow_id, r.fct_ps) for r in self.records))
 
     def table(self, bins: Sequence[int]) -> "SlowdownTable":
         return SlowdownTable.from_records(self.records, bins)

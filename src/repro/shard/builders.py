@@ -1,12 +1,9 @@
 """Per-shard fabric builders (spawn-safe, module-level, plain kwargs).
 
-Each builder replays the corresponding serial experiment's construction
-**exactly** — same :class:`Simulator`, same seed streams, same topology
-build, same flow list — and then launches only the flows this shard
-*owns*: a sender QP starts where the source host lives, a receiver
-registers where the destination lives.  Because every RNG stream is
-name-derived and CC factories are stateless per flow, skipping the other
-shards' launches perturbs nothing the owned traffic observes; the
+Each builder calls the serial experiment's own fabric builder — same
+:class:`Simulator`, same seed streams, same topology build, same flow
+list, by construction — and then launches only the flows this shard
+*owns* (:func:`repro.experiments.common.launch_flows`, ``owned=``); the
 injected boundary frames supply the remote half of the wire, at the
 serial timestamps.
 
@@ -16,23 +13,17 @@ plain-data build specs the process runtime ships to spawn workers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from repro.experiments.common import build_cc_env
-from repro.metrics.monitors import (
-    QueueSampler,
-    RateSampler,
-    UtilizationSampler,
-    pause_frame_count,
-    pfc_frame_totals,
+from repro.experiments.common import (
+    build_microbench_fabric,
+    launch_flows,
+    portstats_fingerprint,
+    series_samples,
 )
+from repro.metrics.monitors import pause_frame_count, pfc_frame_totals
 from repro.shard.runtime import ShardFabric
-from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequenceFactory
-from repro.topo.base import LinkSpec
-from repro.topo.dumbbell import dumbbell
-from repro.traffic.generator import staggered_elephants
-from repro.units import KB, MB, us
+from repro.units import us
 
 
 class ShardBomb(RuntimeError):
@@ -43,44 +34,46 @@ def _raise_bomb(arg) -> None:
     raise ShardBomb(f"scheduled shard crash at {arg} ps")
 
 
-def portstats_rows(nodes) -> List[tuple]:
-    """Every PortStats counter of every port — the per-shard half of the
-    byte-identity witness.  ``train_frames`` rides in the last column;
-    identity tests mask it on the cut ports only (a boundary hop cannot
-    fuse, by construction — everywhere else it must match)."""
-    rows = []
-    for node in nodes:
-        for port in node.ports:
-            s = port.stats
-            rows.append(
-                (
-                    node.name,
-                    port.index,
-                    s.tx_packets,
-                    s.tx_bytes,
-                    s.rx_packets,
-                    s.rx_bytes,
-                    s.drops,
-                    s.ecn_marked,
-                    s.pause_sent,
-                    s.pause_received,
-                    s.resume_sent,
-                    s.resume_received,
-                    s.max_qlen,
-                    port.train_frames,
-                )
-            )
-    return rows
+def _shard_fabric(
+    sim,
+    topo,
+    owned: frozenset,
+    scenario: Callable[[], dict],
+    trace: bool,
+    crash_at_us: Optional[float],
+    **completion,
+) -> ShardFabric:
+    """What both builders do once their owned traffic is launched: attach
+    the tracer, arm the crash bomb, and add to ``scenario()`` — the
+    scenario's own payload keys — the counters every shard ships home for
+    its owned nodes (PortStats rows, PFC ledger, pause count, events)."""
+    tracer = None
+    if trace:
+        from repro.obs import EventTracer
+
+        tracer = EventTracer()
+        tracer.attach(topo)
+    if crash_at_us is not None:
+        sim.schedule_at(us(crash_at_us), _raise_bomb, us(crash_at_us))
+    switches = [sw for sw in topo.switches if sw.name in owned]
+    nodes = [h for h in topo.hosts if h.name in owned] + switches
+
+    def collect() -> dict:
+        payload = scenario()
+        payload["portstats"] = portstats_fingerprint(topo, nodes)
+        payload["pfc"] = pfc_frame_totals(nodes)
+        payload["pause_frames"] = pause_frame_count(switches)
+        payload["events_dispatched"] = sim.events_dispatched
+        if tracer is not None:
+            payload["trace_events"] = [ev.to_dict() for ev in tracer.events]
+            payload["trace_dropped"] = tracer.dropped
+        return payload
+
+    return ShardFabric(sim, topo, collect, tracer=tracer, **completion)
 
 
-def _owned(topo, owner: Dict[str, int], shard_id: int):
-    hosts = [h for h in topo.hosts if owner[h.name] == shard_id]
-    switches = [sw for sw in topo.switches if owner[sw.name] == shard_id]
-    return hosts, switches
-
-
-def _series(ts) -> tuple:
-    return (tuple(ts.times), tuple(ts.values))
+def _owned(owner: Dict[str, int], shard_id: int) -> frozenset:
+    return frozenset(name for name, sid in owner.items() if sid == shard_id)
 
 
 def build_microbench_shard(
@@ -88,108 +81,36 @@ def build_microbench_shard(
     owner: Dict[str, int],
     n_shards: int,
     cc: str = "fncc",
-    link_rate_gbps: float = 100.0,
-    n_senders: int = 2,
-    n_switches: int = 3,
-    flow_size_bytes: int = 20 * MB,
-    stagger_us: float = 300.0,
-    sample_us: float = 1.0,
-    seed: int = 1,
-    pfc_xoff: int = 500 * KB,
-    monitor_switch: int = 0,
-    monitor_port: Optional[int] = None,
     trace: bool = False,
     crash_at_us: Optional[float] = None,
     crash_shard: int = 0,
-    **cc_params,
+    **kwargs,
 ) -> ShardFabric:
-    """One shard of :func:`repro.experiments.common.run_microbench` —
-    same construction order, ownership-gated launch."""
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    env = build_cc_env(cc, link_rate_gbps=link_rate_gbps, pfc_xoff=pfc_xoff, **cc_params)
-    link = LinkSpec(rate_gbps=link_rate_gbps, prop_delay_ps=us(1.5))
-    topo = dumbbell(
-        sim,
-        n_senders=n_senders,
-        n_switches=n_switches,
-        link=link,
-        switch_config=env.switch_config,
-        seeds=seeds,
-        cnp_enabled=env.cnp_enabled,
-    )
-    env.post_install(topo)
+    """One shard of :func:`repro.experiments.common.run_microbench` — the
+    same :func:`build_microbench_fabric` (same keywords), ownership-gated
+    launch and samplers."""
+    owned = _owned(owner, shard_id)
+    cell = build_microbench_fabric(cc, **kwargs)
+    cell.launch(owned)
 
-    receiver = topo.hosts[-1]
-    flows = staggered_elephants(
-        sender_ids=[h.host_id for h in topo.hosts[:n_senders]],
-        receiver_id=receiver.host_id,
-        size_bytes=flow_size_bytes,
-        stagger_ps=us(stagger_us),
-    )
-    hosts = topo.hosts
-    for flow in flows:
-        if owner[hosts[flow.dst].name] == shard_id:
-            hosts[flow.dst].register_receiver(flow)
-    qps = {}
-    for flow in flows:
-        src_host = hosts[flow.src]
-        if owner[src_host.name] != shard_id:
-            continue
-        cc_obj = env.cc_factory(flow, src_host)
-        base_rtt = topo.base_rtt_ps(flow.src, flow.dst)
-        qps[flow.flow_id] = src_host.start_flow(flow, cc_obj, base_rtt)
-
-    # Monitors mirror the serial run's, attached only where the monitored
-    # object is owned (the samplers are Periodic: their ticks land at the
-    # serial timestamps regardless of which shard hosts them).
-    sw = topo.switches[monitor_switch]
-    qmon = umon = None
-    rmons = {}
-    if owner[sw.name] == shard_id:
-        if monitor_port is None:
-            nxt = (
-                topo.switches[monitor_switch + 1].name
-                if monitor_switch + 1 < len(topo.switches)
-                else receiver.name
-            )
-            monitor_port = topo.adj[sw.name][nxt]["ports"][sw.name]
-        port = sw.ports[monitor_port]
-        qmon = QueueSampler(sim, port, interval_ps=us(sample_us))
-        umon = UtilizationSampler(sim, port, interval_ps=us(5 * sample_us))
-    rmons = {
-        fid: RateSampler(sim, qp, interval_ps=us(sample_us))
-        for fid, qp in qps.items()
-    }
-
-    tracer = None
-    if trace:
-        from repro.obs import EventTracer
-
-        tracer = EventTracer()
-        tracer.attach(topo)
-
-    if crash_at_us is not None and shard_id == crash_shard:
-        sim.schedule_at(us(crash_at_us), _raise_bomb, us(crash_at_us))
-
-    my_hosts, my_switches = _owned(topo, owner, shard_id)
-
-    def collect() -> dict:
-        payload = {
-            "queue": None if qmon is None else _series(qmon.series),
-            "utilization": None if umon is None else _series(umon.series),
-            "rates": {fid: _series(mon.series) for fid, mon in rmons.items()},
-            "pause_frames": pause_frame_count(my_switches),
-            "portstats": portstats_rows(my_hosts + my_switches),
-            "pfc": pfc_frame_totals(my_hosts + my_switches),
-            "events_dispatched": sim.events_dispatched,
+    def series() -> dict:
+        # Plain (times, values) pairs: payloads cross pipes and are compared
+        # by value.
+        r = cell.result()
+        return {
+            "queue": r.queue and series_samples(r.queue),
+            "utilization": r.utilization and series_samples(r.utilization),
+            "rates": {fid: series_samples(s) for fid, s in r.rates.items()},
         }
-        if tracer is not None:
-            payload["trace_events"] = [ev.to_dict() for ev in tracer.events]
-            payload["trace_dropped"] = tracer.dropped
-        return payload
 
-    return ShardFabric(sim, topo, collect, completed=None, tracer=tracer)
+    return _shard_fabric(
+        cell.fabric.sim,
+        cell.fabric.topo,
+        owned,
+        series,
+        trace,
+        crash_at_us if shard_id == crash_shard else None,
+    )
 
 
 def build_fct_shard(
@@ -208,55 +129,28 @@ def build_fct_shard(
     launch, completion counted where each flow's receiver lives."""
     from repro.experiments.fct_experiment import build_fct_fabric
 
+    owned = _owned(owner, shard_id)
     fab = build_fct_fabric(cc, workload=workload, **kwargs)
-    topo, env = fab.topo, fab.env
-    hosts = topo.hosts
-    for flow in fab.flows:
-        if owner[hosts[flow.dst].name] == shard_id:
-            hosts[flow.dst].register_receiver(flow)
-    for flow in fab.flows:
-        src_host = hosts[flow.src]
-        if owner[src_host.name] != shard_id:
-            continue
-        cc_obj = env.cc_factory(flow, src_host)
-        src_host.start_flow(flow, cc_obj, topo.base_rtt_ps(flow.src, flow.dst))
-
-    tracer = None
-    if trace:
-        from repro.obs import EventTracer
-
-        tracer = EventTracer()
-        tracer.attach(topo)
-
-    if crash_at_us is not None and shard_id == crash_shard:
-        fab.sim.schedule_at(us(crash_at_us), _raise_bomb, us(crash_at_us))
-
-    my_hosts, my_switches = _owned(topo, owner, shard_id)
+    launch_flows(fab.topo, fab.flows, fab.env, owned)
     collector = fab.collector
 
-    def collect() -> dict:
-        payload = {
+    def records() -> dict:
+        return {
             "records": [
                 (r.flow.flow_id, r.fct_ps, r.flow.size_bytes, r.slowdown)
                 for r in collector.records
             ],
             "bins": list(fab.bins),
             "n_flows": len(fab.flows),
-            "portstats": portstats_rows(my_hosts + my_switches),
-            "pfc": pfc_frame_totals(my_hosts + my_switches),
-            "pause_frames": pause_frame_count(my_switches),
-            "events_dispatched": fab.sim.events_dispatched,
         }
-        if tracer is not None:
-            payload["trace_events"] = [ev.to_dict() for ev in tracer.events]
-            payload["trace_dropped"] = tracer.dropped
-        return payload
 
-    return ShardFabric(
+    return _shard_fabric(
         fab.sim,
-        topo,
-        collect,
+        fab.topo,
+        owned,
+        records,
+        trace,
+        crash_at_us if shard_id == crash_shard else None,
         completed=collector.completed,
-        tracer=tracer,
         target=len(fab.flows),
     )

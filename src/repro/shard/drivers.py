@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.experiments.common import MicrobenchResult, build_microbench_fabric
 from repro.metrics.series import TimeSeries
 from repro.shard.partition import PartitionPlan, dumbbell_plan, fattree_plan
 from repro.shard.runtime import (
@@ -32,13 +33,6 @@ from repro.topo.fattree import fattree_wiring
 from repro.units import MS, us
 
 
-def _merge_portstats(payloads: Dict[int, dict]) -> List[tuple]:
-    rows: List[tuple] = []
-    for sid in sorted(payloads):
-        rows.extend(tuple(r) for r in payloads[sid]["portstats"])
-    return sorted(rows)
-
-
 def _merge_pfc(payloads: Dict[int, dict]) -> Dict[str, int]:
     totals = {"pause_sent": 0, "pause_received": 0, "resume_sent": 0, "resume_received": 0}
     for payload in payloads.values():
@@ -47,13 +41,9 @@ def _merge_pfc(payloads: Dict[int, dict]) -> Dict[str, int]:
     return totals
 
 
-def _rebuild_series(data: Optional[tuple], name: str) -> Optional[TimeSeries]:
-    if data is None:
-        return None
+def _rebuild_series(data: tuple, name: str) -> TimeSeries:
     ts = TimeSeries(name)
-    times, values = data
-    for t, v in zip(times, values):
-        ts.append(t, v)
+    ts.times, ts.values = map(list, data)
     return ts
 
 
@@ -68,17 +58,8 @@ class _TracerShim:
         self.dropped = dropped
         from repro.obs.trace import TraceEvent
 
-        self.events = [
-            TraceEvent(
-                d["ts_ps"],
-                d["cat"],
-                d["name"],
-                ph=d.get("ph", "i"),
-                dur_ps=d.get("dur_ps", 0),
-                args=d.get("args"),
-            )
-            for d in event_dicts
-        ]
+        # to_dict() keys are TraceEvent's own keywords.
+        self.events = [TraceEvent(**d) for d in event_dicts]
 
 
 def export_shard_trace(path: str, payloads: Dict[int, dict]) -> Optional[str]:
@@ -118,7 +99,9 @@ class ShardedRunResult:
         self.plan = plan
         self.payloads = payloads
         self.end_ps = end_ps
-        self.portstats = _merge_portstats(payloads)
+        self.portstats: List[tuple] = sorted(
+            row for p in payloads.values() for row in p["portstats"]
+        )
         self.pfc = _merge_pfc(payloads)
         self.pause_frames = sum(p["pause_frames"] for p in payloads.values())
         self.events_by_shard = {
@@ -131,38 +114,27 @@ class ShardedRunResult:
 
 
 class ShardedMicrobenchResult(ShardedRunResult):
-    """Sharded counterpart of ``MicrobenchSummary``: the plotted series
+    """Sharded counterpart of ``MicrobenchResult``: the plotted series
     live on whichever shard owned the monitored objects; merging is a
     union (each series exists exactly once)."""
 
     def __init__(self, plan, payloads, end_ps) -> None:
         super().__init__(plan, payloads, end_ps)
-        self.queue = None
-        self.utilization = None
+        self.queue: Optional[TimeSeries] = None
+        self.utilization: Optional[TimeSeries] = None
         self.rates: Dict[int, TimeSeries] = {}
         for sid in sorted(payloads):
             p = payloads[sid]
             if p["queue"] is not None:
                 self.queue = _rebuild_series(p["queue"], "qlen")
-            if p["utilization"] is not None:
                 self.utilization = _rebuild_series(p["utilization"], "util")
             for fid, data in p["rates"].items():
-                self.rates[int(fid)] = _rebuild_series(data, f"rate:{fid}")
+                self.rates[fid] = _rebuild_series(data, f"rate:{fid}")
 
     def series_fingerprint(self) -> tuple:
-        """The serial ``MicrobenchSummary.fingerprint()`` minus
-        ``events_dispatched`` (see class docstring)."""
-        return (
-            self.pause_frames,
-            tuple(self.queue.times),
-            tuple(self.queue.values),
-            tuple(
-                (fid, tuple(s.times), tuple(s.values))
-                for fid, s in sorted(self.rates.items())
-            ),
-            tuple(self.utilization.times),
-            tuple(self.utilization.values),
-        )
+        """The serial :meth:`MicrobenchResult.series_fingerprint`, read off
+        the merged series."""
+        return MicrobenchResult.series_fingerprint(self)
 
 
 class ShardedFctResult(ShardedRunResult):
@@ -182,7 +154,7 @@ class ShardedFctResult(ShardedRunResult):
         return len(self.records)
 
     def fct_fingerprint(self) -> tuple:
-        """Identical to ``FctResult.fct_fingerprint()``: sorted
+        """Identical to ``FctCollector.fingerprint()``: sorted
         ``(flow_id, fct_ps)``."""
         return tuple((fid, fct_ps) for fid, fct_ps, _size, _sd in self.records)
 
@@ -195,19 +167,41 @@ class ShardedFctResult(ShardedRunResult):
         return table
 
 
-def _make_group(
-    build: dict,
+def _run_group(
+    build_fn: str,
+    build_kwargs: dict,
     n_shards: int,
     planner: Callable[[], PartitionPlan],
     process: bool,
-    dump_dir,
+    dump_dir: Optional[str],
+    trace_path: Optional[str],
+    result_cls,
+    **run_kwargs,
 ):
+    """The lifecycle both drivers share: start the group, drive
+    :func:`run_sharded` with ``run_kwargs``, collect, always stop, merge
+    into ``result_cls``, export the trace when one was asked for."""
+    build = {
+        "fn": f"repro.shard.builders:{build_fn}",
+        "kwargs": dict(build_kwargs, trace=trace_path is not None),
+    }
     if process:
-        return ProcessShards(build, (n_shards, planner), dump_dir=dump_dir)
-    plan_dict = planner().to_dict()
-    return InProcessShards(
-        [build_engine(build, plan_dict, sid) for sid in range(n_shards)]
-    )
+        group = ProcessShards(build, (n_shards, planner), dump_dir=dump_dir)
+    else:
+        plan_dict = planner().to_dict()
+        group = InProcessShards(
+            [build_engine(build, plan_dict, sid) for sid in range(n_shards)]
+        )
+    try:
+        plan = group.plan
+        end = run_sharded(group, plan, **run_kwargs)
+        payloads = group.collect_all()
+    finally:
+        group.stop()
+    result = result_cls(plan, payloads, end)
+    if trace_path is not None:
+        export_shard_trace(trace_path, payloads)
+    return result
 
 
 def run_sharded_microbench(
@@ -220,38 +214,31 @@ def run_sharded_microbench(
     window_ps: Optional[int] = None,
     **kwargs,
 ) -> ShardedMicrobenchResult:
-    """Sharded :func:`~repro.experiments.common.run_microbench` over the
-    dumbbell chain, split into ``n_shards`` contiguous switch runs."""
+    """Sharded :func:`~repro.experiments.common.run_microbench` (same
+    keywords) over the dumbbell chain, split into ``n_shards`` contiguous
+    switch runs."""
 
     def planner() -> PartitionPlan:
-        from repro.experiments.common import run_microbench
-
-        # Plan off a throwaway serial build (cheap: nothing runs).  The
-        # builder-only knobs (crash bombs) don't exist on the serial entry
-        # point.
-        probe_kwargs = {
-            k: v
-            for k, v in kwargs.items()
-            if k not in ("crash_at_us", "crash_shard")
+        # Plan off a throwaway build of the same cell (cheap: nothing is
+        # launched); the crash bombs are the builder's, not the cell's.
+        cell_kwargs = {
+            k: v for k, v in kwargs.items() if k not in ("crash_at_us", "crash_shard")
         }
-        probe = run_microbench(cc, duration_us=0.0, **probe_kwargs)
-        return dumbbell_plan(probe.topo, n_shards)
+        probe = build_microbench_fabric(cc, **cell_kwargs)
+        return dumbbell_plan(probe.fabric.topo, n_shards)
 
-    build = {
-        "fn": "repro.shard.builders:build_microbench_shard",
-        "kwargs": dict(kwargs, cc=cc, trace=trace_path is not None),
-    }
-    group = _make_group(build, n_shards, planner, process, dump_dir)
-    try:
-        plan = group.plan
-        end = run_sharded(group, plan, until=us(duration_us), window_ps=window_ps)
-        payloads = group.collect_all()
-    finally:
-        group.stop()
-    result = ShardedMicrobenchResult(plan, payloads, end)
-    if trace_path is not None:
-        export_shard_trace(trace_path, payloads)
-    return result
+    return _run_group(
+        "build_microbench_shard",
+        dict(kwargs, cc=cc),
+        n_shards,
+        planner,
+        process,
+        dump_dir,
+        trace_path,
+        ShardedMicrobenchResult,
+        until=us(duration_us),
+        window_ps=window_ps,
+    )
 
 
 def run_sharded_fct(
@@ -282,22 +269,15 @@ def run_sharded_fct(
         link = LinkSpec(prop_delay_ps=us(1.5))
         return fattree_plan(fattree_wiring(Simulator(), k=k, link=link), shards)
 
-    build = {
-        "fn": "repro.shard.builders:build_fct_shard",
-        "kwargs": dict(
-            kwargs, cc=cc, workload=workload, k=k, trace=trace_path is not None
-        ),
-    }
-    group = _make_group(build, shards, planner, process, dump_dir)
-    try:
-        plan = group.plan
-        end = run_sharded(
-            group, plan, chunk_ps=MS // 2, max_horizon_ps=round(max_horizon_ms * MS)
-        )
-        payloads = group.collect_all()
-    finally:
-        group.stop()
-    result = ShardedFctResult(plan, payloads, end)
-    if trace_path is not None:
-        export_shard_trace(trace_path, payloads)
-    return result
+    return _run_group(
+        "build_fct_shard",
+        dict(kwargs, cc=cc, workload=workload, k=k),
+        shards,
+        planner,
+        process,
+        dump_dir,
+        trace_path,
+        ShardedFctResult,
+        chunk_ps=MS // 2,
+        max_horizon_ps=round(max_horizon_ms * MS),
+    )

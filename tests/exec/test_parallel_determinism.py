@@ -62,7 +62,7 @@ class TestMultiSeedMicrobench:
     def _specs(self):
         return [
             RunSpec(
-                fn="repro.experiments.common:run_microbench_summary",
+                fn="repro.experiments.common:run_microbench",
                 kwargs=dict(cc="fncc", link_rate_gbps=100.0, duration_us=150.0),
                 key=s,
                 seed=s,
@@ -87,7 +87,7 @@ class TestWorkerCrash:
         spec's result must not hang behind it."""
         specs = [
             RunSpec(
-                fn="repro.experiments.lbmatrix:run_lb_cell_summary",
+                fn="repro.experiments.lbmatrix:run_lb_cell",
                 kwargs=dict(lb="ecmp", cc="bbr"),
                 key="crash",
                 seed=1,
@@ -101,13 +101,13 @@ class TestWorkerCrash:
     def test_crash_results_collectable_without_raise(self):
         specs = [
             RunSpec(
-                fn="repro.experiments.lbmatrix:run_lb_cell_summary",
+                fn="repro.experiments.lbmatrix:run_lb_cell",
                 kwargs=dict(lb="ecmp", cc="bbr"),
                 key="crash",
                 seed=1,
             ),
             RunSpec(
-                fn="repro.experiments.lbmatrix:run_lb_cell_summary",
+                fn="repro.experiments.lbmatrix:run_lb_cell",
                 kwargs=dict(lb="ecmp", cc="fncc", n_flows=10),
                 key="fine",
                 seed=1,

@@ -1,6 +1,9 @@
 """Experiment harness: CC environment wiring and the per-figure runners
 (scaled down so the whole file stays test-suite fast)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cc.dcqcn import Dcqcn
@@ -47,6 +50,45 @@ class TestBuildCcEnv:
     def test_cc_params_forwarded(self):
         env = build_cc_env("fncc", beta=0.7)
         assert env.cc_factory(None, None).config.beta == 0.7
+
+
+class TestOneCellShape:
+    """Structural guard: each decision of a cell has one implementation
+    (DESIGN.md §5.1).  The copies this replaced had drifted — a shard
+    builder that had lost ``lb=``, an ablation scaffold without
+    ``post_install`` — so they must not grow back unnoticed."""
+
+    SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+    def _sources(self, *subdirs):
+        roots = [self.SRC / d for d in subdirs] or [self.SRC]
+        return {p: p.read_text(encoding="utf-8") for r in roots for p in r.rglob("*.py")}
+
+    def test_fabric_preamble_and_portstats_row_exist_once(self):
+        sources = self._sources()
+        callers = [
+            m.group(1)
+            for text in sources.values()
+            for chunk in re.split(r"^(?=def |class )", text, flags=re.M)
+            if "env.post_install(" in chunk
+            for m in [re.match(r"(?:def|class) (\w+)", chunk)]
+        ]
+        assert callers == ["build_fabric"]
+        rows = sum(
+            len(re.findall(r"s\.resume_received,\s*s\.max_qlen,\s*port\.train_frames", t))
+            for t in sources.values()
+        )
+        assert rows == 1
+
+    def test_fingerprint_tuple_lives_on_the_collector(self):
+        for path, text in self._sources("experiments", "shard").items():
+            assert "(r.flow.flow_id, r.fct_ps)" not in text, path
+
+    def test_summary_twins_are_gone(self):
+        gone = ("LbCellSummary", "FaultCellSummary", "MicrobenchSummary", "portstats_rows")
+        for path, text in self._sources().items():
+            for name in gone:
+                assert name not in text, f"{path}: {name}"
 
 
 class TestMicrobench:

@@ -21,7 +21,6 @@ from repro.experiments.common import (
 from repro.experiments.faultmatrix import (
     QUICK_SLICE,
     run_fault_cell,
-    run_fault_cell_summary,
     run_faultmatrix,
 )
 from repro.experiments.fct_experiment import run_fct_experiment
@@ -44,8 +43,8 @@ def test_noop_plan_is_zero_perturbation():
 
 def test_same_plan_same_seed_reproduces():
     kw = dict(profile="flap", lb="ecmp", cc="fncc", seed=5)
-    a = run_fault_cell_summary(**kw)
-    b = run_fault_cell_summary(**kw)
+    a = run_fault_cell(**kw)
+    b = run_fault_cell(**kw)
     assert a.fct_fingerprint() == b.fct_fingerprint()
     assert a.fault_counters == b.fault_counters
     assert a.events_dispatched == b.events_dispatched

@@ -2,7 +2,8 @@
 
 These assert *shape*, not absolute numbers (our substrate is a Python
 simulator, not the authors' OMNeT++ testbed): who wins, orderings, and
-directions of effects.  EXPERIMENTS.md records the measured magnitudes.
+directions of effects.  DESIGN.md §1 records the scale substitutions the
+magnitudes are subject to.
 """
 
 import pytest

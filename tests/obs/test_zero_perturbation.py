@@ -147,6 +147,22 @@ class TestObsIsByteIdentical:
         assert plain[3] == observed[3]
 
 
+    def test_fig14_quick_traced_cells_are_the_plain_cells(self, tmp_path):
+        """``fncc-exp fig14 --quick --trace`` must run the cells the plain
+        row runs: the observed path reads k / load / scale off
+        ``run_fig14``'s defaults instead of re-typing them."""
+        from repro.experiments import fig14_websearch as fig14
+
+        plain = fig14.run_fig14(n_flows=60)
+        traced = fig14._run_fig14_observed(
+            fig14.CCS, seed=1, backend="packet", n_flows=60,
+            trace=str(tmp_path / "fig14.json"), progress=False,
+        )
+        for cc in fig14.CCS:
+            assert plain[cc].fct_fingerprint() == traced[cc].fct_fingerprint(), cc
+            assert plain[cc].bins == traced[cc].bins
+
+
 class TestTraceHooksObserve:
     def test_pfc_and_flow_events_captured_without_perturbation(self):
         obs = _full_bundle()

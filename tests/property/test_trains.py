@@ -27,7 +27,7 @@ import random
 import pytest
 
 from helpers import classic_hops_only
-from repro.experiments.common import run_microbench, summarize_microbench
+from repro.experiments.common import run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.experiments.lbmatrix import run_lb_cell
 from repro.metrics import pfc_frame_totals
@@ -73,7 +73,7 @@ def train_frames_total(topo):
 def _microbench_obs(**kw):
     r = run_microbench(**kw)
     return (
-        summarize_microbench(r, seed=kw.get("seed", 1)).fingerprint(),
+        r.fingerprint(),
         port_stats_fingerprint(r.topo),
         pfc_frame_totals(_nodes(r.topo)),
         train_frames_total(r.topo),

@@ -20,19 +20,15 @@ import os
 import pytest
 
 from helpers import classic_hops_only
-from repro.experiments.common import run_microbench
+from repro.experiments.common import portstats_fingerprint, run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.faults.audit import FaultAuditor
 from repro.shard import ShardCrash, run_sharded_fct, run_sharded_microbench
-from repro.shard.builders import portstats_rows
 from repro.units import KB
 
 
 def serial_rows(result):
-    return sorted(
-        tuple(r)
-        for r in portstats_rows(list(result.topo.hosts) + list(result.topo.switches))
-    )
+    return list(portstats_fingerprint(result.topo))
 
 
 def cut_ports(topo, plan):
@@ -49,17 +45,7 @@ def masked(rows, cuts):
 
 
 def serial_series(result):
-    return (
-        result.pause_frames,
-        tuple(result.queue.times),
-        tuple(result.queue.values),
-        tuple(
-            (fid, tuple(s.times), tuple(s.values))
-            for fid, s in sorted(result.rates.items())
-        ),
-        tuple(result.utilization.times),
-        tuple(result.utilization.values),
-    )
+    return result.series_fingerprint()
 
 
 def assert_microbench_identical(cc, process=False, **kw):
@@ -84,6 +70,14 @@ def test_dumbbell_identity_trains_off():
     with classic_hops_only():
         _, sharded = assert_microbench_identical("fncc", duration_us=400.0)
     assert sum(r[-1] for r in sharded.portstats) == 0
+
+
+def test_dumbbell_identity_spray_lb():
+    """Everything ``run_microbench`` accepts reaches the shard builder: the
+    two share one fabric builder, so ``lb=`` (once dropped by a hand-copied
+    builder signature) cannot diverge."""
+    assert_microbench_identical("fncc", duration_us=700.0, lb="spray")
+    assert_microbench_identical("fncc", process=True, duration_us=700.0, lb="spray")
 
 
 def test_dumbbell_identity_hpcc_int_across_cut():

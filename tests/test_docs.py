@@ -1,7 +1,8 @@
 """Doc-rot guard: what DESIGN.md, the verify skill, the CI workflow and the
 comments under ``src/repro`` name must exist — every ``tools/…py`` /
 ``benchmarks/…py`` / ``tests/…py`` path (and each ``::Class::test`` written
-after one), every ``fncc-exp <name>``, and §4.1's tie census.  Sixteen
+after one), every ``fncc-exp <name>``, every ``UPPER_CASE.md`` document, and
+§4.1's tie census.  Sixteen
 passages once pointed at a bench CLI nobody had consulted for five PRs.
 """
 
@@ -25,6 +26,12 @@ SOURCES = {
 
 _PATH = re.compile(r"\b((?:tools|benchmarks|tests)/[\w./-]*\.py)((?:::\w+)*)")
 _EXPERIMENT = re.compile(r"fncc-exp\s+([a-z][\w-]*)")
+_DOCUMENT = re.compile(r"\b([A-Z][A-Z_]+\.md)\b")
+#: Every markdown file name in the checkout (two docstrings cited an
+#: ``EXPERIMENTS.md`` that was never in the tree).
+DOCUMENTS = {
+    p.name for p in ROOT.rglob("*.md") if ".git" not in p.relative_to(ROOT).parts
+}
 
 
 @pytest.mark.parametrize("group", SOURCES)
@@ -45,6 +52,8 @@ def test_named_paths_tests_and_experiments_exist(group):
         for name in _EXPERIMENT.findall(text):
             if name not in _MODULES:
                 problems.append(f"{where}: fncc-exp {name}: not an experiment")
+        for name in sorted(set(_DOCUMENT.findall(text)) - DOCUMENTS):
+            problems.append(f"{where}: {name}: no such document in the repo")
     assert not problems, "\n".join(problems)
 
 
@@ -55,6 +64,10 @@ def test_the_guard_sees_what_it_guards():
     assert len(_PATH.findall(design)) >= 20
     ci = (ROOT / ".github/workflows/ci.yml").read_text(encoding="utf-8")
     assert {"lbmatrix", "faultmatrix", "fig14"} <= set(_EXPERIMENT.findall(ci))
+    assert _DOCUMENT.findall("see EXPERIMENTS.md, DESIGN.md §1 and notes.md") == [
+        "EXPERIMENTS.md", "DESIGN.md",
+    ]
+    assert "DESIGN.md" in DOCUMENTS and "EXPERIMENTS.md" not in DOCUMENTS
     assert _PATH.findall("see `tools/gone.py` and tests/x/test_y.py::TestZ::test_w") == [
         ("tools/gone.py", ""),
         ("tests/x/test_y.py", "::TestZ::test_w"),
