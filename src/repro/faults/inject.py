@@ -13,10 +13,10 @@ Faults act at *delivery*: a node named by any link/loss/fail spec gets one
 instance-dict ``receive`` wrapper installed at arm time.  The wrapper
 consults per-node filter state — dead in-ports (link down), a fail-stop
 flag (switch fail), and per-in-port loss filters (gray loss / corruption)
-— and either drops the frame (``PortStats.drops``, never a pool release:
-the drop convention of ``net/switch.py``) or forwards to the original
-``receive``.  Installing an instance-dict ``receive`` closes the
-frame-train gate on that switch via the single-definition predicate
+— and either drops the frame (``PortStats.drops``, the drop convention
+of ``net/switch.py``) or forwards to the original ``receive``.
+Installing an instance-dict ``receive`` closes the frame-train gate on
+that switch via the single-definition predicate
 (``Switch._recompute_train_ok``), so fused trains can never bypass a
 fault — the same protocol PacketTap uses.
 

@@ -23,10 +23,10 @@ class PacketTap:
     >>> ... run ...
     >>> tap.count, tap.packets[0]
 
-    Tapping a *host* automatically parks its packet pool so captures stay
-    immutable.  Tapping an intermediate switch does not stop the terminal
-    hosts from recycling frames — for full-fidelity capture mid-path, build
-    the topology with ``pool_packets=False``.
+    A record holds the frame itself, not a copy: identity fields (kind,
+    flow, seq) stay as captured, while fields the fabric writes further
+    downstream (``hops``, ``in_port``, ``ecn``, ``int_records``) read their
+    final values.
     """
 
     def __init__(
@@ -46,13 +46,6 @@ class PacketTap:
         self.dropped = 0  # records beyond max_packets
         self._orig = node.receive
         self._installed = True
-        # Captured packets outlive their delivery callback, which is
-        # incompatible with frame recycling: park the node's packet pool
-        # (refcounted, restored when the last tap uninstalls).  See
-        # PacketPool ownership rules.
-        self._pool = getattr(node, "pkt_pool", None)
-        if self._pool is not None:
-            self._pool.pause_recycling()
         # Tapping a switch forces the frame-train fast path (DESIGN.md
         # §2.2) back to per-frame delivery through this node, so the spy
         # observes every frame individually: clear the train pass-through
@@ -88,16 +81,14 @@ class PacketTap:
         self._orig(pkt, in_port)
 
     def uninstall(self) -> None:
-        """Restore the node's original receive method (and packet pool,
-        and the train pass-through gate on switches)."""
+        """Restore the node's original receive method (and the train
+        pass-through gate on switches)."""
         if self._installed:
             node = self.node
             if self._had_instance_receive:
                 node.receive = self._orig  # type: ignore[method-assign]
             else:
                 del node.receive  # pristine: the class method resurfaces
-            if self._pool is not None:
-                self._pool.resume_recycling()
             if self._gated_switch:
                 # Recompute rather than restore a snapshot: the strategy
                 # may have been reinstalled while the tap was up (a

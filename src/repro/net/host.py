@@ -18,8 +18,6 @@ from repro.net.packet import (
     PAUSE,
     RESUME,
     Packet,
-    PacketPool,
-    SanitizingPacketPool,
 )
 from repro.transport.receiver import ReceiverQP
 from repro.transport.sender import SenderQP, TransportConfig
@@ -42,23 +40,11 @@ class Host(Node):
         host_id: int,
         transport: Optional[TransportConfig] = None,
         cnp_enabled: bool = False,
-        pool_packets: bool = False,
     ) -> None:
         super().__init__(sim, name)
         self.host_id = host_id
         self.transport_config = transport or TransportConfig()
         self.cnp_enabled = cnp_enabled
-        # Frame free list.  Off by default so bare hosts (unit fixtures,
-        # spies that retain packets) keep immortal frames; the topology
-        # layer enables it for experiment fabrics.  See PacketPool docs.
-        # Under Simulator(sanitize="pool") the use-after-release-detecting
-        # variant is substituted (DESIGN.md §9) — same API, poisoned frames.
-        pool_cls = (
-            SanitizingPacketPool
-            if "pool" in getattr(sim, "sanitize", ())
-            else PacketPool
-        )
-        self.pkt_pool = pool_cls(enabled=pool_packets)
         self.senders: Dict[int, SenderQP] = {}
         self.receivers: Dict[int, ReceiverQP] = {}
         self._active_inbound = 0
@@ -148,14 +134,11 @@ class Host(Node):
         elif kind == ACK:
             qp = self.senders.get(pkt.flow_id)
             if qp is not None:
-                qp.on_ack(pkt)  # the QP recycles the ACK when done with it
-            else:
-                self.pkt_pool.release(pkt)
+                qp.on_ack(pkt)
         elif kind == CNP:
             qp = self.senders.get(pkt.flow_id)
             if qp is not None:
                 qp.on_cnp()
-            self.pkt_pool.release(pkt)
         elif kind == PAUSE:
             self.ports[in_port].pause(pkt.pause_prio)
             self.ports[in_port].stats.pause_received += 1

@@ -55,9 +55,7 @@ class _StubNode:
 
     def receive(self, pkt: Packet, in_port: int) -> None:
         # The frame's real receive runs on the remote shard from the
-        # barrier-exported copy; this copy is dead.  No pool release:
-        # the frame was acquired from a sender-side pool whose flow
-        # bookkeeping ends with the remote shard's copy.
+        # barrier-exported copy; this copy is dead.
         return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

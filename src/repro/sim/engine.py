@@ -152,9 +152,8 @@ class Simulator:
         self._stopped: bool = False
         self.events_dispatched: int = 0
         # Debug-only runtime sanitizers (DESIGN.md §9).  ``sanitize`` is the
-        # frozenset of active modes ({"tie", "pool"}); hosts consult it to
-        # pick their PacketPool class.  The environment default is read
-        # here at construction (not import) time so tools can toggle
+        # frozenset of active modes ({"tie"}).  The environment default is
+        # read here at construction (not import) time so tools can toggle
         # REPRO_SANITIZE in-process, and spawn-started sweep workers still
         # inherit it through the environment.
         if sanitize is None:

@@ -31,17 +31,15 @@ import json
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 #: The modes ``Simulator(sanitize=...)`` / ``REPRO_SANITIZE`` accept.
-#: ``tie``  — event-tie detector (this module).
-#: ``pool`` — packet-pool use-after-release sanitizer
-#:            (:class:`repro.net.packet.SanitizingPacketPool`).
-SANITIZE_MODES = frozenset({"tie", "pool"})
+#: ``tie`` — event-tie detector (this module).
+SANITIZE_MODES = frozenset({"tie"})
 
 #: Version tag of the tie-report artifact schema (DESIGN.md §9).
 TIE_REPORT_SCHEMA = "fncc-tie-report/v1"
 
 
 def parse_sanitize(spec: Union[None, str, Iterable[str]]) -> FrozenSet[str]:
-    """Normalize a sanitize spec (``"tie,pool"``, iterable, or None/"")
+    """Normalize a sanitize spec (``"tie"``, iterable, or None/"")
     into a frozenset of mode names, rejecting unknown modes loudly."""
     if spec is None:
         spec = ""

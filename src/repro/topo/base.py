@@ -54,7 +54,6 @@ class Topology:
         default_link: Optional[LinkSpec] = None,
         switch_config: Optional[SwitchConfig] = None,
         transport_config: Optional[TransportConfig] = None,
-        pool_packets: bool = True,
     ) -> None:
         self.sim = sim
         self.seeds = seeds or SeedSequenceFactory(1)
@@ -65,9 +64,6 @@ class Topology:
         # registered later), but a caller's config object passed to several
         # topologies is never mutated behind their back.
         self.transport_config = copy.copy(transport_config) if transport_config else TransportConfig()
-        # Experiment fabrics recycle frames by default (see PacketPool);
-        # pass pool_packets=False to keep packets immortal for debugging.
-        self.pool_packets = pool_packets
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
         # The wiring: name -> {neighbour -> attrs}, nodes in creation order,
@@ -97,7 +93,6 @@ class Topology:
             host_id=len(self.hosts),
             transport=self.transport_config,
             cnp_enabled=cnp_enabled,
-            pool_packets=self.pool_packets,
         )
         self.hosts.append(host)
         self._by_name[name] = host

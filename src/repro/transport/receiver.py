@@ -43,10 +43,6 @@ tail marker degrades gracefully: delivery is seq-driven, so the buffer
 drains normally once the hole fills by retransmission; the marker only
 accelerates loss detection.
 
-Ownership (DESIGN.md §hot-path): a buffered frame is owned by the reorder
-buffer from arrival to in-order delivery; it is recycled into the host's
-pool only after the ACK that may alias its ``int_records`` is built.
-
 Frame trains (DESIGN.md §2.2): hosts are *train-opaque* — the port layer's
 fused delivery pipeline never fuses into a host, so a train arriving at
 the last hop unrolls to per-frame ``on_data`` calls automatically.  Every
@@ -85,7 +81,6 @@ class ReceiverQP:
         "cnp_enabled",
         "cnp_interval_ps",
         "_last_cnp_ps",
-        "_pool",
         "_nic",
         "data_packets",
         "dup_acks_sent",
@@ -114,7 +109,6 @@ class ReceiverQP:
         reorder_max_pkts: int = 512,
     ) -> None:
         self.host = host
-        self._pool = host.pkt_pool
         self._nic = None  # bound lazily: hosts may be wired after flow setup
         self.flow = flow
         self.rcv_nxt = 0
@@ -146,9 +140,8 @@ class ReceiverQP:
 
     def on_data(self, pkt: Packet) -> None:
         """Consume one DATA frame.  In-order frames (and buffered frames
-        becoming in-order) are delivered to the QP; the QP is each frame's
-        terminal sink — after the ACK (which may alias ``pkt.int_records``)
-        is built, the packet shell is recycled into the host's pool."""
+        becoming in-order) are delivered to the QP, each frame's terminal
+        sink; the ACK it builds may alias ``pkt.int_records``."""
         self.data_packets += 1
         if self.cnp_enabled and pkt.ecn:
             self._maybe_send_cnp()
@@ -160,7 +153,6 @@ class ReceiverQP:
                 # duplicate cumulative ACK so go-back-N can kick in.
                 self.dup_acks_sent += 1
                 self._send_ack(pkt, force=True)
-                self._pool.release(pkt)
                 return
             self._on_out_of_order(pkt)
             return
@@ -193,11 +185,10 @@ class ReceiverQP:
             # request even when ACK coalescing hides the duplicate seq.
             self.dup_acks_sent += 1
             self._send_ack(pkt, force=True, nack=True)
-            self._pool.release(pkt)
             if self._ooo:
                 # A rewind is replaying old bytes; any buffered copies the
                 # replay already overtook are dead — purge here (the rare
-                # recovery path) so the buffer cannot pin released frames.
+                # recovery path) so they stop counting against the window.
                 self._purge_stale()
             return
         ooo = self._ooo
@@ -205,7 +196,6 @@ class ReceiverQP:
             # Same frame arrived twice (retransmitted overlap); the first
             # copy stays authoritative.
             self.ooo_duplicates += 1
-            self._pool.release(pkt)
             return
         if (
             seq + pkt.payload > rcv_nxt + self.reorder_window_bytes
@@ -216,7 +206,6 @@ class ReceiverQP:
             self.ooo_overflows += 1
             self.dup_acks_sent += 1
             self._send_ack(pkt, force=True, nack=True)
-            self._pool.release(pkt)
             return
         ooo[seq] = pkt
         self._ooo_bytes += pkt.payload
@@ -245,7 +234,6 @@ class ReceiverQP:
             dead = ooo.pop(s)
             self._ooo_bytes -= dead.payload
             self.ooo_duplicates += 1
-            self._pool.release(dead)
 
     def _deliver(self, pkt: Packet) -> None:
         """In-order delivery to the QP (the original on_data body)."""
@@ -261,7 +249,6 @@ class ReceiverQP:
         if pkt.lb_tail:
             self.reroute_tails += 1
             self._last_tail_tag = pkt.lb_tag
-        self._pool.release(pkt)
 
     # -- ACK construction ----------------------------------------------------------
     def _send_ack(
@@ -273,9 +260,9 @@ class ReceiverQP:
         if not force:
             self._unacked_pkts = 0
         flow = self.flow
-        # Positional acquire (kind, flow_id, src, dst, seq, size, payload,
+        # Positional (kind, flow_id, src, dst, seq, size, payload,
         # priority); src/dst reversed — the ACK travels back to the sender.
-        ack = self._pool.acquire(
+        ack = Packet(
             ACK,
             flow.flow_id,
             flow.dst,
@@ -311,7 +298,7 @@ class ReceiverQP:
         if now - self._last_cnp_ps < self.cnp_interval_ps:
             return
         self._last_cnp_ps = now
-        cnp = self.host.pkt_pool.acquire(
+        cnp = Packet(
             CNP,
             flow_id=self.flow.flow_id,
             src=self.flow.dst,

@@ -147,7 +147,6 @@ class SenderQP:
         "_gap_rate",
         "_gap_size",
         "_gap",
-        "_pool",
         "_nic",
         "on_complete",
         "acks_received",
@@ -203,7 +202,6 @@ class SenderQP:
         # state) instead of the Timer wrapper; _pace_armed_for carries the
         # deadline the live event is armed for, None when disarmed.
         self._pace_ev = None
-        self._pool = host.pkt_pool
         self._nic = None  # bound lazily: hosts may be wired after flow setup
         self._retx_timer = Timer(self.sim, self._retx_fire, host.lane)
         self._pace_armed_for: Optional[int] = None
@@ -279,9 +277,9 @@ class SenderQP:
         max_payload = self._max_payload
         payload = max_payload if remaining > max_payload else remaining
         size = payload + self._header_bytes
-        # Positional acquire (kind, flow_id, src, dst, seq, size, payload,
+        # Positional (kind, flow_id, src, dst, seq, size, payload,
         # priority): keyword passing costs real time at this call rate.
-        pkt = self._pool.acquire(
+        pkt = Packet(
             DATA,
             flow.flow_id,
             flow.src,
@@ -322,12 +320,8 @@ class SenderQP:
 
     # -- receive path ---------------------------------------------------------------
     def on_ack(self, ack: Packet) -> None:
-        """Process a cumulative ACK.  The sender host is the ACK's terminal
-        sink: once the CC module has consumed it, the frame is recycled
-        (CC modules may retain ``ack.int_records`` — the list survives; the
-        packet shell does not)."""
+        """Process a cumulative ACK; the sender host is its terminal sink."""
         if self.finished:
-            self._pool.release(ack)
             return
         self.acks_received += 1
         seq = ack.seq
@@ -377,7 +371,6 @@ class SenderQP:
                     self.next_tx_ps = now
                 self._dupacks = 0
         self.cc.on_ack(self, ack)
-        self._pool.release(ack)
         if self.snd_una >= self._flow_size:
             self._finish()
             return

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.cc.base import CongestionControl
+from repro.experiments.common import build_cc_env, launch_flows
 from repro.metrics.tap import PacketTap
 from repro.net.host import Host
 from repro.net.packet import ACK, DATA
 from repro.net.port import connect
+from repro.topo.dumbbell import dumbbell
 from repro.transport.flow import Flow
 from repro.units import us
 
@@ -93,26 +95,22 @@ class TestCapture:
         assert "DATA" in tap.summary()
 
 
-class TestPoolInteraction:
-    def test_two_taps_keep_pool_paused_until_last_uninstall(self, sim):
-        from repro.net.host import Host
-
-        a = Host(sim, "a", host_id=0, pool_packets=True)
-        b = Host(sim, "b", host_id=1, pool_packets=True)
-        from repro.net.port import connect
-
-        connect(sim, a, b, 100.0, 0)
-        t1 = PacketTap(b)
-        t2 = PacketTap(b, kind=DATA)
-        assert b.pkt_pool.enabled is False
-        t1.uninstall()
-        # t2 still capturing: recycling must stay off.
-        assert b.pkt_pool.enabled is False
-        t2.uninstall()
-        assert b.pkt_pool.enabled is True
-
-    def test_uninstall_does_not_enable_originally_disabled_pool(self, sim):
-        a, b = wired_pair(sim)  # bare hosts: pooling off by default
-        tap = PacketTap(b)
-        tap.uninstall()
-        assert b.pkt_pool.enabled is False
+class TestSwitchTap:
+    def test_mid_path_capture_keeps_every_frame(self, sim):
+        """A tap on an intermediate switch holds each frame past its
+        delivery at the terminal host; the records must still be the DATA
+        frames that crossed the switch, in order."""
+        env = build_cc_env("fncc")
+        topo = dumbbell(sim, n_senders=1, n_switches=2, switch_config=env.switch_config)
+        env.post_install(topo)
+        switch = topo.switches[0]
+        tap = PacketTap(switch, kind=DATA)
+        launch_flows(topo, [Flow(0, 0, 1, 200_000, start_ps=0)], env)
+        sim.run()
+        assert topo.hosts[1].receivers[0].completed
+        assert all(p.kind == DATA for p in tap.packets)
+        seqs = [p.seq for p in tap.packets]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        # Every DATA frame entered the switch on the sender-facing port.
+        sender_port = topo.adj["sw0"]["sender0"]["ports"]["sw0"]
+        assert tap.count == switch.ports[sender_port].rx_packets > 100

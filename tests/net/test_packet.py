@@ -1,6 +1,11 @@
 """Packet and INTRecord wire-format behaviour."""
 
+import inspect
+
+import repro.net.packet as packet_mod
+from repro.net.host import Host
 from repro.net.packet import ACK, CNP, DATA, PAUSE, RESUME, INTRecord, Packet
+from repro.topo.base import Topology
 
 
 class TestPacket:
@@ -31,15 +36,20 @@ class TestPacket:
 
 
 class TestINTRecord:
-    def test_copy_is_independent(self):
-        a = INTRecord(100.0, 5, 1000, 42)
-        b = a.copy()
-        b.qlen = 0
-        assert a.qlen == 42
-
     def test_fields(self):
         r = INTRecord(400.0, 123, 456, 789)
         assert r.bandwidth_gbps == 400.0
         assert r.ts == 123
         assert r.tx_bytes == 456
         assert r.qlen == 789
+
+
+class TestNoFreeList:
+    def test_frames_have_no_pool_and_no_reset(self):
+        """Frames are ordinary garbage-collected objects (DESIGN.md §2.4):
+        no pool class, no knob selecting one, nothing that re-initializes a
+        live frame."""
+        assert [n for n in vars(packet_mod) if "pool" in n.lower()] == []
+        assert not hasattr(Packet, "reset")
+        for cls in (Host, Topology):
+            assert "pool_packets" not in inspect.signature(cls).parameters

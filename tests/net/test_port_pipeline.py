@@ -4,7 +4,7 @@ Switch.new_port n_prio contract."""
 import pytest
 
 from repro.net.node import Node
-from repro.net.packet import DATA, PAUSE, Packet, PacketPool
+from repro.net.packet import DATA, PAUSE, Packet
 from repro.net.port import connect
 from repro.net.switch import Switch, SwitchConfig
 from repro.units import serialization_ps
@@ -279,39 +279,3 @@ class TestUncommitBehindBackgroundDrain:
             (free + xoff + ser + 1000, DATA),
         ]
 
-
-class TestPacketPool:
-    def test_acquire_reuses_released_packet(self):
-        pool = PacketPool(enabled=True)
-        p1 = pool.acquire(DATA, 1, 0, 1, 0, 1518, 1470, 0)
-        p1.ecn = True
-        p1.hops = 3
-        pool.release(p1)
-        p2 = pool.acquire(DATA, 2, 5, 6, 100, 64, 0, 0)
-        assert p2 is p1  # recycled shell
-        assert p2.flow_id == 2 and p2.seq == 100 and p2.size == 64
-        assert p2.ecn is False and p2.hops == 0  # fully reset
-
-    def test_release_drops_int_records_by_reference(self):
-        pool = PacketPool(enabled=True)
-        pkt = pool.acquire(DATA, 1, 0, 1, 0, 1518, 1470, 0)
-        from repro.net.packet import INTRecord
-
-        pkt.add_int(INTRecord(100.0, 1, 2, 3))
-        records = pkt.int_records
-        pool.release(pkt)
-        assert pkt.int_records is None
-        assert len(records) == 1  # aliased list itself untouched
-
-    def test_disabled_pool_never_recycles(self):
-        pool = PacketPool(enabled=False)
-        pkt = pool.acquire(DATA, 1, 0, 1, 0, 1518, 1470, 0)
-        pool.release(pkt)
-        assert pool.acquire(DATA, 2, 0, 1, 0, 64, 0, 0) is not pkt
-
-    def test_max_free_bounds_pool(self):
-        pool = PacketPool(enabled=True, max_free=2)
-        pkts = [pool.acquire(DATA, i, 0, 1, 0, 64, 0, 0) for i in range(5)]
-        for p in pkts:
-            pool.release(p)
-        assert pool.recycled == 2

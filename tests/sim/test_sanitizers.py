@@ -1,29 +1,17 @@
-"""Runtime-sanitizer suite (DESIGN.md §9): event-tie detector and the
-packet-pool use-after-release sanitizer.
+"""Runtime-sanitizer suite (DESIGN.md §9): the event-tie detector.
 
 The two load-bearing claims, pinned here:
 
 * the tie detector *sees* a seeded ordering hazard — two callbacks
   scheduled at the same timestamp from unrelated call sites — and
   attributes both sides to ``module:qualname``;
-* turning the sanitizers on perturbs nothing: experiment fingerprints are
-  byte-identical with ``REPRO_SANITIZE`` unset, ``tie``, ``pool``, or both
-  (the zero-perturbation harness the trains/obs features already answer to).
+* turning the sanitizer on perturbs nothing: experiment fingerprints are
+  byte-identical with ``REPRO_SANITIZE`` unset or ``tie`` (the
+  zero-perturbation harness the trains/obs features already answer to).
 """
-
-import os
 
 import pytest
 
-from repro.net.host import Host
-from repro.net.packet import (
-    DATA,
-    Packet,
-    PacketPool,
-    SanitizingPacketPool,
-    UseAfterReleaseError,
-    _PoisonedPacket,
-)
 from repro.sim.engine import Simulator
 from repro.sim.sanitize import (
     TIE_REPORT_SCHEMA,
@@ -54,20 +42,25 @@ def test_parse_sanitize_forms():
     assert parse_sanitize("") == frozenset()
     assert parse_sanitize("off") == frozenset()
     assert parse_sanitize("tie") == {"tie"}
-    assert parse_sanitize("tie,pool") == {"tie", "pool"}
-    assert parse_sanitize(" pool ; tie ") == {"tie", "pool"}
-    assert parse_sanitize(["pool"]) == {"pool"}
+    assert parse_sanitize(" off ; tie ") == {"tie"}
+    assert parse_sanitize(["tie"]) == {"tie"}
 
 
 def test_parse_sanitize_rejects_unknown():
     with pytest.raises(ValueError, match="unknown sanitize mode"):
         parse_sanitize("tie,typo")
+    # "pool" is rejected like any unknown name, not accepted and ignored.
+    for spec in ("pool", "tie,pool"):
+        with pytest.raises(ValueError, match=r"\['pool'\]; valid: \['tie'\]"):
+            parse_sanitize(spec)
+    with pytest.raises(ValueError, match="unknown sanitize mode"):
+        Simulator(sanitize="pool")
 
 
 def test_env_default_read_at_construction(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "tie,pool")
+    monkeypatch.setenv("REPRO_SANITIZE", "tie")
     sim = Simulator()
-    assert sim.sanitize == {"tie", "pool"} and sim.tie_recorder is not None
+    assert sim.sanitize == {"tie"} and sim.tie_recorder is not None
     monkeypatch.delenv("REPRO_SANITIZE")
     off = Simulator()
     assert off.sanitize == frozenset() and off.tie_recorder is None
@@ -182,101 +175,10 @@ def test_tie_report_merge():
     assert [(s["popped"], s["count"]) for s in merged["sites"]] == [("a", 2), ("c", 1)]
 
 
-# -- packet-pool use-after-release sanitizer ---------------------------------
+# -- zero-perturbation: the sanitizer must not change results ----------------
 
 
-def make_pool():
-    # stride=1 = full poisoning: every lifecycle tracked (the sampled
-    # default is pinned separately below).
-    return SanitizingPacketPool(enabled=True, stride=1)
-
-
-def test_uar_read_raises_with_both_stacks():
-    pool = make_pool()
-    pkt = pool.acquire(DATA, flow_id=3)
-    pool.release(pkt)
-    with pytest.raises(UseAfterReleaseError) as exc:
-        _ = pkt.seq
-    msg = str(exc.value)
-    assert "allocated at:" in msg and "released at:" in msg
-    # both stacks point into this test file
-    assert msg.count("test_sanitizers.py") >= 2
-
-
-def test_uar_write_raises():
-    pool = make_pool()
-    pkt = pool.acquire(DATA)
-    pool.release(pkt)
-    with pytest.raises(UseAfterReleaseError, match="write of 'ecn'"):
-        pkt.ecn = True
-
-
-def test_double_release_raises():
-    pool = make_pool()
-    pkt = pool.acquire(DATA)
-    pool.release(pkt)
-    with pytest.raises(UseAfterReleaseError, match="double release"):
-        pool.release(pkt)
-
-
-def test_revive_restores_a_fully_usable_packet():
-    pool = make_pool()
-    pkt = pool.acquire(DATA, flow_id=3, seq=512)
-    pool.release(pkt)
-    again = pool.acquire(DATA, flow_id=9)
-    assert again is pkt  # recycled, not reallocated
-    # a live frame — tracked or not — is always a plain Packet; tracking
-    # rides the pool's dict, never the object's class
-    assert type(again) is Packet
-    assert again.flow_id == 9 and again.seq == 0 and again.int_records is None
-    again.seq = 4096  # plain attribute access works again
-    pool.release(again)  # and the cycle repeats
-
-
-def test_disabled_pool_never_poisons():
-    pool = SanitizingPacketPool(enabled=False, stride=1)
-    pkt = pool.acquire(DATA, flow_id=3)
-    pool.release(pkt)  # no-op: pool disabled
-    assert pkt.flow_id == 3  # still a live, readable frame
-
-
-def test_sampled_stride_tracks_first_and_every_nth_lifecycle():
-    # GWP-ASan-style sampling: lifecycle 1 is always tracked (a broken
-    # call site fails on its first packet), then every stride-th.  A
-    # tracked lifecycle is one with an allocation stack on record — only
-    # those poison on release; live frames stay plain Packets either way.
-    pool = SanitizingPacketPool(enabled=True, stride=4)
-    tracked = []
-    pkts = [pool.acquire(DATA) for _ in range(9)]
-    tracked = [id(p) in pool._alloc_sites for p in pkts]
-    assert tracked == [True, False, False, False, True, False, False, False, True]
-    for p in pkts:
-        pool.release(p)
-    assert sum(type(p) is not Packet for p in pkts) == 3  # only tracked poison
-
-
-def test_stride_validation_and_env_default(monkeypatch):
-    with pytest.raises(ValueError, match="stride"):
-        SanitizingPacketPool(enabled=True, stride=0)
-    monkeypatch.setenv("REPRO_POOL_STRIDE", "7")
-    assert SanitizingPacketPool(enabled=True).stride == 7
-    monkeypatch.delenv("REPRO_POOL_STRIDE")
-    assert SanitizingPacketPool(enabled=True).stride >= 1
-    assert SanitizingPacketPool(enabled=True, stride=3).stride == 3  # arg wins
-
-
-def test_host_pool_class_follows_sim_sanitize():
-    sim = Simulator(sanitize="pool")
-    host = Host(sim, "h0", 0)
-    assert type(host.pkt_pool) is SanitizingPacketPool
-    plain = Host(Simulator(), "h1", 1)
-    assert type(plain.pkt_pool) is PacketPool
-
-
-# -- zero-perturbation: sanitizers must not change results -------------------
-
-
-@pytest.mark.parametrize("modes", ["tie", "pool", "tie,pool"])
+@pytest.mark.parametrize("modes", ["tie"])
 def test_fingerprints_byte_identical_with_sanitizers(modes, monkeypatch):
     from repro.experiments.fct_experiment import run_fct_experiment
 

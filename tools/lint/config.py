@@ -112,9 +112,6 @@ DEFAULTS: Dict[str, Any] = {
             "_ser": ["src/repro/net/port.py"],
             "_rt_cache": ["src/repro/net/port.py"],
             "next_free_ps": ["src/repro/net/port.py"],
-            "_free": ["src/repro/net/packet.py"],
-            "_tap_pauses": ["src/repro/net/packet.py"],
-            "_was_enabled": ["src/repro/net/packet.py"],
         },
     },
     "h303": {

@@ -2,7 +2,7 @@
 
 The hot path trades encapsulation for speed in a few documented places
 (inlined ``schedule_reuse`` in ``Port._tx_deliver``, flattened
-``Packet.reset`` in ``PacketPool.acquire``) — which only stays sound
+``schedule_at`` in ``Simulator.schedule``) — which only stays sound
 because the set of modules allowed to touch each piece of internal state
 is closed.  H301 enforces that closure; H302 enforces ``__slots__`` on
 classes living in per-frame modules, where an instance ``__dict__`` is a
@@ -22,7 +22,7 @@ from tools.lint.core import FileContext, Finding, rule
 
 @rule(
     "H301",
-    "assignment to engine/port/pool internal state outside its owning module",
+    "assignment to engine/port internal state outside its owning module",
     "DESIGN.md §2",
 )
 def check_h301(ctx: FileContext) -> Iterator[Finding]:
