@@ -6,15 +6,18 @@ with two differences:
 1. **ACK-path INT.**  Switches insert INT into ACKs on the return path
    (Alg. 1), so records reach the sender sub-RTT fresh.  Because the ACK
    collects records receiver-side first, the list arrives in *reverse*
-   request order; :meth:`Fncc.order_records` restores request order so hop 0
-   is the first switch, matching HPCC's indexing.
+   request order; the ``reversed_int`` class flag makes ``Hpcc.on_ack``
+   restore request order so hop 0 is the first switch, matching HPCC's
+   indexing.
 
 2. **Last-hop congestion speedup (LHCS, Alg. 2).**  Per ACK, find the hop
-   with the largest utilization ``U_j``.  If it is the last hop and
-   ``U_max > alpha`` (alpha slightly above 1, e.g. 1.05), jump the reference
-   window straight to the fair share ``Wc = B * RTT * beta / N`` where ``N``
-   is the concurrent-flow count the receiver wrote into the ACK and ``beta``
-   (slightly below 1, e.g. 0.9) drains the built-up queue.
+   with the largest utilization ``U_j`` (``Hpcc.on_ack``'s MeasureInFlight
+   loop already has it and passes it to :meth:`Fncc._update_wc_hook`).  If
+   it is the last hop and ``U_max > alpha`` (alpha slightly above 1, e.g.
+   1.05), jump the reference window straight to the fair share
+   ``Wc = B * RTT * beta / N`` where ``N`` is the concurrent-flow count the
+   receiver wrote into the ACK and ``beta`` (slightly below 1, e.g. 0.9)
+   drains the built-up queue.
 
 The switch-side behaviour (All_INT_Table, ACK stamping) lives in
 :class:`repro.net.switch.Switch` with ``IntMode.FNCC``.
@@ -28,7 +31,6 @@ from repro.cc.hpcc import Hpcc, HpccConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import INTRecord, Packet
-    from repro.transport.sender import SenderQP
 
 
 class FnccConfig(HpccConfig):
@@ -57,40 +59,32 @@ class FnccConfig(HpccConfig):
 
 class Fncc(Hpcc):
     name = "fncc"
+    #: ACK-path INT arrives last-request-hop first; on_ack restores request
+    #: order before differencing.
+    reversed_int = True
 
     def __init__(self, config: Optional[FnccConfig] = None) -> None:
         super().__init__(config or FnccConfig())
         self.lhcs_activations = 0
         self.last_lhcs_target: float = 0.0
 
-    # ACK-path INT arrives last-request-hop first; restore request order.
-    def order_records(self, ack: "Packet") -> Optional[List["INTRecord"]]:
-        recs = ack.int_records
-        if recs is None:
-            return None
-        return recs[::-1]
-
     # Alg. 2 — RP's last-hop congestion speedup, invoked from ComputeWind.
-    def _update_wc_hook(self, ack: "Packet", qp: "SenderQP") -> None:
+    def _update_wc_hook(
+        self, ack: "Packet", prev: List["INTRecord"], hop: int, u_max: float
+    ) -> None:
         cfg: FnccConfig = self.config  # type: ignore[assignment]
-        if not cfg.lhcs_enabled:
-            return
-        hop_u = self.hop_u
-        if not hop_u:
-            return
-        u_max = 0.0
-        hop = 0
-        for j, u_j in enumerate(hop_u):
-            if u_j > u_max:
-                u_max = u_j
-                hop = j
-        if hop == len(hop_u) - 1 and u_max > cfg.alpha:
-            n = max(1, ack.n_flows)
+        if hop == len(prev) - 1 and u_max > cfg.alpha and cfg.lhcs_enabled:
+            n = ack.n_flows
+            if n < 1:
+                n = 1
             # B is the last hop's bandwidth from its own INT record (Alg. 3
             # line 25 uses ack.L[0].B — the record the last-hop switch wrote).
-            last_rec = self.prev_records[-1] if self.prev_records else None
-            b_gbps = last_rec.bandwidth_gbps if last_rec else qp.line_rate_gbps
-            target = (b_gbps / 8000.0) * self.t_ps * cfg.beta / n
-            self.wc = self._clamp(target)
+            target = (prev[-1].bandwidth_gbps / 8000.0) * self.t_ps * cfg.beta / n
+            wc = target
+            if wc < cfg.min_window_bytes:
+                wc = cfg.min_window_bytes
+            elif wc > self.w_init:
+                wc = self.w_init
+            self.wc = wc
             self.last_lhcs_target = target
             self.lhcs_activations += 1

@@ -15,6 +15,14 @@ HPCC's sender:
 
 INT records arrive in *request-path order* (hop 0 = first switch) because
 HPCC switches stamp data packets and the receiver echoes the stack.
+
+All of it is one method, :meth:`Hpcc.on_ack` — it runs once per ACK and is
+the most expensive thing a host does per frame (DESIGN.md §2.6) — with
+two seams for FNCC: the ``reversed_int`` class flag (ACK-path INT arrives
+last hop first) and ``_update_wc_hook`` (LHCS, Alg. 2), which receives the
+bottleneck hop MeasureInFlight already found.  The algorithm as separate
+steps lives on as a test oracle, ``tests/cc/reference_hpcc.py``, driven
+against this body with generated ACK streams.
 """
 
 from __future__ import annotations
@@ -62,6 +70,9 @@ class HpccConfig:
 
 class Hpcc(CongestionControl):
     name = "hpcc"
+    #: INT arrives in request-path order (hop 0 = first switch).  FNCC's
+    #: ACK-path INT arrives last-request-hop first and sets this.
+    reversed_int = False
 
     def __init__(self, config: Optional[HpccConfig] = None) -> None:
         self.config = config or HpccConfig()
@@ -92,41 +103,37 @@ class Hpcc(CongestionControl):
         self.last_update_seq = 0
         self.set_window(qp, self.w_init, self.t_ps)
 
-    # -- INT ordering hook (FNCC overrides: ACK-path order is reversed) -----------
-    def order_records(self, ack: "Packet") -> Optional[List["INTRecord"]]:
-        return ack.int_records
-
     # -- Alg. 3 ----------------------------------------------------------------------
     def on_ack(self, qp: "SenderQP", ack: "Packet") -> None:
-        recs = self.order_records(ack)
+        """One ACK, one pass: order the records, MeasureInFlight, FNCC's
+        UpdateWc hook, ComputeWind, clamp, store ``W`` and ``R = W/T``.
+        A straight-line body on purpose (it runs once per ACK);
+        ``tests/cc/reference_hpcc.py`` keeps the decomposed form as an
+        oracle and every float expression here is in that order."""
+        recs = ack.int_records
         if not recs:
             return
+        if self.reversed_int:
+            recs = recs[::-1]
         prev = self.prev_records
         if prev is None or len(prev) != len(recs):
-            # First usable ACK: just seed the reference records.
+            # First usable ACK (or the path changed): just seed the
+            # reference records.
             self.prev_records = recs
             return
-        u = self._measure_inflight(recs, prev)
-        update_wc = ack.seq > self.last_update_seq
-        w = self._compute_wind(u, update_wc, ack, qp)
-        if update_wc:
-            self.last_update_seq = qp.snd_nxt
-        w = self._clamp(w)
-        self.set_window(qp, w, self.t_ps)
-        self.prev_records = recs
-
-    def _measure_inflight(
-        self, recs: List["INTRecord"], prev: List["INTRecord"]
-    ) -> float:
-        """Alg. 3 lines 4-14: normalized in-flight bytes, EWMA-smoothed."""
+        # MeasureInFlight (lines 4-14): normalized in-flight bytes per hop,
+        # max across hops, EWMA-smoothed.
         t_ps = self.t_ps
         u_max = 0.0
+        hop = 0  # index of the hop that set u_max
         tau = 0  # falls back to the observed ACK interval of hop 0
         prev_hop_u = self.hop_u
         n_prev_u = len(prev_hop_u)
         hop_u: List[float] = []
         self.hop_u = hop_u
-        for i, (cur, old) in enumerate(zip(recs, prev)):
+        i = 0
+        for cur in recs:
+            old = prev[i]
             dt = cur.ts - old.ts
             b_bytes_per_ps = cur.bandwidth_gbps / 8000.0
             if dt > 0:
@@ -147,40 +154,41 @@ class Hpcc(CongestionControl):
             hop_u.append(u_i)
             if u_i > u_max:
                 u_max = u_i
+                hop = i
                 if dt > 0:
                     tau = dt
-        if tau == 0:
+            i += 1
+        if tau == 0 or tau > t_ps:
             tau = t_ps
-        tau = min(tau, t_ps)
-        self.u_ewma = (1.0 - tau / t_ps) * self.u_ewma + (tau / t_ps) * u_max
-        return self.u_ewma
-
-    def _compute_wind(
-        self, u: float, update_wc: bool, ack: "Packet", qp: "SenderQP"
-    ) -> float:
-        """Alg. 3 lines 29-40 (FNCC inserts UpdateWc at the top, line 30)."""
-        self._update_wc_hook(ack, qp)
+        self.u_ewma = u = (1.0 - tau / t_ps) * self.u_ewma + (tau / t_ps) * u_max
+        update_wc = ack.seq > self.last_update_seq
+        # ComputeWind (lines 29-40); FNCC inserts UpdateWc at the top
+        # (line 30), which may move Wc before it is read below.
+        self._update_wc_hook(ack, prev, hop, u_max)
         cfg = self.config
         if u >= cfg.eta or self.inc_stage >= cfg.max_stage:
             # Floor u: an idle path (u ~ 0) means "multiply up as far as
             # allowed"; the clamp to W_init bounds the result anyway.
-            w = self.wc / (max(u, 0.01) / cfg.eta) + self.wai
-            if update_wc:
-                self.inc_stage = 0
-                self.wc = self._clamp(w)
+            w = self.wc / ((0.01 if u < 0.01 else u) / cfg.eta) + self.wai
+            stage = 0
         else:
             w = self.wc + self.wai
-            if update_wc:
-                self.inc_stage += 1
-                self.wc = self._clamp(w)
-        return w
+            stage = self.inc_stage + 1
+        if w < cfg.min_window_bytes:
+            w = cfg.min_window_bytes
+        elif w > self.w_init:
+            w = self.w_init
+        if update_wc:
+            self.inc_stage = stage
+            self.wc = w
+            self.last_update_seq = qp.snd_nxt
+        qp.window = w
+        qp.rate_gbps = w / t_ps * 8000.0  # R = W/T (set_window, inlined)
+        self.prev_records = recs
 
-    def _update_wc_hook(self, ack: "Packet", qp: "SenderQP") -> None:
-        """FNCC's last-hop congestion speedup plugs in here (Alg. 2)."""
-
-    def _clamp(self, w: float) -> float:
-        if w < self.config.min_window_bytes:
-            return self.config.min_window_bytes
-        if w > self.w_init:
-            return self.w_init
-        return w
+    def _update_wc_hook(
+        self, ack: "Packet", prev: List["INTRecord"], hop: int, u_max: float
+    ) -> None:
+        """FNCC's last-hop congestion speedup plugs in here (Alg. 2).
+        ``hop`` is the first hop whose utilization equals the unsmoothed
+        ``u_max`` of this ACK; ``prev`` the previous ACK's records."""

@@ -33,6 +33,9 @@ change timing.  Because every lazy commit starts at exactly
 ``next_free_ps`` (never clamped up to ``now`` while covered), the wire
 schedule is **bit-identical for every K >= 1** — including the eager
 ``K = inf`` schedule the previous engine produced — pause storms or not.
+(That is a packet-backend statement: :meth:`Port.bg_drain`, which only the
+hybrid backend calls, books serializer time behind whatever is committed,
+so hybrid results do depend on the window — see ``TRAIN_MAX``.)
 
 Store-and-forward timing is unchanged: a frame occupies the transmitter for
 ``serialization_ps(size, rate)`` and arrives at the peer ``prop_delay_ps``
@@ -59,7 +62,8 @@ every counter, RNG draw and wire time is byte-identical to it.  On the
 commit side, train formation widens the pending window from
 ``commit_lookahead`` to ``TRAIN_MAX`` on pause-free ports, batching the
 lazy top-up; the PR 3 invariant (identical wire schedule for every window
-size) makes the widening unconditionally exact.  The port picks the path
+size) makes the widening exact on the packet backend (see ``TRAIN_MAX``
+for the hybrid backend's ``bg_drain``).  The port picks the path
 per frame from state it already observes — there is no user switch — and
 any per-frame mechanism puts the hop back on the classic chain the moment
 it needs frame granularity: control frames, a PFC-paused or previously
@@ -168,16 +172,24 @@ CTRL_PRIO = -1
 #: so keep it small; the cover floor (see the module docstring) admits
 #: extra frames on long-propagation links regardless, so K only needs to
 #: amortize the per-commit overhead.  Any K >= 1 produces the identical
-#: wire schedule.
+#: wire schedule on the packet backend; hybrid results are pinned to this
+#: value (see ``TRAIN_MAX``).
 COMMIT_LOOKAHEAD = 3
 
 #: Train formation cap: how many frames a single lazy top-up may commit on
 #: a pause-free port that feeds a switch (the widened window batches the
-#: per-delivery ``_commit`` cost across a burst).  Identical wire schedule
-#: for any value >= 1 (the PR 3 invariant); the only cost of a larger
-#: value is that a PFC XOFF on a previously pause-free port re-sequences
-#: O(TRAIN_MAX) frames once, after which the port drops back to the tight
-#: ``commit_lookahead`` window for good.
+#: per-delivery ``_commit`` cost across a burst).  On the packet backend
+#: the wire schedule is identical for any value >= 1 (the PR 3 invariant,
+#: PFC storms included — tests/property/test_trains.py::
+#: TestCommitWindowExactness); the only cost of a larger value is that a
+#: PFC XOFF on a previously pause-free port re-sequences O(TRAIN_MAX)
+#: frames once, after which the port drops back to the tight
+#: ``commit_lookahead`` window for good.  The hybrid backend is the
+#: exception: ``bg_drain`` moves ``next_free_ps`` under whatever happens to
+#: be committed, so where its background bytes land on the wire depends on
+#: the window, and ``tests/hybrid/golden_hybrid.json`` is pinned to
+#: ``COMMIT_LOOKAHEAD = 3`` / ``TRAIN_MAX = 8`` (an open modelling defect,
+#: ROADMAP item 7 — which is also why host-facing ports are not widened).
 TRAIN_MAX = 8
 
 # Lazily resolved symbols from repro.net.switch (circular import: switch
@@ -581,12 +593,11 @@ class Port:
         nf = self.next_free_ps
         if nf < now:
             nf = now
-        rate = self.rate_gbps
         prop = self.prop_delay_ps
         acct = self._acct
         inflight = self._inflight
-        ctrl = self.ctrl
         ser_map = self._ser
+        ctrl = self.ctrl
         while ctrl:
             pkt = ctrl.popleft()
             self._uncommitted -= 1
@@ -594,21 +605,19 @@ class Port:
             # Serialization memo (same expression, same rounding on miss).
             ser = ser_map.get(pkt.size)
             if ser is None:
-                ser = ser_map[pkt.size] = round(pkt.size * 8000 / rate)
+                ser = ser_map[pkt.size] = round(pkt.size * 8000 / self.rate_gbps)
             nf = start + ser
             inflight.append((nf + prop, pkt))
             if start > now:
                 acct.append((start, 0, CTRL_PRIO, pkt))
-        queues = self.queues
-        paused = self.paused
-        qb = self.qbytes
         k = self.commit_lookahead
         if self._peer_sw and k < TRAIN_MAX and self.stats.pause_received == 0:
             # Train formation: on a pause-free, train-eligible port (the
             # peer is a stock switch — classified at first delivery) the
             # pending window may batch-fill to TRAIN_MAX, amortizing the
-            # per-delivery top-up over a burst.  Exact for any cap (PR 3
-            # invariant); a port that has been XOFF'd keeps the tight
+            # per-delivery top-up over a burst.  Exact on the packet
+            # backend for any cap (PR 3 invariant; see TRAIN_MAX for the
+            # hybrid backend); a port that has been XOFF'd keeps the tight
             # window so pause storms stay O(commit_lookahead) per
             # transition, and test/sink fabrics keep the documented
             # commit_lookahead bound.
@@ -616,16 +625,16 @@ class Port:
         # The cover target is the armed delivery's arrival: fixed for the
         # whole call (commits append at the FIFO tail, never the head).
         cover = inflight[0][0] if inflight else None
-        stop = False
-        for prio in range(self.n_prio):
+        paused = self.paused
+        prio = -1
+        for q in self.queues:
+            prio += 1
             if paused[prio]:
                 continue
-            q = queues[prio]
             while q:
                 if cover is not None and nf >= cover and len(acct) >= k:
                     # Window full and the serializer covered through the
                     # next top-up opportunity: park the rest.
-                    stop = True
                     break
                 pkt = q.popleft()
                 self._uncommitted -= 1
@@ -633,7 +642,7 @@ class Port:
                 start = nf
                 ser = ser_map.get(size)
                 if ser is None:
-                    ser = ser_map[size] = round(size * 8000 / rate)
+                    ser = ser_map[size] = round(size * 8000 / self.rate_gbps)
                 nf = start + ser
                 arrival = nf + prop
                 inflight.append((arrival, pkt))
@@ -642,10 +651,10 @@ class Port:
                 if start > now:
                     acct.append((start, size, prio, pkt))
                 else:  # started immediately: no longer backlog
-                    qb[prio] -= size
+                    self.qbytes[prio] -= size
                     self._queued_bytes -= size
-            if stop:
-                break
+            if q:
+                break  # parked: every softer class waits behind this one
         self.next_free_ps = nf
         if self._del_ev is None and inflight:
             self._del_ev = self.sim.schedule_at(
@@ -677,18 +686,23 @@ class Port:
         """The per-frame delivery event: departure bookkeeping on this port,
         ingress at the peer, then re-arm for the next in-flight frame.
 
+        Departure and ingress counters are one block for every hop: a
+        stock switch's ``on_departure`` runs inlined, any other node's
+        through ``_departure_hook``.  What follows depends on the peer.
+
         Frame-train fast path (DESIGN.md §2.2): when the hop terminates at
         an untapped switch whose installed router is a static per-flow
-        function, the whole frame-hop — departure bookkeeping, forwarding
-        decision (memoized per same-flow train), shared-buffer admission,
-        PFC accounting, ECN draw and egress enqueue — runs as one fused
-        pass below, replicating the classic ``Switch.on_departure`` ->
-        ``Switch.receive`` -> ``Port.enqueue`` chain operation for
-        operation (each inlined block names its twin — change them
-        together).  Same order, same timestamps, same RNG draws:
-        byte-identical observables, pinned by tests/property/test_trains.py.
-        Any split trigger (control frame, tap, per-packet LB, watchdog
-        storm, host peer) falls through to the classic calls."""
+        function, the rest of the frame-hop — forwarding decision
+        (memoized per same-flow train), shared-buffer admission, PFC
+        accounting, ECN draw and egress enqueue — runs as one fused pass
+        below, replicating the classic ``Switch.receive`` ->
+        ``Port.enqueue`` chain operation for operation (each inlined block
+        names its twin — change them together).  Same order, same
+        timestamps, same RNG draws: byte-identical observables, pinned by
+        tests/property/test_trains.py.  Any split trigger (control frame,
+        tap, per-packet LB, watchdog storm, host peer) takes the one
+        delivery call every tap and fault wrapper hooks,
+        ``peer.node.receive(pkt, in_port)`` (DESIGN.md §2.6)."""
         inflight = self._inflight
         pkt = inflight.popleft()[1]
         size = pkt.size
@@ -700,6 +714,30 @@ class Port:
         B = self._peer_sw
         if B is False:
             B = self._classify_train_path()
+        A = self._own_sw
+        if A is not None:
+            # Switch.on_departure, inlined — change them together; the
+            # reference side of tests/property/test_trains.py calls the
+            # method (TestDepartureCopy pins that).  Telemetry is stamped
+            # at forward time, so size is what A admitted one hop ago.
+            A.buffer_used -= size
+            if A._pfc_on and kind < PAUSE:
+                in_a = pkt.in_port
+                prio = pkt.priority
+                counters = A._pfc_bytes[in_a]
+                counters[prio] -= size
+                if counters[prio] <= A._xon and A._pfc_paused_up[in_a][prio]:
+                    A._pfc_paused_up[in_a][prio] = False
+                    A._send_pfc(in_a, prio, RESUME)
+        else:
+            hook = self._departure_hook
+            if hook is not None:  # non-switch custom hook: honor it
+                hook(pkt, self)
+                size = pkt.size  # re-read: a custom hook may mutate the frame
+        peer.rx_packets += 1
+        peer.rx_bytes += size
+        in_p = peer.index
+        pkt.in_port = in_p
         if (
             B is not None
             and kind < PAUSE  # control frames always go per-frame
@@ -708,30 +746,6 @@ class Port:
         ):
             # ---- fused frame-train hop --------------------------------
             self.train_frames += 1
-            A = self._own_sw
-            if A is not None:
-                # Switch.on_departure, inlined.
-                A.buffer_used -= size
-                if A._pfc_on:
-                    in_a = pkt.in_port
-                    prio = pkt.priority
-                    counters = A._pfc_bytes[in_a]
-                    counters[prio] -= size
-                    if counters[prio] <= A._xon and A._pfc_paused_up[in_a][prio]:
-                        A._pfc_paused_up[in_a][prio] = False
-                        A._send_pfc(in_a, prio, RESUME)
-                # Telemetry is stamped at forward time: A stamped this
-                # frame one hop ago, and B's stamp happens below, before
-                # B's admission.
-            else:
-                hook = self._departure_hook
-                if hook is not None:  # non-switch custom hook: honor it
-                    hook(pkt, self)
-            size = pkt.size  # re-read: a custom hook may mutate the frame
-            peer.rx_packets += 1
-            peer.rx_bytes += size
-            in_p = peer.index
-            pkt.in_port = in_p
             # Switch.receive, inlined.
             if kind == ACK:
                 pkt.fncc_in_port = in_p
@@ -876,14 +890,7 @@ class Port:
                         eg._commit(now)
         else:
             # ---- classic per-frame path -------------------------------
-            # Node hook: INT stamping (switch), PFC ingress-counter release.
-            hook = self._departure_hook
-            if hook is not None:
-                hook(pkt, self)
-            peer.rx_packets += 1
-            peer.rx_bytes += pkt.size  # after on_departure: INT bytes included
-            pkt.in_port = peer.index
-            peer.node.receive(pkt, peer.index)
+            peer.node.receive(pkt, in_p)
         if self._uncommitted:
             # Bounded lazy commit: a delivery slot freed, so top the
             # committed window back up from the parked queues.  _commit
@@ -900,8 +907,8 @@ class Port:
             # several deliveries instead of one frame every delivery.  On
             # non-widened ports the skipped call is exactly one that would
             # commit nothing (control frames never park across events, so
-            # ctrl is empty here); either way the wire schedule is
-            # unchanged (any-cap invariant, DESIGN.md §2.1/§2.2).
+            # ctrl is empty here); either way the packet backend's wire
+            # schedule is unchanged (any-cap invariant, DESIGN.md §2.1/§2.2).
             topup_now = sim.now
             acct = self._acct
             if acct and acct[0][0] <= topup_now:

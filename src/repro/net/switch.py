@@ -306,8 +306,8 @@ class Switch(Node):
         # immutable once it sits in a port's in-flight window — the
         # property the shard boundary export relies on (DESIGN.md §11).
         # The frame's size therefore no longer changes between admission
-        # and here: one read balances both.  (Port._tx_deliver's fused
-        # pass inlines this body — change them together.)
+        # and here: one read balances both.  (Port._tx_deliver inlines
+        # this body for every stock switch — change them together.)
         size = pkt.size
         self.buffer_used -= size
         if self._pfc_on and pkt.kind < PAUSE:  # non-control, single compare

@@ -21,6 +21,13 @@ the formation side only (the pacing-gap memo keeps burst emission cheap
 without moving a single timestamp); delivery and ACK processing stay
 strictly per-frame, so ACK clocking, CC window updates and retransmission
 semantics are the same on either hop path.
+
+The host hop (DESIGN.md §2.6): the per-frame work is two bodies, not a
+chain of helpers.  ``on_ack`` runs reliability, then the CC module's
+``on_ack`` (an attribute call — obs wraps it per instance), then
+``_maybe_send``, whose loop holds the window test, the pacing test and
+frame construction inline.  ``_pace_fire`` is the pacing deadline's
+callback; it clears the handle and re-enters ``_maybe_send``.
 """
 
 from __future__ import annotations
@@ -246,8 +253,10 @@ class SenderQP:
             return
         flow_size = self._flow_size
         window_limited = self._window_limited
-        while self.snd_nxt < flow_size:
-            if window_limited and self.snd_nxt - self.snd_una >= self.window:
+        sim = self.sim
+        snd_nxt = self.snd_nxt
+        while snd_nxt < flow_size:
+            if window_limited and snd_nxt - self.snd_una >= self.window:
                 ev = self._pace_ev
                 if ev is not None:
                     # fncc-lint: allow[H301] Event.cancel() inlined on a live handle this QP owns; per-ACK pacing path
@@ -255,7 +264,7 @@ class SenderQP:
                     self._pace_ev = None
                 self._pace_armed_for = None
                 return  # ACK-clocked: on_ack re-enters
-            now = self.sim.now
+            now = sim.now
             next_tx = self.next_tx_ps
             if next_tx > now:
                 if self._pace_armed_for != next_tx:
@@ -263,55 +272,50 @@ class SenderQP:
                     if ev is not None:
                         # fncc-lint: allow[H301] Event.cancel() inlined on a live handle this QP owns; re-arm path
                         ev.alive = False
-                    self._pace_ev = self.sim.schedule(
+                    self._pace_ev = sim.schedule(
                         next_tx - now, self._pace_fire, None, self.host.lane
                     )
                     self._pace_armed_for = next_tx
                 return
-            self._emit()
-
-    def _emit(self) -> None:
-        flow = self.flow
-        snd_nxt = self.snd_nxt
-        remaining = self._flow_size - snd_nxt
-        max_payload = self._max_payload
-        payload = max_payload if remaining > max_payload else remaining
-        size = payload + self._header_bytes
-        # Positional (kind, flow_id, src, dst, seq, size, payload,
-        # priority): keyword passing costs real time at this call rate.
-        pkt = Packet(
-            DATA,
-            flow.flow_id,
-            flow.src,
-            flow.dst,
-            snd_nxt,
-            size,
-            payload,
-            flow.priority,
-        )
-        now = self.sim.now
-        pkt.sent_ts = now
-        pkt.last = payload >= remaining
-        self.snd_nxt = snd_nxt + payload
-        # Pace at R: the inter-frame gap is the frame's wire time at R.
-        rate = self.rate_gbps
-        if rate > 0:
-            if rate == self._gap_rate and size == self._gap_size:
-                gap = self._gap  # burst fast path: same rate, same size
-            else:
-                # Inline serialization_ps: same expression, same rounding.
-                gap = round(size * 8000 / rate)
-                self._gap_rate = rate
-                self._gap_size = size
-                self._gap = gap
-        else:  # fully throttled; retry in one base RTT
-            gap = self.base_rtt_ps
-        next_tx = self.next_tx_ps
-        self.next_tx_ps = (next_tx if next_tx > now else now) + gap
-        nic = self._nic
-        if nic is None:
-            nic = self._nic = self.host.ports[0]
-        nic.enqueue(pkt)  # Host.transmit, inlined
+            # Emit one frame.
+            flow = self.flow
+            remaining = flow_size - snd_nxt
+            max_payload = self._max_payload
+            payload = max_payload if remaining > max_payload else remaining
+            size = payload + self._header_bytes
+            # Positional (kind, flow_id, src, dst, seq, size, payload,
+            # priority): keyword passing costs real time at this call rate.
+            pkt = Packet(
+                DATA,
+                flow.flow_id,
+                flow.src,
+                flow.dst,
+                snd_nxt,
+                size,
+                payload,
+                flow.priority,
+            )
+            pkt.sent_ts = now
+            pkt.last = payload >= remaining
+            self.snd_nxt = snd_nxt = snd_nxt + payload
+            # Pace at R: the inter-frame gap is the frame's wire time at R.
+            rate = self.rate_gbps
+            if rate > 0:
+                if rate == self._gap_rate and size == self._gap_size:
+                    gap = self._gap  # burst fast path: same rate, same size
+                else:
+                    # Inline serialization_ps: same expression, same rounding.
+                    gap = round(size * 8000 / rate)
+                    self._gap_rate = rate
+                    self._gap_size = size
+                    self._gap = gap
+            else:  # fully throttled; retry in one base RTT
+                gap = self.base_rtt_ps
+            self.next_tx_ps = (next_tx if next_tx > now else now) + gap
+            nic = self._nic
+            if nic is None:
+                nic = self._nic = self.host.ports[0]
+            nic.enqueue(pkt)  # Host.transmit, inlined
 
     def _pace_fire(self, _arg) -> None:
         self._pace_ev = None
@@ -343,33 +347,36 @@ class SenderQP:
                     self.srtt_ps = sample if srtt == 0 else (7 * srtt + sample) >> 3
                 self._consec_timeouts = 0
                 self._retx_timer.start(self._rto())
-            if self._dupack_rewind and seq > self.snd_nxt:
+        rewind = self._dupack_rewind
+        if rewind:
+            if advanced and seq > self.snd_nxt:
                 # A rewind retransmitted a hole whose following bytes were
                 # already buffered at the receiver: the cumulative ACK has
                 # jumped past snd_nxt.  Snap forward — re-sending acked
                 # bytes would only draw stale-frame dup ACKs.
                 self.snd_nxt = seq
-        if self._dupack_rewind and self.snd_nxt > self.snd_una:
-            # Fast recovery.  A NACK-flagged ACK (receiver saw a genuine
-            # hole: overflow drop, stale frame, tail-drained loss hint) is
-            # an explicit retransmit request — it counts even when ACK
-            # coalescing made its seq advance snd_una.  A plain duplicate
-            # cumulative ACK counts via the classic seq == snd_una test.
-            if ack.lb_tail:
-                self._dupacks = self._dupack_rewind
-            elif not advanced and seq == self.snd_una:
-                self._dupacks += 1
-            if self._dupacks >= self._dupack_rewind:
-                # Go-back-N without waiting for the timeout, at most once
-                # per base RTT (one rewind's worth of retransmissions can
-                # itself echo stale-frame NACKs).
-                now = self.sim.now
-                if now - self._last_rewind_ps >= self.base_rtt_ps:
-                    self._last_rewind_ps = now
-                    self.fast_rewinds += 1
-                    self.snd_nxt = self.snd_una
-                    self.next_tx_ps = now
-                self._dupacks = 0
+            if self.snd_nxt > self.snd_una:
+                # Fast recovery.  A NACK-flagged ACK (receiver saw a genuine
+                # hole: overflow drop, stale frame, tail-drained loss hint)
+                # is an explicit retransmit request — it counts even when
+                # ACK coalescing made its seq advance snd_una.  A plain
+                # duplicate cumulative ACK counts via the classic
+                # seq == snd_una test.
+                if ack.lb_tail:
+                    self._dupacks = rewind
+                elif not advanced and seq == self.snd_una:
+                    self._dupacks += 1
+                if self._dupacks >= rewind:
+                    # Go-back-N without waiting for the timeout, at most
+                    # once per base RTT (one rewind's worth of
+                    # retransmissions can itself echo stale-frame NACKs).
+                    now = self.sim.now
+                    if now - self._last_rewind_ps >= self.base_rtt_ps:
+                        self._last_rewind_ps = now
+                        self.fast_rewinds += 1
+                        self.snd_nxt = self.snd_una
+                        self.next_tx_ps = now
+                    self._dupacks = 0
         self.cc.on_ack(self, ack)
         if self.snd_una >= self._flow_size:
             self._finish()

@@ -72,15 +72,24 @@ class TestRecordOrdering:
     def test_records_reversed_to_request_order(self):
         cc, qp = started()
         # Return-path order: last request hop first.  make_ack(reverse=True)
-        # stores request-order input reversed, so order_records must undo it.
+        # stores request-order input reversed, so on_ack must undo it before
+        # it keeps the records as the next ACK's reference.
         ack = make_ack(records=[{"B": 100.0, "ts": 1, "tx": 0, "q": 0},
                                 {"B": 200.0, "ts": 2, "tx": 0, "q": 0}], reverse=True)
-        ordered = cc.order_records(ack)
-        assert [r.bandwidth_gbps for r in ordered] == [100.0, 200.0]
+        cc.on_ack(qp, ack)
+        assert [r.bandwidth_gbps for r in cc.prev_records] == [100.0, 200.0]
+        assert [r.bandwidth_gbps for r in ack.int_records] == [200.0, 100.0]
 
     def test_no_records_passthrough(self):
         cc, qp = started()
-        assert cc.order_records(make_ack(records=None)) is None
+        w0 = qp.window
+        cc.on_ack(qp, make_ack(seq=1, records=None))
+        assert cc.prev_records is None and qp.window == w0
+
+    def test_hop_u_is_indexed_in_request_order(self):
+        cc, qp = started()
+        feed(cc, qp, [congested_first_hop(k) for k in range(3)])
+        assert cc.hop_u[0] == pytest.approx(5.0) and cc.hop_u[1] == pytest.approx(1.0)
 
 
 class TestLhcs:

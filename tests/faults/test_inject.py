@@ -130,3 +130,43 @@ def test_injector_rejects_unknown_node(sim):
     topo = dumbbell(sim, n_senders=1, n_switches=2, seeds=seeds)
     with pytest.raises((KeyError, ValueError)):
         FaultInjector(plan).arm(sim, topo, seeds=seeds)
+
+
+def test_gray_loss_armed_on_a_host_mid_run_filters_the_next_frame():
+    """The injector's wrapper lands in the *host's* instance dict while
+    frames are already flowing; ``Port._tx_deliver`` looks ``receive`` up
+    per frame, so from the loss window's first instant every DATA frame
+    the last hop delivers goes through the filter (prob=1: dropped) and
+    none reaches the QP until the window closes."""
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    seeds = SeedSequenceFactory(3)
+    env = build_cc_env("fncc")
+    topo = dumbbell(
+        sim, n_senders=1, n_switches=2, seeds=seeds,
+        switch_config=env.switch_config,
+        transport_config=TransportConfig(retx_timeout_ps=us(100)),
+    )
+    env.post_install(topo)
+    receiver = topo.hosts[-1]
+    qp = launch_flows(topo, [Flow(0, 0, receiver.host_id, 400_000)], env)[0]
+    sim.run(until=us(20))
+    rqp = receiver.receivers[0]
+    nic = receiver.ports[0]
+    seen, arrived = rqp.data_packets, nic.rx_packets
+    assert 0 < seen and not rqp.completed  # genuinely mid-flow
+
+    plan = FaultPlan("late").gray_loss(
+        "sw1", receiver.name, start_ps=sim.now, end_ps=us(40), prob=1.0
+    )
+    inj = FaultInjector(plan).arm(sim, topo, seeds=seeds)
+    sim.run(until=us(40) - 1)
+    in_window = nic.rx_packets - arrived
+    assert in_window > 10  # the wire kept delivering...
+    assert inj.counters["drops_gray"] == nic.stats.drops == in_window  # ...into the filter
+    assert rqp.data_packets == seen  # and not one frame leaked past it
+
+    sim.run(until=us(5_000))
+    assert rqp.completed and not qp.failed and qp.timeouts > 0  # go-back-N repaired it
+    assert inj.counters["drops_gray"] == in_window

@@ -43,14 +43,18 @@ def classic_hops_only():
     ``on_departure -> receive -> enqueue`` chain on every hop.
 
     The product has no such switch — the port picks the path itself — so
-    this patches the port's one-time peer classification to find no
-    fusable peer, which also keeps the commit window at its un-widened
-    ``commit_lookahead``.  Callers keep the engagement guards honest:
-    ``train_frames == 0`` inside the block, ``> 0`` outside it."""
+    this patches the port's one-time classification to find no fusable
+    peer, which also keeps the commit window at its un-widened
+    ``commit_lookahead``, and no stock switch of its own, so departure
+    bookkeeping goes through ``_departure_hook`` — a *call* to
+    ``Switch.on_departure`` — and the reference side cannot share a bug
+    with the copy ``Port._tx_deliver`` inlines.  Callers keep the
+    engagement guards honest: ``train_frames == 0`` inside the block,
+    ``> 0`` outside it."""
     stock = Port._classify_train_path
 
     def classify(port):
         stock(port)
-        port._peer_sw = None
+        port._peer_sw = port._own_sw = None
 
     return mock.patch.object(Port, "_classify_train_path", classify)

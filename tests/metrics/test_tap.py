@@ -114,3 +114,30 @@ class TestSwitchTap:
         # Every DATA frame entered the switch on the sender-facing port.
         sender_port = topo.adj["sw0"]["sender0"]["ports"]["sw0"]
         assert tap.count == switch.ports[sender_port].rx_packets > 100
+
+
+class TestHostTapMidRun:
+    def test_tap_installed_mid_run_sees_every_later_frame(self, sim):
+        """Switch-to-host delivery has one entry, ``peer.node.receive``,
+        looked up per frame: a tap that lands in the host's instance dict
+        mid-flow must see the very next frame and every one after it, on
+        the DATA side and on the ACK side."""
+        env = build_cc_env("fncc")
+        topo = dumbbell(sim, n_senders=1, n_switches=2, switch_config=env.switch_config)
+        env.post_install(topo)
+        sender, receiver = topo.hosts[0], topo.hosts[1]
+        launch_flows(topo, [Flow(0, 0, 1, 400_000, start_ps=0)], env)
+        sim.run(until=us(20))
+        rqp = receiver.receivers[0]
+        assert 0 < rqp.data_packets and not rqp.completed  # genuinely mid-flow
+        before = {h: h.ports[0].rx_packets for h in (sender, receiver)}
+        next_seq = rqp.rcv_nxt
+        data_tap = PacketTap(receiver)
+        ack_tap = PacketTap(sender)
+        sim.run()
+        assert rqp.completed
+        assert data_tap.count == receiver.ports[0].rx_packets - before[receiver] > 100
+        assert ack_tap.count == sender.ports[0].rx_packets - before[sender] > 100
+        assert data_tap.packets[0].seq == next_seq
+        assert all(p.kind == DATA for p in data_tap.packets)
+        assert all(p.kind == ACK for p in ack_tap.packets)

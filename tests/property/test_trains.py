@@ -249,6 +249,76 @@ class TestScenarioEquivalence:
         assert on[2] > 0 and off[2] == 0
 
 
+class TestDepartureCopy:
+    def test_reference_calls_on_departure_where_the_product_inlines_it(self):
+        """``Port._tx_deliver`` carries one inlined copy of
+        ``Switch.on_departure`` (buffer + PFC ingress-counter release) for
+        every frame leaving a stock switch — towards a switch or a host.
+        The reference side must reach the *method*, or both sides of every
+        equivalence test above would run the same copy and share its bugs.
+        A PFC storm makes the copy's RESUME arm fire."""
+        from unittest import mock
+
+        from repro.net.switch import Switch
+
+        stock, calls = Switch.on_departure, []
+
+        def spy(sw, pkt, port):
+            calls.append(sw)
+            stock(sw, pkt, port)
+
+        def run():
+            del calls[:]
+            r = run_microbench(
+                cc="fncc", link_rate_gbps=100.0, duration_us=300.0,
+                stagger_us=30.0, seed=3, pfc_xoff=40_000,
+            )
+            switch_tx = sum(p.tx_packets for sw in r.topo.switches for p in sw.ports)
+            return (
+                (r.fingerprint(), port_stats_fingerprint(r.topo),
+                 pfc_frame_totals(_nodes(r.topo))),
+                len(calls), switch_tx,
+            )
+
+        with mock.patch.object(Switch, "on_departure", spy):
+            (on, on_calls, on_tx), (off, off_calls, off_tx) = _ab(run)
+        assert on == off
+        assert on[2]["resume_sent"] > 0, "scenario must release a paused ingress"
+        assert on_calls == 0  # as shipped: the inlined copy, never the method
+        assert off_calls == off_tx == on_tx > 0  # reference: the method, every frame
+
+
+class TestCommitWindowExactness:
+    def test_train_max_never_moves_a_packet_backend_result(self):
+        """``TRAIN_MAX`` (how far a pause-free switch-facing port may
+        batch-fill its pending window) is exact on the packet backend:
+        any value gives the same FCTs and PortStats, PFC storms included.
+        1 and 3 leave the window at ``commit_lookahead``.  (The hybrid
+        backend's ``bg_drain`` is *not* window-independent — its golden
+        table is pinned to the shipped 3 / 8; ROADMAP item 7.)"""
+        from unittest import mock
+
+        import repro.net.port as port_mod
+
+        def run(train_max):
+            with mock.patch.object(port_mod, "TRAIN_MAX", train_max):
+                r = run_fct_experiment(
+                    "fncc", workload="websearch", n_flows=60, seed=5,
+                    load=0.7, pfc_xoff=12_000, max_horizon_ms=30.0,
+                )
+            assert r.collector.completed() == 60
+            return (
+                r.fct_fingerprint(),
+                port_stats_fingerprint(r.topo),
+                pfc_frame_totals(_nodes(r.topo)),
+            )
+
+        shipped = run(port_mod.TRAIN_MAX)
+        assert shipped[2]["pause_sent"] > 100, "the cell must keep PFC live"
+        for train_max in (1, 3, 8, 16):
+            assert run(train_max) == shipped, f"TRAIN_MAX={train_max}"
+
+
 class TestRandomizedPauseScripts:
     """Injected pause/resume at random instants on the bottleneck port —
     XOFF/XON landing anywhere inside a bulk-committed train window —

@@ -1,10 +1,13 @@
 """Receiver QP: cumulative ACKs, coalescing, INT echo, N field, CNP pacing."""
 
+import pytest
+
 from repro.cc.base import CongestionControl
 from repro.net.host import Host
 from repro.net.packet import ACK, CNP, DATA, INTRecord, Packet
 from repro.net.port import connect
 from repro.net.switch import INT_RECORD_BYTES
+from repro.sim.engine import Simulator
 from repro.transport.flow import Flow
 from repro.transport.sender import TransportConfig
 from repro.units import ACK_SIZE, us
@@ -168,3 +171,112 @@ class TestCnp:
         sim.run()
         ack = [p for p in acks if p.kind == ACK][0]
         assert ack.ecn_echo is True
+
+
+class _CapturingNic:
+    """Stands in for the host's NIC (``ReceiverQP._nic``): keeps the ACKs."""
+
+    def __init__(self):
+        self.acks = []
+
+    def enqueue(self, pkt):
+        self.acks.append(pkt)
+
+
+def _ack_fields(ack):
+    return (
+        ack.kind, ack.flow_id, ack.src, ack.dst, ack.seq, ack.size, ack.payload,
+        ack.priority, ack.last, ack.lb_tail, ack.ecn_echo, ack.echo_sent_ts,
+        ack.n_flows, id(ack.int_records),
+    )
+
+
+class TestInOrderDeliveryIgnoresParkedFrames:
+    """An in-order arrival is delivered and ACKed the same whether the
+    reorder buffer is empty or holds frames it cannot release yet: state
+    and ACK fields after every frame are one function of the arrivals.
+    (PR 23 measured an inlined empty-buffer body in ``on_data`` and left
+    it out — DESIGN.md §2.6; this is the pin such a body must pass.)"""
+
+    PAYLOAD = 1000
+    N = 16
+    DROPPED = 6  # arrives late, after two frames were buffered behind it
+    TAIL = 3  # carries lb_tail (a rerouted epoch's last frame)
+
+    def _frame(self, flow_id, i, shared_recs):
+        pkt = Packet(
+            DATA, flow_id=flow_id, src=0, dst=1, seq=i * self.PAYLOAD,
+            size=self.PAYLOAD + 48, payload=self.PAYLOAD,
+        )
+        pkt.last = i == self.N - 1
+        pkt.sent_ts = 1000 + i
+        pkt.ecn = i % 5 == 0
+        pkt.lb_tail = flow_id == 0 and i == self.TAIL
+        pkt.lb_tag = 2 if i <= self.TAIL else 3
+        pkt.int_records = shared_recs[i % 3]
+        return pkt
+
+    def _arrivals(self):
+        """(flow_id, frame index) in arrival order: flow 0 with one late
+        frame, flow 1 interleaved so N moves 1 -> 2 -> 1 mid-stream."""
+        order = [i for i in range(self.N) if i != self.DROPPED]
+        order.insert(order.index(self.DROPPED + 2) + 1, self.DROPPED)
+        out = []
+        for k, i in enumerate(order):
+            out.append((0, i))
+            if k >= 4:
+                out.append((1, k - 4))
+        return out + [(1, i) for i in range(self.N - 4, self.N)]
+
+    def _drive(self, sim, ack_every, park_a_frame):
+        cfg = TransportConfig(ack_every=ack_every, reorder_window_bytes=10**9)
+        _, b = pair(sim, transport=cfg)
+        nics = {}
+        for fid in (0, 1):
+            rqp = b.register_receiver(Flow(fid, 0, 1, self.N * self.PAYLOAD))
+            rqp._nic = nics[fid] = _CapturingNic()
+            if park_a_frame:
+                # One frame parked far past the flow's end keeps _ooo
+                # non-empty for the whole run; its epoch tag can never
+                # look like the tail's successor.
+                far = Packet(DATA, flow_id=fid, src=0, dst=1, seq=10**8,
+                             size=self.PAYLOAD + 48, payload=self.PAYLOAD)
+                far.lb_tag = -5
+                rqp._ooo[far.seq] = far
+        recs = [None, [INTRecord(100.0, 1, 2, 3)], [INTRecord(100.0, 4, 5, 6)] * 2]
+        trace = []
+        for fid, i in self._arrivals():
+            sim.now += 7
+            b.receive(self._frame(fid, i, recs), 0)
+            rqp = b.receivers[fid]
+            trace.append((
+                fid, i, rqp.rcv_nxt, rqp._unacked_pkts, rqp.completed, rqp.finish_ps,
+                rqp.reroute_tails, rqp._last_tail_tag, rqp.dup_acks_sent,
+                b._active_inbound, [_ack_fields(a) for a in nics[fid].acks],
+            ))
+        return trace, nics, recs
+
+    @pytest.mark.parametrize("ack_every", [1, 4])
+    def test_same_state_and_same_acks_after_every_frame(self, ack_every):
+        fast, nics, recs = self._drive(Simulator(), ack_every, False)  # empty buffer
+        slow, _, recs_slow = self._drive(Simulator(), ack_every, True)  # parked frame
+        # int_records are compared by identity (the ACK must alias the DATA
+        # frame's list, not copy it): map each run's ids to list positions.
+        def norm(trace, recs):
+            pos = {id(r): k for k, r in enumerate(recs)}
+            return [
+                row[:-1] + ([a[:-1] + (pos[a[-1]],) for a in row[-1]],)
+                for row in trace
+            ]
+
+        assert norm(fast, recs) == norm(slow, recs_slow)
+        # The scenario reached what it claims to: both flows finished, the
+        # late frame forced buffering, N was 2 while the flows overlapped,
+        # and coalescing left un-ACKed frames pending at some point.
+        last = {fid: [r for r in fast if r[0] == fid][-1] for fid in (0, 1)}
+        assert last[0][4] and last[1][4] and last[0][2] == self.N * self.PAYLOAD
+        n_flows = {a.n_flows for nic in nics.values() for a in nic.acks}
+        assert n_flows == {1, 2}
+        n_acks = len(nics[1].acks)
+        assert n_acks == (self.N if ack_every == 1 else self.N // 4)
+        assert (ack_every == 1) or any(r[3] > 0 for r in fast)

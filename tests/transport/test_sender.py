@@ -127,6 +127,75 @@ class TestPacing:
         assert b.receivers[0].data_packets <= 1
 
 
+class TestPaceEventCancel:
+    """``_maybe_send`` cancels the live pace handle by clearing its
+    ``alive`` flag inline.  A handle cancelled mid-gap is still in the
+    heap: it must be dropped lazily when it pops, never fire, and be
+    recycled exactly once."""
+
+    GAP = serialization_ps(DEFAULT_MTU, 1.0)  # 1 Gb/s pacing: ~12 us a frame
+
+    class Slow(CongestionControl):
+        def on_flow_start(self, qp):
+            qp.window = float(1 << 50)
+            qp.rate_gbps = 1.0
+
+    def _paced_flow(self, sim, monkeypatch):
+        """A flow paced far below line rate, advanced until one pace event
+        has fired and armed the next; returns (qp, receiver QP, fired)."""
+        from repro.transport.sender import SenderQP
+
+        a, b = pair(sim, rate=100.0)
+        flow = Flow(0, 0, 1, 12 * (DEFAULT_MTU - HEADER_BYTES))
+        rqp = b.register_receiver(flow)
+        fired, stock = [], SenderQP._pace_fire
+
+        def spy(qp, arg):
+            fired.append((sim.now, qp._pace_ev))
+            stock(qp, arg)
+
+        monkeypatch.setattr(SenderQP, "_pace_fire", spy)
+        qp = a.start_flow(flow, self.Slow(), us(10))
+        sim.run(until=self.GAP + self.GAP // 2)  # mid-gap after the first fire
+        assert len(fired) == 1 and rqp.data_packets == 2
+        assert qp._pace_ev.alive
+        assert qp._pace_armed_for == qp._pace_ev.time == 2 * self.GAP
+        return qp, rqp, fired
+
+    def test_window_closing_mid_gap_cancels_the_armed_event(self, sim, monkeypatch):
+        qp, rqp, fired = self._paced_flow(sim, monkeypatch)
+        stale = qp._pace_ev
+        qp.window = 0.0  # the CC closes the window before the deadline...
+        qp._maybe_send()  # ...and the next ACK's re-entry disarms pacing
+        assert qp._pace_ev is None and qp._pace_armed_for is None
+        assert not stale.alive and stale.time == 2 * self.GAP
+        assert any(ev is stale for _, ev in sim._heap)  # cancelled lazily: still queued
+        dispatched = sim.events_dispatched
+        sim.run(until=4 * self.GAP)
+        # The deadline passed: the dead handle popped, ran nothing, sent
+        # nothing, and went back to the free list once.
+        assert len(fired) == 1 and rqp.data_packets == 2
+        assert sim.events_dispatched == dispatched
+        assert not any(ev is stale for _, ev in sim._heap)
+        assert sum(ev is stale for ev in sim._pool) == 1
+        qp.window = float(1 << 50)  # reopen: pacing resumes on a fresh arm
+        qp._maybe_send()
+        sim.run()
+        assert rqp.completed and qp.finished and rqp.data_packets == 12
+        # Frame 3 left at the reopen; the other nine each took one fire, a
+        # pacing gap apart — none doubled by the dead handle.
+        assert [t for t, _ in fired][1:] == [(4 + k) * self.GAP for k in range(1, 10)]
+
+    def test_abort_mid_gap_never_fires_the_armed_event(self, sim, monkeypatch):
+        qp, rqp, fired = self._paced_flow(sim, monkeypatch)
+        stale = qp._pace_ev
+        qp.abort()
+        assert qp.finished and qp._pace_ev is None and not stale.alive
+        sim.run()
+        assert len(fired) == 1 and rqp.data_packets == 2
+        assert sim.queue_len() == 0 and sum(ev is stale for ev in sim._pool) == 1
+
+
 class TestWindowClocking:
     def test_window_limits_inflight(self, sim):
         a, b = pair(sim, rate=100.0, delay=us(10))

@@ -14,6 +14,15 @@ Usage::
     python tools/profile.py --workload websearch_fattree --top 25
     python tools/profile.py --workload incast_lasthop --sort tottime
     python tools/profile.py --workload hybrid_fluid_5k --out hybrid.pstats
+    python tools/profile.py --workload incast_lasthop --opcodes
+
+``--opcodes`` counts instead of timing: it runs the workload's *smoke*
+cell under ``sys.settrace`` with ``f_trace_opcodes`` and prints executed
+bytecode instructions per unit of work, in total and per function.  The
+count is exact and repeats run to run, so it answers "did this edit
+remove interpreter work" on a box whose clock swings 1.5x within minutes;
+it says nothing about what an instruction costs (a call is one opcode),
+so the benchmark still judges the gain.
 
 Only the workloads whose cell runs in this process are offered:
 ``cli_fig15_jobs2`` and ``shard_fattree_2proc`` do their work in child
@@ -52,6 +61,57 @@ for p in (REPO_ROOT / "src", REPO_ROOT):
 WORKLOADS = ("websearch_fattree", "incast_lasthop", "hybrid_fluid_5k")
 
 
+def count_opcodes(fn):
+    """Run ``fn()`` with per-opcode tracing on; returns its result and a
+    ``{code object: executed opcodes}`` dict over every python frame it
+    entered."""
+    counts: dict = {}
+
+    def local(frame, event, _arg):
+        if event == "opcode":
+            code = frame.f_code
+            counts[code] = counts.get(code, 0) + 1
+        return local
+
+    def on_call(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    sys.settrace(on_call)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(None)
+    return result, counts
+
+
+def print_opcodes(workload: str, cell: dict, counts: dict, top: int) -> None:
+    work, total = cell["work"], sum(counts.values())
+    print(
+        f"# workload={workload} (smoke cell) work={work} "
+        f"completed={cell['completed']}/{cell['attempted']}\n"
+        f"# executed opcodes: {total} total, {total / work:.1f} per unit of work\n"
+    )
+    print(f"== top {top} functions by executed opcodes ==")
+    print(f"{'opcodes':>10} {'per work':>9} {'share':>6}  function")
+    rows = sorted(
+        counts.items(),
+        key=lambda kv: (-kv[1], kv[0].co_filename, kv[0].co_firstlineno),
+    )
+    for code, n in rows[:top]:
+        # co_qualname is 3.11+; the supported floor is 3.9.
+        name = getattr(code, "co_qualname", code.co_name)
+        try:
+            where = Path(code.co_filename).resolve().relative_to(REPO_ROOT)
+        except ValueError:
+            where = Path(code.co_filename).name
+        print(
+            f"{n:>10} {n / work:>9.1f} {n / total:>6.1%}  "
+            f"{where}:{code.co_firstlineno}({name})"
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -73,6 +133,12 @@ def main(argv=None) -> int:
         default=None,
         help="also dump raw pstats to this file (for snakeviz & friends)",
     )
+    parser.add_argument(
+        "--opcodes",
+        action="store_true",
+        help="count executed bytecode instructions of the smoke cell "
+        "instead of timing the full one (exact and repeatable)",
+    )
     args = parser.parse_args(argv)
 
     # Import late so --help works even on a broken checkout.
@@ -82,6 +148,13 @@ def main(argv=None) -> int:
 
     impl, off = IMPL[args.workload], Spans(False)
     impl.warmup(SMOKE[args.workload], off)  # imports, allocator steady state
+
+    if args.opcodes:
+        cell, counts = count_opcodes(
+            lambda: impl.cell(SMOKE[args.workload], sub_seed(1, 0), off)
+        )
+        print_opcodes(args.workload, cell, counts, args.top)
+        return 1 if cell["problems"] else 0
 
     prof = cProfile.Profile()
     prof.enable()
