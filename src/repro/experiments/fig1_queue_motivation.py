@@ -26,13 +26,6 @@ def run_fig1_queue(
     return microbench_grid(rates, ccs, duration_us=duration_us, seed=seed)
 
 
-def peak_queues_kb(results: Dict[float, Dict[str, MicrobenchResult]]) -> Dict[float, Dict[str, float]]:
-    return {
-        rate: {cc: r.peak_queue_bytes / KB for cc, r in per_cc.items()}
-        for rate, per_cc in results.items()
-    }
-
-
 def main() -> None:
     results = run_fig1_queue()
     print("Fig 1b-d — peak queue length at the congestion point (KB)")

@@ -11,8 +11,6 @@ import inspect
 import sys
 from typing import Callable, Dict
 
-from repro.experiments.common import quick_dumbbell  # noqa: F401 (re-export)
-
 
 # Experiment name -> module under repro.experiments (each exposes main()).
 # Only the one asked for is imported: a figure's process pays for its own

@@ -192,9 +192,6 @@ class FaultInjector:
                 add(spec["b"])  # loss is applied at the receiving end
         return names
 
-    def _state(self, name: str) -> _NodeState:
-        return self._states[name]
-
     def _install_wrapper(self, name: str) -> None:
         node = self._node(name)
         st = self._states[name] = _NodeState(node)

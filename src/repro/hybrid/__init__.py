@@ -13,38 +13,13 @@ Entry points:
 
 * :func:`repro.hybrid.backend.run_fct_hybrid` — one (CC, workload) cell
   under the hybrid backend, mirroring ``run_fct_experiment``.
-* :func:`Simulator` — backend-selecting factory:
-  ``Simulator(backend="packet"|"flow"|"hybrid")``.
+* :func:`repro.experiments.fct_experiment.run_fct_summary` — its
+  ``backend="packet"|"flow"|"hybrid"`` argument (the runner's ``--backend``)
+  is the backend selection.
 * ``python -m repro.hybrid.validate`` — the fidelity gate against
   packet-level ground truth.
 """
 
 from repro.hybrid.fluid import FluidEngine, FluidStallError
 
-BACKENDS = ("packet", "flow", "hybrid")
-
-
-def Simulator(backend: str = "packet", **kwargs):
-    """Backend-selecting factory.
-
-    ``backend="packet"`` returns the discrete-event
-    :class:`repro.sim.engine.Simulator`; ``"flow"`` the max-min fluid
-    :class:`repro.analysis.flowsim.FlowLevelSimulator`; ``"hybrid"`` a
-    :class:`repro.hybrid.backend.HybridSimulator` co-simulation driver.
-    """
-    if backend == "packet":
-        from repro.sim.engine import Simulator as PacketSimulator
-
-        return PacketSimulator(**kwargs)
-    if backend == "flow":
-        from repro.analysis.flowsim import FlowLevelSimulator
-
-        return FlowLevelSimulator(**kwargs)
-    if backend == "hybrid":
-        from repro.hybrid.backend import HybridSimulator
-
-        return HybridSimulator(**kwargs)
-    raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-__all__ = ["BACKENDS", "FluidEngine", "FluidStallError", "Simulator"]
+__all__ = ["FluidEngine", "FluidStallError"]

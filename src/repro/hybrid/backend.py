@@ -611,15 +611,3 @@ def run_fct_hybrid(
             cap_schedule_entries=len(sched),
         ),
     )
-
-
-class HybridSimulator:
-    """Object form of the hybrid backend for the ``Simulator(backend=...)``
-    factory: holds a :class:`HybridConfig`, runs cells on demand."""
-
-    def __init__(self, config: Optional[HybridConfig] = None, **knobs) -> None:
-        self.config = config or (HybridConfig(**knobs) if knobs else HybridConfig())
-
-    def run_fct(self, cc: str, **kwargs) -> HybridFctResult:
-        kwargs.setdefault("config", self.config)
-        return run_fct_hybrid(cc, **kwargs)

@@ -23,7 +23,7 @@ class Node:
         self.sim = sim
         self.name = name
         # Canonical tie-break lane for events scheduled on this node's
-        # behalf (flow starts, CC timers, samplers) — see Event.key.
+        # behalf (flow starts, CC timers, samplers) — see Simulator.alloc_lane.
         self.lane = sim.alloc_lane()
         self.ports: List[Port] = []
 

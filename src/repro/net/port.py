@@ -925,18 +925,10 @@ class Port:
             sim._seq = seq = sim._seq + 1
             ev = self._del_ev
             ev.time = time = inflight[0][0]
-            ev.seq = seq
-            ev.key = key = (time << 64) | self._lane_key | seq
             ev.alive = True
-            heappush(sim._heap, (key, ev))
+            heappush(sim._heap, ((time << 64) | self._lane_key | seq, ev))
         else:
             self._del_ev = None
-
-    # -- introspection ------------------------------------------------------------
-    @property
-    def queue_len_bytes(self) -> int:
-        """Current egress backlog in bytes (the Fig. 9 'queue length')."""
-        return self.qbytes_total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.node.name}.{self.index} {self.rate_gbps}G q={self._queued_bytes}B>"

@@ -366,9 +366,6 @@ class Switch(Node):
         self._recompute_train_ok()
         return self._train_ok
 
-    def egress_queue_bytes(self, port_idx: int) -> int:
-        return self.ports[port_idx].qbytes_total
-
     def total_pause_frames(self) -> int:
         return sum(p.stats.pause_sent for p in self.ports)
 

@@ -12,7 +12,7 @@ File format (all keys optional except ``exception``)::
 
     {
       "exception": {"type", "message", "traceback", "worker_traceback"},
-      "engine":    {"now_ps", "events_dispatched", "queue_len", "pool_len"},
+      "engine":    {"now_ps", "events_dispatched", "queue_len"},
       "ports":     [{"node", "port", "qbytes", "paused", ...counters}, ...],
       "flows":     [{"flow", "host", "size", "acked", "rate_gbps"}, ...],
       "trace_tail": [last-N TraceEvent dicts, oldest first],
@@ -112,7 +112,6 @@ class FlightRecorder:
                 "now_ps": sim.now,
                 "events_dispatched": sim.events_dispatched,
                 "queue_len": sim.queue_len(),
-                "pool_len": sim.pool_len(),
             }
         if self.topo is not None:
             doc["ports"] = self._port_states()

@@ -5,7 +5,7 @@ it, bind the run's simulator/fabric, and ship the :meth:`snapshot` dict
 with the run's summary.  Aggregation is **pull-based** — the registry
 never wraps anything on the hot path; at snapshot time it reads the
 counters the fabric already maintains (:class:`repro.net.port.PortStats`,
-engine dispatch/heap/pool counters, LB reroute tallies, hybrid phase
+engine dispatch/heap counters, LB reroute tallies, hybrid phase
 stats).  That is what makes registry-level observability byte-identical
 and train-safe by construction: enabling it changes no event, no RNG
 draw, and no wire timestamp (pinned by ``tests/obs``).
@@ -146,7 +146,6 @@ class MetricsRegistry:
                 {
                     "engine.now_ps": sim.now,
                     "engine.queue_len": sim.queue_len(),
-                    "engine.pool_len": sim.pool_len(),
                 },
             )
 

@@ -79,9 +79,6 @@ class PartitionPlan:
         self.cuts = cuts
         self.lookahead_ps = lookahead_ps
 
-    def shard_nodes(self, shard_id: int) -> List[str]:
-        return [n for n, s in self.owner.items() if s == shard_id]
-
     def to_dict(self) -> dict:
         """Plain-data form: ownership only — workers re-derive the cut
         set from their own topology copy via :func:`plan_partition`."""

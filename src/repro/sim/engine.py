@@ -12,28 +12,23 @@ Design notes
   on different entities compare by lane on every shard exactly as they do
   serially, and same-lane events belong to a single entity (hence a single
   shard) whose causal creation order the shard replays.
-* :class:`Event` is orderable (``__lt__`` on its packed ``(time, lane,
-  seq)`` key); the heap stores ``(key, event)`` pairs so every sift
-  comparison is a single C-speed int compare — at the heap depths of
-  fat-tree scenarios (hundreds of armed ports and timers) this beats both
-  the legacy tuple-of-fields representation and Python-level ``__lt__``
-  dispatch.
+* The heap stores ``(key, event)`` pairs, ``key`` being the packed
+  ``(time, lane, seq)`` integer, so every sift comparison is a single
+  C-speed int compare (``seq`` is unique per simulator, so the tuple
+  compare never reaches the event) — at the heap depths of fat-tree
+  scenarios (hundreds of armed ports and timers) this beats both a
+  tuple-of-fields representation and Python-level ``__lt__`` dispatch.
   Cancellation marks the event dead instead of removing it from the heap
   (lazy deletion), which is both simpler and faster for the cancel-rarely
   workloads of a network sim.
-* Dispatched and lazily-deleted events are recycled through a free list, so
-  steady-state scheduling allocates ~zero objects.  Ownership rule (see
-  DESIGN.md §hot-path): an :class:`Event` handle returned by ``schedule``
-  is valid until its callback has run or it has been cancelled; holding it
-  past that point (and in particular calling :meth:`Event.cancel` on it
-  later) is undefined because the object may have been recycled for an
-  unrelated event.  :class:`repro.sim.timer.Timer` is the safe wrapper for
-  re-armable timeouts.
+* Events are ordinary garbage-collected objects (DESIGN.md §2.3): every
+  ``schedule`` constructs one, and a handle held past its callback is
+  inert — cancelling it does nothing.
 * ``schedule_reuse`` is the self-rescheduling fast path: a callback may
   re-arm *its own* event object (the one currently being dispatched)
-  without a pool round-trip.  Calling it on any event that is still in the
-  heap corrupts the queue — :class:`repro.sim.timer.Periodic` is the
-  canonical user.
+  instead of allocating a new one.  Calling it on any event that is still
+  in the heap corrupts the queue — :class:`repro.sim.timer.Periodic` is
+  the canonical user.
 * Callbacks receive a single ``arg`` payload.  We intentionally do not
   support ``*args``: one payload slot per event is the hot-path budget.
 """
@@ -45,11 +40,6 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from .sanitize import TieRecorder, parse_sanitize
-
-#: Upper bound on the event free list; beyond this, dead events are left to
-#: the garbage collector.  Big enough for the deepest egress backlogs seen
-#: in the paper scenarios, small enough to be irrelevant for memory.
-_POOL_MAX = 8192
 
 #: Packed event-key layout: ``time << 64 | lane << 44 | seq``.  44 bits of
 #: sequence space is ~17.6 trillion events per run; 20 bits of lane space is
@@ -74,41 +64,34 @@ class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
     The only public operation is :meth:`cancel`; everything else is owned by
-    the engine.  Handles must not be cancelled after their callback has run
-    (the object may have been recycled — see the module docstring).
+    the engine.
 
-    Ordering is by ``(time, lane, seq)``, packed into the single integer
-    ``key`` (``time << 64 | lane << 44 | seq``) so the heap's ``__lt__`` is
-    one C-speed int compare instead of a lexicographic field test.  The
-    lane (see :meth:`Simulator.alloc_lane`) makes same-instant cross-entity
-    ordering a static topology property rather than an execution-history
-    accident — the invariant the sharded engine's byte-identity rests on.
+    Dispatch order is by ``(time, lane, seq)``, packed at each push into
+    the heap entry's integer key (``time << 64 | lane << 44 | seq``); the
+    event itself carries no ordering state.  The lane (see
+    :meth:`Simulator.alloc_lane`) makes same-instant cross-entity ordering
+    a static topology property rather than an execution-history accident —
+    the invariant the sharded engine's byte-identity rests on.
     """
 
-    __slots__ = ("time", "seq", "lane", "key", "fn", "arg", "alive")
+    __slots__ = ("time", "lane", "fn", "arg", "alive")
 
     def __init__(
         self,
         time: int,
-        seq: int,
         fn: Callable[[Any], None],
         arg: Any,
         lane: int = 0,
     ) -> None:
         self.time = time
-        self.seq = seq
         self.lane = lane
-        self.key = (time << 64) | (lane << 44) | seq
         self.fn = fn
         self.arg = arg
         self.alive = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return self.key < other.key
-
     def cancel(self) -> None:
-        """Prevent the callback from running.  Safe to call repeatedly on a
-        live handle."""
+        """Prevent the callback from running.  Safe to call repeatedly, and
+        a no-op once the callback has run."""
         self.alive = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -131,7 +114,6 @@ class Simulator:
         "_heap",
         "_seq",
         "_lanes",
-        "_pool",
         "_running",
         "_stopped",
         "events_dispatched",
@@ -147,7 +129,6 @@ class Simulator:
         self._heap: list = []
         self._seq: int = 0
         self._lanes: int = 0
-        self._pool: list = []
         self._running: bool = False
         self._stopped: bool = False
         self.events_dispatched: int = 0
@@ -203,20 +184,8 @@ class Simulator:
         # extra frame matters.
         time = self.now + delay
         self._seq = seq = self._seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.lane = lane
-            ev.key = key = (time << 64) | (lane << 44) | seq
-            ev.fn = fn
-            ev.arg = arg
-            ev.alive = True
-        else:
-            ev = Event(time, seq, fn, arg, lane)
-            key = ev.key
-        heappush(self._heap, (key, ev))
+        ev = Event(time, fn, arg, lane)
+        heappush(self._heap, ((time << 64) | (lane << 44) | seq, ev))
         return ev
 
     def schedule_at(
@@ -232,20 +201,8 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self.now}"
             )
         self._seq = seq = self._seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.lane = lane
-            ev.key = key = (time << 64) | (lane << 44) | seq
-            ev.fn = fn
-            ev.arg = arg
-            ev.alive = True
-        else:
-            ev = Event(time, seq, fn, arg, lane)
-            key = ev.key
-        heappush(self._heap, (key, ev))
+        ev = Event(time, fn, arg, lane)
+        heappush(self._heap, ((time << 64) | (lane << 44) | seq, ev))
         return ev
 
     def schedule_reuse(self, ev: Event, delay: int) -> Event:
@@ -257,18 +214,16 @@ class Simulator:
 
         Only valid from within ``ev``'s own callback (the dispatcher has
         already popped it from the heap); using it on an event that may
-        still be queued corrupts the heap.  Skips the free-list round-trip
-        that ``cancel`` + ``schedule`` would pay.
+        still be queued corrupts the heap.  Skips the allocation that
+        ``schedule`` would pay.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq = seq = self._seq + 1
         time = self.now + delay
         ev.time = time
-        ev.seq = seq
-        ev.key = key = (time << 64) | (ev.lane << 44) | seq
         ev.alive = True
-        heappush(self._heap, (key, ev))
+        heappush(self._heap, ((time << 64) | (ev.lane << 44) | seq, ev))
         return ev
 
     # -- execution ----------------------------------------------------------
@@ -287,7 +242,6 @@ class Simulator:
         self._stopped = False
         dispatched = 0
         heap = self._heap
-        pool = self._pool
         pop = heappop
         # Horizon test hoisted into key space: one compare per iteration
         # covers "time > until" exactly; pop first and push back on the
@@ -303,24 +257,10 @@ class Simulator:
                     break
                 ev = item[1]
                 if not ev.alive:
-                    # Lazy deletion: cancelled in place, recycle it.
-                    ev.fn = ev.arg = None
-                    if len(pool) < _POOL_MAX:
-                        pool.append(ev)
-                    continue
+                    continue  # lazy deletion: cancelled in place
                 self.now = ev.time
                 ev.alive = False
-                seq = ev.seq
                 ev.fn(ev.arg)
-                # Recycle only if the callback neither re-armed the event
-                # (schedule_reuse bumps seq, so seq unchanged proves it is
-                # not back in the heap) nor left it alive.  A
-                # re-armed-then-cancelled event stays out of the pool and
-                # is recycled by lazy deletion when it pops.
-                if not ev.alive and ev.seq == seq:
-                    ev.fn = ev.arg = None
-                    if len(pool) < _POOL_MAX:
-                        pool.append(ev)
                 dispatched += 1
         finally:
             self._running = False
@@ -337,7 +277,7 @@ class Simulator:
         un-sanitized hot loop pays nothing for the feature.
 
         Semantics are identical to :meth:`run` — same pop order, same clock
-        updates, same recycling rule — plus, before each dispatch, a peek at
+        updates — plus, before each dispatch, a peek at
         the heap head: if the next live pending event carries the same
         timestamp as the event about to run, the pair of callback sites is
         recorded as an ordering hazard.
@@ -346,8 +286,8 @@ class Simulator:
         exact: the heap property guarantees every remaining key >= the
         popped key, so the head's time part matches iff a same-timestamp
         event is pending — only then does the slow path run, purging any
-        dead heads (that merely *advances* lazy deletion; shells are
-        interchangeable) before attributing the pair.  Checking the head
+        dead heads (that merely *advances* lazy deletion) before attributing
+        the pair.  Checking the head
         alone covers whole tie groups: every member of an n-way tie is
         recorded as it pops except the last, which was already recorded as
         some earlier pop's pending partner.
@@ -356,7 +296,6 @@ class Simulator:
         self._stopped = False
         dispatched = 0
         heap = self._heap
-        pool = self._pool
         pop = heappop
         rec = self.tie_recorder
         pops = 0
@@ -373,21 +312,13 @@ class Simulator:
                     break
                 ev = item[1]
                 if not ev.alive:
-                    ev.fn = ev.arg = None
-                    if len(pool) < _POOL_MAX:
-                        pool.append(ev)
                     continue
                 pops += 1
                 if heap and heap[0][0] ^ item[0] <= seq_mask:
-                    self._tie_peek(rec, ev, heap, pool, pop)
+                    self._tie_peek(rec, ev, heap, pop)
                 self.now = ev.time
                 ev.alive = False
-                seq = ev.seq
                 ev.fn(ev.arg)
-                if not ev.alive and ev.seq == seq:  # see run() note
-                    ev.fn = ev.arg = None
-                    if len(pool) < _POOL_MAX:
-                        pool.append(ev)
                 dispatched += 1
         finally:
             self._running = False
@@ -398,12 +329,12 @@ class Simulator:
         return dispatched
 
     @staticmethod
-    def _tie_peek(rec, ev, heap, pool, pop) -> None:
+    def _tie_peek(rec, ev, heap, pop) -> None:
         """Slow path of the tie check: the head's packed key carries the
-        popped event's timestamp.  The head may be a dead shell shadowing a
-        live event at the same time — purge (which only *advances* lazy
-        deletion; shells are interchangeable) and re-check until a live
-        head or a later timestamp surfaces, then attribute the pair.  A
+        popped event's timestamp.  The head may be a cancelled event
+        shadowing a live one at the same time — purge (which only
+        *advances* lazy deletion) and re-check until a live head or a
+        later timestamp surfaces, then attribute the pair.  A
         pending event past the run horizon can never reach here: its time
         exceeds ``until >= ev.time``."""
         while heap:
@@ -413,9 +344,6 @@ class Simulator:
                     rec.record(ev.time, ev.fn, head.fn)
                 break
             pop(heap)
-            head.fn = head.arg = None
-            if len(pool) < _POOL_MAX:
-                pool.append(head)
 
     def tie_report(self) -> Optional[dict]:
         """The event-tie detector's findings (None unless ``sanitize="tie"``).
@@ -431,15 +359,11 @@ class Simulator:
     def peek(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap
-        pool = self._pool
         while heap:
             ev = heap[0][1]
             if ev.alive:
                 return ev.time
             heappop(heap)
-            ev.fn = ev.arg = None
-            if len(pool) < _POOL_MAX:
-                pool.append(ev)
         return None
 
     def register_monitor(self, monitor) -> None:
@@ -459,10 +383,6 @@ class Simulator:
     def queue_len(self) -> int:
         """Number of events in the heap (including cancelled ones)."""
         return len(self._heap)
-
-    def pool_len(self) -> int:
-        """Number of recycled Event shells currently on the free list."""
-        return len(self._pool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now}ps queued={len(self._heap)}>"

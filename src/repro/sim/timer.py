@@ -100,6 +100,6 @@ class Periodic:
             return
         # Re-arm the event object currently being dispatched (engine fast
         # path): monitors tick every microsecond, so this shaves an event
-        # allocation + pool round-trip per sample.
+        # allocation per sample.
         self._event = self._sim.schedule_reuse(self._event, self.interval)
         self._fn(self._sim.now)

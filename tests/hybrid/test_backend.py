@@ -15,8 +15,7 @@ from repro.experiments.fct_experiment import (
     run_fct_experiment,
     run_fct_summary,
 )
-from repro.hybrid import BACKENDS, Simulator
-from repro.hybrid.backend import HybridConfig, HybridSimulator, run_fct_hybrid
+from repro.hybrid.backend import HybridConfig, run_fct_hybrid
 from repro.metrics.fct import FctCollector
 from repro.sim.engine import Simulator as EventSimulator
 from repro.topo.dumbbell import dumbbell
@@ -210,16 +209,6 @@ class TestPfcBehindBackgroundDrains:
 
 
 class TestBackendSelection:
-    def test_simulator_factory(self):
-        from repro.analysis.flowsim import FlowLevelSimulator
-
-        assert set(BACKENDS) == {"packet", "flow", "hybrid"}
-        assert isinstance(Simulator(backend="hybrid"), HybridSimulator)
-        assert isinstance(Simulator(backend="flow"), FlowLevelSimulator)
-        assert isinstance(Simulator(backend="packet"), EventSimulator)
-        with pytest.raises(ValueError):
-            Simulator(backend="ns3")
-
     def test_run_fct_summary_backend_dispatch(self):
         kw = dict(workload="websearch", k=4, load=0.5, n_flows=8, scale=0.1)
         for backend in ("flow", "hybrid"):

@@ -1,5 +1,5 @@
 """Determinism regression guard for the hot-path rewrite (single-event
-link pipeline, event free list, packet pooling).
+link pipeline, lazy event cancellation).
 
 Two runs of the same seeded scenario must agree on *everything* the
 engine/port rewrite could perturb: dispatch counts, FCT aggregates, and

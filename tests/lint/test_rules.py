@@ -452,8 +452,8 @@ def test_h301_self_write_is_own_state():
         """
         class Sweeper:
             def __init__(self):
-                self._pool = []
-                self.key = None
+                self._heap = []
+                self.alive = None
         """,
         rules=["H301"],
     ) == []

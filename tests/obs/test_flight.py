@@ -57,7 +57,7 @@ class TestGuardDump:
         eng = doc["engine"]
         assert eng["now_ps"] == sim.now and eng["now_ps"] > 0
         assert eng["events_dispatched"] > 0
-        assert "queue_len" in eng and "pool_len" in eng
+        assert "queue_len" in eng
         # Port/flow state rides along, busiest first and bounded.
         assert doc["ports"] and doc["ports"][0]["tx_packets"] >= 0
         assert {"node", "port", "qbytes", "drops"} <= set(doc["ports"][0])

@@ -4,7 +4,9 @@ ideal-FCT monotonicity, hash quality, HPCC window bounds, and PFC
 losslessness under random traffic."""
 
 import random
+from bisect import insort
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,138 @@ from repro.traffic.cdf import PiecewiseCdf
 from repro.units import serialization_ps, us
 
 
+class _RefScheduler:
+    """Sorted-list reference for the engine's contract: ``(time, lane,
+    seq)`` dispatch order, lazy cancellation, the ``run(until=)`` clock."""
+
+    def __init__(self):
+        self.now = self.seq = self.dispatched = 0
+        self.queue, self.alive = [], {}
+
+    def schedule_at(self, time, ident, lane):
+        self.seq += 1
+        insort(self.queue, (time, lane, self.seq, ident))
+        self.alive[ident] = True
+
+    def schedule(self, delay, ident, lane):
+        self.schedule_at(self.now + delay, ident, lane)
+
+    def rearm(self, ident, lane, delay):
+        self.schedule(delay, ident, lane)
+
+    def cancel(self, ident):
+        self.alive[ident] = False
+
+    def run(self, until=None):
+        while self.queue and (until is None or self.queue[0][0] <= until):
+            time, lane, _, ident = self.queue.pop(0)
+            if self.alive[ident]:
+                self.now, self.alive[ident] = time, False
+                self.dispatched += 1
+                self.fire(ident, lane)
+        if until is not None and self.now < until:
+            self.now = until
+
+
+class _EngineUnderTest:
+    """The same five verbs on the real engine; ``ident`` -> Event handle."""
+
+    def __init__(self, sanitize):
+        self.sim = Simulator(sanitize=sanitize)
+        self.handles = {}
+
+    now = property(lambda self: self.sim.now)
+    dispatched = property(lambda self: self.sim.events_dispatched)
+
+    def _arm(self, verb, when, ident, lane):
+        self.handles[ident] = verb(when, lambda lane: self.fire(ident, lane), lane, lane)
+
+    def schedule_at(self, time, ident, lane):
+        self._arm(self.sim.schedule_at, time, ident, lane)
+
+    def schedule(self, delay, ident, lane):
+        self._arm(self.sim.schedule, delay, ident, lane)
+
+    def rearm(self, ident, lane, delay):
+        self.sim.schedule_reuse(self.handles[ident], delay)
+
+    def cancel(self, ident):
+        self.handles[ident].cancel()
+
+    def run(self, until=None):
+        self.sim.run(until)
+
+
+def _play(script, sched):
+    """Interpret ``script`` on ``sched``; return the dispatched (id, now)
+    sequence.  Each scheduled event carries its own callback behaviour:
+    on its first fire it may cancel another handle (live or long gone),
+    and on fire k it may re-arm itself — and then cancel that re-arm."""
+    log, plans, fires = [], [], []
+
+    def fire(ident, lane):
+        log.append((ident, sched.now))
+        plan, victim = plans[ident]
+        k = fires[ident]
+        fires[ident] = k + 1
+        if k == 0 and victim is not None:
+            sched.cancel(victim % len(plans))
+        if k < len(plan):
+            delay, cancel_after = plan[k]
+            sched.rearm(ident, lane, delay)
+            if cancel_after:
+                sched.cancel(ident)
+
+    sched.fire = fire
+    for op, arg in script:
+        if op == "run":
+            sched.run(sched.now + arg)
+        elif op == "cancel":
+            if plans:
+                sched.cancel(arg % len(plans))
+        else:
+            when, lane, plan, victim = arg
+            plans.append((plan, victim))
+            fires.append(0)
+            if op == "schedule":
+                sched.schedule(when, len(plans) - 1, lane)
+            else:
+                sched.schedule_at(sched.now + when, len(plans) - 1, lane)
+    sched.run()
+    return log
+
+
+_EVENT = st.tuples(
+    st.integers(0, 6),  # delay / offset: small, so ties are common
+    st.integers(0, 3),  # lane
+    st.lists(st.tuples(st.integers(0, 6), st.booleans()), max_size=3),  # re-arms
+    st.none() | st.integers(0, 50),  # handle to cancel on first fire
+)
+_SCRIPT = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "schedule_at"]), _EVENT),
+        st.tuples(st.just("cancel"), st.integers(0, 50)),
+        st.tuples(st.just("run"), st.integers(0, 8)),
+    ),
+    max_size=40,
+)
+
+
 class TestEngineProperties:
+    @pytest.mark.parametrize("sanitize", ["", "tie"])
+    @given(_SCRIPT)
+    @settings(max_examples=300, deadline=None)
+    def test_scripts_match_reference_scheduler(self, sanitize, script):
+        """``run`` and its ``_run_tie`` twin both dispatch a random script
+        of schedule / schedule_at / cancel (of live and already-dispatched
+        handles) / schedule_reuse / split run(until=) calls exactly as a
+        sorted-list scheduler does."""
+        ref, eng = _RefScheduler(), _EngineUnderTest(sanitize)
+        assert _play(script, eng) == _play(script, ref)
+        assert eng.dispatched == ref.dispatched
+        assert eng.now == ref.now
+        assert eng.sim.queue_len() == 0
+
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_dispatch_order_is_sorted(self, delays):

@@ -1,10 +1,12 @@
 """Engine edge cases around the hot-path machinery: lazy cancellation,
-peek() pruning, run(until=...) clock advance, non-reentrancy, and the
-event free list (recycling must never resurrect a cancelled callback)."""
+peek() pruning, run(until=...) clock advance, non-reentrancy, and event
+lifetime (a handle held past its callback is inert: cancelling it never
+touches a later event)."""
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, SimulationError
+from repro.sim.timer import Periodic, Timer
 
 
 class TestLazyCancellation:
@@ -42,7 +44,7 @@ class TestPeekPruning:
         sim.schedule(9, lambda _: None)
         ev.cancel()
         assert sim.peek() == 9
-        # The dead head was physically removed (and recycled).
+        # The dead head was physically removed.
         assert sim.queue_len() == 1
 
     def test_peek_drains_all_dead(self, sim):
@@ -103,43 +105,65 @@ class TestReentrancy:
 
 
 class TestEventPool:
-    def test_dispatched_events_are_recycled(self, sim):
-        sim.schedule(1, lambda _: None)
-        sim.run()
-        assert sim.pool_len() == 1
-        ev = sim.schedule(2, lambda _: None)
-        assert sim.pool_len() == 0  # shell came from the pool
-        ev.cancel()
-        sim.run()
-        assert sim.pool_len() == 1  # lazily-deleted shells recycle too
+    def test_event_carries_no_ordering_state(self):
+        assert Event.__slots__ == ("time", "lane", "fn", "arg", "alive")
 
     def test_recycling_never_resurrects_cancelled_callback(self, sim):
-        """A recycled shell must run only its new callback, never the
-        cancelled one it previously carried."""
+        """Cancelling a handle after its callback ran, or after its
+        cancelled entry popped, never affects a later event: every
+        ``schedule`` returns a fresh object."""
         log = []
-        ev = sim.schedule(5, log.append, "OLD")
-        ev.cancel()
-        sim.run()  # pops + recycles the dead shell
-        reused = sim.schedule(7, log.append, "NEW")
-        assert reused is ev  # same object, recycled
+        ev = sim.schedule(1, log.append, "a")
         sim.run()
-        assert log == ["NEW"]
+        later = sim.schedule(1, log.append, "b")
+        assert later is not ev
+        ev.cancel()  # stale handle: its callback already ran
+        sim.run()
+        assert log == ["a", "b"]
 
-    def test_dispatch_recycle_resets_payload(self, sim):
-        payload = object()
-        sim.schedule(1, lambda _: None, payload)
+        dead = sim.schedule(5, log.append, "OLD")
+        dead.cancel()
+        sim.run()  # pops the cancelled entry
+        new = sim.schedule(7, log.append, "NEW")
+        assert new is not dead
+        dead.cancel()
         sim.run()
-        # The pooled shell must not pin the old callback/payload alive.
-        assert sim._pool[0].fn is None
-        assert sim._pool[0].arg is None
+        assert log == ["a", "b", "NEW"]
+
+    def test_fired_timer_handle_is_inert(self, sim):
+        log = []
+        timer = Timer(sim, log.append)
+        timer.start(10, "timeout")
+        fired = timer._event
+        sim.run()
+        assert log == ["timeout"]
+        sim.schedule(1, log.append, "later")
+        fired.cancel()  # stale: the timer already fired
+        timer.cancel()
+        sim.run()
+        assert log == ["timeout", "later"]
+
+    def test_stopped_periodic_handle_is_inert(self, sim):
+        ticks, log = [], []
+        periodic = Periodic(sim, 100, ticks.append)
+        periodic.start()
+        armed = periodic._event
+        sim.run(until=250)
+        periodic.stop()
+        sim.run()  # pops the cancelled re-arm
+        sim.schedule(1, log.append, "later")
+        armed.cancel()
+        periodic.stop()
+        sim.run()
+        assert ticks == [100, 200]
+        assert log == ["later"]
 
     def test_keys_strictly_ordered_for_ties(self, sim):
         log = []
-        a = sim.schedule(5, log.append, "a")
-        b = sim.schedule(5, log.append, "b")
-        assert a.key < b.key  # same time, insertion order breaks the tie
+        sim.schedule(5, log.append, "a")
+        sim.schedule(5, log.append, "b")
         sim.run()
-        assert log == ["a", "b"]
+        assert log == ["a", "b"]  # same time, insertion order breaks the tie
 
 
 class TestScheduleReuse:
@@ -155,16 +179,6 @@ class TestScheduleReuse:
         sim.run()
         assert log == [10, 20, 30]
 
-    def test_reused_event_is_not_pooled_mid_flight(self, sim):
-        def tick(_):
-            if sim.now < 30:
-                sim.schedule_reuse(holder[0], 10)
-
-        holder = [sim.schedule(10, tick)]
-        sim.run()
-        # One shell total, recycled only after its final dispatch.
-        assert sim.pool_len() == 1
-
     def test_reuse_negative_delay_rejected(self, sim):
         def cb(_):
             with pytest.raises(SimulationError):
@@ -174,23 +188,11 @@ class TestScheduleReuse:
         sim.run()
 
 
-class TestEventOrderable:
-    def test_event_lt_orders_by_time_then_seq(self):
-        a = Event(10, 1, lambda _: None, None)
-        b = Event(10, 2, lambda _: None, None)
-        c = Event(5, 3, lambda _: None, None)
-        assert a < b
-        assert c < a
-        assert not (b < a)
-
-
 class TestReuseThenCancel:
     """Regression: a schedule_reuse'd event cancelled later in the same
-    callback is back in the heap — the dispatcher must NOT recycle it."""
+    callback is back in the heap — it must pop as a dead entry, once."""
 
     def test_periodic_stopping_itself_does_not_corrupt_pool(self, sim):
-        from repro.sim.timer import Periodic
-
         ticks = []
 
         def fn(now):
@@ -202,15 +204,13 @@ class TestReuseThenCancel:
         periodic.start()
         log = []
         sim.schedule(300, log.append, "other")
-        # Schedule-heavy follow-up that would reuse a corrupted shell.
+        # Follow-up events must be unaffected by the cancelled re-arm.
         sim.schedule(505, log.append, "late")
         sim.run()
         assert ticks == [100, 200]
         assert log == ["other", "late"]
 
     def test_clock_stays_monotonic_after_reuse_cancel(self, sim):
-        from repro.sim.timer import Periodic
-
         seen = []
 
         def fn(now):
@@ -226,11 +226,16 @@ class TestReuseThenCancel:
         assert seen == [300, 505]  # strictly ordered, no time travel
 
     def test_rearmed_then_cancelled_shell_recycled_via_lazy_deletion(self, sim):
+        calls = []
+
         def fn(_):
+            calls.append(sim.now)
             sim.schedule_reuse(holder[0], 50)
             holder[0].cancel()
 
         holder = [sim.schedule(10, fn)]
         sim.run()
-        # The shell was pooled exactly once (at its lazy-deletion pop).
-        assert sim.pool_len() == 1
+        # The callback ran once; the cancelled re-arm popped without firing.
+        assert calls == [10]
+        assert sim.events_dispatched == 1
+        assert sim.queue_len() == 0

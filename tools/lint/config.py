@@ -99,11 +99,9 @@ DEFAULTS: Dict[str, Any] = {
         "owners": {
             "_heap": ["src/repro/sim/engine.py", "src/repro/net/port.py"],
             "_seq": ["src/repro/sim/engine.py", "src/repro/net/port.py"],
-            "_pool": ["src/repro/sim/engine.py"],
             "_running": ["src/repro/sim/engine.py"],
             "_stopped": ["src/repro/sim/engine.py"],
             "alive": ["src/repro/sim/engine.py", "src/repro/net/port.py"],
-            "key": ["src/repro/sim/engine.py", "src/repro/net/port.py"],
             "_acct": ["src/repro/net/port.py"],
             "_inflight": ["src/repro/net/port.py"],
             "_del_ev": ["src/repro/net/port.py"],
