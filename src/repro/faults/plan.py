@@ -16,7 +16,8 @@ sequence across runs and across workers (ISSUE 9 acceptance criteria).
 The empty plan (:meth:`FaultPlan.noop`) is the zero-perturbation anchor:
 arming it schedules no events, installs no wrappers, and draws nothing, so
 a run with ``faults=FaultPlan.noop()`` is byte-identical to ``faults=None``
-— the same proof discipline ``sanitize=`` uses.
+— the same proof discipline ``tests/obs/test_zero_perturbation.py`` applies
+to telemetry.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The engine is deliberately tiny and callback-based: the hot path of a
 packet-level network simulation is event dispatch, and a heapq of
-``(time, seq, fn, arg)`` tuples dispatches several hundred thousand events
-per second in CPython.  Richer abstractions (cancellable timers, periodic
-processes) are layered on top without touching the hot path.
+``(key, event)`` pairs — ``key`` the packed ``(time, lane, seq)`` integer —
+dispatches several hundred thousand events per second in CPython.  Richer
+abstractions (cancellable timers, periodic processes) are layered on top
+without touching the hot path.
 """
 
 from repro.sim.engine import Simulator, Event, SimulationError

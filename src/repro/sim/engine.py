@@ -35,11 +35,8 @@ Design notes
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
-
-from .sanitize import TieRecorder, parse_sanitize
 
 #: Packed event-key layout: ``time << 64 | lane << 44 | seq``.  44 bits of
 #: sequence space is ~17.6 trillion events per run; 20 bits of lane space is
@@ -119,12 +116,10 @@ class Simulator:
         "events_dispatched",
         "obs",
         "monitors",
-        "sanitize",
-        "tie_recorder",
         "faults",
     )
 
-    def __init__(self, sanitize: Optional[Any] = None) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
         self._heap: list = []
         self._seq: int = 0
@@ -132,15 +127,6 @@ class Simulator:
         self._running: bool = False
         self._stopped: bool = False
         self.events_dispatched: int = 0
-        # Debug-only runtime sanitizers (DESIGN.md §9).  ``sanitize`` is the
-        # frozenset of active modes ({"tie"}).  The environment default is
-        # read here at construction (not import) time so tools can toggle
-        # REPRO_SANITIZE in-process, and spawn-started sweep workers still
-        # inherit it through the environment.
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "")
-        self.sanitize = parse_sanitize(sanitize)
-        self.tie_recorder = TieRecorder() if "tie" in self.sanitize else None
         # The run's observability bundle (repro.obs.RunObservability), set
         # by its attach(); None on un-instrumented runs.  Registry reads are
         # pull-based, so this costs nothing on the dispatch path.
@@ -236,8 +222,6 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if self.tie_recorder is not None:
-            return self._run_tie(until)
         self._running = True
         self._stopped = False
         dispatched = 0
@@ -270,87 +254,6 @@ class Simulator:
             self.now = until
         self.events_dispatched += dispatched
         return dispatched
-
-    def _run_tie(self, until: Optional[int]) -> int:
-        """The :meth:`run` loop with the event-tie detector woven in
-        (``sanitize="tie"``, DESIGN.md §9).  Kept out of :meth:`run` so the
-        un-sanitized hot loop pays nothing for the feature.
-
-        Semantics are identical to :meth:`run` — same pop order, same clock
-        updates — plus, before each dispatch, a peek at
-        the heap head: if the next live pending event carries the same
-        timestamp as the event about to run, the pair of callback sites is
-        recorded as an ordering hazard.
-
-        The peek is a packed-key compare on the raw head entry, which is
-        exact: the heap property guarantees every remaining key >= the
-        popped key, so the head's time part matches iff a same-timestamp
-        event is pending — only then does the slow path run, purging any
-        dead heads (that merely *advances* lazy deletion) before attributing
-        the pair.  Checking the head
-        alone covers whole tie groups: every member of an n-way tie is
-        recorded as it pops except the last, which was already recorded as
-        some earlier pop's pending partner.
-        """
-        self._running = True
-        self._stopped = False
-        dispatched = 0
-        heap = self._heap
-        pop = heappop
-        rec = self.tie_recorder
-        pops = 0
-        # Time parts of two packed keys match iff their XOR clears the high
-        # bits, i.e. is below the 64-bit lane+sequence field — one int op
-        # per pop.
-        seq_mask = (1 << 64) - 1
-        horizon_key = _NO_HORIZON if until is None else (until + 1) << 64
-        try:
-            while heap and not self._stopped:
-                item = pop(heap)
-                if item[0] >= horizon_key:
-                    heappush(heap, item)
-                    break
-                ev = item[1]
-                if not ev.alive:
-                    continue
-                pops += 1
-                if heap and heap[0][0] ^ item[0] <= seq_mask:
-                    self._tie_peek(rec, ev, heap, pop)
-                self.now = ev.time
-                ev.alive = False
-                ev.fn(ev.arg)
-                dispatched += 1
-        finally:
-            self._running = False
-            rec.total_pops += pops
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
-        self.events_dispatched += dispatched
-        return dispatched
-
-    @staticmethod
-    def _tie_peek(rec, ev, heap, pop) -> None:
-        """Slow path of the tie check: the head's packed key carries the
-        popped event's timestamp.  The head may be a cancelled event
-        shadowing a live one at the same time — purge (which only
-        *advances* lazy deletion) and re-check until a live head or a
-        later timestamp surfaces, then attribute the pair.  A
-        pending event past the run horizon can never reach here: its time
-        exceeds ``until >= ev.time``."""
-        while heap:
-            head = heap[0][1]
-            if head.alive:
-                if head.time == ev.time:
-                    rec.record(ev.time, ev.fn, head.fn)
-                break
-            pop(heap)
-
-    def tie_report(self) -> Optional[dict]:
-        """The event-tie detector's findings (None unless ``sanitize="tie"``).
-        See :meth:`repro.sim.sanitize.TieRecorder.report` for the schema."""
-        if self.tie_recorder is None:
-            return None
-        return self.tie_recorder.report()
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current callback returns."""

@@ -6,7 +6,6 @@ losslessness under random traffic."""
 import random
 from bisect import insort
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,8 +52,8 @@ class _RefScheduler:
 class _EngineUnderTest:
     """The same five verbs on the real engine; ``ident`` -> Event handle."""
 
-    def __init__(self, sanitize):
-        self.sim = Simulator(sanitize=sanitize)
+    def __init__(self):
+        self.sim = Simulator()
         self.handles = {}
 
     now = property(lambda self: self.sim.now)
@@ -135,15 +134,13 @@ _SCRIPT = st.lists(
 
 
 class TestEngineProperties:
-    @pytest.mark.parametrize("sanitize", ["", "tie"])
     @given(_SCRIPT)
     @settings(max_examples=300, deadline=None)
-    def test_scripts_match_reference_scheduler(self, sanitize, script):
-        """``run`` and its ``_run_tie`` twin both dispatch a random script
-        of schedule / schedule_at / cancel (of live and already-dispatched
-        handles) / schedule_reuse / split run(until=) calls exactly as a
-        sorted-list scheduler does."""
-        ref, eng = _RefScheduler(), _EngineUnderTest(sanitize)
+    def test_scripts_match_reference_scheduler(self, script):
+        """``run`` dispatches a random script of schedule / schedule_at /
+        cancel (of live and already-dispatched handles) / schedule_reuse /
+        split run(until=) calls exactly as a sorted-list scheduler does."""
+        ref, eng = _RefScheduler(), _EngineUnderTest()
         assert _play(script, eng) == _play(script, ref)
         assert eng.dispatched == ref.dispatched
         assert eng.now == ref.now

@@ -1,11 +1,13 @@
 """Engine edge cases around the hot-path machinery: lazy cancellation,
-peek() pruning, run(until=...) clock advance, non-reentrancy, and event
+peek() pruning, run(until=...) clock advance, non-reentrancy, event
 lifetime (a handle held past its callback is inert: cancelling it never
-touches a later event)."""
+touches a later event), and the one dispatch loop (no debug mode)."""
+
+import importlib
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.timer import Periodic, Timer
 
 
@@ -239,3 +241,30 @@ class TestReuseThenCancel:
         assert calls == [10]
         assert sim.events_dispatched == 1
         assert sim.queue_len() == 0
+
+
+class TestOneRunLoop:
+    """``Simulator.run`` is the engine's only dispatch loop: the engine
+    takes no arguments, reads no environment variable, and has no
+    tie-instrumented twin (DESIGN.md §2.3)."""
+
+    def test_simulator_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            Simulator(sanitize="tie")
+
+    def test_environment_is_not_read(self, monkeypatch):
+        from repro.experiments.fct_experiment import run_fct_experiment
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        base = run_fct_experiment(cc="fncc", n_flows=12, seed=11).fct_fingerprint()
+        monkeypatch.setenv("REPRO_SANITIZE", "tie")
+        assert not hasattr(Simulator(), "tie_recorder")
+        assert run_fct_experiment(cc="fncc", n_flows=12, seed=11).fct_fingerprint() == base
+
+    def test_the_sanitize_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.sanitize")
+
+    def test_run_has_no_twin(self):
+        assert not hasattr(Simulator, "_run_tie")
+        assert not hasattr(Simulator, "tie_report")

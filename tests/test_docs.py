@@ -1,12 +1,11 @@
 """Doc-rot guard: what DESIGN.md, the verify skill, the CI workflow and the
 comments under ``src/repro`` name must exist — every ``tools/…py`` /
 ``benchmarks/…py`` / ``tests/…py`` path (and each ``::Class::test`` written
-after one), every ``fncc-exp <name>``, every ``UPPER_CASE.md`` document, and
-§4.1's tie census.  Sixteen
-passages once pointed at a bench CLI nobody had consulted for five PRs.
+after one), every ``fncc-exp <name>`` and every ``UPPER_CASE.md`` document.
+Sixteen passages once pointed at a bench CLI nobody had consulted for five
+PRs.
 """
 
-import json
 import re
 from importlib import metadata
 from pathlib import Path
@@ -72,26 +71,6 @@ def test_the_guard_sees_what_it_guards():
         ("tools/gone.py", ""),
         ("tests/x/test_y.py", "::TestZ::test_w"),
     ]
-
-
-def test_tie_census_in_design_matches_the_committed_report():
-    """DESIGN.md §4.1 quotes, per regime, "<pct>% … <name> (<tied> of
-    <total>)"; the numbers are those of benchmarks/TIE_REPORT.json."""
-    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
-    census = design[design.index("### 4.1"):design.index("## 5.")]
-    quoted = {
-        name: (float(pct), int(tied.replace(" ", "")), int(total.replace(" ", "")))
-        for pct, name, tied, total in re.findall(
-            r"([\d.]+)% (?:of pops tied )?in\s+(\w+)\s+\(([\d ]+) of\s+([\d ]+)\)", census
-        )
-    }
-    with open(ROOT / "benchmarks/TIE_REPORT.json") as fh:
-        report = json.load(fh)["scenarios"]
-    assert quoted == {
-        name: (round(100 * r["tied_pops"] / r["total_pops"], 2),
-               r["tied_pops"], r["total_pops"])
-        for name, r in report.items()
-    }
 
 
 def test_there_is_one_version():

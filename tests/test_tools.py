@@ -2,7 +2,6 @@
 work from a bare checkout — any working directory, no ``PYTHONPATH``, no
 install — because that is how DESIGN.md tells a reader to run them."""
 
-import json
 import os
 import subprocess
 import sys
@@ -63,19 +62,3 @@ def test_profile_opcodes_counts_the_smoke_cell_and_repeats_exactly(tmp_path):
     # A count, not a timing: the second run prints the same bytes.
     assert runs[1].stdout == out
 
-
-def test_tie_report_writes_one_regime_from_a_bare_checkout(tmp_path):
-    out = tmp_path / "ties.json"
-    proc = _run_tool(
-        "tie_report.py", "--scenario", "pfc_dumbbell", "--out", str(out), cwd=tmp_path
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    report = json.loads(out.read_text())
-    assert report["schema"] == "fncc-tie-report/v1"
-    assert list(report["scenarios"]) == ["pfc_dumbbell"]
-    regime = report["scenarios"]["pfc_dumbbell"]
-    assert 0 < regime["tied_pops"] < regime["total_pops"]
-    assert regime["site_pairs"] == len(regime["sites"]) > 0
-    # Same seeded regime, same census: the committed map is reproducible.
-    with open(ROOT / "benchmarks" / "TIE_REPORT.json") as fh:
-        assert regime == json.load(fh)["scenarios"]["pfc_dumbbell"]
