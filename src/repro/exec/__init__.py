@@ -11,10 +11,11 @@ that property into wall-clock speedup on multi-core hardware:
   callable or ``"module:qualname"`` string, kwargs, an optional seed).
 * :class:`RunResult` — the portable outcome (value, wall time, worker pid,
   or a captured worker traceback).
-* :class:`SweepExecutor` — fans specs out over a spawn-safe process pool
-  (``jobs=N``) and reduces results in **spec order** regardless of
-  completion order; ``jobs=1`` executes in-process with zero pool
-  overhead.  Serial and parallel executions of the same specs produce
+* :class:`SweepExecutor` — fans specs out over a process pool
+  (``jobs=N``; workers forked from the parent on Linux, spawned
+  elsewhere: :func:`~repro.exec.executor.worker_context`) and reduces
+  results in **spec order** regardless of completion order; ``jobs=1``
+  executes in-process with zero pool overhead.  Serial and parallel executions of the same specs produce
   identical values (gated by ``tests/exec/``).
 
 See DESIGN.md §5 (process model) for the picklability rules and why

@@ -11,38 +11,57 @@ Design points:
 * ``jobs=1`` (the default) never touches ``multiprocessing``: specs run
   in-process, in order, with zero pool/pickling overhead, and neither
   ``multiprocessing`` nor ``concurrent.futures.process`` is imported —
-  only :meth:`SweepExecutor._map_pool` imports them (pinned by
+  only the pool path (:meth:`SweepExecutor._map_pool`,
+  :func:`worker_context`) imports them (pinned by
   ``tests/test_import_budget.py``).  This is the fallback every experiment
   uses when invoked without ``--jobs``.
 * ``jobs>1`` uses :class:`concurrent.futures.ProcessPoolExecutor` on the
-  **spawn** start method by default.  Spawn is the portable, thread-safe
-  choice (fork would duplicate live simulator state); each worker is a
-  fresh interpreter that imports this package, the module of the spec's
-  ``fn`` and what that module imports — the simulator core, not numpy,
-  scipy or networkx (DESIGN.md §5.4 has the per-process cost) — which is
-  exactly the isolation the determinism guarantee relies on.  A dead worker
-  raises ``BrokenProcessPool`` instead of hanging the pool.
+  context :func:`worker_context` picks: on Linux, from a single-threaded
+  parent, workers are **forked** from the process that has already
+  imported ``repro`` and start warm; anywhere else they are spawned fresh
+  interpreters that import this package and the module of the spec's
+  ``fn`` (DESIGN.md §5.4 has the rule and the per-process cost).  Either
+  way a run's whole object graph is born in the worker from its spec —
+  nothing the parent built is read — which is the isolation the
+  determinism guarantee relies on.  A dead worker raises
+  ``BrokenProcessPool`` instead of hanging the pool.
 * A spec that raises inside a worker surfaces the *original traceback*
   (captured as text in the worker, re-raised here as :class:`SweepError`)
   — not a bare ``RemoteTraceback`` or a hung pool.
 * Specs and results are checked for picklability with clear attribution
   (which spec, which direction) before the stdlib machinery can produce
-  its less helpful errors.
+  its less helpful errors — on fork too, so a sweep that runs on Linux
+  runs under spawn.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
 import time
 import traceback
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.exec.spec import RunResult, RunSpec
 
-#: Default start method.  "spawn" is safe everywhere; "fork" is available
-#: for callers that want to trade safety for startup latency on POSIX.
-DEFAULT_START_METHOD = "spawn"
+
+def worker_context():
+    """The ``multiprocessing`` context every worker the simulator starts
+    uses — the sweep pool's and the shard group's.
+
+    Fork when the platform is Linux and this process runs one thread:
+    the worker starts with ``repro`` already imported.  Spawn otherwise:
+    forking a multi-threaded process can deadlock the child (CPython
+    >= 3.12 warns), Windows has no fork, and macOS system libraries are
+    not fork-safe.  Decided at each call, from what the process looks
+    like then; there is no option.
+    """
+    import multiprocessing as mp
+    import threading
+
+    fork = sys.platform == "linux" and threading.active_count() == 1
+    return mp.get_context("fork" if fork else "spawn")
 
 
 class SweepError(RuntimeError):
@@ -119,9 +138,6 @@ class SweepExecutor:
     ----------
     jobs:
         Worker count.  ``1`` executes in-process (no pool, no pickling).
-    start_method:
-        ``multiprocessing`` start method for ``jobs>1`` (default
-        ``"spawn"``; see module docstring).
     raise_on_error:
         When True (default), ``map`` raises :class:`SweepError` for the
         first failing spec **in spec order** (deterministic, not
@@ -132,21 +148,11 @@ class SweepExecutor:
     def __init__(
         self,
         jobs: int = 1,
-        start_method: str = DEFAULT_START_METHOD,
         raise_on_error: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs > 1:
-            import multiprocessing as mp
-
-            if start_method not in mp.get_all_start_methods():
-                raise ValueError(
-                    f"start method {start_method!r} unavailable on this "
-                    f"platform (have {mp.get_all_start_methods()})"
-                )
         self.jobs = jobs
-        self.start_method = start_method
         self.raise_on_error = raise_on_error
 
     # -- execution ---------------------------------------------------------
@@ -173,7 +179,6 @@ class SweepExecutor:
         return results
 
     def _map_pool(self, spec_list: Sequence[RunSpec]) -> List[RunResult]:
-        import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         # An unpicklable spec cannot reach a worker; it becomes a
@@ -200,13 +205,16 @@ class SweepExecutor:
             else:
                 submitted.append((i, spec))
         if submitted:
-            ctx = mp.get_context(self.start_method)
             workers = min(self.jobs, len(submitted))
             # Futures are collected in submit order, so the reduce is in
             # spec order no matter how completions interleave.  A hard
             # worker death (os._exit, OOM-kill) surfaces as
-            # BrokenProcessPool from .result() — the pool never hangs.
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            # BrokenProcessPool from .result() — the pool never hangs.  On
+            # fork the pool starts every worker at the first submit, before
+            # its own manager thread, so worker_context() sees one thread.
+            with ProcessPoolExecutor(
+                max_workers=workers, mp_context=worker_context()
+            ) as pool:
                 futures = [
                     (i, pool.submit(_pool_execute, i, spec))
                     for i, spec in submitted
@@ -216,12 +224,7 @@ class SweepExecutor:
         return results  # type: ignore[return-value]  # every slot is filled
 
 
-def run_sweep(
-    specs: Iterable[RunSpec],
-    jobs: int = 1,
-    start_method: str = DEFAULT_START_METHOD,
-) -> List[Any]:
+def run_sweep(specs: Iterable[RunSpec], jobs: int = 1) -> List[Any]:
     """Convenience wrapper: run specs, raise on the first failure (spec
     order), and return just the values — in spec order."""
-    executor = SweepExecutor(jobs=jobs, start_method=start_method)
-    return [r.value for r in executor.map(specs)]
+    return [r.value for r in SweepExecutor(jobs=jobs).map(specs)]

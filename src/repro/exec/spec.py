@@ -2,8 +2,9 @@
 (:class:`RunResult`) for the sweep executor.
 
 Picklability rules (DESIGN.md §5): a spec must survive a round trip
-through ``pickle`` because the pool ships it to a freshly *spawned*
-interpreter.  That means:
+through ``pickle`` because the pool ships it to a worker process — one
+forked from the parent, or a freshly spawned interpreter where fork is
+not used, and the pool pickles every spec either way.  That means:
 
 * ``fn`` is either a **module-level** callable (pickled by reference) or a
   ``"module:qualname"`` string resolved inside the worker — never a

@@ -115,7 +115,7 @@ def run_fault_cell(
     the profile's fault plan armed and transport hardening on (RTO with
     capped exponential backoff; ``retx_max_timeouts`` → flow-failed).
     Module-level with data-only arguments: also :func:`run_faultmatrix`'s
-    spec target, byte-identical in-process or in a spawn worker."""
+    spec target, byte-identical in-process or in a pool worker."""
     fab = build_fabric(
         cc,
         fattree,

@@ -72,8 +72,8 @@ def run_lb_cell(
     """Run one (topo, workload, lb, cc) cell and collect FCTs.
 
     Module-level with data-only arguments, so it is also the spec target of
-    :func:`run_lbmatrix` — byte-identical in-process and in a spawned
-    worker.  ``obs`` optionally attaches a
+    :func:`run_lbmatrix` — byte-identical in-process and in a pool
+    worker, forked or spawned.  ``obs`` optionally attaches a
     :class:`repro.obs.RunObservability` bundle to the cell (registry reads
     the LB reroute/probe counters at snapshot time; the ``lb`` trace
     category hooks the reroute callback) — in-process callers only, it is
@@ -160,7 +160,8 @@ def format_matrix(cells: Dict[CellKey, object], column: str = "mean_fct_us") -> 
 
 
 #: The reduced slice ``fncc-exp lbmatrix --quick`` (and CI) runs: the
-#: pool path end to end — spawn, pickling, ordered reduce — in seconds.
+#: pool path end to end — worker start, pickling, ordered reduce — in
+#: seconds.
 QUICK_SLICE = dict(
     lbs=("ecmp", "spray"),
     ccs=("fncc",),

@@ -15,8 +15,8 @@ Push-style instruments (:class:`Counter`, :class:`Gauge`,
 dumps, per-flow completions — and for subsystems that want named metrics
 without growing their own ad-hoc dicts.
 
-Snapshots are plain JSON-able dicts so they pickle across ``exec`` spawn
-workers; :func:`merge_snapshots` is the reduce step (counters sum, gauges
+Snapshots are plain JSON-able dicts so they pickle back from ``exec``
+workers, forked or spawned; :func:`merge_snapshots` is the reduce step (counters sum, gauges
 max, histograms add bucket-wise).
 """
 

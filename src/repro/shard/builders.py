@@ -1,4 +1,5 @@
-"""Per-shard fabric builders (spawn-safe, module-level, plain kwargs).
+"""Per-shard fabric builders (module-level, plain kwargs: what a shard
+worker can resolve by name whether it was forked or spawned).
 
 Each builder calls the serial experiment's own fabric builder — same
 :class:`Simulator`, same seed streams, same topology build, same flow
@@ -8,7 +9,7 @@ injected boundary frames supply the remote half of the wire, at the
 serial timestamps.
 
 Builders are addressed as ``"repro.shard.builders:build_..."`` in the
-plain-data build specs the process runtime ships to spawn workers.
+plain-data build specs the process runtime ships to its workers.
 """
 
 from __future__ import annotations

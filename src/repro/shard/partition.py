@@ -17,7 +17,7 @@ cut (DESIGN.md §11):
   (never delivers late) and complete (never misses one).
 
 Plans are plain data (``to_dict``/``from_dict``) so the process-backed
-runtime can ship them to spawn workers and re-derive the cut set against
+runtime can ship them to its workers and re-derive the cut set against
 the worker's own independently-built copy of the topology.
 """
 

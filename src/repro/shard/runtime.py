@@ -14,10 +14,11 @@ Two interchangeable backends drive the same coordinator loop:
 * :class:`InProcessShards` — every shard engine lives in this process,
   advanced round-robin.  Zero parallelism, full debuggability: this is
   the determinism reference the process mode must match byte-for-byte.
-* :class:`ProcessShards` — one spawn worker per shard over the
-  ``repro.exec`` discipline (picklable build specs, crash surfacing),
-  messages over pipes.  A shard that dies mid-run triggers flight dumps
-  from every surviving shard before :class:`ShardCrash` is raised.
+* :class:`ProcessShards` — one worker process per shard over the
+  ``repro.exec`` discipline (one start-method rule, picklable build
+  specs, crash surfacing), messages over pipes.  A shard that dies
+  mid-run triggers flight dumps from every surviving shard before
+  :class:`ShardCrash` is raised.
 
 Control and data are separate planes.  The coordinator sees a horizon
 go out and, per shard, a completion count and the time of the next live
@@ -245,13 +246,16 @@ def build_engine(build: dict, plan_dict: dict, shard_id: int) -> ShardEngine:
 
 
 def _shard_worker(conn, build: dict, shard_id: int, dump_path) -> None:
-    """Spawn-worker main loop: build when the plan arrives, then serve
+    """Worker main loop: build when the plan arrives, then serve
     advance/collect/dump requests until told to stop.  Any exception
     writes this shard's own flight dump before the crash report goes up
-    the pipe — the dump must survive the process."""
+    the pipe — the dump must survive the process.  The coordinator's
+    death reads as end of file on the pipe: the worker holds no
+    coordinator-side end, its own or another shard's
+    (:class:`ProcessShards` closes them after a fork)."""
     eng = None
     try:
-        # The builder's imports run while the coordinator is still planning.
+        # A spawned worker imports the builder while the coordinator plans.
         _resolve(build["fn"])
         while True:
             msg = conn.recv()
@@ -289,25 +293,34 @@ def _shard_worker(conn, build: dict, shard_id: int, dump_path) -> None:
 
 
 class ProcessShards:
-    """One spawn process per shard, driven over pipes.
+    """One worker process per shard, driven over pipes.
 
-    The spawn start method matches the ``repro.exec`` discipline: workers
-    import everything fresh, so build specs and messages must be plain
-    picklable data — which the S501 boundary rule keeps true by
-    construction.
+    Workers start on :func:`~repro.exec.executor.worker_context`'s
+    method, the sweep pool's: forked from this process on Linux, spawned
+    elsewhere.  Either way build specs and messages are plain picklable
+    data — which the S501 boundary rule keeps true by construction and
+    the constructor checks with a pickle of ``build``, so a spec that
+    would fail under spawn fails under fork too.  A forked worker would
+    inherit this process's end of every pipe opened so far, its own
+    included, and then never see end of file when the coordinator dies;
+    each end is registered to close in any child forked after it.
 
     ``plan`` is a :class:`PartitionPlan`, or ``(n_shards, planner)`` with
     ``planner()`` returning one: the workers are started first, so the
-    planning runs while they start their interpreters and import.  The
+    planning runs while they start (and, when spawned, import).  The
     constructor does not wait for the workers' builds; the first barrier
     does.
     """
 
     def __init__(self, build: dict, plan, dump_dir: Optional[str] = None) -> None:
-        import multiprocessing as mp
         import os
+        import pickle
+        from multiprocessing.util import register_after_fork
 
-        ctx = mp.get_context("spawn")
+        from repro.exec.executor import worker_context
+
+        pickle.dumps(build)  # fail as spawn would, before any worker starts
+        ctx = worker_context()
         n_shards, planner = plan if isinstance(plan, tuple) else (plan.n_shards, None)
         self.target: Optional[int] = None
         self._conns = {}
@@ -317,7 +330,9 @@ class ProcessShards:
                 dump_path = (
                     os.path.join(dump_dir, f"shard{sid}-flight.json") if dump_dir else None
                 )
-                self._conns[sid], child = ctx.Pipe()
+                conn, child = ctx.Pipe()
+                register_after_fork(conn, type(conn).close)
+                self._conns[sid] = conn
                 proc = ctx.Process(
                     target=_shard_worker,
                     args=(child, build, sid, dump_path),

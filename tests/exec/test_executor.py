@@ -1,12 +1,19 @@
 """The sweep executor contract: spec resolution, in-process fallback,
-spec-order reduce under out-of-order completion, and crash surfacing
-(the original worker traceback, never a hung pool)."""
+spec-order reduce under out-of-order completion, crash surfacing (the
+original worker traceback, never a hung pool) and the start-method rule
+(fork from a single-threaded Linux parent, spawn otherwise)."""
 
+import multiprocessing
 import os
+import signal
+import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from helpers import live_thread
 from repro.exec import RunSpec, SweepError, SweepExecutor, resolve_callable, run_sweep
 
 
@@ -32,6 +39,14 @@ def boom(message="kaboom"):
 
 def returns_unpicklable():
     return lambda: None
+
+
+def worker_start_method(**_kw):
+    return multiprocessing.get_start_method()
+
+
+def sigkill_self(**_kw):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestRunSpec:
@@ -115,8 +130,8 @@ class TestInProcessFallback:
 
 
 class TestProcessPool:
-    """jobs>1: real spawned workers.  Kept small — spawn pays an
-    interpreter + import per worker."""
+    """jobs>1: real worker processes, forked from this one on Linux.
+    Kept small — a spawned worker pays an interpreter and its imports."""
 
     def test_results_cross_process_and_reduce_in_spec_order(self):
         # The first spec sleeps so it *finishes last*; the reduce must
@@ -181,6 +196,42 @@ class TestProcessPool:
         with pytest.raises(SweepError, match="unpicklable value"):
             SweepExecutor(jobs=2).map(specs)
 
-    def test_bad_start_method_rejected(self):
-        with pytest.raises(ValueError):
-            SweepExecutor(jobs=2, start_method="teleport")
+    def test_sigkilled_worker_breaks_the_pool_and_leaves_no_child(self):
+        specs = [
+            RunSpec(fn=slow_identity, kwargs=dict(value=0, delay_s=0.2), key=0),
+            RunSpec(fn=sigkill_self, key="victim"),
+            RunSpec(fn=slow_identity, kwargs=dict(value=2, delay_s=0.2), key=2),
+        ]
+        t0 = time.perf_counter()
+        with pytest.raises(BrokenProcessPool):
+            SweepExecutor(jobs=2).map(specs)
+        assert time.perf_counter() - t0 < 30.0
+        assert multiprocessing.active_children() == []
+
+
+class TestStartMethod:
+    """One rule, no option: workers fork from a single-threaded Linux
+    parent and are spawned while another thread is live — with identical
+    values either way."""
+
+    VALUES = [10, 12, 14, 16]
+
+    def sweep(self):
+        specs = [RunSpec(fn=worker_start_method, key="method")] + [
+            RunSpec(fn=add, kwargs=dict(a=i, b=10), seed=i, key=i) for i in range(4)
+        ]
+        results = SweepExecutor(jobs=2).map(specs)
+        return results[0].value, [r.value for r in results[1:]]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fork is the Linux path")
+    def test_single_threaded_linux_parent_forks(self):
+        assert threading.active_count() == 1
+        assert self.sweep() == ("fork", self.VALUES)
+
+    def test_live_thread_spawns_with_identical_values(self):
+        with live_thread():
+            assert self.sweep() == ("spawn", self.VALUES)
+
+    def test_start_method_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            SweepExecutor(jobs=2, start_method="fork")

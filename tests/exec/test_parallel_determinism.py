@@ -1,11 +1,17 @@
 """The headline guarantee of the sweep executor: serial (``jobs=1``) and
 parallel (``jobs=N``) executions of the same specs produce byte-identical
 results — FCT fingerprints for the CC × LB matrix, full sampled series
-for multi-seed microbench runs — and a crashing spec surfaces its
-traceback instead of hanging the pool."""
+for multi-seed microbench runs — whether the workers were forked or
+spawned, and a crashing spec surfaces its traceback instead of hanging
+the pool.
+
+The parallel runs take whatever start method the rule picks here (fork
+on Linux); the spawn runs reach the other branch the way a program
+would, by holding a second thread live (``helpers.live_thread``)."""
 
 import pytest
 
+from helpers import live_thread
 from repro.exec import RunSpec, SweepError, SweepExecutor, run_sweep
 from repro.experiments.lbmatrix import run_lbmatrix
 
@@ -24,30 +30,33 @@ class TestLbmatrixSerialVsParallel:
     def serial_and_parallel(self):
         serial = run_lbmatrix(seed=7, jobs=1, **SLICE)
         parallel = run_lbmatrix(seed=7, jobs=2, **SLICE)
-        return serial, parallel
+        with live_thread():
+            spawned = run_lbmatrix(seed=7, jobs=2, **SLICE)
+        return serial, parallel, spawned
 
     def test_same_keys(self, serial_and_parallel):
-        serial, parallel = serial_and_parallel
-        assert set(serial) == set(parallel)
+        serial, parallel, spawned = serial_and_parallel
+        assert set(serial) == set(parallel) == set(spawned)
 
     def test_fct_fingerprints_byte_identical(self, serial_and_parallel):
-        serial, parallel = serial_and_parallel
+        serial, parallel, spawned = serial_and_parallel
         for key, cell in serial.items():
-            assert cell.fct_fingerprint() == parallel[key].fct_fingerprint(), key
-            assert len(cell.fct_fingerprint()) == cell.n_flows
+            fp = cell.fct_fingerprint()
+            assert fp == parallel[key].fct_fingerprint() == spawned[key].fct_fingerprint(), key
+            assert len(fp) == cell.n_flows
 
     def test_statistics_identical(self, serial_and_parallel):
-        serial, parallel = serial_and_parallel
+        serial, parallel, spawned = serial_and_parallel
         for key, cell in serial.items():
-            other = parallel[key]
-            assert cell.mean_fct_us == other.mean_fct_us
-            assert cell.p99_fct_us == other.p99_fct_us
-            assert cell.mean_slowdown == other.mean_slowdown
-            assert cell.completed == other.completed
-            assert cell.events_dispatched == other.events_dispatched
+            for other in (parallel[key], spawned[key]):
+                assert cell.mean_fct_us == other.mean_fct_us
+                assert cell.p99_fct_us == other.p99_fct_us
+                assert cell.mean_slowdown == other.mean_slowdown
+                assert cell.completed == other.completed
+                assert cell.events_dispatched == other.events_dispatched
 
     def test_seed_still_matters(self, serial_and_parallel):
-        serial, _ = serial_and_parallel
+        serial = serial_and_parallel[0]
         other_seed = run_lbmatrix(seed=8, jobs=1, **SLICE)
         key = ("fattree", "permutation", "spray", "fncc")
         assert serial[key].fct_fingerprint() != other_seed[key].fct_fingerprint()
@@ -73,10 +82,12 @@ class TestMultiSeedMicrobench:
     def test_fingerprints_byte_identical(self):
         serial = run_sweep(self._specs(), jobs=1)
         parallel = run_sweep(self._specs(), jobs=2)
-        assert len(serial) == len(parallel) == len(self.SEEDS)
-        for s, p in zip(serial, parallel):
-            assert s.seed == p.seed
-            assert s.fingerprint() == p.fingerprint()
+        with live_thread():
+            spawned = run_sweep(self._specs(), jobs=2)
+        assert len(serial) == len(parallel) == len(spawned) == len(self.SEEDS)
+        for s, p, q in zip(serial, parallel, spawned):
+            assert s.seed == p.seed == q.seed
+            assert s.fingerprint() == p.fingerprint() == q.fingerprint()
             assert len(s.queue) > 0  # a real run, not an empty shell
 
 

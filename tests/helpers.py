@@ -1,6 +1,8 @@
 """Cross-directory test helpers (importable because conftest.py puts the
 tests/ directory on sys.path)."""
 
+import threading
+from contextlib import contextmanager
 from unittest import mock
 
 from repro.experiments.common import build_cc_env, launch_flows
@@ -58,3 +60,18 @@ def classic_hops_only():
         port._peer_sw = port._own_sw = None
 
     return mock.patch.object(Port, "_classify_train_path", classify)
+
+
+@contextmanager
+def live_thread():
+    """A second thread, blocked on an event, for the duration of the block:
+    the condition under which ``repro.exec.executor.worker_context`` spawns
+    workers instead of forking them."""
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        yield
+    finally:
+        release.set()
+        helper.join()

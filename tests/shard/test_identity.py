@@ -97,7 +97,7 @@ def test_pfc_storm_across_boundary():
 
 
 def test_dumbbell_identity_process_backed():
-    """The spawn-worker runtime is observably identical to in-process."""
+    """The worker-process runtime is observably identical to in-process."""
     assert_microbench_identical("fncc", process=True, duration_us=400.0)
 
 

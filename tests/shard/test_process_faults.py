@@ -1,13 +1,16 @@
 """Process-backed shards under failure: whatever goes wrong — a worker
 that cannot be started, a plan that cannot be made, a build that raises,
-a worker killed outright — the caller gets one exception and no worker
-process is left behind."""
+a worker killed outright, the coordinator killed outright — the caller
+gets one exception and no worker process is left behind."""
 
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
-from multiprocessing.context import SpawnProcess
+from multiprocessing.process import BaseProcess
+from pathlib import Path
 
 import pytest
 
@@ -33,15 +36,15 @@ def plan():
 
 @pytest.fixture
 def started(monkeypatch):
-    """Every spawn process started during the test, in start order."""
+    """Every worker process started during the test, in start order."""
     procs = []
-    real_start = SpawnProcess.start
+    real_start = BaseProcess.start
 
     def start(self):
         real_start(self)
         procs.append(self)
 
-    monkeypatch.setattr(SpawnProcess, "start", start)
+    monkeypatch.setattr(BaseProcess, "start", start)
     return procs
 
 
@@ -55,14 +58,14 @@ def assert_reaped(procs):
 
 
 def test_failed_second_start_stops_the_first_worker(plan, started, monkeypatch):
-    recording_start = SpawnProcess.start
+    recording_start = BaseProcess.start
 
     def start(self):
         if started:
             raise OSError("no more processes")
         recording_start(self)
 
-    monkeypatch.setattr(SpawnProcess, "start", start)
+    monkeypatch.setattr(BaseProcess, "start", start)
     with pytest.raises(OSError, match="no more processes"):
         ProcessShards(MICROBENCH, plan)
     assert len(started) == 1
@@ -142,6 +145,59 @@ def test_sigkilled_worker_midrun_is_named_survivor_dumps_none_orphaned(
     assert started[1].exitcode == -signal.SIGKILL
     assert started[0].exitcode == 0
     assert reaped_in < JOIN_TIMEOUT_S
+
+
+#: A coordinator that builds a two-shard group, runs the first barrier,
+#: prints its workers' pids and waits to be killed.
+COORDINATOR = f"""
+import json, multiprocessing, time
+from repro.experiments.common import run_microbench
+from repro.shard.partition import dumbbell_plan
+from repro.shard.runtime import ProcessShards
+
+plan = dumbbell_plan(run_microbench("fncc", duration_us=0.0).topo, 2)
+group = ProcessShards({MICROBENCH!r}, plan)
+group.advance_all(plan.lookahead_ps, {{}})
+print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
+time.sleep(600)
+"""
+
+
+def exited(pid) -> bool:
+    """Gone, or a zombie nobody has reaped yet: either way not running."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+def test_sigkilled_coordinator_leaves_no_worker():
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", COORDINATOR],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    pids = []
+    try:
+        pids = json.loads(coordinator.stdout.readline())
+        assert len(pids) == 2
+        coordinator.kill()
+        coordinator.wait()
+        deadline = time.perf_counter() + JOIN_TIMEOUT_S
+        while not all(exited(pid) for pid in pids) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if not exited(pid)] == []
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        coordinator.stdout.close()
+        for pid in pids:
+            if not exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_shard_crash_without_a_reason():

@@ -1,7 +1,10 @@
 """The cold-start budget as an invariant (DESIGN.md §5.4): a process that
 runs a paper figure loads none of numpy, scipy and networkx, and scipy may
 be absent altogether.  Checked on ``sys.modules`` in fresh interpreters — a
-property of the import graph, not a timing."""
+property of the import graph, not a timing.  A forked pool or shard worker
+starts with its parent's modules, so those probes start their group from
+a fresh interpreter holding the CLI's import graph, never from this
+process."""
 
 import inspect
 import json
@@ -13,8 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import RunSpec, SweepExecutor
-
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -24,11 +25,16 @@ def heavy_loaded() -> list:
     return sorted({m.split(".")[0] for m in sys.modules} & heavy)
 
 
+#: heavy_loaded() for a probe: its workers call it before REPORT runs.
+HEAVY = "import json, sys\n" + inspect.getsource(heavy_loaded)
+
 #: Appended to every probe: its last stdout line is heavy_loaded() as JSON.
-REPORT = (
-    "import json, sys\n"
-    + inspect.getsource(heavy_loaded)
-    + "print(json.dumps(heavy_loaded()))\n"
+REPORT = HEAVY + "print(json.dumps(heavy_loaded()))\n"
+
+#: A worker body resolved by name in a forked worker, which inherits the
+#: probe's ``__main__``; a spawned one could not import it.
+FORK_ONLY = pytest.mark.skipif(
+    sys.platform != "linux", reason="the probe's workers are forked"
 )
 
 #: k=4 fat-tree with ECMP installed, one flow launched and drained: the
@@ -135,21 +141,26 @@ def test_fig15_jobs2_parent_loads_neither():
     assert run_probe(body) == []
 
 
-def fig15_cell_then_heavy_loaded(cc: str) -> list:
-    """Pool-worker body: one reduced fig15 cell, then what got imported."""
-    from repro.experiments.fct_experiment import run_fct_summary
+@FORK_ONLY
+def test_fig15_cell_in_a_pool_worker_loads_neither():
+    body = """
+    import repro.experiments.runner
+    from repro.exec import RunSpec, SweepExecutor
 
-    run_fct_summary(cc, workload="hadoop", k=4, load=0.5, n_flows=40, scale=1.0, seed=1)
-    return heavy_loaded()
+    def fig15_cell_then_heavy_loaded(cc):
+        from repro.experiments.fct_experiment import run_fct_summary
 
+        run_fct_summary(cc, workload="hadoop", k=4, load=0.5, n_flows=40, scale=1.0, seed=1)
+        return heavy_loaded()
 
-def test_fig15_cell_in_a_spawned_pool_worker_loads_neither():
     specs = [
         RunSpec(fn=fig15_cell_then_heavy_loaded, kwargs={"cc": cc})
         for cc in ("fncc", "dcqcn")
     ]
     results = SweepExecutor(jobs=2).map(specs)
-    assert [r.value for r in results] == [[], []]
+    assert [r.value for r in results] == [[], []], results
+    """
+    assert run_probe(HEAVY, body) == []
 
 
 # -- every run path, not only the serial packet engine -------------------------
@@ -168,32 +179,29 @@ def test_inprocess_sharded_cell_loads_neither():
     assert run_probe(body) == []
 
 
-def fct_shard_reporting_imports(shard_id, owner, n_shards, **kwargs):
-    """Shard builder: ``build_fct_shard`` whose collect payload also says
-    which deferred libraries the worker had loaded by the end of its run."""
+@FORK_ONLY
+def test_shard_worker_builds_and_advances_without_networkx():
+    body = f"""
+    import repro.experiments.runner
     from repro.shard.builders import build_fct_shard
-
-    fabric = build_fct_shard(shard_id, owner, n_shards, **kwargs)
-    collect = fabric.collect
-
-    def collect_and_report() -> dict:
-        return dict(collect(), heavy_loaded=heavy_loaded())
-
-    fabric.collect = collect_and_report
-    return fabric
-
-
-def test_spawned_shard_worker_builds_and_advances_without_networkx():
     from repro.shard.partition import fattree_plan
     from repro.shard.runtime import ProcessShards, run_sharded
     from repro.sim.engine import Simulator
     from repro.topo.fattree import fattree_wiring
     from repro.units import MS
 
-    build = {
-        "fn": f"{__name__}:fct_shard_reporting_imports",
-        "kwargs": dict(SMALL_CELL, cc="fncc"),
-    }
+    def fct_shard_reporting_imports(shard_id, owner, n_shards, **kwargs):
+        # build_fct_shard whose collect payload also says which deferred
+        # libraries the worker had loaded by the end of its run.
+        fabric = build_fct_shard(shard_id, owner, n_shards, **kwargs)
+        collect = fabric.collect
+        fabric.collect = lambda: dict(collect(), heavy_loaded=heavy_loaded())
+        return fabric
+
+    build = {{
+        "fn": "__main__:fct_shard_reporting_imports",
+        "kwargs": dict({SMALL_CELL!r}, cc="fncc"),
+    }}
     plan = fattree_plan(fattree_wiring(Simulator(), k=4), 2)
     group = ProcessShards(build, plan)
     try:
@@ -202,7 +210,9 @@ def test_spawned_shard_worker_builds_and_advances_without_networkx():
     finally:
         group.stop()
     assert sum(len(p["records"]) for p in payloads.values()) == 12
-    assert [p["heavy_loaded"] for p in payloads.values()] == [[], []]
+    assert [p["heavy_loaded"] for p in payloads.values()] == [[], []], payloads
+    """
+    assert run_probe(HEAVY, body) == []
 
 
 def test_hybrid_cell_loads_neither():
