@@ -6,12 +6,12 @@ switch/port state that reports accounting violations instead of letting
 them silently skew a run.  Two tiers:
 
 * **always-true** invariants — shared-buffer and PFC byte accounting can
-  never go negative, and on a PFC-enabled switch the per-(in-port, prio)
+  never go negative, and on a PFC-enabled switch the per-ingress-port
   PFC bytes can never exceed the shared-buffer occupancy they are a
   breakdown of;
 * **quiescence** invariants (``quiescent=True``, meaningful once the
   event heap has drained) — no buffered bytes left anywhere, no stranded
-  frame-train commit windows (``Port._uncommitted``), no queue still
+  frame-train commit windows (``Port._uncommitted``), no port still
   paused, and every PAUSE a port emitted matched by a RESUME (the
   pause/resume ledger balances).
 
@@ -59,15 +59,11 @@ class FaultAuditor:
         if used < 0:
             v.append(f"{sw.name}: negative shared-buffer occupancy ({used})")
         pfc_total = 0
-        for in_p, counters in enumerate(sw._pfc_bytes):
-            for prio, n in enumerate(counters):
-                if n < 0:
-                    v.append(
-                        f"{sw.name}: negative PFC bytes in_port={in_p} "
-                        f"prio={prio} ({n})"
-                    )
-                else:
-                    pfc_total += n
+        for in_p, n in enumerate(sw._pfc_bytes):
+            if n < 0:
+                v.append(f"{sw.name}: negative PFC bytes in_port={in_p} ({n})")
+            else:
+                pfc_total += n
         if sw._pfc_on and pfc_total > used >= 0:
             v.append(
                 f"{sw.name}: PFC accounting ({pfc_total}B) exceeds shared "
@@ -100,12 +96,8 @@ class FaultAuditor:
                     f"{node.name}[{port.index}]: {port._uncommitted} frames in "
                     "a stranded commit window at quiescence"
                 )
-            if any(port.paused):
-                prios = [i for i, p in enumerate(port.paused) if p]
-                v.append(
-                    f"{node.name}[{port.index}]: still paused at quiescence "
-                    f"(prios {prios})"
-                )
+            if port.paused:
+                v.append(f"{node.name}[{port.index}]: still paused at quiescence")
             if s.pause_sent != s.resume_sent:
                 v.append(
                     f"{node.name}[{port.index}]: pause/resume ledger imbalance "

@@ -271,7 +271,6 @@ class FaultInjector:
             arg = (
                 self._node(spec["switch"]),
                 ports[spec["switch"]],
-                spec["prio"],
                 until,
                 spec["interval_ps"],
             )
@@ -360,14 +359,13 @@ class FaultInjector:
         self._log("loss_off", kind=win["kind"], a=win["a"], b=win["b"])
 
     def _fire_storm_start(self, arg) -> None:
-        sw, in_port, prio, until, interval = arg
-        self._log("pfc_storm_start", switch=sw.name, port=in_port, prio=prio)
+        sw, in_port, until, interval = arg
+        self._log("pfc_storm_start", switch=sw.name, port=in_port)
         self._storm_tick(arg)
 
     def _storm_tick(self, arg) -> None:
-        sw, in_port, prio, until, interval = arg
+        sw, in_port, until, interval = arg
         frame = Packet(PAUSE, size=PAUSE_FRAME_SIZE)
-        frame.pause_prio = prio
         # Delivered through the ordinary control path: the victim's PFC
         # watchdog (if armed) sees exactly what a hung neighbour produces.
         sw.receive(frame, in_port)
@@ -376,7 +374,7 @@ class FaultInjector:
         if sim.now + interval <= until:
             sim.schedule(interval, self._storm_tick, arg)
         else:
-            self._log("pfc_storm_end", switch=sw.name, port=in_port, prio=prio)
+            self._log("pfc_storm_end", switch=sw.name, port=in_port)
 
     # ------------------------------------------------------------------
     # reporting

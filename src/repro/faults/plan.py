@@ -179,25 +179,21 @@ class FaultPlan:
         self,
         switch: str,
         toward: str,
-        prio: int,
         start_ps: int,
         duration_ps: int,
         interval_ps: int,
     ) -> "FaultPlan":
         """A stuck-XOFF storm: the neighbour ``toward`` is modelled as
-        emitting PAUSE frames for ``prio`` at the victim ``switch`` every
+        emitting PAUSE frames at the victim ``switch`` every
         ``interval_ps`` for ``duration_ps`` — the repeated-refresh pattern
         a hung receiver produces, and exactly what the PFC watchdog
         (net/switch.py) exists to detect and isolate."""
-        if not isinstance(prio, int) or prio < 0:
-            raise ValueError(f"prio must be a non-negative int, got {prio!r}")
         if not isinstance(interval_ps, int) or interval_ps < 1:
             raise ValueError(f"interval_ps must be a positive int, got {interval_ps!r}")
         return self._add(
             "pfc_storm",
             switch=_check_name("switch", switch),
             toward=_check_name("toward", toward),
-            prio=prio,
             start_ps=_check_time("start_ps", start_ps),
             duration_ps=_check_time("duration_ps", duration_ps),
             interval_ps=interval_ps,

@@ -4,8 +4,8 @@ Layers:
 
 * :mod:`repro.net.packet` — wire formats (data, ACK, CNP, PFC frames) and
   the INT record of Fig. 7.
-* :mod:`repro.net.port` — full-duplex port: egress queue engine with
-  per-priority queues, ECN/RED marking, PFC pause state and byte counters.
+* :mod:`repro.net.port` — full-duplex port: egress queue engine for the
+  one lossless class, ECN/RED marking, PFC pause state and byte counters.
 * :mod:`repro.net.switch` — shared-buffer switch with PFC accounting,
   All_INT_Table (FNCC CP, Alg. 1) and HPCC data-path INT insertion.
 * :mod:`repro.net.host` — host with a NIC port and RDMA transport endpoints.

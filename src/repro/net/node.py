@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.net.packet import Packet
 from repro.net.port import Port
@@ -27,14 +27,9 @@ class Node:
         self.lane = sim.alloc_lane()
         self.ports: List[Port] = []
 
-    def new_port(
-        self, rate_gbps: float, prop_delay_ps: int, n_prio: Optional[int] = None
-    ) -> Port:
-        """Create a port.  ``n_prio=None`` means "this node's default" (1
-        here; :class:`~repro.net.switch.Switch` substitutes its config)."""
-        port = Port(
-            self.sim, self, len(self.ports), rate_gbps, prop_delay_ps, n_prio or 1
-        )
+    def new_port(self, rate_gbps: float, prop_delay_ps: int) -> Port:
+        """Create the next port of this node."""
+        port = Port(self.sim, self, len(self.ports), rate_gbps, prop_delay_ps)
         self.ports.append(port)
         return port
 

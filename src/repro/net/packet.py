@@ -68,7 +68,6 @@ class Packet:
         "seq",
         "size",
         "payload",
-        "priority",
         "ecn",
         "ecn_echo",
         "int_records",
@@ -79,7 +78,6 @@ class Packet:
         "echo_sent_ts",
         "in_port",
         "fncc_in_port",
-        "pause_prio",
         "hops",
         "lb_tag",
         "lb_tail",
@@ -94,7 +92,6 @@ class Packet:
         seq: int = 0,
         size: int = 0,
         payload: int = 0,
-        priority: int = 0,
     ) -> None:
         self.kind = kind
         self.flow_id = flow_id
@@ -103,7 +100,6 @@ class Packet:
         self.seq = seq
         self.size = size
         self.payload = payload
-        self.priority = priority
         self.ecn = False  # CE mark set by RED at a congested egress queue
         self.ecn_echo = False  # receiver -> sender echo on the ACK
         self.int_records: Optional[List[INTRecord]] = None
@@ -114,7 +110,6 @@ class Packet:
         self.echo_sent_ts = 0  # sender timestamp echoed back on the ACK
         self.in_port = -1  # ingress port at the node currently holding it
         self.fncc_in_port = -1  # Alg. 1 line 3: ACK input port metadata
-        self.pause_prio = 0  # PFC frames: which priority to pause/resume
         self.hops = 0  # switch hops traversed (sanity/TTL checks)
         self.lb_tag = -1  # ConWeave-lite epoch/path tag (-1 = untagged)
         # On DATA: last packet of a rerouted epoch's old path (tail marker).
@@ -135,7 +130,7 @@ class Packet:
         return 0 if self.int_records is None else len(self.int_records)
 
     def is_control(self) -> bool:
-        """PFC frames bypass data queues and pause state."""
+        """PFC frames bypass the data queue and pause state."""
         return self.kind >= PAUSE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -196,7 +196,6 @@ def run_storm_isolation(
     plan = FaultPlan("nic-storm").pfc_storm(
         "tor_0_0",
         toward="h_0_0_0",
-        prio=0,
         start_ps=us(storm_start_us),
         duration_ps=us(storm_duration_us),
         interval_ps=us(10),

@@ -1,9 +1,11 @@
 """Full-duplex port with an arithmetic egress transmitter.
 
-A :class:`Port` is one end of a wire.  Its egress side owns per-priority
-FIFO queues, the PFC pause state for each priority, RED/ECN marking, and the
-cumulative ``tx_bytes`` counter that INT exposes.  Its ingress side simply
-forwards delivered packets to the owning node.
+A :class:`Port` is one end of a wire.  The fabric carries one lossless
+class (the paper's RoCE setting: every flow on one service level), so the
+egress side owns one FIFO data queue, one PFC pause flag, RED/ECN marking,
+and the cumulative ``tx_bytes`` counter that INT exposes; PFC control frames
+ride a separate queue that jumps pending data at the next frame boundary.
+Its ingress side simply forwards delivered packets to the owning node.
 
 Hot-path design (DESIGN.md §hot-path): instead of the classic
 ``kick → tx-done → deliver`` two-event chain, the transmitter is
@@ -22,7 +24,7 @@ piggybacks on the delivery event.
 Commits are **bounded and lazy** (the pause-storm fix): instead of
 committing the entire backlog at enqueue time, the port commits at most
 ``commit_lookahead`` (K) frames ahead of the serializer; the rest wait in
-their priority queues and are topped up one delivery at a time from
+the data queue and are topped up one delivery at a time from
 :meth:`Port._tx_deliver`.  A PFC XOFF/XON therefore only ever uncommits
 and recommits the O(K) committed window — constant in the backlog — where
 the eager design paid O(backlog) per transition.  The window obeys a
@@ -42,8 +44,8 @@ Store-and-forward timing is unchanged: a frame occupies the transmitter for
 after its serialization finishes.  PFC pause still takes effect at frame
 boundaries, per IEEE 802.1Qbb: the frame being serialized when XOFF arrives
 always completes; frames committed beyond ``now`` are *uncommitted* — they
-leave the in-flight FIFO and return to their priority queues — and the
-survivors are recommitted under the new pause mask.
+leave the in-flight FIFO and return to the head of their queue — and only
+control frames are recommitted while the port is paused.
 
 Queue-length accounting is lazy: committed frames whose serialization has
 not started yet still count as backlog (alongside parked frames the
@@ -77,7 +79,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import ACK, DATA, PAUSE, RESUME, INTRecord, Packet
 
@@ -163,10 +165,6 @@ class PortStats:
         return self._port.max_qlen
 
 
-#: Priority tag for control frames in the commit bookkeeping: PFC frames
-#: never count toward data backlog and outrank every data class.
-CTRL_PRIO = -1
-
 #: Default commit lookahead: how many frames may sit committed-but-not-
 #: started ahead of the serializer.  A PFC transition touches O(K) frames,
 #: so keep it small; the cover floor (see the module docstring) admits
@@ -225,9 +223,7 @@ class Port:
         "rate_gbps",
         "prop_delay_ps",
         "peer",
-        "n_prio",
-        "queues",
-        "qbytes",
+        "queue",
         "ctrl",
         "paused",
         "tx_bytes",
@@ -261,14 +257,11 @@ class Port:
         index: int,
         rate_gbps: float,
         prop_delay_ps: int,
-        n_prio: int = 1,
     ) -> None:
         if rate_gbps <= 0:
             raise ValueError("rate must be positive")
         if prop_delay_ps < 0:
             raise ValueError("propagation delay must be non-negative")
-        if n_prio < 1:
-            raise ValueError("need at least one priority")
         self.sim = sim
         self.node = node
         self.index = index
@@ -279,11 +272,9 @@ class Port:
         self.rate_gbps = rate_gbps
         self.prop_delay_ps = prop_delay_ps
         self.peer: Optional["Port"] = None
-        self.n_prio = n_prio
-        self.queues: List[deque] = [deque() for _ in range(n_prio)]
-        self.qbytes: List[int] = [0] * n_prio
-        self.ctrl: deque = deque()  # PFC frames bypass data queues
-        self.paused: List[bool] = [False] * n_prio
+        self.queue: deque = deque()  # parked data frames
+        self.ctrl: deque = deque()  # PFC frames bypass the data queue
+        self.paused = False  # PFC XOFF received and not yet XON'd
         self.tx_bytes = 0  # cumulative, exposed via INT
         self.tx_packets = 0
         self.rx_packets = 0
@@ -314,22 +305,23 @@ class Port:
         self._rt_cache: dict = {}
         # PFC-watchdog storm action (net/switch.py PfcWatchdog): when a
         # stuck-XOFF storm is isolated on this egress port, the watchdog
-        # installs a ``wd_drop(pkt) -> bool`` handler here; enqueue hands
-        # every data frame to it first and drops on True.  None (one load
-        # + branch) on healthy ports.  Control frames are exempt — the
+        # installs a ``wd_drop(pkt)`` handler here; enqueue hands every
+        # data frame to it instead of queueing it.  None (one load +
+        # branch) on healthy ports.  Control frames are exempt — the
         # check sits after the control branch so the victim's own
         # PAUSE/RESUME ledger stays balanced.
         self.wd_drop = None
         # Committed frames, in service order: (arrival_ps, pkt).  The single
         # delivery event (_del_ev) is armed for the head entry.
         self._inflight: deque = deque()
-        # Backlog bookkeeping for committed frames: (start_ps, size, prio,
-        # pkt).  Entries with start <= now are lazily retired by _prune; the
-        # start > now suffix mirrors the tail of _inflight (the frames a PFC
-        # XOFF may still uncommit) and is bounded by the commit window.
+        # Backlog bookkeeping for committed frames: (start_ps, size, pkt),
+        # size 0 for control frames.  Entries with start <= now are lazily
+        # retired by _prune; the start > now suffix mirrors the tail of
+        # _inflight (the frames a PFC XOFF may still uncommit) and is
+        # bounded by the commit window.
         self._acct: deque = deque()
-        self._queued_bytes = 0  # waiting bytes across queues + pending commits
-        self._uncommitted = 0  # frames parked in queues/ctrl (window, pause, re-seq)
+        self._queued_bytes = 0  # waiting bytes: parked + pending commits
+        self._uncommitted = 0  # frames parked in queue/ctrl (window, pause, re-seq)
         self._del_ev = None
         # Skip the per-frame on_departure call entirely for nodes that keep
         # the base no-op hook (hosts, test sinks); bound once at wiring.
@@ -350,9 +342,6 @@ class Port:
     def _prune(self, now: int) -> None:
         """Retire accounting entries whose serialization has started."""
         acct = self._acct
-        if not acct:
-            return
-        qb = self.qbytes
         while acct:
             e = acct[0]
             if e[0] > now:
@@ -360,7 +349,6 @@ class Port:
             acct.popleft()
             size = e[1]
             if size:
-                qb[e[2]] -= size
                 self._queued_bytes -= size
 
     @property
@@ -392,14 +380,13 @@ class Port:
             self._commit(now)
             return
         h = self.wd_drop
-        if h is not None and h(pkt):
+        if h is not None:
+            h(pkt)
             return
-        prio = pkt.priority
         size = pkt.size
         if (
             self._uncommitted == 0
-            and not self.paused[prio]
-            and (not acct or prio >= acct[-1][2])
+            and not self.paused
             # Window rule: the pending window has a free slot, or the
             # serializer is not yet covered through the next delivery
             # (len(acct) >= K > 0 implies _inflight is non-empty).
@@ -409,10 +396,9 @@ class Port:
             )
         ):
             # Fast path (idle *and* shallow backlogged ports): nothing is
-            # parked in the queues, the new frame's class is transmittable,
-            # strict priority puts it behind every pending commit, and the
-            # commit window has room — so commit it at the wire tail
-            # without a deque round-trip.
+            # parked, the port is not paused, and the commit window has
+            # room — so commit the frame at the wire tail without a deque
+            # round-trip.
             qt = self._queued_bytes
             ecn = self.ecn
             if qt and ecn is not None and kind == DATA and not pkt.ecn:
@@ -432,8 +418,7 @@ class Port:
             inflight.append((nf + self.prop_delay_ps, pkt))
             self.next_free_ps = nf
             if start > now:
-                acct.append((start, size, prio, pkt))
-                self.qbytes[prio] += size
+                acct.append((start, size, pkt))
                 qt = self._queued_bytes = qt + size
                 if qt > self.max_qlen:
                     self.max_qlen = qt
@@ -448,18 +433,11 @@ class Port:
             if p > 0.0 and (p >= 1.0 or self.ecn_rng.random() < p):
                 pkt.ecn = True
                 self.stats.ecn_marked += 1
-        self.queues[prio].append(pkt)
+        self.queue.append(pkt)
         self._uncommitted += 1
-        self.qbytes[prio] += size
         qt = self._queued_bytes = self._queued_bytes + size
         if qt > self.max_qlen:
             self.max_qlen = qt
-        if acct and prio < acct[-1][2]:
-            # A stricter priority arrived behind softer pending commits:
-            # re-sequence at the frame boundary (touches O(K) entries).
-            self._uncommit_pending(now)
-            self._commit(now)
-            return
         if len(acct) < self.commit_lookahead or not (
             self._inflight and self.next_free_ps >= self._inflight[0][0]
         ):
@@ -485,43 +463,44 @@ class Port:
         base = nf if nf > now else now
         self.next_free_ps = base + round(nbytes * 8000 / self.rate_gbps)
 
-    def pause(self, prio: int) -> None:
-        """PFC XOFF for one priority (in-flight frame completes).
+    def pause(self, prio: int = 0) -> None:
+        """PFC XOFF (the in-flight frame completes).  ``prio`` names the
+        one lossless class and must be 0.
 
         Cost: O(committed window) — the K-frame lookahead plus at most one
         propagation delay's worth of cover frames — independent of how
         deep the queue backlog is.  (The eager engine re-sequenced the
         entire backlog here: O(backlog) per transition, quadratic under
         pause storms.)"""
-        self.paused[prio] = True
+        if prio != 0:
+            raise ValueError(f"one lossless class: prio must be 0, got {prio!r}")
+        self.paused = True
         now = self.sim.now
         if self._acct:
             self._prune(now)
         if self._acct:
-            # Uncommit the bounded window past the frame boundary and
-            # recommit the survivors (control + unpaused priorities) under
-            # the new mask.
+            # Uncommit the bounded window past the frame boundary; only
+            # control frames recommit while paused.
             self._uncommit_pending(now)
             self._commit(now)
 
-    def resume(self, prio: int) -> None:
-        """PFC XON; restart the transmitter if it was starved.
+    def resume(self, prio: int = 0) -> None:
+        """PFC XON; restart the transmitter if it was starved.  ``prio``
+        names the one lossless class and must be 0.
 
-        The empty-queue early return is provably safe: while a class is
-        paused, its frames can wait in exactly one place — its own queue.
-        ``pause(prio)`` uncommits the whole pending window and recommits
-        under the mask, so no paused-class frame survives in ``_acct``,
-        and neither ``_commit`` nor the enqueue fast path ever commits a
-        paused class.  An empty ``queues[prio]`` therefore means this XON
-        changes the transmittable set not at all; frames of *other*
-        classes are either committed (delivery event armed), parked
-        behind a full window (the armed delivery tops them up), or parked
-        because their own class is paused (their own XON re-commits
-        them).  No interleaving strands the transmitter — pinned by
-        tests/net/test_port_pipeline.py and tests/property/
-        test_pause_storm.py."""
-        self.paused[prio] = False
-        if not self.queues[prio]:
+        The empty-queue early return is provably safe: while the port is
+        paused, data frames can wait in exactly one place — the queue.
+        ``pause`` uncommits the whole pending window, and neither
+        ``_commit`` nor the enqueue fast path commits data while paused,
+        so no data frame survives in ``_acct``; control frames never park
+        across events.  An empty ``queue`` therefore means there is
+        nothing for this XON to restart.  No interleaving strands the
+        transmitter — pinned by tests/net/test_port_pipeline.py and
+        tests/property/test_pause_storm.py."""
+        if prio != 0:
+            raise ValueError(f"one lossless class: prio must be 0, got {prio!r}")
+        self.paused = False
+        if not self.queue:
             return
         now = self.sim.now
         if self._acct:
@@ -530,14 +509,14 @@ class Port:
         self._commit(now)
 
     def _uncommit_pending(self, now: int) -> None:
-        """Return every committed-but-not-started frame to its queue,
-        preserving order.  Caller must have pruned first, so the whole
-        ``_acct`` deque is the pending set — which also mirrors the tail of
-        ``_inflight``.  A frame in service or on the wire sits ahead of it
-        in ``_inflight`` and is untouched, so the armed delivery event
-        stays valid; when there is none (every committed frame was still
-        waiting behind ``bg_drain`` bytes) the delivery is disarmed with
-        its frame.  The pending set is bounded by the commit window, so
+        """Return every committed-but-not-started frame to the head of its
+        queue (``ctrl`` or ``queue``), preserving order.  Caller must have
+        pruned first, so the whole ``_acct`` deque is the pending set —
+        which also mirrors the tail of ``_inflight``.  A frame in service
+        or on the wire sits ahead of it in ``_inflight`` and is untouched,
+        so the armed delivery event stays valid; when there is none (every
+        committed frame was still waiting behind ``bg_drain`` bytes) the
+        delivery is disarmed with its frame.  The pending set is bounded by the commit window, so
         this is O(K), not O(backlog)."""
         acct = self._acct
         if not acct:
@@ -547,17 +526,17 @@ class Port:
         self.next_free_ps = acct[0][0]
         inflight = self._inflight
         ctrl = self.ctrl
-        queues = self.queues
+        queue = self.queue
         while acct:
-            start, size, prio, pkt = acct.pop()
+            pkt = acct.pop()[2]
             inflight.pop()  # same frame, tail position mirrors _acct
             self._uncommitted += 1
-            if prio == CTRL_PRIO:
+            if pkt.kind >= PAUSE:
                 ctrl.appendleft(pkt)
             else:
-                queues[prio].appendleft(pkt)
+                queue.appendleft(pkt)
         if not inflight and self._del_ev is not None:
-            # The armed delivery's own frame went back to its queue (only
+            # The armed delivery's own frame went back to a queue (only
             # after a bg_drain: real frames leave one in service ahead of
             # the pending set).  Disarm, so _commit re-arms for whatever
             # becomes the head instead of firing on an empty deque.
@@ -609,7 +588,7 @@ class Port:
             nf = start + ser
             inflight.append((nf + prop, pkt))
             if start > now:
-                acct.append((start, 0, CTRL_PRIO, pkt))
+                acct.append((start, 0, pkt))
         k = self.commit_lookahead
         if self._peer_sw and k < TRAIN_MAX and self.stats.pause_received == 0:
             # Train formation: on a pause-free, train-eligible port (the
@@ -625,12 +604,8 @@ class Port:
         # The cover target is the armed delivery's arrival: fixed for the
         # whole call (commits append at the FIFO tail, never the head).
         cover = inflight[0][0] if inflight else None
-        paused = self.paused
-        prio = -1
-        for q in self.queues:
-            prio += 1
-            if paused[prio]:
-                continue
+        if not self.paused:
+            q = self.queue
             while q:
                 if cover is not None and nf >= cover and len(acct) >= k:
                     # Window full and the serializer covered through the
@@ -649,12 +624,9 @@ class Port:
                 if cover is None:
                     cover = arrival
                 if start > now:
-                    acct.append((start, size, prio, pkt))
+                    acct.append((start, size, pkt))
                 else:  # started immediately: no longer backlog
-                    self.qbytes[prio] -= size
                     self._queued_bytes -= size
-            if q:
-                break  # parked: every softer class waits behind this one
         self.next_free_ps = nf
         if self._del_ev is None and inflight:
             self._del_ev = self.sim.schedule_at(
@@ -723,12 +695,11 @@ class Port:
             A.buffer_used -= size
             if A._pfc_on and kind < PAUSE:
                 in_a = pkt.in_port
-                prio = pkt.priority
-                counters = A._pfc_bytes[in_a]
-                counters[prio] -= size
-                if counters[prio] <= A._xon and A._pfc_paused_up[in_a][prio]:
-                    A._pfc_paused_up[in_a][prio] = False
-                    A._send_pfc(in_a, prio, RESUME)
+                pfc = A._pfc_bytes
+                n = pfc[in_a] = pfc[in_a] - size
+                if n <= A._xon and A._pfc_paused_up[in_a]:
+                    A._pfc_paused_up[in_a] = False
+                    A._send_pfc(in_a, RESUME)
         else:
             hook = self._departure_hook
             if hook is not None:  # non-switch custom hook: honor it
@@ -819,23 +790,20 @@ class Port:
             else:
                 B.buffer_used += size
                 if B._pfc_on:
-                    prio = pkt.priority
-                    counters = B._pfc_bytes[in_p]
-                    counters[prio] += size
-                    if counters[prio] >= B._xoff and not B._pfc_paused_up[in_p][prio]:
-                        B._pfc_paused_up[in_p][prio] = True
-                        B._send_pfc(in_p, prio, PAUSE)
+                    pfc = B._pfc_bytes
+                    n = pfc[in_p] = pfc[in_p] + size
+                    if n >= B._xoff and not B._pfc_paused_up[in_p]:
+                        B._pfc_paused_up[in_p] = True
+                        B._send_pfc(in_p, PAUSE)
                 # Port.enqueue (data branches), inlined.
                 eg = B.ports[out]
                 now = sim.now
                 acct_e = eg._acct
                 if acct_e and acct_e[0][0] <= now:
                     eg._prune(now)
-                prio = pkt.priority
                 if (
                     eg._uncommitted == 0
-                    and not eg.paused[prio]
-                    and (not acct_e or prio >= acct_e[-1][2])
+                    and not eg.paused
                     and (
                         len(acct_e) < eg.commit_lookahead
                         or eg.next_free_ps < eg._inflight[0][0]
@@ -859,8 +827,7 @@ class Port:
                     inflight_e.append((nf + eg.prop_delay_ps, pkt))
                     eg.next_free_ps = nf
                     if start > now:
-                        acct_e.append((start, size, prio, pkt))
-                        eg.qbytes[prio] += size
+                        acct_e.append((start, size, pkt))
                         qt = eg._queued_bytes = qt + size
                         if qt > eg.max_qlen:
                             eg.max_qlen = qt
@@ -875,16 +842,12 @@ class Port:
                         if p > 0.0 and (p >= 1.0 or eg.ecn_rng.random() < p):
                             pkt.ecn = True
                             eg.stats.ecn_marked += 1
-                    eg.queues[prio].append(pkt)
+                    eg.queue.append(pkt)
                     eg._uncommitted += 1
-                    eg.qbytes[prio] += size
                     qt = eg._queued_bytes = eg._queued_bytes + size
                     if qt > eg.max_qlen:
                         eg.max_qlen = qt
-                    if acct_e and prio < acct_e[-1][2]:
-                        eg._uncommit_pending(now)
-                        eg._commit(now)
-                    elif len(acct_e) < eg.commit_lookahead or not (
+                    if len(acct_e) < eg.commit_lookahead or not (
                         eg._inflight and eg.next_free_ps >= eg._inflight[0][0]
                     ):
                         eg._commit(now)
@@ -893,7 +856,7 @@ class Port:
             peer.node.receive(pkt, in_p)
         if self._uncommitted:
             # Bounded lazy commit: a delivery slot freed, so top the
-            # committed window back up from the parked queues.  _commit
+            # committed window back up from the parked frames.  _commit
             # never schedules here (_del_ev is this very event); the
             # re-arm below picks up whatever became the FIFO head.  The
             # hook/receive calls above cannot re-enter this port: PFC and
@@ -935,19 +898,11 @@ class Port:
 
 
 def connect(
-    sim: "Simulator",
-    a: "Node",
-    b: "Node",
-    rate_gbps: float,
-    prop_delay_ps: int,
-    n_prio: Optional[int] = None,
+    sim: "Simulator", a: "Node", b: "Node", rate_gbps: float, prop_delay_ps: int
 ) -> tuple:
-    """Wire two nodes with a full-duplex link; returns ``(port_a, port_b)``.
-
-    ``n_prio=None`` lets each node pick its own default (plain nodes use 1,
-    switches use their config's ``n_prio``)."""
-    pa = a.new_port(rate_gbps, prop_delay_ps, n_prio=n_prio)
-    pb = b.new_port(rate_gbps, prop_delay_ps, n_prio=n_prio)
+    """Wire two nodes with a full-duplex link; returns ``(port_a, port_b)``."""
+    pa = a.new_port(rate_gbps, prop_delay_ps)
+    pb = b.new_port(rate_gbps, prop_delay_ps)
     pa.peer = pb
     pb.peer = pa
     return pa, pb

@@ -9,9 +9,11 @@ This is the Congestion Point of the paper.  Three INT modes:
   egress insert the All_INT_Table entry for that port, i.e. the telemetry of
   the *request-direction* egress queue sharing the link the ACK arrived on.
 
-PFC follows 802.1Qbb: per-(ingress-port, priority) byte accounting against
-XOFF/XON thresholds; PAUSE/RESUME frames are control frames that bypass the
-data queues and pause state.
+PFC follows 802.1Qbb for the fabric's one lossless class (the paper runs
+every flow on one service level and counts that class's pause frames):
+per-ingress-port byte accounting against XOFF/XON thresholds, one
+paused-upstream flag per ingress port; PAUSE/RESUME frames are control
+frames that bypass the data queue and pause state.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class SwitchConfig:
         "int_mode",
         "ecn",
         "int_table_refresh_ps",
-        "n_prio",
     )
 
     def __init__(
@@ -66,7 +67,6 @@ class SwitchConfig:
         int_mode: IntMode = IntMode.NONE,
         ecn: Optional[EcnConfig] = None,
         int_table_refresh_ps: int = 0,
-        n_prio: int = 1,
     ) -> None:
         if buffer_bytes <= 0:
             raise ValueError("buffer must be positive")
@@ -81,7 +81,6 @@ class SwitchConfig:
         self.int_mode = int_mode
         self.ecn = ecn
         self.int_table_refresh_ps = int_table_refresh_ps
-        self.n_prio = n_prio
 
 
 class Switch(Node):
@@ -126,9 +125,10 @@ class Switch(Node):
         self._wd: Optional["PfcWatchdog"] = None
         self.buffer_used = 0
         self.drops = 0
-        # PFC state, keyed [in_port][prio].
-        self._pfc_bytes: List[List[int]] = []
-        self._pfc_paused_up: List[List[bool]] = []
+        # PFC state, indexed by ingress port: admitted bytes, and whether
+        # that port's upstream is currently XOFF'd.
+        self._pfc_bytes: List[int] = []
+        self._pfc_paused_up: List[bool] = []
         # RoCC-style per-egress-port fair-rate controllers (installed by
         # cc.rocc).  Dense list indexed by port — the per-ACK departure hook
         # does a plain index instead of a dict hash.
@@ -138,24 +138,11 @@ class Switch(Node):
         self._ecn_rng = None
 
     # -- wiring ------------------------------------------------------------------
-    def new_port(
-        self, rate_gbps: float, prop_delay_ps: int, n_prio: Optional[int] = None
-    ) -> Port:
-        """Create a port with the switch's configured priority count.
-
-        ``n_prio=None`` (the default) means "use ``config.n_prio``".  An
-        explicit value must match the config: the switch's PFC state arrays
-        are sized by ``config.n_prio``, so a divergent per-port override
-        would silently mis-index pause bookkeeping.
-        """
-        if n_prio is not None and n_prio != self.config.n_prio:
-            raise ValueError(
-                f"{self.name}: port n_prio={n_prio} conflicts with "
-                f"switch config n_prio={self.config.n_prio}"
-            )
-        port = super().new_port(rate_gbps, prop_delay_ps, n_prio=self.config.n_prio)
-        self._pfc_bytes.append([0] * self.config.n_prio)
-        self._pfc_paused_up.append([False] * self.config.n_prio)
+    def new_port(self, rate_gbps: float, prop_delay_ps: int) -> Port:
+        """Create a port and its ingress PFC state."""
+        port = super().new_port(rate_gbps, prop_delay_ps)
+        self._pfc_bytes.append(0)
+        self._pfc_paused_up.append(False)
         self.port_controllers.append(None)
         if self.config.ecn is not None:
             if self._ecn_rng is None:
@@ -193,11 +180,11 @@ class Switch(Node):
             if kind == PAUSE:
                 p.stats.pause_received += 1
                 wd = self._wd
-                if wd is not None and wd.on_pause(in_port, pkt.pause_prio):
+                if wd is not None and wd.on_pause(in_port):
                     return  # storm action: the stuck-XOFF pause is ignored
-                p.pause(pkt.pause_prio)
+                p.pause()
             else:
-                p.resume(pkt.pause_prio)
+                p.resume()
                 p.stats.resume_received += 1
             return
         # Alg. 1 line 3: the ACK's input port is recorded as metadata.  (The
@@ -292,12 +279,11 @@ class Switch(Node):
             return
         self.buffer_used += size
         if self._pfc_on and kind < PAUSE:  # non-control, single compare
-            prio = pkt.priority
-            counters = self._pfc_bytes[in_p]
-            counters[prio] += size
-            if counters[prio] >= self._xoff and not self._pfc_paused_up[in_p][prio]:
-                self._pfc_paused_up[in_p][prio] = True
-                self._send_pfc(in_p, prio, PAUSE)
+            pfc = self._pfc_bytes
+            n = pfc[in_p] = pfc[in_p] + size
+            if n >= self._xoff and not self._pfc_paused_up[in_p]:
+                self._pfc_paused_up[in_p] = True
+                self._send_pfc(in_p, PAUSE)
         self.ports[out_port].enqueue(pkt)
 
     def on_departure(self, pkt: Packet, port: Port) -> None:
@@ -311,12 +297,12 @@ class Switch(Node):
         size = pkt.size
         self.buffer_used -= size
         if self._pfc_on and pkt.kind < PAUSE:  # non-control, single compare
-            in_p, prio = pkt.in_port, pkt.priority
-            counters = self._pfc_bytes[in_p]
-            counters[prio] -= size
-            if counters[prio] <= self._xon and self._pfc_paused_up[in_p][prio]:
-                self._pfc_paused_up[in_p][prio] = False
-                self._send_pfc(in_p, prio, RESUME)
+            in_p = pkt.in_port
+            pfc = self._pfc_bytes
+            n = pfc[in_p] = pfc[in_p] - size
+            if n <= self._xon and self._pfc_paused_up[in_p]:
+                self._pfc_paused_up[in_p] = False
+                self._send_pfc(in_p, RESUME)
 
     # -- All_INT_Table (Fig. 8) --------------------------------------------------
     def _refresh_int_table(self, _now: int) -> None:
@@ -326,9 +312,8 @@ class Switch(Node):
         ]
 
     # -- PFC ------------------------------------------------------------------------
-    def _send_pfc(self, port_idx: int, prio: int, kind: int) -> None:
+    def _send_pfc(self, port_idx: int, kind: int) -> None:
         frame = Packet(kind, size=PAUSE_FRAME_SIZE)
-        frame.pause_prio = prio
         port = self.ports[port_idx]
         if kind == PAUSE:
             port.stats.pause_sent += 1
@@ -380,12 +365,12 @@ class Switch(Node):
         size = pkt.size
         self.buffer_used -= size
         if self._pfc_on and pkt.kind < PAUSE:
-            in_p, prio = pkt.in_port, pkt.priority
-            counters = self._pfc_bytes[in_p]
-            counters[prio] -= size
-            if counters[prio] <= self._xon and self._pfc_paused_up[in_p][prio]:
-                self._pfc_paused_up[in_p][prio] = False
-                self._send_pfc(in_p, prio, RESUME)
+            in_p = pkt.in_port
+            pfc = self._pfc_bytes
+            n = pfc[in_p] = pfc[in_p] - size
+            if n <= self._xon and self._pfc_paused_up[in_p]:
+                self._pfc_paused_up[in_p] = False
+                self._send_pfc(in_p, RESUME)
         self.drops += 1
         self.ports[port_idx].stats.drops += 1
 
@@ -428,12 +413,12 @@ class PfcWatchdogConfig:
 class PfcWatchdog:
     """Per-switch stuck-XOFF detector with SONiC-style storm isolation.
 
-    A periodic poller samples every (egress port, priority) pause flag;
-    a queue paused continuously for ``detect_ps`` is declared stormed:
-    it is force-resumed (so the victim's throughput recovers), subsequent
-    PAUSE refreshes for it are absorbed (``Switch.receive`` asks
+    A periodic poller samples every egress port's pause flag; a port
+    paused continuously for ``detect_ps`` is declared stormed: it is
+    force-resumed (so the victim's throughput recovers), subsequent PAUSE
+    refreshes for it are absorbed (``Switch.receive`` asks
     :meth:`on_pause` first), and under the ``"drop"`` action data frames
-    admitted toward the stormed queue are dropped with full accounting
+    admitted toward the stormed port are dropped with full accounting
     reversal (``Switch._wd_drop_frame``) so they cannot re-wedge the
     shared buffer.  Once PAUSE refreshes stop for ``restore_ps``, the
     storm is restored and ordinary PFC semantics return.
@@ -446,11 +431,10 @@ class PfcWatchdog:
         self.sw = sw
         self.config = config
         self.tracer = tracer
-        #: active storms: (port_idx, prio) -> storm-start timestamp.
+        #: active storms: port_idx -> storm-start timestamp.
         self.storms: dict = {}
-        self._since: dict = {}  # (port_idx, prio) -> first-seen-paused ts
-        self._last_pause: dict = {}  # (port_idx, prio) -> last PAUSE refresh ts
-        self._stormed_prios: dict = {}  # port_idx -> set of stormed prios
+        self._since: dict = {}  # port_idx -> first-seen-paused ts
+        self._last_pause: dict = {}  # port_idx -> last PAUSE refresh ts
         self.storms_detected = 0
         self.storms_restored = 0
         self.pauses_ignored = 0
@@ -474,12 +458,11 @@ class PfcWatchdog:
             self._poller = None
 
     # -- hot hooks (control path only) ---------------------------------------
-    def on_pause(self, port_idx: int, prio: int) -> bool:
+    def on_pause(self, port_idx: int) -> bool:
         """Called by ``Switch.receive`` for every PAUSE.  True = absorb
-        (storm active on this queue); False = apply normally."""
-        key = (port_idx, prio)
-        self._last_pause[key] = self.sw.sim.now
-        if key in self.storms:
+        (storm active on this port); False = apply normally."""
+        self._last_pause[port_idx] = self.sw.sim.now
+        if port_idx in self.storms:
             self.pauses_ignored += 1
             return True
         return False
@@ -495,71 +478,54 @@ class PfcWatchdog:
                     self._storm_off(key, now)
         since = self._since
         for port in sw.ports:
-            paused = port.paused
             idx = port.index
-            for prio in range(len(paused)):
-                key = (idx, prio)
-                if paused[prio]:
-                    t0 = since.get(key)
-                    if t0 is None:
-                        since[key] = now
-                    elif now - t0 >= cfg.detect_ps and key not in self.storms:
-                        self._storm_on(key, now)
-                elif key in since:
-                    del since[key]
+            if port.paused:
+                t0 = since.get(idx)
+                if t0 is None:
+                    since[idx] = now
+                elif now - t0 >= cfg.detect_ps and idx not in self.storms:
+                    self._storm_on(idx, now)
+            elif idx in since:
+                del since[idx]
 
-    def _storm_on(self, key, now: int) -> None:
-        port_idx, prio = key
+    def _storm_on(self, port_idx: int, now: int) -> None:
         sw = self.sw
-        self.storms[key] = now
-        self._since.pop(key, None)
+        self.storms[port_idx] = now
+        self._since.pop(port_idx, None)
         self.storms_detected += 1
         port = sw.ports[port_idx]
-        # Un-wedge the victim queue: force XON.  While the storm lasts,
-        # on_pause absorbs every refresh, so the queue stays runnable.
-        port.resume(prio)
+        # Un-wedge the victim port: force XON.  While the storm lasts,
+        # on_pause absorbs every refresh, so the port stays runnable.
+        port.resume()
         if self.config.action == "drop":
-            stormed = self._stormed_prios.setdefault(port_idx, set())
-            stormed.add(prio)
-            if port.wd_drop is None:
-                port.wd_drop = self._make_drop(port, stormed)
+            port.wd_drop = self._make_drop(port_idx)
         sw._recompute_train_ok()
-        self._emit("pfc_wd_storm_on", port_idx, prio)
+        self._emit("pfc_wd_storm_on", port_idx)
 
-    def _storm_off(self, key, now: int) -> None:
-        port_idx, prio = key
+    def _storm_off(self, port_idx: int, now: int) -> None:
         sw = self.sw
-        del self.storms[key]
+        del self.storms[port_idx]
         self.storms_restored += 1
-        stormed = self._stormed_prios.get(port_idx)
-        if stormed is not None:
-            stormed.discard(prio)
-            if not stormed:
-                sw.ports[port_idx].wd_drop = None
-                del self._stormed_prios[port_idx]
+        sw.ports[port_idx].wd_drop = None
         sw._recompute_train_ok()
-        self._emit("pfc_wd_storm_off", port_idx, prio)
+        self._emit("pfc_wd_storm_off", port_idx)
 
-    def _make_drop(self, port, stormed: set):
+    def _make_drop(self, port_idx: int):
         sw = self.sw
-        port_idx = port.index
 
-        def wd_drop(pkt) -> bool:
-            if pkt.priority in stormed:
-                sw._wd_drop_frame(pkt, port_idx)
-                self.pkts_dropped += 1
-                return True
-            return False
+        def wd_drop(pkt) -> None:
+            sw._wd_drop_frame(pkt, port_idx)
+            self.pkts_dropped += 1
 
         return wd_drop
 
-    def _emit(self, name: str, port_idx: int, prio: int) -> None:
+    def _emit(self, name: str, port_idx: int) -> None:
         if self.tracer is not None:
             self.tracer.emit(
                 "fault",
                 name,
                 self.sw.sim.now,
-                args={"node": self.sw.name, "port": port_idx, "prio": prio},
+                args={"node": self.sw.name, "port": port_idx},
             )
 
     # -- reporting -----------------------------------------------------------
@@ -572,7 +538,7 @@ class PfcWatchdog:
             "storms_restored": self.storms_restored,
             "pauses_ignored": self.pauses_ignored,
             "pkts_dropped": self.pkts_dropped,
-            "active": sorted(list(k) for k in self.storms),
+            "active": sorted(self.storms),
         }
 
     def collect(self):

@@ -189,13 +189,8 @@ class FlightRecorder:
                     "pause_sent": s.pause_sent,
                     "resume_sent": s.resume_sent,
                     "max_qlen": s.max_qlen,
+                    "paused": port.paused,
                 }
-                paused = getattr(port, "paused_prios", None)
-                if callable(paused):
-                    try:
-                        row["paused"] = paused()
-                    except Exception:
-                        pass
                 rows.append(row)
         # Busiest first (backlog, then drops/pauses), bounded.
         rows.sort(
@@ -214,7 +209,7 @@ class FlightRecorder:
                         "flow": flow_id,
                         "host": host.name,
                         "size": getattr(getattr(qp, "flow", None), "size_bytes", None),
-                        "acked": getattr(qp, "acked_bytes", None),
+                        "acked": getattr(qp, "snd_una", None),
                         "rate_gbps": round(getattr(qp, "rate_gbps", 0.0), 3),
                     }
                 )

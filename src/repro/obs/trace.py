@@ -165,14 +165,14 @@ class EventTracer:
         sim = sw.sim
         emit = self.emit
 
-        def _send_pfc(port_idx: int, prio: int, kind: int, _orig=orig) -> None:
+        def _send_pfc(port_idx: int, kind: int, _orig=orig) -> None:
             emit(
                 "pfc",
                 "pause" if kind == PAUSE else "resume",
                 sim.now,
-                args={"node": sw.name, "port": port_idx, "prio": prio},
+                args={"node": sw.name, "port": port_idx},
             )
-            _orig(port_idx, prio, kind)
+            _orig(port_idx, kind)
 
         sw._send_pfc = _send_pfc
 

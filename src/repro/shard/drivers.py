@@ -5,7 +5,8 @@ The drivers own the three steps the runtime deliberately does not:
 1. **Plan** — derive the partition (dumbbell chain split / fat-tree pod
    split) from a throwaway topology; only the plain ownership map
    travels further.  The process-backed group starts its workers first
-   and plans while they import.
+   and plans while they start (a forked worker starts with the
+   coordinator's imports; only a spawned one imports while it waits).
 2. **Run** — spin up :class:`InProcessShards` or :class:`ProcessShards`
    over the matching builder and drive :func:`run_sharded`.
 3. **Merge** — fold the per-shard plain-data payloads into one result

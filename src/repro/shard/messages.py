@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 from repro.net.packet import INTRecord, Packet
 
 #: Message schema version — bump when the field tuple changes shape.
-FRAME_SCHEMA = 1
+FRAME_SCHEMA = 2
 
 
 def encode_frame(pkt: Packet) -> tuple:
@@ -45,7 +45,6 @@ def encode_frame(pkt: Packet) -> tuple:
         pkt.seq,
         pkt.size,
         pkt.payload,
-        pkt.priority,
         pkt.ecn,
         pkt.ecn_echo,
         None
@@ -57,7 +56,6 @@ def encode_frame(pkt: Packet) -> tuple:
         pkt.sent_ts,
         pkt.echo_sent_ts,
         pkt.fncc_in_port,
-        pkt.pause_prio,
         pkt.hops,
         pkt.lb_tag,
         pkt.lb_tail,
@@ -74,23 +72,21 @@ def decode_frame(data: tuple) -> Packet:
         seq=data[4],
         size=data[5],
         payload=data[6],
-        priority=data[7],
     )
-    pkt.ecn = data[8]
-    pkt.ecn_echo = data[9]
-    recs: Optional[Tuple[tuple, ...]] = data[10]
+    pkt.ecn = data[7]
+    pkt.ecn_echo = data[8]
+    recs: Optional[Tuple[tuple, ...]] = data[9]
     if recs is not None:
         pkt.int_records = [INTRecord(r[0], r[1], r[2], r[3]) for r in recs]
-    pkt.n_flows = data[11]
-    pkt.rocc_rate_gbps = data[12]
-    pkt.last = data[13]
-    pkt.sent_ts = data[14]
-    pkt.echo_sent_ts = data[15]
-    pkt.fncc_in_port = data[16]
-    pkt.pause_prio = data[17]
-    pkt.hops = data[18]
-    pkt.lb_tag = data[19]
-    pkt.lb_tail = data[20]
+    pkt.n_flows = data[10]
+    pkt.rocc_rate_gbps = data[11]
+    pkt.last = data[12]
+    pkt.sent_ts = data[13]
+    pkt.echo_sent_ts = data[14]
+    pkt.fncc_in_port = data[15]
+    pkt.hops = data[16]
+    pkt.lb_tag = data[17]
+    pkt.lb_tail = data[18]
     return pkt
 
 

@@ -13,7 +13,7 @@ class Flow:
     Observation 3).
     """
 
-    __slots__ = ("flow_id", "src", "dst", "size_bytes", "start_ps", "priority")
+    __slots__ = ("flow_id", "src", "dst", "size_bytes", "start_ps")
 
     def __init__(
         self,
@@ -22,7 +22,6 @@ class Flow:
         dst: int,
         size_bytes: int,
         start_ps: int = 0,
-        priority: int = 0,
     ) -> None:
         if size_bytes <= 0:
             raise ValueError(f"flow size must be positive, got {size_bytes}")
@@ -33,7 +32,6 @@ class Flow:
         self.dst = dst
         self.size_bytes = size_bytes
         self.start_ps = start_ps
-        self.priority = priority
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -260,18 +260,9 @@ class ReceiverQP:
         if not force:
             self._unacked_pkts = 0
         flow = self.flow
-        # Positional (kind, flow_id, src, dst, seq, size, payload,
-        # priority); src/dst reversed — the ACK travels back to the sender.
-        ack = Packet(
-            ACK,
-            flow.flow_id,
-            flow.dst,
-            flow.src,
-            self.rcv_nxt,
-            ACK_SIZE,
-            0,
-            flow.priority,
-        )
+        # Positional (kind, flow_id, src, dst, seq, size, payload);
+        # src/dst reversed — the ACK travels back to the sender.
+        ack = Packet(ACK, flow.flow_id, flow.dst, flow.src, self.rcv_nxt, ACK_SIZE, 0)
         ack.last = self.completed
         if nack:
             ack.lb_tail = True  # ACK-side meaning: NACK (see packet.py)
@@ -304,6 +295,5 @@ class ReceiverQP:
             src=self.flow.dst,
             dst=self.flow.src,
             size=CNP_SIZE,
-            priority=self.flow.priority,
         )
         self.host.transmit(cnp)

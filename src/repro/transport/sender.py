@@ -283,17 +283,10 @@ class SenderQP:
             max_payload = self._max_payload
             payload = max_payload if remaining > max_payload else remaining
             size = payload + self._header_bytes
-            # Positional (kind, flow_id, src, dst, seq, size, payload,
-            # priority): keyword passing costs real time at this call rate.
+            # Positional (kind, flow_id, src, dst, seq, size, payload):
+            # keyword passing costs real time at this call rate.
             pkt = Packet(
-                DATA,
-                flow.flow_id,
-                flow.src,
-                flow.dst,
-                snd_nxt,
-                size,
-                payload,
-                flow.priority,
+                DATA, flow.flow_id, flow.src, flow.dst, snd_nxt, size, payload
             )
             pkt.sent_ts = now
             pkt.last = payload >= remaining

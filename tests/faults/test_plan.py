@@ -17,7 +17,7 @@ def build_reference_plan():
         .switch_fail("s1", at_ps=us(30))
         .gray_loss("a", "b", start_ps=us(1), end_ps=us(9), prob=0.05)
         .pfc_storm(
-            "s1", toward="h0", prio=0, start_ps=us(2), duration_ps=us(8),
+            "s1", toward="h0", start_ps=us(2), duration_ps=us(8),
             interval_ps=us(1),
         )
     )

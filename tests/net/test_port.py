@@ -25,8 +25,8 @@ def wire(sim, rate=100.0, delay=1000):
     return a, b, pa, pb
 
 
-def data(size=1518, prio=0, flow=0):
-    return Packet(DATA, flow_id=flow, src=0, dst=1, size=size, payload=size - 48, priority=prio)
+def data(size=1518, flow=0):
+    return Packet(DATA, flow_id=flow, src=0, dst=1, size=size, payload=size - 48)
 
 
 class TestTiming:

@@ -1,5 +1,5 @@
 """Regression tests for the arithmetic single-event link pipeline and the
-Switch.new_port n_prio contract."""
+one-lossless-class port and switch API."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.net.node import Node
 from repro.net.packet import DATA, PAUSE, Packet
 from repro.net.port import connect
 from repro.net.switch import Switch, SwitchConfig
+from repro.transport.flow import Flow
 from repro.units import serialization_ps
 
 
@@ -25,39 +26,51 @@ def wire(sim, rate=100.0, delay=0):
     return a, b, pa, pb
 
 
-def data(size=1518, prio=0, flow=0):
-    return Packet(DATA, flow_id=flow, src=0, dst=1, size=size, payload=size - 48, priority=prio)
+def data(size=1518, flow=0):
+    return Packet(DATA, flow_id=flow, src=0, dst=1, size=size, payload=size - 48)
 
 
-class TestSwitchNewPortPrio:
-    """Satellite fix: new_port used to silently ignore its n_prio arg."""
+class TestOneLosslessClass:
+    """The fabric has one lossless class: no setting names another one,
+    and the PFC entry points reject any class but 0."""
 
-    def test_default_uses_config_n_prio(self, sim):
-        sw = Switch(sim, "sw", SwitchConfig(n_prio=4))
-        port = sw.new_port(100.0, 0)
-        assert port.n_prio == 4
+    def test_switch_config_rejects_n_prio(self):
+        with pytest.raises(TypeError):
+            SwitchConfig(n_prio=2)
 
-    def test_matching_override_accepted(self, sim):
-        sw = Switch(sim, "sw", SwitchConfig(n_prio=4))
-        port = sw.new_port(100.0, 0, n_prio=4)
-        assert port.n_prio == 4
-
-    def test_conflicting_override_raises(self, sim):
-        sw = Switch(sim, "sw", SwitchConfig(n_prio=4))
-        with pytest.raises(ValueError, match="n_prio"):
+    def test_switch_new_port_rejects_n_prio(self, sim):
+        sw = Switch(sim, "sw", SwitchConfig())
+        with pytest.raises(TypeError):
             sw.new_port(100.0, 0, n_prio=2)
 
-    def test_connect_mismatch_detected(self, sim):
-        """connect(n_prio=...) against a switch with a different config no
-        longer silently builds mismatched PFC state."""
-        sw = Switch(sim, "sw", SwitchConfig(n_prio=2))
-        other = Sink(sim)
-        with pytest.raises(ValueError):
-            connect(sim, other, sw, 100.0, 0, n_prio=3)
+    def test_connect_rejects_n_prio(self, sim):
+        sw = Switch(sim, "sw", SwitchConfig())
+        with pytest.raises(TypeError):
+            connect(sim, Sink(sim), sw, 100.0, 0, n_prio=2)
 
-    def test_plain_node_default_is_one(self, sim):
-        n = Sink(sim)
-        assert n.new_port(100.0, 0).n_prio == 1
+    def test_node_new_port_rejects_n_prio(self, sim):
+        with pytest.raises(TypeError):
+            Sink(sim).new_port(100.0, 0, n_prio=1)
+
+    def test_flow_and_packet_reject_priority(self):
+        with pytest.raises(TypeError):
+            Flow(0, 0, 1, 1000, priority=1)
+        with pytest.raises(TypeError):
+            Packet(DATA, priority=1)
+
+    def test_pause_and_resume_reject_another_class(self, sim):
+        a, b, pa, pb = wire(sim)
+        pa.enqueue(data())
+        with pytest.raises(ValueError):
+            pa.pause(1)
+        with pytest.raises(ValueError):
+            pa.resume(1)
+        assert pa.paused is False
+        pa.pause(0)
+        assert pa.paused is True
+        pa.resume()
+        sim.run()
+        assert len(b.arrivals) == 1
 
 
 class TestSingleEventPipeline:
@@ -157,7 +170,7 @@ class TestBoundedCommitWindow:
         # XOFF re-sequenced only the committed window: everything except
         # the in-service head is parked, nothing pending on the wire.
         assert len(pa._acct) == 0
-        assert len(pa.queues[0]) == 499
+        assert len(pa.queue) == 499
         pa.resume(0)
         # XON re-committed only the window, not the whole backlog.
         assert len(pa._acct) <= pa.commit_lookahead
@@ -183,7 +196,7 @@ class TestBoundedCommitWindow:
             a, b, pa, pb = wire(sim, delay=1000)
             pa.commit_lookahead = k
             for i in range(30):
-                pa.enqueue(data(flow=i, prio=0))
+                pa.enqueue(data(flow=i))
             pa.pause(0)
             sim.run(until=5 * serialization_ps(1518, 100.0))
             pa.resume(0)
@@ -194,53 +207,49 @@ class TestBoundedCommitWindow:
 
 
 class TestResumeGuard:
-    """Satellite audit: resume() early-returns on an empty queue.  Safe
-    because a paused class's frames can only wait in its own queue — these
-    regressions pin the interleavings that would strand the transmitter
-    if the guard were wrong."""
+    """resume() early-returns on an empty queue.  Safe because a paused
+    port's data frames can only wait in its queue — these regressions pin
+    the interleavings that would strand the transmitter if the guard were
+    wrong."""
 
-    def wire2(self, sim, delay=0):
-        a, b = Sink(sim, "a"), Sink(sim, "b")
-        pa, pb = connect(sim, a, b, 100.0, delay, n_prio=2)
-        return a, b, pa, pb
-
-    def test_resume_with_other_priority_backlog_paused(self, sim):
-        # Both classes paused, backlog only on prio 1.  XON for empty
-        # prio 0 takes the early return with the transmitter fully idle;
-        # prio 1's own XON must still restart it.
-        a, b, pa, pb = self.wire2(sim)
-        pa.pause(0)
-        pa.pause(1)
+    def test_resume_restarts_an_idle_paused_transmitter(self, sim):
+        # Paused with the wire idle, backlog parked: the XON must restart
+        # the transmitter from nothing.
+        a, b, pa, pb = wire(sim)
+        pa.pause()
         for i in range(5):
-            pa.enqueue(data(flow=i, prio=1))
-        pa.resume(0)  # empty queue: early return
+            pa.enqueue(data(flow=i))
         sim.run(until=1_000_000)
         assert b.arrivals == []  # correctly still paused
-        pa.resume(1)
+        pa.resume()
         sim.run()
         assert [p.flow_id for _, p in b.arrivals] == [0, 1, 2, 3, 4]
 
-    def test_resume_with_other_priority_parked_behind_window(self, sim):
-        # Unpaused prio-0 backlog parked behind a full commit window; a
-        # spurious XON for empty prio 1 early-returns.  The armed delivery
-        # event must keep topping the window up — nothing may strand.
-        a, b, pa, pb = self.wire2(sim)
+    def test_spurious_resume_with_backlog_parked_behind_window(self, sim):
+        # Backlog parked behind a full commit window on a port that was
+        # never paused; a spurious XON re-sequences the window, and the
+        # armed delivery event must keep topping it up — nothing strands.
+        ser = serialization_ps(1518, 100.0)
+        a, b, pa, pb = wire(sim)
         for i in range(50):
-            pa.enqueue(data(flow=i, prio=0))
+            pa.enqueue(data(flow=i))
         assert pa._uncommitted > 0  # backlog parked beyond the window
-        pa.resume(1)  # empty queue: early return, commits nothing
+        pa.resume()
         sim.run()
-        assert len(b.arrivals) == 50
+        assert [t for t, _ in b.arrivals] == [(i + 1) * ser for i in range(50)]
 
     def test_pause_resume_cycle_on_empty_queue_keeps_schedule(self, sim):
+        # One frame straight into service: XOFF finds nothing pending, so
+        # the queue stays empty and the XON takes the early return.
         ser = serialization_ps(1518, 100.0)
-        a, b, pa, pb = self.wire2(sim)
-        for i in range(4):
-            pa.enqueue(data(flow=i, prio=0))
-        pa.pause(1)
-        pa.resume(1)  # no prio-1 frames anywhere: pure no-op
+        a, b, pa, pb = wire(sim)
+        pa.enqueue(data())
+        pa.pause()
+        assert not pa.queue
+        pa.resume()  # empty queue: early return, commits nothing
+        pa.enqueue(data(flow=1))
         sim.run()
-        assert [t for t, _ in b.arrivals] == [(i + 1) * ser for i in range(4)]
+        assert [t for t, _ in b.arrivals] == [ser, 2 * ser]
 
 
 class TestUncommitBehindBackgroundDrain:

@@ -122,7 +122,6 @@ class TestPfc:
     def test_pause_received_pauses_that_port(self, sim):
         a, sw, b = self.make(sim)
         frame = Packet(PAUSE, size=64)
-        frame.pause_prio = 0
         b.ports[0].enqueue(frame)  # b pauses the switch's egress toward b
         sim.run()
         a.ports[0].enqueue(data())

@@ -66,6 +66,29 @@ class TestGuardDump:
         assert doc["trace_counts"]["flow"] > 0
         assert doc["registry"]["counters"]["engine.events_dispatched"] > 0
 
+    def test_dump_records_pause_state_and_acked_bytes(self, sim, tmp_path):
+        """The state that explains a wedged run: which ports sit XOFF'd and
+        how far each unfinished flow got."""
+        topo = loaded_dumbbell(sim)
+        path = tmp_path / "fr.json"
+        flight = FlightRecorder(path=str(path))
+        with pytest.raises(RuntimeError):
+            with flight.guard(sim=sim, topo=topo):
+                sim.run(until=us(30))
+                topo.switches[0].ports[0].pause(0)
+                raise RuntimeError("wedged")
+        doc = json.loads(path.read_text())
+        paused = {(r["node"], r["port"]): r["paused"] for r in doc["ports"]}
+        assert paused.pop((topo.switches[0].name, 0)) is True
+        assert paused and set(paused.values()) == {False}
+        senders = {
+            fid: qp for h in topo.hosts for fid, qp in h.senders.items()
+        }
+        assert doc["flows"]
+        for row in doc["flows"]:
+            assert row["acked"] == senders[row["flow"]].snd_una
+        assert any(0 < row["acked"] < row["size"] for row in doc["flows"])
+
     def test_sweep_error_carries_worker_traceback(self, sim, tmp_path):
         path = tmp_path / "fr.json"
         flight = FlightRecorder(path=str(path))

@@ -3,9 +3,9 @@
 A brute-force reference transmitter (the classic eager
 ``kick → tx-done → deliver`` engine, one event per stage, zero laziness)
 is driven through the same random pause/resume/enqueue scripts as the real
-:class:`repro.net.port.Port`.  Deliveries (times and order), per-priority
-``qbytes``, ``qbytes_total`` probes, and the ``max_qlen`` watermark must
-never diverge — for any commit lookahead K.
+:class:`repro.net.port.Port`.  Deliveries (times and order),
+``qbytes_total`` probes, and the ``max_qlen`` watermark must never diverge
+— for any commit lookahead K.
 
 Tie-breaking note: the real port is arithmetic, so a frame whose start
 equals ``now`` counts as in service no matter when within the timestamp an
@@ -39,21 +39,20 @@ class Sink(Node):
 class RefPort:
     """Brute-force reference transmitter.
 
-    Mirrors the Port contract: strict priority (control first, then
-    ascending class index), PFC at frame boundaries (the in-service frame
+    Mirrors the Port contract: control frames first, then the one data
+    class in FIFO order, PFC at frame boundaries (the in-service frame
     always completes), backlog accounting that counts waiting frames only,
     and a watermark that sees every frame that parked even for an instant
     but not one that went straight into service on an idle wire.
     """
 
-    def __init__(self, sim, rate_gbps, prop_delay_ps, n_prio):
+    def __init__(self, sim, rate_gbps, prop_delay_ps):
         self.sim = sim
         self.rate = rate_gbps
         self.prop = prop_delay_ps
-        self.queues = [deque() for _ in range(n_prio)]
+        self.queue = deque()
         self.ctrl = deque()
-        self.paused = [False] * n_prio
-        self.qbytes = [0] * n_prio
+        self.paused = False
         self.queued = 0
         self.max_qlen = 0
         self.busy = False
@@ -66,25 +65,23 @@ class RefPort:
             self.waiting += 1
             self._kick()
             return
-        prio = pkt.priority
-        if not self.busy and self.waiting == 0 and not self.paused[prio]:
+        if not self.busy and self.waiting == 0 and not self.paused:
             # Straight into service on an idle wire: never backlog (the
             # watermark deviation documented in DESIGN.md §2.1).
             self._start(pkt)
             return
-        self.queues[prio].append(pkt)
+        self.queue.append(pkt)
         self.waiting += 1
-        self.qbytes[prio] += pkt.size
         self.queued += pkt.size
         if self.queued > self.max_qlen:
             self.max_qlen = self.queued
         self._kick()
 
-    def pause(self, prio):
-        self.paused[prio] = True
+    def pause(self):
+        self.paused = True
 
-    def resume(self, prio):
-        self.paused[prio] = False
+    def resume(self):
+        self.paused = False
         self._kick()
 
     def _kick(self):
@@ -94,14 +91,11 @@ class RefPort:
             self.waiting -= 1
             self._start(self.ctrl.popleft())
             return
-        for prio, q in enumerate(self.queues):
-            if q and not self.paused[prio]:
-                pkt = q.popleft()
-                self.waiting -= 1
-                self.qbytes[prio] -= pkt.size
-                self.queued -= pkt.size
-                self._start(pkt)
-                return
+        if self.queue and not self.paused:
+            pkt = self.queue.popleft()
+            self.waiting -= 1
+            self.queued -= pkt.size
+            self._start(pkt)
 
     def _start(self, pkt):
         self.busy = True
@@ -120,8 +114,7 @@ class RefPort:
 
 def make_script(rng):
     """A random (time, op) script plus the link/port parameters to run it
-    under.  Ends with a resume-all so both engines drain completely."""
-    n_prio = rng.randint(1, 3)
+    under.  Ends with a resume so both engines drain completely."""
     rate = rng.choice([25.0, 100.0, 400.0])
     prop = rng.choice([0, 1000, 1_500_000])
     ops = []
@@ -130,12 +123,12 @@ def make_script(rng):
         t = rng.randrange(0, 3_000_000)
         r = rng.random()
         if r < 0.55:
-            ops.append((t, ("enq", rng.randrange(n_prio), rng.randrange(64, 1519), flow)))
+            ops.append((t, ("enq", rng.randrange(64, 1519), flow)))
             flow += 1
         elif r < 0.70:
-            ops.append((t, ("pause", rng.randrange(n_prio))))
+            ops.append((t, ("pause",)))
         elif r < 0.85:
-            ops.append((t, ("resume", rng.randrange(n_prio))))
+            ops.append((t, ("resume",)))
         elif r < 0.90:
             ops.append((t, ("ctrl", flow)))
             flow += 1
@@ -143,24 +136,23 @@ def make_script(rng):
             ops.append((t, ("probe",)))
     ops.sort(key=lambda e: e[0])
     drain_t = 4_000_000
-    for prio in range(n_prio):
-        ops.append((drain_t, ("resume", prio)))
+    ops.append((drain_t, ("resume",)))
     ops.append((drain_t, ("probe",)))
-    return n_prio, rate, prop, ops
+    return rate, prop, ops
 
 
 def _packet(op):
     if op[0] == "enq":
-        _, prio, size, flow = op
+        _, size, flow = op
         return Packet(DATA, flow_id=flow, src=0, dst=1, size=size,
-                      payload=max(0, size - 48), priority=prio)
+                      payload=max(0, size - 48))
     return Packet(PAUSE, flow_id=op[1], size=64)
 
 
-def run_real(n_prio, rate, prop, ops, lookahead):
+def run_real(rate, prop, ops, lookahead):
     sim = Simulator()
     a, b = Sink(sim, "a"), Sink(sim, "b")
-    pa, _pb = connect(sim, a, b, rate, prop, n_prio=n_prio)
+    pa, _pb = connect(sim, a, b, rate, prop)
     pa.commit_lookahead = lookahead
     probes = []
 
@@ -169,11 +161,11 @@ def run_real(n_prio, rate, prop, ops, lookahead):
         if kind == "enq" or kind == "ctrl":
             pa.enqueue(_packet(op))
         elif kind == "pause":
-            pa.pause(op[1])
+            pa.pause()
         elif kind == "resume":
-            pa.resume(op[1])
+            pa.resume()
         else:
-            probes.append((sim.now, pa.qbytes_total, tuple(pa.qbytes), pa.max_qlen))
+            probes.append((sim.now, pa.qbytes_total, pa.max_qlen))
             # Window invariant: the committed-pending set is the K-frame
             # lookahead plus at most one propagation delay of cover frames.
             min_ser = round(64 * 8000 / rate)
@@ -185,9 +177,9 @@ def run_real(n_prio, rate, prop, ops, lookahead):
     return b.arrivals, probes, pa
 
 
-def run_ref(n_prio, rate, prop, ops):
+def run_ref(rate, prop, ops):
     sim = Simulator()
-    ref = RefPort(sim, rate, prop, n_prio)
+    ref = RefPort(sim, rate, prop)
     probes = []
 
     def apply(op):
@@ -195,11 +187,11 @@ def run_ref(n_prio, rate, prop, ops):
         if kind == "enq" or kind == "ctrl":
             ref.enqueue(_packet(op))
         elif kind == "pause":
-            ref.pause(op[1])
+            ref.pause()
         elif kind == "resume":
-            ref.resume(op[1])
+            ref.resume()
         else:
-            probes.append((sim.now, ref.queued, tuple(ref.qbytes), ref.max_qlen))
+            probes.append((sim.now, ref.queued, ref.max_qlen))
 
     def refire(op):
         # Same timestamp, later seq: runs after any frame boundary at now.
@@ -216,10 +208,10 @@ class TestAgainstBruteForceReference:
     @settings(max_examples=40, deadline=None)
     def test_deliveries_and_accounting_never_diverge(self, seed):
         rng = random.Random(seed)
-        n_prio, rate, prop, ops = make_script(rng)
+        rate, prop, ops = make_script(rng)
         lookahead = rng.choice([1, 2, 3, 7])
-        real_deliv, real_probes, pa = run_real(n_prio, rate, prop, ops, lookahead)
-        ref_deliv, ref_probes = run_ref(n_prio, rate, prop, ops)
+        real_deliv, real_probes, pa = run_real(rate, prop, ops, lookahead)
+        ref_deliv, ref_probes = run_ref(rate, prop, ops)
         assert real_deliv == ref_deliv
         assert real_probes == ref_probes
         # Drained: nothing stranded anywhere, accounting returns to zero.
@@ -232,10 +224,10 @@ class TestAgainstBruteForceReference:
     @settings(max_examples=15, deadline=None)
     def test_schedule_identical_for_every_lookahead(self, seed):
         """K is a pure performance knob: K=1, the default, and an
-        effectively-eager window must produce bit-identical schedules."""
+        effectively-eager window must each produce the reference's
+        schedule and accounting, bit for bit."""
         rng = random.Random(seed)
-        n_prio, rate, prop, ops = make_script(rng)
-        results = [
-            run_real(n_prio, rate, prop, ops, k)[:2] for k in (1, 3, 1 << 30)
-        ]
-        assert results[0] == results[1] == results[2]
+        rate, prop, ops = make_script(rng)
+        ref = run_ref(rate, prop, ops)
+        for k in (1, 3, 1 << 30):
+            assert run_real(rate, prop, ops, k)[:2] == ref, k

@@ -31,7 +31,6 @@ def packets(draw):
         seq=draw(ps),
         size=draw(st.integers(min_value=0, max_value=9000)),
         payload=draw(st.integers(min_value=0, max_value=9000)),
-        priority=draw(st.integers(min_value=0, max_value=7)),
     )
     pkt.ecn = draw(st.booleans())
     pkt.ecn_echo = draw(st.booleans())
@@ -45,7 +44,6 @@ def packets(draw):
     pkt.echo_sent_ts = draw(ps)
     pkt.in_port = draw(small)
     pkt.fncc_in_port = draw(small)
-    pkt.pause_prio = draw(st.integers(min_value=0, max_value=7))
     pkt.hops = draw(st.integers(min_value=0, max_value=64))
     pkt.lb_tag = draw(small)
     pkt.lb_tail = draw(st.booleans())

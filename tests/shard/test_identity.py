@@ -23,7 +23,8 @@ from helpers import classic_hops_only
 from repro.experiments.common import portstats_fingerprint, run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.faults.audit import FaultAuditor
-from repro.shard import ShardCrash, run_sharded_fct, run_sharded_microbench
+from repro.shard import ShardCrash, drivers, run_sharded_fct, run_sharded_microbench
+from repro.shard.partition import plan_partition
 from repro.units import KB
 
 
@@ -125,6 +126,36 @@ def test_fattree_fct_identity(process):
     for b in sharded.bins:
         assert sorted(table.by_bin[b]) == sorted(serial.table.by_bin[b])
         assert table.stat(b, "average") == expected.stat(b, "average")
+
+
+def interleaved_plan(topo, n_shards):
+    """An ownership map ``fattree_plan`` never produces: pods dealt
+    round-robin ({0, 2} and {1, 3} at k=4, where it deals contiguous
+    runs) and core group ``core_i_*`` on shard ``i`` (where every core
+    rides shard 0)."""
+    owner = {
+        node.name: int(node.name.split("_")[1]) % n_shards
+        for node in [*topo.switches, *topo.hosts]
+    }
+    return plan_partition(topo, owner, n_shards)
+
+
+def test_fattree_fct_identity_under_an_interleaved_plan(monkeypatch):
+    kw = dict(workload="websearch", k=4, load=0.5, n_flows=40, scale=0.1, seed=1)
+    serial = run_fct_experiment("fncc", **kw)
+    monkeypatch.setattr(drivers, "fattree_plan", interleaved_plan)
+    sharded = run_sharded_fct("fncc", shards=2, **kw)
+    owner = sharded.plan.owner
+    assert [owner[f"tor_{p}_0"] for p in range(4)] == [0, 1, 0, 1]
+    assert [owner[f"core_{i}_0"] for i in range(2)] == [0, 1]
+    assert len(sharded.plan.cuts) == 8  # half of the 16 agg-core links
+    assert serial.fct_fingerprint() == sharded.fct_fingerprint()
+    assert sharded.completed == serial.collector.completed()
+    # Rows minus train_frames: a cut hop cannot fuse.
+    assert [r[:-1] for r in serial_rows(serial)] == [
+        r[:-1] for r in sharded.portstats
+    ]
+    assert FaultAuditor.audit_merged(sharded.payloads, quiescent=True) == []
 
 
 def test_audit_merged_flags_imbalance():

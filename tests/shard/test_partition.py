@@ -115,8 +115,7 @@ def test_aligned_window_divides_chunk():
 
 
 def test_frame_roundtrip_preserves_every_slot():
-    pkt = Packet(DATA, flow_id=7, src=1, dst=2, seq=3, size=1104, payload=1000,
-                 priority=1)
+    pkt = Packet(DATA, flow_id=7, src=1, dst=2, seq=3, size=1104, payload=1000)
     pkt.ecn = True
     pkt.ecn_echo = True
     pkt.int_records = [INTRecord(100.0, 123, 456, 789)]
@@ -126,16 +125,14 @@ def test_frame_roundtrip_preserves_every_slot():
     pkt.sent_ts = 42
     pkt.echo_sent_ts = 41
     pkt.fncc_in_port = 5
-    pkt.pause_prio = 1
     pkt.hops = 3
     pkt.lb_tag = 9
     pkt.lb_tail = 8
     out = decode_frame(encode_frame(pkt))
     for slot in (
-        "kind", "flow_id", "src", "dst", "seq", "size", "payload", "priority",
-        "ecn", "ecn_echo", "n_flows", "rocc_rate_gbps", "last", "sent_ts",
-        "echo_sent_ts", "fncc_in_port", "pause_prio", "hops", "lb_tag",
-        "lb_tail",
+        "kind", "flow_id", "src", "dst", "seq", "size", "payload", "ecn",
+        "ecn_echo", "n_flows", "rocc_rate_gbps", "last", "sent_ts",
+        "echo_sent_ts", "fncc_in_port", "hops", "lb_tag", "lb_tail",
     ):
         assert getattr(out, slot) == getattr(pkt, slot), slot
     (rec,) = out.int_records

@@ -186,7 +186,7 @@ class _CapturingNic:
 def _ack_fields(ack):
     return (
         ack.kind, ack.flow_id, ack.src, ack.dst, ack.seq, ack.size, ack.payload,
-        ack.priority, ack.last, ack.lb_tail, ack.ecn_echo, ack.echo_sent_ts,
+        ack.last, ack.lb_tail, ack.ecn_echo, ack.echo_sent_ts,
         ack.n_flows, id(ack.int_records),
     )
 
