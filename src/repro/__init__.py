@@ -21,40 +21,51 @@ Public surface:
 * ``repro.experiments`` — one module per paper figure.
 """
 
-from repro.units import KB, MB, GB, US, MS, SEC, us, ms
-from repro.sim import Simulator, SeedSequenceFactory
-from repro.net import Switch, SwitchConfig, IntMode, Host, EcnConfig
-from repro.transport import Flow, TransportConfig
-from repro.cc import make_cc_factory, ALGORITHMS
-from repro.topo import Topology, dumbbell, fattree, star, congestion_at, jellyfish
-from repro.lb import LbConfig, install_lb
-from repro.metrics import FctCollector, QueueSampler, RateSampler, UtilizationSampler
-from repro.traffic import websearch_cdf, fb_hadoop_cdf, PoissonWorkload
-from repro.experiments.common import quick_dumbbell
-from repro.analysis import (
-    NotificationModel,
-    FluidLink,
-    fair_window,
-    FlowLevelSimulator,
-)
-from repro.metrics.tap import PacketTap
-from repro.net.pfc_analysis import routing_is_deadlock_free
-from repro.viz import ascii_plot, compare_series, sparkline
+import sys
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "KB", "MB", "GB", "US", "MS", "SEC", "us", "ms",
-    "Simulator", "SeedSequenceFactory",
-    "Switch", "SwitchConfig", "IntMode", "Host", "EcnConfig",
-    "Flow", "TransportConfig",
-    "make_cc_factory", "ALGORITHMS",
-    "Topology", "dumbbell", "fattree", "star", "congestion_at", "jellyfish",
-    "FctCollector", "QueueSampler", "RateSampler", "UtilizationSampler",
-    "websearch_cdf", "fb_hadoop_cdf", "PoissonWorkload",
-    "quick_dumbbell",
-    "NotificationModel", "FluidLink", "fair_window", "FlowLevelSimulator",
-    "PacketTap", "routing_is_deadlock_free",
-    "ascii_plot", "compare_series", "sparkline",
-    "__version__",
-]
+#: Public name -> the module that defines it.  Nothing is imported here:
+#: each name is resolved on first access (PEP 562), so ``import
+#: repro.<x>`` loads ``<x>``'s own graph and nothing else (DESIGN.md §5.4).
+_EXPORTS = {
+    "repro.units": ("KB", "MB", "GB", "US", "MS", "SEC", "us", "ms"),
+    "repro.sim": ("Simulator", "SeedSequenceFactory"),
+    "repro.net": ("Switch", "SwitchConfig", "IntMode", "Host", "EcnConfig"),
+    "repro.transport": ("Flow", "TransportConfig"),
+    "repro.cc": ("make_cc_factory", "ALGORITHMS"),
+    "repro.topo": ("Topology", "dumbbell", "fattree", "star", "congestion_at", "jellyfish"),
+    "repro.lb": ("LbConfig", "install_lb"),
+    "repro.metrics": ("FctCollector", "QueueSampler", "RateSampler", "UtilizationSampler"),
+    "repro.traffic": ("websearch_cdf", "fb_hadoop_cdf", "PoissonWorkload"),
+    "repro.experiments.common": ("quick_dumbbell",),
+    "repro.analysis": ("NotificationModel", "FluidLink", "fair_window", "FlowLevelSimulator"),
+    "repro.metrics.tap": ("PacketTap",),
+    "repro.net.pfc_analysis": ("routing_is_deadlock_free",),
+    "repro.viz": ("ascii_plot", "compare_series", "sparkline"),
+}
+
+
+def _lazy_exports(package: str, exports: dict):
+    """The module ``__getattr__`` and ``__dir__`` of a package whose public
+    names are ``exports`` (module -> names), each imported from its module
+    on first access and then cached in the package's namespace."""
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        value = getattr(import_module(where[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    return __getattr__, __dir__, [*where]
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -7,20 +7,20 @@ the scale each figure is regenerated at and why the claim survives it,
 §5.1 the shape every cell shares.
 """
 
-from repro.experiments.common import (
-    CcEnv,
-    build_cc_env,
-    launch_flows,
-    MicrobenchResult,
-    run_microbench,
-    quick_dumbbell,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CcEnv",
-    "build_cc_env",
-    "launch_flows",
-    "MicrobenchResult",
-    "run_microbench",
-    "quick_dumbbell",
-]
+# Resolved on first access: ``import repro.experiments.runner`` (and so
+# ``fncc-exp --list``) loads no simulator module.
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.experiments.common": (
+            "CcEnv",
+            "build_cc_env",
+            "launch_flows",
+            "MicrobenchResult",
+            "run_microbench",
+            "quick_dumbbell",
+        ),
+    },
+)

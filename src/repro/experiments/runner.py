@@ -6,16 +6,17 @@ are marked — those accept ``--jobs N`` process-pool fan-out and ``--seed``).
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
-import inspect
+import os
 import sys
 from typing import Callable, Dict
 
 
 # Experiment name -> module under repro.experiments (each exposes main()).
 # Only the one asked for is imported: a figure's process pays for its own
-# module graph, not for all fifteen (--list imports them all to read the
-# signatures).
+# module graph, not for all fifteen, and --list imports none (it reads each
+# main()'s parameters from the module's source).
 _MODULES: Dict[str, str] = {
     "fig1a": "fig1_hw_trends",
     "fig1": "fig1_queue_motivation",
@@ -52,16 +53,24 @@ _OPTIONS = {
 }
 
 
-def _accepted_options(fn: Callable[..., None]) -> set:
-    """Which of the per-experiment options this main() accepts.  An
-    experiment is 'sweep-enabled' iff its main takes ``jobs`` — the
-    signature is the registry, so a new sweep-enabled experiment shows up
-    in ``--list`` without touching this file."""
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return set()
-    return set(_OPTIONS) & set(params)
+def _accepted_options(name: str) -> set:
+    """Which of the per-experiment options this experiment's main()
+    accepts, read from ``def main`` in its module's source without
+    importing it.  An experiment is 'sweep-enabled' iff its main takes
+    ``jobs`` — the signature is the registry, so a new sweep-enabled
+    experiment shows up in ``--list`` without touching this file."""
+    path = os.path.join(os.path.dirname(__file__), f"{_MODULES[name]}.py")
+    with open(path, encoding="utf-8") as f:
+        source = f.read()
+    # Parse from ``def main`` on: the module above it is not needed, and
+    # parsing all of it would make --list's reading of fifteen signatures
+    # four times as slow.
+    start = source.find("\ndef main(")
+    if start < 0:
+        raise LookupError(f"repro.experiments.{_MODULES[name]} defines no main()")
+    a = ast.parse(source[start:], path).body[0].args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    return set(_OPTIONS) & {p.arg for p in params if p is not None}
 
 
 def main(argv=None) -> int:
@@ -118,7 +127,7 @@ def main(argv=None) -> int:
 
     if args.list or not args.experiment:
         for name in _MODULES:
-            opts = _accepted_options(_experiment_main(name))
+            opts = _accepted_options(name)
             marker = ""
             if "jobs" in opts:
                 flags = "/".join(f"--{o}" for o in _OPTIONS if o in opts)
@@ -128,8 +137,7 @@ def main(argv=None) -> int:
     if args.experiment not in _MODULES:
         print(f"unknown experiment {args.experiment!r}; use --list", file=sys.stderr)
         return 2
-    fn = _experiment_main(args.experiment)
-    opts = _accepted_options(fn)
+    opts = _accepted_options(args.experiment)
     kwargs = {}
     for opt, (not_given, note) in _OPTIONS.items():
         value = getattr(args, opt)
@@ -139,7 +147,7 @@ def main(argv=None) -> int:
             kwargs[opt] = value
         else:
             print(f"note: {args.experiment} {note}", file=sys.stderr)
-    fn(**kwargs)
+    _experiment_main(args.experiment)(**kwargs)
     return 0
 
 

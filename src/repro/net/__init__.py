@@ -11,36 +11,21 @@ Layers:
 * :mod:`repro.net.host` — host with a NIC port and RDMA transport endpoints.
 """
 
-from repro.net.packet import (
-    Packet,
-    INTRecord,
-    DATA,
-    ACK,
-    CNP,
-    PAUSE,
-    RESUME,
-    KIND_NAMES,
-)
-from repro.net.port import Port, EcnConfig, PortStats
-from repro.net.node import Node
-from repro.net.switch import Switch, SwitchConfig, IntMode
-from repro.net.host import Host
+from repro import _lazy_exports
 
-__all__ = [
-    "Packet",
-    "INTRecord",
-    "DATA",
-    "ACK",
-    "CNP",
-    "PAUSE",
-    "RESUME",
-    "KIND_NAMES",
-    "Port",
-    "EcnConfig",
-    "PortStats",
-    "Node",
-    "Switch",
-    "SwitchConfig",
-    "IntMode",
-    "Host",
-]
+# Resolved on first access, so importing one submodule (say
+# ``repro.net.packet``, which the transport layer does) does not import
+# ``host`` and, through it, ``repro.transport`` half-way through its own
+# initialisation.
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.net.packet": (
+            "Packet", "INTRecord", "DATA", "ACK", "CNP", "PAUSE", "RESUME", "KIND_NAMES",
+        ),
+        "repro.net.port": ("Port", "EcnConfig", "PortStats"),
+        "repro.net.node": ("Node",),
+        "repro.net.switch": ("Switch", "SwitchConfig", "IntMode"),
+        "repro.net.host": ("Host",),
+    },
+)

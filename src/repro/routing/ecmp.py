@@ -29,6 +29,9 @@ def install_ecmp(
     topo: "Topology", symmetric: bool = True, salt: int = 0
 ) -> RoutingTables:
     """Compute tables and attach an ECMP router to every switch."""
+    # Deferred: repro.lb.base imports repro.routing.tables.  The topology
+    # modules import repro.lb when they load, so this finds it loaded and
+    # a forked worker imports nothing here.
     from repro.lb.base import LbConfig, install_lb
 
     return install_lb(topo, LbConfig("ecmp", symmetric=symmetric, salt=salt))

@@ -22,6 +22,7 @@ from repro.experiments.common import (
     portstats_fingerprint,
     series_samples,
 )
+from repro.experiments.fct_experiment import build_fct_fabric
 from repro.metrics.monitors import pause_frame_count, pfc_frame_totals
 from repro.shard.runtime import ShardFabric
 from repro.units import us
@@ -128,8 +129,6 @@ def build_fct_shard(
     """One shard of :func:`~repro.experiments.fct_experiment.run_fct_experiment`
     (the §5.5 fat-tree cell) — shared fabric builder, ownership-gated
     launch, completion counted where each flow's receiver lives."""
-    from repro.experiments.fct_experiment import build_fct_fabric
-
     owned = _owned(owner, shard_id)
     fab = build_fct_fabric(cc, workload=workload, **kwargs)
     launch_flows(fab.topo, fab.flows, fab.env, owned)

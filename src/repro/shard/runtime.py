@@ -320,6 +320,9 @@ class ProcessShards:
         from repro.exec.executor import worker_context
 
         pickle.dumps(build)  # fail as spawn would, before any worker starts
+        # Import the builder here, so that a forked worker inherits it
+        # rather than importing it after the fork, once per shard.
+        _resolve(build["fn"])
         ctx = worker_context()
         n_shards, planner = plan if isinstance(plan, tuple) else (plan.n_shards, None)
         self.target: Optional[int] = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.lb import install_lb
 from repro.net.switch import SwitchConfig
 from repro.routing import install_ecmp
 from repro.sim.engine import Simulator
@@ -58,8 +59,6 @@ def dumbbell(
     if lb is None:
         install_ecmp(topo)
     else:
-        from repro.lb import install_lb
-
         install_lb(topo, lb)
     topo.start()
     return topo

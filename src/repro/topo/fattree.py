@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.lb import install_lb
 from repro.net.switch import SwitchConfig
 from repro.routing import install_ecmp
 from repro.sim.engine import Simulator
@@ -87,8 +88,6 @@ def fattree(
     if lb is None:
         install_ecmp(topo, symmetric=symmetric_ecmp)
     else:
-        from repro.lb import install_lb
-
         install_lb(topo, lb)
     topo.start()
     return topo

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.lb import install_lb
 from repro.net.switch import SwitchConfig
 from repro.routing import install_spanning_trees
 from repro.sim.engine import Simulator
@@ -67,8 +68,6 @@ def jellyfish(
     if lb is None:
         install_spanning_trees(topo, n_trees=n_trees, seed=topo.seeds.root_seed)
     else:
-        from repro.lb import install_lb
-
         install_lb(topo, lb)
     topo.start()
     return topo

@@ -220,6 +220,23 @@ class TestRunnerCli:
             "paper-scale   [sweep: --jobs/--seed]\n"
         )
 
+    def test_options_read_from_source_are_the_signatures(self):
+        """``--list`` and a figure run read each main()'s parameters from
+        its module's source; they are what the imported main() takes."""
+        import inspect
+
+        from repro.experiments.runner import (
+            _MODULES,
+            _OPTIONS,
+            _accepted_options,
+            _experiment_main,
+        )
+
+        assert len(_MODULES) == 15
+        for name in _MODULES:
+            params = inspect.signature(_experiment_main(name)).parameters
+            assert _accepted_options(name) == set(_OPTIONS) & set(params), name
+
     def test_running_one_experiment_imports_only_its_module(self):
         """A figure's process pays for its own module graph: after
         ``fncc-exp fig1a`` none of the other fourteen figure modules is

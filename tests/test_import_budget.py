@@ -1,11 +1,15 @@
 """The cold-start budget as an invariant (DESIGN.md §5.4): a process that
 runs a paper figure loads none of numpy, scipy and networkx, and scipy may
-be absent altogether.  Checked on ``sys.modules`` in fresh interpreters — a
+be absent altogether; and importing a ``repro`` module loads that module's
+own graph, so ``import repro`` loads the root alone, ``--list`` no figure
+module, and a forked worker finds in its parent every module it runs.
+Checked on ``sys.modules`` in fresh interpreters — a
 property of the import graph, not a timing.  A forked pool or shard worker
 starts with its parent's modules, so those probes start their group from
 a fresh interpreter holding the CLI's import graph, never from this
 process."""
 
+import importlib
 import inspect
 import json
 import os
@@ -15,6 +19,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+import repro
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -66,10 +72,18 @@ sys.modules["numpy"] = None
 """
 
 
-def run_probe(*parts: str) -> list:
-    """Run the concatenated snippets in a fresh interpreter; returns the
-    deferred libraries it ended up with."""
-    code = "\n".join(textwrap.dedent(part) for part in (*parts, REPORT))
+#: A probe report: the ``repro`` modules the probe ended up with.
+REPRO_REPORT = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))\n"
+)
+
+
+def run_probe(*parts: str, report: str = REPORT) -> list:
+    """Run the concatenated snippets in a fresh interpreter; returns what
+    ``report`` prints last (by default the deferred libraries it ended up
+    with)."""
+    code = "\n".join(textwrap.dedent(part) for part in (*parts, report))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -236,6 +250,141 @@ def test_faultmatrix_quick_loads_neither():
     assert "all cells resolved every flow" in out.getvalue()
     """
     assert run_probe(body) == []
+
+
+# -- a module loads its own graph and nothing else ------------------------------
+
+
+def test_import_repro_loads_only_the_root():
+    assert run_probe("import repro", report=REPRO_REPORT) == ["repro"]
+
+
+def test_list_imports_no_figure_module():
+    body = """
+    import contextlib, io
+    from repro.experiments.runner import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--list"]) == 0
+    """
+    assert run_probe(body, report=REPRO_REPORT) == [
+        "repro",
+        "repro.experiments",
+        "repro.experiments.runner",
+    ]
+
+
+@FORK_ONLY
+def test_every_subpackage_imports_first_in_a_fresh_interpreter():
+    # With the package roots lazy, nothing imports repro.net (say) before
+    # whatever a process imports first, so an import cycle between two
+    # subpackages fails only in the process that enters it from the wrong
+    # side.  transport.sender and metrics.stats are where the cycle
+    # through repro.net used to be entered.  One interpreter, one fork per
+    # module.
+    root = Path(SRC) / "repro"
+    subpackages = sorted(p.name for p in root.iterdir() if (p / "__init__.py").exists())
+    assert len(subpackages) == 16, subpackages
+    modules = [f"repro.{name}" for name in subpackages]
+    modules += ["repro.transport.sender", "repro.metrics.stats"]
+    body = f"""
+    import json, os, traceback
+
+    failed = []
+    for name in {modules!r}:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                __import__(name)
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+        if os.waitpid(pid, 0)[1]:
+            failed.append(name)
+    print(json.dumps(failed))
+    """
+    assert run_probe(body, report="") == []
+
+
+def test_a_figure_cell_imports_nothing_its_module_did_not():
+    # A pool worker forks after the parent imported the figure module, so
+    # what the cell imports on top is imported again in every worker.
+    body = """
+    import json, sys
+    from repro.experiments.fig15_hadoop import run_fig15
+
+    before = {m for m in sys.modules if m.split(".")[0] == "repro"}
+    results = run_fig15(n_flows=10)
+    assert [r.completed() for r in results.values()] == [10, 10, 10], results
+    after = {m for m in sys.modules if m.split(".")[0] == "repro"}
+    print(json.dumps(sorted(after - before)))
+    """
+    assert run_probe(body, report="") == []
+
+
+@FORK_ONLY
+def test_a_forked_shard_worker_imports_nothing():
+    # The coordinator imported the shard runtime, not the builder the
+    # build spec names: the builder is resolved before the workers fork.
+    body = f"""
+    import json, os, sys
+    from repro.shard.partition import fattree_plan
+    from repro.shard.runtime import ProcessShards, ShardEngine, run_sharded
+    from repro.sim.engine import Simulator
+    from repro.topo.fattree import fattree_wiring
+    from repro.units import MS
+
+    at_fork = set()
+    os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+    collect = ShardEngine.collect
+
+    def collect_reporting_imports(self):
+        new = {{m for m in sys.modules if m.split(".")[0] == "repro"}} - at_fork
+        return dict(collect(self), imported_after_fork=sorted(new))
+
+    ShardEngine.collect = collect_reporting_imports
+    build = {{
+        "fn": "repro.shard.builders:build_fct_shard",
+        "kwargs": dict({SMALL_CELL!r}, cc="fncc"),
+    }}
+    plan = fattree_plan(fattree_wiring(Simulator(), k=4), 2)
+    group = ProcessShards(build, plan)
+    try:
+        run_sharded(group, plan, chunk_ps=MS // 2, max_horizon_ps=50 * MS)
+        payloads = group.collect_all()
+    finally:
+        group.stop()
+    assert sum(len(p["records"]) for p in payloads.values()) == 12
+    print(json.dumps([p["imported_after_fork"] for p in payloads.values()]))
+    """
+    assert run_probe(body, report="") == [[], []]
+
+
+# -- the lazy package roots keep their public names -----------------------------
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.net", "repro.experiments"])
+def test_every_public_name_resolves(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        module.no_such_name
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_star_import_names_the_same_objects_as_their_modules():
+    namespace = {}
+    exec("from repro import *", namespace)
+    from repro.net.switch import Switch
+    from repro.units import us
+
+    assert namespace["Switch"] is Switch and namespace["us"] is us
+    assert namespace["__version__"] == repro.__version__
 
 
 # -- scipy is optional -------------------------------------------------------
