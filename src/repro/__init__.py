@@ -40,7 +40,6 @@ _EXPORTS = {
     "repro.traffic": ("websearch_cdf", "fb_hadoop_cdf", "PoissonWorkload"),
     "repro.experiments.common": ("quick_dumbbell",),
     "repro.analysis": ("NotificationModel", "FluidLink", "fair_window", "FlowLevelSimulator"),
-    "repro.metrics.tap": ("PacketTap",),
     "repro.net.pfc_analysis": ("routing_is_deadlock_free",),
     "repro.viz": ("ascii_plot", "compare_series", "sparkline"),
 }

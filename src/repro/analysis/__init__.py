@@ -13,20 +13,12 @@
   in Python.
 """
 
-from repro.analysis.notification import (
-    NotificationModel,
-    hpcc_notification_delay_ps,
-    fncc_notification_delay_ps,
-    fncc_gain_ps,
-)
+from repro.analysis.notification import NotificationModel
 from repro.analysis.fluid import FluidLink, fair_window, simulate_queue
 from repro.analysis.flowsim import FlowLevelSimulator, FlowSimResult
 
 __all__ = [
     "NotificationModel",
-    "hpcc_notification_delay_ps",
-    "fncc_notification_delay_ps",
-    "fncc_gain_ps",
     "FluidLink",
     "fair_window",
     "simulate_queue",

@@ -63,12 +63,6 @@ class FlowSimResult:
     def add(self, rec: FlowRecord) -> None:
         self.records.append(rec)
 
-    def slowdowns(self) -> List[float]:
-        return [r.slowdown for r in self.records]
-
-    def completed(self) -> int:
-        return len(self.records)
-
 
 class FlowLevelSimulator:
     """Max-min fluid simulator over a directed-capacity link set."""
@@ -97,10 +91,6 @@ class FlowLevelSimulator:
                 self._id_to_key.append(key)
             else:
                 self._caps[lid] = rate_gbps / 8000.0
-
-    @property
-    def n_links(self) -> int:
-        return len(self._capacity)
 
     # -- event loop ------------------------------------------------------------------
     def run(

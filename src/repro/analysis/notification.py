@@ -13,10 +13,11 @@ Congestion begins at switch ``j`` (1-based) at time t.
   only has the remaining hops j-1..1 to travel.  Delay ≈ return path from
   sw_j only.
 
-The paper's qualitative conclusion, which :func:`fncc_gain_ps` makes exact:
-the gain (t7−t1 vs t6−t2 vs t5−t3 in Fig. 12) is **largest for first-hop
-congestion and smallest for last-hop congestion** — which is precisely why
-Alg. 2 (LHCS) exists for the last hop.
+The paper's qualitative conclusion, which
+:meth:`NotificationModel.gain_ps` makes exact: the gain (t7−t1 vs t6−t2
+vs t5−t3 in Fig. 12) is **largest for first-hop congestion and smallest
+for last-hop congestion** — which is precisely why Alg. 2 (LHCS) exists
+for the last hop.
 """
 
 from __future__ import annotations
@@ -68,24 +69,6 @@ class NotificationModel:
     def gain_ps(self, hop: int) -> int:
         return self.hpcc_delay_ps(hop) - self.fncc_delay_ps(hop)
 
-    def gain_profile(self) -> List[int]:
-        """Gain per congestion hop, hop 1 (first) .. n (last)."""
-        return [self.gain_ps(j) for j in range(1, self.n + 1)]
-
     def _check(self, hop: int) -> None:
         if not (1 <= hop <= self.n):
             raise ValueError(f"hop must be in 1..{self.n}, got {hop}")
-
-
-def hpcc_notification_delay_ps(n_switches: int, hop: int, **kw) -> int:
-    """Convenience wrapper over :class:`NotificationModel`."""
-    return NotificationModel(n_switches, **kw).hpcc_delay_ps(hop)
-
-
-def fncc_notification_delay_ps(n_switches: int, hop: int, **kw) -> int:
-    return NotificationModel(n_switches, **kw).fncc_delay_ps(hop)
-
-
-def fncc_gain_ps(n_switches: int, hop: int, **kw) -> int:
-    """How much earlier the FNCC sender hears about congestion at ``hop``."""
-    return NotificationModel(n_switches, **kw).gain_ps(hop)

@@ -48,7 +48,3 @@ class CongestionControl:
         """Apply W and the matching pacing rate R = W/T."""
         qp.window = window_bytes
         qp.rate_gbps = window_bytes / rtt_ps * 8000.0
-
-    @staticmethod
-    def set_rate(qp: "SenderQP", rate_gbps: float) -> None:
-        qp.rate_gbps = rate_gbps

@@ -78,9 +78,6 @@ class RoccPortController:
     def start(self) -> None:
         self._periodic.start()
 
-    def stop(self) -> None:
-        self._periodic.stop()
-
     def _update(self, _now: int) -> None:
         cfg = self.config
         q = self.port.qbytes_total

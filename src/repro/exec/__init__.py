@@ -22,7 +22,7 @@ See DESIGN.md §5 (process model) for the picklability rules and why
 simulator state never crosses a process boundary.
 """
 
-from repro.exec.executor import SweepError, SweepExecutor, run_sweep
+from repro.exec.executor import SweepError, SweepExecutor
 from repro.exec.spec import RunResult, RunSpec, resolve_callable
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "RunResult",
     "SweepExecutor",
     "SweepError",
-    "run_sweep",
     "resolve_callable",
 ]

@@ -222,9 +222,3 @@ class SweepExecutor:
                 for i, future in futures:
                     results[i] = future.result()
         return results  # type: ignore[return-value]  # every slot is filled
-
-
-def run_sweep(specs: Iterable[RunSpec], jobs: int = 1) -> List[Any]:
-    """Convenience wrapper: run specs, raise on the first failure (spec
-    order), and return just the values — in spec order."""
-    return [r.value for r in SweepExecutor(jobs=jobs).map(specs)]

@@ -337,15 +337,6 @@ class MicrobenchResult(_Portable):
     def peak_queue_bytes(self) -> float:
         return self.queue.max()
 
-    def summary(self) -> str:
-        lines = [
-            f"cc={self.cc} rate={self.link_rate_gbps}G",
-            f"  peak queue      : {self.peak_queue_bytes / KB:8.1f} KB",
-            f"  pause frames    : {self.pause_frames}",
-            f"  mean utilization: {self.utilization.mean():.3f}",
-        ]
-        return "\n".join(lines)
-
     def series_fingerprint(self) -> tuple:
         """The pause count and every sampled series: the witness a sharded
         run must reproduce (its ``events_dispatched`` legitimately differs,

@@ -359,6 +359,14 @@ def compare_ccs_sweep(
 ) -> Dict[str, FctSummary]:
     """Pool-capable :func:`compare_ccs`: one spec per CC, portable
     summaries back, reduced in CC order regardless of completion order."""
+    # What a cell imports past the packet path — the fluid engines its
+    # backend names, the obs package a snapshot needs — is imported here,
+    # so forked workers inherit it instead of each importing it
+    # (DESIGN.md §5.4).  A packet cell needs neither.
+    if kwargs.get("backend", "packet") != "packet":
+        import repro.hybrid.backend
+    if kwargs.get("obs_snapshot"):
+        import repro.obs
     return sweep(
         "repro.experiments.fct_experiment:run_fct_summary",
         dict(cc=ccs),

@@ -12,13 +12,13 @@ Interception model
 Faults act at *delivery*: a node named by any link/loss/fail spec gets one
 instance-dict ``receive`` wrapper installed at arm time.  The wrapper
 consults per-node filter state — dead in-ports (link down), a fail-stop
-flag (switch fail), and per-in-port loss filters (gray loss / corruption)
-— and either drops the frame (``PortStats.drops``, the drop convention
-of ``net/switch.py``) or forwards to the original ``receive``.
+flag (switch fail), and per-in-port loss filters (gray loss) — and
+either drops the frame (``PortStats.drops``, the drop convention of
+``net/switch.py``) or forwards to the original ``receive``.
 Installing an instance-dict ``receive`` closes the frame-train gate on
 that switch via the single-definition predicate
 (``Switch._recompute_train_ok``), so fused trains can never bypass a
-fault — the same protocol PacketTap uses.
+fault — the protocol every ``receive`` wrapper on a switch follows.
 
 Nodes not named by the plan are untouched: arming ``FaultPlan.noop()``
 installs nothing and schedules nothing, which is how ``faults=None`` is
@@ -51,7 +51,6 @@ COUNTERS = (
     "drops_link_down",
     "drops_switch_fail",
     "drops_gray",
-    "drops_corrupt",
     "storm_pauses",
 )
 
@@ -127,20 +126,6 @@ class FaultInjector:
         sim.faults = self
         return self
 
-    def disarm(self) -> None:
-        """Restore every wrapped ``receive`` (tests / fabric reuse)."""
-        while self._undo:
-            node, had, orig = self._undo.pop()
-            if had:
-                node.receive = orig
-            else:
-                del node.__dict__["receive"]
-            rec = getattr(node, "_recompute_train_ok", None)
-            if rec is not None:
-                rec()
-        if self.sim is not None and getattr(self.sim, "faults", None) is self:
-            self.sim.faults = None
-
     # -- resolution helpers ---------------------------------------------
 
     def _edge_ports(self, a: str, b: str) -> Dict[str, int]:
@@ -156,10 +141,9 @@ class FaultInjector:
             raise ValueError(f"fault plan {self.plan.name!r}: no node {name!r}")
 
     def _validate(self, specs) -> None:
-        stochastic = ("gray_loss", "corrupt")
         for spec in specs:
             kind = spec["kind"]
-            if kind in ("link_down", "link_up", "link_flap", "gray_loss", "corrupt"):
+            if kind in ("link_down", "link_flap", "gray_loss"):
                 self._edge_ports(spec["a"], spec["b"])
             elif kind == "switch_fail":
                 self._node(spec["switch"])
@@ -167,7 +151,7 @@ class FaultInjector:
                 self._node(spec["switch"])
                 self._edge_ports(spec["switch"], spec["toward"])
             if self._rng is None and (
-                kind in stochastic or (kind == "link_flap" and spec["jitter_ps"])
+                kind == "gray_loss" or (kind == "link_flap" and spec["jitter_ps"])
             ):
                 raise ValueError(
                     f"fault plan {self.plan.name!r} has stochastic specs but no "
@@ -183,12 +167,12 @@ class FaultInjector:
 
         for spec in specs:
             kind = spec["kind"]
-            if kind in ("link_down", "link_up", "link_flap"):
+            if kind in ("link_down", "link_flap"):
                 add(spec["a"])
                 add(spec["b"])
             elif kind == "switch_fail":
                 add(spec["switch"])
-            elif kind in ("gray_loss", "corrupt"):
+            elif kind == "gray_loss":
                 add(spec["b"])  # loss is applied at the receiving end
         return names
 
@@ -236,8 +220,6 @@ class FaultInjector:
         kind = spec["kind"]
         if kind == "link_down":
             sim.schedule_at(spec["at_ps"], self._fire_link, (spec["a"], spec["b"], True))
-        elif kind == "link_up":
-            sim.schedule_at(spec["at_ps"], self._fire_link, (spec["a"], spec["b"], False))
         elif kind == "link_flap":
             # Expand the train now; one jitter draw per flap cycle keeps
             # the expansion reproducible and down/up strictly ordered.
@@ -251,10 +233,9 @@ class FaultInjector:
                 t += spec["down_ps"] + spec["up_ps"]
         elif kind == "switch_fail":
             sim.schedule_at(spec["at_ps"], self._fire_switch_fail, spec["switch"])
-        elif kind in ("gray_loss", "corrupt"):
-            key = "drops_gray" if kind == "gray_loss" else "drops_corrupt"
+        elif kind == "gray_loss":
             ports = self._edge_ports(spec["a"], spec["b"])
-            rec = [spec["prob"], key]
+            rec = [spec["prob"], "drops_gray"]
             win = {
                 "kind": kind,
                 "a": spec["a"],
@@ -411,7 +392,3 @@ class FaultInjector:
         if self.auditor is not None:
             doc["audit"] = self.auditor.audit(quiescent=False)
         return doc
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "armed" if self.sim is not None else "unarmed"
-        return f"<FaultInjector {self.plan.name!r} {state}>"

@@ -1,10 +1,10 @@
 """Deterministic fault schedules (DESIGN.md §10).
 
 A :class:`FaultPlan` is a plain-data, picklable description of *what goes
-wrong and when*: link down/up events, flap trains, switch fail-stop,
-unidirectional (gray) loss windows, bit-corruption sampling windows, and
-seeded PFC pause storms.  It holds no simulator references, so it can be
-built once in a parent process and shipped to ``--jobs`` workers unchanged.
+wrong and when*: link down events, down/up flap trains, switch
+fail-stop, unidirectional (gray) loss windows, and seeded PFC pause
+storms.  It holds no simulator references, so it can be built once in a
+parent process and shipped to ``--jobs`` workers unchanged.
 
 Nothing in a plan draws randomness at build time.  Every stochastic
 element (flap jitter, loss sampling) names only *parameters*; the draws
@@ -29,11 +29,9 @@ __all__ = ["FaultPlan"]
 #: spec kinds understood by the injector, in documentation order.
 KINDS = (
     "link_down",
-    "link_up",
     "link_flap",
     "switch_fail",
     "gray_loss",
-    "corrupt",
     "pfc_storm",
 )
 
@@ -56,8 +54,8 @@ class FaultPlan:
     All builder methods return ``self`` so schedules chain::
 
         plan = (FaultPlan("flaky-agg")
-                .link_down("agg_0_0", "core_0_0", at_ps=50_000_000)
-                .link_up("agg_0_0", "core_0_0", at_ps=250_000_000))
+                .link_flap("agg_0_0", "core_0_0", start_ps=50_000_000,
+                           flaps=1, down_ps=200_000_000, up_ps=0))
 
     ``specs`` is a list of plain dicts — stable, comparable, picklable.
     """
@@ -92,15 +90,6 @@ class FaultPlan:
         at the receiving port (counted in ``PortStats.drops``)."""
         return self._add(
             "link_down",
-            a=_check_name("a", a),
-            b=_check_name("b", b),
-            at_ps=_check_time("at_ps", at_ps),
-        )
-
-    def link_up(self, a: str, b: str, at_ps: int) -> "FaultPlan":
-        """Restore a previously failed link at ``at_ps``."""
-        return self._add(
-            "link_up",
             a=_check_name("a", a),
             b=_check_name("b", b),
             at_ps=_check_time("at_ps", at_ps),
@@ -160,21 +149,6 @@ class FaultPlan:
             prob=_check_prob(prob),
         )
 
-    def corrupt(
-        self, a: str, b: str, start_ps: int, end_ps: int, prob: float
-    ) -> "FaultPlan":
-        """Bit-corruption sampling on ``a -> b``: corrupted frames fail
-        their (modelled) FCS check and are dropped at the receiver, same
-        observable effect as gray loss but counted separately."""
-        return self._add(
-            "corrupt",
-            a=_check_name("a", a),
-            b=_check_name("b", b),
-            start_ps=_check_time("start_ps", start_ps),
-            end_ps=_check_time("end_ps", end_ps),
-            prob=_check_prob(prob),
-        )
-
     def pfc_storm(
         self,
         switch: str,
@@ -226,16 +200,6 @@ class FaultPlan:
 
     def __hash__(self) -> int:  # pragma: no cover - dict-key convenience
         return hash(self.fingerprint())
-
-    def __getstate__(self):
-        return {"name": self.name, "specs": self.specs}
-
-    def __setstate__(self, state):
-        self.name = state["name"]
-        self.specs = state["specs"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan({self.name!r}, {len(self.specs)} specs)"
 
 
 def _check_prob(value) -> float:

@@ -50,6 +50,7 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.flowsim import from_topology
 from repro.experiments.common import launch_flows
 from repro.experiments.fct_experiment import (
     FctFabric,
@@ -317,12 +318,6 @@ class _ResidualSampler:
         self._tick(None)
 
 
-def _fluid_sim(topo):
-    from repro.analysis.flowsim import from_topology
-
-    return from_topology(topo)
-
-
 def run_fct_hybrid(
     cc: str,
     workload: str = "websearch",
@@ -381,7 +376,7 @@ def run_fct_hybrid(
         # (all-fluid) so the registry snapshot always carries the engine
         # and port keys; re-attached below whenever the fabric rebuilds.
         obs.attach(fab.sim, fab.topo, collector=fab.collector)
-    fls, path_fn = _fluid_sim(fab.topo)
+    fls, path_fn = from_topology(fab.topo)
     flows = fab.flows
     n_flows = len(flows)
     epoch_ps = us(cfg.epoch_us)

@@ -115,10 +115,6 @@ class RateHistory:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(c.itemsize * len(c) for c in (self.t, self.flow, self.delta))
-
     def replay_bg(
         self, epoch_ps: int, links: Iterable[int], flows: Iterable[int]
     ) -> Dict[int, Dict[int, float]]:

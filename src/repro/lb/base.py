@@ -67,10 +67,6 @@ class LbConfig:
     def build(self) -> "LoadBalancer":
         return REGISTRY[self.strategy](**self.params)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kv = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"LbConfig({self.strategy!r}{', ' + kv if kv else ''})"
-
 
 class LoadBalancer:
     """Per-switch path-selection strategy.
@@ -118,9 +114,6 @@ class LoadBalancer:
         self._pristine = dict(split)
         self._dead_ports = set()
         return self.make_router(sw, split)
-
-    def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
-        raise NotImplementedError
 
     # -- failover (repro.faults link transitions) ------------------------
     def on_link_down(self, port_idx: int) -> None:
@@ -172,10 +165,6 @@ class LoadBalancer:
         cache = getattr(self, "hash_cache", None)
         if cache is not None:
             cache.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        at = self.switch.name if self.switch is not None else "unbound"
-        return f"<{type(self).__name__} @{at}>"
 
 
 def split_tables(tables: Dict[int, List[int]]) -> Dict[int, object]:
@@ -266,15 +255,15 @@ def install_lb(
         sw.lb = lb
         # Train pass-through predicate inputs (net/port.py fused path):
         # the exact closure this install produced, and the live gate — a
-        # static per-flow strategy on a zero-latency switch.  PacketTap
-        # additionally clears/restores ``_train_ok`` while installed.  A
-        # router swapped in by hand after install no longer matches
-        # ``_lb_router`` and the switch silently refuses fusion.  Any
+        # static per-flow strategy on a zero-latency switch.  A ``receive``
+        # wrapper additionally clears/restores ``_train_ok`` while
+        # installed.  A router swapped in by hand after install no longer
+        # matches ``_lb_router`` and the switch silently refuses fusion.  Any
         # previously memoized routing decisions on adjacent ports belong
         # to the old router: drop them.
         sw._lb_router = sw.router
         # Single-definition gate recompute (Switch._recompute_train_ok):
-        # in particular a wrapped ``receive`` (PacketTap, ad-hoc spy —
+        # in particular a wrapped ``receive`` (fault filter, test spy —
         # always an instance-dict assignment) keeps the gate closed even
         # across a mid-run strategy reinstall, else the fused path would
         # bypass the wrapper.

@@ -132,30 +132,3 @@ class SlowdownTable:
 
     def row_counts(self) -> Dict[int, int]:
         return {b: len(v) for b, v in self.by_bin.items()}
-
-    def format(self, title: str = "") -> str:
-        """Render the table the way the paper's figure axes read."""
-        lines = []
-        if title:
-            lines.append(title)
-        header = f"{'size<=':>10} {'n':>6} " + " ".join(
-            f"{c:>9}" for c in PERCENTILE_COLUMNS
-        )
-        lines.append(header)
-        for b in self.bins:
-            vals = self.by_bin[b]
-            cells = []
-            for c in PERCENTILE_COLUMNS:
-                s = self.stat(b, c)
-                cells.append(f"{s:9.2f}" if s is not None else f"{'-':>9}")
-            lines.append(f"{_fmt_size(b):>10} {len(vals):>6} " + " ".join(cells))
-        return "\n".join(lines)
-
-
-def _fmt_size(nbytes: int) -> str:
-    if nbytes >= MB:
-        return f"{nbytes / MB:g}MB"
-    if nbytes >= KB:
-        return f"{nbytes / KB:g}KB"
-    return f"{nbytes}B"
-

@@ -46,9 +46,6 @@ class _PeriodicSampler:
             register(self)
         self._periodic.start(offset=first_offset)
 
-    def _sample(self, now: int) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def stop(self) -> None:
         self._periodic.stop()
 

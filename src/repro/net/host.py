@@ -114,11 +114,6 @@ class Host(Node):
             self._active_inbound -= 1
         rqp.completed = True
 
-    def active_inbound_flows(self) -> int:
-        """The N of Fig. 7: concurrent flows currently delivering to this
-        host.  Never less than 1 when asked while generating an ACK."""
-        return max(1, self._active_inbound)
-
     # -- packet dispatch -----------------------------------------------------------
     def receive(self, pkt: Packet, in_port: int) -> None:
         kind = pkt.kind

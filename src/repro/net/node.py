@@ -33,12 +33,5 @@ class Node:
         self.ports.append(port)
         return port
 
-    # -- hooks ------------------------------------------------------------------
-    def receive(self, pkt: Packet, in_port: int) -> None:
-        raise NotImplementedError
-
     def on_departure(self, pkt: Packet, port: Port) -> None:
         """Called by a port when ``pkt`` finished serializing out of it."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name} ports={len(self.ports)}>"

@@ -43,12 +43,6 @@ class INTRecord:
         self.tx_bytes = tx_bytes
         self.qlen = qlen
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"INT(B={self.bandwidth_gbps}G ts={self.ts} "
-            f"tx={self.tx_bytes} q={self.qlen})"
-        )
-
 
 class Packet:
     """A frame on the wire.

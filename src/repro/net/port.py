@@ -69,7 +69,7 @@ for the hybrid backend's ``bg_drain``).  The port picks the path
 per frame from state it already observes — there is no user switch — and
 any per-frame mechanism puts the hop back on the classic chain the moment
 it needs frame granularity: control frames, a PFC-paused or previously
-XOFF'd port, a PacketTap or test spy wrapping ``receive``, a per-packet LB
+XOFF'd port, a fault filter or test spy wrapping ``receive``, a per-packet LB
 strategy (spray/flowlet/conweave), a watchdog-isolated storm, or a host
 endpoint (ACK/CC semantics are per-frame by construction).
 """
@@ -638,7 +638,7 @@ class Port:
         path.  The owner side qualifies when its departure hook is absent
         or the stock ``Switch.on_departure``; the peer side when the peer
         node is a switch whose class-level ``receive`` is the stock one.
-        The *dynamic* split triggers — PacketTap wrapping, router identity,
+        The *dynamic* split triggers — a wrapped ``receive``, router identity,
         strategy staticness, watchdog storms — live in the peer switch's
         ``_train_ok`` flag plus the per-frame router identity compare;
         class-level overrides follow the same bind-once discipline as
@@ -892,9 +892,6 @@ class Port:
             heappush(sim._heap, ((time << 64) | self._lane_key | seq, ev))
         else:
             self._del_ev = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Port {self.node.name}.{self.index} {self.rate_gbps}G q={self._queued_bytes}B>"
 
 
 def connect(

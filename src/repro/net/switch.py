@@ -112,11 +112,11 @@ class Switch(Node):
         # frame-train path in net/port.py reads per frame: it is True only
         # while a *static per-flow* strategy is installed on an untapped,
         # storm-free switch.  install_lb derives it from the strategy's
-        # ``train_transparent`` flag; PacketTap clears and restores it
-        # around installs.  A router swapped in by hand no longer matches
-        # ``_lb_router`` and splits trains per-frame regardless; anything
-        # that wraps ``receive`` on a *switch* outside PacketTap must also
-        # clear ``_train_ok`` (hosts need nothing — trains never fuse into
+        # ``train_transparent`` flag.  A router swapped in by hand no
+        # longer matches ``_lb_router`` and splits trains per-frame
+        # regardless; anything that wraps ``receive`` on a *switch* (the
+        # FaultInjector, a test's tap) must clear ``_train_ok`` for the
+        # wrapper's lifetime (hosts need nothing — trains never fuse into
         # hosts).
         self._lb_router: Optional[Callable[["Switch", Packet], int]] = None
         self._train_ok = False
@@ -326,8 +326,8 @@ class Switch(Node):
         """Re-derive the train pass-through gate from live state — THE
         single definition of the predicate.  Called by
         :func:`repro.lb.install_lb` after binding a strategy and by
-        :meth:`repro.metrics.tap.PacketTap.uninstall` when a wrapper comes
-        off; the per-frame fast path reads the cached ``_train_ok`` plus
+        whoever takes a ``receive`` wrapper off (the FaultInjector, a test's
+        tap); the per-frame fast path reads the cached ``_train_ok`` plus
         the router-identity compare (the one term that can silently change
         without a notification)."""
         lb = self.lb
@@ -340,16 +340,6 @@ class Switch(Node):
             # its drop action applies; the gate reopens on restoration.
             and (self._wd is None or not self._wd.storms)
         )
-
-    def train_transparent(self) -> bool:
-        """True when the frame-train fast path may forward fused bursts
-        through this switch: a static per-flow strategy is installed and
-        unswapped on an untapped, storm-free switch.  A tap installed
-        mid-run or a router swap takes effect on the very next frame.
-        (Introspection/tests; recomputes, so it is always truthful — a
-        wrapped ``receive`` keeps the recomputed gate closed.)"""
-        self._recompute_train_ok()
-        return self._train_ok
 
     def total_pause_frames(self) -> int:
         return sum(p.stats.pause_sent for p in self.ports)

@@ -6,8 +6,7 @@ Everything here is **per-run owned, never global**: experiments build a
 and ship its snapshot with the run's summary.  Registry/counter-level
 observability is pull-based and byte-identical (fingerprints are pinned
 with it on and off, on the fused and the classic hop path —
-``tests/obs``); tracer hooks are
-train-safe except the explicitly tap-like ``pkt`` category (see
+``tests/obs``); every tracer hook is train-safe (see
 :mod:`repro.obs.trace`).
 """
 
@@ -18,12 +17,10 @@ from typing import Optional
 
 from repro.obs.registry import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     merge_snapshots,
 )
-from repro.obs.trace import CATEGORIES, PKT, EventTracer, TraceEvent
+from repro.obs.trace import CATEGORIES, EventTracer, TraceEvent
 from repro.obs.export import (
     chrome_trace_events,
     export_chrome_trace,
@@ -138,10 +135,7 @@ class RunObservability:
 
 __all__ = [
     "CATEGORIES",
-    "PKT",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "EventTracer",
     "TraceEvent",

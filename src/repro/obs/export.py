@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.trace import CATEGORIES, PKT, EventTracer
+from repro.obs.trace import CATEGORIES, EventTracer
 
 #: Stable swim-lane ids per category.
-TRACE_TIDS: Dict[str, int] = {c: i + 1 for i, c in enumerate(CATEGORIES + (PKT,))}
+TRACE_TIDS: Dict[str, int] = {c: i + 1 for i, c in enumerate(CATEGORIES)}
 
 #: Registry snapshot counters every instrumented run must carry — the CI
 #: contract checked by ``--require-registry``.

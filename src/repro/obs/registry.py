@@ -10,20 +10,19 @@ stats).  That is what makes registry-level observability byte-identical
 and train-safe by construction: enabling it changes no event, no RNG
 draw, and no wire timestamp (pinned by ``tests/obs``).
 
-Push-style instruments (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram`) exist for *cold* paths — phase transitions, flight
-dumps, per-flow completions — and for subsystems that want named metrics
-without growing their own ad-hoc dicts.
+The push-style instrument, :class:`Counter`, exists for *cold* paths —
+phase transitions, flight dumps, per-flow completions — and for
+subsystems that want named metrics without growing their own ad-hoc
+dicts.
 
 Snapshots are plain JSON-able dicts so they pickle back from ``exec``
-workers, forked or spawned; :func:`merge_snapshots` is the reduce step (counters sum, gauges
-max, histograms add bucket-wise).
+workers, forked or spawned; :func:`merge_snapshots` is the reduce step
+(counters sum, gauges max).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 
 class Counter:
@@ -39,49 +38,6 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A point-in-time value: either a callback read at snapshot time or a
-    value pushed with :meth:`set`.  Merged across workers by ``max``."""
-
-    __slots__ = ("name", "fn", "_value")
-
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None) -> None:
-        self.name = name
-        self.fn = fn
-        self._value = 0
-
-    def set(self, value) -> None:
-        self._value = value
-
-    def read(self):
-        return self.fn() if self.fn is not None else self._value
-
-
-class Histogram:
-    """Fixed-bound bucket counts (``len(bounds) + 1`` buckets; the last is
-    the overflow).  Bounds are upper-inclusive: a sample lands in the first
-    bucket whose bound is >= the value."""
-
-    __slots__ = ("name", "bounds", "counts")
-
-    def __init__(self, name: str, bounds: Sequence[float]) -> None:
-        self.name = name
-        self.bounds = [float(b) for b in bounds]
-        if self.bounds != sorted(self.bounds):
-            raise ValueError("histogram bounds must be sorted ascending")
-        self.counts = [0] * (len(self.bounds) + 1)
-
-    def observe(self, value: float) -> None:
-        # First bucket whose bound >= value == bisect_left on the bounds.
-        self.counts[bisect_left(self.bounds, float(value))] += 1
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def to_dict(self) -> Dict[str, list]:
-        return {"bounds": list(self.bounds), "counts": list(self.counts)}
-
-
 class MetricsRegistry:
     """Named instruments plus pull collectors, snapshotted to one dict.
 
@@ -93,8 +49,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: snapshot-time readers; each returns ({counter: n}, {gauge: v}).
         self._collectors: List[Callable[[], tuple]] = []
         self._sim = None
@@ -106,24 +60,10 @@ class MetricsRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name, fn)
-        elif fn is not None:
-            g.fn = fn
-        return g
-
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name, bounds)
-        return h
-
     # -- pull collectors ----------------------------------------------------
     def reset_run_bindings(self) -> None:
-        """Drop the pull collectors and simulator binding, keeping push
-        instruments.  For re-attaching the bundle to a *rebuilt* fabric of
+        """Drop the pull collectors and simulator binding, keeping the
+        counters.  For re-attaching the bundle to a *rebuilt* fabric of
         the same run (hybrid refine rounds rebuild the packet fabric, and
         the discarded one must stop contributing to snapshots or its
         counters double-count) — NOT for sharing a registry across runs;
@@ -233,13 +173,11 @@ class MetricsRegistry:
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:
-        """One JSON-able dict: pull collectors + push instruments."""
+        """One JSON-able dict: pull collectors + push counters."""
         counters: Dict[str, float] = {
             name: c.value for name, c in self._counters.items()
         }
-        gauges: Dict[str, float] = {
-            name: g.read() for name, g in self._gauges.items()
-        }
+        gauges: Dict[str, float] = {}
         for read in self._collectors:
             cs, gs = read()
             for k, v in cs.items():
@@ -250,9 +188,6 @@ class MetricsRegistry:
         return {
             "counters": counters,
             "gauges": gauges,
-            "histograms": {
-                name: h.to_dict() for name, h in self._histograms.items()
-            },
             "meta": {"runs": 1},
         }
 
@@ -262,11 +197,10 @@ class MetricsRegistry:
 
 def merge_snapshots(snapshots: Iterable[Optional[dict]]) -> dict:
     """Reduce worker snapshots into one: counters sum, gauges max,
-    histograms add bucket-wise (bounds must match), ``meta.runs`` sums.
-    ``None`` entries (runs without a registry) are skipped."""
+    ``meta.runs`` sums.  ``None`` entries (runs without a registry) are
+    skipped."""
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
-    histograms: Dict[str, dict] = {}
     runs = 0
     for snap in snapshots:
         if not snap:
@@ -277,22 +211,8 @@ def merge_snapshots(snapshots: Iterable[Optional[dict]]) -> dict:
         for k, v in snap.get("gauges", {}).items():
             if k not in gauges or v > gauges[k]:
                 gauges[k] = v
-        for name, h in snap.get("histograms", {}).items():
-            have = histograms.get(name)
-            if have is None:
-                histograms[name] = {
-                    "bounds": list(h["bounds"]),
-                    "counts": list(h["counts"]),
-                }
-            else:
-                if have["bounds"] != list(h["bounds"]):
-                    raise ValueError(
-                        f"histogram {name!r}: bucket bounds differ across workers"
-                    )
-                have["counts"] = [a + b for a, b in zip(have["counts"], h["counts"])]
     return {
         "counters": counters,
         "gauges": gauges,
-        "histograms": histograms,
         "meta": {"runs": runs},
     }

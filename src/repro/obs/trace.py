@@ -8,7 +8,6 @@ Categories map to the run's decision points:
 * ``hybrid`` — tier demotions and epoch-exchange ticks of the hybrid backend
 * ``cc``     — congestion-control pacing-rate changes
 * ``fault``  — fault-plan events and PFC-watchdog storm transitions
-* ``pkt``    — per-frame receive at a tapped switch (opt-in, tap-like)
 
 Train-safety contract (the hard constraint of the observability layer):
 every hook :meth:`EventTracer.attach` installs is **train-safe** — it
@@ -25,11 +24,6 @@ with the tracer on or off:
 * LB reroute events come from an explicit ``on_reroute`` callback slot the
   strategy exposes, invoked only on the (rare) reroute branch.
 
-The one exception is :meth:`EventTracer.tap_switch` (the ``pkt``
-category): it *does* wrap ``receive``, so it declares itself tap-like and
-demotes trains through that switch exactly as
-:class:`repro.metrics.tap.PacketTap` does — clear ``_train_ok`` on
-install, ``del`` the wrapper and ``_recompute_train_ok()`` on detach.
 
 All buffers are bounded ``deque(maxlen=capacity)`` rings: a week-long run
 cannot exhaust memory, and the flight recorder's "last N events" is just
@@ -39,16 +33,14 @@ the ring's tail.  Per-category emit totals keep counting after eviction.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.net.packet import PAUSE
 
-#: Categories installed by default — all train-safe.  (``fault`` events
-#: are emitted by the FaultInjector/PfcWatchdog directly, not by an
-#: attach() hook: both are cold control paths.)
+#: The categories, all train-safe.  (``fault`` events are emitted by the
+#: FaultInjector/PfcWatchdog directly, not by an attach() hook: both are
+#: cold control paths.)
 CATEGORIES = ("flow", "pfc", "lb", "hybrid", "cc", "fault")
-#: Opt-in per-frame category (tap-like: closes the train gate per switch).
-PKT = "pkt"
 
 
 class TraceEvent:
@@ -74,9 +66,6 @@ class TraceEvent:
             d["args"] = self.args
         return d
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TraceEvent {self.cat}:{self.name} t={self.ts_ps}ps>"
-
 
 class EventTracer:
     """Category-filtered ring-buffer tracer for one run.
@@ -91,7 +80,7 @@ class EventTracer:
                  capacity: int = 65536) -> None:
         cats = tuple(categories) if categories is not None else CATEGORIES
         for c in cats:
-            if c not in CATEGORIES and c != PKT:
+            if c not in CATEGORIES:
                 raise ValueError(f"unknown trace category {c!r}")
         self.categories = frozenset(cats)
         self.events: deque = deque(maxlen=capacity)
@@ -115,10 +104,6 @@ class EventTracer:
     def dropped(self) -> int:
         """Events evicted from the ring (emitted minus retained)."""
         return sum(self.counts.values()) - len(self.events)
-
-    def top_categories(self) -> List[Tuple[str, int]]:
-        """(category, emit count) pairs, busiest first."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def tail(self, n: int) -> List[TraceEvent]:
         """The last ``n`` events (the flight recorder's dump window)."""
@@ -314,47 +299,3 @@ class EventTracer:
 
         cc.on_ack = on_ack
         cc.on_cnp = on_cnp
-
-    # -- per-frame capture (tap-like: closes the train gate) ----------------
-    def tap_switch(self, sw) -> None:
-        """Trace every frame received at ``sw`` (category ``pkt``).
-
-        This wraps the switch's ``receive``, so it follows the PacketTap
-        protocol to the letter: clear ``_train_ok`` for the hook's
-        lifetime (the fused pipeline must hand every frame to the wrapper
-        individually), remember whether ``receive`` was already an
-        instance attribute, and on detach ``del`` the wrapper so the class
-        method resurfaces, then ``_recompute_train_ok()``.
-        """
-        if not self.enabled(PKT):
-            raise ValueError("tap_switch needs the 'pkt' category enabled")
-        orig = sw.receive
-        had = "receive" in sw.__dict__
-        gated = hasattr(sw, "_train_ok")
-        if gated:
-            # fncc-lint: allow[O402] tap_switch IS a PacketTap-protocol hook: gate cleared here, _recompute_train_ok() on detach below
-            sw._train_ok = False
-        sim = sw.sim
-        emit = self.emit
-
-        def receive(pkt, in_port: int, _orig=orig) -> None:
-            emit(
-                PKT,
-                "rx",
-                sim.now,
-                args={"node": sw.name, "port": in_port,
-                      "kind": pkt.kind, "flow": pkt.flow_id},
-            )
-            _orig(pkt, in_port)
-
-        sw.receive = receive
-
-        def undo(sw=sw, orig=orig, had=had, gated=gated):
-            if had:
-                sw.receive = orig
-            else:
-                del sw.receive
-            if gated:
-                sw._recompute_train_ok()
-
-        self._undo.append(undo)

@@ -28,15 +28,6 @@ class RoutingTables:
         self.graph = graph
         self.tables = tables
 
-    def ports_for(self, switch_name: str, dst_host_id: int) -> List[int]:
-        entry = self.tables.get(switch_name)
-        if entry is None:
-            raise KeyError(f"no table for switch {switch_name}")
-        ports = entry.get(dst_host_id)
-        if not ports:
-            raise KeyError(f"{switch_name}: no route to host {dst_host_id}")
-        return ports
-
 
 def bfs_distances(graph: Adjacency, source: str) -> Dict[str, int]:
     """Hop count from ``source`` to every node it reaches."""

@@ -91,10 +91,6 @@ class Event:
         a no-op once the callback has run."""
         self.alive = False
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.alive else "cancelled"
-        return f"<Event t={self.time} {getattr(self.fn, '__qualname__', self.fn)} {state}>"
-
 
 class Simulator:
     """A single-threaded discrete-event simulator with integer time.
@@ -112,7 +108,6 @@ class Simulator:
         "_seq",
         "_lanes",
         "_running",
-        "_stopped",
         "events_dispatched",
         "obs",
         "monitors",
@@ -125,7 +120,6 @@ class Simulator:
         self._seq: int = 0
         self._lanes: int = 0
         self._running: bool = False
-        self._stopped: bool = False
         self.events_dispatched: int = 0
         # The run's observability bundle (repro.obs.RunObservability), set
         # by its attach(); None on un-instrumented runs.  Registry reads are
@@ -216,14 +210,13 @@ class Simulator:
     def run(self, until: Optional[int] = None) -> int:
         """Dispatch events in time order.
 
-        Runs until the queue drains, :meth:`stop` is called, or the clock
-        would pass ``until`` (events at exactly ``until`` *do* run).  Returns
-        the number of events dispatched by this call.
+        Runs until the queue drains or the clock would pass ``until``
+        (events at exactly ``until`` *do* run).  Returns the number of
+        events dispatched by this call.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         dispatched = 0
         heap = self._heap
         pop = heappop
@@ -234,7 +227,7 @@ class Simulator:
         # under a horizon no key reaches.
         horizon_key = _NO_HORIZON if until is None else (until + 1) << 64
         try:
-            while heap and not self._stopped:
+            while heap:
                 item = pop(heap)
                 if item[0] >= horizon_key:
                     heappush(heap, item)
@@ -248,16 +241,12 @@ class Simulator:
                 dispatched += 1
         finally:
             self._running = False
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             # Advance the clock to the horizon even if the queue drained,
             # so back-to-back run(until=...) calls observe monotonic time.
             self.now = until
         self.events_dispatched += dispatched
         return dispatched
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current callback returns."""
-        self._stopped = True
 
     def peek(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is empty."""
@@ -286,6 +275,3 @@ class Simulator:
     def queue_len(self) -> int:
         """Number of events in the heap (including cancelled ones)."""
         return len(self._heap)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self.now}ps queued={len(self._heap)}>"

@@ -78,10 +78,6 @@ class Periodic:
         self._event: Optional[Event] = None
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start(self, offset: Optional[int] = None) -> None:
         if self._running:
             return

@@ -198,9 +198,6 @@ class Topology:
     def node(self, name: str):
         return self._by_name[name]
 
-    def host_by_id(self, host_id: int) -> Host:
-        return self.hosts[host_id]
-
     def start(self) -> None:
         """Arm periodic switch machinery (INT table refresh, etc.)."""
         for sw in self.switches:
@@ -256,9 +253,3 @@ class Topology:
 
     def bottleneck_gbps(self, src_host_id: int, dst_host_id: int) -> float:
         return min(r for r, _ in self.path_links(src_host_id, dst_host_id))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Topology hosts={len(self.hosts)} switches={len(self.switches)} "
-            f"links={sum(map(len, self.adj.values())) // 2}>"
-        )

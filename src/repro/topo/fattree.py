@@ -91,8 +91,3 @@ def fattree(
         install_lb(topo, lb)
     topo.start()
     return topo
-
-
-def n_hosts(k: int) -> int:
-    """Host count of a k-ary fat-tree (k^3 / 4)."""
-    return k * k * k // 4

@@ -274,8 +274,8 @@ class ReceiverQP:
             if data_pkt.int_records:
                 ack.int_records = data_pkt.int_records
                 ack.size += INT_RECORD_BYTES * len(data_pkt.int_records)
-        # FNCC §3.2.3: N = number of concurrent inbound flows (QP connections).
-        # (active_inbound_flows() inlined: never less than 1 when ACKing.)
+        # FNCC §3.2.3: N = number of concurrent inbound flows (QP
+        # connections), never less than 1 when ACKing.
         n = self.host._active_inbound
         ack.n_flows = n if n > 1 else 1
         nic = self._nic

@@ -238,14 +238,6 @@ class SenderQP:
             self._retx_timer.start(self.config.retx_timeout_ps)
         self._maybe_send()
 
-    @property
-    def inflight(self) -> int:
-        return self.snd_nxt - self.snd_una
-
-    @property
-    def remaining(self) -> int:
-        return self.flow.size_bytes - self.snd_nxt
-
     # -- transmit path ---------------------------------------------------------------
     def _maybe_send(self) -> None:
         """Emit as many frames as pacing + window currently allow."""
@@ -434,10 +426,3 @@ class SenderQP:
         self.cc.on_flow_finish(self)
         if self.on_complete is not None:
             self.on_complete(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<SenderQP flow={self.flow.flow_id} una={self.snd_una} "
-            f"nxt={self.snd_nxt}/{self.flow.size_bytes} W={self.window:.0f} "
-            f"R={self.rate_gbps:.1f}G>"
-        )

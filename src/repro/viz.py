@@ -37,7 +37,7 @@ def ascii_plot(
 ) -> str:
     """A character grid plot of one time series (times in ps on the x-axis,
     values scaled by ``y_scale`` on the y-axis)."""
-    if len(series) == 0:
+    if not series.times:
         return f"{title} (empty)"
     values = [v * y_scale for v in _resample(series.values, width)]
     lo = min(0.0, min(values))

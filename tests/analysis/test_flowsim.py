@@ -27,7 +27,7 @@ class TestMaxMin:
     def test_single_flow_gets_line_rate(self):
         fls = simple_sim()
         res = fls.run([Flow(0, 0, 9, 10 * MB)], path_via_s)
-        assert res.completed() == 1
+        assert len(res.records) == 1
         # 10 MB at 100 Gb/s ~ 800 us (+ base latency); slowdown ~ 1.
         assert res.records[0].slowdown == pytest.approx(1.0, abs=0.02)
 
@@ -71,7 +71,7 @@ class TestMaxMin:
         fls = simple_sim()
         flows = [Flow(i, i % 2, 9, (i + 1) * MB) for i in range(6)]
         res = fls.run(flows, path_via_s)
-        assert res.completed() == 6
+        assert len(res.records) == 6
 
     def test_unknown_link_rejected(self):
         fls = simple_sim()

@@ -2,24 +2,19 @@
 
 import pytest
 
-from repro.analysis.notification import (
-    NotificationModel,
-    fncc_gain_ps,
-    fncc_notification_delay_ps,
-    hpcc_notification_delay_ps,
-)
+from repro.analysis.notification import NotificationModel
 from repro.units import ACK_SIZE, DEFAULT_MTU, serialization_ps, us
 
 
 class TestModel:
     def test_gain_positive_everywhere(self):
         m = NotificationModel(5)
-        assert all(g > 0 for g in m.gain_profile())
+        assert all(g > 0 for g in [m.gain_ps(j) for j in range(1, m.n + 1)])
 
     def test_gain_decreases_toward_last_hop(self):
         """The paper's §5.4.1 conclusion: first > middle > last."""
         m = NotificationModel(3)
-        gains = m.gain_profile()
+        gains = [m.gain_ps(j) for j in range(1, m.n + 1)]
         assert gains[0] > gains[1] > gains[2]
 
     def test_hpcc_delay_formula_first_hop(self):
@@ -56,12 +51,6 @@ class TestModel:
             m.gain_ps(0)
         with pytest.raises(ValueError):
             m.gain_ps(4)
-
-    def test_wrappers_match_model(self):
-        m = NotificationModel(3)
-        assert hpcc_notification_delay_ps(3, 2) == m.hpcc_delay_ps(2)
-        assert fncc_notification_delay_ps(3, 2) == m.fncc_delay_ps(2)
-        assert fncc_gain_ps(3, 2) == m.gain_ps(2)
 
     def test_rate_scales_serialization_component(self):
         slow = NotificationModel(3, rate_gbps=100.0, prop_delay_ps=0)

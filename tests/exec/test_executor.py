@@ -14,7 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from helpers import live_thread
-from repro.exec import RunSpec, SweepError, SweepExecutor, resolve_callable, run_sweep
+from repro.exec import RunSpec, SweepError, SweepExecutor, resolve_callable
 
 
 # -- module-level spec targets (picklable by reference) ---------------------
@@ -99,7 +99,7 @@ class TestInProcessFallback:
 
     def test_values_in_spec_order(self):
         specs = [RunSpec(fn=add, kwargs=dict(a=i), key=i) for i in range(5)]
-        assert run_sweep(specs) == [0, 1, 2, 3, 4]
+        assert [r.value for r in SweepExecutor().map(specs)] == [0, 1, 2, 3, 4]
 
     def test_empty_sweep(self):
         assert SweepExecutor(jobs=1).map([]) == []

@@ -12,7 +12,7 @@ would, by holding a second thread live (``helpers.live_thread``)."""
 import pytest
 
 from helpers import live_thread
-from repro.exec import RunSpec, SweepError, SweepExecutor, run_sweep
+from repro.exec import RunSpec, SweepError, SweepExecutor
 from repro.experiments.lbmatrix import run_lbmatrix
 
 #: One reduced lbmatrix slice: 2 LB strategies x 1 CC on the fat-tree
@@ -23,6 +23,11 @@ SLICE = dict(
     topos=("fattree",),
     workloads=("permutation",),
 )
+
+
+def sweep_values(specs, jobs):
+    """The sweep's values, in spec order."""
+    return [r.value for r in SweepExecutor(jobs=jobs).map(specs)]
 
 
 class TestLbmatrixSerialVsParallel:
@@ -80,15 +85,15 @@ class TestMultiSeedMicrobench:
         ]
 
     def test_fingerprints_byte_identical(self):
-        serial = run_sweep(self._specs(), jobs=1)
-        parallel = run_sweep(self._specs(), jobs=2)
+        serial = sweep_values(self._specs(), jobs=1)
+        parallel = sweep_values(self._specs(), jobs=2)
         with live_thread():
-            spawned = run_sweep(self._specs(), jobs=2)
+            spawned = sweep_values(self._specs(), jobs=2)
         assert len(serial) == len(parallel) == len(spawned) == len(self.SEEDS)
         for s, p, q in zip(serial, parallel, spawned):
             assert s.seed == p.seed == q.seed
             assert s.fingerprint() == p.fingerprint() == q.fingerprint()
-            assert len(s.queue) > 0  # a real run, not an empty shell
+            assert len(s.queue.times) > 0  # a real run, not an empty shell
 
 
 class TestWorkerCrash:

@@ -94,7 +94,7 @@ class TestOneCellShape:
 class TestMicrobench:
     def test_quick_dumbbell_returns_series(self):
         r = quick_dumbbell("fncc", duration_us=120.0)
-        assert len(r.queue) > 0
+        assert len(r.queue.times) > 0
         assert 0 in r.rates and 1 in r.rates
         assert r.peak_queue_bytes >= 0
 

@@ -111,11 +111,9 @@ def test_switch_fail_degrades_to_flow_failed(sim):
 
 def test_link_down_then_up_heals_single_path(sim):
     # Down for 40 us mid-transfer on the only path: the sender must ride
-    # RTO backoff through the outage and still finish after link_up.
-    plan = (
-        FaultPlan("blip")
-        .link_down("sw0", "sw1", at_ps=us(5))
-        .link_up("sw0", "sw1", at_ps=us(45))
+    # RTO backoff through the outage and still finish after it comes up.
+    plan = FaultPlan("blip").link_flap(
+        "sw0", "sw1", start_ps=us(5), flaps=1, down_ps=us(40), up_ps=0
     )
     topo, qp, injector = _dumbbell_flow(sim, plan)
     sim.run(until=us(5000))

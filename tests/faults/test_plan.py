@@ -12,7 +12,6 @@ def build_reference_plan():
     return (
         FaultPlan("ref")
         .link_down("a", "b", at_ps=us(10))
-        .link_up("a", "b", at_ps=us(20))
         .link_flap("a", "c", start_ps=us(5), flaps=3, down_ps=us(2), up_ps=us(2))
         .switch_fail("s1", at_ps=us(30))
         .gray_loss("a", "b", start_ps=us(1), end_ps=us(9), prob=0.05)
@@ -25,13 +24,10 @@ def build_reference_plan():
 
 def test_builders_chain_and_record_specs():
     plan = build_reference_plan()
-    assert len(plan) == 6
+    assert len(plan) == 5
     assert bool(plan)
     kinds = [s["kind"] for s in plan.specs]
-    assert kinds == [
-        "link_down", "link_up", "link_flap", "switch_fail", "gray_loss",
-        "pfc_storm",
-    ]
+    assert kinds == ["link_down", "link_flap", "switch_fail", "gray_loss", "pfc_storm"]
 
 
 def test_noop_is_falsy_and_empty():

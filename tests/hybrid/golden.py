@@ -1,10 +1,11 @@
 """Golden hybrid cells: what ``golden_hybrid.json`` records and how.
 
 The table pins the hybrid backend's simulated output *across commits*
-(ROADMAP item 4, hybrid slice): per cell, the FCT fingerprint, a digest of
-every port counter, and the phase-stats dict.  ``test_golden.py`` recomputes
-each cell and demands equality; re-bless only when a change is *meant* to
-move simulated numbers, and justify it in CHANGES.md::
+(ROADMAP aim 3, byte identity across commits): per cell, the FCT
+fingerprint, a digest of every port counter, and the phase-stats dict.
+``test_golden.py`` recomputes each cell and demands equality; re-bless only
+when a change is *meant* to move simulated numbers, and justify it in
+CHANGES.md::
 
     PYTHONPATH=src python tests/hybrid/golden.py --rebless
 

@@ -291,10 +291,10 @@ class TestPathDiversity:
         inter_pod = topo.node("h_2_0_0").host_id
         intra_pod = topo.node("h_0_1_0").host_id
         same_tor = topo.node("h_0_0_1").host_id
-        assert len(rt.ports_for("tor_0_0", inter_pod)) == 2  # k/2 uplinks
-        assert len(rt.ports_for("agg_0_0", inter_pod)) == 2  # k/2 cores
-        assert len(rt.ports_for("tor_0_0", intra_pod)) == 2
-        assert len(rt.ports_for("tor_0_0", same_tor)) == 1
+        assert len(rt.tables["tor_0_0"][inter_pod]) == 2  # k/2 uplinks
+        assert len(rt.tables["agg_0_0"][inter_pod]) == 2  # k/2 cores
+        assert len(rt.tables["tor_0_0"][intra_pod]) == 2
+        assert len(rt.tables["tor_0_0"][same_tor]) == 1
 
     def test_jellyfish_has_multipath_under_lb(self, sim):
         topo = jellyfish(

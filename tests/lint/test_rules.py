@@ -672,7 +672,6 @@ def test_o402_violation():
 
 
 def test_o402_protocol_module_exempt():
-    assert rules_hit(O402_BAD, relpath="src/repro/metrics/tap.py", rules=["O402"]) == []
     assert rules_hit(O402_BAD, relpath="src/repro/net/switch.py", rules=["O402"]) == []
 
 

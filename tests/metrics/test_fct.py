@@ -95,13 +95,6 @@ class TestSlowdownTable:
         t = SlowdownTable.from_records(recs, SIZE_BINS_WEBSEARCH)
         assert t.row_counts()[10 * KB] == 1
 
-    def test_format_renders_all_bins(self):
-        t = SlowdownTable([10 * KB, MB])
-        t.add(KB, 2.0)
-        text = t.format("demo")
-        assert "demo" in text
-        assert "10KB" in text and "1MB" in text
-
     def test_paper_bins_exact(self):
         assert SIZE_BINS_WEBSEARCH[0] == 10 * KB
         assert SIZE_BINS_WEBSEARCH[-1] == 30 * MB

@@ -31,7 +31,7 @@ class TestQueueSampler:
         mon = QueueSampler(sim, topo.switches[0].ports[0], interval_ps=us(2))
         sim.run(until=us(20))
         # offset=0 sample plus one every 2 us.
-        assert len(mon.series) == 11
+        assert len(mon.series.times) == 11
 
     def test_congested_port_sees_queue(self, sim):
         topo, qps = loaded_dumbbell(sim)
@@ -47,9 +47,9 @@ class TestQueueSampler:
         # raise mid-run can't leak an armed Periodic.
         with QueueSampler(sim, topo.switches[0].ports[0], interval_ps=us(1)) as mon:
             sim.run(until=us(10))
-        n = len(mon.series)
+        n = len(mon.series.times)
         sim.run(until=us(50))
-        assert len(mon.series) == n
+        assert len(mon.series.times) == n
 
     def test_exception_in_with_block_still_stops(self, sim):
         topo, qps = loaded_dumbbell(sim)
@@ -59,9 +59,9 @@ class TestQueueSampler:
             ) as mon:
                 sim.run(until=us(10))
                 raise RuntimeError("injected")
-        n = len(mon.series)
+        n = len(mon.series.times)
         sim.run(until=us(50))
-        assert len(mon.series) == n
+        assert len(mon.series.times) == n
 
     def test_engine_stop_monitors_disarms_all(self, sim):
         topo, qps = loaded_dumbbell(sim)
@@ -69,9 +69,9 @@ class TestQueueSampler:
         b = QueueSampler(sim, topo.switches[1].ports[0], interval_ps=us(2))
         sim.run(until=us(10))
         sim.stop_monitors()
-        counts = (len(a.series), len(b.series))
+        counts = (len(a.series.times), len(b.series.times))
         sim.run(until=us(50))
-        assert (len(a.series), len(b.series)) == counts
+        assert (len(a.series.times), len(b.series.times)) == counts
         sim.stop_monitors()  # idempotent
 
 

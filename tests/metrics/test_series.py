@@ -13,22 +13,10 @@ def filled():
 
 
 class TestBasics:
-    def test_len_and_arrays(self):
-        s = filled()
-        assert len(s) == 4
-        t, v = s.as_arrays()
-        assert list(t) == [0, 10, 20, 30]
-        assert v.dtype.kind == "f"
-
-    def test_max_mean(self):
-        s = filled()
-        assert s.max() == 5.0
-        assert s.mean() == pytest.approx((1 + 5 + 3 + 0.5) / 4)
-
     def test_empty_series(self):
         s = TimeSeries()
         assert s.max() == 0.0
-        assert s.mean() == 0.0
+        assert s.mean_after(0) == 0.0
         assert s.value_at(100) == 0.0
 
 
@@ -55,22 +43,12 @@ class TestWindows:
         assert s.max_between(11, 19) == 0.0  # empty window
         assert s.max_between(25, 5) == 0.0  # inverted window
 
-    def test_percentile(self):
-        s = filled()  # values 1.0, 5.0, 3.0, 0.5
-        assert s.percentile(0) == 0.5
-        assert s.percentile(100) == 5.0
-        assert s.percentile(50) == pytest.approx(2.0)  # median of the four
-        # Windowed: only 3.0 and 0.5 remain after t=15.
-        assert s.percentile(100, after_ps=15) == 3.0
-        assert s.percentile(50, after_ps=15) == pytest.approx(1.75)
-        assert s.percentile(99, after_ps=100) == 0.0  # empty window
-
     def test_cached_view_tracks_appends(self):
         s = filled()
         assert s.max_after(0) == 5.0  # builds the cache
         s.append(40, 9.0)
         assert s.max_after(0) == 9.0  # append invalidated it
-        assert s.percentile(100) == 9.0
+        assert s.max() == 9.0
 
     def test_value_at_step_interpolation(self):
         s = filled()
@@ -85,8 +63,3 @@ class TestThresholdScans:
         s = filled()
         assert s.first_time_below(1.0, after_ps=5) == 30
         assert s.first_time_below(0.1) == -1
-
-    def test_first_time_above(self):
-        s = filled()
-        assert s.first_time_above(4.0) == 10
-        assert s.first_time_above(4.0, after_ps=15) == -1

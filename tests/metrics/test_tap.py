@@ -4,7 +4,7 @@ import pytest
 
 from repro.cc.base import CongestionControl
 from repro.experiments.common import build_cc_env, launch_flows
-from repro.metrics.tap import PacketTap
+from helpers import PacketTap
 from repro.net.host import Host
 from repro.net.packet import ACK, DATA
 from repro.net.port import connect

@@ -9,43 +9,17 @@ from repro.obs import MetricsRegistry, RunObservability, merge_snapshots
 
 
 class TestInstruments:
-    def test_counter_gauge_histogram(self):
+    def test_counters_sum_into_the_snapshot(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.counter("c").inc(4)
-        reg.gauge("g").set(7.5)
-        h = reg.histogram("h", bounds=[1.0, 10.0])
-        for v in (0.5, 5.0, 50.0, 1.0):
-            h.observe(v)
         snap = reg.snapshot()
         assert snap["counters"]["c"] == 5
-        assert snap["gauges"]["g"] == 7.5
-        # upper-inclusive buckets: 0.5 and 1.0 in the first, 5.0 in the
-        # second, 50.0 overflows.
-        assert snap["histograms"]["h"] == {
-            "bounds": [1.0, 10.0],
-            "counts": [2, 1, 1],
-        }
         assert snap["meta"] == {"runs": 1}
 
     def test_instruments_are_memoized_by_name(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
-        assert reg.gauge("y") is reg.gauge("y")
-        assert reg.histogram("z", [1]) is reg.histogram("z", [1])
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("bad", bounds=[2.0, 1.0])
-
-    def test_callback_gauge_reads_at_snapshot_time(self):
-        reg = MetricsRegistry()
-        box = {"v": 1}
-        reg.gauge("live", fn=lambda: box["v"])
-        assert reg.snapshot()["gauges"]["live"] == 1
-        box["v"] = 9
-        assert reg.snapshot()["gauges"]["live"] == 9
 
 
 class TestRunBinding:
@@ -110,26 +84,17 @@ class TestMergeSnapshots:
         a = {
             "counters": {"c": 2, "only_a": 1},
             "gauges": {"g": 5},
-            "histograms": {"h": {"bounds": [1.0], "counts": [1, 0]}},
             "meta": {"runs": 1},
         }
         b = {
             "counters": {"c": 3},
             "gauges": {"g": 9, "only_b": 2},
-            "histograms": {"h": {"bounds": [1.0], "counts": [0, 4]}},
             "meta": {"runs": 2},
         }
         m = merge_snapshots([a, None, b])
         assert m["counters"] == {"c": 5, "only_a": 1}
         assert m["gauges"] == {"g": 9, "only_b": 2}
-        assert m["histograms"]["h"] == {"bounds": [1.0], "counts": [1, 4]}
         assert m["meta"]["runs"] == 3
-
-    def test_merge_rejects_mismatched_histogram_bounds(self):
-        a = {"histograms": {"h": {"bounds": [1.0], "counts": [0, 0]}}}
-        b = {"histograms": {"h": {"bounds": [2.0], "counts": [0, 0]}}}
-        with pytest.raises(ValueError):
-            merge_snapshots([a, b])
 
 
 class TestWorkerSnapshots:

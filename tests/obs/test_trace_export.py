@@ -36,15 +36,6 @@ class TestTracerCore:
         # tail() is the newest slice.
         assert [e.name for e in tr.tail(3)] == ["e17", "e18", "e19"]
 
-    def test_top_categories_sorted(self):
-        tr = EventTracer()
-        for _ in range(3):
-            tr.emit("cc", "rate", 0)
-        tr.emit("flow", "start", 0)
-        top = tr.top_categories()
-        assert top[0] == ("cc", 3)
-        assert ("flow", 1) in top
-
     def test_complete_event_round_trip(self):
         tr = EventTracer()
         tr.emit("flow", "flow 1", 1_000_000, ph="X", dur_ps=2_000_000,

@@ -6,8 +6,8 @@ recorder) must leave every simulation observable byte-identical — FCT
 fingerprints, every per-port :class:`PortStats` counter, the PFC frame
 ledger — on the fused hop path and on the classic-only reference
 (:func:`helpers.classic_hops_only`), and must NOT close the frame-train
-gate (unlike :class:`repro.metrics.tap.PacketTap` and the tap-like ``pkt``
-trace category, which wrap ``receive`` and therefore demote trains).
+gate (unlike :class:`helpers.PacketTap`, which wraps ``receive`` and
+therefore demotes trains).
 
 Extends the A/B pattern of ``tests/property/test_trains.py`` with a third
 axis: obs on vs off.
@@ -182,55 +182,3 @@ class TestTraceHooksObserve:
             assert obs.tracer.counts["lb"] > 0
         assert snap["counters"]["lb.probes"] > 0
         assert cell_obs[0]  # flows completed
-
-
-class TestTapLikeHooksCloseGate:
-    def test_pkt_category_tap_demotes_trains(self):
-        """The opt-in ``pkt`` category wraps ``receive`` like PacketTap:
-        it MUST close the gate (and restore it on detach)."""
-        from repro.experiments.common import build_cc_env
-        from repro.obs.trace import PKT
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import SeedSequenceFactory
-        from repro.topo.base import LinkSpec
-        from repro.topo.dumbbell import dumbbell
-        from repro.units import us
-
-        sim = Simulator()
-        topo = dumbbell(
-            sim,
-            n_senders=2,
-            n_switches=2,
-            link=LinkSpec(rate_gbps=100.0, prop_delay_ps=us(1.5)),
-            switch_config=build_cc_env("fncc").switch_config,
-            seeds=SeedSequenceFactory(1),
-        )
-        sw = topo.switches[0]
-        assert sw.train_transparent()
-        tracer = EventTracer(categories=(PKT,))
-        tracer.tap_switch(sw)
-        assert not sw.train_transparent(), "pkt tap must close the train gate"
-        tracer.detach()
-        assert "receive" not in sw.__dict__
-        assert sw.train_transparent()
-
-    def test_pkt_tap_requires_category(self):
-        from repro.experiments.common import build_cc_env
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import SeedSequenceFactory
-        from repro.topo.base import LinkSpec
-        from repro.topo.dumbbell import dumbbell
-        from repro.units import us
-
-        sim = Simulator()
-        topo = dumbbell(
-            sim,
-            n_senders=2,
-            n_switches=2,
-            link=LinkSpec(rate_gbps=100.0, prop_delay_ps=us(1.5)),
-            switch_config=build_cc_env("fncc").switch_config,
-            seeds=SeedSequenceFactory(1),
-        )
-        tracer = EventTracer()  # default categories exclude "pkt"
-        with pytest.raises(ValueError):
-            tracer.tap_switch(topo.switches[0])

@@ -26,12 +26,11 @@ import random
 
 import pytest
 
-from helpers import classic_hops_only
+from helpers import PacketTap, classic_hops_only, train_gate_open
 from repro.experiments.common import run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.experiments.lbmatrix import run_lb_cell
 from repro.metrics import pfc_frame_totals
-from repro.metrics.tap import PacketTap
 from repro.net.packet import DATA
 from repro.units import KB, us
 
@@ -222,7 +221,7 @@ class TestScenarioEquivalence:
                 cell.fct_fingerprint(),
                 port_stats_fingerprint(cell.topo),
                 train_frames_total(cell.topo),
-                all(not sw.train_transparent() for sw in cell.topo.switches),
+                all(not train_gate_open(sw) for sw in cell.topo.switches),
             )
 
         on, off = _ab(run)
@@ -429,7 +428,7 @@ class TestSplitTriggers:
             if tap is not None:
                 tap.uninstall()
                 # The gate must be restored for post-tap traffic.
-                assert topo.switches[1].train_transparent()
+                assert train_gate_open(topo.switches[1])
             return captured, fused_into_tapped, stats
 
         cap_on, fused_on, stats_on = run(tap_switch=True)
@@ -464,14 +463,14 @@ class TestSplitTriggers:
             seeds=SeedSequenceFactory(1),
         )
         sw = topo.switches[0]
-        assert sw.train_transparent()
+        assert train_gate_open(sw)
         tap = PacketTap(sw, kind=DATA)
-        assert not sw.train_transparent()
+        assert not train_gate_open(sw)
         install_lb(topo, "ecmp")  # mid-run strategy change under the tap
         assert not sw._train_ok, "reinstall must not reopen a tapped gate"
         tap.uninstall()
         assert "receive" not in sw.__dict__  # pristine: class method back
-        assert sw.train_transparent()
+        assert train_gate_open(sw)
 
     def test_hand_swapped_router_splits(self):
         # A router assigned directly (not via install_lb) must refuse
@@ -492,10 +491,10 @@ class TestSplitTriggers:
             seeds=SeedSequenceFactory(1),
         )
         sw = topo.switches[0]
-        assert sw.train_transparent()
+        assert train_gate_open(sw)
         orig = sw.router
         sw.router = lambda s, p: orig(s, p)
-        assert not sw.train_transparent()
+        assert not train_gate_open(sw)
 
     def test_reference_never_fuses_and_demotion_after_pfc(self):
         with classic_hops_only():

@@ -43,23 +43,15 @@ class TestTables:
         rt = build_graph_tables(topo)
         recv = topo.hosts[-1].host_id
         # sw0 must route to the receiver via sw1 (single path).
-        ports = rt.ports_for("sw0", recv)
+        ports = rt.tables["sw0"][recv]
         assert len(ports) == 1
-
-    def test_missing_route_raises(self, sim):
-        topo = dumbbell(sim)
-        rt = build_graph_tables(topo)
-        with pytest.raises(KeyError):
-            rt.ports_for("sw0", 999)
-        with pytest.raises(KeyError):
-            rt.ports_for("nonexistent", 0)
 
     def test_fattree_has_equal_cost_choices(self, sim):
         topo = fattree(sim, k=4)
         rt = build_graph_tables(topo)
         # A ToR reaching a remote pod has k/2 = 2 uplink choices.
         remote_host = topo.node("h_3_0_0").host_id
-        assert len(rt.ports_for("tor_0_0", remote_host)) == 2
+        assert len(rt.tables["tor_0_0"][remote_host]) == 2
 
 
 def per_host_tables(topo, graph=None):

@@ -108,15 +108,6 @@ class TestRunUntil:
 
 
 class TestStop:
-    def test_stop_halts_run(self, sim):
-        log = []
-        sim.schedule(1, lambda _: (log.append(1), sim.stop()))
-        sim.schedule(2, log.append, 2)
-        sim.run()
-        assert log == [1]
-        sim.run()
-        assert log == [1, 2]
-
     def test_run_not_reentrant(self, sim):
         def naughty(_):
             sim.run()

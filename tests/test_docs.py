@@ -73,6 +73,47 @@ def test_the_guard_sees_what_it_guards():
     ]
 
 
+_ROADMAP_CITE = re.compile(r"ROADMAP\s+(?:items?\s+)?(\d+)(?:\(([a-z])\))?")
+
+
+def roadmap_items(text: str) -> dict:
+    """ROADMAP.md's numbered items (``### N · title``) -> their lettered
+    sub-items (a bold ``(x)`` opening a line of the item)."""
+    items = {}
+    for number, body in re.findall(r"^### (\d+) ·.*?\n(.*?)(?=^### |\Z)", text, re.M | re.S):
+        items[int(number)] = set(re.findall(r"^(?:- )?\*\*\(([a-z])\)", body, re.M))
+    return items
+
+
+def stale_roadmap_citations(text: str, items: dict) -> list:
+    """Each ``ROADMAP item N`` / ``N(x)`` in ``text`` that names no item,
+    or a letter the item does not have."""
+    stale = []
+    for number, letter in _ROADMAP_CITE.findall(text):
+        if int(number) not in items or (letter and letter not in items[int(number)]):
+            stale.append(f"{number}({letter})" if letter else number)
+    return stale
+
+
+def test_roadmap_citations_name_items_that_exist():
+    """Items get renumbered at every re-anchor; a citation of item 7(d)
+    outlived the letter by four PRs."""
+    items = roadmap_items((ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
+    assert {1, 2, 7, 10, 11} <= set(items) and {"a", "b", "c"} <= items[7]
+    sources = [ROOT / "DESIGN.md", *sorted((ROOT / "src").rglob("*.py")),
+               *sorted((ROOT / "tests").rglob("*.py")), *sorted((ROOT / "tools").rglob("*.py"))]
+    sources.remove(Path(__file__).resolve())  # its own examples below
+    problems = [
+        f"{source.relative_to(ROOT)}: ROADMAP item {cite}: no such item in ROADMAP.md"
+        for source in sources
+        for cite in stale_roadmap_citations(source.read_text(encoding="utf-8"), items)
+    ]
+    assert not problems, "\n".join(problems)
+    assert stale_roadmap_citations(
+        "ROADMAP item 7(d), ROADMAP\nitem 1(a) and ROADMAP item 99", {1: {"a"}, 7: {"a"}}
+    ) == ["7(d)", "99"]
+
+
 def test_there_is_one_version():
     """``repro.__version__`` is the only literal: pyproject.toml reads it
     (it said 0.2.0 while the package said 1.0.0), and an installed

@@ -106,6 +106,7 @@ def test_spawn_worker_imports_run_a_flow_without_scipy_or_networkx():
 
 def test_a_flow_runs_and_a_slowdown_table_prints_without_numpy():
     body = """
+    from repro.experiments.fct_experiment import FctResult, format_panel
     from repro.metrics.fct import SIZE_BINS_WEBSEARCH, FctCollector
 
     sim = Simulator()
@@ -113,10 +114,13 @@ def test_a_flow_runs_and_a_slowdown_table_prints_without_numpy():
     collector = FctCollector(topo)
     launch_flows(topo, [Flow(0, 0, 15, 20_000)], env)
     sim.run()
-    text = collector.table(SIZE_BINS_WEBSEARCH).format("one flow")
-    assert text.splitlines()[2].split()[:2] == ["10KB", "0"], text
-    assert text.splitlines()[3].split()[:2] == ["20KB", "1"], text
-    assert collector.slowdowns() == [collector.records[0].slowdown]
+    result = FctResult("fncc", "websearch", collector, SIZE_BINS_WEBSEARCH, 1, sim)
+    text = format_panel({"fncc": result}, "p99", "one flow")
+    header, row = text.splitlines()[1:3]
+    assert header.split()[:3] == ["cc", "10K", "20K"], text
+    slowdown = collector.records[0].slowdown
+    assert row.split()[:3] == ["fncc", "-", f"{slowdown:.2f}"], text
+    assert collector.slowdowns() == [slowdown]
     """
     run_probe(NO_NUMPY, "import repro.experiments.runner", ONE_FLOW, body)
 
@@ -319,6 +323,41 @@ def test_a_figure_cell_imports_nothing_its_module_did_not():
     assert [r.completed() for r in results.values()] == [10, 10, 10], results
     after = {m for m in sys.modules if m.split(".")[0] == "repro"}
     print(json.dumps(sorted(after - before)))
+    """
+    assert run_probe(body, report="") == []
+
+
+@FORK_ONLY
+@pytest.mark.parametrize("cell", [
+    dict(backend="hybrid"), dict(backend="flow"), dict(obs_snapshot=True),
+], ids=["hybrid", "flow", "traced"])
+def test_a_pooled_cell_imports_nothing_after_the_fork(cell):
+    # The fluid engines and the obs package are imported inside the cell;
+    # the sweep resolves them in the parent, so a forked worker has them.
+    body = f"""
+    import json, os, sys, tempfile
+    import repro.experiments.fct_experiment as fct_experiment
+    from repro.experiments.fig15_hadoop import run_fig15
+
+    at_fork = set()
+    os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+    reports = tempfile.mkdtemp()
+    cell = fct_experiment.run_fct_summary
+
+    def cell_reporting_imports(*args, **kwargs):
+        summary = cell(*args, **kwargs)
+        new = {{m for m in sys.modules if m.split(".")[0] == "repro"}} - at_fork
+        with open(os.path.join(reports, str(os.getpid())), "a") as f:
+            f.write(json.dumps(sorted(new)) + "\\n")
+        return summary
+
+    fct_experiment.run_fct_summary = cell_reporting_imports
+    results = run_fig15(n_flows=10, jobs=2, **{cell!r})
+    assert [r.completed() for r in results.values()] == [10, 10, 10], results
+    lines = [line for name in os.listdir(reports)
+             for line in open(os.path.join(reports, name))]
+    assert len(lines) == 3, lines
+    print(json.dumps(sorted({{m for line in lines for m in json.loads(line)}})))
     """
     assert run_probe(body, report="") == []
 

@@ -122,7 +122,7 @@ DEFAULTS: Dict[str, Any] = {
     "h302": {
         # Modules whose classes are instantiated per-frame / per-event: an
         # instance __dict__ here is a real memory + attribute-lookup cost.
-        # switch.py/node.py are deliberately absent — the PacketTap protocol
+        # switch.py/node.py are deliberately absent — the train-gate protocol
         # installs instance-dict receive wrappers on them (DESIGN.md §8).
         "hot_modules": [
             "src/repro/sim/engine.py",
@@ -153,10 +153,9 @@ DEFAULTS: Dict[str, Any] = {
         "mutators": ["inc", "observe", "set"],
     },
     "o402": {
-        # Switch owns the gate; metrics/tap.py IS the PacketTap protocol.
-        # Tap-like hooks elsewhere must go through that protocol (§8) and
+        # Switch owns the gate.  Tap-like hooks elsewhere must go through that protocol (§8) and
         # carry a justified suppression.
-        "owner_modules": ["src/repro/net/switch.py", "src/repro/metrics/tap.py"],
+        "owner_modules": ["src/repro/net/switch.py"],
     },
 }
 

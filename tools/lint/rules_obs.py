@@ -4,8 +4,8 @@ The obs layer's contract: instrumented code *pushes* metrics, collectors
 and exporters only *pull* snapshots (O401) — a collector that mutates a
 metric double-counts on the next export and perturbs the thing it
 measures.  And the frame-train gate ``Switch._train_ok`` has exactly one
-safe manipulation protocol, PacketTap's (clear on install, recompute on
-detach); any hook that pokes it directly either leaks a closed gate (perf
+safe manipulation protocol (clear on install, recompute on detach — the
+FaultInjector's); any hook that pokes it directly either leaks a closed gate (perf
 cliff) or reopens it under a live tap (missed frames) — O402.
 """
 
@@ -47,7 +47,7 @@ def check_o401(ctx: FileContext) -> Iterator[Finding]:
 
 @rule(
     "O402",
-    "_train_ok written outside the switch/PacketTap protocol",
+    "_train_ok written outside the switch's train-gate protocol",
     "DESIGN.md §8",
 )
 def check_o402(ctx: FileContext) -> Iterator[Finding]:
@@ -69,6 +69,6 @@ def check_o402(ctx: FileContext) -> Iterator[Finding]:
                     t.lineno,
                     t.col_offset + 1,
                     "direct write to Switch._train_ok; hooks must follow the "
-                    "PacketTap protocol (clear on install, "
+                    "train-gate protocol (clear on install, "
                     "_recompute_train_ok() on detach) — see DESIGN.md §8",
                 )
