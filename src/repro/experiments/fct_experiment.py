@@ -322,13 +322,7 @@ def run_fct_experiment(
     if faults is not None:
         from repro.faults import FaultInjector
 
-        FaultInjector(faults).arm(
-            fab.sim,
-            fab.topo,
-            seeds=fab.topo.seeds,
-            registry=getattr(obs, "registry", None),
-            tracer=getattr(obs, "tracer", None),
-        )
+        FaultInjector(faults).arm(fab.sim, fab.topo, seeds=fab.topo.seeds)
     launch_and_drive(fab, fab.flows, max_horizon_ms, obs=obs)
     return FctResult(
         cc, workload, fab.collector, fab.bins, len(fab.flows), fab.sim, topo=fab.topo

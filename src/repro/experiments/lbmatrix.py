@@ -39,15 +39,15 @@ CellKey = Tuple[str, str, str, str]
 
 
 def make_lb_config(lb: str) -> LbConfig:
-    """Matrix-default knobs per strategy (explicit so cells are pinned even
-    if library defaults move)."""
+    """The strategy a matrix column runs: flowlet with the matrix's own
+    idle gap, the others at their defaults."""
     if lb == "flowlet":
         return LbConfig("flowlet", gap_ps=us(15))
     if lb == "conweave":
         return LbConfig("conweave")
     if lb == "spray":
-        return LbConfig("spray", mode="round_robin")
-    return LbConfig("ecmp", symmetric=True)
+        return LbConfig("spray")
+    return LbConfig("ecmp")
 
 
 def run_lb_cell(

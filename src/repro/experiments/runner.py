@@ -124,6 +124,9 @@ def main(argv=None) -> int:
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.seed is not None and not 0 <= args.seed < 2**63:
+        # SeedSequenceFactory's rule, checked before any cell runs.
+        parser.error("--seed must be a non-negative 63-bit integer")
 
     if args.list or not args.experiment:
         for name in _MODULES:
@@ -138,6 +141,10 @@ def main(argv=None) -> int:
         print(f"unknown experiment {args.experiment!r}; use --list", file=sys.stderr)
         return 2
     opts = _accepted_options(args.experiment)
+    if "trace" in opts and args.trace is not None:
+        folder = os.path.dirname(os.path.abspath(args.trace))
+        if not os.path.isdir(folder):
+            parser.error(f"--trace: directory {folder} does not exist")
     kwargs = {}
     for opt, (not_given, note) in _OPTIONS.items():
         value = getattr(args, opt)

@@ -18,8 +18,7 @@ them silently skew a run.  Two tiers:
 Nodes the active fault plan has fail-stopped are exempt from the
 quiescence tier: a dead switch legitimately strands whatever it held.
 The auditor is pure observation — it never mutates simulator state — so
-registering it as a metrics pull collector or running it from the flight
-recorder cannot perturb a run.
+running it from the flight recorder cannot perturb a run.
 """
 
 from __future__ import annotations
@@ -175,13 +174,6 @@ class FaultAuditor:
                 f"exceed the boundary residue ({residue} frames)"
             )
         return v
-
-    # -- pull-collector contract ----------------------------------------
-
-    def collect(self):
-        """``MetricsRegistry`` pull collector: violation count as a counter
-        (monotone enough for snapshot diffing — healthy runs stay at 0)."""
-        return {"faults.audit_violations": len(self.audit())}, {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FaultAuditor over {getattr(self.topo, 'name', self.topo)!r}>"

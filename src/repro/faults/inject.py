@@ -81,7 +81,6 @@ class FaultInjector:
         self.plan = plan
         self.sim = None
         self.topo = None
-        self.tracer = None
         self.auditor: Optional[FaultAuditor] = None
         self.counters: Dict[str, int] = {k: 0 for k in COUNTERS}
         #: chronological record of executed fault events (flight dump).
@@ -97,7 +96,7 @@ class FaultInjector:
     # arming
     # ------------------------------------------------------------------
 
-    def arm(self, sim, topo, seeds=None, registry=None, tracer=None) -> "FaultInjector":
+    def arm(self, sim, topo, seeds=None) -> "FaultInjector":
         """Resolve the plan against ``topo``, install wrappers, schedule
         every fault event, and mark the run (``sim.faults = self``).  One
         deterministic pass; raises before perturbing anything if a spec
@@ -106,7 +105,6 @@ class FaultInjector:
             raise RuntimeError("FaultInjector is already armed")
         self.sim = sim
         self.topo = topo
-        self.tracer = tracer
         specs = self.plan.specs
         if seeds is None:
             seeds = getattr(topo, "seeds", None)
@@ -121,8 +119,6 @@ class FaultInjector:
         for spec in specs:
             self._schedule(spec)
         self.auditor = FaultAuditor(topo, faults=self)
-        if registry is not None:
-            registry.bind_collector(self.collect)
         sim.faults = self
         return self
 
@@ -264,8 +260,6 @@ class FaultInjector:
         entry = {"ts_ps": self.sim.now, "event": name}
         entry.update(args)
         self.timeline.append(entry)
-        if self.tracer is not None:
-            self.tracer.emit("fault", name, self.sim.now, args=args or None)
 
     def _fire_link(self, arg) -> None:
         a, b, down = arg
@@ -360,21 +354,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-
-    def collect(self):
-        """Pull-collector contract of :class:`repro.obs.MetricsRegistry`:
-        ``read() -> (counters, gauges)``.  Includes the invariant
-        auditor's violation count so a storm that strands buffer bytes
-        shows up in every snapshot."""
-        counters = {f"faults.{k}": v for k, v in self.counters.items() if v}
-        if self.auditor is not None:
-            counters["faults.audit_violations"] = len(self.auditor.audit())
-        gauges = {
-            "faults.dead_links": float(len(self._dead_links)),
-            "faults.failed_switches": float(len(self._failed_switches)),
-            "faults.active_loss_windows": float(len(self._loss_active)),
-        }
-        return counters, gauges
 
     def flight_state(self) -> dict:
         """The ``faults`` section of the flight-dump schema (obs/flight.py)."""

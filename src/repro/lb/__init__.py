@@ -1,9 +1,10 @@
 """Pluggable load-balancing strategies (the LB axis of the CC × LB matrix).
 
-* :class:`EcmpLB` — per-flow symmetric/asymmetric ECMP (the paper baseline,
-  bounded hash cache).
-* :class:`SprayLB` — per-packet spray over equal-cost next hops.
-* :class:`FlowletLB` — idle-gap flowlet switching (LetFlow-style).
+* :class:`EcmpLB` — per-flow symmetric ECMP (the paper baseline, bounded
+  hash cache).
+* :class:`SprayLB` — per-packet round-robin spray over equal-cost next hops.
+* :class:`FlowletLB` — idle-gap flowlet switching, congestion-aware
+  (CONGA-style).
 * :class:`ConWeaveLiteLB` — congestion-driven rerouting with epoch/tail
   markers (ConWeave, simplified — see the module docstring).
 

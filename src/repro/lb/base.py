@@ -94,7 +94,6 @@ class LoadBalancer:
             raise ValueError("max_cache_entries must be positive")
         self.max_cache_entries = max_cache_entries
         self.switch: Optional["Switch"] = None
-        self.seeds = None
         # Failover state (DESIGN.md §10): the live split dict the router
         # closure captured (entries are rewritten in place on failover),
         # the pristine all-links-up copy it is recomputed from, and the
@@ -103,12 +102,9 @@ class LoadBalancer:
         self._pristine: Optional[Dict[int, object]] = None
         self._dead_ports: set = set()
 
-    def bind(self, sw: "Switch", tables: Dict[int, List[int]], seeds=None) -> Router:
-        """Attach to one switch: record the binding, build the closure.
-        ``seeds`` is the topology's :class:`SeedSequenceFactory` for
-        strategies that draw named RNG streams."""
+    def bind(self, sw: "Switch", tables: Dict[int, List[int]]) -> Router:
+        """Attach to one switch: record the binding, build the closure."""
         self.switch = sw
-        self.seeds = seeds
         split = split_tables(tables)
         self._split = split
         self._pristine = dict(split)
@@ -198,7 +194,7 @@ def sweep_bounded_table(table: Dict, cap: int, is_expired) -> None:
         table.clear()
 
 
-def make_flow_hash_port(hash_cache: Dict[tuple, int], salt: int, cap: int):
+def make_flow_hash_port(hash_cache: Dict[tuple, int], cap: int):
     """The canonical symmetric flow hash with a bounded memo, shared by the
     reordering strategies' non-DATA (ACK/CNP) path so the reverse path
     stays stable.  One definition; :class:`~repro.lb.ecmp.EcmpLB` keeps an
@@ -213,7 +209,7 @@ def make_flow_hash_port(hash_cache: Dict[tuple, int], salt: int, cap: int):
         if h is None:
             if len(hash_cache) >= cap:
                 hash_cache.clear()
-            h = hash_cache[key] = stable_hash64(a, b, fid, salt)
+            h = hash_cache[key] = stable_hash64(a, b, fid, 0)  # 0: as EcmpLB hashes
         return ports[h % n]
 
     return flow_hash_port
@@ -251,7 +247,7 @@ def install_lb(
     lbs: List[LoadBalancer] = []
     for sw in topo.switches:
         lb = config.build()
-        sw.router = lb.bind(sw, tables[sw.name], seeds=topo.seeds)
+        sw.router = lb.bind(sw, tables[sw.name])
         sw.lb = lb
         # Train pass-through predicate inputs (net/port.py fused path):
         # the exact closure this install produced, and the live gate — a

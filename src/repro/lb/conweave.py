@@ -76,7 +76,6 @@ class ConWeaveLiteLB(LoadBalancer):
         probe_interval_ps: int = DEFAULT_PROBE_INTERVAL_PS,
         threshold_ps: int = DEFAULT_THRESHOLD_PS,
         min_epoch_gap_ps: int = DEFAULT_MIN_EPOCH_GAP_PS,
-        salt: int = 0,
         max_cache_entries: int = 1 << 16,
     ) -> None:
         super().__init__(max_cache_entries=max_cache_entries)
@@ -85,7 +84,6 @@ class ConWeaveLiteLB(LoadBalancer):
         self.probe_interval_ps = probe_interval_ps
         self.threshold_ps = threshold_ps
         self.min_epoch_gap_ps = min_epoch_gap_ps
-        self.salt = salt
         #: (src, dst, flow_id) -> [epoch, last_probe, epoch_start, last_seen]
         self.flows: Dict[tuple, list] = {}
         self.hash_cache: Dict[tuple, int] = {}
@@ -113,10 +111,9 @@ class ConWeaveLiteLB(LoadBalancer):
         super().invalidate()
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
-        salt = self.salt
         cap = self.max_cache_entries
         table = self.flows
-        flow_hash_port = make_flow_hash_port(self.hash_cache, salt, cap)
+        flow_hash_port = make_flow_hash_port(self.hash_cache, cap)
         sim = sw.sim
         ports_list = sw.ports
         probe_every = self.probe_interval_ps
@@ -125,7 +122,7 @@ class ConWeaveLiteLB(LoadBalancer):
         lb = self
 
         def tag_port(src: int, dst: int, fid: int, tag: int, ports, n: int) -> int:
-            return ports[stable_hash64(src, dst, fid, tag, salt) % n]
+            return ports[stable_hash64(src, dst, fid, tag, 0) % n]
 
         def qdelay_ps(port_idx: int) -> int:
             p = ports_list[port_idx]

@@ -3,9 +3,7 @@
 This is the paper's baseline (Fig. 5): the hash input is the canonical
 five-tuple ``(min(src,dst), max(src,dst), flow_id)`` so a data packet and
 its ACK produce the same value, and with consistently ordered next-hop
-lists both directions pick the same physical path.  ``symmetric=False``
-hashes the directed tuple instead, reproducing the asymmetry problem of
-Observation 2 (used by the ablation bench).
+lists both directions pick the same physical path.
 
 The flow-hash memo is *bounded*: keys accumulate per flow, so an open-loop
 run generating millions of flows used to grow the old closure-scoped cache
@@ -38,54 +36,30 @@ class EcmpLB(LoadBalancer):
     # memo does not break this — a cleared entry recomputes identically.
     train_transparent = True
 
-    def __init__(
-        self,
-        symmetric: bool = True,
-        salt: int = 0,
-        max_cache_entries: int = 1 << 16,
-    ) -> None:
+    def __init__(self, max_cache_entries: int = 1 << 16) -> None:
         super().__init__(max_cache_entries=max_cache_entries)
-        self.symmetric = symmetric
-        self.salt = salt
         self.hash_cache: Dict[tuple, int] = {}
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
         hash_cache = self.hash_cache
-        salt = self.salt
         cap = self.max_cache_entries
-        if self.symmetric:
 
-            def router(sw: "Switch", pkt: "Packet") -> int:
-                entry = split[pkt.dst]
-                if type(entry) is int:
-                    return entry
-                ports, n = entry
-                a, b = pkt.src, pkt.dst
-                if a > b:
-                    a, b = b, a
-                key = (a, b, pkt.flow_id)
-                h = hash_cache.get(key)
-                if h is None:
-                    if len(hash_cache) >= cap:
-                        hash_cache.clear()
-                    h = hash_cache[key] = stable_hash64(a, b, pkt.flow_id, salt)
-                return ports[h % n]
-
-        else:
-
-            def router(sw: "Switch", pkt: "Packet") -> int:
-                entry = split[pkt.dst]
-                if type(entry) is int:
-                    return entry
-                ports, n = entry
-                key = (pkt.src, pkt.dst, pkt.flow_id)
-                h = hash_cache.get(key)
-                if h is None:
-                    if len(hash_cache) >= cap:
-                        hash_cache.clear()
-                    h = hash_cache[key] = stable_hash64(
-                        pkt.src, pkt.dst, pkt.flow_id, salt
-                    )
-                return ports[h % n]
+        def router(sw: "Switch", pkt: "Packet") -> int:
+            entry = split[pkt.dst]
+            if type(entry) is int:
+                return entry
+            ports, n = entry
+            a, b = pkt.src, pkt.dst
+            if a > b:
+                a, b = b, a
+            key = (a, b, pkt.flow_id)
+            h = hash_cache.get(key)
+            if h is None:
+                if len(hash_cache) >= cap:
+                    hash_cache.clear()
+                # The trailing 0 is part of the hash input (path choices
+                # are pinned across commits); it is not a knob.
+                h = hash_cache[key] = stable_hash64(a, b, pkt.flow_id, 0)
+            return ports[h % n]
 
         return router

@@ -1,4 +1,4 @@
-"""Flowlet switching (CONGA-style, with a LetFlow-style fallback mode).
+"""Flowlet switching, CONGA-style.
 
 A *flowlet* is a burst of a flow's packets separated from the next burst by
 an idle gap longer than the network's path-delay skew.  Re-routing only at
@@ -9,16 +9,12 @@ previous one has drained from whichever path it took.
 Per-switch state (the flowlet table): ``(src, dst, flow_id) ->
 [last_seen_ps, flowlet_seq, port]``.  A DATA packet whose gap since
 ``last_seen`` exceeds ``gap_ps`` opens a new flowlet and re-selects the
-egress port:
-
-* ``mode="conga"`` (default) — congestion-aware selection: the candidate
-  with the smallest local egress backlog wins, ties broken by
-  ``stable_hash64(src, dst, flow_id, flowlet_seq)`` over the tied set (so
-  an idle fabric degenerates to ECMP-quality spreading rather than
-  herding onto port 0).  This is CONGA's leaf decision with local queue
-  depth standing in for the fabric congestion tables.
-* ``mode="hash"`` — LetFlow: blind re-hash of the flowlet tuple.  Kept for
-  ablations; collision escape is then pure luck.
+egress port, congestion-aware: the candidate with the smallest local
+egress backlog wins, ties broken by ``stable_hash64(src, dst, flow_id,
+flowlet_seq)`` over the tied set (so an idle fabric degenerates to
+ECMP-quality spreading rather than herding onto port 0).  This is CONGA's
+leaf decision with local queue depth standing in for the fabric congestion
+tables.
 
 ACKs/CNPs ride the canonical symmetric flow hash (stable reverse path),
 like :class:`~repro.lb.spray.SprayLB`.  Everything is deterministic in the
@@ -65,18 +61,12 @@ class FlowletLB(LoadBalancer):
     def __init__(
         self,
         gap_ps: int = DEFAULT_GAP_PS,
-        mode: str = "conga",
-        salt: int = 0,
         max_cache_entries: int = 1 << 16,
     ) -> None:
         super().__init__(max_cache_entries=max_cache_entries)
         if gap_ps <= 0:
             raise ValueError("flowlet gap must be positive")
-        if mode not in ("conga", "hash"):
-            raise ValueError(f"flowlet mode must be conga|hash, got {mode!r}")
         self.gap_ps = gap_ps
-        self.mode = mode
-        self.salt = salt
         #: (src, dst, flow_id) -> [last_seen_ps, flowlet_seq, port]
         self.flowlets: Dict[tuple, list] = {}
         self.hash_cache: Dict[tuple, int] = {}
@@ -97,19 +87,15 @@ class FlowletLB(LoadBalancer):
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
         gap = self.gap_ps
-        salt = self.salt
         cap = self.max_cache_entries
         table = self.flowlets
-        flow_hash_port = make_flow_hash_port(self.hash_cache, salt, cap)
+        flow_hash_port = make_flow_hash_port(self.hash_cache, cap)
         sim = sw.sim
         sw_ports = sw.ports
-        conga = self.mode == "conga"
         lb = self
 
         def pick_port(src: int, dst: int, fid: int, seq: int, ports, n: int) -> int:
-            h = stable_hash64(src, dst, fid, seq, salt)
-            if not conga:
-                return ports[h % n]
+            h = stable_hash64(src, dst, fid, seq, 0)
             # Congestion-aware: smallest local egress backlog wins; ties
             # (the idle-fabric common case) break by hash over the tied set.
             best = [ports[0]]

@@ -1,14 +1,8 @@
 """Per-packet spray: every DATA packet independently picks an equal-cost
-next hop (RPS/DRILL-style).
-
-Two selection modes:
-
-* ``round_robin`` (default) — one counter per (switch, destination) entry:
-  consecutive packets toward the same destination walk the next-hop list
-  cyclically.  Deterministic with no RNG at all, and gives the most even
-  short-term spread.
-* ``random`` — uniform choice from a named per-switch RNG stream
-  (``lb.spray.<switch>``), deterministic per seed.
+next hop (RPS/DRILL-style), round robin: one counter per (switch,
+destination) entry, so consecutive packets toward the same destination
+walk the next-hop list cyclically.  Deterministic with no RNG at all, and
+gives the most even short-term spread.
 
 Only DATA packets are sprayed.  ACKs and CNPs ride the canonical
 symmetric-ECMP flow hash: the reverse path stays stable, so ACK-clocking
@@ -37,55 +31,27 @@ class SprayLB(LoadBalancer):
     name = "spray"
     reorders = True
 
-    def __init__(
-        self,
-        mode: str = "round_robin",
-        salt: int = 0,
-        max_cache_entries: int = 1 << 16,
-    ) -> None:
+    def __init__(self, max_cache_entries: int = 1 << 16) -> None:
         super().__init__(max_cache_entries=max_cache_entries)
-        if mode not in ("round_robin", "random"):
-            raise ValueError(f"spray mode must be round_robin|random, got {mode!r}")
-        self.mode = mode
-        self.salt = salt
-        #: dst -> next round-robin offset (round_robin mode).
+        #: dst -> next round-robin offset.
         self.rr_state: Dict[int, int] = {}
         self.hash_cache: Dict[tuple, int] = {}
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
         # Canonical symmetric flow hash for the non-sprayed kinds.
-        flow_hash_port = make_flow_hash_port(
-            self.hash_cache, self.salt, self.max_cache_entries
-        )
+        flow_hash_port = make_flow_hash_port(self.hash_cache, self.max_cache_entries)
+        rr = self.rr_state
 
-        if self.mode == "round_robin":
-            rr = self.rr_state
-
-            def router(sw: "Switch", pkt: "Packet") -> int:
-                entry = split[pkt.dst]
-                if type(entry) is int:
-                    return entry
-                ports, n = entry
-                if pkt.kind != DATA:
-                    return flow_hash_port(pkt.src, pkt.dst, pkt.flow_id, ports, n)
-                dst = pkt.dst
-                i = rr.get(dst, 0)
-                rr[dst] = i + 1 if i + 1 < n else 0
-                return ports[i]
-
-        else:
-            if self.seeds is None:
-                raise RuntimeError("random spray needs the topology seed factory")
-            rng = self.seeds.stream(f"lb.spray.{sw.name}")
-            randrange = rng.randrange
-
-            def router(sw: "Switch", pkt: "Packet") -> int:
-                entry = split[pkt.dst]
-                if type(entry) is int:
-                    return entry
-                ports, n = entry
-                if pkt.kind != DATA:
-                    return flow_hash_port(pkt.src, pkt.dst, pkt.flow_id, ports, n)
-                return ports[randrange(n)]
+        def router(sw: "Switch", pkt: "Packet") -> int:
+            entry = split[pkt.dst]
+            if type(entry) is int:
+                return entry
+            ports, n = entry
+            if pkt.kind != DATA:
+                return flow_hash_port(pkt.src, pkt.dst, pkt.flow_id, ports, n)
+            dst = pkt.dst
+            i = rr.get(dst, 0)
+            rr[dst] = i + 1 if i + 1 < n else 0
+            return ports[i]
 
         return router

@@ -98,7 +98,6 @@ class Host(Node):
             ack_every=tc.ack_every,
             cnp_enabled=self.cnp_enabled,
             reorder_window_bytes=tc.reorder_window_bytes,
-            reorder_max_pkts=tc.reorder_max_pkts,
         )
         self.receivers[flow.flow_id] = rqp
         return rqp

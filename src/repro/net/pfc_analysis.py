@@ -154,11 +154,10 @@ def run_storm_isolation(
     *innocent* flow that merely transits the same ToR.
 
     Without the watchdog the stall is permanent (the dead NIC never sends
-    RESUME).  With :func:`repro.net.switch.arm_watchdog` (``"drop"``
-    action) the stuck queue is detected within ``detect_ps + poll_ps``,
-    force-resumed and isolated: the innocent flow finishes at a healthy
-    FCT and the victim's sender degrades to flow-failed via its RTO
-    budget instead of hanging.
+    RESUME).  With :func:`repro.net.switch.arm_watchdog` the stuck queue
+    is detected within ``detect_ps + poll_ps``, force-resumed and
+    isolated: the innocent flow finishes at a healthy FCT and the victim's
+    sender degrades to flow-failed via its RTO budget instead of hanging.
     """
     from repro.cc.registry import make_cc_factory
     from repro.faults import FaultInjector, FaultPlan
@@ -187,10 +186,7 @@ def run_storm_isolation(
     wd = None
     if watchdog:
         wd = arm_watchdog(
-            tor,
-            PfcWatchdogConfig(
-                detect_ps=us(detect_us), restore_ps=us(restore_us), action="drop"
-            ),
+            tor, PfcWatchdogConfig(detect_ps=us(detect_us), restore_ps=us(restore_us))
         )
 
     plan = FaultPlan("nic-storm").pfc_storm(

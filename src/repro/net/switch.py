@@ -366,38 +366,32 @@ class Switch(Node):
 
 
 class PfcWatchdogConfig:
-    """Thresholds and actions for :class:`PfcWatchdog`, following the
-    SONiC pfc_wd model (detection time, restoration time, storm action).
+    """Thresholds for :class:`PfcWatchdog`, following the SONiC pfc_wd
+    model (detection time, restoration time) with its default storm
+    action, ``drop``: data on the stormed queue is dropped so it cannot
+    back-pressure the fabric.
 
     * ``detect_ps`` — a queue continuously paused this long is a storm.
-    * ``poll_ps`` — dwell sampling period; detection latency is bounded by
-      ``detect_ps + poll_ps``.
+      The dwell is sampled every ``poll_ps = detect_ps // 4``, so detection
+      latency is bounded by ``detect_ps + poll_ps``.
     * ``restore_ps`` — once no further PAUSE refresh has arrived for this
       long, the storm is declared over and normal PFC resumes.
-    * ``action`` — ``"drop"`` (SONiC default: drop data on the stormed
-      queue so it cannot back-pressure the fabric) or ``"forward"``
-      (ignore the pause but keep forwarding).
     """
 
-    __slots__ = ("detect_ps", "poll_ps", "restore_ps", "action")
+    __slots__ = ("detect_ps", "poll_ps", "restore_ps")
 
     def __init__(
         self,
         detect_ps: int = 200_000_000,
-        poll_ps: Optional[int] = None,
         restore_ps: Optional[int] = None,
-        action: str = "drop",
     ) -> None:
         if detect_ps <= 0:
             raise ValueError("detect_ps must be positive")
-        if action not in ("drop", "forward"):
-            raise ValueError(f"unknown storm action {action!r}")
         self.detect_ps = detect_ps
-        self.poll_ps = poll_ps if poll_ps is not None else max(1, detect_ps // 4)
+        self.poll_ps = max(1, detect_ps // 4)
         self.restore_ps = restore_ps if restore_ps is not None else 2 * detect_ps
-        if self.poll_ps <= 0 or self.restore_ps <= 0:
-            raise ValueError("poll_ps/restore_ps must be positive")
-        self.action = action
+        if self.restore_ps <= 0:
+            raise ValueError("restore_ps must be positive")
 
 
 class PfcWatchdog:
@@ -407,20 +401,19 @@ class PfcWatchdog:
     paused continuously for ``detect_ps`` is declared stormed: it is
     force-resumed (so the victim's throughput recovers), subsequent PAUSE
     refreshes for it are absorbed (``Switch.receive`` asks
-    :meth:`on_pause` first), and under the ``"drop"`` action data frames
-    admitted toward the stormed port are dropped with full accounting
-    reversal (``Switch._wd_drop_frame``) so they cannot re-wedge the
-    shared buffer.  Once PAUSE refreshes stop for ``restore_ps``, the
-    storm is restored and ordinary PFC semantics return.
+    :meth:`on_pause` first), and data frames admitted toward the stormed
+    port are dropped with full accounting reversal
+    (``Switch._wd_drop_frame``) so they cannot re-wedge the shared buffer.
+    Once PAUSE refreshes stop for ``restore_ps``, the storm is restored and
+    ordinary PFC semantics return.
 
     Registered as an engine monitor (``sim.register_monitor``) so flight
     dumps and run teardown disarm the poller.
     """
 
-    def __init__(self, sw: Switch, config: PfcWatchdogConfig, tracer=None) -> None:
+    def __init__(self, sw: Switch, config: PfcWatchdogConfig) -> None:
         self.sw = sw
         self.config = config
-        self.tracer = tracer
         #: active storms: port_idx -> storm-start timestamp.
         self.storms: dict = {}
         self._since: dict = {}  # port_idx -> first-seen-paused ts
@@ -487,10 +480,8 @@ class PfcWatchdog:
         # Un-wedge the victim port: force XON.  While the storm lasts,
         # on_pause absorbs every refresh, so the port stays runnable.
         port.resume()
-        if self.config.action == "drop":
-            port.wd_drop = self._make_drop(port_idx)
+        port.wd_drop = self._make_drop(port_idx)
         sw._recompute_train_ok()
-        self._emit("pfc_wd_storm_on", port_idx)
 
     def _storm_off(self, port_idx: int, now: int) -> None:
         sw = self.sw
@@ -498,7 +489,6 @@ class PfcWatchdog:
         self.storms_restored += 1
         sw.ports[port_idx].wd_drop = None
         sw._recompute_train_ok()
-        self._emit("pfc_wd_storm_off", port_idx)
 
     def _make_drop(self, port_idx: int):
         sw = self.sw
@@ -509,21 +499,11 @@ class PfcWatchdog:
 
         return wd_drop
 
-    def _emit(self, name: str, port_idx: int) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "fault",
-                name,
-                self.sw.sim.now,
-                args={"node": self.sw.name, "port": port_idx},
-            )
-
     # -- reporting -----------------------------------------------------------
     def state(self) -> dict:
         """Flight-dump / metrics view of the watchdog."""
         return {
             "switch": self.sw.name,
-            "action": self.config.action,
             "storms_detected": self.storms_detected,
             "storms_restored": self.storms_restored,
             "pauses_ignored": self.pauses_ignored,
@@ -531,30 +511,12 @@ class PfcWatchdog:
             "active": sorted(self.storms),
         }
 
-    def collect(self):
-        """``MetricsRegistry`` pull collector (aggregate counters; keys are
-        shared across switches so fleet totals sum naturally)."""
-        counters = {
-            "pfc_wd.storms_detected": self.storms_detected,
-            "pfc_wd.storms_restored": self.storms_restored,
-            "pfc_wd.pauses_ignored": self.pauses_ignored,
-            "pfc_wd.pkts_dropped": self.pkts_dropped,
-        }
-        return counters, {"pfc_wd.active_storms": float(len(self.storms))}
 
-
-def arm_watchdog(
-    sw: Switch,
-    config: Optional[PfcWatchdogConfig] = None,
-    tracer=None,
-    registry=None,
-) -> PfcWatchdog:
+def arm_watchdog(sw: Switch, config: Optional[PfcWatchdogConfig] = None) -> PfcWatchdog:
     """Attach and start a :class:`PfcWatchdog` on one switch."""
     if sw._wd is not None:
         raise RuntimeError(f"{sw.name}: watchdog already armed")
-    wd = PfcWatchdog(sw, config or PfcWatchdogConfig(), tracer=tracer)
+    wd = PfcWatchdog(sw, config or PfcWatchdogConfig())
     sw._wd = wd
     wd.start()
-    if registry is not None:
-        registry.bind_collector(wd.collect)
     return wd

@@ -115,7 +115,7 @@ class RunObservability:
         """Emit one instant event per item, capped at
         :data:`PER_PHASE_EVENT_CAP` (the cap is recorded as a counter so
         truncation is never silent)."""
-        if self.tracer is None or not self.tracer.enabled(cat):
+        if self.tracer is None:
             return
         items = list(items)
         for item in items[:PER_PHASE_EVENT_CAP]:

@@ -153,15 +153,6 @@ class MetricsRegistry:
 
         self._collectors.append(read)
 
-    def bind_collector(self, read: Callable[[], tuple]) -> None:
-        """Register an arbitrary pull collector: ``read()`` must return
-        ``({counter_name: n}, {gauge_name: v})``.  Counters from several
-        collectors sharing a key sum at snapshot time; gauges take the
-        max.  This is how subsystems outside ``obs`` (fault injectors,
-        PFC watchdogs, invariant auditors) join the snapshot without the
-        registry importing them."""
-        self._collectors.append(read)
-
     def observe_hybrid(self, stats: Dict[str, int]) -> None:
         """Fold a hybrid backend's phase-stats dict into the snapshot
         (``hybrid.demoted``, ``hybrid.fluid``, ``hybrid.refine_rounds``,

@@ -7,7 +7,8 @@ Categories map to the run's decision points:
 * ``lb``     — load-balancer reroute decisions (ConWeave-lite epochs)
 * ``hybrid`` — tier demotions and epoch-exchange ticks of the hybrid backend
 * ``cc``     — congestion-control pacing-rate changes
-* ``fault``  — fault-plan events and PFC-watchdog storm transitions
+
+A tracer records every category; the ``cc`` hook is the only per-ACK one.
 
 Train-safety contract (the hard constraint of the observability layer):
 every hook :meth:`EventTracer.attach` installs is **train-safe** — it
@@ -33,14 +34,12 @@ the ring's tail.  Per-category emit totals keep counting after eviction.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.packet import PAUSE
 
-#: The categories, all train-safe.  (``fault`` events are emitted by the
-#: FaultInjector/PfcWatchdog directly, not by an attach() hook: both are
-#: cold control paths.)
-CATEGORIES = ("flow", "pfc", "lb", "hybrid", "cc", "fault")
+#: The categories, all train-safe.
+CATEGORIES = ("flow", "pfc", "lb", "hybrid", "cc")
 
 
 class TraceEvent:
@@ -68,35 +67,24 @@ class TraceEvent:
 
 
 class EventTracer:
-    """Category-filtered ring-buffer tracer for one run.
+    """Ring-buffer tracer for one run.
 
-    >>> tracer = EventTracer(categories=("flow", "pfc"))
+    >>> tracer = EventTracer()
     >>> tracer.attach(topo)          # train-safe hooks only
     >>> ... run ...
     >>> export_chrome_trace("t.json", tracer)
     """
 
-    def __init__(self, categories: Optional[Iterable[str]] = None,
-                 capacity: int = 65536) -> None:
-        cats = tuple(categories) if categories is not None else CATEGORIES
-        for c in cats:
-            if c not in CATEGORIES:
-                raise ValueError(f"unknown trace category {c!r}")
-        self.categories = frozenset(cats)
+    def __init__(self, capacity: int = 65536) -> None:
         self.events: deque = deque(maxlen=capacity)
         #: total emitted per category, *including* ring-evicted events.
-        self.counts: Dict[str, int] = {c: 0 for c in cats}
+        self.counts: Dict[str, int] = {c: 0 for c in CATEGORIES}
         self._undo: List = []
         self._attached = False
 
     # -- core ---------------------------------------------------------------
-    def enabled(self, cat: str) -> bool:
-        return cat in self.categories
-
     def emit(self, cat: str, name: str, ts_ps: int, ph: str = "i",
              dur_ps: int = 0, args: Optional[dict] = None) -> None:
-        if cat not in self.categories:
-            return
         self.counts[cat] += 1
         self.events.append(TraceEvent(ts_ps, cat, name, ph, dur_ps, args))
 
@@ -113,25 +101,22 @@ class EventTracer:
 
     # -- hook installation (train-safe) -------------------------------------
     def attach(self, topo) -> None:
-        """Install the train-safe hooks for the enabled categories on a
-        topology-like object (``.hosts`` / ``.switches``).  May be called
-        for several fabrics (the hybrid backend rebuilds its packet fabric
-        between refine rounds); :meth:`detach` unwinds everything."""
+        """Install the train-safe hooks on a topology-like object
+        (``.hosts`` / ``.switches``).  May be called for several fabrics
+        (the hybrid backend rebuilds its packet fabric between refine
+        rounds); :meth:`detach` unwinds everything."""
         switches = list(getattr(topo, "switches", ()))
         hosts = list(getattr(topo, "hosts", ()))
-        if self.enabled("pfc"):
-            for sw in switches:
-                self._hook_pfc(sw)
-        if self.enabled("lb"):
-            seen = set()
-            for sw in switches:
-                lb = getattr(sw, "lb", None)
-                if lb is not None and id(lb) not in seen:
-                    seen.add(id(lb))
-                    self._hook_lb(lb)
-        if self.enabled("flow") or self.enabled("cc"):
-            for host in hosts:
-                self._hook_host(host)
+        for sw in switches:
+            self._hook_pfc(sw)
+        seen = set()
+        for sw in switches:
+            lb = getattr(sw, "lb", None)
+            if lb is not None and id(lb) not in seen:
+                seen.add(id(lb))
+                self._hook_lb(lb)
+        for host in hosts:
+            self._hook_host(host)
         self._attached = True
 
     def detach(self) -> None:
@@ -201,8 +186,6 @@ class EventTracer:
 
     def _hook_host(self, host) -> None:
         # Hosts never fuse, so endpoint wrappers are train-safe.
-        trace_flow = self.enabled("flow")
-        trace_cc = self.enabled("cc")
         emit = self.emit
         sim = host.sim
 
@@ -210,20 +193,18 @@ class EventTracer:
         had_start = "start_flow" in host.__dict__
 
         def start_flow(flow, cc, base_rtt_ps, _orig=orig_start):
-            if trace_flow:
-                emit(
-                    "flow",
-                    "flow_start",
-                    max(flow.start_ps, sim.now),
-                    args={
-                        "flow": flow.flow_id,
-                        "size": flow.size_bytes,
-                        "src": flow.src,
-                        "dst": flow.dst,
-                    },
-                )
-            if trace_cc:
-                self._wrap_cc(cc, flow.flow_id, sim)
+            emit(
+                "flow",
+                "flow_start",
+                max(flow.start_ps, sim.now),
+                args={
+                    "flow": flow.flow_id,
+                    "size": flow.size_bytes,
+                    "src": flow.src,
+                    "dst": flow.dst,
+                },
+            )
+            self._wrap_cc(cc, flow.flow_id, sim)
             return _orig(flow, cc, base_rtt_ps)
 
         host.start_flow = start_flow
@@ -236,32 +217,31 @@ class EventTracer:
 
         self._undo.append(undo_start)
 
-        if trace_flow:
-            orig_recv = host.on_flow_received
-            had_recv = "on_flow_received" in host.__dict__
+        orig_recv = host.on_flow_received
+        had_recv = "on_flow_received" in host.__dict__
 
-            def on_flow_received(rqp, _orig=orig_recv):
-                f = rqp.flow
-                emit(
-                    "flow",
-                    f"flow {f.flow_id} ({f.size_bytes}B)",
-                    f.start_ps,
-                    ph="X",
-                    dur_ps=sim.now - f.start_ps,
-                    args={"flow": f.flow_id, "size": f.size_bytes,
-                          "fct_ps": sim.now - f.start_ps},
-                )
-                _orig(rqp)
+        def on_flow_received(rqp, _orig=orig_recv):
+            f = rqp.flow
+            emit(
+                "flow",
+                f"flow {f.flow_id} ({f.size_bytes}B)",
+                f.start_ps,
+                ph="X",
+                dur_ps=sim.now - f.start_ps,
+                args={"flow": f.flow_id, "size": f.size_bytes,
+                      "fct_ps": sim.now - f.start_ps},
+            )
+            _orig(rqp)
 
-            host.on_flow_received = on_flow_received
+        host.on_flow_received = on_flow_received
 
-            def undo_recv(host=host, orig=orig_recv, had=had_recv):
-                if had:
-                    host.on_flow_received = orig
-                else:
-                    del host.on_flow_received
+        def undo_recv(host=host, orig=orig_recv, had=had_recv):
+            if had:
+                host.on_flow_received = orig
+            else:
+                del host.on_flow_received
 
-            self._undo.append(undo_recv)
+        self._undo.append(undo_recv)
 
     def _wrap_cc(self, cc, flow_id: int, sim) -> None:
         # Per-flow CC objects are run-owned and discarded with the fabric,

@@ -3,9 +3,7 @@
 The hash input is the canonical five-tuple ``(min(src,dst), max(src,dst),
 flow_id)``: a data packet and its ACK produce the same hash, and with
 consistently ordered next-hop lists (see :mod:`repro.routing.tables`) the
-two directions select the same physical path.  ``symmetric=False`` hashes
-the directed tuple instead, reproducing the asymmetry problem FNCC's
-Observation 2 warns about (used by the ablation bench).
+two directions select the same physical path.
 
 Since the load-balancing subsystem landed, the strategy itself lives in
 :class:`repro.lb.ecmp.EcmpLB`; this installer is the compatibility entry
@@ -25,13 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.topo.base import Topology
 
 
-def install_ecmp(
-    topo: "Topology", symmetric: bool = True, salt: int = 0
-) -> RoutingTables:
+def install_ecmp(topo: "Topology") -> RoutingTables:
     """Compute tables and attach an ECMP router to every switch."""
     # Deferred: repro.lb.base imports repro.routing.tables.  The topology
     # modules import repro.lb when they load, so this finds it loaded and
     # a forked worker imports nothing here.
     from repro.lb.base import LbConfig, install_lb
 
-    return install_lb(topo, LbConfig("ecmp", symmetric=symmetric, salt=salt))
+    return install_lb(topo, LbConfig("ecmp"))

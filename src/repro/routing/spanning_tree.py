@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.switch import Switch
     from repro.topo.base import Topology
 
+#: Spanning trees :func:`install_spanning_trees` builds (flows hash onto one).
+N_TREES = 3
+
 
 def build_trees(topo: "Topology", n_trees: int, seed: int) -> List[nx.Graph]:
     """``n_trees`` spanning trees of the topology graph, deterministic in
@@ -54,11 +57,10 @@ def tree_index(src: int, dst: int, flow_id: int, n_trees: int) -> int:
     return stable_hash64(a, b, flow_id) % n_trees
 
 
-def install_spanning_trees(
-    topo: "Topology", n_trees: int = 3, seed: int = 1
-) -> List[RoutingTables]:
-    """Attach a router that hashes each flow onto one spanning tree."""
-    trees = build_trees(topo, n_trees, seed)
+def install_spanning_trees(topo: "Topology", seed: int = 1) -> List[RoutingTables]:
+    """Attach a router that hashes each flow onto one of :data:`N_TREES`
+    spanning trees."""
+    trees = build_trees(topo, N_TREES, seed)
     per_tree = [build_graph_tables(topo, tree) for tree in trees]
     tables = [rt.tables for rt in per_tree]
     n = len(tables)

@@ -76,17 +76,16 @@ def fattree(
     transport_config: Optional[TransportConfig] = None,
     seeds: Optional[SeedSequenceFactory] = None,
     cnp_enabled: bool = False,
-    symmetric_ecmp: bool = True,
     lb=None,
 ) -> Topology:
     """``lb`` selects the load-balancing strategy (an
-    :class:`repro.lb.LbConfig` or a strategy name); None keeps the ECMP
-    baseline controlled by ``symmetric_ecmp``."""
+    :class:`repro.lb.LbConfig` or a strategy name); None keeps the
+    symmetric-ECMP baseline."""
     topo = fattree_wiring(
         sim, k, link, switch_config, transport_config, seeds, cnp_enabled
     )
     if lb is None:
-        install_ecmp(topo, symmetric=symmetric_ecmp)
+        install_ecmp(topo)
     else:
         install_lb(topo, lb)
     topo.start()

@@ -28,7 +28,6 @@ def jellyfish(
     switch_config: Optional[SwitchConfig] = None,
     transport_config: Optional[TransportConfig] = None,
     seeds: Optional[SeedSequenceFactory] = None,
-    n_trees: int = 3,
     cnp_enabled: bool = False,
     lb=None,
 ) -> Topology:
@@ -66,7 +65,7 @@ def jellyfish(
             host = topo.add_host(f"h{i}_{h}", cnp_enabled=cnp_enabled)
             topo.link(host, sw)
     if lb is None:
-        install_spanning_trees(topo, n_trees=n_trees, seed=topo.seeds.root_seed)
+        install_spanning_trees(topo, seed=topo.seeds.root_seed)
     else:
         install_lb(topo, lb)
     topo.start()

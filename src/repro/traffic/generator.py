@@ -36,8 +36,6 @@ class PoissonWorkload:
         cdf: PiecewiseCdf,
         load: float,
         seeds: SeedSequenceFactory,
-        start_ps: int = 0,
-        first_flow_id: int = 0,
     ) -> None:
         if not (0.0 < load < 1.0):
             raise ValueError(f"load must be in (0,1), got {load}")
@@ -47,18 +45,17 @@ class PoissonWorkload:
         self.host_rate_gbps = host_rate_gbps
         self.cdf = cdf
         self.load = load
-        self.start_ps = start_ps
-        self.first_flow_id = first_flow_id
         self._rng = seeds.stream("traffic")
         mean_size = cdf.mean()
         bytes_per_sec = load * n_hosts * host_rate_gbps * 1e9 / 8.0
         self.lambda_flows_per_sec = bytes_per_sec / mean_size
 
     def generate(self, n_flows: int) -> List[Flow]:
-        """The first ``n_flows`` arrivals (deterministic in the seed)."""
+        """The first ``n_flows`` arrivals (deterministic in the seed), flow
+        ids ``0 .. n_flows - 1``, arriving from time 0."""
         rng = self._rng
         flows: List[Flow] = []
-        t = float(self.start_ps)
+        t = 0.0
         mean_gap_ps = SEC / self.lambda_flows_per_sec
         for i in range(n_flows):
             t += rng.expovariate(1.0) * mean_gap_ps
@@ -67,15 +64,7 @@ class PoissonWorkload:
             if dst >= src:
                 dst += 1
             size = self.cdf.sample(rng)
-            flows.append(
-                Flow(
-                    self.first_flow_id + i,
-                    src,
-                    dst,
-                    size,
-                    start_ps=round(t),
-                )
-            )
+            flows.append(Flow(i, src, dst, size, start_ps=round(t)))
         return flows
 
 
@@ -84,19 +73,11 @@ def staggered_elephants(
     receiver_id: int,
     size_bytes: int,
     stagger_ps: int,
-    first_flow_id: int = 0,
-    start_ps: int = 0,
 ) -> List[Flow]:
-    """The Figs. 1/9 pattern: elephant ``i`` starts at ``i * stagger_ps``.
-    (Fig. 10: flow0 at t=0, flow1 joins at 300 µs.)"""
+    """The Figs. 1/9 pattern: elephant ``i`` (flow id ``i``) starts at
+    ``i * stagger_ps``.  (Fig. 10: flow0 at t=0, flow1 joins at 300 µs.)"""
     return [
-        Flow(
-            first_flow_id + i,
-            src,
-            receiver_id,
-            size_bytes,
-            start_ps=start_ps + i * stagger_ps,
-        )
+        Flow(i, src, receiver_id, size_bytes, start_ps=i * stagger_ps)
         for i, src in enumerate(sender_ids)
     ]
 
@@ -105,26 +86,19 @@ def incast_flows(
     sender_ids: Sequence[int],
     receiver_id: int,
     size_bytes: int,
-    start_ps: int = 0,
-    first_flow_id: int = 0,
 ) -> List[Flow]:
-    """N-to-1 incast: every sender starts simultaneously (last-hop
-    congestion, the LHCS showcase)."""
-    return [
-        Flow(first_flow_id + i, src, receiver_id, size_bytes, start_ps=start_ps)
-        for i, src in enumerate(sender_ids)
-    ]
+    """N-to-1 incast: every sender starts at time 0 (last-hop congestion,
+    the LHCS showcase); flow ``i`` comes from ``sender_ids[i]``."""
+    return [Flow(i, src, receiver_id, size_bytes) for i, src in enumerate(sender_ids)]
 
 
 def permutation_flows(
     host_ids: Sequence[int],
     size_bytes: int,
     seeds: SeedSequenceFactory,
-    start_ps: int = 0,
-    first_flow_id: int = 0,
 ) -> List[Flow]:
     """A random permutation: every host sends one flow, every host receives
-    one flow (classic full-bisection stress pattern)."""
+    one flow (classic full-bisection stress pattern), all at time 0."""
     rng = seeds.stream("permutation")
     hosts = list(host_ids)
     n = len(hosts)
@@ -136,7 +110,4 @@ def permutation_flows(
         rng.shuffle(perm)
         if all(a != b for a, b in zip(hosts, perm)):
             break
-    return [
-        Flow(first_flow_id + i, src, dst, size_bytes, start_ps=start_ps)
-        for i, (src, dst) in enumerate(zip(hosts, perm))
-    ]
+    return [Flow(i, src, dst, size_bytes) for i, (src, dst) in enumerate(zip(hosts, perm))]

@@ -19,7 +19,7 @@ delivers to the QP strictly in order:
   under spray.  The cumulative ACK covering the buffered bytes goes out
   when the hole fills and the buffer drains.
 * An arrival past the window (or when the buffer holds
-  ``reorder_max_pkts`` frames) is dropped with a duplicate cumulative ACK —
+  :data:`REORDER_MAX_PKTS` frames) is dropped with a duplicate cumulative ACK —
   exactly the signal the strict in-order path has always produced, so
   go-back-N recovery semantics are unchanged.
 * Stale arrivals (``seq < rcv_nxt``: retransmissions after a timeout
@@ -64,7 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.flow import Flow
 
 #: DCQCN NP: at most one CNP per flow per this interval (Zhu et al., §4).
-DEFAULT_CNP_INTERVAL_PS = us(50)
+CNP_INTERVAL_PS = us(50)
+#: Frames the out-of-order buffer holds at most, whatever the byte window.
+REORDER_MAX_PKTS = 512
 
 
 class ReceiverQP:
@@ -79,13 +81,11 @@ class ReceiverQP:
         "completed",
         "finish_ps",
         "cnp_enabled",
-        "cnp_interval_ps",
         "_last_cnp_ps",
         "_nic",
         "data_packets",
         "dup_acks_sent",
         "reorder_window_bytes",
-        "reorder_max_pkts",
         "_ooo",
         "_ooo_bytes",
         "ooo_buffered",
@@ -104,9 +104,7 @@ class ReceiverQP:
         flow: "Flow",
         ack_every: int = 1,
         cnp_enabled: bool = False,
-        cnp_interval_ps: int = DEFAULT_CNP_INTERVAL_PS,
         reorder_window_bytes: int = 0,
-        reorder_max_pkts: int = 512,
     ) -> None:
         self.host = host
         self._nic = None  # bound lazily: hosts may be wired after flow setup
@@ -117,7 +115,6 @@ class ReceiverQP:
         self.completed = False
         self.finish_ps: Optional[int] = None
         self.cnp_enabled = cnp_enabled
-        self.cnp_interval_ps = cnp_interval_ps
         self._last_cnp_ps = -(1 << 62)
         self.data_packets = 0
         self.dup_acks_sent = 0
@@ -126,7 +123,6 @@ class ReceiverQP:
         # seq lies in [rcv_nxt, rcv_nxt + window)); _ooo_bytes is the
         # occupancy gauge monitors and leak tests read, not a limiter.
         self.reorder_window_bytes = reorder_window_bytes
-        self.reorder_max_pkts = reorder_max_pkts
         self._ooo: Dict[int, Packet] = {}
         self._ooo_bytes = 0
         self.ooo_buffered = 0
@@ -199,7 +195,7 @@ class ReceiverQP:
             return
         if (
             seq + pkt.payload > rcv_nxt + self.reorder_window_bytes
-            or len(ooo) >= self.reorder_max_pkts
+            or len(ooo) >= REORDER_MAX_PKTS
         ):
             # Window overflow: the frame is dropped, so request go-back-N
             # with a NACK-flagged duplicate cumulative ACK.
@@ -286,7 +282,7 @@ class ReceiverQP:
     # -- DCQCN notification point -----------------------------------------------------
     def _maybe_send_cnp(self) -> None:
         now = self.host.sim.now
-        if now - self._last_cnp_ps < self.cnp_interval_ps:
+        if now - self._last_cnp_ps < CNP_INTERVAL_PS:
             return
         self._last_cnp_ps = now
         cnp = Packet(

@@ -66,9 +66,7 @@ class TransportConfig:
         "retx_timeout_ps",
         "retx_backoff_cap",
         "retx_max_timeouts",
-        "window_limited",
         "reorder_window_bytes",
-        "reorder_max_pkts",
         "dupack_rewind",
     )
 
@@ -80,16 +78,14 @@ class TransportConfig:
         retx_timeout_ps: int = 0,  # 0 = disabled (lossless fabric default)
         retx_backoff_cap: int = RETX_BACKOFF_CAP,
         retx_max_timeouts: int = RETX_MAX_TIMEOUTS,
-        window_limited: bool = True,
         reorder_window_bytes: int = 0,  # 0 = strict in-order (dup-ACK on OOO)
-        reorder_max_pkts: int = 512,
         dupack_rewind: int = 0,  # 0 = disabled (timeout-only recovery)
     ) -> None:
         if mtu <= header_bytes:
             raise ValueError("MTU must exceed header size")
         if ack_every < 1:
             raise ValueError("ack_every must be >= 1")
-        if reorder_window_bytes < 0 or reorder_max_pkts < 1:
+        if reorder_window_bytes < 0:
             raise ValueError("invalid reorder window")
         if dupack_rewind < 0:
             raise ValueError("dupack_rewind must be >= 0")
@@ -105,13 +101,11 @@ class TransportConfig:
         # retransmitting into a partition forever.
         self.retx_backoff_cap = retx_backoff_cap
         self.retx_max_timeouts = retx_max_timeouts
-        self.window_limited = window_limited
         # Receiver-side out-of-order tolerance: how far past the next
         # expected byte arrivals may be buffered before being dropped with a
         # duplicate ACK.  Reordering LB strategies (spray/flowlet/conweave)
         # require a nonzero window; repro.lb.install_lb enables it.
         self.reorder_window_bytes = reorder_window_bytes
-        self.reorder_max_pkts = reorder_max_pkts
         # Sender-side fast recovery: after this many consecutive duplicate
         # cumulative ACKs, go-back-N rewinds without waiting for the retx
         # timeout (rate-limited to one rewind per base RTT).  Under a
@@ -146,7 +140,6 @@ class SenderQP:
         "_pace_ev",
         "_retx_timer",
         "_pace_armed_for",
-        "_window_limited",
         "_max_payload",
         "_header_bytes",
         "_flow_size",
@@ -193,7 +186,6 @@ class SenderQP:
         self.finished = False
         # Hot-path caches of per-flow constants (one attribute load instead
         # of a config chain per frame).
-        self._window_limited = config.window_limited
         self._max_payload = config.max_payload
         self._header_bytes = config.header_bytes
         self._flow_size = flow.size_bytes
@@ -244,11 +236,10 @@ class SenderQP:
         if self.finished:
             return
         flow_size = self._flow_size
-        window_limited = self._window_limited
         sim = self.sim
         snd_nxt = self.snd_nxt
         while snd_nxt < flow_size:
-            if window_limited and snd_nxt - self.snd_una >= self.window:
+            if snd_nxt - self.snd_una >= self.window:
                 ev = self._pace_ev
                 if ev is not None:
                     # fncc-lint: allow[H301] Event.cancel() inlined on a live handle this QP owns; per-ACK pacing path

@@ -307,3 +307,33 @@ class TestRunnerCli:
 
         with pytest.raises(SystemExit):
             main(["fig1a", "--jobs", "0"])
+
+    def test_bad_seed_rejected_before_any_cell(self, capsys):
+        from repro.experiments.runner import main
+
+        for seed in ("-1", str(2**63), "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["lbmatrix", "--quick", "--seed", seed])
+            assert exc.value.code == 2, seed
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].startswith("fncc-exp: error:"), seed
+            assert "--seed" in err.splitlines()[-1], seed
+
+    def test_trace_into_a_missing_directory_rejected_before_any_cell(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        ran = []
+        monkeypatch.setattr(runner, "_experiment_main",
+                            lambda name: lambda **kw: ran.append(name))
+        path = tmp_path / "missing" / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["fig14", "--quick", "--trace", str(path)])
+        assert exc.value.code == 2
+        assert f"--trace: directory {path.parent} does not exist" in capsys.readouterr().err
+        assert ran == []
+        # An existing directory, or a figure that ignores --trace, runs.
+        assert runner.main(["fig14", "--quick", "--trace", str(tmp_path / "t.json")]) == 0
+        assert runner.main(["fig1a", "--trace", str(path)]) == 0
+        assert ran == ["fig14", "fig1a"]

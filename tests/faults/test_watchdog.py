@@ -79,5 +79,3 @@ def test_double_arm_rejected(sim):
 def test_config_validation():
     with pytest.raises(ValueError):
         PfcWatchdogConfig(detect_ps=0)
-    with pytest.raises(ValueError):
-        PfcWatchdogConfig(action="quarantine")

@@ -104,20 +104,6 @@ class TestSpray:
         picks = {tor.router(tor, ack) for _ in range(8)}
         assert len(picks) == 1  # stable flow-hash path
 
-    def test_random_mode_deterministic_per_seed(self):
-        paths = []
-        for _ in range(2):
-            sim = Simulator()
-            topo = fattree(sim, k=4, lb=LbConfig("spray", mode="random"))
-            tor = topo.node("tor_0_0")
-            remote = topo.node("h_2_0_0").host_id
-            paths.append([tor.router(tor, data_pkt(0, remote, 1)) for _ in range(32)])
-        assert paths[0] == paths[1]
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SprayLB(mode="zigzag")
-
 
 class TestFlowlet:
     def test_same_flowlet_same_port(self, sim):

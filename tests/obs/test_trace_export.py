@@ -14,20 +14,8 @@ from repro.obs.export import (
 
 
 class TestTracerCore:
-    def test_category_filter(self):
-        tr = EventTracer(categories=("flow",))
-        tr.emit("flow", "a", 10)
-        tr.emit("pfc", "b", 20)  # disabled: dropped silently
-        assert len(tr.events) == 1
-        assert tr.events[0].name == "a"
-        assert tr.enabled("flow") and not tr.enabled("pfc")
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(ValueError):
-            EventTracer(categories=("nope",))
-
     def test_ring_eviction_keeps_counts(self):
-        tr = EventTracer(categories=("flow",), capacity=8)
+        tr = EventTracer(capacity=8)
         for i in range(20):
             tr.emit("flow", f"e{i}", i)
         assert len(tr.events) == 8

@@ -1,9 +1,11 @@
-"""The reach census (``tools/census.py``, DESIGN.md §9.2) as a tier-1 gate:
-every ``def`` under ``src/repro`` is listed in ``tests/census.json``, either
-with the entry points that reach it or with the reason an unreached one
-stays.  A function added without a re-run census that says
-who calls it fails here; so does one deleted without it.  The census itself
-takes minutes and runs in CI's ``census`` job; this reads the committed one.
+"""The reach and value census (``tools/census.py``, DESIGN.md §9.2) as a
+tier-1 gate: every ``def`` under ``src/repro`` is listed in
+``tests/census.json``, either with the entry points that reach it or with
+the reason an unreached one stays, and so is every defaulted parameter,
+with the entry points that pass it another value.  A function or keyword
+added without a re-run census that says who calls or sets it fails here;
+so does one deleted without it.  The census itself takes minutes and runs
+in CI's ``census`` job; this reads the committed one.
 """
 
 import inspect
@@ -15,7 +17,7 @@ import textwrap
 import types
 
 from tools import census as census_tool
-from tools.census import CENSUS_PATH, REASONS, definitions
+from tools.census import CENSUS_PATH, REASONS, definitions, knobs
 
 CENSUS = json.loads(CENSUS_PATH.read_text(encoding="utf-8"))
 
@@ -30,6 +32,32 @@ def test_every_definition_is_in_the_census():
         f"{gone} — re-run python -m tools.census --rebless"
     )
     assert list(listed) == list(defs), "tests/census.json is not in source order"
+
+
+def test_every_knob_is_in_the_census():
+    listed = CENSUS["knobs"]
+    params = knobs()
+    unlisted = [key for key in params if key not in listed]
+    gone = [key for key in listed if key not in params]
+    assert not unlisted and not gone, (
+        f"defaulted parameters not in tests/census.json: {unlisted}; listed but "
+        f"no longer defined: {gone} — re-run python -m tools.census --rebless"
+    )
+    assert list(listed) == list(params), "tests/census.json knobs are not in source order"
+    known = set(CENSUS["entry_points"])
+    known |= {ident.split(" ")[0] + " *" for ident in known}
+    bad = {key: by for key, by in listed.items() if not set(by) <= known}
+    assert not bad, bad
+
+
+def test_knobs_are_the_defaulted_parameters_of_unnested_defs():
+    params = knobs()
+    assert params["repro.lb.flowlet:FlowletLB.__init__(gap_ps)"] == (
+        "repro.lb.flowlet:FlowletLB.__init__", "gap_ps")
+    assert "repro.lb.flowlet:FlowletLB.__init__(self)" not in params
+    assert "repro.sim.rng:stable_hash64(parts)" not in params  # *args: no default
+    # A closure's defaults bind a value per closure; no caller sets them.
+    assert not [key for key in params if "<locals>" in key]
 
 
 def test_each_definition_is_reached_or_kept_for_a_reason():
@@ -120,6 +148,35 @@ def test_a_child_handed_its_own_pythonpath_is_counted(tmp_path):
                         "from repro import units; units.to_us(1)"], env=env, check=True)
     """)
     assert any(line.endswith("\tto_us") for line in lines), lines
+
+
+def test_a_knob_is_logged_by_the_first_call_that_turns_it(tmp_path):
+    first = definitions()["repro.lb.flowlet:FlowletLB.__init__"][1]
+    base = definitions()["repro.lb.base:LoadBalancer.__init__"][1]
+    lines = _run_under_the_hook(tmp_path, """
+        from repro.lb.flowlet import DEFAULT_GAP_PS, FlowletLB
+        FlowletLB()                                    # defaults
+        FlowletLB(gap_ps=int(str(DEFAULT_GAP_PS)))     # an equal int: no change
+        FlowletLB(max_cache_entries=float(1 << 16))    # equal, but a float
+        FlowletLB(gap_ps=7)
+        FlowletLB(gap_ps=9)                            # already logged
+    """)
+    knob_lines = [line for line in lines if line.count("\t") == 3]
+    assert knob_lines == [
+        f"lb/flowlet.py\t{first}\t__init__\tmax_cache_entries",
+        f"lb/base.py\t{base}\t__init__\tmax_cache_entries",  # handed on
+        f"lb/flowlet.py\t{first}\t__init__\tgap_ps",
+    ]
+
+
+def test_the_census_records_which_entry_points_turn_a_knob():
+    reached = {"fig15": {"repro.lb.flowlet:FlowletLB.__init__(gap_ps)"},
+               "fig15 --jobs 2": {"repro.lb.flowlet:FlowletLB.__init__(gap_ps)"},
+               "benchmark": set()}
+    doc, _ = census_tool.census(reached)
+    assert doc["knobs"]["repro.lb.flowlet:FlowletLB.__init__(gap_ps)"] == ["fig15 *"]
+    assert doc["knobs"]["repro.lb.flowlet:FlowletLB.__init__(max_cache_entries)"] == []
+    assert list(doc["knobs"]) == list(knobs())
 
 
 def test_dead_code_and_stale_reasons_are_problems(monkeypatch):

@@ -69,10 +69,9 @@ class TestPoisson:
             cdf=UNIFORM,
             load=0.5,
             seeds=SeedSequenceFactory(1),
-            first_flow_id=100,
         )
         flows = w.generate(10)
-        assert [f.flow_id for f in flows] == list(range(100, 110))
+        assert [f.flow_id for f in flows] == list(range(10))
 
     def test_load_bounds(self):
         with pytest.raises(ValueError):
@@ -88,9 +87,9 @@ class TestPatterns:
         assert all(f.dst == 9 for f in flows)
 
     def test_incast_simultaneous(self):
-        flows = incast_flows(range(8), 9, 50_000, start_ps=us(10))
+        flows = incast_flows(range(8), 9, 50_000)
         assert len(flows) == 8
-        assert all(f.start_ps == us(10) for f in flows)
+        assert all(f.start_ps == 0 for f in flows)
         assert all(f.dst == 9 for f in flows)
 
     def test_permutation_is_derangement(self):

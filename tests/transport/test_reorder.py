@@ -6,6 +6,7 @@ from repro.net.host import Host
 from repro.net.packet import ACK, DATA, Packet
 from repro.net.port import connect
 from repro.transport.flow import Flow
+from repro.transport.receiver import REORDER_MAX_PKTS
 from repro.transport.sender import TransportConfig
 from repro.units import us
 
@@ -13,10 +14,8 @@ PAYLOAD = 1000
 SIZE = PAYLOAD + 48
 
 
-def pair(sim, window_bytes=10 * PAYLOAD, max_pkts=512):
-    cfg = TransportConfig(
-        reorder_window_bytes=window_bytes, reorder_max_pkts=max_pkts
-    )
+def pair(sim, window_bytes=10 * PAYLOAD):
+    cfg = TransportConfig(reorder_window_bytes=window_bytes)
     a = Host(sim, "a", host_id=0, transport=cfg)
     b = Host(sim, "b", host_id=1, transport=cfg)
     connect(sim, a, b, 100.0, 0)
@@ -122,12 +121,13 @@ class TestEdgeCases:
         assert dup.seq == PAYLOAD  # cumulative, pointing at the hole
 
     def test_max_pkts_overflow(self, sim):
-        a, b = pair(sim, window_bytes=100 * PAYLOAD, max_pkts=2)
-        rqp = rqp_for(b, total_bytes=100 * PAYLOAD)
+        n = REORDER_MAX_PKTS
+        a, b = pair(sim, window_bytes=(n + 10) * PAYLOAD)
+        rqp = rqp_for(b, total_bytes=(n + 10) * PAYLOAD)
         rqp.on_data(seg(0))
-        for i in (2, 3, 4):
+        for i in range(2, n + 3):  # one frame more than the buffer holds
             rqp.on_data(seg(i))
-        assert rqp.ooo_buffered == 2
+        assert rqp.ooo_buffered == n
         assert rqp.ooo_overflows == 1
 
     def test_duplicate_buffered_copy_released(self, sim):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc.base import CongestionControl
+from repro.cc.base import UNLIMITED_WINDOW, CongestionControl
 from repro.net.host import Host
 from repro.net.port import connect
 from repro.transport.flow import Flow
@@ -226,17 +226,16 @@ class TestWindowClocking:
         assert qp.finished  # ACK clocking drained the whole flow
 
     def test_rate_only_mode_ignores_window(self, sim):
-        cfg = TransportConfig(window_limited=False)
-        a, b = pair(sim, transport=cfg, delay=us(50))
+        a, b = pair(sim, delay=us(50))
 
-        class TinyWindowButUnlimited(CongestionControl):
+        class RateOnly(CongestionControl):
             def on_flow_start(self, qp):
-                qp.window = 1.0  # would block if window_limited
+                qp.window = UNLIMITED_WINDOW  # how rate-based CCs opt out
                 qp.rate_gbps = qp.line_rate_gbps
 
         flow = Flow(0, 0, 1, 10 * DEFAULT_MTU)
         b.register_receiver(flow)
-        qp = a.start_flow(flow, TinyWindowButUnlimited(), us(10))
+        qp = a.start_flow(flow, RateOnly(), us(10))
         sim.run(until=us(40))  # before any ACK returns
         assert qp.snd_nxt > 2 * DEFAULT_MTU
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Reach census: which ``src/repro`` definition does some entry point run?
+"""Reach and value census: which ``src/repro`` definition does some entry
+point run, and which knob does it turn?
 
 Every entry point a user has is run once under ``sys.setprofile``, and every
 ``def`` under ``src/repro`` (``module:qualname``, methods and closures
@@ -9,6 +10,13 @@ definition no entry point enters is listed with the reason it stays, one of
 the census refuses to record it.  The committed result is ``tests/census.json``;
 ``tests/test_census.py`` fails on any definition it does not list, so a new
 function lands together with a re-run census that says who calls it.
+
+The same runs record values: for every parameter with a default of a
+``def`` not nested in a def (:func:`knobs`), the entry points that called
+it with a value other than its default — not the default object, and not
+an equal value of the same type.  A knob no entry point turns lists none;
+``tests/test_census.py`` fails on a defaulted parameter the file does not
+list, so a new keyword lands together with a census that says who sets it.
 
 The entry points (:func:`entry_points`):
 
@@ -28,7 +36,8 @@ function; fresh interpreters (spawned workers, the suite's children) load
 it through a ``sitecustomize`` on ``PYTHONPATH``.  Each process appends a
 line per newly entered code object to the entry point's log the moment it
 enters it, so nothing depends on an exit hook — forked workers leave through
-``os._exit``, which runs none.
+``os._exit``, which runs none.  A knob is logged the same way, by the first
+call in a process that turns it; after that the hook stops looking at it.
 
 Usage, from the repository root::
 
@@ -37,20 +46,22 @@ Usage, from the repository root::
     python -m tools.census --rebless    # run it, rewrite tests/census.json
 
 ``--rebless`` refuses until the newest CHANGES.md entry names
-``census.json`` and says why the reach moved.  A full run takes five to six
-minutes on two vCPUs, two entry points at a time.
+``census.json`` and says why the reach or a knob moved.  A full run takes six
+to eight minutes on two vCPUs, two entry points at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -97,10 +108,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.net.switch:Switch.on_departure": (
         "public", "Port inlines it for a stock switch and tests a peer's hook against it"),
     "repro.net.switch:PfcWatchdog._storm_off": ("public", "PfcWatchdog._poll, when a storm clears"),
-    "repro.net.switch:PfcWatchdog.collect": ("public", "arm_watchdog(registry=)"),
-    "repro.faults.inject:FaultInjector.collect": ("public", "FaultInjector.arm(registry=)"),
-    "repro.obs.registry:MetricsRegistry.bind_collector": (
-        "public", "arm_watchdog(registry=) and FaultInjector.arm(registry=)"),
     "repro.obs.trace:EventTracer._hook_lb.<locals>": (
         "public", "a traced run whose strategy reroutes (ConWeaveLiteLB calls on_reroute)"),
     "repro.lb.base:sweep_bounded_table": ("public", "the max_cache_entries bound of FlowletLB and ConWeaveLiteLB"),
@@ -139,10 +146,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
         "pending", "the determinism tests' witness: a test helper or the run manifest's (ROADMAP item 4)"),
     "repro.experiments.common:MicrobenchResult.fingerprint": (
         "pending", "the determinism tests' witness: a test helper or the run manifest's (ROADMAP item 4)"),
-    "repro.lb.ecmp:EcmpLB.make_router.<locals>.router#2": (
-        "pending", "fattree(symmetric_ecmp=False), a knob only tests turn"),
-    "repro.lb.spray:SprayLB.make_router.<locals>.router#2": (
-        "pending", "LbConfig('spray', mode='random'), a knob only tests turn"),
 }
 
 #: What a reach list holds when every invocation the census runs of one
@@ -164,63 +167,171 @@ def _start(node) -> int:
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
-def definitions() -> Dict[str, Tuple[str, int, str]]:
+def _walk():
     """Every ``def`` under ``src/repro``, in file and source order:
-    ``module:qualname`` -> (path relative to the package, the line its code
-    object starts on, its name).  A qualname defined twice in one module
-    (a function defined on two branches) gets ``#2`` appended."""
-    out: Dict[str, Tuple[str, int, str]] = {}
+    (``module:qualname``, path relative to the package, the line its code
+    object starts on, the ``ast`` node, whether it is nested in a def).  A
+    qualname defined twice in one module (a function defined on two
+    branches) gets ``#2`` appended."""
+    seen = set()
     for path in sorted(PKG.rglob("*.py")):
         module = _module_name(path)
         rel = path.relative_to(PKG).as_posix()
 
-        def walk(node, prefix: str) -> None:
+        def walk(node, prefix: str, nested: bool):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = prefix + child.name
                     key = f"{module}:{qualname}"
                     n = 2
-                    while key in out:
+                    while key in seen:
                         key = f"{module}:{qualname}#{n}"
                         n += 1
-                    out[key] = (rel, _start(child), child.name)
-                    walk(child, qualname + ".<locals>.")
+                    seen.add(key)
+                    yield key, rel, _start(child), child, nested
+                    yield from walk(child, qualname + ".<locals>.", True)
                 elif isinstance(child, ast.ClassDef):
-                    walk(child, prefix + child.name + ".")
+                    yield from walk(child, prefix + child.name + ".", nested)
                 else:
-                    walk(child, prefix)
+                    yield from walk(child, prefix, nested)
 
-        walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
-    return out
+        yield from walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "", False)
+
+
+def definitions() -> Dict[str, Tuple[str, int, str]]:
+    """Every ``def`` under ``src/repro``, in file and source order:
+    ``module:qualname`` -> (path relative to the package, the line its code
+    object starts on, its name)."""
+    return {key: (rel, first, node.name) for key, rel, first, node, _ in _walk()}
+
+
+def _defaulted(args: ast.arguments) -> List[str]:
+    """The parameters of a signature that have a default, in order."""
+    positional = args.posonlyargs + args.args
+    out = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    return out + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def knobs() -> Dict[str, Tuple[str, str]]:
+    """Every settable value under ``src/repro``, in source order:
+    ``module:qualname(param)`` -> (``module:qualname``, param), for each
+    parameter with a default of a ``def`` not nested in a def.  A nested
+    def's defaults bind a value per closure (``_orig=orig``); no caller
+    reaches them by name, so they are not knobs."""
+    return {f"{key}({param})": (key, param)
+            for key, _, _, node, nested in _walk() if not nested
+            for param in _defaulted(node.args)}
 
 
 # -- the profile hook, in every process of a run -----------------------------
 
 def profile_this_process() -> None:
     """Record, in the log ``$REPRO_CENSUS_LOG`` names, every ``src/repro``
-    code object this process (and any process forked from it) enters.
-    Installed by the census's ``sitecustomize``."""
+    code object this process (and any process forked from it) enters, and
+    the first call that passes each of its knobs a value other than its
+    default.  Installed by the census's ``sitecustomize``."""
     import threading
 
     fd = os.open(os.environ[LOG_ENV], os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     prefix = str(PKG) + os.sep
-    seen = {}  # id -> code object, which the entry keeps alive (ids unique)
+    # id -> (code object, which the entry keeps alive (ids unique); the
+    # (param, default) pairs no call has changed yet; its log-line head;
+    # the frame offset a call starts at — a generator's later resumes,
+    # whose locals the body may have rebound, start elsewhere)
+    seen = {}
+    bearing = []  # [_knob_bearing()], built on first use (forks inherit it)
 
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            if id(code) not in seen:
-                seen[id(code)] = code
+            entry = seen.get(id(code))
+            if entry is None:
                 path = os.path.abspath(code.co_filename)
-                if path.startswith(prefix):
-                    # One write per line on an O_APPEND descriptor: lines
-                    # from forked workers sharing it never interleave.
-                    os.write(fd, f"{path[len(prefix):]}\t{code.co_firstlineno}\t"
-                                 f"{code.co_name}\n".encode())
+                if not path.startswith(prefix):
+                    seen[id(code)] = (code, None)
+                    return
+                where = (path[len(prefix):], code.co_firstlineno, code.co_name)
+                if not bearing:
+                    bearing.append(_knob_bearing())
+                watch = _defaults(code, frame.f_globals) if where in bearing[0] else None
+                head = "\t".join(map(str, where))
+                entry = seen[id(code)] = (code, watch, head, frame.f_lasti)
+                # One write per line on an O_APPEND descriptor: lines
+                # from forked workers sharing it never interleave.
+                os.write(fd, f"{head}\n".encode())
+            watch = entry[1]
+            if watch and frame.f_lasti == entry[3]:
+                args = frame.f_locals
+                for i in range(len(watch) - 1, -1, -1):
+                    name, default = watch[i]
+                    value = args.get(name, default)
+                    if value is not default and _changed(value, default):
+                        del watch[i]  # a knob turned once is a knob: stop looking
+                        os.write(fd, f"{entry[2]}\t{name}\n".encode())
 
     threading.setprofile(profile)
     sys.setprofile(profile)
     _keep_children_in_the_census()
+
+
+def _changed(value, default) -> bool:
+    """True when a call passed something other than the default object
+    that is not an equal value of the same type."""
+    try:
+        return type(value) is not type(default) or not bool(value == default)
+    except (TypeError, ValueError):  # an ``==`` with no truth value (arrays)
+        return True
+
+
+def _knob_bearing() -> set:
+    """(path relative to the package, first line, name) of each ``def``
+    that has knobs (:func:`knobs`): the hook looks up defaults for these
+    code objects alone, by the same rule the census lists knobs by."""
+    return {(rel, first, node.name)
+            for _, rel, first, node, nested in _walk() if not nested and _defaulted(node.args)}
+
+
+def _defaults(code, namespace: dict) -> list:
+    """``[(param, default), ...]`` of the function ``code`` belongs to,
+    found through the module namespace it runs in, once per code object."""
+    fn = _function_of(code, namespace)
+    if fn is None:
+        return []
+    n = code.co_argcount
+    positional = fn.__defaults__ or ()
+    out = list(zip(code.co_varnames[n - len(positional):n], positional))
+    return out + list((fn.__kwdefaults__ or {}).items())
+
+
+def _function_of(code, namespace: dict):
+    """The function object whose code is ``code``: a module-level function
+    or a method (static, class, property accessor, or behind a
+    ``functools.wraps`` wrapper) of a class the module defines.
+
+    ``gc.get_referrers`` alone finds every one of them, but it scans the
+    whole heap per call: under the hook on a 2-vCPU x86 box, ``fig14
+    --quick`` took 6.2-7.7 s with it alone against 4.9-5.6 s with this
+    walk first (three alternating runs each, the same knob lines)."""
+    module = namespace.get("__name__")
+    stack = list(namespace.values())
+    classes = set()
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (staticmethod, classmethod)):
+            obj = obj.__func__
+        if isinstance(obj, property):
+            stack.extend(f for f in (obj.fget, obj.fset, obj.fdel) if f is not None)
+        elif isinstance(obj, types.FunctionType):
+            while obj is not None:
+                if obj.__code__ is code:
+                    return obj
+                obj = getattr(obj, "__wrapped__", None)
+        elif isinstance(obj, type) and obj.__module__ == module and id(obj) not in classes:
+            classes.add(id(obj))
+            stack.extend(vars(obj).values())
+    # Held only in a dict or list the walk does not open: ask the collector.
+    return next((f for f in gc.get_referrers(code)
+                 if isinstance(f, types.FunctionType) and f.__code__ is code), None)
 
 
 def _keep_children_in_the_census() -> None:
@@ -294,7 +405,8 @@ def entry_points(tmp: Path) -> List[Tuple[str, List[str]]]:
 def run(workers: int = 2, log=sys.stderr) -> Dict[str, set]:
     """Run every entry point, ``workers`` at a time (``repro.obs.export``
     after the rest, since it reads their trace); return the definitions
-    each one reached.  Raises if any of them fails."""
+    each one reached and the knobs (``module:qualname(param)``) it turned.
+    Raises if any of them fails."""
     by_code = {(rel, str(first), name): key
                for key, (rel, first, name) in definitions().items()}
     reached: Dict[str, set] = {}
@@ -327,8 +439,12 @@ def run(workers: int = 2, log=sys.stderr) -> Dict[str, set]:
             if proc.returncode != 0:
                 failures.append((ident, logpath.with_suffix(".err").read_text()[-3000:]))
             lines = logpath.read_text().splitlines() if logpath.exists() else []
-            reached[ident] = {by_code[k] for k in map(lambda l: tuple(l.split("\t")), lines)
-                              if k in by_code}
+            hits = set()
+            for fields in map(lambda line: line.split("\t"), lines):
+                key = by_code.get(tuple(fields[:3]))
+                if key is not None:  # reached, or with a 4th field: a knob it turned
+                    hits.add(key if len(fields) == 3 else f"{key}({fields[3]})")
+            reached[ident] = hits
 
         try:
             n = 0
@@ -405,30 +521,41 @@ def census(reached: Dict[str, set]) -> Tuple[dict, List[str]]:
         else:
             problems.append(f"{key}: unreached, and no KEEP reason")
     problems += [f"KEEP[{prefix!r}] keeps nothing" for prefix in KEEP if prefix not in used]
+    turned = {key: _compact([ident for ident in reached if key in reached[ident]], figures)
+              for key in knobs()}
     doc = {
-        "about": "Which src/repro definition each entry point reaches "
-                 "(python -m tools.census; DESIGN.md §9.2).  A list names the "
-                 "entry points whose run entered the body ('<figure> *': every "
-                 "invocation of it the census runs; 'benchmark' alone: kept for "
-                 "the benchmark); an object gives the reason an unreached one stays.",
+        "about": "Which src/repro definition each entry point reaches, and which "
+                 "knob it turns (python -m tools.census; DESIGN.md §9.2).  Under "
+                 "'definitions' a list names the entry points whose run entered the "
+                 "body ('<figure> *': every invocation of it the census runs; "
+                 "'benchmark' alone: kept for the benchmark); an object gives the "
+                 "reason an unreached one stays.  Under 'knobs' a list names the "
+                 "entry points that passed the parameter a value other than its "
+                 "default; an empty one, that none did.",
         "reasons": REASONS,
         "entry_points": list(reached),
         "definitions": table,
+        "knobs": turned,
     }
     return doc, problems
 
 
+#: The tables of the census document, one row a line in the file.
+TABLES = ("definitions", "knobs")
+
+
 def dumps(doc: dict) -> str:
-    """One definition per line, so a re-bless diffs line by line."""
+    """One row per line, so a re-bless diffs line by line."""
     lines = ["{"]
     for name in ("about", "reasons", "entry_points"):
         lines.append(f"  {json.dumps(name)}: {json.dumps(doc[name])},")
-    lines.append('  "definitions": {')
-    items = list(doc["definitions"].items())
-    for i, (key, value) in enumerate(items):
-        comma = "," if i < len(items) - 1 else ""
-        lines.append(f"    {json.dumps(key)}: {json.dumps(value)}{comma}")
-    lines.append("  }")
+    for t, table in enumerate(TABLES):
+        lines.append(f"  {json.dumps(table)}: {{")
+        items = list(doc[table].items())
+        for i, (key, value) in enumerate(items):
+            comma = "," if i < len(items) - 1 else ""
+            lines.append(f"    {json.dumps(key)}: {json.dumps(value)}{comma}")
+        lines.append("  }," if t < len(TABLES) - 1 else "  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -459,14 +586,16 @@ def main(argv=None) -> int:
         print(f"wrote {CENSUS_PATH.relative_to(ROOT)}", file=sys.stderr)
         return 0
     if args.check:
-        old = json.loads(CENSUS_PATH.read_text())["definitions"]
-        new = doc["definitions"]
-        diff = [
-            f"  {key}: {json.dumps(old.get(key))} -> {json.dumps(new.get(key))}"
-            for key in sorted(set(old) | set(new)) if old.get(key) != new.get(key)
-        ]
+        committed = json.loads(CENSUS_PATH.read_text())
+        diff = []
+        for table in TABLES:
+            old, new = committed.get(table, {}), doc[table]
+            diff += [
+                f"  {key}: {json.dumps(old.get(key))} -> {json.dumps(new.get(key))}"
+                for key in sorted(set(old) | set(new)) if old.get(key) != new.get(key)
+            ]
         if diff or problems or text != CENSUS_PATH.read_text():
-            print(f"the census moved ({len(diff)} definitions); re-bless with "
+            print(f"the census moved ({len(diff)} rows); re-bless with "
                   "python -m tools.census --rebless after saying why in CHANGES.md",
                   file=sys.stderr)
             print("\n".join(diff), file=sys.stderr)
