@@ -4,8 +4,8 @@
 fabric needs (switch INT mode, ECN marking, CNP generation, the per-flow CC
 factory, switch-resident machinery such as RoCC's PI controllers) and
 :func:`build_fabric` turns that plus a topology builder into an unlaunched
-:class:`Fabric`; :func:`build_microbench_fabric` adds the staggered
-elephants and the monitored port of Figs. 1, 3, 9 and 13.
+:class:`Fabric`; :func:`run_microbench` is the whole staggered-elephant
+cell of Figs. 1, 3, 9 and 13 in one call.
 **launch** — :func:`launch_flows`, whole or one shard's share.
 **result** — :class:`FctCell` and :class:`MicrobenchResult` serve the
 in-process caller and the pool worker alike: pickling drops only the live
@@ -309,11 +309,6 @@ class FctCell(_Portable):
         return self._fingerprint
 
 
-def series_samples(series: TimeSeries) -> tuple:
-    """A series as plain ``(times, values)`` tuples."""
-    return (tuple(series.times), tuple(series.values))
-
-
 @dataclass(eq=False)
 class MicrobenchResult(_Portable):
     """Output of :func:`run_microbench`: the series the paper plots, plus
@@ -337,77 +332,28 @@ class MicrobenchResult(_Portable):
     def peak_queue_bytes(self) -> float:
         return self.queue.max()
 
-    def series_fingerprint(self) -> tuple:
-        """The pause count and every sampled series: the witness a sharded
-        run must reproduce (its ``events_dispatched`` legitimately differs,
-        DESIGN.md §11)."""
-        return (
-            self.pause_frames,
-            *series_samples(self.queue),
-            tuple((fid, *series_samples(s)) for fid, s in sorted(self.rates.items())),
-            *series_samples(self.utilization),
-        )
-
     def fingerprint(self) -> tuple:
-        """:meth:`series_fingerprint` plus the event count — the
-        byte-identity witness for serial-vs-pooled comparisons."""
-        return (self.events_dispatched, *self.series_fingerprint())
-
-
-@dataclass
-class MicrobenchFabric:
-    """The staggered-elephant cell of Figs. 1/3/9/13, built but not
-    launched: :meth:`launch` starts the flows and the samplers (all of
-    them, or one shard's share), :meth:`result` reads the samplers out."""
-
-    cc: str
-    link_rate_gbps: float
-    seed: int
-    fabric: Fabric
-    flows: Sequence[Flow]
-    switch: object
-    port: object
-    sample_us: float
-    queue_mon: Optional[QueueSampler] = None
-    util_mon: Optional[UtilizationSampler] = None
-    rate_mons: Dict[int, RateSampler] = field(default_factory=dict)
-
-    def launch(self, owned=None) -> None:
-        """``owned`` as in :func:`launch_flows`; a sampler attaches only
-        where the object it samples is owned (samplers are Periodic, so
-        their ticks land at the serial timestamps whichever shard hosts
-        them)."""
-        sim = self.fabric.sim
-        qps = launch_flows(self.fabric.topo, self.flows, self.fabric.env, owned)
-        if owned is None or self.switch.name in owned:
-            self.queue_mon = QueueSampler(sim, self.port, interval_ps=us(self.sample_us))
-            self.util_mon = UtilizationSampler(
-                sim, self.port, interval_ps=us(5 * self.sample_us)
-            )
-        self.rate_mons = {
-            fid: RateSampler(sim, qp, interval_ps=us(self.sample_us))
-            for fid, qp in qps.items()
-        }
-
-    def result(self) -> MicrobenchResult:
-        """``queue`` and ``utilization`` are None on a shard that does not
-        own the monitored port."""
-        topo = self.fabric.topo
-        return MicrobenchResult(
-            cc=self.cc,
-            link_rate_gbps=self.link_rate_gbps,
-            queue=self.queue_mon and self.queue_mon.series,
-            rates={fid: mon.series for fid, mon in self.rate_mons.items()},
-            utilization=self.util_mon and self.util_mon.series,
-            pause_frames=pause_frame_count(topo.switches),
-            topo=topo,
-            sim=self.fabric.sim,
-            seed=self.seed,
+        """The event count, the pause count and every sampled series as
+        plain tuples — the byte-identity witness for serial-vs-pooled
+        comparisons."""
+        q, u = self.queue, self.utilization
+        return (
+            self.events_dispatched,
+            self.pause_frames,
+            tuple(q.times),
+            tuple(q.values),
+            tuple(
+                (fid, tuple(s.times), tuple(s.values))
+                for fid, s in sorted(self.rates.items())
+            ),
+            tuple(u.times),
+            tuple(u.values),
         )
 
 
-def build_microbench_fabric(
+def run_microbench(
     cc: str,
+    duration_us: float = 700.0,
     link_rate_gbps: float = 100.0,
     n_senders: int = 2,
     n_switches: int = 3,
@@ -420,9 +366,9 @@ def build_microbench_fabric(
     monitor_switch: Optional[int] = None,
     monitor_port: Optional[int] = None,
     **fabric_kw,
-) -> MicrobenchFabric:
-    """The Figs. 1/3/9 micro-benchmark, unlaunched: staggered elephants on
-    a dumbbell.
+) -> MicrobenchResult:
+    """The Figs. 1/3/9/13 micro-benchmark: staggered elephants on a
+    dumbbell, run for ``duration_us``, with the series the paper plots.
 
     flow0 starts at t=0 at line rate; flow1 joins at ``stagger_us`` (300 us
     in the paper).  ``topo_builder`` takes ``n_senders`` / ``n_switches``
@@ -442,7 +388,7 @@ def build_microbench_fabric(
         pfc_xoff=pfc_xoff,
         **fabric_kw,
     )
-    topo = fabric.topo
+    sim, topo = fabric.sim, fabric.topo
     receiver = topo.hosts[-1]
     flows = staggered_elephants(
         sender_ids=[h.host_id for h in topo.hosts[:n_senders]],
@@ -460,18 +406,25 @@ def build_microbench_fabric(
             else receiver.name
         )
         monitor_port = topo.adj[sw.name][nxt]["ports"][sw.name]
-    return MicrobenchFabric(
-        cc, link_rate_gbps, seed, fabric, flows, sw, sw.ports[monitor_port], sample_us
+    port = sw.ports[monitor_port]
+    qps = launch_flows(topo, flows, fabric.env)
+    queue_mon = QueueSampler(sim, port, interval_ps=us(sample_us))
+    util_mon = UtilizationSampler(sim, port, interval_ps=us(5 * sample_us))
+    rate_mons = {
+        fid: RateSampler(sim, qp, interval_ps=us(sample_us)) for fid, qp in qps.items()
+    }
+    sim.run(until=us(duration_us))
+    return MicrobenchResult(
+        cc=cc,
+        link_rate_gbps=link_rate_gbps,
+        queue=queue_mon.series,
+        rates={fid: mon.series for fid, mon in rate_mons.items()},
+        utilization=util_mon.series,
+        pause_frames=pause_frame_count(topo.switches),
+        topo=topo,
+        sim=sim,
+        seed=seed,
     )
-
-
-def run_microbench(cc: str, duration_us: float = 700.0, **kwargs) -> MicrobenchResult:
-    """Run :func:`build_microbench_fabric`'s cell (same keywords) for
-    ``duration_us`` and return the sampled series."""
-    cell = build_microbench_fabric(cc, **kwargs)
-    cell.launch()
-    cell.fabric.sim.run(until=us(duration_us))
-    return cell.result()
 
 
 def microbench_grid(

@@ -25,6 +25,7 @@ from repro.experiments.common import build_cc_env
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.hybrid.backend import HybridConfig, run_fct_hybrid
 from repro.metrics.stats import ks_distance
+from repro.sim.rng import SeedSequenceFactory
 
 #: Scenario -> experiment kwargs.  The full rows match the fig14/fig15
 #: runner defaults; the quick slices shrink the flow count for CI.
@@ -199,12 +200,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--threshold", type=float, default=None,
                     help="override the demotion utilization threshold")
     args = ap.parse_args(argv)
+    # Each value is checked by the one place that owns its rule, before any
+    # cell runs: the scheme names, the seed range, the threshold.
     try:
-        build_cc_env(args.cc)  # the one place that knows the scheme names
+        build_cc_env(args.cc)
+        SeedSequenceFactory(args.seed)
+        cfg = HybridConfig(threshold=args.threshold) if args.threshold is not None else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = HybridConfig(threshold=args.threshold) if args.threshold is not None else None
     report = validate(args.scenario, cc=args.cc, seed=args.seed, quick=args.quick,
                       config=cfg)
     print(report.format())

@@ -15,19 +15,26 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Optional
 
+from repro import _lazy_exports
 from repro.obs.registry import (
     Counter,
     MetricsRegistry,
     merge_snapshots,
 )
 from repro.obs.trace import CATEGORIES, EventTracer, TraceEvent
-from repro.obs.export import (
-    chrome_trace_events,
-    export_chrome_trace,
-    validate_chrome_trace,
-)
 from repro.obs.flight import FlightRecorder
 from repro.obs.progress import ProgressReporter
+
+# Resolved on first access, so ``python -m repro.obs.export`` does not find
+# its own module imported already by the package it lives in.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": (
+            "chrome_trace_events", "export_chrome_trace", "validate_chrome_trace",
+        ),
+    },
+)[:2]
 
 #: Cap on per-item trace emissions from aggregate phases (e.g. one event
 #: per demoted flow in the hybrid classify pass) so a 100k-flow demotion

@@ -15,7 +15,6 @@ from repro.shard.partition import (
     Cut,
     PartitionError,
     PartitionPlan,
-    dumbbell_plan,
     fattree_plan,
     plan_partition,
 )
@@ -27,10 +26,7 @@ from repro.shard.runtime import (
     aligned_window,
     run_sharded,
 )
-from repro.shard.drivers import (
-    run_sharded_fct,
-    run_sharded_microbench,
-)
+from repro.shard.drivers import run_sharded_fct
 
 __all__ = [
     "Boundary",
@@ -41,12 +37,10 @@ __all__ = [
     "ShardEngine",
     "aligned_window",
     "decode_frame",
-    "dumbbell_plan",
     "encode_frame",
     "fattree_plan",
     "plan_partition",
     "rewire_boundaries",
     "run_sharded",
     "run_sharded_fct",
-    "run_sharded_microbench",
 ]

@@ -1,14 +1,15 @@
-"""Sharded experiment drivers: partition, run, merge (DESIGN.md §11).
+"""The sharded FCT driver: partition, run, merge (DESIGN.md §11).
 
-The drivers own the three steps the runtime deliberately does not:
+The driver owns the three steps the runtime deliberately does not:
 
-1. **Plan** — derive the partition (dumbbell chain split / fat-tree pod
-   split) from a throwaway topology; only the plain ownership map
-   travels further.  The process-backed group starts its workers first
-   and plans while they start (a forked worker starts with the
-   coordinator's imports; only a spawned one imports while it waits).
+1. **Plan** — derive the fat-tree pod split from a throwaway wiring;
+   only the plain ownership map travels further.  The process-backed
+   group starts its workers first and plans while they start (a forked
+   worker starts with the coordinator's imports; only a spawned one
+   imports while it waits).
 2. **Run** — spin up :class:`InProcessShards` or :class:`ProcessShards`
-   over the matching builder and drive :func:`run_sharded`.
+   over :func:`~repro.shard.builders.build_fct_shard` and drive
+   :func:`run_sharded`.
 3. **Merge** — fold the per-shard plain-data payloads into one result
    comparable with the serial experiment: concatenated port stats, a
    summed PFC ledger, unioned FCT records, merged obs snapshots, one
@@ -17,11 +18,9 @@ The drivers own the three steps the runtime deliberately does not:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.experiments.common import MicrobenchResult, build_microbench_fabric
-from repro.metrics.series import TimeSeries
-from repro.shard.partition import PartitionPlan, dumbbell_plan, fattree_plan
+from repro.shard.partition import PartitionPlan, fattree_plan
 from repro.shard.runtime import (
     InProcessShards,
     ProcessShards,
@@ -40,12 +39,6 @@ def _merge_pfc(payloads: Dict[int, dict]) -> Dict[str, int]:
         for key in totals:
             totals[key] += payload["pfc"][key]
     return totals
-
-
-def _rebuild_series(data: tuple, name: str) -> TimeSeries:
-    ts = TimeSeries(name)
-    ts.times, ts.values = map(list, data)
-    return ts
 
 
 class _TracerShim:
@@ -86,14 +79,15 @@ def export_shard_trace(path: str, payloads: Dict[int, dict]) -> Optional[str]:
     return path
 
 
-class ShardedRunResult:
-    """Merged result of a sharded run, shaped for serial comparison.
+class ShardedFctResult:
+    """Merged result of a sharded run, shaped for serial comparison with
+    ``FctResult``: concatenated port stats, a summed PFC ledger, and each
+    flow's record, written exactly once on the shard owning its receiver.
 
     ``events_dispatched`` is reported per shard and deliberately left
-    out of every identity witness: injection bounce events and the
-    remote copies' monitor ticks make the totals legitimately differ
-    from the serial engine's while all physical counters stay
-    byte-identical.
+    out of every identity witness: injection bounce events make the
+    totals legitimately differ from the serial engine's while all
+    physical counters stay byte-identical.
     """
 
     def __init__(self, plan: PartitionPlan, payloads: Dict[int, dict], end_ps: int) -> None:
@@ -104,46 +98,10 @@ class ShardedRunResult:
             row for p in payloads.values() for row in p["portstats"]
         )
         self.pfc = _merge_pfc(payloads)
-        self.pause_frames = sum(p["pause_frames"] for p in payloads.values())
         self.events_by_shard = {
             sid: p["events_dispatched"] for sid, p in payloads.items()
         }
         self.boundary = {sid: p["boundary"] for sid, p in payloads.items()}
-
-    def portstats_fingerprint(self) -> tuple:
-        return tuple(self.portstats)
-
-
-class ShardedMicrobenchResult(ShardedRunResult):
-    """Sharded counterpart of ``MicrobenchResult``: the plotted series
-    live on whichever shard owned the monitored objects; merging is a
-    union (each series exists exactly once)."""
-
-    def __init__(self, plan, payloads, end_ps) -> None:
-        super().__init__(plan, payloads, end_ps)
-        self.queue: Optional[TimeSeries] = None
-        self.utilization: Optional[TimeSeries] = None
-        self.rates: Dict[int, TimeSeries] = {}
-        for sid in sorted(payloads):
-            p = payloads[sid]
-            if p["queue"] is not None:
-                self.queue = _rebuild_series(p["queue"], "qlen")
-                self.utilization = _rebuild_series(p["utilization"], "util")
-            for fid, data in p["rates"].items():
-                self.rates[fid] = _rebuild_series(data, f"rate:{fid}")
-
-    def series_fingerprint(self) -> tuple:
-        """The serial :meth:`MicrobenchResult.series_fingerprint`, read off
-        the merged series."""
-        return MicrobenchResult.series_fingerprint(self)
-
-
-class ShardedFctResult(ShardedRunResult):
-    """Sharded counterpart of ``FctResult``: each flow's record was
-    written exactly once, on the shard owning its receiver."""
-
-    def __init__(self, plan, payloads, end_ps) -> None:
-        super().__init__(plan, payloads, end_ps)
         self.records: List[tuple] = sorted(
             rec for p in payloads.values() for rec in p["records"]
         )
@@ -168,80 +126,6 @@ class ShardedFctResult(ShardedRunResult):
         return table
 
 
-def _run_group(
-    build_fn: str,
-    build_kwargs: dict,
-    n_shards: int,
-    planner: Callable[[], PartitionPlan],
-    process: bool,
-    dump_dir: Optional[str],
-    trace_path: Optional[str],
-    result_cls,
-    **run_kwargs,
-):
-    """The lifecycle both drivers share: start the group, drive
-    :func:`run_sharded` with ``run_kwargs``, collect, always stop, merge
-    into ``result_cls``, export the trace when one was asked for."""
-    build = {
-        "fn": f"repro.shard.builders:{build_fn}",
-        "kwargs": dict(build_kwargs, trace=trace_path is not None),
-    }
-    if process:
-        group = ProcessShards(build, (n_shards, planner), dump_dir=dump_dir)
-    else:
-        plan_dict = planner().to_dict()
-        group = InProcessShards(
-            [build_engine(build, plan_dict, sid) for sid in range(n_shards)]
-        )
-    try:
-        plan = group.plan
-        end = run_sharded(group, plan, **run_kwargs)
-        payloads = group.collect_all()
-    finally:
-        group.stop()
-    result = result_cls(plan, payloads, end)
-    if trace_path is not None:
-        export_shard_trace(trace_path, payloads)
-    return result
-
-
-def run_sharded_microbench(
-    cc: str,
-    n_shards: int = 2,
-    process: bool = False,
-    duration_us: float = 700.0,
-    trace_path: Optional[str] = None,
-    dump_dir: Optional[str] = None,
-    window_ps: Optional[int] = None,
-    **kwargs,
-) -> ShardedMicrobenchResult:
-    """Sharded :func:`~repro.experiments.common.run_microbench` (same
-    keywords) over the dumbbell chain, split into ``n_shards`` contiguous
-    switch runs."""
-
-    def planner() -> PartitionPlan:
-        # Plan off a throwaway build of the same cell (cheap: nothing is
-        # launched); the crash bombs are the builder's, not the cell's.
-        cell_kwargs = {
-            k: v for k, v in kwargs.items() if k not in ("crash_at_us", "crash_shard")
-        }
-        probe = build_microbench_fabric(cc, **cell_kwargs)
-        return dumbbell_plan(probe.fabric.topo, n_shards)
-
-    return _run_group(
-        "build_microbench_shard",
-        dict(kwargs, cc=cc),
-        n_shards,
-        planner,
-        process,
-        dump_dir,
-        trace_path,
-        ShardedMicrobenchResult,
-        until=us(duration_us),
-        window_ps=window_ps,
-    )
-
-
 def run_sharded_fct(
     cc: str,
     shards: int = 2,
@@ -260,7 +144,9 @@ def run_sharded_fct(
     only at ``MS // 2`` chunk boundaries (every horizon stops at the next
     one at the latest), so the final barrier lands on the same timestamp
     serial ``drive_fct`` would have stopped at; the flow count it waits
-    for comes from the shards' own builds.
+    for comes from the shards' own builds.  The group is always stopped;
+    a crashed shard's flight dump lands in ``dump_dir`` as
+    ``shard{i}-flight.json``.
     """
 
     def planner() -> PartitionPlan:
@@ -270,15 +156,27 @@ def run_sharded_fct(
         link = LinkSpec(prop_delay_ps=us(1.5))
         return fattree_plan(fattree_wiring(Simulator(), k=k, link=link), shards)
 
-    return _run_group(
-        "build_fct_shard",
-        dict(kwargs, cc=cc, workload=workload, k=k),
-        shards,
-        planner,
-        process,
-        dump_dir,
-        trace_path,
-        ShardedFctResult,
-        chunk_ps=MS // 2,
-        max_horizon_ps=round(max_horizon_ms * MS),
-    )
+    build = {
+        "fn": "repro.shard.builders:build_fct_shard",
+        "kwargs": dict(kwargs, cc=cc, workload=workload, k=k, trace=trace_path is not None),
+    }
+    if process:
+        group = ProcessShards(build, (shards, planner), dump_dir=dump_dir)
+    else:
+        plan_dict = planner().to_dict()
+        group = InProcessShards(
+            [build_engine(build, plan_dict, sid) for sid in range(shards)],
+            dump_dir=dump_dir,
+        )
+    try:
+        plan = group.plan
+        end = run_sharded(
+            group, plan, chunk_ps=MS // 2, max_horizon_ps=round(max_horizon_ms * MS)
+        )
+        payloads = group.collect_all()
+    finally:
+        group.stop()
+    result = ShardedFctResult(plan, payloads, end)
+    if trace_path is not None:
+        export_shard_trace(trace_path, payloads)
+    return result

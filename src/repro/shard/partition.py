@@ -141,27 +141,6 @@ def plan_partition(
     return PartitionPlan(n_shards, owner, cuts, lookahead)
 
 
-def dumbbell_plan(topo: Topology, n_shards: int = 2) -> PartitionPlan:
-    """Cut the dumbbell/parking-lot switch chain into contiguous runs.
-
-    Switches split into ``n_shards`` balanced contiguous groups; every
-    host follows its attachment switch, so the only cut links are the
-    chain's switch–switch hops.
-    """
-    switches = topo.switches
-    if n_shards < 2 or n_shards > len(switches):
-        raise PartitionError(
-            f"need 2 <= n_shards <= {len(switches)} switches, got {n_shards}"
-        )
-    owner: Dict[str, int] = {}
-    per = len(switches) / n_shards
-    for i, sw in enumerate(switches):
-        owner[sw.name] = min(int(i / per), n_shards - 1)
-    for host in topo.hosts:
-        owner[host.name] = owner[next(iter(topo.adj[host.name]))]
-    return plan_partition(topo, owner, n_shards)
-
-
 def fattree_plan(topo: Topology, n_shards: int) -> PartitionPlan:
     """Cut a k-ary fat-tree at the agg↔core boundary: pods are dealt to
     shards in contiguous runs, core switches ride with shard 0.

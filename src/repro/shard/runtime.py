@@ -39,6 +39,7 @@ straddle one cut link at all.
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 import traceback
 from operator import itemgetter
@@ -74,8 +75,7 @@ class ShardFabric:
     ``collect()`` returns the shard's plain-data result payload (owned
     counters only); ``completed()`` returns the shard's completion count
     for chunk-aligned stop checks and ``target`` is the count, summed
-    over all shards, that ends the run (both None when the scenario has a
-    fixed horizon instead).
+    over all shards, that ends the run.
     """
 
     __slots__ = ("sim", "topo", "collect", "completed", "target", "tracer")
@@ -85,9 +85,9 @@ class ShardFabric:
         sim,
         topo,
         collect: Callable[[], dict],
-        completed: Optional[Callable[[], int]] = None,
+        completed: Callable[[], int],
+        target: int,
         tracer=None,
-        target: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.topo = topo
@@ -115,8 +115,8 @@ class ShardEngine:
 
         Returns ``(outbound, completed, next_ps)``: destination shard ->
         batch (only destinations that got frames), the shard's completion
-        count (or None) and the time of its next live event (None when
-        the heap went empty)."""
+        count and the time of its next live event (None when the heap
+        went empty)."""
         sim = self.sim
         if inbound:
             boundaries = self.boundaries
@@ -138,8 +138,7 @@ class ShardEngine:
             if frames:
                 exported.setdefault(b.remote, []).extend(frames)
         out = {dest: encode_batch(frames) for dest, frames in exported.items()}
-        done = self.fabric.completed
-        return (out, None if done is None else done(), sim.peek())
+        return (out, self.fabric.completed(), sim.peek())
 
     def boundary_in_flight(self, horizon: int) -> int:
         return sum(b.in_flight(horizon) for b in self.boundaries.values())
@@ -155,7 +154,6 @@ class ShardEngine:
         return payload
 
     def flight_dump(self, path: Optional[str] = None) -> str:
-        import os
         import tempfile
 
         from repro.obs.flight import FlightRecorder
@@ -173,15 +171,12 @@ class ShardEngine:
         return rec.dump()
 
 
-def aligned_window(lookahead_ps: int, chunk_ps: Optional[int] = None) -> int:
+def aligned_window(lookahead_ps: int, chunk_ps: int) -> int:
     """The widest window <= the lookahead that divides ``chunk_ps``, so
     completion checks land exactly on the serial driver's chunk
-    boundaries (byte-identical stop time).  ``chunk_ps=None`` (fixed-
-    horizon scenarios) returns the lookahead itself."""
+    boundaries (byte-identical stop time)."""
     if lookahead_ps <= 0:
         raise ValueError(f"lookahead must be positive, got {lookahead_ps}")
-    if chunk_ps is None:
-        return lookahead_ps
     if lookahead_ps >= chunk_ps:
         return chunk_ps
     d = -(-chunk_ps // lookahead_ps)  # smallest divisor count >= chunk/L
@@ -190,14 +185,21 @@ def aligned_window(lookahead_ps: int, chunk_ps: Optional[int] = None) -> int:
     return chunk_ps // d
 
 
+def _dump_path(dump_dir: Optional[str], shard_id: int) -> Optional[str]:
+    return os.path.join(dump_dir, f"shard{shard_id}-flight.json") if dump_dir else None
+
+
 class InProcessShards:
     """All shard engines in this process, advanced round-robin — the
-    determinism-debugging backend (ships first; the processes follow)."""
+    determinism-debugging backend (ships first; the processes follow).
+    A crash dumps every shard to ``dump_dir`` as :class:`ProcessShards`
+    does (the system temp directory when None)."""
 
-    def __init__(self, engines: List[ShardEngine]) -> None:
+    def __init__(self, engines: List[ShardEngine], dump_dir: Optional[str] = None) -> None:
         self.engines = {eng.shard_id: eng for eng in engines}
         self.plan = engines[0].plan
         self.target = engines[0].fabric.target
+        self.dump_dir = dump_dir
 
     def advance_all(
         self, horizon: int, inbound: Dict[int, Dict[int, bytes]]
@@ -212,7 +214,8 @@ class InProcessShards:
             except Exception:
                 reason = traceback.format_exc()
                 dumps = {
-                    s: e.flight_dump() for s, e in sorted(self.engines.items())
+                    s: e.flight_dump(_dump_path(self.dump_dir, s))
+                    for s, e in sorted(self.engines.items())
                 }
                 raise ShardCrash(sid, reason, dumps) from None
         return results
@@ -313,7 +316,6 @@ class ProcessShards:
     """
 
     def __init__(self, build: dict, plan, dump_dir: Optional[str] = None) -> None:
-        import os
         import pickle
         from multiprocessing.util import register_after_fork
 
@@ -330,15 +332,12 @@ class ProcessShards:
         self._procs = {}
         try:
             for sid in range(n_shards):
-                dump_path = (
-                    os.path.join(dump_dir, f"shard{sid}-flight.json") if dump_dir else None
-                )
                 conn, child = ctx.Pipe()
                 register_after_fork(conn, type(conn).close)
                 self._conns[sid] = conn
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child, build, sid, dump_path),
+                    args=(child, build, sid, _dump_path(dump_dir, sid)),
                     daemon=True,
                 )
                 try:
@@ -439,23 +438,14 @@ class ProcessShards:
         self._procs = {}
 
 
-def run_sharded(
-    group,
-    plan: PartitionPlan,
-    *,
-    until: Optional[int] = None,
-    chunk_ps: Optional[int] = None,
-    target: Optional[int] = None,
-    max_horizon_ps: Optional[int] = None,
-    window_ps: Optional[int] = None,
-) -> int:
+def run_sharded(group, plan: PartitionPlan, *, chunk_ps: int, max_horizon_ps: int) -> int:
     """The coordinator loop: barrier horizons + batch forwarding.
 
-    Fixed-horizon scenarios pass ``until``; completion-driven scenarios
-    pass ``chunk_ps`` + ``max_horizon_ps`` and the loop stops at the first
-    chunk boundary with ``target`` completions (default: the count the
-    shards' builders report, known once they have built — the first
-    barrier) — the same stop rule, at the same timestamps, as the serial
+    The loop stops at the first ``chunk_ps`` boundary where the shards'
+    completions reach the target their builders report (known once they
+    have built — the first barrier), or where nothing is left to run, and
+    at ``max_horizon_ps`` at the latest — the same stop rule, at the same
+    timestamps, as the serial
     :func:`~repro.experiments.fct_experiment.drive_fct`.  Returns the
     final barrier time.
 
@@ -468,19 +458,12 @@ def run_sharded(
     for the head of its in-flight FIFO), so whatever such a barrier
     exports still arrives strictly after it.
     """
-    if (until is None) == (max_horizon_ps is None):
-        raise ValueError("pass exactly one of until= / max_horizon_ps=")
-    end = until if until is not None else max_horizon_ps
-    window = window_ps or aligned_window(plan.lookahead_ps, chunk_ps)
-    if window > plan.lookahead_ps:
-        raise ValueError(
-            f"window {window} exceeds the lookahead {plan.lookahead_ps}"
-        )
+    window = aligned_window(plan.lookahead_ps, chunk_ps)
     pending: Dict[int, Dict[int, bytes]] = {}
     t = 0
     wake: Optional[int] = 0  # earliest live event on any shard; None: all idle
-    while t < end:
-        stop = end if chunk_ps is None else min(end, (t // chunk_ps + 1) * chunk_ps)
+    while t < max_horizon_ps:
+        stop = min(max_horizon_ps, (t // chunk_ps + 1) * chunk_ps)
         step = t + window
         if not pending:
             # Nothing in flight: skip to the last grid point before the
@@ -494,18 +477,13 @@ def run_sharded(
         wake = None
         for sid in sorted(results):
             out, done, next_ps = results[sid]
-            if done is not None:
-                completed += done
+            completed += done
             if next_ps is not None and (wake is None or next_ps < wake):
                 wake = next_ps
             for dest, batch in out.items():
                 pending.setdefault(dest, {})[sid] = batch
         t = t_next
-        if chunk_ps is not None and t % chunk_ps == 0:
-            if target is None:
-                target = group.target
-            if target is not None and completed >= target:
-                break
-            if wake is None and not pending:
+        if t % chunk_ps == 0:
+            if completed >= group.target or (wake is None and not pending):
                 break
     return t

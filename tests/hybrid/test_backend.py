@@ -245,11 +245,18 @@ class TestBackendSelection:
         HybridConfig(threshold=float("inf"))
 
     def test_validate_cli_unknown_cc_is_one_line_error(self, capsys):
-        """``python -m repro.hybrid.validate --cc nope`` used to die with
-        build_cc_env's ValueError traceback, after building nothing."""
+        """``python -m repro.hybrid.validate --cc nope`` (and a seed or a
+        threshold out of range) used to die with a ValueError traceback;
+        each is refused before any cell runs."""
         from repro.hybrid.validate import main
 
-        assert main(["--scenario", "fig14", "--quick", "--cc", "nope"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: unknown CC scheme 'nope'\n"
+        for bad, message in [
+            (["--cc", "nope"], "unknown CC scheme 'nope'"),
+            (["--seed", "-1"], "root seed must be a non-negative 63-bit integer"),
+            (["--threshold", "nan"], "threshold must not be NaN"),
+        ]:
+            assert main(["--scenario", "fig14", "--quick", *bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}")
+            assert captured.err.count("\n") == 1

@@ -2,6 +2,10 @@
 round trip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +103,19 @@ class TestChromeExport:
         assert main([str(path)]) == 0
         assert "OK" in capsys.readouterr().out
         assert main([str(path), "--require-registry"]) == 1
+
+    def test_module_cli_is_warning_free(self, tmp_path):
+        """``python -m repro.obs.export``: the package must not have
+        imported the module runpy is about to execute (a RuntimeWarning,
+        fatal under ``-W error``)."""
+        path = tmp_path / "t.json"
+        export_chrome_trace(str(path), self._traced())
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.obs.export", str(path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""

@@ -9,10 +9,9 @@ counts), and with the serial engine through the merged results.
 
 import pytest
 
-from repro.experiments.common import run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
-from repro.shard.drivers import ShardedFctResult, ShardedMicrobenchResult
-from repro.shard.partition import dumbbell_plan, fattree_plan
+from repro.shard.drivers import ShardedFctResult
+from repro.shard.partition import fattree_plan
 from repro.shard.runtime import (
     InProcessShards,
     ProcessShards,
@@ -22,16 +21,9 @@ from repro.shard.runtime import (
 )
 from repro.sim.engine import Simulator
 from repro.topo.fattree import fattree_wiring
-from repro.units import KB, MB, MS, us
+from repro.units import KB, MS
 
-from test_identity import cut_ports, masked, serial_rows, serial_series
-
-FCT_KW = dict(workload="websearch", k=4, load=0.5, n_flows=40, scale=0.1, seed=1)
-#: Two short elephants that overlap under a tight XOFF (PAUSE/RESUME cross
-#: the cut), then a long tail in which only the sparse samplers tick.
-DUMBBELL_KW = dict(
-    flow_size_bytes=2 * MB, stagger_us=100.0, sample_us=20.0, pfc_xoff=50 * KB
-)
+from test_identity import FCT_KW, cut_ports, masked, serial_rows
 
 
 class Counting:
@@ -49,7 +41,7 @@ class Counting:
         return getattr(self.group, name)
 
 
-def run_every_window(group, plan, end, chunk_ps=None):
+def run_every_window(group, plan, end, chunk_ps):
     """Reference coordinator: a barrier at every window-grid point, with
     ``run_sharded``'s stop checks."""
     window = aligned_window(plan.lookahead_ps, chunk_ps)
@@ -61,7 +53,7 @@ def run_every_window(group, plan, end, chunk_ps=None):
         for sid, (out, _done, _next_ps) in results.items():
             for dest, batch in out.items():
                 pending.setdefault(dest, {})[sid] = batch
-        if chunk_ps is not None and t % chunk_ps == 0:
+        if t % chunk_ps == 0:
             if sum(done for _out, done, _next_ps in results.values()) >= group.target:
                 break
             if not pending and all(r[2] is None for r in results.values()):
@@ -92,13 +84,16 @@ def assert_on_grid(horizons, window, stops):
 
 
 @pytest.mark.parametrize(
-    "n_shards, process", [(2, False), (4, False), (2, True)],
-    ids=["2-inproc", "4-inproc", "2-process"],
+    "n_shards, process, kw",
+    [(2, False, {}), (4, False, {}), (2, True, {}), (2, False, {"pfc_xoff": 50 * KB})],
+    ids=["2-inproc", "4-inproc", "2-process", "2-inproc-pfc"],
 )
-def test_fattree_skipping_equals_every_window_equals_serial(n_shards, process):
+def test_fattree_skipping_equals_every_window_equals_serial(n_shards, process, kw):
+    """``pfc_xoff=50 KB``: PAUSE/RESUME frames cross the cut too."""
+    cell = dict(FCT_KW, **kw)
     build = {
         "fn": "repro.shard.builders:build_fct_shard",
-        "kwargs": dict(FCT_KW, cc="fncc"),
+        "kwargs": dict(cell, cc="fncc"),
     }
     plan = fattree_plan(fattree_wiring(Simulator(), k=4), n_shards)
     chunk, horizon = MS // 2, 50 * MS
@@ -116,43 +111,21 @@ def test_fattree_skipping_equals_every_window_equals_serial(n_shards, process):
     assert set(horizons) <= set(every)
     assert_on_grid(horizons, aligned_window(plan.lookahead_ps, chunk), {end})
 
-    serial = run_fct_experiment("fncc", **FCT_KW)
+    serial = run_fct_experiment("fncc", **cell)
     sharded = ShardedFctResult(plan, skipped, end)
     assert sharded.fct_fingerprint() == serial.fct_fingerprint()
     cuts = cut_ports(serial.topo, plan)
     assert masked(sharded.portstats, cuts) == masked(serial_rows(serial), cuts)
-
-
-def test_dumbbell_pfc_crossing_skipping_equals_every_window_equals_serial():
-    duration = us(700.0)
-    build = {
-        "fn": "repro.shard.builders:build_microbench_shard",
-        "kwargs": dict(DUMBBELL_KW, cc="fncc"),
-    }
-    plan = dumbbell_plan(run_microbench("fncc", duration_us=0.0).topo, 2)
-    skipped, end, horizons = drive(run_sharded, build, plan, until=duration)
-    stepped, end_ref, every = drive(
-        lambda g, p: run_every_window(g, p, duration), build, plan
-    )
-    assert skipped == stepped
-    assert end == end_ref == duration
-    assert len(horizons) < len(every)
-    assert_on_grid(horizons, plan.lookahead_ps, {duration})
-
-    serial = run_microbench("fncc", duration_us=700.0, **DUMBBELL_KW)
-    sharded = ShardedMicrobenchResult(plan, skipped, end)
-    assert serial.pause_frames > 0
-    assert sharded.pfc["pause_sent"] == sharded.pfc["pause_received"] > 0
-    assert sharded.series_fingerprint() == serial_series(serial)
-    cuts = cut_ports(serial.topo, plan)
-    assert masked(sharded.portstats, cuts) == masked(serial_rows(serial), cuts)
+    pfc = sharded.pfc
+    assert pfc["pause_sent"] == pfc["pause_received"]
+    assert (pfc["pause_sent"] > 0) == ("pfc_xoff" in kw)
 
 
 def test_horizon_never_passes_a_stop_check_or_the_end():
     """Idle shards from the start: one barrier per stop check."""
 
     class Idle:
-        target = None
+        target = 1
 
         def __init__(self):
             self.horizons = []
@@ -167,7 +140,7 @@ def test_horizon_never_passes_a_stop_check_or_the_end():
     assert run_sharded(group, plan, chunk_ps=MS // 2, max_horizon_ps=MS) == MS // 2
     window = aligned_window(plan.lookahead_ps, MS // 2)
     assert group.horizons == [window, MS // 2]
-    # Fixed horizon: the first window (nothing is known yet), then the end.
+    # The end short of the first check bounds the skip the same way.
     group = Idle()
-    assert run_sharded(group, plan, until=us(100.0)) == us(100.0)
-    assert group.horizons == [plan.lookahead_ps, us(100.0)]
+    assert run_sharded(group, plan, chunk_ps=MS // 2, max_horizon_ps=MS // 4) == MS // 4
+    assert group.horizons == [window, MS // 4]

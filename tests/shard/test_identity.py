@@ -6,26 +6,30 @@ serial engine byte for byte, in-process AND process-backed, fused AND on
 the classic-only reference path, including runs where PFC PAUSE/RESUME
 frames cross the cut.
 
-``train_frames`` is masked on the two cut ports only: a boundary hop
+``train_frames`` is masked on the cut ports only: a boundary hop
 cannot fuse (the stub peer fails the train classifier's switch check, by
 design), while every interior port must still fuse identically.
-``events_dispatched`` is never compared — injection bounce events and
-the unowned copies' monitor ticks make per-shard totals legitimately
-differ while all physical counters stay identical.
+``events_dispatched`` is never compared — injection bounce events make
+per-shard totals legitimately differ while all physical counters stay
+identical.
 """
 
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
 from helpers import classic_hops_only
-from repro.experiments.common import portstats_fingerprint, run_microbench
+from repro.experiments.common import portstats_fingerprint
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.faults.audit import FaultAuditor
-from repro.shard import ShardCrash, drivers, run_sharded_fct, run_sharded_microbench
+from repro.metrics.fct import SlowdownTable
+from repro.shard import ShardCrash, drivers, run_sharded_fct
 from repro.shard.partition import plan_partition
 from repro.units import KB
+
+FCT_KW = dict(workload="websearch", k=4, load=0.5, n_flows=40, scale=0.1, seed=1)
 
 
 def serial_rows(result):
@@ -45,87 +49,91 @@ def masked(rows, cuts):
     return [r[:-1] + ((0,) if (r[0], r[1]) in cuts else (r[-1],)) for r in rows]
 
 
-def serial_series(result):
-    return result.series_fingerprint()
-
-
-def assert_microbench_identical(cc, process=False, **kw):
-    serial = run_microbench(cc, **kw)
-    sharded = run_sharded_microbench(cc, n_shards=2, process=process, **kw)
-    cuts = cut_ports(serial.topo, sharded.plan)
-    assert masked(serial_rows(serial), cuts) == masked(sharded.portstats, cuts)
-    assert serial_series(serial) == sharded.series_fingerprint()
-    assert FaultAuditor.audit_merged(sharded.payloads, quiescent=False) == []
-    return serial, sharded
-
-
-def test_dumbbell_identity_trains_on():
-    serial, sharded = assert_microbench_identical("fncc", duration_us=700.0)
-    # Engagement guard: interior hops really fused on both sides.
-    interior = [r[-1] for r in sharded.portstats]
-    assert sum(interior) > 0
-
-
-def test_dumbbell_identity_trains_off():
-    # In-process shards only: the reference patch lives in this process.
-    with classic_hops_only():
-        _, sharded = assert_microbench_identical("fncc", duration_us=400.0)
-    assert sum(r[-1] for r in sharded.portstats) == 0
-
-
-def test_dumbbell_identity_spray_lb():
-    """Everything ``run_microbench`` accepts reaches the shard builder: the
-    two share one fabric builder, so ``lb=`` (once dropped by a hand-copied
-    builder signature) cannot diverge."""
-    assert_microbench_identical("fncc", duration_us=700.0, lb="spray")
-    assert_microbench_identical("fncc", process=True, duration_us=700.0, lb="spray")
-
-
-def test_dumbbell_identity_hpcc_int_across_cut():
-    """HPCC's per-hop INT stamps must survive the frame-message hop."""
-    assert_microbench_identical("hpcc", duration_us=700.0)
-
-
-def test_pfc_storm_across_boundary():
-    """A tight XOFF forces PAUSE/RESUME frames across the cut; the wire
-    schedule and the merged ledger must still match serial exactly."""
-    serial, sharded = assert_microbench_identical(
-        "fncc", duration_us=700.0, pfc_xoff=50 * KB
-    )
-    assert serial.pause_frames > 0
-    assert sharded.pfc["pause_sent"] == sharded.pfc["pause_received"] > 0
-    assert sharded.pfc["resume_sent"] == sharded.pfc["resume_received"]
-
-
-def test_dumbbell_identity_process_backed():
-    """The worker-process runtime is observably identical to in-process."""
-    assert_microbench_identical("fncc", process=True, duration_us=400.0)
-
-
-@pytest.mark.parametrize("process", [False, True], ids=["inproc", "process"])
-def test_fattree_fct_identity(process):
-    kw = dict(workload="websearch", k=4, load=0.5, n_flows=40, scale=0.1, seed=1)
-    serial = run_fct_experiment("fncc", **kw)
-    sharded = run_sharded_fct("fncc", shards=2, process=process, **kw)
+def assert_fct_identical(cc="fncc", process=False, **kw):
+    serial = run_fct_experiment(cc, **FCT_KW, **kw)
+    sharded = run_sharded_fct(cc, shards=2, process=process, **FCT_KW, **kw)
     assert serial.fct_fingerprint() == sharded.fct_fingerprint()
     assert sharded.completed == serial.collector.completed()
     cuts = cut_ports(serial.topo, sharded.plan)
     assert masked(serial_rows(serial), cuts) == masked(sharded.portstats, cuts)
     # The run drained: the merged snapshot must pass the quiescence audit.
     assert FaultAuditor.audit_merged(sharded.payloads, quiescent=True) == []
+    return serial, sharded
+
+
+@pytest.mark.parametrize(
+    "cc, process, hops, kw",
+    [
+        ("fncc", False, "fused", {}),
+        ("fncc", True, "fused", {}),
+        ("fncc", False, "classic", {}),
+        ("hpcc", False, "fused", {}),
+        ("fncc", False, None, {"lb": "spray"}),
+        ("fncc", True, None, {"lb": "spray"}),
+    ],
+    ids=["inproc", "process", "classic-hops", "hpcc-int", "spray", "spray-process"],
+)
+def test_fattree_fct_identity(cc, process, hops, kw):
+    """In-process and process-backed, fused and on the classic-only
+    reference path (in-process only: the reference patch lives in this
+    process), HPCC's per-hop INT stamps across the frame-message hop, and
+    everything ``run_fct_experiment`` accepts reaching the shard builder
+    (``lb=``)."""
+    with classic_hops_only() if hops == "classic" else nullcontext():
+        serial, sharded = assert_fct_identical(cc, process, **kw)
+    # Engagement guard: interior hops really fused on both sides, or
+    # none did under the reference patch.
+    fused = sum(r[-1] for r in sharded.portstats)
+    if hops == "fused":
+        assert fused > 0
+    elif hops == "classic":
+        assert fused == 0
     # The rebuilt table holds the identical slowdown multiset per bin;
     # stats are compared against a serial table rebuilt in the same
     # flow-id order (the run's own table accumulated in completion order,
     # so its float reductions differ in the last ulp).
     table = sharded.slowdown_table()
-    from repro.metrics.fct import SlowdownTable
-
     expected = SlowdownTable(serial.table.bins)
     for rec in sorted(serial.collector.records, key=lambda r: r.flow.flow_id):
         expected.add(rec.flow.size_bytes, rec.slowdown)
     for b in sharded.bins:
         assert sorted(table.by_bin[b]) == sorted(serial.table.by_bin[b])
         assert table.stat(b, "average") == expected.stat(b, "average")
+
+
+def test_dumbbell_identity_trains_on():
+    """Fused identity with a per-shard engagement guard (named for the
+    dumbbell cell it first ran on): every shard's interior ports fused,
+    and no cut port did, since a boundary hop cannot fuse."""
+    serial, sharded = assert_fct_identical()
+    cuts = cut_ports(serial.topo, sharded.plan)
+    for sid, payload in sharded.payloads.items():
+        rows = payload["portstats"]
+        assert sum(r[-1] for r in rows if (r[0], r[1]) not in cuts) > 0, sid
+        assert sum(r[-1] for r in rows if (r[0], r[1]) in cuts) == 0, sid
+
+
+def test_dumbbell_identity_process_backed():
+    """The worker-process runtime is observably identical to in-process,
+    shard by shard (named for the dumbbell cell it first ran on)."""
+    inproc = run_sharded_fct("fncc", shards=2, **FCT_KW)
+    process = run_sharded_fct("fncc", shards=2, process=True, **FCT_KW)
+    assert process.plan.owner == inproc.plan.owner
+    assert process.end_ps == inproc.end_ps
+    for sid in inproc.payloads:
+        for key in ("portstats", "records", "pfc", "boundary", "events_dispatched"):
+            assert process.payloads[sid][key] == inproc.payloads[sid][key], (sid, key)
+
+
+def test_pfc_storm_across_boundary():
+    """A tight XOFF forces PAUSE/RESUME frames across the cut; the wire
+    schedule and the merged ledger must still match serial exactly."""
+    serial, sharded = assert_fct_identical(pfc_xoff=50 * KB)
+    assert sharded.pfc["pause_sent"] == sharded.pfc["pause_received"] > 0
+    assert sharded.pfc["resume_sent"] == sharded.pfc["resume_received"]
+    cuts = cut_ports(serial.topo, sharded.plan)
+    # Column 8 is pause_sent: some PAUSEs went out on a cut port.
+    assert sum(r[8] for r in sharded.portstats if (r[0], r[1]) in cuts) > 0
 
 
 def interleaved_plan(topo, n_shards):
@@ -141,10 +149,9 @@ def interleaved_plan(topo, n_shards):
 
 
 def test_fattree_fct_identity_under_an_interleaved_plan(monkeypatch):
-    kw = dict(workload="websearch", k=4, load=0.5, n_flows=40, scale=0.1, seed=1)
-    serial = run_fct_experiment("fncc", **kw)
+    serial = run_fct_experiment("fncc", **FCT_KW)
     monkeypatch.setattr(drivers, "fattree_plan", interleaved_plan)
-    sharded = run_sharded_fct("fncc", shards=2, **kw)
+    sharded = run_sharded_fct("fncc", shards=2, **FCT_KW)
     owner = sharded.plan.owner
     assert [owner[f"tor_{p}_0"] for p in range(4)] == [0, 1, 0, 1]
     assert [owner[f"core_{i}_0"] for i in range(2)] == [0, 1]
@@ -176,14 +183,17 @@ def test_audit_merged_flags_imbalance():
 
 def test_killed_shard_inprocess_dumps_all_survivors(tmp_path):
     with pytest.raises(ShardCrash) as exc_info:
-        run_sharded_microbench(
-            "fncc", n_shards=2, duration_us=400.0,
-            crash_at_us=150.0, crash_shard=1,
+        run_sharded_fct(
+            "fncc", shards=2, dump_dir=str(tmp_path),
+            crash_at_us=150.0, crash_shard=1, **FCT_KW,
         )
     crash = exc_info.value
     assert crash.shard_id == 1
     assert "ShardBomb" in crash.reason
-    assert set(crash.dumps) == {0, 1}
+    # Every shard dumped, into dump_dir, as the process backend names them.
+    assert crash.dumps == {
+        sid: str(tmp_path / f"shard{sid}-flight.json") for sid in (0, 1)
+    }
     for sid, path in crash.dumps.items():
         with open(path) as fh:
             doc = json.load(fh)
@@ -194,9 +204,9 @@ def test_killed_shard_process_dumps_survive_dead_worker(tmp_path):
     """A dead worker process must leave its own dump on disk and the
     survivors must still produce theirs."""
     with pytest.raises(ShardCrash) as exc_info:
-        run_sharded_microbench(
-            "fncc", n_shards=2, process=True, duration_us=400.0,
-            dump_dir=str(tmp_path), crash_at_us=150.0, crash_shard=0,
+        run_sharded_fct(
+            "fncc", shards=2, process=True, dump_dir=str(tmp_path),
+            crash_at_us=150.0, crash_shard=0, **FCT_KW,
         )
     crash = exc_info.value
     assert crash.shard_id == 0
@@ -210,10 +220,7 @@ def test_killed_shard_process_dumps_survive_dead_worker(tmp_path):
 
 def test_chrome_trace_one_pid_per_shard(tmp_path):
     trace_path = str(tmp_path / "shards.json")
-    run_sharded_microbench(
-        "fncc", n_shards=2, duration_us=400.0,
-        trace_path=trace_path, pfc_xoff=50 * KB,
-    )
+    run_sharded_fct("fncc", shards=2, trace_path=trace_path, **FCT_KW)
     with open(trace_path) as fh:
         events = json.load(fh)["traceEvents"]
     pids = {ev["pid"] for ev in events}

@@ -2,67 +2,44 @@
 
 import pytest
 
-from repro.experiments.common import run_microbench
 from repro.net.packet import DATA, INTRecord, Packet
 from repro.shard import (
     PartitionError,
     aligned_window,
     decode_frame,
-    dumbbell_plan,
     encode_frame,
     fattree_plan,
     plan_partition,
 )
+from repro.sim.engine import Simulator
+from repro.topo.fattree import fattree_wiring
 from repro.units import MS, us
 
 
 @pytest.fixture(scope="module")
-def dumbbell_topo():
-    return run_microbench("fncc", duration_us=0.0, n_switches=3).topo
+def fattree_topo():
+    return fattree_wiring(Simulator(), k=4)
 
 
-def test_dumbbell_plan_cuts_chain_only(dumbbell_topo):
-    plan = dumbbell_plan(dumbbell_topo, 2)
-    assert plan.n_shards == 2
-    assert len(plan.cuts) == 1
-    (cut,) = plan.cuts
-    assert cut.a.startswith("sw") and cut.b.startswith("sw")
-    assert plan.lookahead_ps == us(1.5)
-    # Hosts follow their attachment switch.
-    assert plan.owner["sender0"] == plan.owner["sw0"]
-    assert plan.owner["receiver0"] == plan.owner["sw2"]
-
-
-def test_dumbbell_plan_three_shards(dumbbell_topo):
-    plan = dumbbell_plan(dumbbell_topo, 3)
-    assert plan.n_shards == 3
-    assert len(plan.cuts) == 2
-    assert sorted({c.owner_a for c in plan.cuts} | {c.owner_b for c in plan.cuts}) == [
-        0,
-        1,
-        2,
-    ]
-
-
-def test_host_switch_cut_rejected(dumbbell_topo):
-    owner = dumbbell_plan(dumbbell_topo, 2).owner.copy()
+def test_host_switch_cut_rejected(fattree_topo):
+    owner = fattree_plan(fattree_topo, 2).owner.copy()
     # Strand a host on the wrong side of its edge switch.
-    owner["receiver0"] = 0
+    owner["h_0_0_0"] = 1
     with pytest.raises(PartitionError, match="switch--switch"):
-        plan_partition(dumbbell_topo, owner)
+        plan_partition(fattree_topo, owner)
 
 
-def test_unassigned_node_rejected(dumbbell_topo):
-    owner = dumbbell_plan(dumbbell_topo, 2).owner.copy()
-    del owner["sender0"]
+def test_unassigned_node_rejected(fattree_topo):
+    owner = fattree_plan(fattree_topo, 2).owner.copy()
+    del owner["h_0_0_0"]
     with pytest.raises(PartitionError, match="without a shard"):
-        plan_partition(dumbbell_topo, owner)
+        plan_partition(fattree_topo, owner)
 
 
-def test_cutless_map_rejected(dumbbell_topo):
-    owner = {n: 0 for n in dumbbell_plan(dumbbell_topo, 2).owner}
+def test_cutless_map_rejected(fattree_topo):
+    owner = {n: 0 for n in fattree_plan(fattree_topo, 2).owner}
     with pytest.raises(PartitionError, match="cuts no links"):
-        plan_partition(dumbbell_topo, owner, n_shards=1)
+        plan_partition(fattree_topo, owner, n_shards=1)
 
 
 def test_fattree_plan_cuts_at_core():
@@ -108,10 +85,9 @@ def test_aligned_window_divides_chunk():
     w = aligned_window(us(1.5), MS // 2)
     assert w <= us(1.5)
     assert (MS // 2) % w == 0
-    assert aligned_window(us(1.5)) == us(1.5)
     assert aligned_window(MS, MS // 2) == MS // 2
     with pytest.raises(ValueError):
-        aligned_window(0)
+        aligned_window(0, MS // 2)
 
 
 def test_frame_roundtrip_preserves_every_slot():

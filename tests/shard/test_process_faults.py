@@ -14,24 +14,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import run_microbench
 from repro.shard import PartitionError, ShardCrash, run_sharded_fct
-from repro.shard.builders import build_microbench_shard
-from repro.shard.partition import dumbbell_plan
+from repro.shard.builders import build_fct_shard
+from repro.shard.partition import fattree_plan
 from repro.shard.runtime import ProcessShards, run_sharded
-from repro.units import us
+from repro.sim.engine import Simulator
+from repro.topo.fattree import fattree_wiring
+from repro.units import MS
+
+from test_identity import FCT_KW
 
 JOIN_TIMEOUT_S = 10.0  # ProcessShards.stop's per-worker join timeout
 
-MICROBENCH = {
-    "fn": "repro.shard.builders:build_microbench_shard",
-    "kwargs": {"cc": "fncc"},
+FCT = {
+    "fn": "repro.shard.builders:build_fct_shard",
+    "kwargs": dict(FCT_KW, cc="fncc"),
 }
+#: run_sharded_fct's stop rule.
+STOPS = dict(chunk_ps=MS // 2, max_horizon_ps=50 * MS)
 
 
 @pytest.fixture(scope="module")
 def plan():
-    return dumbbell_plan(run_microbench("fncc", duration_us=0.0).topo, 2)
+    return fattree_plan(fattree_wiring(Simulator(), k=4), 2)
 
 
 @pytest.fixture
@@ -67,7 +72,7 @@ def test_failed_second_start_stops_the_first_worker(plan, started, monkeypatch):
 
     monkeypatch.setattr(BaseProcess, "start", start)
     with pytest.raises(OSError, match="no more processes"):
-        ProcessShards(MICROBENCH, plan)
+        ProcessShards(FCT, plan)
     assert len(started) == 1
     assert_reaped(started)
     assert started[0].exitcode == 0  # told to stop, not terminated
@@ -84,15 +89,15 @@ def test_failed_plan_stops_the_started_workers(started):
 def build_failing_on_shard_1(shard_id, owner, n_shards, **kwargs):
     if shard_id == 1:
         raise RuntimeError("cannot build shard 1")
-    return build_microbench_shard(shard_id, owner, n_shards, **kwargs)
+    return build_fct_shard(shard_id, owner, n_shards, **kwargs)
 
 
 def test_worker_that_dies_building_is_named_and_all_are_reaped(plan, started, tmp_path):
-    build = {"fn": f"{__name__}:build_failing_on_shard_1", "kwargs": {"cc": "fncc"}}
+    build = dict(FCT, fn=f"{__name__}:build_failing_on_shard_1")
     group = ProcessShards(build, plan, dump_dir=str(tmp_path))
     try:
         with pytest.raises(ShardCrash) as exc_info:
-            run_sharded(group, plan, until=us(50.0))
+            run_sharded(group, plan, **STOPS)
     finally:
         group.stop()
     crash = exc_info.value
@@ -115,6 +120,9 @@ class KillAfter:
         self.left = barriers
         self.killed_at = None
 
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
     def advance_all(self, horizon, inbound):
         if self.left == 0:
             os.kill(self.victim.pid, signal.SIGKILL)
@@ -127,11 +135,11 @@ class KillAfter:
 def test_sigkilled_worker_midrun_is_named_survivor_dumps_none_orphaned(
     plan, started, tmp_path
 ):
-    group = ProcessShards(MICROBENCH, plan, dump_dir=str(tmp_path))
+    group = ProcessShards(FCT, plan, dump_dir=str(tmp_path))
     try:
         killer = KillAfter(group, started[1], barriers=20)
         with pytest.raises(ShardCrash) as exc_info:
-            run_sharded(killer, plan, until=us(400.0))
+            run_sharded(killer, plan, **STOPS)
         reaped_in = time.perf_counter() - killer.killed_at
     finally:
         group.stop()
@@ -151,12 +159,13 @@ def test_sigkilled_worker_midrun_is_named_survivor_dumps_none_orphaned(
 #: prints its workers' pids and waits to be killed.
 COORDINATOR = f"""
 import json, multiprocessing, time
-from repro.experiments.common import run_microbench
-from repro.shard.partition import dumbbell_plan
+from repro.shard.partition import fattree_plan
 from repro.shard.runtime import ProcessShards
+from repro.sim.engine import Simulator
+from repro.topo.fattree import fattree_wiring
 
-plan = dumbbell_plan(run_microbench("fncc", duration_us=0.0).topo, 2)
-group = ProcessShards({MICROBENCH!r}, plan)
+plan = fattree_plan(fattree_wiring(Simulator(), k=4), 2)
+group = ProcessShards({FCT!r}, plan)
 group.advance_all(plan.lookahead_ps, {{}})
 print(json.dumps([p.pid for p in multiprocessing.active_children()]), flush=True)
 time.sleep(600)

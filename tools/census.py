@@ -113,8 +113,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.lb.base:sweep_bounded_table": ("public", "the max_cache_entries bound of FlowletLB and ConWeaveLiteLB"),
     "repro.lb.conweave:ConWeaveLiteLB._sweep": ("public", "its router, when the flow table is full"),
     "repro.lb.flowlet:FlowletLB._sweep": ("public", "its router, when the flowlet table is full"),
-    "repro.experiments.common:series_samples": ("public", "repro.shard.builders"),
-    "repro.experiments.common:MicrobenchResult.series_fingerprint": ("public", "repro.shard.drivers"),
     # pending: deleting each takes the named floor tests with it
     "repro.analysis.fluid": ("pending", "12 tests in tests/analysis/test_fluid.py (ROADMAP item 8)"),
     "repro.viz:sparkline": ("pending", "tests/test_viz.py::TestSparkline"),
