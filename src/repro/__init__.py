@@ -39,9 +39,9 @@ _EXPORTS = {
     "repro.metrics": ("FctCollector", "QueueSampler", "RateSampler", "UtilizationSampler"),
     "repro.traffic": ("websearch_cdf", "fb_hadoop_cdf", "PoissonWorkload"),
     "repro.experiments.common": ("quick_dumbbell",),
-    "repro.analysis": ("NotificationModel", "FluidLink", "fair_window", "FlowLevelSimulator"),
+    "repro.analysis": ("NotificationModel", "FlowLevelSimulator"),
     "repro.net.pfc_analysis": ("routing_is_deadlock_free",),
-    "repro.viz": ("ascii_plot", "compare_series", "sparkline"),
+    "repro.viz": ("compare_series",),
 }
 
 

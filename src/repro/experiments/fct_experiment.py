@@ -105,7 +105,7 @@ class FctSummary:
         # counters) — the perf harness's simulated-work unit.
         self.frame_hops = frame_hops
         # Which simulation backend produced this summary
-        # ("packet" | "flow" | "hybrid") — provenance for bench history.
+        # ("packet" | "hybrid") — provenance for bench history.
         self.backend = backend
         # Metrics-registry snapshot taken in the worker (plain dict, so it
         # pickles home); merged across workers by
@@ -152,8 +152,8 @@ def run_fct_summary(
     """Sweep-spec target: one (CC, workload) cell as a portable summary.
 
     ``backend`` selects the simulation tier: ``"packet"`` (discrete-event,
-    the default), ``"flow"`` (pure max-min fluid) or ``"hybrid"``
-    (packet-level only across congested links, DESIGN.md §6).
+    the default) or ``"hybrid"`` (packet-level only across congested
+    links, DESIGN.md §6).
 
     ``obs`` is a live :class:`repro.obs.RunObservability` bundle (in-
     process callers only — it is not picklable); ``obs_snapshot=True`` is
@@ -169,17 +169,12 @@ def run_fct_summary(
         return summarize_fct_result(
             run_fct_experiment(cc, seed=seed, obs=obs, **kwargs), seed, obs=obs
         )
+    if backend != "hybrid":
+        raise ValueError(f"backend must be one of ('packet', 'hybrid'), got {backend!r}")
     # Deferred import: repro.hybrid.backend imports this module.
     from repro.hybrid.backend import run_fct_hybrid
 
-    if backend == "flow":
-        result = run_fct_hybrid(cc, seed=seed, threshold=None, obs=obs, **kwargs)
-    elif backend == "hybrid":
-        result = run_fct_hybrid(cc, seed=seed, obs=obs, **kwargs)
-    else:
-        raise ValueError(
-            f"backend must be one of ('packet', 'flow', 'hybrid'), got {backend!r}"
-        )
+    result = run_fct_hybrid(cc, seed=seed, obs=obs, **kwargs)
     return summarize_fct_result(result, seed, backend=backend, obs=obs)
 
 

@@ -41,9 +41,9 @@ def run_fig14(
 ) -> Dict[str, FctSummary]:
     """Per-CC runs are independent, so they fan out over ``jobs`` worker
     processes (``jobs=1`` = in-process; identical results either way).
-    ``backend`` selects the simulation engine per cell (packet / flow /
-    hybrid — see DESIGN.md §6; hybrid fidelity on this scenario is gated
-    by ``repro.hybrid.validate``)."""
+    ``backend`` selects the simulation engine per cell (packet / hybrid —
+    see DESIGN.md §6; hybrid fidelity on this scenario is gated by
+    ``repro.hybrid.validate``)."""
     return compare_ccs_sweep(
         ccs,
         workload="websearch",

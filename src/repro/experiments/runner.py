@@ -100,11 +100,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("packet", "flow", "hybrid"),
+        choices=("packet", "hybrid"),
         default=None,
         help="simulation backend for experiments that support it (fig14/"
-        "fig15): packet = discrete-event ground truth, flow = max-min "
-        "fluid model, hybrid = packet/flow co-simulation (DESIGN.md §6)",
+        "fig15): packet = discrete-event ground truth, hybrid = packet/flow "
+        "co-simulation (DESIGN.md §6)",
     )
     parser.add_argument(
         "--trace",

@@ -22,7 +22,7 @@ to telemetry.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 __all__ = ["FaultPlan"]
 
@@ -172,34 +172,6 @@ class FaultPlan:
             duration_ps=_check_time("duration_ps", duration_ps),
             interval_ps=interval_ps,
         )
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __bool__(self) -> bool:
-        # An armed-but-empty plan must behave like no plan at all.
-        return bool(self.specs)
-
-    def fingerprint(self) -> Tuple[tuple, ...]:
-        """A stable, hashable rendering of the schedule — equal plans
-        (same name, same specs in the same order) compare equal, which the
-        determinism tests use to assert pickle round-trips are lossless."""
-        out = []
-        for spec in self.specs:
-            out.append(tuple(sorted(spec.items())))
-        return (self.name,) + tuple(out)  # type: ignore[return-value]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FaultPlan):
-            return NotImplemented
-        return self.name == other.name and self.specs == other.specs
-
-    def __hash__(self) -> int:  # pragma: no cover - dict-key convenience
-        return hash(self.fingerprint())
 
 
 def _check_prob(value) -> float:

@@ -14,8 +14,10 @@ Entry points:
 * :func:`repro.hybrid.backend.run_fct_hybrid` — one (CC, workload) cell
   under the hybrid backend, mirroring ``run_fct_experiment``.
 * :func:`repro.experiments.fct_experiment.run_fct_summary` — its
-  ``backend="packet"|"flow"|"hybrid"`` argument (the runner's ``--backend``)
-  is the backend selection.
+  ``backend="packet"|"hybrid"`` argument (the runner's ``--backend``) is
+  the backend selection.  An all-fluid run (no CC dynamics, so every CC
+  gives the same FCTs) is ``HybridConfig(threshold=None)``, which the
+  fidelity gate reaches as ``--threshold inf``; ``fncc-exp`` offers none.
 * ``python -m repro.hybrid.validate`` — the fidelity gate against
   packet-level ground truth.
 """

@@ -37,10 +37,10 @@ So a cell costs two fluid passes however often it refines, and one when
 nothing is demoted (the classification pass's records are then the answer).
 ``stats["fluid_passes"]`` / ``stats["bg_replay_entries"]`` report both.
 
-The two degenerate thresholds short-circuit: ``threshold <= 0`` demotes
+The two degenerate thresholds short-circuit: ``threshold=0`` demotes
 everything (byte-identical to :func:`run_fct_experiment` by construction);
 ``threshold=None`` / ``inf`` demotes nothing (identical to the pure
-flow-level simulator).
+flow-level simulator).  :class:`HybridConfig` refuses a negative one.
 """
 
 from __future__ import annotations
@@ -124,6 +124,8 @@ class HybridConfig:
     ) -> None:
         if threshold is not None and math.isnan(threshold):
             raise ValueError("threshold must not be NaN (None or inf keeps everything fluid)")
+        if threshold is not None and threshold < 0:
+            raise ValueError(f"threshold must be >= 0 (0 demotes every flow), got {threshold}")
         if refine_rounds < 0:
             raise ValueError("refine_rounds must be non-negative")
         if not rate_eps >= 0:

@@ -27,14 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class _PeriodicSampler:
     """Shared sampler lifecycle: one :class:`Periodic`, one
-    :class:`TimeSeries`, context-manager semantics, and registration with
-    the owning :class:`Simulator` so ``sim.stop_monitors()`` (called by
-    the flight recorder when a run raises) disarms every pending tick —
-    without it, a sampler built in a ``try`` body leaked its ``Periodic``
-    into the heap forever.
-
-    ``with QueueSampler(sim, port) as mon: ...`` stops on exit; ``stop``
-    stays callable directly and is idempotent either way.
+    :class:`TimeSeries`, and registration with the owning
+    :class:`Simulator` so ``sim.stop_monitors()`` (called by the flight
+    recorder when a run raises) disarms every pending tick — without it,
+    a sampler built in a ``try`` body leaked its ``Periodic`` into the
+    heap forever.  ``stop`` is idempotent.
     """
 
     def __init__(self, sim: "Simulator", interval_ps: int, name: str,
@@ -48,13 +45,6 @@ class _PeriodicSampler:
 
     def stop(self) -> None:
         self._periodic.stop()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
 
 
 class QueueSampler(_PeriodicSampler):

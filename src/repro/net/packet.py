@@ -113,21 +113,11 @@ class Packet:
         self.lb_tail = False
 
     # -- helpers -------------------------------------------------------------
-    def add_int(self, rec: INTRecord) -> None:
-        if self.int_records is None:
-            self.int_records = [rec]
-        else:
-            self.int_records.append(rec)
-
     @property
     def n_hops(self) -> int:
         return 0 if self.int_records is None else len(self.int_records)
 
-    def is_control(self) -> bool:
-        """PFC frames bypass the data queue and pause state."""
-        return self.kind >= PAUSE
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:  # the routing-loop RuntimeError names the frame
         return (
             f"<{KIND_NAMES.get(self.kind, self.kind)} flow={self.flow_id} "
             f"seq={self.seq} size={self.size} {self.src}->{self.dst}>"

@@ -370,7 +370,7 @@ class Port:
         if acct and acct[0][0] <= now:
             self._prune(now)
         kind = pkt.kind
-        if kind >= PAUSE:  # control frame, inline is_control()
+        if kind >= PAUSE:  # control frame (PFC PAUSE/RESUME)
             self.ctrl.append(pkt)
             self._uncommitted += 1
             if self._acct:

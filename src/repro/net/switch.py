@@ -221,7 +221,7 @@ class Switch(Node):
         if mode is not IntMode.NONE:
             if mode is IntMode.HPCC:
                 if kind == DATA:
-                    # add_int + qbytes_total inlined (per-hop hot path);
+                    # INT append + qbytes_total inlined (per-hop hot path);
                     # the record describes the egress queue the frame is
                     # about to join.
                     eg = self.ports[out_port]
@@ -239,7 +239,7 @@ class Switch(Node):
                         recs.append(rec)
                     pkt.size += INT_RECORD_BYTES
             elif kind == ACK:  # FNCC
-                # All_INT_Table lookup (Fig. 8) + add_int inlined
+                # All_INT_Table lookup (Fig. 8), appended inline
                 # (per-ACK-hop hot path); the record is built via __new__
                 # to skip one Python call.
                 snap = self._int_snapshot

@@ -28,15 +28,6 @@ class Timer:
         self._lane = lane
         self._event: Optional[Event] = None
 
-    @property
-    def armed(self) -> bool:
-        return self._event is not None and self._event.alive
-
-    @property
-    def expires_at(self) -> Optional[int]:
-        """Absolute expiry time, or None when disarmed."""
-        return self._event.time if self.armed else None
-
     def start(self, delay: int, arg: Any = None) -> None:
         """Arm (or re-arm) the timer ``delay`` ps from now."""
         self.cancel()

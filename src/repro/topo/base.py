@@ -250,6 +250,3 @@ class Topology:
         fwd = sum(serialization_ps(mtu, r) + d for r, d in links)
         back = sum(serialization_ps(ack_size, r) + d for r, d in links)
         return fwd + back
-
-    def bottleneck_gbps(self, src_host_id: int, dst_host_id: int) -> float:
-        return min(r for r, _ in self.path_links(src_host_id, dst_host_id))

@@ -68,13 +68,3 @@ class PiecewiseCdf:
         # Probability mass at the first breakpoint (CDF may start above 0).
         total += self.probs[0] * self.sizes[0]
         return total * self.scale
-
-    def quantile(self, q: float) -> int:
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("quantile must be in [0,1]")
-        return self._invert(q)
-
-    def scaled(self, scale: float) -> "PiecewiseCdf":
-        """A copy with a different scale factor."""
-        pts: List[Tuple[float, float]] = list(zip(self.sizes, self.probs))
-        return PiecewiseCdf(pts, scale=scale)

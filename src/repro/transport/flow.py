@@ -33,12 +33,6 @@ class Flow:
         self.size_bytes = size_bytes
         self.start_ps = start_ps
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Flow({self.flow_id}, {self.src}->{self.dst}, "
-            f"{self.size_bytes}B @ {self.start_ps}ps)"
-        )
-
 
 class FlowRecord:
     """Completion record produced when the receiver sees the last in-order

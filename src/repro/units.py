@@ -40,11 +40,6 @@ PAUSE_FRAME_SIZE: int = 64
 CNP_SIZE: int = 64
 
 
-def ns(x: float) -> int:
-    """Convert nanoseconds to integer picoseconds."""
-    return round(x * NS)
-
-
 def us(x: float) -> int:
     """Convert microseconds to integer picoseconds."""
     return round(x * US)
@@ -55,19 +50,9 @@ def ms(x: float) -> int:
     return round(x * MS)
 
 
-def sec(x: float) -> int:
-    """Convert seconds to integer picoseconds."""
-    return round(x * SEC)
-
-
 def to_us(t_ps: int) -> float:
     """Convert integer picoseconds back to (float) microseconds."""
     return t_ps / US
-
-
-def to_sec(t_ps: int) -> float:
-    """Convert integer picoseconds back to (float) seconds."""
-    return t_ps / SEC
 
 
 def serialization_ps(nbytes: int, rate_gbps: float) -> int:
@@ -80,25 +65,3 @@ def serialization_ps(nbytes: int, rate_gbps: float) -> int:
     if rate_gbps <= 0:
         raise ValueError(f"rate must be positive, got {rate_gbps}")
     return round(nbytes * 8 * 1000 / rate_gbps)
-
-
-def gbps_to_bytes_per_ps(rate_gbps: float) -> float:
-    """Convert Gb/s into bytes per picosecond (for pacing arithmetic)."""
-    return rate_gbps * 1e9 / 8 / SEC * 1  # == rate_gbps / 8000.0
-
-
-def bytes_per_ps_to_gbps(rate: float) -> float:
-    """Inverse of :func:`gbps_to_bytes_per_ps`."""
-    return rate * 8000.0
-
-
-def bdp_bytes(rate_gbps: float, rtt_ps: int) -> int:
-    """Bandwidth-delay product in bytes for a link rate and base RTT."""
-    return int(rate_gbps / 8000.0 * rtt_ps)
-
-
-def rate_of_window(window_bytes: float, rtt_ps: int) -> float:
-    """The pacing rate R = W/T (Alg. 3 line 47) in Gb/s."""
-    if rtt_ps <= 0:
-        raise ValueError("rtt must be positive")
-    return window_bytes / rtt_ps * 8000.0

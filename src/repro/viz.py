@@ -1,66 +1,15 @@
 """Terminal plots — render the paper's time-series figures as ASCII.
 
-No plotting backend is available offline, so examples and experiment CLIs
-draw queue/rate/utilization series as fixed-grid character plots and
-sparklines.  Deliberately tiny: rows of '*' on a time/value grid plus axis
-labels — enough to *see* Fig. 9's queue hump move between CC schemes.
+No plotting backend is available offline, so experiment CLIs draw
+queue/rate series as labelled unicode sparklines on a shared scale —
+enough to *see* a queue hump move between CC schemes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.metrics.series import TimeSeries
+from typing import List
 
 _SPARK = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """A one-line unicode sparkline, resampled to ``width`` columns."""
-    if not values:
-        return ""
-    vals = _resample(list(values), width)
-    lo, hi = min(vals), max(vals)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK[0] * len(vals)
-    return "".join(_SPARK[int((v - lo) / span * (len(_SPARK) - 1))] for v in vals)
-
-
-def ascii_plot(
-    series: TimeSeries,
-    width: int = 72,
-    height: int = 12,
-    title: str = "",
-    y_label: str = "",
-    y_scale: float = 1.0,
-) -> str:
-    """A character grid plot of one time series (times in ps on the x-axis,
-    values scaled by ``y_scale`` on the y-axis)."""
-    if not series.times:
-        return f"{title} (empty)"
-    values = [v * y_scale for v in _resample(series.values, width)]
-    lo = min(0.0, min(values))
-    hi = max(values)
-    if hi <= lo:
-        hi = lo + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, v in enumerate(values):
-        row = int((v - lo) / (hi - lo) * (height - 1))
-        grid[height - 1 - row][x] = "*"
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for i, row in enumerate(grid):
-        label = hi if i == 0 else (lo if i == height - 1 else None)
-        prefix = f"{label:10.1f} |" if label is not None else " " * 10 + " |"
-        lines.append(prefix + "".join(row))
-    t0, t1 = series.times[0] / 1e6, series.times[-1] / 1e6
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(" " * 11 + f"{t0:<10.0f}{'time (us)':^{max(0, width - 20)}}{t1:>10.0f}")
-    if y_label:
-        lines.append(f"  y: {y_label}")
-    return "\n".join(lines)
 
 
 def compare_series(

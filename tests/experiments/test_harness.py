@@ -287,7 +287,7 @@ class TestRunnerCli:
             (["--jobs", "2"], "is not sweep-enabled; ignoring --jobs"),
             (["--seed", "9"], "does not take --seed; ignoring"),
             (["--quick"], "has no --quick slice; ignoring"),
-            (["--backend", "flow"], "does not take --backend; ignoring"),
+            (["--backend", "hybrid"], "does not take --backend; ignoring"),
             (["--trace", "/nonexistent/t.json"], "does not take --trace; ignoring"),
             (["--progress"], "does not take --progress; ignoring"),
         )
@@ -318,6 +318,21 @@ class TestRunnerCli:
             err = capsys.readouterr().err
             assert err.splitlines()[-1].startswith("fncc-exp: error:"), seed
             assert "--seed" in err.splitlines()[-1], seed
+
+    def test_flow_backend_rejected_before_any_cell(self, capsys, monkeypatch):
+        # The all-fluid tier has no CC dynamics, so its per-CC rows were
+        # identical; it is no --backend choice.
+        from repro.experiments import runner
+
+        ran = []
+        monkeypatch.setattr(runner, "_experiment_main",
+                            lambda name: lambda **kw: ran.append(name))
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["fig14", "--backend", "flow"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("fncc-exp: error:") and "--backend" in last, last
+        assert ran == []
 
     def test_trace_into_a_missing_directory_rejected_before_any_cell(
         self, capsys, tmp_path, monkeypatch

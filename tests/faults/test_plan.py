@@ -1,4 +1,4 @@
-"""FaultPlan: plain-data schedules — validation, fingerprints, pickling."""
+"""FaultPlan: plain-data schedules — validation and pickling."""
 
 import pickle
 
@@ -24,16 +24,8 @@ def build_reference_plan():
 
 def test_builders_chain_and_record_specs():
     plan = build_reference_plan()
-    assert len(plan) == 5
-    assert bool(plan)
     kinds = [s["kind"] for s in plan.specs]
     assert kinds == ["link_down", "link_flap", "switch_fail", "gray_loss", "pfc_storm"]
-
-
-def test_noop_is_falsy_and_empty():
-    plan = FaultPlan.noop()
-    assert len(plan) == 0
-    assert not plan
 
 
 def test_validation_rejects_bad_fields():
@@ -45,21 +37,9 @@ def test_validation_rejects_bad_fields():
         FaultPlan("p").link_down("", "b", at_ps=0)
 
 
-def test_fingerprint_is_deterministic_and_content_addressed():
-    a = build_reference_plan()
-    b = build_reference_plan()
-    assert a.fingerprint() == b.fingerprint()
-    assert a == b
-    c = build_reference_plan().link_down("x", "y", at_ps=us(99))
-    assert a.fingerprint() != c.fingerprint()
-    assert a != c
-
-
 def test_pickle_round_trip_preserves_identity():
     # RunSpec workers receive plans by pickle; the round trip must be exact
     # or pooled cells would diverge from serial ones.
     plan = build_reference_plan()
     clone = pickle.loads(pickle.dumps(plan))
-    assert clone == plan
-    assert clone.fingerprint() == plan.fingerprint()
-    assert clone.name == plan.name
+    assert (clone.name, clone.specs) == (plan.name, plan.specs)

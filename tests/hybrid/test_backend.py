@@ -211,12 +211,14 @@ class TestPfcBehindBackgroundDrains:
 class TestBackendSelection:
     def test_run_fct_summary_backend_dispatch(self):
         kw = dict(workload="websearch", k=4, load=0.5, n_flows=8, scale=0.1)
-        for backend in ("flow", "hybrid"):
-            s = run_fct_summary("fncc", seed=4, backend=backend, **kw)
-            assert s.backend == backend
-            assert s.completed() == 8
-        with pytest.raises(ValueError):
-            run_fct_summary("fncc", backend="ns3", **kw)
+        s = run_fct_summary("fncc", seed=4, backend="hybrid", **kw)
+        assert s.backend == "hybrid"
+        assert s.completed() == 8
+        # The all-fluid tier has no CC dynamics (every CC gave the same
+        # FCTs), so it is no backend choice.
+        for backend in ("flow", "ns3"):
+            with pytest.raises(ValueError, match=r"\('packet', 'hybrid'\)"):
+                run_fct_summary("fncc", backend=backend, **kw)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -240,6 +242,11 @@ class TestBackendSelection:
             HybridConfig(refine_rounds=-1)
         with pytest.raises(ValueError, match="threshold"):
             HybridConfig(threshold=float("nan"))
+        # A negative threshold demoted every flow, so the fidelity gate
+        # compared the packet engine with itself and passed.
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            HybridConfig(threshold=-0.5)
+        HybridConfig(threshold=0)
         # The documented "keep everything fluid" spellings stay legal.
         HybridConfig(threshold=None)
         HybridConfig(threshold=float("inf"))
@@ -254,6 +261,7 @@ class TestBackendSelection:
             (["--cc", "nope"], "unknown CC scheme 'nope'"),
             (["--seed", "-1"], "root seed must be a non-negative 63-bit integer"),
             (["--threshold", "nan"], "threshold must not be NaN"),
+            (["--threshold", "-1"], "threshold must be >= 0"),
         ]:
             assert main(["--scenario", "fig14", "--quick", *bad]) == 2
             captured = capsys.readouterr()

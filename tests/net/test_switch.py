@@ -65,9 +65,38 @@ class TestForwarding:
     def test_routing_loop_detected(self, sim):
         a, sw, b = chain(sim)
         sw.router = lambda s, pkt: pkt.in_port  # bounce back
-        a.ports[0].enqueue(data())
-        with pytest.raises(RuntimeError):
+        a.ports[0].enqueue(data(flow=7))
+        with pytest.raises(RuntimeError, match=r"^sw: routing loop, <DATA flow=7 ") as exc:
             sim.run()
+        # A router swapped in by hand refuses fusion: Switch.receive raised.
+        assert exc.traceback[-1].name == "receive"
+
+    def test_routing_loop_detected_on_the_fused_hop(self, sim, monkeypatch):
+        # A U-turn router installed through install_lb is the switch's
+        # _lb_router, so the frame takes the fused frame-train hop and
+        # Port._tx_deliver raises, naming the frame the same way.
+        from repro.lb.base import REGISTRY, LbConfig, LoadBalancer, install_lb
+        from repro.topo.base import Topology
+
+        class UTurnLB(LoadBalancer):
+            name = "uturn"
+            train_transparent = True
+
+            def make_router(self, sw, split):
+                return lambda s, pkt: pkt.in_port
+
+        monkeypatch.setitem(REGISTRY, "uturn", UTurnLB)
+        topo = Topology(sim)
+        a, b = topo.add_host("a"), topo.add_host("b")
+        s = topo.add_switch("sw")
+        topo.link(a, s)
+        topo.link(s, b)
+        install_lb(topo, LbConfig("uturn"))
+        assert s._train_ok and s.router is s._lb_router
+        a.ports[0].enqueue(data(flow=7))
+        with pytest.raises(RuntimeError, match=r"^sw: routing loop, <DATA flow=7 ") as exc:
+            sim.run()
+        assert exc.traceback[-1].name == "_tx_deliver"
 
 
 class TestSharedBuffer:

@@ -12,7 +12,7 @@ class TestTimer:
         t.start(100, "payload")
         sim.run()
         assert log == ["payload"]
-        assert not t.armed
+        assert t._event is None
 
     def test_restart_supersedes(self, sim):
         log = []
@@ -42,20 +42,6 @@ class TestTimer:
         t.start(10)
         sim.run()
         assert log == [10, 20, 30]
-
-    def test_expires_at(self, sim):
-        t = Timer(sim, lambda _: None)
-        assert t.expires_at is None
-        t.start(250)
-        assert t.expires_at == 250
-
-    def test_armed_property(self, sim):
-        t = Timer(sim, lambda _: None)
-        assert not t.armed
-        t.start(10)
-        assert t.armed
-        sim.run()
-        assert not t.armed
 
 
 class TestPeriodic:

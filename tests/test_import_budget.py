@@ -329,8 +329,8 @@ def test_a_figure_cell_imports_nothing_its_module_did_not():
 
 @FORK_ONLY
 @pytest.mark.parametrize("cell", [
-    dict(backend="hybrid"), dict(backend="flow"), dict(obs_snapshot=True),
-], ids=["hybrid", "flow", "traced"])
+    dict(backend="hybrid"), dict(obs_snapshot=True),
+], ids=["hybrid", "traced"])
 def test_a_pooled_cell_imports_nothing_after_the_fork(cell):
     # The fluid engines and the obs package are imported inside the cell;
     # the sweep resolves them in the parent, so a forked worker has them.
@@ -447,11 +447,6 @@ def test_import_and_figures_work_without_scipy():
 @pytest.mark.parametrize(
     "call, who",
     [
-        (
-            "from repro.analysis import FluidLink, simulate_queue\n"
-            "simulate_queue(FluidLink(100.0, 10_000_000), [lambda t: 1e5], 1e8)",
-            "simulate_queue",
-        ),
         (
             "from repro.experiments.paper_scale import shape_correlation\n"
             "shape_correlation(None, None)",

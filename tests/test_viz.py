@@ -1,7 +1,7 @@
 """ASCII visualization helpers."""
 
 from repro.metrics.series import TimeSeries
-from repro.viz import ascii_plot, compare_series, sparkline
+from repro.viz import compare_series
 
 
 def series(values, dt=1_000_000):
@@ -9,45 +9,6 @@ def series(values, dt=1_000_000):
     for i, v in enumerate(values):
         s.append(i * dt, float(v))
     return s
-
-
-class TestSparkline:
-    def test_length_capped_at_width(self):
-        assert len(sparkline(range(1000), width=40)) == 40
-
-    def test_short_input_kept(self):
-        assert len(sparkline([1, 2, 3], width=40)) == 3
-
-    def test_flat_series_lowest_glyph(self):
-        out = sparkline([5, 5, 5])
-        assert out == out[0] * 3
-
-    def test_monotone_ramp_monotone_glyphs(self):
-        out = sparkline(range(8), width=8)
-        assert list(out) == sorted(out)
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-
-class TestAsciiPlot:
-    def test_contains_title_and_axes(self):
-        out = ascii_plot(series([0, 5, 2, 8, 1]), title="queue")
-        assert "queue" in out
-        assert "time (us)" in out
-        assert "*" in out
-
-    def test_peak_row_is_top(self):
-        out = ascii_plot(series([0, 0, 10, 0, 0]), height=5, width=20)
-        lines = [l for l in out.splitlines() if "|" in l]
-        assert "*" in lines[0]  # max lands on the top row
-
-    def test_empty_series(self):
-        assert "(empty)" in ascii_plot(TimeSeries(), title="x")
-
-    def test_y_scale_applied(self):
-        out = ascii_plot(series([1000.0]), y_scale=0.001)
-        assert "1.0" in out
 
 
 class TestCompareSeries:

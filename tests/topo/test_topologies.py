@@ -63,7 +63,7 @@ class TestBaseRtt:
         s = topo.add_switch("s")
         topo.link(a, s, rate_gbps=100.0)
         topo.link(s, b, rate_gbps=25.0)
-        assert topo.bottleneck_gbps(0, 1) == 25.0
+        assert min(r for r, _ in topo.path_links(0, 1)) == 25.0
 
 
 class TestDumbbell:

@@ -40,27 +40,11 @@ class TestSampling:
         for _ in range(500):
             assert 1000 <= cdf.sample(rng) <= 10_000
 
-    def test_median_matches_quantile(self):
-        cdf = PiecewiseCdf(self.CDF)
-        assert cdf.quantile(0.5) == 2000
-
-    def test_quantile_bounds(self):
-        cdf = PiecewiseCdf(self.CDF)
-        assert cdf.quantile(0.0) == 1000
-        assert cdf.quantile(1.0) == 10_000
-        with pytest.raises(ValueError):
-            cdf.quantile(1.5)
-
     def test_scale_multiplies_sizes(self):
         cdf = PiecewiseCdf(self.CDF, scale=0.1)
-        assert cdf.quantile(1.0) == 1000
+        rng = random.Random(1)
+        assert max(cdf.sample(rng) for _ in range(500)) <= 1000
         assert cdf.mean() == pytest.approx(PiecewiseCdf(self.CDF).mean() * 0.1)
-
-    def test_scaled_copy(self):
-        base = PiecewiseCdf(self.CDF)
-        small = base.scaled(0.5)
-        assert small.mean() == pytest.approx(base.mean() * 0.5)
-        assert base.scale == 1.0  # original untouched
 
     def test_empirical_median_matches_distribution(self):
         cdf = PiecewiseCdf(self.CDF)
@@ -102,7 +86,8 @@ class TestPaperDistributions:
 
     def test_hadoop_mostly_small(self):
         cdf = fb_hadoop_cdf()
-        assert cdf.quantile(0.8) <= 10_000  # 80% of flows <= 10 KB
+        at_10kb = cdf.probs[cdf.sizes.index(10_000)]
+        assert at_10kb >= 0.8  # 80% of flows <= 10 KB
 
     def test_scaled_factories(self):
         assert websearch_cdf(scale=0.1).mean() == pytest.approx(

@@ -22,9 +22,6 @@ class TestFlow:
         with pytest.raises(ValueError):
             Flow(0, 3, 3, 100)
 
-    def test_repr(self):
-        assert "0->1" in repr(Flow(0, 0, 1, 100))
-
 
 class TestFlowRecord:
     def test_fct_is_finish_minus_start(self):

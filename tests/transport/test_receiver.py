@@ -99,8 +99,7 @@ class TestIntEcho:
         a.register_receiver  # silence lint
         pkt = Packet(DATA, flow_id=0, src=0, dst=1, seq=0, size=1048, payload=1000)
         pkt.last = True
-        pkt.add_int(INTRecord(100.0, 5, 100, 7))
-        pkt.add_int(INTRecord(100.0, 6, 200, 9))
+        pkt.int_records = [INTRecord(100.0, 5, 100, 7), INTRecord(100.0, 6, 200, 9)]
         rqp.on_data(pkt)
         sim.run()
         ack = [p for p in acks if p.kind == ACK][0]

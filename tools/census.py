@@ -22,8 +22,8 @@ The entry points (:func:`entry_points`):
 
 * every figure of ``runner._MODULES``: the default invocation, and one per
   option set its ``main`` accepts (``runner._accepted_options``) —
-  ``--quick``, ``--backend flow``, ``--backend hybrid``, ``--trace PATH
-  --progress`` alone and with each backend, and ``--jobs 2``;
+  ``--quick``, ``--backend hybrid``, ``--trace PATH --progress`` alone and
+  with it, and ``--jobs 2``;
 * every script under ``examples/``;
 * ``python -m repro.hybrid.validate --quick``, and ``python -m
   repro.obs.export`` on the trace a ``--trace`` run wrote;
@@ -96,6 +96,8 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.metrics.monitors:_PeriodicSampler.stop": (
         "crash", "Simulator.stop_monitors, which the flight recorder calls"),
     "repro.exec.executor:SweepError.__init__": ("crash", "a sweep spec that raises"),
+    "repro.net.packet:Packet.__repr__": (
+        "crash", "the routing-loop RuntimeError of Switch.receive and of Port._tx_deliver's fused hop"),
     # oracles
     "repro.faults.audit": ("oracle", "FaultAuditor: the quiescence oracle"),
     # the benchmark's
@@ -113,33 +115,7 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.lb.base:sweep_bounded_table": ("public", "the max_cache_entries bound of FlowletLB and ConWeaveLiteLB"),
     "repro.lb.conweave:ConWeaveLiteLB._sweep": ("public", "its router, when the flow table is full"),
     "repro.lb.flowlet:FlowletLB._sweep": ("public", "its router, when the flowlet table is full"),
-    # pending: deleting each takes the named floor tests with it
-    "repro.analysis.fluid": ("pending", "12 tests in tests/analysis/test_fluid.py (ROADMAP item 8)"),
-    "repro.viz:sparkline": ("pending", "tests/test_viz.py::TestSparkline"),
-    "repro.viz:ascii_plot": ("pending", "tests/test_viz.py::TestAsciiPlot"),
-    "repro.units:ns": ("pending", "tests/test_units.py"),
-    "repro.units:sec": ("pending", "tests/test_units.py"),
-    "repro.units:to_sec": ("pending", "tests/test_units.py"),
-    "repro.units:gbps_to_bytes_per_ps": ("pending", "tests/test_units.py"),
-    "repro.units:bytes_per_ps_to_gbps": ("pending", "tests/test_units.py"),
-    "repro.units:bdp_bytes": ("pending", "tests/test_units.py"),
-    "repro.units:rate_of_window": ("pending", "tests/test_units.py"),
-    "repro.traffic.cdf:PiecewiseCdf.quantile": ("pending", "tests/traffic/test_cdf.py"),
-    "repro.traffic.cdf:PiecewiseCdf.scaled": ("pending", "tests/traffic/test_cdf.py"),
-    "repro.net.packet:Packet.add_int": ("pending", "tests/net/test_packet.py"),
-    "repro.net.packet:Packet.is_control": ("pending", "tests/net/test_packet.py"),
-    "repro.net.packet:Packet.__repr__": ("pending", "tests/net/test_packet.py"),
-    "repro.transport.flow:Flow.__repr__": ("pending", "tests/transport/test_flow.py"),
-    "repro.sim.timer:Timer.armed": ("pending", "tests/sim/test_timer.py"),
-    "repro.sim.timer:Timer.expires_at": ("pending", "tests/sim/test_timer.py"),
-    "repro.topo.base:Topology.bottleneck_gbps": ("pending", "tests/topo/test_topologies.py"),
-    "repro.metrics.monitors:_PeriodicSampler.__enter__": ("pending", "tests/metrics/test_monitors.py"),
-    "repro.metrics.monitors:_PeriodicSampler.__exit__": ("pending", "tests/metrics/test_monitors.py"),
-    "repro.faults.plan:FaultPlan.__len__": ("pending", "tests/faults/test_plan.py"),
-    "repro.faults.plan:FaultPlan.__bool__": ("pending", "tests/faults/test_plan.py"),
-    "repro.faults.plan:FaultPlan.fingerprint": ("pending", "tests/faults/test_plan.py"),
-    "repro.faults.plan:FaultPlan.__eq__": ("pending", "tests/faults/test_plan.py"),
-    "repro.faults.plan:FaultPlan.__hash__": ("pending", "tests/faults/test_plan.py"),
+    # pending: the determinism tests' witnesses, until ROADMAP item 4 places them
     "repro.experiments.common:FctCell.fct_fingerprint": (
         "pending", "the determinism tests' witness: a test helper or the run manifest's (ROADMAP item 4)"),
     "repro.experiments.common:MicrobenchResult.fingerprint": (
@@ -372,10 +348,8 @@ def entry_points(tmp: Path) -> List[Tuple[str, List[str]]]:
 
     variants = (
         ({"quick"}, ["--quick"]),
-        ({"backend"}, ["--backend", "flow"]),
         ({"backend"}, ["--backend", "hybrid"]),
         ({"trace"}, ["--trace", None, "--progress"]),
-        ({"backend", "trace"}, ["--backend", "flow", "--trace", None, "--progress"]),
         ({"backend", "trace"}, ["--backend", "hybrid", "--trace", None, "--progress"]),
         ({"jobs"}, ["--jobs", "2"]),
     )
