@@ -12,7 +12,7 @@ Run:  python examples/fattree_fct.py [--flows 200] [--k 4] [--scale 0.1]
 
 import argparse
 
-from repro.experiments.fct_experiment import compare_ccs, format_panel
+from repro.experiments.fct_experiment import compare_ccs_sweep, format_panel
 
 
 def main() -> None:
@@ -31,7 +31,7 @@ def main() -> None:
         f"{args.workload} @ {args.load:.0%} load, k={args.k} fat-tree, "
         f"{args.flows} flows, size scale {args.scale}\n"
     )
-    results = compare_ccs(
+    results = compare_ccs_sweep(
         ("dcqcn", "hpcc", "fncc"),
         workload=args.workload,
         k=args.k,

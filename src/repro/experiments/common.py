@@ -7,16 +7,17 @@ factory, switch-resident machinery such as RoCC's PI controllers) and
 :class:`Fabric`; :func:`run_microbench` is the whole staggered-elephant
 cell of Figs. 1, 3, 9 and 13 in one call.
 **launch** — :func:`launch_flows`, whole or one shard's share.
-**result** — :class:`FctCell` and :class:`MicrobenchResult` serve the
-in-process caller and the pool worker alike: pickling drops only the live
-simulator objects.  :func:`sweep` fans any of it over axes.
+**result** — :class:`~repro.experiments.fct_experiment.FctResult` and
+:class:`MicrobenchResult` serve the in-process caller and the pool worker
+alike: pickling drops only the live simulator objects.  :func:`sweep`
+fans any of it over axes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence
 
 from repro.cc import install_rocc, make_cc_factory
 from repro.cc.registry import CcFactory
@@ -27,10 +28,8 @@ from repro.metrics.monitors import (
     RateSampler,
     UtilizationSampler,
     pause_frame_count,
-    topo_frame_hops,
 )
 from repro.metrics.series import TimeSeries
-from repro.metrics.stats import mean, percentile
 from repro.net.port import EcnConfig
 from repro.net.switch import IntMode, SwitchConfig
 from repro.sim.engine import Simulator
@@ -264,51 +263,6 @@ class _Portable:
         return {k: None if k in self._LIVE else v for k, v in self.__dict__.items()}
 
 
-class FctCell(_Portable):
-    """Outcome of one FCT cell (``run_lb_cell`` / ``run_fault_cell``).
-
-    Statistics and the fingerprint are taken at construction, when the run
-    has ended, so they read the same live and unpickled.  ``hung`` counts
-    flows neither completed nor flow-failed — the graceful-degradation
-    criterion of the fault matrix demands zero."""
-
-    def __init__(
-        self,
-        key: tuple,
-        seed: int,
-        fabric,
-        n_flows: int,
-        failed: int = 0,
-        fault_counters: Optional[Dict[str, int]] = None,
-    ) -> None:
-        collector = fabric.collector
-        fcts = [r.fct_ps for r in collector.records]
-        slowdowns = collector.slowdowns()
-        nan = float("nan")
-        self.key = key
-        self.seed = seed
-        self.n_flows = n_flows
-        self.completed = collector.completed()
-        self.failed = failed
-        self.hung = n_flows - self.completed - failed
-        self.mean_fct_us = mean(fcts) / us(1) if fcts else nan
-        self.p99_fct_us = percentile(fcts, 99) / us(1) if fcts else nan
-        self.mean_slowdown = mean(slowdowns) if slowdowns else nan
-        self._fingerprint = collector.fingerprint()
-        self.fault_counters = fault_counters or {}
-        self.events_dispatched = fabric.sim.events_dispatched
-        # Frames delivered across any link (sum of per-port tx counters) —
-        # the simulated-work unit.
-        self.frame_hops = topo_frame_hops(fabric.topo)
-        self.collector = collector
-        self.sim = fabric.sim
-        self.topo = fabric.topo
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        """(flow_id, fct_ps) pairs, sorted — the determinism witness."""
-        return self._fingerprint
-
-
 @dataclass(eq=False)
 class MicrobenchResult(_Portable):
     """Output of :func:`run_microbench`: the series the paper plots, plus
@@ -331,24 +285,6 @@ class MicrobenchResult(_Portable):
     @property
     def peak_queue_bytes(self) -> float:
         return self.queue.max()
-
-    def fingerprint(self) -> tuple:
-        """The event count, the pause count and every sampled series as
-        plain tuples — the byte-identity witness for serial-vs-pooled
-        comparisons."""
-        q, u = self.queue, self.utilization
-        return (
-            self.events_dispatched,
-            self.pause_frames,
-            tuple(q.times),
-            tuple(q.values),
-            tuple(
-                (fid, tuple(s.times), tuple(s.values))
-                for fid, s in sorted(self.rates.items())
-            ),
-            tuple(u.times),
-            tuple(u.values),
-        )
 
 
 def run_microbench(

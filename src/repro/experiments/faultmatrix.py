@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exec import SweepExecutor
-from repro.experiments.common import FctCell, build_fabric, sweep
-from repro.experiments.fct_experiment import launch_and_drive
+from repro.experiments.common import build_fabric, sweep
+from repro.experiments.fct_experiment import FctResult, launch_and_drive
 from repro.experiments.lbmatrix import make_lb_config
 from repro.faults import FaultInjector, FaultPlan
 from repro.topo.fattree import fattree
@@ -110,7 +110,7 @@ def run_fault_cell(
     retx_timeout_us: int = 300,
     retx_max_timeouts: int = 7,
     **cc_params,
-) -> FctCell:
+) -> FctResult:
     """Run one (profile, lb, cc) cell: fat-tree permutation traffic with
     the profile's fault plan armed and transport hardening on (RTO with
     capped exponential backoff; ``retx_max_timeouts`` → flow-failed).
@@ -145,9 +145,11 @@ def run_fault_cell(
     launch_and_drive(
         fab, flows, max_horizon_ms, resolved=lambda: collector.completed() + failed()
     )
-    return FctCell(
-        (profile, lb, cc), seed, fab, len(flows), failed(), dict(injector.counters)
+    result = FctResult(
+        cc, "permutation", collector, (), len(flows), fab.sim, topo=topo, failed=failed()
     )
+    result.stats = dict(injector.counters)
+    return result
 
 
 def run_faultmatrix(
@@ -158,7 +160,7 @@ def run_faultmatrix(
     jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
     **kwargs,
-) -> Dict[CellKey, FctCell]:
+) -> Dict[CellKey, FctResult]:
     """The fault matrix, fanned out over ``jobs`` workers; fingerprints
     are byte-identical for any ``jobs`` (plans are picklable and all
     draws are seed-derived)."""
@@ -179,9 +181,9 @@ def format_matrix(cells: Dict[CellKey, object]) -> str:
     ]
     for key in sorted(cells):
         c = cells[key]
-        profile, lb, cc = c.key
+        profile, lb, cc = key
         lines.append(
-            f"{profile:>11} {lb:>9} {cc:>6} {c.completed:>5} {c.failed:>5} "
+            f"{profile:>11} {lb:>9} {cc:>6} {c.completed():>5} {c.failed:>5} "
             f"{c.hung:>5} {c.mean_fct_us:>9.1f} {c.p99_fct_us:>9.1f}"
         )
     return "\n".join(lines)

@@ -14,13 +14,10 @@ from contextlib import nullcontext
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exec import SweepExecutor
-from repro.experiments.common import CcEnv, build_fabric, launch_flows, sweep
-from repro.metrics.fct import (
-    SIZE_BINS_HADOOP,
-    SIZE_BINS_WEBSEARCH,
-    FctCollector,
-    SlowdownTable,
-)
+from repro.experiments.common import CcEnv, _Portable, build_fabric, launch_flows, sweep
+from repro.metrics.fct import SIZE_BINS_HADOOP, SIZE_BINS_WEBSEARCH, FctCollector
+from repro.metrics.monitors import topo_frame_hops
+from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
 from repro.topo.base import Topology
 from repro.topo.fattree import fattree
@@ -28,7 +25,7 @@ from repro.traffic.cdf import PiecewiseCdf
 from repro.traffic.distributions import fb_hadoop_cdf, websearch_cdf
 from repro.traffic.generator import PoissonWorkload
 from repro.transport.flow import Flow
-from repro.units import MS
+from repro.units import MS, us
 
 WORKLOADS = {
     "websearch": (websearch_cdf, SIZE_BINS_WEBSEARCH),
@@ -36,8 +33,23 @@ WORKLOADS = {
 }
 
 
-class FctResult:
-    """Everything Figs. 14/15 need: the collector and the binned table."""
+class FctResult(_Portable):
+    """The outcome of one FCT cell, whichever driver ran it: the packet
+    experiment, the hybrid backend, an LB or a fault matrix cell.
+
+    Every statistic is taken at construction, when the run has ended, so
+    it reads the same live and unpickled: pickling drops only
+    ``collector``, ``sim`` and ``topo`` (DESIGN.md §5.2).  ``sim`` is None
+    when nothing ran as packets (an all-fluid hybrid cell).  ``failed``
+    counts flow-failed flows (the fault matrix); ``stats`` holds the run's
+    diagnostics (a fault plan's counters, the hybrid phase stats);
+    :func:`summarize_fct_result` attaches ``seed`` and ``obs_snapshot``."""
+
+    seed: Optional[int] = None
+    #: Metrics-registry snapshot taken in the worker (a plain dict, so it
+    #: pickles home; merged across workers by
+    #: :func:`repro.obs.merge_snapshots`).  None when obs was off.
+    obs_snapshot: Optional[dict] = None
 
     def __init__(
         self,
@@ -46,99 +58,63 @@ class FctResult:
         collector: FctCollector,
         bins: Sequence[int],
         n_flows: int,
-        sim: Simulator,
+        sim: Optional[Simulator],
         topo=None,
+        failed: int = 0,
     ) -> None:
         self.cc = cc
         self.workload = workload
-        self.collector = collector
-        self.bins = list(bins)
+        self.table = collector.table(bins)
+        self.bins = self.table.bins  # one list, pickled once
         self.n_flows = n_flows
+        self.failed = failed
+        self._fingerprint = collector.fingerprint()
+        self.events_dispatched = sim.events_dispatched if sim is not None else 0
+        # Frames delivered across any link (sum of per-port tx counters) —
+        # the simulated-work unit.
+        self.frame_hops = topo_frame_hops(topo) if topo is not None else 0
+        self.stats: Dict[str, int] = {}
+        self.collector = collector
         self.sim = sim
-        # The live fabric (perf harness reads per-port tx counters off it
-        # for the frame_hops metric); None for legacy callers.
         self.topo = topo
 
-    @property
-    def table(self) -> SlowdownTable:
-        return self.collector.table(self.bins)
-
     def completed(self) -> int:
-        return self.collector.completed()
+        return len(self._fingerprint)
+
+    @property
+    def hung(self) -> int:
+        """Flows neither completed nor flow-failed — the fault matrix's
+        graceful-degradation criterion demands zero."""
+        return self.n_flows - self.completed() - self.failed
+
+    @property
+    def mean_fct_us(self) -> float:
+        # The FCTs are integers: their sum is exact in any order.
+        fcts = [fct for _, fct in self._fingerprint]
+        return mean(fcts) / us(1) if fcts else float("nan")
+
+    @property
+    def p99_fct_us(self) -> float:
+        fcts = [fct for _, fct in self._fingerprint]
+        return percentile(fcts, 99) / us(1) if fcts else float("nan")
+
+    def slowdowns(self) -> List[float]:
+        """Per-flow slowdowns in completion order; live results only."""
+        return self.collector.slowdowns()
 
     def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
         """(flow_id, fct_ps) pairs, sorted — the determinism witness."""
-        return self.collector.fingerprint()
-
-
-class FctSummary:
-    """A portable :class:`FctResult`: the binned table, counts and the FCT
-    fingerprint computed eagerly in the worker, no simulator attached.
-    Exposes the same surface the figure renderers use (``.table``,
-    ``.bins``, ``.completed()``)."""
-
-    def __init__(
-        self,
-        cc: str,
-        workload: str,
-        table: SlowdownTable,
-        bins: Sequence[int],
-        n_flows: int,
-        completed: int,
-        fingerprint: Tuple[Tuple[int, int], ...],
-        events_dispatched: int,
-        seed: int,
-        frame_hops: int = 0,
-        backend: str = "packet",
-        obs_snapshot: Optional[dict] = None,
-    ) -> None:
-        self.cc = cc
-        self.workload = workload
-        self.table = table
-        self.bins = list(bins)
-        self.n_flows = n_flows
-        self._completed = completed
-        self._fingerprint = fingerprint
-        self.events_dispatched = events_dispatched
-        self.seed = seed
-        # Frames delivered across any link (in-worker sum of per-port tx
-        # counters) — the perf harness's simulated-work unit.
-        self.frame_hops = frame_hops
-        # Which simulation backend produced this summary
-        # ("packet" | "hybrid") — provenance for bench history.
-        self.backend = backend
-        # Metrics-registry snapshot taken in the worker (plain dict, so it
-        # pickles home); merged across workers by
-        # :func:`repro.obs.merge_snapshots`.  None when obs was off.
-        self.obs_snapshot = obs_snapshot
-
-    def completed(self) -> int:
-        return self._completed
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
         return self._fingerprint
 
 
-def summarize_fct_result(
-    result: FctResult, seed: int, backend: str = "packet", obs=None
-) -> FctSummary:
-    from repro.metrics.monitors import topo_frame_hops
-
-    topo = result.topo
-    return FctSummary(
-        cc=result.cc,
-        workload=result.workload,
-        table=result.table,
-        bins=result.bins,
-        n_flows=result.n_flows,
-        completed=result.completed(),
-        fingerprint=result.fct_fingerprint(),
-        events_dispatched=result.sim.events_dispatched if result.sim else 0,
-        seed=seed,
-        frame_hops=topo_frame_hops(topo) if topo is not None else 0,
-        backend=backend,
-        obs_snapshot=obs.snapshot() if obs is not None else None,
-    )
+def summarize_fct_result(result: FctResult, seed: int, obs=None) -> FctResult:
+    """Stamp ``result`` with the seed it ran under and, when ``obs`` (a
+    :class:`repro.obs.RunObservability` bundle) is given, its registry
+    snapshot; returns ``result``."""
+    result.seed = seed
+    if obs is not None:
+        result.obs_snapshot = obs.snapshot()
+    return result
 
 
 def run_fct_summary(
@@ -148,8 +124,9 @@ def run_fct_summary(
     obs=None,
     obs_snapshot: bool = False,
     **kwargs,
-) -> FctSummary:
-    """Sweep-spec target: one (CC, workload) cell as a portable summary.
+) -> FctResult:
+    """Sweep-spec target: one (CC, workload) cell, stamped by
+    :func:`summarize_fct_result`.
 
     ``backend`` selects the simulation tier: ``"packet"`` (discrete-event,
     the default) or ``"hybrid"`` (packet-level only across congested
@@ -158,7 +135,7 @@ def run_fct_summary(
     ``obs`` is a live :class:`repro.obs.RunObservability` bundle (in-
     process callers only — it is not picklable); ``obs_snapshot=True`` is
     the pool-safe form, building a registry-only bundle *inside* the
-    worker so the snapshot rides home on the summary and the reduce step
+    worker so the snapshot rides home on the result and the reduce step
     can merge snapshots across workers.
     """
     if obs is None and obs_snapshot:
@@ -166,16 +143,15 @@ def run_fct_summary(
 
         obs = RunObservability(registry=MetricsRegistry())
     if backend == "packet":
-        return summarize_fct_result(
-            run_fct_experiment(cc, seed=seed, obs=obs, **kwargs), seed, obs=obs
-        )
-    if backend != "hybrid":
-        raise ValueError(f"backend must be one of ('packet', 'hybrid'), got {backend!r}")
-    # Deferred import: repro.hybrid.backend imports this module.
-    from repro.hybrid.backend import run_fct_hybrid
+        result = run_fct_experiment(cc, seed=seed, obs=obs, **kwargs)
+    elif backend == "hybrid":
+        # Deferred import: repro.hybrid.backend imports this module.
+        from repro.hybrid.backend import run_fct_hybrid
 
-    result = run_fct_hybrid(cc, seed=seed, obs=obs, **kwargs)
-    return summarize_fct_result(result, seed, backend=backend, obs=obs)
+        result = run_fct_hybrid(cc, seed=seed, obs=obs, **kwargs)
+    else:
+        raise ValueError(f"backend must be one of ('packet', 'hybrid'), got {backend!r}")
+    return summarize_fct_result(result, seed, obs=obs)
 
 
 class FctFabric(NamedTuple):
@@ -324,20 +300,6 @@ def run_fct_experiment(
     )
 
 
-def compare_ccs(
-    ccs: Sequence[str] = ("dcqcn", "hpcc", "fncc"),
-    workload: str = "websearch",
-    **kwargs,
-) -> Dict[str, FctResult]:
-    """One Figs. 14/15 panel family: the same workload under each CC.
-
-    In-process and rich (live collectors/simulators) — monitors and perf
-    harnesses use this.  Figure runners go through :func:`compare_ccs_sweep`
-    for the pool path.
-    """
-    return {cc: run_fct_experiment(cc, workload=workload, **kwargs) for cc in ccs}
-
-
 def compare_ccs_sweep(
     ccs: Sequence[str] = ("dcqcn", "hpcc", "fncc"),
     workload: str = "websearch",
@@ -345,9 +307,10 @@ def compare_ccs_sweep(
     jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
     **kwargs,
-) -> Dict[str, FctSummary]:
-    """Pool-capable :func:`compare_ccs`: one spec per CC, portable
-    summaries back, reduced in CC order regardless of completion order."""
+) -> Dict[str, FctResult]:
+    """One Figs. 14/15 panel family: the same workload under each CC, one
+    spec per CC, reduced in CC order regardless of completion order.
+    ``jobs=1`` runs the cells in this process, without pickling."""
     # What a cell imports past the packet path — the fluid engines its
     # backend names, the obs package a snapshot needs — is imported here,
     # so forked workers inherit it instead of each importing it
@@ -368,7 +331,7 @@ def compare_ccs_sweep(
 
 
 def slowdown_reduction(
-    results: Dict[str, FctSummary], column: str, **size_filter
+    results: Dict[str, FctResult], column: str, **size_filter
 ) -> Dict[str, float]:
     """FNCC's reduction (%) of one aggregate slowdown statistic against
     every other CC in ``results``, over the flows ``size_filter``

@@ -12,7 +12,7 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from repro.experiments.fct_experiment import (
-    FctSummary,
+    FctResult,
     compare_ccs_sweep,
     format_panel,
     run_fct_summary,
@@ -38,7 +38,7 @@ def run_fig14(
     jobs: int = 1,
     backend: str = "packet",
     **kwargs,
-) -> Dict[str, FctSummary]:
+) -> Dict[str, FctResult]:
     """Per-CC runs are independent, so they fan out over ``jobs`` worker
     processes (``jobs=1`` = in-process; identical results either way).
     ``backend`` selects the simulation engine per cell (packet / hybrid —
@@ -59,7 +59,7 @@ def run_fig14(
 
 
 def long_flow_median_reduction(
-    results: Dict[str, FctSummary], min_size_scaled: int = round(1_000_000 * SCALE)
+    results: Dict[str, FctResult], min_size_scaled: int = round(1_000_000 * SCALE)
 ) -> Dict[str, float]:
     """FNCC's median-slowdown reduction (%) vs each baseline for flows
     larger than ``min_size_scaled`` (1 MB x scale in the paper)."""
@@ -73,7 +73,7 @@ def _run_fig14_observed(
     n_flows: int,
     trace: Optional[str],
     progress: bool,
-) -> Dict[str, FctSummary]:
+) -> Dict[str, FctResult]:
     """The telemetry path: one per-run :class:`~repro.obs.RunObservability`
     bundle per CC cell, run in-process (trace hooks and live progress
     cannot cross a process pool), merged into one Chrome trace file — one
@@ -88,7 +88,7 @@ def _run_fig14_observed(
         merge_snapshots,
     )
 
-    results: Dict[str, FctSummary] = {}
+    results: Dict[str, FctResult] = {}
     bundles = []
     for cc in ccs:
         obs = RunObservability(

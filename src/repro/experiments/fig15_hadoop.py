@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.experiments.fct_experiment import (
-    FctSummary,
+    FctResult,
     compare_ccs_sweep,
     format_panel,
     slowdown_reduction,
@@ -29,7 +29,7 @@ def run_fig15(
     jobs: int = 1,
     backend: str = "packet",
     **kwargs,
-) -> Dict[str, FctSummary]:
+) -> Dict[str, FctResult]:
     # Hadoop flows are small (median ~1 KB), so no size scaling is needed
     # even in pure Python — we run the distribution as published.  Per-CC
     # runs fan out over ``jobs`` worker processes (jobs=1 = in-process);
@@ -49,7 +49,7 @@ def run_fig15(
 
 
 def short_flow_p95_reduction(
-    results: Dict[str, FctSummary], max_size: int = 100_000
+    results: Dict[str, FctResult], max_size: int = 100_000
 ) -> Dict[str, float]:
     """FNCC's p95 slowdown reduction (%) vs each baseline for flows shorter
     than ``max_size`` (100 KB in the paper)."""

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exec import SweepExecutor
-from repro.experiments.common import FctCell, build_fabric, sweep
-from repro.experiments.fct_experiment import launch_and_drive
+from repro.experiments.common import build_fabric, sweep
+from repro.experiments.fct_experiment import FctResult, launch_and_drive
 from repro.lb import LbConfig
 from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
@@ -68,8 +68,9 @@ def run_lb_cell(
     max_horizon_ms: float = 20.0,
     obs=None,
     **cc_params,
-) -> FctCell:
-    """Run one (topo, workload, lb, cc) cell and collect FCTs.
+) -> FctResult:
+    """Run one (topo, workload, lb, cc) cell and collect FCTs (unbinned:
+    the matrix reads whole-cell statistics).
 
     Module-level with data-only arguments, so it is also the spec target of
     :func:`run_lbmatrix` — byte-identical in-process and in a pool
@@ -107,7 +108,7 @@ def run_lb_cell(
             seeds=fab.seeds,
         ).generate(n_flows)
     launch_and_drive(fab, flows, max_horizon_ms, obs=obs)
-    return FctCell((topo_name, workload, lb, cc), seed, fab, len(flows))
+    return FctResult(cc, workload, fab.collector, (), len(flows), fab.sim, topo=fab.topo)
 
 
 def run_lbmatrix(
@@ -119,7 +120,7 @@ def run_lbmatrix(
     jobs: int = 1,
     executor: Optional[SweepExecutor] = None,
     **kwargs,
-) -> Dict[CellKey, FctCell]:
+) -> Dict[CellKey, FctResult]:
     """The full (or any sliced) CC × LB × fabric × traffic sweep.
 
     Cells are independent runs, so they fan out over ``jobs`` worker
@@ -139,7 +140,7 @@ def run_lbmatrix(
 
 def format_matrix(cells: Dict[CellKey, object], column: str = "mean_fct_us") -> str:
     """One block per (topo, workload): LB rows × CC columns of one
-    :class:`FctCell` statistic."""
+    :class:`FctResult` statistic."""
     lines = []
     groups: Dict[Tuple[str, str], Dict[Tuple[str, str], object]] = {}
     for (topo_name, workload, lb, cc), cell in cells.items():
@@ -177,9 +178,9 @@ def main(jobs: int = 1, seed: int = 1, quick: bool = False) -> None:
     print(format_matrix(cells, "mean_fct_us"))
     print(format_matrix(cells, "p99_fct_us"))
     incomplete = {
-        k: (c.completed, c.n_flows)
+        k: (c.completed(), c.n_flows)
         for k, c in cells.items()
-        if c.completed < c.n_flows
+        if c.completed() < c.n_flows
     }
     if incomplete:
         print("\ncells with stragglers (completed/total):")

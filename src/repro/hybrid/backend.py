@@ -31,7 +31,8 @@ coupled tiers:
 5. **Final fluid pass** — the fluid flows re-run with per-epoch *residual*
    capacities (link capacity minus measured packet bytes, floored at
    ``residual_floor``) on the shared links: the tier boundary's reverse
-   direction.  Packet records and fluid records merge into one result.
+   direction.  Packet records and fluid records merge into one result:
+   the fluid ones join the packet tier's on its collector.
 
 So a cell costs two fluid passes however often it refines, and one when
 nothing is demoted (the classification pass's records are then the answer).
@@ -54,15 +55,24 @@ from repro.analysis.flowsim import from_topology
 from repro.experiments.common import launch_flows
 from repro.experiments.fct_experiment import (
     FctFabric,
+    FctResult,
     build_fct_fabric,
     drive_fct,
     run_fct_experiment,
 )
-from repro.metrics.fct import SlowdownTable
-from repro.transport.flow import Flow, FlowRecord
+from repro.transport.flow import Flow
 from repro.units import DEFAULT_MTU, us
 
 _UNSET = object()
+
+
+def _check_threshold(threshold: Optional[float]) -> None:
+    """The demotion threshold's rule, for :class:`HybridConfig` and
+    :func:`run_fct_hybrid`'s ``threshold=`` override alike."""
+    if threshold is not None and math.isnan(threshold):
+        raise ValueError("threshold must not be NaN (None or inf keeps everything fluid)")
+    if threshold is not None and threshold < 0:
+        raise ValueError(f"threshold must be >= 0 (0 demotes every flow), got {threshold}")
 
 
 class HybridConfig:
@@ -122,10 +132,7 @@ class HybridConfig:
         mouse_bytes: Optional[int] = None,
         congested_frac: float = 0.15,
     ) -> None:
-        if threshold is not None and math.isnan(threshold):
-            raise ValueError("threshold must not be NaN (None or inf keeps everything fluid)")
-        if threshold is not None and threshold < 0:
-            raise ValueError(f"threshold must be >= 0 (0 demotes every flow), got {threshold}")
+        _check_threshold(threshold)
         if refine_rounds < 0:
             raise ValueError("refine_rounds must be non-negative")
         if not rate_eps >= 0:
@@ -154,49 +161,6 @@ class HybridConfig:
         self.bg_quantum_bytes = bg_quantum_bytes
         self.mouse_bytes = mouse_bytes
         self.congested_frac = congested_frac
-
-
-class HybridFctResult:
-    """Merged outcome of one hybrid cell; mirrors the surface of
-    :class:`~repro.experiments.fct_experiment.FctResult` (``.table``,
-    ``.completed()``, ``.fct_fingerprint()``) so figure renderers,
-    summaries and the validation gate are backend-agnostic."""
-
-    def __init__(
-        self,
-        cc: str,
-        workload: str,
-        records: List[FlowRecord],
-        bins: Sequence[int],
-        n_flows: int,
-        sim,
-        topo,
-        stats: Dict[str, int],
-    ) -> None:
-        self.cc = cc
-        self.workload = workload
-        self.records = records
-        self.bins = list(bins)
-        self.n_flows = n_flows
-        # The last packet-phase simulator/fabric (None when everything
-        # stayed fluid) — perf harnesses read event/frame counters off it.
-        self.sim = sim
-        self.topo = topo
-        #: phase diagnostics: demoted/fluid counts, refine rounds used, …
-        self.stats = stats
-
-    @property
-    def table(self) -> SlowdownTable:
-        return SlowdownTable.from_records(self.records, self.bins)
-
-    def completed(self) -> int:
-        return len(self.records)
-
-    def slowdowns(self) -> List[float]:
-        return [r.slowdown for r in self.records]
-
-    def fct_fingerprint(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted((r.flow.flow_id, r.fct_ps) for r in self.records))
 
 
 def _overlap_time(
@@ -329,9 +293,12 @@ def run_fct_hybrid(
     classify_fn: Optional[Callable[[Flow], bool]] = None,
     obs=None,
     **fabric_kwargs,
-) -> HybridFctResult:
+) -> FctResult:
     """One (CC, workload) cell under the hybrid backend; mirrors
-    :func:`run_fct_experiment`'s signature and adds the tier knobs.
+    :func:`run_fct_experiment`'s signature and adds the tier knobs.  The
+    result's ``stats`` are the phase diagnostics (demoted/fluid counts,
+    refine rounds used, ...), and its ``sim`` is None when nothing ran as
+    packets.
 
     ``threshold`` overrides ``config.threshold``; ``classify_fn(flow) ->
     bool`` (True = demote to packet) replaces the congestion-overlap
@@ -344,6 +311,7 @@ def run_fct_hybrid(
     """
     cfg = config or HybridConfig()
     thr = cfg.threshold if threshold is _UNSET else threshold
+    _check_threshold(thr)
 
     # Where the fluid time went: FlowLevelSimulator.run calls made, and
     # rate-history entries walked by background replays.
@@ -355,18 +323,15 @@ def run_fct_hybrid(
             obs.observe_hybrid(stats)
         return stats
 
-    def _all_packet(rounds_used: int) -> HybridFctResult:
+    def _all_packet(rounds_used: int) -> FctResult:
         # Everything demoted: the packet experiment verbatim, so the FCT
         # fingerprint is byte-identical by construction.
         res = run_fct_experiment(
             cc, workload=workload, max_horizon_ms=max_horizon_ms, obs=obs,
             **fabric_kwargs,
         )
-        return HybridFctResult(
-            cc, workload, list(res.collector.records), res.bins, res.n_flows,
-            res.sim, res.topo,
-            _observed(demoted=res.n_flows, fluid=0, refine_rounds=rounds_used),
-        )
+        res.stats = _observed(demoted=res.n_flows, fluid=0, refine_rounds=rounds_used)
+        return res
 
     # -- degenerate tiers ---------------------------------------------------
     if classify_fn is None and thr is not None and thr <= 0:
@@ -394,13 +359,18 @@ def run_fct_hybrid(
                 ripple_rounds=cfg.ripple_rounds, **hooks,
             )
 
-    def _all_fluid(fres) -> HybridFctResult:
+    def _merged(fres, sim, **final: int) -> FctResult:
+        # The fluid records join the packet tier's on the one collector,
+        # after them; ``sim`` is None when nothing ran as packets.
+        fab.collector.records.extend(fres.records)
+        res = FctResult(cc, workload, fab.collector, fab.bins, n_flows, sim, topo=fab.topo)
+        res.stats = _observed(**final)
+        return res
+
+    def _all_fluid(fres) -> FctResult:
         # Nothing demoted: a pass over the whole flow set is the answer.
-        return HybridFctResult(
-            cc, workload, list(fres.records), fab.bins, n_flows, None, fab.topo,
-            _observed(demoted=0, fluid=n_flows, refine_rounds=0,
-                      fluid_events=fres.n_events),
-        )
+        return _merged(fres, None, demoted=0, fluid=n_flows, refine_rounds=0,
+                       fluid_events=fres.n_events)
 
     if classify_fn is None and (
         thr is None or (isinstance(thr, float) and math.isinf(thr))
@@ -595,16 +565,14 @@ def run_fct_hybrid(
         )
     fres = _fluid_pass(fluid_flows, cap_schedule=sched)
 
-    records = list(fab.collector.records) + list(fres.records)
-    return HybridFctResult(
-        cc, workload, records, fab.bins, n_flows, fab.sim, fab.topo,
-        _observed(
-            demoted=len(demoted),
-            fluid=len(fluid_ids),
-            refine_rounds=rounds_used,
-            shared_links=len(shared),
-            packet_events=fab.sim.events_dispatched,
-            fluid_events=fres.n_events,
-            cap_schedule_entries=len(sched),
-        ),
+    return _merged(
+        fres,
+        fab.sim,
+        demoted=len(demoted),
+        fluid=len(fluid_ids),
+        refine_rounds=rounds_used,
+        shared_links=len(shared),
+        packet_events=fab.sim.events_dispatched,
+        fluid_events=fres.n_events,
+        cap_schedule_entries=len(sched),
     )

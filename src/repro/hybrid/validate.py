@@ -175,8 +175,8 @@ def validate(
         checks.append(BinCheck(b, np_, nh, mean_err, p99_err, ok))
 
     ks = ks_distance(
-        [r.slowdown for r in pres.collector.records],
-        [r.slowdown for r in hres.records],
+        pres.slowdowns(),
+        hres.slowdowns(),
     )
     return GateReport(
         scenario,
@@ -185,7 +185,7 @@ def validate(
         ks,
         ks_tol,
         hres.stats.get("demoted", 0),
-        len(hres.records) and hres.n_flows,
+        hres.completed() and hres.n_flows,
         pres.completed(),
         hres.completed(),
     )

@@ -11,7 +11,7 @@ would, by holding a second thread live (``helpers.live_thread``)."""
 
 import pytest
 
-from helpers import live_thread
+from helpers import live_thread, microbench_fingerprint
 from repro.exec import RunSpec, SweepError, SweepExecutor
 from repro.experiments.lbmatrix import run_lbmatrix
 
@@ -56,8 +56,8 @@ class TestLbmatrixSerialVsParallel:
             for other in (parallel[key], spawned[key]):
                 assert cell.mean_fct_us == other.mean_fct_us
                 assert cell.p99_fct_us == other.p99_fct_us
-                assert cell.mean_slowdown == other.mean_slowdown
-                assert cell.completed == other.completed
+                assert cell.table.aggregate("average") == other.table.aggregate("average")
+                assert cell.completed() == other.completed()
                 assert cell.events_dispatched == other.events_dispatched
 
     def test_seed_still_matters(self, serial_and_parallel):
@@ -92,7 +92,7 @@ class TestMultiSeedMicrobench:
         assert len(serial) == len(parallel) == len(spawned) == len(self.SEEDS)
         for s, p, q in zip(serial, parallel, spawned):
             assert s.seed == p.seed == q.seed
-            assert s.fingerprint() == p.fingerprint() == q.fingerprint()
+            assert microbench_fingerprint(s) == microbench_fingerprint(p) == microbench_fingerprint(q)
             assert len(s.queue.times) > 0  # a real run, not an empty shell
 
 
@@ -131,4 +131,4 @@ class TestWorkerCrash:
         ]
         results = SweepExecutor(jobs=2, raise_on_error=False).map(specs)
         assert not results[0].ok and "unknown CC scheme" in results[0].error
-        assert results[1].ok and results[1].value.completed > 0
+        assert results[1].ok and results[1].value.completed() > 0

@@ -81,11 +81,14 @@ class TestOneCellShape:
         assert rows == 1
 
     def test_fingerprint_tuple_lives_on_the_collector(self):
-        for path, text in self._sources("experiments", "shard").items():
+        for path, text in self._sources("experiments", "hybrid", "shard").items():
             assert "(r.flow.flow_id, r.fct_ps)" not in text, path
 
     def test_summary_twins_are_gone(self):
-        gone = ("LbCellSummary", "FaultCellSummary", "MicrobenchSummary", "portstats_rows")
+        gone = (
+            "LbCellSummary", "FaultCellSummary", "MicrobenchSummary", "portstats_rows",
+            "FctSummary", "FctCell", "HybridFctResult", "def compare_ccs(",
+        )
         for path, text in self._sources().items():
             for name in gone:
                 assert name not in text, f"{path}: {name}"
@@ -172,11 +175,78 @@ class TestFctExperiment:
             run_fct_experiment("fncc", workload="memcached")
 
     def test_format_panel_renders(self):
-        from repro.experiments.fct_experiment import compare_ccs, format_panel
+        from repro.experiments.fct_experiment import compare_ccs_sweep, format_panel
 
-        res = compare_ccs(("fncc",), workload="hadoop", n_flows=20, seed=1)
+        res = compare_ccs_sweep(("fncc",), workload="hadoop", n_flows=20, seed=1)
         text = format_panel(res, "p95", "demo")
         assert "fncc" in text and "demo" in text
+
+
+def _packet_cell():
+    from repro.experiments.fct_experiment import run_fct_experiment
+
+    return run_fct_experiment("fncc", workload="hadoop", n_flows=40, seed=2)
+
+
+def _hybrid_cell():
+    from repro.hybrid.backend import run_fct_hybrid
+
+    r = run_fct_hybrid(
+        "fncc", workload="websearch", k=4, load=0.5, n_flows=30, scale=0.1, seed=2
+    )
+    assert 0 < r.stats["demoted"] < r.n_flows  # both tiers ran
+    return r
+
+
+def _lb_cell():
+    from repro.experiments.lbmatrix import run_lb_cell
+
+    return run_lb_cell("spray", "fncc", seed=1)
+
+
+def _fault_cell():
+    from repro.experiments.faultmatrix import run_fault_cell
+
+    r = run_fault_cell("linkdown", seed=1)
+    assert r.failed and r.stats
+    return r
+
+
+class TestFctResultPortable:
+    """Every driver's one result reads the same after a pickle round trip
+    (what a pool worker sends home) as live, minus the live objects."""
+
+    @staticmethod
+    def _view(r):
+        from repro.metrics.fct import PERCENTILE_COLUMNS
+
+        t = r.table
+        return (
+            [t.stat(b, col) for b in t.bins for col in PERCENTILE_COLUMNS],
+            t.row_counts(),
+            t.overflow,
+            r.completed(),
+            r.fct_fingerprint(),
+            r.events_dispatched,
+            r.frame_hops,
+            r.mean_fct_us,
+            r.p99_fct_us,
+            r.hung,
+            r.stats,
+        )
+
+    @pytest.mark.parametrize(
+        "run", [_packet_cell, _hybrid_cell, _lb_cell, _fault_cell],
+        ids=["packet", "hybrid", "lb", "fault"],
+    )
+    def test_pickle_round_trip_keeps_every_statistic(self, run):
+        import pickle
+
+        live = run()
+        assert live.completed() > 0 and live.events_dispatched > 0 and live.frame_hops > 0
+        far = pickle.loads(pickle.dumps(live))
+        assert self._view(far) == self._view(live)
+        assert far.collector is far.sim is far.topo is None
 
 
 class TestRunnerCli:

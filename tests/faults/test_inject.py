@@ -46,7 +46,7 @@ def test_same_plan_same_seed_reproduces():
     a = run_fault_cell(**kw)
     b = run_fault_cell(**kw)
     assert a.fct_fingerprint() == b.fct_fingerprint()
-    assert a.fault_counters == b.fault_counters
+    assert a.stats == b.stats
     assert a.events_dispatched == b.events_dispatched
 
 
@@ -56,7 +56,7 @@ def test_fingerprints_identical_across_jobs():
     assert set(serial) == set(pooled)
     for key, cell in serial.items():
         assert cell.fct_fingerprint() == pooled[key].fct_fingerprint(), key
-        assert cell.fault_counters == pooled[key].fault_counters, key
+        assert cell.stats == pooled[key].stats, key
 
 
 def test_link_down_cell_zero_hung_flows():
@@ -64,9 +64,9 @@ def test_link_down_cell_zero_hung_flows():
     assert cell.hung == 0
     # The fault actually fired and bit: some flows degraded to flow-failed.
     assert cell.failed > 0
-    assert cell.completed + cell.failed == cell.n_flows
-    assert cell.fault_counters["events"] > 0
-    assert cell.fault_counters["drops_link_down"] > 0
+    assert cell.completed() + cell.failed == cell.n_flows
+    assert cell.stats["events"] > 0
+    assert cell.stats["drops_link_down"] > 0
 
 
 def test_adaptive_lb_recovers_more_than_ecmp():
@@ -75,7 +75,7 @@ def test_adaptive_lb_recovers_more_than_ecmp():
     assert flowlet.hung == 0
     # Flowlet reroutes around the dead uplink at the agg hop; static ECMP
     # hashes cannot, so adaptive LB completes at least as many flows.
-    assert flowlet.completed >= ecmp.completed
+    assert flowlet.completed() >= ecmp.completed()
 
 
 def _dumbbell_flow(sim, plan=None, retx=True, size=200 * KB):

@@ -65,6 +65,26 @@ def classic_hops_only():
     return mock.patch.object(Port, "_classify_train_path", classify)
 
 
+def microbench_fingerprint(result) -> tuple:
+    """A :class:`~repro.experiments.common.MicrobenchResult`'s event count,
+    pause count and every sampled series as plain tuples — the
+    byte-identity witness for serial-vs-pooled and fused-vs-classic
+    comparisons."""
+    q, u = result.queue, result.utilization
+    return (
+        result.events_dispatched,
+        result.pause_frames,
+        tuple(q.times),
+        tuple(q.values),
+        tuple(
+            (fid, tuple(s.times), tuple(s.values))
+            for fid, s in sorted(result.rates.items())
+        ),
+        tuple(u.times),
+        tuple(u.values),
+    )
+
+
 @contextmanager
 def live_thread():
     """A second thread, blocked on an event, for the duration of the block:

@@ -84,7 +84,7 @@ def _sha1(value) -> str:
 
 
 def observe(result) -> dict:
-    """The pinned view of one :class:`HybridFctResult`, JSON-shaped."""
+    """The pinned view of one hybrid :class:`FctResult`, JSON-shaped."""
     rows = portstats_fingerprint(result.topo) if result.sim is not None else ()
     return {
         "fct_fingerprint": [list(p) for p in result.fct_fingerprint()],

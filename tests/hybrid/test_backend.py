@@ -62,7 +62,7 @@ class TestDegenerateTiers:
             "fncc", workload="websearch", k=4, load=0.5, n_flows=1, scale=0.1, seed=3
         )
         assert res.completed() == 1
-        rec = res.records[0]
+        rec = res.collector.records[0]
         assert rec.fct_ps == rec.ideal_fct_ps
         assert rec.slowdown == 1.0
 
@@ -212,7 +212,7 @@ class TestBackendSelection:
     def test_run_fct_summary_backend_dispatch(self):
         kw = dict(workload="websearch", k=4, load=0.5, n_flows=8, scale=0.1)
         s = run_fct_summary("fncc", seed=4, backend="hybrid", **kw)
-        assert s.backend == "hybrid"
+        assert s.stats["fluid_passes"] >= 1
         assert s.completed() == 8
         # The all-fluid tier has no CC dynamics (every CC gave the same
         # FCTs), so it is no backend choice.
@@ -250,6 +250,13 @@ class TestBackendSelection:
         # The documented "keep everything fluid" spellings stay legal.
         HybridConfig(threshold=None)
         HybridConfig(threshold=float("inf"))
+        # run_fct_hybrid's threshold= override obeys the same rule, before
+        # any fabric is built: threshold=-1 ran the packet experiment and
+        # returned it as a hybrid cell with every flow demoted.
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            run_fct_hybrid("fncc", threshold=-1, **CELL)
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            run_fct_hybrid("fncc", threshold=float("nan"), **CELL)
 
     def test_validate_cli_unknown_cc_is_one_line_error(self, capsys):
         """``python -m repro.hybrid.validate --cc nope`` (and a seed or a

@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from helpers import PacketTap, classic_hops_only, train_gate_open
+from helpers import PacketTap, classic_hops_only, microbench_fingerprint, train_gate_open
 from repro.experiments.common import run_microbench
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.experiments.lbmatrix import run_lb_cell
@@ -72,7 +72,7 @@ def train_frames_total(topo):
 def _microbench_obs(**kw):
     r = run_microbench(**kw)
     return (
-        r.fingerprint(),
+        microbench_fingerprint(r),
         port_stats_fingerprint(r.topo),
         pfc_frame_totals(_nodes(r.topo)),
         train_frames_total(r.topo),
@@ -274,7 +274,7 @@ class TestDepartureCopy:
             )
             switch_tx = sum(p.tx_packets for sw in r.topo.switches for p in sw.ports)
             return (
-                (r.fingerprint(), port_stats_fingerprint(r.topo),
+                (microbench_fingerprint(r), port_stats_fingerprint(r.topo),
                  pfc_frame_totals(_nodes(r.topo))),
                 len(calls), switch_tx,
             )

@@ -115,11 +115,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.lb.base:sweep_bounded_table": ("public", "the max_cache_entries bound of FlowletLB and ConWeaveLiteLB"),
     "repro.lb.conweave:ConWeaveLiteLB._sweep": ("public", "its router, when the flow table is full"),
     "repro.lb.flowlet:FlowletLB._sweep": ("public", "its router, when the flowlet table is full"),
-    # pending: the determinism tests' witnesses, until ROADMAP item 4 places them
-    "repro.experiments.common:FctCell.fct_fingerprint": (
-        "pending", "the determinism tests' witness: a test helper or the run manifest's (ROADMAP item 4)"),
-    "repro.experiments.common:MicrobenchResult.fingerprint": (
-        "pending", "the determinism tests' witness: a test helper or the run manifest's (ROADMAP item 4)"),
 }
 
 #: What a reach list holds when every invocation the census runs of one
