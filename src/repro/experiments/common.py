@@ -287,67 +287,65 @@ class MicrobenchResult(_Portable):
         return self.queue.max()
 
 
+#: Sampling period of the queue and rate series; the utilization series
+#: averages over five of them.
+SAMPLE_US = 1.0
+
+
 def run_microbench(
     cc: str,
     duration_us: float = 700.0,
     link_rate_gbps: float = 100.0,
-    n_senders: int = 2,
-    n_switches: int = 3,
     flow_size_bytes: int = 20 * MB,
     stagger_us: float = 300.0,
-    sample_us: float = 1.0,
     seed: int = 1,
     pfc_xoff: int = 500 * KB,
     topo_builder: Callable[..., Topology] = dumbbell,
-    monitor_switch: Optional[int] = None,
-    monitor_port: Optional[int] = None,
     **fabric_kw,
 ) -> MicrobenchResult:
     """The Figs. 1/3/9/13 micro-benchmark: staggered elephants on a
     dumbbell, run for ``duration_us``, with the series the paper plots.
 
     flow0 starts at t=0 at line rate; flow1 joins at ``stagger_us`` (300 us
-    in the paper).  ``topo_builder`` takes ``n_senders`` / ``n_switches``
-    and puts the senders first and the receiver last in ``topo.hosts``.
-    The monitored egress queue is the port of ``monitor_switch`` toward the
-    next chain element: the switch the topology names as congested
-    (``topo.congested_switch_index``, Fig. 11's chains) or switch0.
-    ``fabric_kw`` (``lb``, ``switch_config``, ``transport_config``, CC
-    parameters) go to :func:`build_fabric`.
+    in the paper).  ``topo_builder`` is called with no sizes (the dumbbell's
+    and :func:`~repro.topo.parkinglot.congestion_at`'s defaults are the
+    Fig. 10/11 shapes); every host but the last sends to the last.  The
+    monitored egress queue is the port, toward the next chain element, of
+    the switch the topology names as congested (``congested_switch_index``,
+    Fig. 11's chains) or of switch0.  ``fabric_kw`` (``lb``,
+    ``switch_config``, ``transport_config``, CC parameters) go to
+    :func:`build_fabric`.
     """
     fabric = build_fabric(
         cc,
         topo_builder,
-        dict(n_senders=n_senders, n_switches=n_switches),
+        {},
         seed=seed,
         link_rate_gbps=link_rate_gbps,
         pfc_xoff=pfc_xoff,
         **fabric_kw,
     )
     sim, topo = fabric.sim, fabric.topo
-    receiver = topo.hosts[-1]
+    *senders, receiver = topo.hosts
     flows = staggered_elephants(
-        sender_ids=[h.host_id for h in topo.hosts[:n_senders]],
+        sender_ids=[h.host_id for h in senders],
         receiver_id=receiver.host_id,
         size_bytes=flow_size_bytes,
         stagger_ps=us(stagger_us),
     )
-    if monitor_switch is None:
-        monitor_switch = getattr(topo, "congested_switch_index", 0)
-    sw = topo.switches[monitor_switch]
-    if monitor_port is None:
-        nxt = (
-            topo.switches[monitor_switch + 1].name
-            if monitor_switch + 1 < len(topo.switches)
-            else receiver.name
-        )
-        monitor_port = topo.adj[sw.name][nxt]["ports"][sw.name]
-    port = sw.ports[monitor_port]
+    congested = getattr(topo, "congested_switch_index", 0)
+    sw = topo.switches[congested]
+    nxt = (
+        topo.switches[congested + 1].name
+        if congested + 1 < len(topo.switches)
+        else receiver.name
+    )
+    port = sw.ports[topo.adj[sw.name][nxt]["ports"][sw.name]]
     qps = launch_flows(topo, flows, fabric.env)
-    queue_mon = QueueSampler(sim, port, interval_ps=us(sample_us))
-    util_mon = UtilizationSampler(sim, port, interval_ps=us(5 * sample_us))
+    queue_mon = QueueSampler(sim, port, interval_ps=us(SAMPLE_US))
+    util_mon = UtilizationSampler(sim, port, interval_ps=us(5 * SAMPLE_US))
     rate_mons = {
-        fid: RateSampler(sim, qp, interval_ps=us(sample_us)) for fid, qp in qps.items()
+        fid: RateSampler(sim, qp, interval_ps=us(SAMPLE_US)) for fid, qp in qps.items()
     }
     sim.run(until=us(duration_us))
     return MicrobenchResult(
@@ -383,8 +381,6 @@ def microbench_grid(
     return out
 
 
-def quick_dumbbell(
-    cc: str = "fncc", link_rate_gbps: float = 100.0, **kw
-) -> MicrobenchResult:
+def quick_dumbbell(cc: str = "fncc", **kw) -> MicrobenchResult:
     """One-call demo: two staggered elephants on the Fig. 10 dumbbell."""
-    return run_microbench(cc, link_rate_gbps=link_rate_gbps, **kw)
+    return run_microbench(cc, **kw)

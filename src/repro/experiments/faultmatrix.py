@@ -22,21 +22,28 @@ that is the graceful-degradation acceptance bar, asserted by
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.exec import SweepExecutor
-from repro.experiments.common import build_fabric, sweep
+from repro.experiments.common import sweep
 from repro.experiments.fct_experiment import FctResult, launch_and_drive
-from repro.experiments.lbmatrix import make_lb_config
+from repro.experiments.lbmatrix import (
+    LINK_RATE_GBPS,
+    MAX_HORIZON_MS,
+    PERM_FLOW_BYTES,
+    build_matrix_cell,
+)
 from repro.faults import FaultInjector, FaultPlan
-from repro.topo.fattree import fattree
-from repro.traffic.generator import permutation_flows
 from repro.transport.sender import TransportConfig
-from repro.units import KB, us
+from repro.units import us
 
 PROFILES = ("none", "linkdown", "flap", "grayloss", "switchfail")
 LBS = ("ecmp", "flowlet", "conweave")
 CCS = ("dcqcn", "hpcc", "fncc")
+
+#: Transport hardening: a 300 us retransmission timeout, and a flow fails
+#: after seven consecutive ones.
+RTO_US = 300
+RTO_BUDGET = 7
 
 #: A cell key: (profile, lb, cc).
 CellKey = Tuple[str, str, str]
@@ -103,47 +110,37 @@ def run_fault_cell(
     lb: str = "ecmp",
     cc: str = "fncc",
     seed: int = 1,
-    k: int = 4,
-    link_rate_gbps: float = 100.0,
-    perm_flow_bytes: int = 300 * KB,
-    max_horizon_ms: float = 20.0,
-    retx_timeout_us: int = 300,
-    retx_max_timeouts: int = 7,
     **cc_params,
 ) -> FctResult:
-    """Run one (profile, lb, cc) cell: fat-tree permutation traffic with
-    the profile's fault plan armed and transport hardening on (RTO with
-    capped exponential backoff; ``retx_max_timeouts`` → flow-failed).
-    Module-level with data-only arguments: also :func:`run_faultmatrix`'s
-    spec target, byte-identical in-process or in a pool worker."""
-    fab = build_fabric(
-        cc,
-        fattree,
-        dict(k=k),
-        seed=seed,
-        link_rate_gbps=link_rate_gbps,
-        transport_config=TransportConfig(
-            retx_timeout_ps=us(retx_timeout_us),
-            retx_backoff_cap=3,
-            retx_max_timeouts=retx_max_timeouts,
-        ),
-        lb=make_lb_config(lb),
-        **cc_params,
+    """Run one (profile, lb, cc) cell: the LB matrix's fat-tree
+    permutation cell with the profile's fault plan armed and transport
+    hardening on (RTO with capped exponential backoff;
+    :data:`RTO_BUDGET` timeouts → flow-failed).  Module-level with data-only
+    arguments: also :func:`run_faultmatrix`'s spec target, byte-identical
+    in-process or in a pool worker."""
+    # A fresh config per cell: install_lb writes into topo.transport_config.
+    hardening = TransportConfig(
+        retx_timeout_ps=us(RTO_US),
+        retx_backoff_cap=3,
+        retx_max_timeouts=RTO_BUDGET,
+    )
+    fab, flows = build_matrix_cell(
+        cc, lb, "fattree", "permutation", seed, PERM_FLOW_BYTES, 0, cc_params,
+        transport_config=hardening,
     )
     topo, collector = fab.topo, fab.collector
     # Expected busy period: ~3x the per-flow serialization time (the
     # permutation is full-bisection, so congestion stretches ideal FCT by
     # a small factor) — faults anchored here hit live traffic.
-    active_ps = round(perm_flow_bytes * 8000 / link_rate_gbps) * 3
+    active_ps = round(PERM_FLOW_BYTES * 8000 / LINK_RATE_GBPS) * 3
     plan = build_fault_profile(profile, topo, active_ps)
     injector = FaultInjector(plan).arm(fab.sim, topo, seeds=fab.seeds)
 
     def failed() -> int:
         return count_failed(topo, (r.flow.flow_id for r in collector.records))
 
-    flows = permutation_flows([h.host_id for h in topo.hosts], perm_flow_bytes, fab.seeds)
     launch_and_drive(
-        fab, flows, max_horizon_ms, resolved=lambda: collector.completed() + failed()
+        fab, flows, MAX_HORIZON_MS, resolved=lambda: collector.completed() + failed()
     )
     result = FctResult(
         cc, "permutation", collector, (), len(flows), fab.sim, topo=topo, failed=failed()
@@ -158,7 +155,6 @@ def run_faultmatrix(
     ccs: Sequence[str] = CCS,
     seed: int = 1,
     jobs: int = 1,
-    executor: Optional[SweepExecutor] = None,
     **kwargs,
 ) -> Dict[CellKey, FctResult]:
     """The fault matrix, fanned out over ``jobs`` workers; fingerprints
@@ -169,7 +165,6 @@ def run_faultmatrix(
         dict(profile=profiles, lb=lbs, cc=ccs),
         seed=seed,
         jobs=jobs,
-        executor=executor,
         **kwargs,
     )
 

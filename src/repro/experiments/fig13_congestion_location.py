@@ -14,23 +14,12 @@ from typing import Dict
 
 from repro.experiments.common import MicrobenchResult, run_microbench
 from repro.topo.parkinglot import LOCATIONS, congestion_at
-from repro.units import KB, MB, us
-
-
-def fig11_chain(sim, location: str, n_senders: int, **kw):
-    """:func:`congestion_at` as a ``run_microbench`` topology builder:
-    Fig. 11's chains carry exactly two senders."""
-    if n_senders != 2:
-        raise ValueError(f"Fig. 11's chains carry two senders, got {n_senders}")
-    return congestion_at(sim, location, **kw)
+from repro.units import KB, us
 
 
 def run_location(
     cc: str,
     location: str,
-    link_rate_gbps: float = 100.0,
-    flow_size_bytes: int = 20 * MB,
-    stagger_us: float = 300.0,
     duration_us: float = 800.0,
     seed: int = 1,
     **cc_params,
@@ -40,11 +29,8 @@ def run_location(
     return run_microbench(
         cc,
         duration_us=duration_us,
-        link_rate_gbps=link_rate_gbps,
-        flow_size_bytes=flow_size_bytes,
-        stagger_us=stagger_us,
         seed=seed,
-        topo_builder=partial(fig11_chain, location=location),
+        topo_builder=partial(congestion_at, location=location),
         **cc_params,
     )
 

@@ -9,7 +9,7 @@ DESIGN.md's scaling note), with the original value one argument away.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.experiments.common import build_fabric, launch_flows
 from repro.metrics.monitors import RateSampler
@@ -19,6 +19,10 @@ from repro.sim.engine import Simulator
 from repro.topo.dumbbell import dumbbell
 from repro.transport.flow import Flow
 from repro.units import GB, ms, us
+
+LINK_RATE_GBPS = 100.0
+#: Where in its epoch a staircase step is probed: late, once converged.
+SETTLE_FRACTION = 0.9
 
 
 class FairnessResult:
@@ -59,13 +63,13 @@ class FairnessResult:
             return 1.0
         return s**2 / (len(xs) * total(x * x for x in xs))
 
-    def epoch_probe_times(self, settle_fraction: float = 0.9) -> List[int]:
+    def epoch_probe_times(self) -> List[int]:
         """One probe per epoch, late in the epoch (post-convergence)."""
         total_epochs = 2 * self.n_flows
         return [
-            round((k + settle_fraction) * self.epoch_ps)
+            round((k + SETTLE_FRACTION) * self.epoch_ps)
             for k in range(total_epochs)
-            if self.active_flows_at(round((k + settle_fraction) * self.epoch_ps))
+            if self.active_flows_at(round((k + SETTLE_FRACTION) * self.epoch_ps))
         ]
 
 
@@ -73,7 +77,6 @@ def run_fairness(
     cc: str = "fncc",
     n_flows: int = 4,
     epoch_us: float = 1000.0,
-    link_rate_gbps: float = 100.0,
     seed: int = 1,
     sample_us: float = 10.0,
     **cc_params,
@@ -81,9 +84,9 @@ def run_fairness(
     fab = build_fabric(
         cc,
         dumbbell,
-        dict(n_senders=n_flows, n_switches=3),
+        dict(n_senders=n_flows),
         seed=seed,
-        link_rate_gbps=link_rate_gbps,
+        link_rate_gbps=LINK_RATE_GBPS,
         **cc_params,
     )
     sim, topo = fab.sim, fab.topo
@@ -106,7 +109,7 @@ def run_fairness(
     rmons = {i: RateSampler(sim, qps[i], interval_ps=us(sample_us)) for i in range(n_flows)}
     sim.run(until=2 * n_flows * epoch_ps)
     return FairnessResult(
-        cc, link_rate_gbps, epoch_ps, n_flows, {i: m.series for i, m in rmons.items()}, sim
+        cc, LINK_RATE_GBPS, epoch_ps, n_flows, {i: m.series for i, m in rmons.items()}, sim
     )
 
 

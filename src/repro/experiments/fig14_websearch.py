@@ -26,12 +26,12 @@ CCS = ("dcqcn", "hpcc", "fncc")
 #: and what the ``--trace`` / ``--progress`` path and the 1 MB cut read, so
 #: no path can run or bin a different cell from the plain one.
 K, LOAD, SCALE = 4, 0.5, 0.1
+#: The paper's "flows larger than 1 MB", in scaled bytes.
+LONG_FLOW_MIN_SIZE = round(1_000_000 * SCALE)
 
 
 def run_fig14(
-    ccs: Sequence[str] = CCS,
     k: int = K,
-    load: float = LOAD,
     n_flows: int = 200,
     scale: float = SCALE,
     seed: int = 1,
@@ -45,10 +45,10 @@ def run_fig14(
     see DESIGN.md §6; hybrid fidelity on this scenario is gated by
     ``repro.hybrid.validate``)."""
     return compare_ccs_sweep(
-        ccs,
+        CCS,
         workload="websearch",
         k=k,
-        load=load,
+        load=LOAD,
         n_flows=n_flows,
         scale=scale,
         seed=seed,
@@ -58,12 +58,10 @@ def run_fig14(
     )
 
 
-def long_flow_median_reduction(
-    results: Dict[str, FctResult], min_size_scaled: int = round(1_000_000 * SCALE)
-) -> Dict[str, float]:
+def long_flow_median_reduction(results: Dict[str, FctResult]) -> Dict[str, float]:
     """FNCC's median-slowdown reduction (%) vs each baseline for flows
-    larger than ``min_size_scaled`` (1 MB x scale in the paper)."""
-    return slowdown_reduction(results, "median", min_size=min_size_scaled)
+    larger than :data:`LONG_FLOW_MIN_SIZE` (1 MB x scale in the paper)."""
+    return slowdown_reduction(results, "median", min_size=LONG_FLOW_MIN_SIZE)
 
 
 def _run_fig14_observed(

@@ -6,7 +6,7 @@ slowdown by ~27.4% vs HPCC and ~88.9% vs DCQCN.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.fct_experiment import (
     FctResult,
@@ -17,12 +17,11 @@ from repro.experiments.fct_experiment import (
 from repro.metrics.fct import PERCENTILE_COLUMNS
 
 CCS = ("dcqcn", "hpcc", "fncc")
+LOAD = 0.5
 
 
 def run_fig15(
-    ccs: Sequence[str] = CCS,
     k: int = 4,
-    load: float = 0.5,
     n_flows: int = 300,
     scale: float = 1.0,
     seed: int = 1,
@@ -35,10 +34,10 @@ def run_fig15(
     # runs fan out over ``jobs`` worker processes (jobs=1 = in-process);
     # ``backend`` selects the engine per cell (DESIGN.md §6).
     return compare_ccs_sweep(
-        ccs,
+        CCS,
         workload="hadoop",
         k=k,
-        load=load,
+        load=LOAD,
         n_flows=n_flows,
         scale=scale,
         seed=seed,

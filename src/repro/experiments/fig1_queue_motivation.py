@@ -18,12 +18,11 @@ CCS = ("fncc", "hpcc", "dcqcn")
 
 def run_fig1_queue(
     rates: Sequence[float] = RATES_GBPS,
-    ccs: Sequence[str] = CCS,
     duration_us: float = 600.0,
     seed: int = 1,
 ) -> Dict[float, Dict[str, MicrobenchResult]]:
     """All (rate, cc) cells of Figs. 1b-d."""
-    return microbench_grid(rates, ccs, duration_us=duration_us, seed=seed)
+    return microbench_grid(rates, CCS, duration_us=duration_us, seed=seed)
 
 
 def main() -> None:

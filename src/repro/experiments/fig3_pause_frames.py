@@ -6,26 +6,18 @@ rates (FNCC's shallow queues stay under the 500 KB PFC threshold).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.common import microbench_grid
-from repro.units import KB
 
 RATES_GBPS = (200.0, 400.0)
 CCS = ("dcqcn", "hpcc", "fncc")
 
 
-def run_fig3(
-    rates: Sequence[float] = RATES_GBPS,
-    ccs: Sequence[str] = CCS,
-    pfc_xoff: int = 500 * KB,
-    duration_us: float = 600.0,
-    seed: int = 1,
-) -> Dict[float, Dict[str, int]]:
-    """Pause-frame counts per (rate, cc)."""
-    grid = microbench_grid(
-        rates, ccs, pfc_xoff=pfc_xoff, duration_us=duration_us, seed=seed
-    )
+def run_fig3(duration_us: float = 600.0, seed: int = 1) -> Dict[float, Dict[str, int]]:
+    """Pause-frame counts per (rate, cc), at the 500 KB PFC threshold
+    :func:`~repro.experiments.common.run_microbench` sets."""
+    grid = microbench_grid(RATES_GBPS, CCS, duration_us=duration_us, seed=seed)
     return {
         rate: {cc: r.pause_frames for cc, r in per_cc.items()}
         for rate, per_cc in grid.items()

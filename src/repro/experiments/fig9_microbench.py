@@ -19,52 +19,53 @@ from repro.units import KB, to_us, us
 
 RATES_GBPS = (100.0, 200.0, 400.0)
 CCS = ("fncc", "hpcc", "dcqcn", "rocc")
+#: When flow1 joins (Fig. 10's stagger).
+JOIN_US = 300.0
+#: "Slowed down": flow0 below this fraction of line rate.
+RESPONSE_FRAC = 0.75
+#: "Converged": both flows within this fraction of the fair share for
+#: this many consecutive samples.
+CONVERGE_TOLERANCE = 0.15
+CONVERGE_HOLD_SAMPLES = 20
 
 
-def response_time_us(
-    result: MicrobenchResult, join_us: float = 300.0, frac: float = 0.75
-) -> Optional[float]:
-    """When flow0 first drops below ``frac`` of line rate after flow1 joins
-    — the Fig. 9b 'first to slow down' metric."""
-    threshold = frac * result.link_rate_gbps
-    t = result.rates[0].first_time_below(threshold, after_ps=us(join_us))
+def response_time_us(result: MicrobenchResult) -> Optional[float]:
+    """When flow0 first drops below :data:`RESPONSE_FRAC` of line rate
+    after flow1 joins — the Fig. 9b 'first to slow down' metric."""
+    threshold = RESPONSE_FRAC * result.link_rate_gbps
+    t = result.rates[0].first_time_below(threshold, after_ps=us(JOIN_US))
     return to_us(t) if t >= 0 else None
 
 
-def convergence_time_us(
-    result: MicrobenchResult,
-    join_us: float = 300.0,
-    tolerance: float = 0.15,
-    hold_samples: int = 20,
-) -> Optional[float]:
-    """When both flows first stay within ``tolerance`` of the fair share
-    (line/2) for ``hold_samples`` consecutive samples."""
+def convergence_time_us(result: MicrobenchResult) -> Optional[float]:
+    """When both flows first stay within :data:`CONVERGE_TOLERANCE` of the
+    fair share (line/2) for :data:`CONVERGE_HOLD_SAMPLES` consecutive
+    samples."""
     fair = result.link_rate_gbps / 2.0
-    lo, hi = fair * (1 - tolerance), fair * (1 + tolerance)
+    lo, hi = fair * (1 - CONVERGE_TOLERANCE), fair * (1 + CONVERGE_TOLERANCE)
     series = [result.rates[fid] for fid in sorted(result.rates)]
     times = series[0].times
     run_len = 0
     for i, t in enumerate(times):
-        if t < us(join_us):
+        if t < us(JOIN_US):
             continue
         ok = all(
             lo <= s.values[i] <= hi for s in series if i < len(s.values)
         )
         run_len = run_len + 1 if ok else 0
-        if run_len >= hold_samples:
-            return to_us(times[i - hold_samples + 1])
+        if run_len >= CONVERGE_HOLD_SAMPLES:
+            return to_us(times[i - CONVERGE_HOLD_SAMPLES + 1])
     return None
 
 
 def run_fig9(
     rates: Sequence[float] = RATES_GBPS,
-    ccs: Sequence[str] = CCS,
     duration_us: float = 800.0,
     seed: int = 1,
     jobs: int = 1,
 ) -> Dict[float, Dict[str, MicrobenchResult]]:
     """All (rate, cc) cells of Fig. 9, over ``jobs`` worker processes."""
-    return microbench_grid(rates, ccs, jobs=jobs, duration_us=duration_us, seed=seed)
+    return microbench_grid(rates, CCS, jobs=jobs, duration_us=duration_us, seed=seed)
 
 
 def main(jobs: int = 1, seed: int = 1) -> None:

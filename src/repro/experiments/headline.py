@@ -19,9 +19,9 @@ from repro.experiments.fig15_hadoop import run_fig15, short_flow_p95_reduction
 from repro.units import us
 
 
-def run_headline(seed: int = 1, n_flows: int = 200, jobs: int = 1) -> Dict[str, object]:
-    websearch = run_fig14(n_flows=n_flows, seed=seed, jobs=jobs)
-    hadoop = run_fig15(n_flows=max(n_flows, 300), seed=seed, jobs=jobs)
+def run_headline(seed: int = 1, jobs: int = 1) -> Dict[str, object]:
+    websearch = run_fig14(seed=seed, jobs=jobs)
+    hadoop = run_fig15(seed=seed, jobs=jobs)
     micro400 = microbench_grid(
         (400.0,), ("fncc", "hpcc", "dcqcn"), jobs=jobs, duration_us=600.0, seed=seed
     )[400.0]

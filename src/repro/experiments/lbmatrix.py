@@ -17,22 +17,32 @@ elephants on one uplink while spray/flowlet use the full path set.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.exec import SweepExecutor
-from repro.experiments.common import build_fabric, sweep
+from repro.experiments.common import Fabric, build_fabric, sweep
 from repro.experiments.fct_experiment import FctResult, launch_and_drive
 from repro.lb import LbConfig
 from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
 from repro.traffic.distributions import websearch_cdf
 from repro.traffic.generator import PoissonWorkload, permutation_flows
+from repro.transport.flow import Flow
 from repro.units import KB, us
 
 LBS = ("ecmp", "spray", "flowlet", "conweave")
 CCS = ("dcqcn", "hpcc", "fncc")
 TOPOS = ("fattree", "jellyfish")
 WORKLOADS = ("permutation", "websearch")
+
+#: The matrix fabrics and traffic, shared with ``faultmatrix``: a k=4
+#: fat-tree or an 8-switch Jellyfish, 100 G links, 300 KB permutation
+#: elephants, WebSearch at 50 % load with sizes x0.1, a 20 ms kill horizon.
+K = 4
+JELLYFISH = dict(n_switches=8, switch_degree=4, hosts_per_switch=2)
+LINK_RATE_GBPS = 100.0
+PERM_FLOW_BYTES = 300 * KB
+LOAD, SCALE = 0.5, 0.1
+MAX_HORIZON_MS = 20.0
 
 #: A cell key: (topo, workload, lb, cc).
 CellKey = Tuple[str, str, str, str]
@@ -50,22 +60,57 @@ def make_lb_config(lb: str) -> LbConfig:
     return LbConfig("ecmp")
 
 
+def build_matrix_cell(
+    cc: str,
+    lb: str,
+    topo_name: str,
+    workload: str,
+    seed: int,
+    perm_flow_bytes: int,
+    n_flows: int,
+    cc_params: Mapping[str, object],
+    **fabric_kw,
+) -> Tuple[Fabric, List[Flow]]:
+    """One matrix cell, built and not launched: ``topo_name`` under the
+    ``lb`` column's strategy, and its flows — one ``perm_flow_bytes`` flow
+    per host for the permutation (``n_flows`` is not read), ``n_flows``
+    WebSearch arrivals otherwise.  ``fabric_kw`` (the fault cell's
+    ``transport_config``) and ``cc_params`` go to :func:`build_fabric`."""
+    if topo_name not in TOPOS:
+        raise ValueError(f"topo must be one of {TOPOS}")
+    if workload not in WORKLOADS:
+        raise ValueError(f"workload must be one of {WORKLOADS}")
+    if topo_name == "fattree":
+        builder, topo_kw = fattree, dict(k=K)
+    else:
+        builder, topo_kw = jellyfish, JELLYFISH
+    fab = build_fabric(
+        cc, builder, topo_kw, seed=seed, link_rate_gbps=LINK_RATE_GBPS,
+        lb=make_lb_config(lb), **fabric_kw, **cc_params,
+    )
+    if workload == "permutation":
+        flows = permutation_flows(
+            [h.host_id for h in fab.topo.hosts], perm_flow_bytes, fab.seeds
+        )
+    else:
+        flows = PoissonWorkload(
+            n_hosts=len(fab.topo.hosts),
+            host_rate_gbps=LINK_RATE_GBPS,
+            cdf=websearch_cdf(scale=SCALE),
+            load=LOAD,
+            seeds=fab.seeds,
+        ).generate(n_flows)
+    return fab, flows
+
+
 def run_lb_cell(
     lb: str,
     cc: str,
     topo_name: str = "fattree",
     workload: str = "permutation",
     seed: int = 1,
-    k: int = 4,
-    n_switches: int = 8,
-    switch_degree: int = 4,
-    hosts_per_switch: int = 2,
-    link_rate_gbps: float = 100.0,
-    perm_flow_bytes: int = 300 * KB,
+    perm_flow_bytes: int = PERM_FLOW_BYTES,
     n_flows: int = 100,
-    load: float = 0.5,
-    scale: float = 0.1,
-    max_horizon_ms: float = 20.0,
     obs=None,
     **cc_params,
 ) -> FctResult:
@@ -79,35 +124,10 @@ def run_lb_cell(
     the LB reroute/probe counters at snapshot time; the ``lb`` trace
     category hooks the reroute callback) — in-process callers only, it is
     not picklable."""
-    if topo_name not in TOPOS:
-        raise ValueError(f"topo must be one of {TOPOS}")
-    if workload not in WORKLOADS:
-        raise ValueError(f"workload must be one of {WORKLOADS}")
-    if topo_name == "fattree":
-        builder, topo_kw = fattree, dict(k=k)
-    else:
-        builder, topo_kw = jellyfish, dict(
-            n_switches=n_switches,
-            switch_degree=switch_degree,
-            hosts_per_switch=hosts_per_switch,
-        )
-    fab = build_fabric(
-        cc, builder, topo_kw, seed=seed, link_rate_gbps=link_rate_gbps,
-        lb=make_lb_config(lb), **cc_params,
+    fab, flows = build_matrix_cell(
+        cc, lb, topo_name, workload, seed, perm_flow_bytes, n_flows, cc_params
     )
-    if workload == "permutation":
-        flows = permutation_flows(
-            [h.host_id for h in fab.topo.hosts], perm_flow_bytes, fab.seeds
-        )
-    else:
-        flows = PoissonWorkload(
-            n_hosts=len(fab.topo.hosts),
-            host_rate_gbps=link_rate_gbps,
-            cdf=websearch_cdf(scale=scale),
-            load=load,
-            seeds=fab.seeds,
-        ).generate(n_flows)
-    launch_and_drive(fab, flows, max_horizon_ms, obs=obs)
+    launch_and_drive(fab, flows, MAX_HORIZON_MS, obs=obs)
     return FctResult(cc, workload, fab.collector, (), len(flows), fab.sim, topo=fab.topo)
 
 
@@ -118,7 +138,6 @@ def run_lbmatrix(
     workloads: Sequence[str] = WORKLOADS,
     seed: int = 1,
     jobs: int = 1,
-    executor: Optional[SweepExecutor] = None,
     **kwargs,
 ) -> Dict[CellKey, FctResult]:
     """The full (or any sliced) CC × LB × fabric × traffic sweep.
@@ -133,7 +152,6 @@ def run_lbmatrix(
         dict(topo_name=topos, workload=workloads, lb=lbs, cc=ccs),
         seed=seed,
         jobs=jobs,
-        executor=executor,
         **kwargs,
     )
 

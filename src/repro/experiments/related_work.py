@@ -4,23 +4,21 @@ but does not plot."""
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.common import MicrobenchResult, microbench_grid
 from repro.experiments.fig9_microbench import response_time_us
 from repro.units import KB, us
 
 ALL_CCS = ("fncc", "hpcc", "dcqcn", "rocc", "timely", "swift")
+LINK_RATE_GBPS = 100.0
 
 
 def run_related_work(
-    ccs: Sequence[str] = ALL_CCS,
-    link_rate_gbps: float = 100.0,
-    duration_us: float = 700.0,
-    seed: int = 1,
+    duration_us: float = 700.0, seed: int = 1
 ) -> Dict[str, MicrobenchResult]:
-    grid = microbench_grid((link_rate_gbps,), ccs, duration_us=duration_us, seed=seed)
-    return grid[link_rate_gbps]
+    grid = microbench_grid((LINK_RATE_GBPS,), ALL_CCS, duration_us=duration_us, seed=seed)
+    return grid[LINK_RATE_GBPS]
 
 
 def main() -> None:

@@ -17,12 +17,13 @@ from repro.topo.parkinglot import LOCATIONS
 from repro.units import to_us, us
 
 HOP_OF_LOCATION = {"first": 1, "middle": 2, "last": 3}
+#: "Responded": flow0 below this fraction of line rate.
+RESPONSE_FRAC = 0.8
 
 
 def measured_response_gap_us(
     location: str,
     duration_us: float = 500.0,
-    frac: float = 0.8,
     seed: int = 1,
     lhcs: bool = True,
 ) -> Optional[float]:
@@ -34,7 +35,7 @@ def measured_response_gap_us(
         "fncc", location, duration_us=duration_us, seed=seed, lhcs_enabled=lhcs
     )
     hpcc = run_location("hpcc", location, duration_us=duration_us, seed=seed)
-    threshold = frac * fncc.link_rate_gbps
+    threshold = RESPONSE_FRAC * fncc.link_rate_gbps
     t_f = fncc.rates[0].first_time_below(threshold, after_ps=us(301))
     t_h = hpcc.rates[0].first_time_below(threshold, after_ps=us(301))
     if t_f < 0 or t_h < 0:

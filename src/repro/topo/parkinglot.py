@@ -8,8 +8,7 @@ Two senders, one receiver, a chain sw0 -> sw1 -> sw2 -> receiver0.
   the last hop — the scenario LHCS (Alg. 2) accelerates.
 
 ``congested_switch_index`` on the returned topology names the switch whose
-egress toward the receiver is the collision point, and
-``congested_port_index`` the port to monitor.
+egress toward the receiver is the collision point.
 """
 
 from __future__ import annotations
@@ -69,9 +68,4 @@ def congestion_at(
     topo.start()
 
     topo.congested_switch_index = congested
-    # The congested egress is the port of switches[congested] toward the
-    # next element of the chain (or the receiver for the last switch).
-    sw_name = switches[congested].name
-    nxt = switches[congested + 1].name if congested + 1 < n_switches else receiver.name
-    topo.congested_port_index = topo.adj[sw_name][nxt]["ports"][sw_name]
     return topo

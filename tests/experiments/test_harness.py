@@ -93,6 +93,21 @@ class TestOneCellShape:
             for name in gone:
                 assert name not in text, f"{path}: {name}"
 
+    def test_monitored_egress_and_matrix_fabric_are_decided_once(self):
+        """``run_microbench`` alone derives the monitored egress (a topology
+        only names its congested switch), and ``lbmatrix`` alone holds the
+        matrix sizes and builds the fat-tree permutation cell that the
+        fault matrix reuses."""
+        for path, text in self._sources().items():
+            assert "congested_port_index" not in text, path
+            assert "def fig11_chain" not in text, path
+        experiments = self._sources("experiments")
+        perm_bytes = sorted(p.name for p, t in experiments.items() if "300 * KB" in t)
+        assert perm_bytes == ["lbmatrix.py"]
+        fault = experiments[self.SRC / "experiments" / "faultmatrix.py"]
+        for own_copy in ("build_fabric(", "permutation_flows(", "fattree(", "k=4"):
+            assert own_copy not in fault, own_copy
+
 
 class TestMicrobench:
     def test_quick_dumbbell_returns_series(self):

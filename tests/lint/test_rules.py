@@ -818,13 +818,11 @@ def test_repo_lints_clean_with_empty_dh_baseline():
     import os
 
     from tools.lint.baseline import load_baseline
-    from tools.lint.config import load_config
     from tools.lint.core import lint_paths
 
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    cfg = load_config(root)
-    findings = lint_paths(root, cfg["paths"], cfg)
-    baseline = load_baseline(os.path.join(root, cfg["baseline"]))
+    findings = lint_paths(root, DEFAULTS["paths"], DEFAULTS)
+    baseline = load_baseline(os.path.join(root, DEFAULTS["baseline"]))
     assert findings == [], [f.format() for f in findings]
     for key in baseline:
         assert not key.startswith(("D", "H")), f"D/H debt must be fixed, not baselined: {key}"
@@ -864,3 +862,26 @@ def test_cli_configured_paths_gate_the_real_tree(capsys):
     out = capsys.readouterr().out
     assert "OK — 0 unbaselined finding(s) across" in out
     assert " across 0 file(s)" not in out
+
+
+def test_cli_reports_a_finding_and_honours_its_suppression(tmp_path, capsys):
+    """A run to a finding: an unsuppressed ``random.random()`` under
+    ``src/repro`` exits 1 and prints its ``path:line:col: D101`` line; the
+    same call with a justified allow comment exits 0."""
+    from tools.lint.cli import main
+
+    (tmp_path / "pyproject.toml").write_text("")
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    mod = pkg / "jitter.py"
+    mod.write_text("import random\n\nx = random.random()\n")
+    assert main(["--root", str(tmp_path), "src/repro"]) == 1
+    out = capsys.readouterr().out
+    assert "src/repro/jitter.py:3:5: D101 call to random.random()" in out
+
+    mod.write_text(
+        "import random\n\n"
+        "x = random.random()  # fncc-lint: allow[D101] demo value, never in a run\n"
+    )
+    assert main(["--root", str(tmp_path), "src/repro"]) == 0
+    assert "OK — 0 unbaselined finding(s)" in capsys.readouterr().out

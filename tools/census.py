@@ -30,6 +30,13 @@ The entry points (:func:`entry_points`):
 * ``python -m benchmarks.suite --smoke --trace 1``, recorded as the source
   ``benchmark``: a definition only it reaches is kept for the benchmark.
 
+The suite runs at ``--smoke`` sizes only, so a knob that only its full
+specs turn reads ``[]``: ``build_fct_fabric(k)`` does, although the full
+``hybrid_fluid_5k`` runs ``run_fct_hybrid(k=8)``, which calls
+``build_fct_fabric(k=8)``.  Check a ``[]`` row of a definition the
+benchmark reaches against the ``FULL`` table of ``benchmarks/suite/specs.py``
+before deleting the knob.
+
 "Reached" means a body was entered, in the entry point's own process or in
 any process it started: forked pool and shard workers inherit the profile
 function; fresh interpreters (spawned workers, the suite's children) load

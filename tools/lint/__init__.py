@@ -10,8 +10,8 @@ Layout:
 
 * :mod:`tools.lint.core` — finding/rule registry, suppression comments,
   per-file analysis context.
-* :mod:`tools.lint.config` — ``[tool.fncc-lint]`` loading (tomllib when
-  available, a vendored mini-parser for the 3.9/3.10 floor).
+* :mod:`tools.lint.config` — ``DEFAULTS``, the repo policy (allow-lists,
+  owner maps, hot-module lists), in one place.
 * :mod:`tools.lint.baseline` — the checked-in findings baseline: existing
   debt fails CI only when it grows.
 * ``rules_*`` modules — the D/P/H/O rule families.  Importing this package

@@ -29,7 +29,7 @@ from tools.lint.baseline import (
     load_baseline,
     save_baseline,
 )
-from tools.lint.config import load_config
+from tools.lint.config import DEFAULTS
 from tools.lint.core import Finding, iter_py_files, lint_source
 
 
@@ -80,8 +80,7 @@ def main(argv: List[str] = None) -> int:
         return 0
 
     root = args.root or find_repo_root(os.getcwd())
-    cfg = load_config(root)
-    paths = args.paths or cfg.get("paths", ["src/repro"])
+    paths = args.paths or DEFAULTS["paths"]
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
@@ -90,7 +89,7 @@ def main(argv: List[str] = None) -> int:
             print(f"fncc-lint: unknown rule(s): {', '.join(unknown)}", file=sys.stderr)
             return 2
 
-    # A mistyped path (or a package renamed under [tool.fncc-lint].paths)
+    # A mistyped path (or a package renamed away from DEFAULTS["paths"])
     # must not turn the gate green by linting nothing.
     try:
         files = list(iter_py_files(root, paths))
@@ -111,12 +110,12 @@ def main(argv: List[str] = None) -> int:
             text = fh.read()
         sources[relpath] = text.splitlines()
         try:
-            findings.extend(lint_source(text, relpath, cfg, rules))
+            findings.extend(lint_source(text, relpath, DEFAULTS, rules))
         except SyntaxError as exc:
             print(f"fncc-lint: {relpath}: does not parse: {exc.msg}", file=sys.stderr)
             return 2
 
-    baseline_path = os.path.join(root, cfg.get("baseline", "tools/lint/baseline.json"))
+    baseline_path = os.path.join(root, DEFAULTS["baseline"])
     current = count_findings(findings, sources)
 
     if args.update_baseline:

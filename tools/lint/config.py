@@ -1,23 +1,11 @@
-"""fncc-lint configuration: compiled-in defaults + ``[tool.fncc-lint]``.
-
-The defaults below ARE the repo policy — pyproject.toml entries override or
-extend them, which is how new sanctioned modules and ownership grants land
-in review rather than in tool code.  TOML loading uses :mod:`tomllib` where
-available (3.11+); on the 3.9/3.10 CI floor a vendored mini-parser covers
-the small TOML subset this repo's pyproject actually uses (tables, string /
-string-list / bool / int values).  No third-party dependency either way.
+"""fncc-lint configuration: :data:`DEFAULTS` is the repo policy, and the
+only place it lives.  A new sanctioned module or ownership grant is an edit
+here, so it lands in review next to the rule it relaxes.
 """
 
 from __future__ import annotations
 
-import os
-import re
-from typing import Any, Dict, List, Optional
-
-try:  # Python 3.11+
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised on the 3.9/3.10 CI floor
-    _toml = None
+from typing import Any, Dict, List
 
 #: Ambient entropy / wall-clock sources banned outside the sanctioned RNG
 #: module (D101 everywhere; D104 re-bans them in fault modules with the
@@ -158,149 +146,3 @@ DEFAULTS: Dict[str, Any] = {
         "owner_modules": ["src/repro/net/switch.py"],
     },
 }
-
-
-def _deep_merge(base: Any, override: Any) -> Any:
-    """Dict-aware merge: dicts merge key-wise, everything else replaces."""
-    if isinstance(base, dict) and isinstance(override, dict):
-        out = dict(base)
-        for k, v in override.items():
-            out[k] = _deep_merge(base.get(k), v) if k in base else v
-        return out
-    return override
-
-
-# -- mini TOML subset parser (3.9/3.10 fallback) -----------------------------
-
-_TABLE_RE = re.compile(r"^\[([^\]]+)\]\s*$")
-_KV_RE = re.compile(r"^([A-Za-z0-9_.\-]+|\"[^\"]+\"|'[^']+')\s*=\s*(.+)$")
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str: Optional[str] = None
-    for ch in line:
-        if in_str:
-            if ch == in_str:
-                in_str = None
-        elif ch in "\"'":
-            in_str = ch
-        elif ch == "#":
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_value(raw: str) -> Any:
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        # split on top-level commas (strings may not contain commas in our
-        # subset-of-a-subset; repo paths and rule names never do)
-        return [_parse_value(part) for part in inner.split(",") if part.strip()]
-    if (raw.startswith('"') and raw.endswith('"')) or (
-        raw.startswith("'") and raw.endswith("'")
-    ):
-        return raw[1:-1]
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"mini-toml: unsupported value {raw!r}")
-
-
-def _split_key(dotted: str) -> List[str]:
-    """Split a table header / key on dots, honoring quoted segments
-    (``[tool.fncc-lint.h301.owners]`` and ``"_heap" = [...]``)."""
-    parts: List[str] = []
-    buf = ""
-    in_str: Optional[str] = None
-    for ch in dotted:
-        if in_str:
-            if ch == in_str:
-                in_str = None
-            else:
-                buf += ch
-        elif ch in "\"'":
-            in_str = ch
-        elif ch == ".":
-            parts.append(buf.strip())
-            buf = ""
-        else:
-            buf += ch
-    parts.append(buf.strip())
-    return [p for p in parts if p]
-
-
-def _mini_toml_load(text: str) -> dict:
-    """Parse the TOML subset this repo's pyproject uses: ``[dotted.tables]``,
-    ``key = string | [strings] | bool | int | float``.  Multi-line arrays are
-    joined first.  Unsupported constructs in *irrelevant* sections are
-    skipped; errors only surface for sections we later read."""
-    root: Dict[str, Any] = {}
-    current = root
-    # Join multi-line arrays: accumulate until brackets balance.
-    logical: List[str] = []
-    pending = ""
-    for line in text.splitlines():
-        line = _strip_comment(line)
-        if not line:
-            continue
-        pending = f"{pending} {line}".strip() if pending else line
-        if pending.count("[") > pending.count("]") or pending.endswith(","):
-            # inside a multi-line array (table headers always balance)
-            continue
-        logical.append(pending)
-        pending = ""
-    if pending:
-        logical.append(pending)
-    for line in logical:
-        m = _TABLE_RE.match(line)
-        if m:
-            current = root
-            for part in _split_key(m.group(1)):
-                current = current.setdefault(part, {})
-            continue
-        m = _KV_RE.match(line)
-        if not m:
-            continue  # arrays-of-tables etc.: not used by sections we read
-        key_parts = _split_key(m.group(1))
-        try:
-            value = _parse_value(m.group(2))
-        except ValueError:
-            continue
-        tgt = current
-        for part in key_parts[:-1]:
-            tgt = tgt.setdefault(part, {})
-        tgt[key_parts[-1]] = value
-    return root
-
-
-def load_pyproject(path: str) -> dict:
-    """Parse pyproject.toml into a dict (tomllib, or the mini-parser)."""
-    if _toml is not None:
-        with open(path, "rb") as fh:
-            return _toml.load(fh)
-    with open(path, "r", encoding="utf-8") as fh:
-        return _mini_toml_load(fh.read())
-
-
-def load_config(root: str, pyproject: Optional[str] = None) -> dict:
-    """The merged lint config for a repo rooted at ``root``."""
-    cfg = DEFAULTS
-    path = pyproject or os.path.join(root, "pyproject.toml")
-    if os.path.isfile(path):
-        data = load_pyproject(path)
-        override = data.get("tool", {}).get("fncc-lint", {})
-        if override:
-            cfg = _deep_merge(cfg, override)
-    return cfg

@@ -2,7 +2,7 @@
 
 A *rule* is a function ``check(ctx) -> Iterable[Finding]`` registered with
 the :func:`rule` decorator; ``ctx`` is a :class:`FileContext` carrying the
-parsed AST, source lines, repo-relative path and merged config.  Rules are
+parsed AST, source lines, repo-relative path and config.  Rules are
 pure — all repo-specific policy (sanctioned modules, ownership maps) comes
 in through config, which is what makes the fixture tests in ``tests/lint/``
 able to exercise each rule on synthetic snippets with synthetic paths.

@@ -59,7 +59,7 @@ def check_h301(ctx: FileContext) -> Iterator[Finding]:
                     f"write to protected attribute {t.attr!r} from a "
                     f"non-owning module (owners: {', '.join(allowed)}); go "
                     f"through the owner's API or land an ownership grant in "
-                    f"pyproject [tool.fncc-lint.h301.owners]",
+                    "DEFAULTS['h301']['owners'] in tools/lint/config.py",
                 )
 
 
