@@ -41,7 +41,7 @@ def run(cc: str, **cc_params):
     collector = FctCollector(topo)
     receiver = topo.hosts[N_SENDERS]
     # Monitor the last hop: the switch's egress toward the receiver.
-    port_idx = topo.graph.edges["sw0", receiver.name]["ports"]["sw0"]
+    port_idx = topo.adj["sw0"][receiver.name]["ports"]["sw0"]
     qmon = QueueSampler(sim, topo.switches[0].ports[port_idx], interval_ps=us(1))
     flows = incast_flows(range(N_SENDERS), receiver.host_id, FLOW_BYTES)
     launch_flows(topo, flows, env)

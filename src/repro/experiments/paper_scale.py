@@ -16,6 +16,7 @@ from typing import Dict
 
 from repro.analysis.flowsim import from_topology
 from repro.metrics.fct import SIZE_BINS_WEBSEARCH, SlowdownTable
+from repro.metrics.stats import rank_correlation
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.fattree import fattree
@@ -89,23 +90,13 @@ def main(jobs: int = 1, seed: int = 1) -> None:
 def shape_correlation(a: SlowdownTable, b: SlowdownTable) -> float:
     """Spearman rank correlation of per-bin p95 slowdowns between two
     tables (bins compared positionally)."""
-    try:
-        from scipy.stats import spearmanr
-    except ImportError as exc:
-        raise ImportError(
-            "paper-scale's rank correlation needs scipy: pip install '.[analysis]'"
-        ) from exc
-
     xs, ys = [], []
     for ba, bb in zip(a.bins, b.bins):
         sa, sb = a.stat(ba, "p95"), b.stat(bb, "p95")
         if sa is not None and sb is not None:
             xs.append(sa)
             ys.append(sb)
-    if len(xs) < 3:
-        return float("nan")
-    rho = spearmanr(xs, ys).statistic
-    return float(rho)
+    return rank_correlation(xs, ys) if len(xs) >= 3 else float("nan")
 
 
 if __name__ == "__main__":  # pragma: no cover

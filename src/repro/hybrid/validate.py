@@ -174,10 +174,9 @@ def validate(
         )
         checks.append(BinCheck(b, np_, nh, mean_err, p99_err, ok))
 
-    ks = ks_distance(
-        pres.slowdowns(),
-        hres.slowdowns(),
-    )
+    pslow, hslow = pres.slowdowns(), hres.slowdowns()
+    # A side that completed no flow is as far from the other as can be.
+    ks = ks_distance(pslow, hslow) if pslow and hslow else 1.0
     return GateReport(
         scenario,
         cc,
@@ -185,7 +184,7 @@ def validate(
         ks,
         ks_tol,
         hres.stats.get("demoted", 0),
-        hres.completed() and hres.n_flows,
+        hres.n_flows,
         pres.completed(),
         hres.completed(),
     )

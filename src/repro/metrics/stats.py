@@ -22,6 +22,7 @@ picosecond quantity this simulator produces.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import groupby
 from math import floor
 from typing import Iterable, List, Sequence
 
@@ -105,3 +106,26 @@ def ks_distance(a: Sequence[float], b: Sequence[float]) -> float:
         for x in xa + xb
     )
 
+
+def rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Spearman's rank correlation (``scipy.stats.spearmanr(xs, ys)``'s
+    statistic, to rounding): the Pearson correlation of the two samples'
+    ranks, tied values sharing their mean rank; NaN if either is constant."""
+    m = (len(xs) + 1) / 2  # the mean rank, exactly
+    dx = [r - m for r in _ranks(xs)]
+    dy = [r - m for r in _ranks(ys)]
+    norm = (total(a * a for a in dx) * total(b * b for b in dy)) ** 0.5
+    return total(a * b for a, b in zip(dx, dy)) / norm if norm else float("nan")
+
+
+def _ranks(values: Sequence[float]) -> List[float]:
+    """1-based ranks of ``values``, ties averaged."""
+    ranks = [0.0] * len(values)
+    done = 0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for _, group in groupby(order, key=values.__getitem__):
+        tied = list(group)
+        for i in tied:
+            ranks[i] = done + (len(tied) + 1) / 2
+        done += len(tied)
+    return ranks

@@ -5,9 +5,9 @@ deadlocks and PFC storms"; Observation 2 adopts spanning-tree routing
 partly because TCP-Bolt showed trees "prevent routing paths from forming
 loops and causing deadlocks".  This module makes that analyzable:
 
-* :func:`buffer_dependency_graph` — the directed graph whose nodes are
-  (switch, ingress-port) buffers and whose edges follow possible pause
-  propagation given a set of routed paths.
+* :func:`buffer_dependency_graph` — the directed graph, a dict from each
+  (switch, ingress-port) buffer to the buffers it waits on, whose edges
+  follow possible pause propagation given a set of routed paths.
 * :func:`find_deadlock_cycles` — cyclic buffer dependencies (CBD).  A cycle
   means a PFC deadlock is *possible* under worst-case traffic.
 * :func:`routing_is_deadlock_free` — True iff no CBD exists, e.g. for any
@@ -16,17 +16,17 @@ loops and causing deadlocks".  This module makes that analyzable:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
+from repro.routing.tables import bfs_distances
 
 PathNames = Sequence[Hashable]  # node names along one routed path
+Buffer = Tuple[Hashable, Hashable, int]  # (upstream, node, class): one ingress buffer
 
 
 def buffer_dependency_graph(
     paths: Sequence[PathNames], classes: Optional[Sequence[int]] = None
-) -> nx.DiGraph:
+) -> Dict[Buffer, Dict[Buffer, None]]:
     """Build the CBD graph from routed paths (each a node-name sequence).
 
     For a path ... a -> b -> c ..., the packet occupies b's ingress buffer
@@ -39,42 +39,64 @@ def buffer_dependency_graph(
     ``classes`` (one int per path) models per-class lossless buffers
     (PFC priorities): dependencies never cross classes, which is how
     TCP-Bolt makes multiple spanning trees deadlock-free — each tree gets
-    its own priority class.  Omitted, every path shares class 0.
+    its own priority class.  Omitted, every path shares class 0.  Buffers
+    are keys in the order the paths first reach them, successors likewise.
     """
-    import networkx as nx
-
     if classes is not None and len(classes) != len(paths):
         raise ValueError("classes must align with paths")
-    g = nx.DiGraph()
+    g: Dict[Buffer, Dict[Buffer, None]] = {}
     for idx, path in enumerate(paths):
         if len(path) < 2:
             raise ValueError(f"path too short: {path!r}")
         cls = 0 if classes is None else classes[idx]
         hops = [(a, b, cls) for a, b in zip(path, path[1:])]
-        for (a, b, c1), (_b, c, c2) in zip(hops, hops[1:]):
-            g.add_edge((a, b, c1), (b, c, c2))
         for hop in hops:
-            g.add_node(hop)
+            g.setdefault(hop, {})
+        for u, v in zip(hops, hops[1:]):
+            g[u][v] = None
     return g
 
 
 def find_deadlock_cycles(
     paths: Sequence[PathNames], classes: Optional[Sequence[int]] = None
-) -> List[List[Tuple]]:
-    """All elementary cyclic buffer dependencies among the given paths."""
-    import networkx as nx
-
+) -> List[List[Buffer]]:
+    """All elementary cyclic buffer dependencies among the given paths, each
+    starting at its first-seen buffer, listed in the order those were first
+    seen: the answer depends on the paths alone, never on hash order."""
     g = buffer_dependency_graph(paths, classes)
-    return [cycle for cycle in nx.simple_cycles(g)]
+    waiters = _waiters(g)
+    rank = {b: i for i, b in enumerate(g)}
+    cycles = []
+
+    def extend(path: List[Buffer], leads_back: Dict[Buffer, int]) -> None:
+        for v in g[path[-1]]:
+            if v == path[0]:
+                cycles.append(path)
+            elif v in leads_back and rank[v] > rank[path[0]] and v not in path:
+                extend(path + [v], leads_back)
+
+    for b in g:
+        extend([b], bfs_distances(waiters, b))
+    return cycles
 
 
 def routing_is_deadlock_free(
     paths: Sequence[PathNames], classes: Optional[Sequence[int]] = None
 ) -> bool:
-    """True iff the paths admit no cyclic buffer dependency."""
-    import networkx as nx
+    """True iff the paths admit no cyclic buffer dependency: the dependency
+    graph is acyclic, so no buffer waits on one that leads back to it."""
+    g = buffer_dependency_graph(paths, classes)
+    waiters = _waiters(g)
+    return not any(bfs_distances(waiters, b).keys() & g[b].keys() for b in g)
 
-    return nx.is_directed_acyclic_graph(buffer_dependency_graph(paths, classes))
+
+def _waiters(g: Dict[Buffer, Dict[Buffer, None]]) -> Dict[Buffer, List[Buffer]]:
+    """Buffer -> the buffers that wait on it: ``g`` reversed."""
+    waiters: Dict[Buffer, List[Buffer]] = {b: [] for b in g}
+    for u, succ in g.items():
+        for v in succ:
+            waiters[v].append(u)
+    return waiters
 
 
 def all_pairs_paths(topo, trace_fn=None) -> List[List[Hashable]]:

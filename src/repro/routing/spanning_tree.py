@@ -8,14 +8,13 @@ diverse trees on path-diverse topologies (Jellyfish, fat-tree).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+import zlib
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.routing.tables import RoutingTables, build_graph_tables
+from repro.routing.tables import Adjacency, RoutingTables, bfs_distances, build_graph_tables
 from repro.sim.rng import stable_hash64
 
 if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
-
     from repro.net.packet import Packet
     from repro.net.switch import Switch
     from repro.topo.base import Topology
@@ -24,27 +23,32 @@ if TYPE_CHECKING:  # pragma: no cover
 N_TREES = 3
 
 
-def build_trees(topo: "Topology", n_trees: int, seed: int) -> List[nx.Graph]:
-    """``n_trees`` spanning trees of the topology graph, deterministic in
-    ``seed``.  Host access links appear in every tree (hosts are leaves)."""
-    import networkx as nx
-
+def build_trees(topo: "Topology", n_trees: int, seed: int) -> List[Adjacency]:
+    """``n_trees`` spanning trees of the topology, deterministic in ``seed``,
+    each an adjacency map shaped like ``topo.adj`` (its links' attrs shared
+    with it).  Host access links appear in every tree (hosts are leaves)."""
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    g = topo.graph
-    if not nx.is_connected(g):
+    adj = topo.adj
+    if len(bfs_distances(adj, next(iter(adj)))) < len(adj):
         raise ValueError("topology graph is not connected")
-    import zlib
-
-    trees: List[nx.Graph] = []
+    trees = []
     for t in range(n_trees):
-        weighted = g.copy()
-        # Deterministic per-tree weights from names (builtin hash() is salted
-        # per process, so stable string digests are used instead).
-        for u, v in weighted.edges:
-            digest = zlib.crc32(f"{seed}:{t}:{min(u, v)}:{max(u, v)}".encode())
-            weighted.edges[u, v]["w"] = digest
-        trees.append(nx.minimum_spanning_tree(weighted, weight="w"))
+        # Kruskal: links by a per-tree weight (a stable string digest, as
+        # builtin hash() is salted per process), ties in topo.edges() order.
+        links = sorted(
+            topo.edges(),
+            key=lambda e: zlib.crc32(f"{seed}:{t}:{min(e[:2])}:{max(e[:2])}".encode()),
+        )
+        tree: Dict[str, Dict[str, dict]] = {u: {} for u in adj}
+        frag = {u: [u] for u in adj}  # node -> the nodes of its tree fragment
+        for u, v, attrs in links:
+            a, b = frag[u], frag[v]
+            if a is not b:
+                a += b
+                frag.update(dict.fromkeys(b, a))
+                tree[u][v] = tree[v][u] = attrs
+        trees.append(tree)
     return trees
 
 

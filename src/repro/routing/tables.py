@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topo.base import Topology
 
-# ``name -> {neighbour -> link attrs}``: Topology.adj, or an nx.Graph (a
-# spanning tree) — both answer ``g[u]`` and ``g[u][v]["ports"]``.
+# ``name -> {neighbour -> link attrs}``: Topology.adj, or a spanning tree
+# of it in the same shape (routing.spanning_tree.build_trees).
 Adjacency = Mapping[str, Mapping[str, dict]]
 
 

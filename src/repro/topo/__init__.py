@@ -1,9 +1,8 @@
 """Topology builders.
 
-* :class:`~repro.topo.base.Topology` — generic container: nodes, links, the
-  adjacency map (``topo.adj``) that routing and base-RTT/path computation
-  read, and ``topo.graph``, the same wiring as a networkx graph built on
-  first use (importing this package does not import networkx).
+* :class:`~repro.topo.base.Topology` — generic container: nodes, links, and
+  the adjacency map (``topo.adj``), the one record of the wiring, which
+  routing, spanning trees and base-RTT/path computation read.
 * :func:`~repro.topo.dumbbell.dumbbell` — Fig. 10: N senders, a chain of M
   switches, one receiver.
 * :func:`~repro.topo.parkinglot.congestion_at` — Fig. 11: two senders whose

@@ -5,18 +5,14 @@ physical wiring in one insertion-ordered adjacency map, :attr:`Topology.adj`
 (``name -> {neighbour -> link attrs}``), which the routing installers and
 the path arithmetic read directly; :meth:`Topology.edges` lists every link
 once in a fixed order (shard cut indices and flow-level link ids are
-positions in it).  :attr:`Topology.graph` is the same wiring as a
-:mod:`networkx` graph, built (and networkx imported) the first time
-something asks for it: only graph algorithms (spanning trees) use the view,
-so a process that runs flows — serial, sharded, hybrid or under a fault
-plan — never loads networkx.  It also computes per-flow base RTTs (the ``T``
-of Alg. 3) from store-and-forward first-packet latency in both directions.
+positions in it).  It also computes per-flow base RTTs (the ``T`` of
+Alg. 3) from store-and-forward first-packet latency in both directions.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.net.host import Host
 from repro.net.port import connect
@@ -26,9 +22,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.transport.sender import TransportConfig
 from repro.units import ACK_SIZE, DEFAULT_MTU, serialization_ps, us
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 
 class LinkSpec:
@@ -71,7 +64,6 @@ class Topology:
         # directions of a link share one attrs dict (ports, rate_gbps,
         # prop_delay_ps).  Everything else here is derived from it.
         self.adj: Dict[str, Dict[str, dict]] = {}
-        self._graph: Optional[nx.Graph] = None  # networkx view of adj
         self._dist: Dict[str, Dict[str, int]] = {}  # dst name -> hop counts
         self._by_name: Dict[str, object] = {}
         # Set by repro.lb.install_lb: the installed strategy config and the
@@ -97,7 +89,7 @@ class Topology:
         self.hosts.append(host)
         self._by_name[name] = host
         self.adj[name] = {}
-        self._wiring_changed()
+        self._dist.clear()
         return host
 
     def add_switch(self, name: str, config: Optional[SwitchConfig] = None) -> Switch:
@@ -109,7 +101,7 @@ class Topology:
         self.switches.append(sw)
         self._by_name[name] = sw
         self.adj[name] = {}
-        self._wiring_changed()
+        self._dist.clear()
         return sw
 
     def link(
@@ -136,17 +128,13 @@ class Topology:
         }
         self.adj[node_a.name][node_b.name] = attrs
         self.adj[node_b.name][node_a.name] = attrs
-        self._wiring_changed()
+        self._dist.clear()
         return pa, pb
 
-    def _wiring_changed(self) -> None:
-        self._graph = None
-        self._dist.clear()
-
     def edges(self) -> Iterator[Tuple[str, str, dict]]:
-        """Every link once, as ``(u, v, attrs)``, in the order
-        ``graph.edges(data=True)`` lists them: grouped by the endpoint
-        created first, a node's links in the order they were added.  The
+        """Every link once, as ``(u, v, attrs)``: grouped by the endpoint
+        created first, a node's links in the order they were added (the
+        order a ``networkx.Graph`` built link by link lists them).  The
         order depends on construction alone, so every process that builds
         the same topology enumerates the same links at the same positions."""
         seen = set()
@@ -155,45 +143,6 @@ class Topology:
                 if v not in seen:
                     yield u, v, attrs
             seen.add(u)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The wiring as a :class:`networkx.Graph`: nodes carry ``kind``
-        (and ``host_id``), edges the link attrs, node and per-node neighbour
-        order as in :attr:`adj`.  Built on first access, kept until the
-        next ``add_host`` / ``add_switch`` / ``link``."""
-        if self._graph is None:
-            self._graph = self._build_graph()
-        return self._graph
-
-    def _build_graph(self) -> nx.Graph:
-        import networkx as nx
-
-        adj = self.adj
-        g = nx.Graph()
-        for name in adj:
-            node = self._by_name[name]
-            if isinstance(node, Host):
-                g.add_node(name, kind="host", host_id=node.host_id)
-            else:
-                g.add_node(name, kind="switch")
-        # add_edge appends to both endpoints' neighbour lists, so the links
-        # are replayed in an order that respects every node's own: a link
-        # goes in once it is next in line at both of its ends.
-        order = {u: list(nbrs) for u, nbrs in adj.items()}
-        done = dict.fromkeys(adj, 0)
-        ready = list(adj)
-        while ready:
-            u = ready.pop()
-            while done[u] < len(order[u]):
-                v = order[u][done[u]]
-                if order[v][done[v]] != u:
-                    break  # v has earlier links pending; v's turn adds this one
-                g.add_edge(u, v, **adj[u][v])
-                done[u] += 1
-                done[v] += 1
-                ready.append(v)
-        return g
 
     def node(self, name: str):
         return self._by_name[name]

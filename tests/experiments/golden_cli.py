@@ -38,7 +38,8 @@ TIER1_ROWS = (
 #: The two full matrices are here because the ``--quick`` slices leave the
 #: jellyfish, WebSearch and fault-profile cells unpinned; they were recorded
 #: from the commit before those cells shared one fabric builder.
-#: ``paper-scale`` is absent: its last line needs scipy, an optional extra.
+#: ``paper-scale`` was recorded from the commit before its rank correlation
+#: left scipy for ``repro.metrics.stats.rank_correlation``.
 SLOW_ROWS = (
     "fig1",
     "fig3",
@@ -52,6 +53,7 @@ SLOW_ROWS = (
     "ablations",
     "lbmatrix",
     "faultmatrix",
+    "paper-scale",
 )
 
 

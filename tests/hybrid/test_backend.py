@@ -275,3 +275,15 @@ class TestBackendSelection:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {message}")
             assert captured.err.count("\n") == 1
+
+    def test_validate_fails_a_run_that_completes_no_flow(self):
+        """A horizon too short for any flow to finish on one side is a
+        failing report, not a ks_distance ValueError."""
+        from repro.hybrid.validate import validate
+
+        report = validate("fig15", quick=True, max_horizon_ms=0.002)
+        assert report.completed_packet == 0
+        assert report.completed_hybrid < report.n_flows == 200
+        assert report.ks == 1.0
+        assert not report.passed
+        assert "FAIL" in report.format()

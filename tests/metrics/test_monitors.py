@@ -34,7 +34,7 @@ class TestQueueSampler:
     def test_congested_port_sees_queue(self, sim):
         topo, qps = loaded_dumbbell(sim)
         sw = topo.switches[0]
-        port_idx = topo.graph.edges["sw0", "sw1"]["ports"]["sw0"]
+        port_idx = topo.adj["sw0"]["sw1"]["ports"]["sw0"]
         mon = QueueSampler(sim, sw.ports[port_idx], interval_ps=us(1))
         sim.run(until=us(200))
         assert mon.series.max() > 0  # two senders into one egress must queue
@@ -86,7 +86,7 @@ class TestRateSampler:
 class TestUtilizationSampler:
     def test_full_rate_gives_unity(self, sim):
         topo, qps = loaded_dumbbell(sim)
-        port_idx = topo.graph.edges["sw0", "sw1"]["ports"]["sw0"]
+        port_idx = topo.adj["sw0"]["sw1"]["ports"]["sw0"]
         mon = UtilizationSampler(sim, topo.switches[0].ports[port_idx], interval_ps=us(10))
         sim.run(until=us(300))
         assert mon.series.max() > 0.9

@@ -1,13 +1,14 @@
 """Equivalence with numpy as the oracle: the pure-python reductions in
 ``repro.metrics.stats``, the CDF inversion and the integer ideal FCT must be
 *bit-equal* to the numpy expressions they replaced (``==`` on floats, no
-tolerance) — a figure's printed digits ride on it."""
+tolerance) — a figure's printed digits ride on it.  numpy and scipy are
+oracles, not dependencies: a test that needs one skips where it is not
+installed."""
 
 import math
 import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ def sample_list(kind: str, n: int, seed: int) -> list:
 @given(KINDS, SIZES, st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
 def test_total_and_mean_equal_numpy(kind, n, seed):
+    np = pytest.importorskip("numpy")
     values = sample_list(kind, n, seed)
     arr = np.asarray(values)
     assert stats.mean(values) == float(arr.mean()) == float(np.mean(values))
@@ -53,11 +55,13 @@ def test_total_and_mean_equal_numpy(kind, n, seed):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 257, 4096, 10_000])
 def test_mean_equals_numpy_at_block_edges(n):
+    np = pytest.importorskip("numpy")
     values = sample_list("heavy_tail", n, seed=n)
     assert stats.mean(values) == float(np.asarray(values).mean())
 
 
 def test_total_of_nothing_is_zero_and_mean_refuses():
+    np = pytest.importorskip("numpy")
     assert stats.total([]) == 0.0 == float(np.asarray([]).sum())
     with pytest.raises(ValueError):
         stats.mean([])
@@ -66,6 +70,7 @@ def test_total_of_nothing_is_zero_and_mean_refuses():
 @given(KINDS, SIZES, st.integers(0, 2**32), st.floats(min_value=0.0, max_value=100.0))
 @settings(max_examples=150, deadline=None)
 def test_percentile_equals_numpy(kind, n, seed, q_drawn):
+    np = pytest.importorskip("numpy")
     values = sample_list(kind, n, seed)
     arr = np.asarray(values)
     for q in (*QS, q_drawn):
@@ -74,6 +79,7 @@ def test_percentile_equals_numpy(kind, n, seed, q_drawn):
 
 
 def test_percentile_rejects_what_numpy_rejects():
+    np = pytest.importorskip("numpy")
     for q in (-0.1, 100.1):
         with pytest.raises(ValueError):
             np.percentile([1.0, 2.0], q)
@@ -85,6 +91,7 @@ def test_percentile_rejects_what_numpy_rejects():
 
 def numpy_ks_distance(a, b) -> float:
     """``repro.metrics.fct.ks_distance`` as it stood while it used numpy."""
+    np = pytest.importorskip("numpy")
     xa = np.sort(np.asarray(a, dtype=np.float64))
     xb = np.sort(np.asarray(b, dtype=np.float64))
     if xa.size == 0 or xb.size == 0:
@@ -109,6 +116,32 @@ def test_ks_distance_ends():
     assert stats.ks_distance([1, 2], [3, 4]) == 1.0
     with pytest.raises(ValueError):
         stats.ks_distance([], [1.0])
+
+
+# -- rank correlation -----------------------------------------------------------
+
+
+def test_rank_correlation_by_hand():
+    assert stats.rank_correlation([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
+    assert stats.rank_correlation([1, 2, 3, 4], [4, 3, 2, 1]) == -1.0
+    # ties share their mean rank: x ranks 1.5 1.5 3, y ranks 1 2 3
+    assert stats.rank_correlation([5, 5, 7], [1, 2, 3]) == pytest.approx(math.sqrt(3) / 2)
+    assert math.isnan(stats.rank_correlation([2, 2, 2], [1, 2, 3]))
+
+
+def test_rank_correlation_equals_scipy_spearmanr():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(3, 30)
+        # a mix of distinct floats and small integers: ties on both sides
+        xs = [rng.choice([rng.random(), float(rng.randrange(4))]) for _ in range(n)]
+        ys = [rng.choice([rng.random(), float(rng.randrange(4))]) for _ in range(n)]
+        got = stats.rank_correlation(xs, ys)
+        if len(set(xs)) == 1 or len(set(ys)) == 1:
+            assert math.isnan(got)
+            continue
+        assert got == pytest.approx(scipy_stats.spearmanr(xs, ys).statistic, abs=1e-12)
 
 
 # -- CDF inversion --------------------------------------------------------------
@@ -137,6 +170,7 @@ def probe_points(cdf: PiecewiseCdf, seed: int, n_random: int) -> list:
 
 @pytest.mark.parametrize("name", sorted(CDFS))
 def test_interp_and_inversion_equal_numpy(name):
+    np = pytest.importorskip("numpy")
     cdf = CDFS[name]
     xp, fp = np.asarray(cdf.probs), np.asarray(cdf.sizes)
     for u in probe_points(cdf, seed=1, n_random=20_000):
@@ -148,6 +182,7 @@ def test_interp_and_inversion_equal_numpy(name):
 
 
 def test_seeded_sampling_draws_the_sizes_numpy_drew():
+    np = pytest.importorskip("numpy")
     cdf = websearch_cdf(scale=0.1)
     xp, fp = np.asarray(cdf.probs), np.asarray(cdf.sizes)
     ours, theirs = random.Random(5), random.Random(5)
@@ -162,6 +197,7 @@ def test_seeded_sampling_draws_the_sizes_numpy_drew():
 def numpy_ideal_fct_ps(size_bytes, links, mtu, header) -> int:
     """``repro.metrics.ideal._ideal_cached`` as it stood while it evaluated
     the store-and-forward recurrence frame by frame (verbatim)."""
+    np = pytest.importorskip("numpy")
     n_frames, full_size, last_size = _frame_sizes(size_bytes, mtu, header)
     total_prop = sum(d for _, d in links)
     if n_frames == 1:

@@ -1,5 +1,12 @@
 """PFC deadlock (cyclic buffer dependency) analysis."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.net.pfc_analysis import (
@@ -42,9 +49,9 @@ class TestCbdGraph:
 
     def test_graph_edges_follow_consecutive_hops(self):
         g = buffer_dependency_graph([["h", "x", "y", "z", "r"]])
-        assert g.has_edge(("h", "x", 0), ("x", "y", 0))
-        assert g.has_edge(("x", "y", 0), ("y", "z", 0))
-        assert not g.has_edge(("x", "y", 0), ("z", "r", 0))
+        assert ("x", "y", 0) in g[("h", "x", 0)]
+        assert ("y", "z", 0) in g[("x", "y", 0)]
+        assert ("z", "r", 0) not in g[("x", "y", 0)]
 
     def test_short_path_rejected(self):
         with pytest.raises(ValueError):
@@ -52,8 +59,7 @@ class TestCbdGraph:
 
     def test_single_hop_path_adds_node_only(self):
         g = buffer_dependency_graph([["a", "b"]])
-        assert ("a", "b", 0) in g.nodes
-        assert g.number_of_edges() == 0
+        assert g == {("a", "b", 0): {}}
 
 
 class TestRealTopologies:
@@ -109,3 +115,58 @@ class TestRealTopologies:
         topo = dumbbell(Simulator(), n_senders=2)
         with pytest.raises(ValueError):
             all_pairs_paths_with_tree_classes(topo)
+
+
+RING = [
+    ["hostA", "sw0", "sw1", "sw2", "hostB"],
+    ["hostC", "sw1", "sw2", "sw0", "hostD"],
+    ["hostE", "sw2", "sw0", "sw1", "hostF"],
+]
+
+
+def test_ring_cycle_is_the_same_under_every_hash_seed():
+    """The cycle starts at its first-seen buffer, whatever the process's
+    string-hash salt (examples/deadlock_analysis.py prints it)."""
+    code = (
+        "import json\n"
+        "from repro.net.pfc_analysis import find_deadlock_cycles\n"
+        f"print(json.dumps(find_deadlock_cycles({RING!r})))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    answers = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        answers.add(out)
+    assert len(answers) == 1
+    assert json.loads(answers.pop()) == [
+        [["sw0", "sw1", 0], ["sw1", "sw2", 0], ["sw2", "sw0", 0]]
+    ]
+
+
+def _rotated_to_min(cycle):
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
+
+
+def test_cycles_and_acyclicity_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    for _ in range(300):
+        names = [f"s{i}" for i in range(rng.randrange(3, 7))]
+        paths = []
+        for _ in range(rng.randrange(1, 7)):
+            path, length = [rng.choice(names)], rng.randrange(2, 7)
+            while len(path) < length:
+                path.append(rng.choice([n for n in names if n != path[-1]]))
+            paths.append(path)
+        g = buffer_dependency_graph(paths)
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(g)
+        oracle.add_edges_from((u, v) for u in g for v in g[u])
+        got = find_deadlock_cycles(paths)
+        want = list(nx.simple_cycles(oracle))
+        assert sorted(map(_rotated_to_min, got)) == sorted(map(_rotated_to_min, want))
+        assert routing_is_deadlock_free(paths) == nx.is_directed_acyclic_graph(oracle)

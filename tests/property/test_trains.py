@@ -362,7 +362,7 @@ class TestRandomizedPauseScripts:
             launch_flows(topo, flows, env)
             sw = topo.switches[0]
             nxt = topo.switches[1].name
-            port = sw.ports[topo.graph.edges[sw.name, nxt]["ports"][sw.name]]
+            port = sw.ports[topo.adj[sw.name][nxt]["ports"][sw.name]]
             for t, is_pause in script:
                 if is_pause:
                     sim.schedule(t, lambda _arg, _p=port: _p.pause(0))

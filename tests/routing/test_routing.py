@@ -1,7 +1,8 @@
 """Routing: table computation, ECMP selection, and — the FNCC-critical
 property — path symmetry between data packets and their ACKs."""
 
-import networkx as nx
+import zlib
+
 import pytest
 
 from repro.net.packet import ACK, DATA, Packet
@@ -22,7 +23,7 @@ def trace_path(topo, src, dst, flow_id, kind=DATA):
     pkt = Packet(kind, flow_id=flow_id, src=src, dst=dst)
     # Entry switch: the switch adjacent to the source host.
     host = topo.hosts[src].name
-    current = next(iter(topo.graph[host]))
+    current = next(iter(topo.adj[host]))
     names = []
     guard = 0
     while True:
@@ -188,19 +189,46 @@ class TestEcmp:
             assert ack_path == data_path[::-1]
 
 
+def tree_links(tree):
+    """A spanning tree's links, each as the set of its two ends."""
+    return {frozenset((u, v)) for u, nbrs in tree.items() for v in nbrs}
+
+
 class TestSpanningTrees:
     def test_trees_span_all_nodes(self, sim):
         topo = jellyfish(sim, n_switches=8, switch_degree=4)
         trees = build_trees(topo, 3, seed=1)
         for t in trees:
-            assert set(t.nodes) == set(topo.graph.nodes)
-            assert nx.is_tree(t)
+            assert list(t) == list(topo.adj)
+            # connected with n - 1 links: a tree
+            assert len(bfs_distances(t, "sw0")) == len(topo.adj)
+            assert len(tree_links(t)) == len(topo.adj) - 1
+            for u, nbrs in t.items():
+                assert all(nbrs[v] is topo.adj[u][v] for v in nbrs)
 
     def test_trees_differ(self, sim):
         topo = jellyfish(sim, n_switches=10, switch_degree=4)
         trees = build_trees(topo, 4, seed=1)
-        edge_sets = {frozenset(map(frozenset, t.edges)) for t in trees}
+        edge_sets = {frozenset(tree_links(t)) for t in trees}
         assert len(edge_sets) > 1
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_trees_are_networkx_minimum_spanning_trees(self, seed):
+        """Kruskal over topo.edges() picks the links networkx's
+        minimum_spanning_tree picks under the same crc32 weights."""
+        nx = pytest.importorskip("networkx")
+        fabrics = [fattree(Simulator(), k=4)] + [
+            jellyfish(Simulator(), n_switches=10, switch_degree=4, seeds=SeedSequenceFactory(s))
+            for s in range(1, 30)
+        ]
+        for topo in fabrics:
+            g = nx.Graph(topo.adj)
+            for t, tree in enumerate(build_trees(topo, 3, seed)):
+                for u, v in g.edges:
+                    w = zlib.crc32(f"{seed}:{t}:{min(u, v)}:{max(u, v)}".encode())
+                    g.edges[u, v]["w"] = w
+                want = {frozenset(e) for e in nx.minimum_spanning_tree(g, weight="w").edges}
+                assert tree_links(tree) == want
 
     def test_symmetry_by_construction(self, sim):
         topo = jellyfish(sim, n_switches=8, switch_degree=4, hosts_per_switch=1)
@@ -223,7 +251,7 @@ class TestSpanningTrees:
         topo = jellyfish(sim, n_switches=8, switch_degree=4)
         t1 = build_trees(topo, 2, seed=9)
         t2 = build_trees(topo, 2, seed=9)
-        assert [sorted(t.edges) for t in t1] == [sorted(t.edges) for t in t2]
+        assert t1 == t2
 
 
 class TestDuplicateFlowIds:

@@ -39,7 +39,7 @@ def serial_rows(result):
 def cut_ports(topo, plan):
     out = set()
     for cut in plan.cuts:
-        ports = topo.graph.edges[cut.a, cut.b]["ports"]
+        ports = topo.adj[cut.a][cut.b]["ports"]
         out.add((cut.a, ports[cut.a]))
         out.add((cut.b, ports[cut.b]))
     return out

@@ -1,10 +1,9 @@
-"""Path arithmetic on the adjacency map, with networkx as the oracle, and
-the on-demand networkx view of the same wiring."""
+"""Path arithmetic on the adjacency map, and the order it lists the links
+in, with networkx as the oracle where it is installed."""
 
 import hashlib
 import random
 
-import networkx as nx
 import pytest
 
 from repro.sim.engine import Simulator
@@ -52,8 +51,9 @@ def _host_pairs(topo, limit=500):
 
 
 def _oracle_path(topo, s, d):
+    nx = pytest.importorskip("networkx")
     src, dst = topo.hosts[s].name, topo.hosts[d].name
-    return min(nx.all_shortest_paths(topo.graph, src, dst), key=tuple)
+    return min(nx.all_shortest_paths(nx.Graph(topo.adj), src, dst), key=tuple)
 
 
 @pytest.mark.parametrize("name", sorted(FABRICS))
@@ -66,11 +66,10 @@ def test_path_names_is_the_lexicographic_minimum_shortest_path(name):
 @pytest.mark.parametrize("name", sorted(FABRICS))
 def test_rtt_and_bottleneck_follow_the_oracle_path(name):
     topo = FABRICS[name]()
-    g = topo.graph
     for s, d in _host_pairs(topo, limit=60):
         path = _oracle_path(topo, s, d)
         links = [
-            (g.edges[u, v]["rate_gbps"], g.edges[u, v]["prop_delay_ps"])
+            (topo.adj[u][v]["rate_gbps"], topo.adj[u][v]["prop_delay_ps"])
             for u, v in zip(path, path[1:])
         ]
         assert topo.path_links(s, d) == links
@@ -115,10 +114,10 @@ def test_link_after_a_query_invalidates_the_distance_cache():
     assert topo.path_names(0, c.host_id) == ["a", "s0", "s3", "s4", "c"]
 
 
-# -- the networkx view -------------------------------------------------------
+# -- the link order ----------------------------------------------------------
 
-# sha256 of the repr below for fattree(k=4), recorded from the parent
-# commit's source, where Topology.graph was an eagerly maintained nx.Graph.
+# sha256 of the repr below for fattree(k=4), recorded from the commit whose
+# Topology.graph was an eagerly maintained nx.Graph.
 PARENT_FATTREE_K4_GRAPH = (
     "87ad96f35b1406d2df2376e9b7fae72301702e90a1144cf3525f24a3d5a8930a"
 )
@@ -134,42 +133,57 @@ def _graph_repr(g):
     )
 
 
-def test_lazy_graph_equals_the_parents_eager_graph():
-    topo = fattree(Simulator(), k=4)
-    g = topo.graph
-    assert (g.number_of_nodes(), g.number_of_edges()) == (36, 48)
-    assert hashlib.sha256(_graph_repr(g).encode()).hexdigest() == PARENT_FATTREE_K4_GRAPH
-    assert g.edges["agg_0_0", "core_0_0"]["ports"] == {"agg_0_0": 0, "core_0_0": 0}
-    assert g.edges["core_0_0", "agg_0_0"]["ports"] is g["agg_0_0"]["core_0_0"]["ports"]
+def _build_with_eager_graph(monkeypatch, build):
+    """``build()``, with every add_host / add_switch / link mirrored into an
+    nx.Graph as it happens: the graph an eagerly maintained view held."""
+    nx = pytest.importorskip("networkx")
+    eager = nx.Graph()
+    add_host, add_switch, link = Topology.add_host, Topology.add_switch, Topology.link
+
+    def host(self, name, *args, **kwargs):
+        node = add_host(self, name, *args, **kwargs)
+        eager.add_node(name, kind="host", host_id=node.host_id)
+        return node
+
+    def switch(self, name, *args, **kwargs):
+        node = add_switch(self, name, *args, **kwargs)
+        eager.add_node(name, kind="switch")
+        return node
+
+    def wire(self, a, b, *args, **kwargs):
+        pa, pb = link(self, a, b, *args, **kwargs)
+        u, v = pa.node.name, pb.node.name
+        eager.add_edge(u, v, **self.adj[u][v])
+        return pa, pb
+
+    monkeypatch.setattr(Topology, "add_host", host)
+    monkeypatch.setattr(Topology, "add_switch", switch)
+    monkeypatch.setattr(Topology, "link", wire)
+    return build(), eager
 
 
-def test_graph_is_cached_until_the_wiring_changes():
-    topo = _ring()
-    g = topo.graph
-    assert topo.graph is g
-    topo.path_names(0, 1)
-    assert topo.graph is g
-    topo.link("s0", "s3")
-    assert topo.graph is not g and topo.graph.has_edge("s0", "s3")
-    g = topo.graph
-    topo.add_switch("spare")
-    assert "spare" in topo.graph and "spare" not in g
-    g = topo.graph
-    topo.add_host("c")
-    assert topo.graph.nodes["c"] == {"kind": "host", "host_id": 2}
+def test_adj_equals_the_parents_eager_graph(monkeypatch):
+    topo, eager = _build_with_eager_graph(monkeypatch, lambda: fattree(Simulator(), k=4))
+    assert (eager.number_of_nodes(), eager.number_of_edges()) == (36, 48)
+    assert hashlib.sha256(_graph_repr(eager).encode()).hexdigest() == PARENT_FATTREE_K4_GRAPH
+    assert {n: list(nbrs) for n, nbrs in topo.adj.items()} == {n: list(eager[n]) for n in eager}
+    assert topo.adj["agg_0_0"]["core_0_0"]["ports"] == {"agg_0_0": 0, "core_0_0": 0}
+    assert topo.adj["core_0_0"]["agg_0_0"] is topo.adj["agg_0_0"]["core_0_0"]
 
 
 @pytest.mark.parametrize("name", sorted(FABRICS))
-def test_edges_lists_the_links_in_the_graph_views_order(name):
-    # Shard cut indices and flow-level link ids are positions in this order.
-    topo = FABRICS[name]()
-    assert list(topo.edges()) == list(topo.graph.edges(data=True))
+def test_edges_lists_the_links_in_the_graph_views_order(monkeypatch, name):
+    # Shard cut indices and flow-level link ids are positions in this order,
+    # the order the eager networkx view listed its edges in.
+    topo, eager = _build_with_eager_graph(monkeypatch, FABRICS[name])
+    assert list(topo.edges()) == list(eager.edges(data=True))
 
 
-def test_graph_view_matches_an_eager_graph_for_any_link_order():
-    """The view must reproduce what add_node/add_edge calls interleaved with
-    construction would have built — including each node's neighbour order,
-    which a node-by-node rebuild would get wrong."""
+def test_adj_matches_an_eager_graph_for_any_link_order():
+    """Each node's neighbours in ``adj`` are in the order add_edge calls
+    interleaved with construction would have left them — the order
+    ``edges()`` and the routing walks rely on."""
+    nx = pytest.importorskip("networkx")
     rng = random.Random(7)
     for _ in range(20):
         topo = Topology(Simulator())
@@ -178,10 +192,9 @@ def test_graph_view_matches_an_eager_graph_for_any_link_order():
         for i, name in enumerate(names):
             if i % 3 == 0:
                 topo.add_host(name)
-                eager.add_node(name, kind="host", host_id=i // 3)
             else:
                 topo.add_switch(name)
-                eager.add_node(name, kind="switch")
+            eager.add_node(name)
         pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
         rng.shuffle(pairs)
         for a, b in pairs[: rng.randrange(5, len(pairs))]:
@@ -195,5 +208,5 @@ def test_graph_view_matches_an_eager_graph_for_any_link_order():
                 rate_gbps=100.0,
                 prop_delay_ps=us(1.5),
             )
-        assert _graph_repr(topo.graph) == _graph_repr(eager)
+        assert {n: list(nbrs) for n, nbrs in topo.adj.items()} == {n: list(eager[n]) for n in eager}
         assert list(topo.edges()) == list(eager.edges(data=True))

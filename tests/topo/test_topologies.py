@@ -1,13 +1,15 @@
 """Topology builders: shapes, wiring, RTT arithmetic."""
 
-import networkx as nx
+import random
+
 import pytest
 
+from repro.routing.tables import bfs_distances
 from repro.sim.engine import Simulator
 from repro.topo.base import LinkSpec, Topology
 from repro.topo.dumbbell import dumbbell
 from repro.topo.fattree import fattree
-from repro.topo.jellyfish import jellyfish
+from repro.topo.jellyfish import jellyfish, random_regular_edges
 from repro.topo.parkinglot import congestion_at
 from repro.topo.star import star
 from repro.units import ACK_SIZE, DEFAULT_MTU, serialization_ps, us
@@ -27,7 +29,8 @@ class TestTopologyContainer:
         a = topo.add_host("a")
         s = topo.add_switch("s")
         topo.link(a, s)
-        e = topo.graph.edges["a", "s"]
+        e = topo.adj["a"]["s"]
+        assert topo.adj["s"]["a"] is e
         assert e["rate_gbps"] == 200.0
         assert e["prop_delay_ps"] == us(2)
         assert e["ports"]["a"] == 0
@@ -37,7 +40,7 @@ class TestTopologyContainer:
         topo.add_host("a")
         topo.add_switch("s")
         topo.link("a", "s")
-        assert topo.graph.has_edge("a", "s")
+        assert "s" in topo.adj["a"] and "a" in topo.adj["s"]
 
     def test_host_ids_sequential(self, sim):
         topo = Topology(sim)
@@ -72,9 +75,9 @@ class TestDumbbell:
         assert len(topo.hosts) == 4  # 3 senders + receiver
         assert len(topo.switches) == 4
         # Chain: senders all on sw0, receiver on sw3.
-        assert topo.graph.has_edge("sender0", "sw0")
-        assert topo.graph.has_edge("sw3", "receiver0")
-        assert not topo.graph.has_edge("sw0", "sw2")
+        assert "sw0" in topo.adj["sender0"]
+        assert "receiver0" in topo.adj["sw3"]
+        assert "sw2" not in topo.adj["sw0"]
 
     def test_receiver_is_last_host(self, sim):
         topo = dumbbell(sim, n_senders=2)
@@ -99,9 +102,9 @@ class TestParkingLot:
 
     def test_sender1_attachment_varies(self, sim):
         t_first = congestion_at(sim, "first")
-        assert t_first.graph.has_edge("sender1", "sw0")
+        assert "sw0" in t_first.adj["sender1"]
         t_last = congestion_at(Simulator(), "last")
-        assert t_last.graph.has_edge("sender1", "sw2")
+        assert "sw2" in t_last.adj["sender1"]
 
     def test_unknown_location_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -116,13 +119,13 @@ class TestFatTree:
 
     def test_every_host_path_exists(self, sim):
         topo = fattree(sim, k=4)
-        g = topo.graph
-        assert nx.is_connected(g)
-        assert nx.shortest_path_length(g, "h_0_0_0", "h_3_1_1") == 6  # up to core, down
+        dist = bfs_distances(topo.adj, "h_0_0_0")
+        assert len(dist) == len(topo.adj)
+        assert dist["h_3_1_1"] == 6  # up to core, down
 
     def test_intra_tor_path_short(self, sim):
         topo = fattree(sim, k=4)
-        assert nx.shortest_path_length(topo.graph, "h_0_0_0", "h_0_0_1") == 2
+        assert bfs_distances(topo.adj, "h_0_0_0")["h_0_0_1"] == 2
 
     def test_odd_k_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -135,7 +138,7 @@ class TestFatTree:
         for pod in range(4):
             for i in range(2):
                 cores = {
-                    n for n in topo.graph["agg_" + f"{pod}_{i}"] if n.startswith("core")
+                    n for n in topo.adj["agg_" + f"{pod}_{i}"] if n.startswith("core")
                 }
                 assert cores == {f"core_{i}_0", f"core_{i}_1"}
 
@@ -145,7 +148,7 @@ class TestStar:
         topo = star(sim, 5)
         assert len(topo.hosts) == 5
         assert len(topo.switches) == 1
-        assert topo.graph.degree["sw0"] == 5
+        assert len(topo.adj["sw0"]) == 5
 
     def test_needs_two_hosts(self, sim):
         with pytest.raises(ValueError):
@@ -157,17 +160,35 @@ class TestJellyfish:
         topo = jellyfish(sim, n_switches=8, switch_degree=4, hosts_per_switch=1)
         for sw in topo.switches:
             # switch_degree fabric links + 1 host link
-            assert topo.graph.degree[sw.name] == 5
+            assert len(topo.adj[sw.name]) == 5
 
     def test_deterministic_given_seed(self):
         from repro.sim.rng import SeedSequenceFactory
 
         t1 = jellyfish(Simulator(), seeds=SeedSequenceFactory(5))
         t2 = jellyfish(Simulator(), seeds=SeedSequenceFactory(5))
-        assert sorted(t1.graph.edges) == sorted(t2.graph.edges)
+        assert [e[:2] for e in t1.edges()] == [e[:2] for e in t2.edges()]
+
+    def test_generator_draws_what_networkx_draws(self):
+        """The wiring is networkx's random_regular_graph, ported: the same
+        edges from the same seed, restarts included."""
+        nx = pytest.importorskip("networkx")
+        cases = 0
+        for d in range(3, 7):
+            for n in range(8, 21):
+                if n * d % 2:
+                    continue
+                for seed in range(50):
+                    want = sorted(nx.random_regular_graph(d, n, seed=seed).edges)
+                    got = sorted(random_regular_edges(d, n, random.Random(seed)))
+                    assert got == want, (d, n, seed)
+                    cases += 1
+        assert cases == 2000
 
     def test_validation(self, sim):
         with pytest.raises(ValueError):
             jellyfish(sim, n_switches=4, switch_degree=4)
+        with pytest.raises(ValueError):
+            jellyfish(sim, n_switches=6, switch_degree=-2)
         with pytest.raises(ValueError):
             jellyfish(sim, n_switches=5, switch_degree=3)

@@ -96,7 +96,9 @@ REASONS = {
 #: prefix -> (reason, who or what needs it).
 KEEP: Dict[str, Tuple[str, str]] = {
     # crash paths
-    "repro.obs.flight": ("crash", "the flight recorder dumps when a run raises"),
+    "repro.obs.flight": (
+        "crash", "ShardEngine.flight_dump, when a shard raises; no entry point builds a "
+        "FlightRecorder (ROADMAP items 5 and 12)"),
     "repro.obs.trace:TraceEvent.to_dict": ("crash", "the flight dump's trace tail"),
     "repro.obs.trace:EventTracer.tail": ("crash", "the flight dump's trace tail"),
     "repro.faults.inject:FaultInjector.flight_state": ("crash", "the flight dump's faults section"),
