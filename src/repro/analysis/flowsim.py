@@ -68,7 +68,6 @@ class FlowLevelSimulator:
     """Max-min fluid simulator over a directed-capacity link set."""
 
     def __init__(self) -> None:
-        self._capacity: Dict[LinkKey, float] = {}  # bytes/ps
         self._link_attrs: Dict[LinkKey, Tuple[float, int]] = {}  # (gbps, prop)
         # Dense link-id view reused across runs (the engine's index space).
         self._link_ids: Dict[LinkKey, int] = {}
@@ -82,7 +81,6 @@ class FlowLevelSimulator:
         if rate_gbps <= 0:
             raise ValueError("rate must be positive")
         for key in ((u, v), (v, u)):
-            self._capacity[key] = rate_gbps / 8000.0
             self._link_attrs[key] = (rate_gbps, prop_delay_ps)
             lid = self._link_ids.get(key)
             if lid is None:

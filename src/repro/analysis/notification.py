@@ -35,16 +35,14 @@ class NotificationModel:
         n_switches: int,
         rate_gbps: float = 100.0,
         prop_delay_ps: int = us(1.5),
-        mtu: int = DEFAULT_MTU,
-        ack_size: int = ACK_SIZE,
     ) -> None:
         if n_switches < 1:
             raise ValueError("need at least one switch")
         self.n = n_switches
         self.rate_gbps = rate_gbps
         self.d = prop_delay_ps
-        self.s_data = serialization_ps(mtu, rate_gbps)
-        self.s_ack = serialization_ps(ack_size, rate_gbps)
+        self.s_data = serialization_ps(DEFAULT_MTU, rate_gbps)
+        self.s_ack = serialization_ps(ACK_SIZE, rate_gbps)
 
     # A path host-sw1-...-swn-host has n+1 links.  "Hop j" = switch j's
     # egress toward the receiver, j in 1..n.

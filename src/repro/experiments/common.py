@@ -116,13 +116,20 @@ def build_cc_env(
 
 
 class Fabric(NamedTuple):
-    """One cell, built, routed and CC-installed, with nothing launched."""
+    """One cell, built, routed and CC-installed, with nothing launched.
+
+    ``flows`` and ``bins`` are the cell's workload and FCT size bins when
+    its builder draws them (:func:`~repro.experiments.fct_experiment.build_fct_fabric`,
+    :func:`~repro.experiments.lbmatrix.build_matrix_cell`); a cell that
+    makes its own flows leaves them empty."""
 
     sim: Simulator
     seeds: SeedSequenceFactory
     env: CcEnv
     topo: Topology
     collector: FctCollector
+    flows: Sequence[Flow] = ()
+    bins: Sequence[int] = ()
 
 
 def build_fabric(
@@ -192,7 +199,7 @@ def launch_flows(
 
 def portstats_fingerprint(topo: Topology, nodes=None) -> tuple:
     """Every port counter of every node (or of ``nodes``, a shard's share)
-    as one sorted, hashable tuple — the PortStats half of the
+    as one sorted, hashable tuple — the port-counter half of the
     zero-perturbation witness (DESIGN.md §10): two runs are byte-identical
     at the wire iff their FCT fingerprints *and* these counters match.
     ``train_frames`` rides in the last column; shard identity tests mask
@@ -202,22 +209,21 @@ def portstats_fingerprint(topo: Topology, nodes=None) -> tuple:
     rows = []
     for node in nodes:
         for port in node.ports:
-            s = port.stats
             rows.append(
                 (
                     node.name,
                     port.index,
-                    s.tx_packets,
-                    s.tx_bytes,
-                    s.rx_packets,
-                    s.rx_bytes,
-                    s.drops,
-                    s.ecn_marked,
-                    s.pause_sent,
-                    s.pause_received,
-                    s.resume_sent,
-                    s.resume_received,
-                    s.max_qlen,
+                    port.tx_packets,
+                    port.tx_bytes,
+                    port.rx_packets,
+                    port.rx_bytes,
+                    port.drops,
+                    port.ecn_marked,
+                    port.pause_sent,
+                    port.pause_received,
+                    port.resume_sent,
+                    port.resume_received,
+                    port.max_qlen,
                     port.train_frames,
                 )
             )

@@ -124,7 +124,7 @@ def run_fault_cell(
         retx_backoff_cap=3,
         retx_max_timeouts=RTO_BUDGET,
     )
-    fab, flows = build_matrix_cell(
+    fab = build_matrix_cell(
         cc, lb, "fattree", "permutation", seed, PERM_FLOW_BYTES, 0, cc_params,
         transport_config=hardening,
     )
@@ -140,10 +140,10 @@ def run_fault_cell(
         return count_failed(topo, (r.flow.flow_id for r in collector.records))
 
     launch_and_drive(
-        fab, flows, MAX_HORIZON_MS, resolved=lambda: collector.completed() + failed()
+        fab, MAX_HORIZON_MS, resolved=lambda: collector.completed() + failed()
     )
     result = FctResult(
-        cc, "permutation", collector, (), len(flows), fab.sim, topo=topo, failed=failed()
+        cc, "permutation", collector, (), len(fab.flows), fab.sim, topo=topo, failed=failed()
     )
     result.stats = dict(injector.counters)
     return result

@@ -11,20 +11,17 @@ plain arguments (``k=8, scale=1.0, n_flows=...``).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import SweepExecutor
-from repro.experiments.common import CcEnv, _Portable, build_fabric, launch_flows, sweep
+from repro.experiments.common import Fabric, _Portable, build_fabric, launch_flows, sweep
 from repro.metrics.fct import SIZE_BINS_HADOOP, SIZE_BINS_WEBSEARCH, FctCollector
 from repro.metrics.monitors import topo_frame_hops
 from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
-from repro.topo.base import Topology
 from repro.topo.fattree import fattree
-from repro.traffic.cdf import PiecewiseCdf
 from repro.traffic.distributions import fb_hadoop_cdf, websearch_cdf
 from repro.traffic.generator import PoissonWorkload
-from repro.transport.flow import Flow
 from repro.units import MS, us
 
 WORKLOADS = {
@@ -154,20 +151,6 @@ def run_fct_summary(
     return summarize_fct_result(result, seed, obs=obs)
 
 
-class FctFabric(NamedTuple):
-    """One fully-built (CC, workload) cell, flows generated but *not*
-    launched: the shared substrate of the packet experiment and the hybrid
-    backend's packet phases (which launch only the demoted subset on it)."""
-
-    sim: Simulator
-    topo: Topology
-    env: CcEnv
-    collector: FctCollector
-    flows: List[Flow]
-    bins: List[int]
-    cdf: PiecewiseCdf
-
-
 def build_fct_fabric(
     cc: str,
     workload: str = "websearch",
@@ -180,14 +163,17 @@ def build_fct_fabric(
     bins: Optional[Sequence[int]] = None,
     lb=None,
     **cc_params,
-) -> FctFabric:
-    """Build the §5.5 fabric + workload for one cell; deterministic in
-    ``seed`` (every RNG stream is name-derived, so two fabrics built with
-    the same arguments generate byte-identical flow lists and routing)."""
+) -> Fabric:
+    """Build the §5.5 fabric + workload for one cell, flows generated but
+    *not* launched: the shared substrate of the packet experiment and the
+    hybrid backend's packet phases (which launch only the demoted subset
+    on it).  Deterministic in ``seed`` (every RNG stream is name-derived,
+    so two fabrics built with the same arguments generate byte-identical
+    flow lists and routing)."""
     if workload not in WORKLOADS:
         raise ValueError(f"workload must be one of {sorted(WORKLOADS)}")
     cdf_fn, default_bins = WORKLOADS[workload]
-    cdf: PiecewiseCdf = cdf_fn(scale=scale)
+    cdf = cdf_fn(scale=scale)
     bins = list(bins) if bins is not None else [round(b * scale) for b in default_bins]
 
     # ``fattree`` is read off this module at call time: the benchmark suite
@@ -203,7 +189,7 @@ def build_fct_fabric(
         load=load,
         seeds=fab.seeds,
     ).generate(n_flows)
-    return FctFabric(fab.sim, fab.topo, fab.env, fab.collector, flows, bins, cdf)
+    return fab._replace(flows=flows, bins=bins)
 
 
 def drive_fct(
@@ -248,20 +234,20 @@ def drive_fct(
 
 
 def launch_and_drive(
-    fab, flows, max_horizon_ms: float, obs=None, resolved=None
+    fab: Fabric, max_horizon_ms: float, obs=None, resolved=None
 ) -> None:
-    """Launch ``flows`` on the unlaunched ``fab`` and :func:`drive_fct`
+    """Launch the flows of the unlaunched ``fab`` and :func:`drive_fct`
     them, inside ``obs``'s guard when a
     :class:`repro.obs.RunObservability` bundle is given (it is attached
     first; its progress reporter heartbeats the drive)."""
     if obs is not None:
         obs.attach(fab.sim, fab.topo, collector=fab.collector)
     with obs.guard(sim=fab.sim, topo=fab.topo) if obs is not None else nullcontext():
-        launch_flows(fab.topo, flows, fab.env)
+        launch_flows(fab.topo, fab.flows, fab.env)
         drive_fct(
             fab.sim,
             fab.collector,
-            len(flows),
+            len(fab.flows),
             max_horizon_ms,
             progress=obs.progress if obs is not None else None,
             resolved=resolved,
@@ -294,7 +280,7 @@ def run_fct_experiment(
         from repro.faults import FaultInjector
 
         FaultInjector(faults).arm(fab.sim, fab.topo, seeds=fab.topo.seeds)
-    launch_and_drive(fab, fab.flows, max_horizon_ms, obs=obs)
+    launch_and_drive(fab, max_horizon_ms, obs=obs)
     return FctResult(
         cc, workload, fab.collector, fab.bins, len(fab.flows), fab.sim, topo=fab.topo
     )

@@ -17,7 +17,7 @@ elephants on one uplink while spray/flowlet use the full path set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.experiments.common import Fabric, build_fabric, sweep
 from repro.experiments.fct_experiment import FctResult, launch_and_drive
@@ -26,7 +26,6 @@ from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
 from repro.traffic.distributions import websearch_cdf
 from repro.traffic.generator import PoissonWorkload, permutation_flows
-from repro.transport.flow import Flow
 from repro.units import KB, us
 
 LBS = ("ecmp", "spray", "flowlet", "conweave")
@@ -70,7 +69,7 @@ def build_matrix_cell(
     n_flows: int,
     cc_params: Mapping[str, object],
     **fabric_kw,
-) -> Tuple[Fabric, List[Flow]]:
+) -> Fabric:
     """One matrix cell, built and not launched: ``topo_name`` under the
     ``lb`` column's strategy, and its flows — one ``perm_flow_bytes`` flow
     per host for the permutation (``n_flows`` is not read), ``n_flows``
@@ -100,7 +99,7 @@ def build_matrix_cell(
             load=LOAD,
             seeds=fab.seeds,
         ).generate(n_flows)
-    return fab, flows
+    return fab._replace(flows=flows)
 
 
 def run_lb_cell(
@@ -124,11 +123,11 @@ def run_lb_cell(
     the LB reroute/probe counters at snapshot time; the ``lb`` trace
     category hooks the reroute callback) — in-process callers only, it is
     not picklable."""
-    fab, flows = build_matrix_cell(
+    fab = build_matrix_cell(
         cc, lb, topo_name, workload, seed, perm_flow_bytes, n_flows, cc_params
     )
-    launch_and_drive(fab, flows, MAX_HORIZON_MS, obs=obs)
-    return FctResult(cc, workload, fab.collector, (), len(flows), fab.sim, topo=fab.topo)
+    launch_and_drive(fab, MAX_HORIZON_MS, obs=obs)
+    return FctResult(cc, workload, fab.collector, (), len(fab.flows), fab.sim, topo=fab.topo)
 
 
 def run_lbmatrix(

@@ -78,11 +78,10 @@ class FaultAuditor:
             q = port.qbytes_total
             if q < 0:
                 v.append(f"{node.name}[{port.index}]: negative queue bytes ({q})")
-            s = port.stats
-            if s.pause_sent < s.resume_sent:
+            if port.pause_sent < port.resume_sent:
                 v.append(
-                    f"{node.name}[{port.index}]: resume_sent ({s.resume_sent}) "
-                    f"exceeds pause_sent ({s.pause_sent})"
+                    f"{node.name}[{port.index}]: resume_sent ({port.resume_sent}) "
+                    f"exceeds pause_sent ({port.pause_sent})"
                 )
             if not quiescent or exempt:
                 continue
@@ -97,10 +96,10 @@ class FaultAuditor:
                 )
             if port.paused:
                 v.append(f"{node.name}[{port.index}]: still paused at quiescence")
-            if s.pause_sent != s.resume_sent:
+            if port.pause_sent != port.resume_sent:
                 v.append(
                     f"{node.name}[{port.index}]: pause/resume ledger imbalance "
-                    f"at quiescence ({s.pause_sent} pauses, {s.resume_sent} resumes)"
+                    f"at quiescence ({port.pause_sent} pauses, {port.resume_sent} resumes)"
                 )
 
     # -- merged multi-shard snapshots ------------------------------------

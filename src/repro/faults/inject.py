@@ -13,7 +13,7 @@ Faults act at *delivery*: a node named by any link/loss/fail spec gets one
 instance-dict ``receive`` wrapper installed at arm time.  The wrapper
 consults per-node filter state — dead in-ports (link down), a fail-stop
 flag (switch fail), and per-in-port loss filters (gray loss) — and
-either drops the frame (``PortStats.drops``, the drop convention of
+either drops the frame (``Port.drops``, the drop convention of
 ``net/switch.py``) or forwards to the original ``receive``.
 Installing an instance-dict ``receive`` closes the frame-train gate on
 that switch via the single-definition predicate
@@ -183,11 +183,11 @@ class FaultInjector:
 
         def receive(pkt, in_port: int, _orig=orig, _st=st) -> None:
             if _st.fail_all:
-                ports[in_port].stats.drops += 1
+                ports[in_port].drops += 1
                 counters["drops_switch_fail"] += 1
                 return
             if in_port in _st.dead_in:
-                ports[in_port].stats.drops += 1
+                ports[in_port].drops += 1
                 counters["drops_link_down"] += 1
                 return
             fl = _st.filters.get(in_port)
@@ -196,7 +196,7 @@ class FaultInjector:
                 # the pause ledger, a different pathology than gray loss.
                 for rec in fl:
                     if rng.random() < rec[0]:
-                        ports[in_port].stats.drops += 1
+                        ports[in_port].drops += 1
                         counters[rec[1]] += 1
                         return
             _orig(pkt, in_port)

@@ -73,10 +73,10 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     @classmethod
-    def noop(cls, name: str = "noop") -> "FaultPlan":
+    def noop(cls) -> "FaultPlan":
         """The empty plan: arming it must perturb nothing (§10 proof
         obligation, gated by ``bench --ab-faults``)."""
-        return cls(name)
+        return cls("noop")
 
     def _add(self, kind: str, **fields) -> "FaultPlan":
         spec = {"kind": kind}
@@ -87,7 +87,7 @@ class FaultPlan:
     def link_down(self, a: str, b: str, at_ps: int) -> "FaultPlan":
         """Both directions of the ``a``–``b`` link stop delivering at
         ``at_ps``; in-flight frames that arrive after the cut are dropped
-        at the receiving port (counted in ``PortStats.drops``)."""
+        at the receiving port (counted in ``Port.drops``)."""
         return self._add(
             "link_down",
             a=_check_name("a", a),

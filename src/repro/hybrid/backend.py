@@ -52,9 +52,8 @@ from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flowsim import from_topology
-from repro.experiments.common import launch_flows
+from repro.experiments.common import Fabric, launch_flows
 from repro.experiments.fct_experiment import (
-    FctFabric,
     FctResult,
     build_fct_fabric,
     drive_fct,
@@ -200,7 +199,7 @@ def _port_link_index(topo) -> Dict[int, Tuple[str, str]]:
 
 
 def _schedule_bg_drains(
-    fab: FctFabric, bg_bytes, epoch_ps: int, quantum: int
+    fab: Fabric, bg_bytes, epoch_ps: int, quantum: int
 ) -> int:
     """Present fluid background load to the packet fabric: per (link,
     epoch), spread the accumulated bytes across the epoch as serializer
@@ -235,7 +234,7 @@ class _ResidualSampler:
 
     def __init__(
         self,
-        fab: FctFabric,
+        fab: Fabric,
         links: Sequence[Tuple[str, str]],
         epoch_ps: int,
         obs=None,
@@ -521,8 +520,7 @@ def run_fct_hybrid(
         hot_links: Set[Tuple[str, str]] = set()
         for node in list(fab.topo.hosts) + list(fab.topo.switches):
             for p in node.ports:
-                s = p.stats
-                if s.pause_sent or s.ecn_marked or s.drops:
+                if p.pause_sent or p.ecn_marked or p.drops:
                     lk = port_links.get(id(p))
                     if lk is not None:
                         hot_links.add(lk)

@@ -2,10 +2,11 @@
 
 Runs one Fig. 14/15 configuration under both backends and compares
 per-size-bin slowdown statistics: the hybrid's mean must sit within
-``mean_tol`` (relative) and its p99 within ``p99_tol`` of the packet
-simulator's, on every bin holding at least ``min_samples`` flows in both
-runs; the whole-distribution Kolmogorov–Smirnov distance is reported
-alongside (and gated loosely — it catches shape drift between the bins).
+:data:`MEAN_TOL` (relative) and its p99 within :data:`P99_TOL` of the
+packet simulator's, on every bin holding at least ``min_samples`` flows in
+both runs; the whole-distribution Kolmogorov–Smirnov distance is reported
+alongside (and gated loosely, at :data:`KS_TOL` — it catches shape drift
+between the bins).
 
 CLI::
 
@@ -34,6 +35,12 @@ SCENARIOS: Dict[str, dict] = {
     "fig15": dict(workload="hadoop", k=4, load=0.5, n_flows=400, scale=1.0),
 }
 QUICK_N_FLOWS = 200
+#: Per-bin tolerances, relative to the packet simulator's value: 10% on
+#: the mean slowdown, 20% on the p99.
+MEAN_TOL = 0.10
+P99_TOL = 0.20
+#: The whole-distribution Kolmogorov–Smirnov distance the gate allows.
+KS_TOL = 0.25
 #: In the quick slice, bins rarely reach 50 samples, so the p99 check is
 #: effectively off: quick is a smoke gate on the means + KS distance; the
 #: full run is the fidelity instrument.
@@ -69,7 +76,6 @@ class GateReport:
         cc: str,
         checks: List[BinCheck],
         ks: float,
-        ks_tol: float,
         demoted: int,
         n_flows: int,
         completed_packet: int,
@@ -79,7 +85,6 @@ class GateReport:
         self.cc = cc
         self.checks = checks
         self.ks = ks
-        self.ks_tol = ks_tol
         self.demoted = demoted
         self.n_flows = n_flows
         self.completed_packet = completed_packet
@@ -89,7 +94,7 @@ class GateReport:
     def passed(self) -> bool:
         return (
             all(c.ok for c in self.checks)
-            and self.ks <= self.ks_tol
+            and self.ks <= KS_TOL
             and self.completed_hybrid == self.n_flows
         )
 
@@ -107,7 +112,7 @@ class GateReport:
                 f"{c.mean_err:>8.1%} {c.p99_err:>8.1%}  {'ok' if c.ok else 'FAIL'}"
             )
         lines.append(
-            f"KS distance {self.ks:.3f} (tol {self.ks_tol:.2f}) -> "
+            f"KS distance {self.ks:.3f} (tol {KS_TOL:.2f}) -> "
             f"{'PASS' if self.passed else 'FAIL'}"
         )
         return "\n".join(lines)
@@ -122,9 +127,6 @@ def validate(
     cc: str = "fncc",
     seed: int = 1,
     quick: bool = False,
-    mean_tol: float = 0.10,
-    p99_tol: float = 0.20,
-    ks_tol: float = 0.25,
     min_samples: int = 8,
     p99_min_samples: int = 20,
     config: Optional[HybridConfig] = None,
@@ -132,13 +134,12 @@ def validate(
 ) -> GateReport:
     """Run both backends on one scenario and gate the deltas.
 
-    ``mean_tol`` / ``p99_tol`` are the per-bin tolerances (10% on the
-    mean, 20% on the p99); bins with fewer than ``min_samples`` flows in
-    either run are reported but not gated, and the p99 check additionally
-    requires ``p99_min_samples`` (below ~20 samples the 99th percentile
-    *is* the sample maximum — comparing the maxima of two noisy queueing
-    processes is noise, not signal; the KS distance still covers those
-    bins' distributions).
+    Bins with fewer than ``min_samples`` flows in either run are reported
+    but not gated, and the p99 check additionally requires
+    ``p99_min_samples`` (below ~20 samples the 99th percentile *is* the
+    sample maximum — comparing the maxima of two noisy queueing processes
+    is noise, not signal; the KS distance still covers those bins'
+    distributions).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {sorted(SCENARIOS)}")
@@ -170,7 +171,7 @@ def validate(
         gated = np_ >= min_samples and nh >= min_samples
         gate_p99 = np_ >= p99_min_samples and nh >= p99_min_samples
         ok = (not gated) or (
-            mean_err <= mean_tol and ((not gate_p99) or p99_err <= p99_tol)
+            mean_err <= MEAN_TOL and ((not gate_p99) or p99_err <= P99_TOL)
         )
         checks.append(BinCheck(b, np_, nh, mean_err, p99_err, ok))
 
@@ -182,7 +183,6 @@ def validate(
         cc,
         checks,
         ks,
-        ks_tol,
         hres.stats.get("demoted", 0),
         hres.n_flows,
         pres.completed(),

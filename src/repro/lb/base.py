@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Type
 
-from repro.routing.tables import RoutingTables, build_graph_tables
+from repro.routing.tables import Tables, build_graph_tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -226,11 +226,12 @@ def register(cls: Type[LoadBalancer]) -> Type[LoadBalancer]:
 
 def install_lb(
     topo: "Topology", config: Optional[LbConfig] = None, **params
-) -> RoutingTables:
+) -> Tables:
     """Compute next-hop tables and install one strategy instance per switch.
 
     ``config`` may be an :class:`LbConfig`, a strategy name string, or None
-    (plain symmetric ECMP).  Returns the computed :class:`RoutingTables`.
+    (plain symmetric ECMP).  Returns the computed tables, ``switch name ->
+    destination host id -> egress port indices``.
     Reordering strategies require reorder-tolerant receivers; when the
     topology's transport config has the window disabled this enables it at
     :data:`DEFAULT_REORDER_WINDOW` (receivers read the config at flow
@@ -242,8 +243,7 @@ def install_lb(
         config = LbConfig(config, **params)
     elif params:
         raise ValueError("pass knobs via LbConfig or kwargs, not both")
-    rt = build_graph_tables(topo)
-    tables = rt.tables
+    tables = build_graph_tables(topo)
     lbs: List[LoadBalancer] = []
     for sw in topo.switches:
         lb = config.build()
@@ -279,8 +279,7 @@ def install_lb(
             # receiver: one is enough to trigger fast go-back-N.
             tc.dupack_rewind = 1
     topo.lb_config = config
-    topo.routing_tables = rt
     # Invalidate any path caches held outside the switches (e.g. the
     # flow-level simulator's (src, dst, flow_id) path memo).
     topo.routing_epoch = getattr(topo, "routing_epoch", 0) + 1
-    return rt
+    return tables

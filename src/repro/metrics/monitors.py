@@ -145,9 +145,8 @@ def pfc_frame_totals(nodes: Iterable[object]) -> Dict[str, int]:
     }
     for node in nodes:
         for port in node.ports:
-            stats = port.stats
-            totals["pause_sent"] += stats.pause_sent
-            totals["pause_received"] += stats.pause_received
-            totals["resume_sent"] += stats.resume_sent
-            totals["resume_received"] += stats.resume_received
+            totals["pause_sent"] += port.pause_sent
+            totals["pause_received"] += port.pause_received
+            totals["resume_sent"] += port.resume_sent
+            totals["resume_received"] += port.resume_received
     return totals

@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "repro.net.packet": (
             "Packet", "INTRecord", "DATA", "ACK", "CNP", "PAUSE", "RESUME", "KIND_NAMES",
         ),
-        "repro.net.port": ("Port", "EcnConfig", "PortStats"),
+        "repro.net.port": ("Port", "EcnConfig"),
         "repro.net.node": ("Node",),
         "repro.net.switch": ("Switch", "SwitchConfig", "IntMode"),
         "repro.net.host": ("Host",),

@@ -135,10 +135,10 @@ class Host(Node):
                 qp.on_cnp()
         elif kind == PAUSE:
             self.ports[in_port].pause()
-            self.ports[in_port].stats.pause_received += 1
+            self.ports[in_port].pause_received += 1
         elif kind == RESUME:
             self.ports[in_port].resume()
-            self.ports[in_port].stats.resume_received += 1
+            self.ports[in_port].resume_received += 1
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unexpected packet kind {kind}")
 

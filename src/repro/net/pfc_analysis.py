@@ -99,15 +99,14 @@ def _waiters(g: Dict[Buffer, Dict[Buffer, None]]) -> Dict[Buffer, List[Buffer]]:
     return waiters
 
 
-def all_pairs_paths(topo, trace_fn=None) -> List[List[Hashable]]:
-    """Every host-pair path under the topology's installed routing.
-
-    ``trace_fn(topo, src, dst) -> [node names]`` defaults to following the
-    switches' routers with a stub packet (same decisions as the packet sim).
+def all_pairs_paths(topo) -> List[List[Hashable]]:
+    """Every host-pair path under the topology's installed routing, as node
+    names: each follows the switches' routers with a stub packet (same
+    decisions as the packet sim).
     """
     from repro.net.packet import DATA, Packet
 
-    def default_trace(topo, src, dst):
+    def trace(src, dst):
         pkt = Packet(DATA, flow_id=src * 65536 + dst, src=src, dst=dst)
         src_name = topo.hosts[src].name
         dst_name = topo.hosts[dst].name
@@ -126,13 +125,12 @@ def all_pairs_paths(topo, trace_fn=None) -> List[List[Hashable]]:
                 return names
             current = peer
 
-    trace = trace_fn or default_trace
     paths = []
     n = len(topo.hosts)
     for src in range(n):
         for dst in range(n):
             if src != dst:
-                paths.append(trace(topo, src, dst))
+                paths.append(trace(src, dst))
     return paths
 
 
@@ -142,21 +140,21 @@ class StormIsolationResult:
 
     def __init__(
         self,
-        watchdog: bool,
         innocent_fct_ps: Optional[int],
         victim_failed: bool,
-        victim_fct_ps: Optional[int],
         wd_state: Optional[dict],
         upstream_pauses: int,
     ) -> None:
-        self.watchdog = watchdog
         #: FCT of the bystander flow (None = never completed — victimized).
         self.innocent_fct_ps = innocent_fct_ps
         self.victim_failed = victim_failed
-        self.victim_fct_ps = victim_fct_ps
         self.wd_state = wd_state
         #: PAUSE frames the ToR propagated upstream (victim spreading).
         self.upstream_pauses = upstream_pauses
+
+
+#: When the wedged NIC starts its storm.
+STORM_START_US = 5.0
 
 
 def run_storm_isolation(
@@ -164,7 +162,6 @@ def run_storm_isolation(
     watchdog: bool = True,
     detect_us: float = 30.0,
     restore_us: float = 60.0,
-    storm_start_us: float = 5.0,
     storm_duration_us: float = 6000.0,
     duration_us: float = 6000.0,
 ) -> StormIsolationResult:
@@ -214,7 +211,7 @@ def run_storm_isolation(
     plan = FaultPlan("nic-storm").pfc_storm(
         "tor_0_0",
         toward="h_0_0_0",
-        start_ps=us(storm_start_us),
+        start_ps=us(STORM_START_US),
         duration_ps=us(storm_duration_us),
         interval_ps=us(10),
     )
@@ -240,18 +237,14 @@ def run_storm_isolation(
 
     # Every PAUSE the ToR itself emitted is the storm spreading to an
     # innocent neighbour (its own buffer filled behind the stuck queue).
-    upstream_pauses = sum(p.stats.pause_sent for p in tor.ports)
+    upstream_pauses = sum(p.pause_sent for p in tor.ports)
     return StormIsolationResult(
-        watchdog=watchdog,
         innocent_fct_ps=(
             fct[innocent.flow_id] - innocent.start_ps
             if innocent.flow_id in fct
             else None
         ),
         victim_failed=bool(getattr(qps[victim.flow_id], "failed", False)),
-        victim_fct_ps=(
-            fct[victim.flow_id] - victim.start_ps if victim.flow_id in fct else None
-        ),
         wd_state=wd.state() if wd is not None else None,
         upstream_pauses=upstream_pauses,
     )

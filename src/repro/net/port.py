@@ -116,55 +116,6 @@ class EcnConfig:
         return self.pmax * (qlen_bytes - self.kmin) / (self.kmax - self.kmin)
 
 
-class PortStats:
-    """Per-port counters surfaced to the metrics layer.
-
-    The per-frame tx/rx counters live directly on the :class:`Port` (one
-    attribute store per frame-hop instead of an extra object indirection);
-    this view exposes them under the traditional names.  Cold-path counters
-    (PFC, drops, ECN, watermark) are plain fields here.
-    """
-
-    __slots__ = (
-        "_port",
-        "pause_sent",
-        "resume_sent",
-        "pause_received",
-        "resume_received",
-        "drops",
-        "ecn_marked",
-    )
-
-    def __init__(self, port: "Port") -> None:
-        self._port = port
-        self.pause_sent = 0
-        self.resume_sent = 0
-        self.pause_received = 0
-        self.resume_received = 0
-        self.drops = 0
-        self.ecn_marked = 0
-
-    @property
-    def tx_packets(self) -> int:
-        return self._port.tx_packets
-
-    @property
-    def tx_bytes(self) -> int:
-        return self._port.tx_bytes
-
-    @property
-    def rx_packets(self) -> int:
-        return self._port.rx_packets
-
-    @property
-    def rx_bytes(self) -> int:
-        return self._port.rx_bytes
-
-    @property
-    def max_qlen(self) -> int:
-        return self._port.max_qlen
-
-
 #: Default commit lookahead: how many frames may sit committed-but-not-
 #: started ahead of the serializer.  A PFC transition touches O(K) frames,
 #: so keep it small; the cover floor (see the module docstring) admits
@@ -231,7 +182,12 @@ class Port:
         "rx_packets",
         "rx_bytes",
         "max_qlen",
-        "stats",
+        "pause_sent",
+        "resume_sent",
+        "pause_received",
+        "resume_received",
+        "drops",
+        "ecn_marked",
         "ecn",
         "ecn_rng",
         "next_free_ps",
@@ -279,8 +235,15 @@ class Port:
         self.tx_packets = 0
         self.rx_packets = 0
         self.rx_bytes = 0
-        self.max_qlen = 0  # backlog high watermark (stats.max_qlen view)
-        self.stats = PortStats(self)
+        self.max_qlen = 0  # backlog high watermark
+        # PFC frames this port sent (egress) and got (ingress), frames
+        # dropped on arrival here, and data frames ECN-marked on egress.
+        self.pause_sent = 0
+        self.resume_sent = 0
+        self.pause_received = 0
+        self.resume_received = 0
+        self.drops = 0
+        self.ecn_marked = 0
         self.ecn: Optional[EcnConfig] = None
         self.ecn_rng: Optional[random.Random] = None
         self.next_free_ps = 0  # when the serializer frees up
@@ -405,7 +368,7 @@ class Port:
                 p = ecn.mark_probability(qt)
                 if p > 0.0 and (p >= 1.0 or self.ecn_rng.random() < p):
                     pkt.ecn = True
-                    self.stats.ecn_marked += 1
+                    self.ecn_marked += 1
             nf = self.next_free_ps
             start = nf if nf > now else now
             # Serialization memo (same expression, same rounding on miss).
@@ -432,7 +395,7 @@ class Port:
             p = ecn.mark_probability(self._queued_bytes)
             if p > 0.0 and (p >= 1.0 or self.ecn_rng.random() < p):
                 pkt.ecn = True
-                self.stats.ecn_marked += 1
+                self.ecn_marked += 1
         self.queue.append(pkt)
         self._uncommitted += 1
         qt = self._queued_bytes = self._queued_bytes + size
@@ -590,7 +553,7 @@ class Port:
             if start > now:
                 acct.append((start, 0, pkt))
         k = self.commit_lookahead
-        if self._peer_sw and k < TRAIN_MAX and self.stats.pause_received == 0:
+        if self._peer_sw and k < TRAIN_MAX and self.pause_received == 0:
             # Train formation: on a pause-free, train-eligible port (the
             # peer is a stock switch — classified at first delivery) the
             # pending window may batch-fill to TRAIN_MAX, amortizing the
@@ -786,7 +749,7 @@ class Port:
             size = pkt.size  # re-read: the stamp may have grown the frame
             if B.buffer_used + size > B._buffer_bytes:  # shared-buffer admission
                 B.drops += 1
-                peer.stats.drops += 1
+                peer.drops += 1
             else:
                 B.buffer_used += size
                 if B._pfc_on:
@@ -815,7 +778,7 @@ class Port:
                         p = ecn.mark_probability(qt)
                         if p > 0.0 and (p >= 1.0 or eg.ecn_rng.random() < p):
                             pkt.ecn = True
-                            eg.stats.ecn_marked += 1
+                            eg.ecn_marked += 1
                     nf = eg.next_free_ps
                     start = nf if nf > now else now
                     ser_map = eg._ser
@@ -841,7 +804,7 @@ class Port:
                         p = ecn.mark_probability(eg._queued_bytes)
                         if p > 0.0 and (p >= 1.0 or eg.ecn_rng.random() < p):
                             pkt.ecn = True
-                            eg.stats.ecn_marked += 1
+                            eg.ecn_marked += 1
                     eg.queue.append(pkt)
                     eg._uncommitted += 1
                     qt = eg._queued_bytes = eg._queued_bytes + size

@@ -178,14 +178,14 @@ class Switch(Node):
         if kind >= PAUSE:  # control frame (single compare on the data path)
             p = self.ports[in_port]
             if kind == PAUSE:
-                p.stats.pause_received += 1
+                p.pause_received += 1
                 wd = self._wd
                 if wd is not None and wd.on_pause(in_port):
                     return  # storm action: the stuck-XOFF pause is ignored
                 p.pause()
             else:
                 p.resume()
-                p.stats.resume_received += 1
+                p.resume_received += 1
             return
         # Alg. 1 line 3: the ACK's input port is recorded as metadata.  (The
         # same metadata drives RoCC's fair-rate stamping, so record always.)
@@ -275,7 +275,7 @@ class Switch(Node):
         size = pkt.size
         if self.buffer_used + size > self._buffer_bytes:  # shared-buffer admission
             self.drops += 1
-            self.ports[in_p].stats.drops += 1
+            self.ports[in_p].drops += 1
             return
         self.buffer_used += size
         if self._pfc_on and kind < PAUSE:  # non-control, single compare
@@ -316,9 +316,9 @@ class Switch(Node):
         frame = Packet(kind, size=PAUSE_FRAME_SIZE)
         port = self.ports[port_idx]
         if kind == PAUSE:
-            port.stats.pause_sent += 1
+            port.pause_sent += 1
         else:
-            port.stats.resume_sent += 1
+            port.resume_sent += 1
         port.enqueue(frame)
 
     # -- introspection ------------------------------------------------------------
@@ -342,7 +342,7 @@ class Switch(Node):
         )
 
     def total_pause_frames(self) -> int:
-        return sum(p.stats.pause_sent for p in self.ports)
+        return sum(p.pause_sent for p in self.ports)
 
     # -- PFC-storm watchdog hooks (DESIGN.md §10) ---------------------------------
     def _wd_drop_frame(self, pkt: Packet, port_idx: int) -> None:
@@ -362,7 +362,7 @@ class Switch(Node):
                 self._pfc_paused_up[in_p] = False
                 self._send_pfc(in_p, RESUME)
         self.drops += 1
-        self.ports[port_idx].stats.drops += 1
+        self.ports[port_idx].drops += 1
 
 
 class PfcWatchdogConfig:

@@ -110,23 +110,23 @@ class RunObservability:
         return nullcontext()
 
     # -- cold-path emission helpers ----------------------------------------
-    def phase(self, name: str, ts_ps: int = 0, **info) -> None:
-        """Announce a phase transition: progress line + hybrid trace event."""
+    def phase(self, name: str, **info) -> None:
+        """Announce a phase transition: progress line + hybrid trace event
+        (at simulated time 0: the hybrid phases sit between simulations)."""
         if self.progress is not None:
             self.progress.phase(name, **info)
         if self.tracer is not None:
-            self.tracer.emit("hybrid", name, ts_ps, args=info or None)
+            self.tracer.emit("hybrid", name, 0, args=info or None)
 
-    def trace_each(self, cat: str, name: str, items, ts_ps: int = 0,
-                   key: str = "id") -> None:
-        """Emit one instant event per item, capped at
+    def trace_each(self, cat: str, name: str, items, key: str = "id") -> None:
+        """Emit one instant event per item at simulated time 0, capped at
         :data:`PER_PHASE_EVENT_CAP` (the cap is recorded as a counter so
         truncation is never silent)."""
         if self.tracer is None:
             return
         items = list(items)
         for item in items[:PER_PHASE_EVENT_CAP]:
-            self.tracer.emit(cat, name, ts_ps, args={key: item})
+            self.tracer.emit(cat, name, 0, args={key: item})
         if len(items) > PER_PHASE_EVENT_CAP and self.registry is not None:
             self.registry.counter(f"trace.{name}_truncated").inc(
                 len(items) - PER_PHASE_EVENT_CAP

@@ -39,6 +39,11 @@ import traceback
 from contextlib import contextmanager
 from typing import Optional
 
+#: Trace events a dump keeps (the ring's newest).
+LAST_N = 256
+#: Rows a dump keeps of ``ports`` and of ``flows`` each.
+MAX_ITEMS = 64
+
 
 class FlightRecorder:
     """Per-run crash-dump writer.
@@ -53,14 +58,10 @@ class FlightRecorder:
         path: Optional[str] = None,
         tracer=None,
         registry=None,
-        last_n: int = 256,
-        max_items: int = 64,
     ) -> None:
         self.path = path
         self.tracer = tracer
         self.registry = registry
-        self.last_n = last_n
-        self.max_items = max_items
         self.sim = None
         self.topo = None
         #: path of the last dump written (None until a crash).
@@ -117,7 +118,7 @@ class FlightRecorder:
             doc["ports"] = self._port_states()
             doc["flows"] = self._flow_states()
         if self.tracer is not None:
-            doc["trace_tail"] = [ev.to_dict() for ev in self.tracer.tail(self.last_n)]
+            doc["trace_tail"] = [ev.to_dict() for ev in self.tracer.tail(LAST_N)]
             doc["trace_counts"] = dict(self.tracer.counts)
         if self.registry is not None:
             doc["registry"] = self.registry.snapshot()
@@ -177,18 +178,17 @@ class FlightRecorder:
         rows = []
         for node in self._nodes():
             for port in node.ports:
-                s = port.stats
                 qbytes = getattr(port, "qbytes_total", 0)
                 row = {
                     "node": node.name,
                     "port": port.index,
                     "qbytes": qbytes,
-                    "tx_packets": s.tx_packets,
-                    "rx_packets": s.rx_packets,
-                    "drops": s.drops,
-                    "pause_sent": s.pause_sent,
-                    "resume_sent": s.resume_sent,
-                    "max_qlen": s.max_qlen,
+                    "tx_packets": port.tx_packets,
+                    "rx_packets": port.rx_packets,
+                    "drops": port.drops,
+                    "pause_sent": port.pause_sent,
+                    "resume_sent": port.resume_sent,
+                    "max_qlen": port.max_qlen,
                     "paused": port.paused,
                 }
                 rows.append(row)
@@ -196,7 +196,7 @@ class FlightRecorder:
         rows.sort(
             key=lambda r: (r["qbytes"], r["drops"], r["pause_sent"]), reverse=True
         )
-        return rows[: self.max_items]
+        return rows[:MAX_ITEMS]
 
     def _flow_states(self) -> list:
         rows = []
@@ -213,6 +213,6 @@ class FlightRecorder:
                         "rate_gbps": round(getattr(qp, "rate_gbps", 0.0), 3),
                     }
                 )
-                if len(rows) >= self.max_items:
+                if len(rows) >= MAX_ITEMS:
                     return rows
         return rows

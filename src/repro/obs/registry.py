@@ -4,7 +4,7 @@ One :class:`MetricsRegistry` per run, never global: experiments construct
 it, bind the run's simulator/fabric, and ship the :meth:`snapshot` dict
 with the run's summary.  Aggregation is **pull-based** — the registry
 never wraps anything on the hot path; at snapshot time it reads the
-counters the fabric already maintains (:class:`repro.net.port.PortStats`,
+counters the fabric already maintains (each :class:`repro.net.port.Port`'s,
 engine dispatch/heap counters, LB reroute tallies, hybrid phase
 stats).  That is what makes registry-level observability byte-identical
 and train-safe by construction: enabling it changes no event, no RNG
@@ -92,7 +92,7 @@ class MetricsRegistry:
         self._collectors.append(read)
 
     def bind_topo(self, topo) -> None:
-        """Aggregate every port's :class:`PortStats`, switch buffer state
+        """Aggregate every port's counters, switch buffer state
         and any LB strategy counters of a topology-like object."""
 
         def read():
@@ -116,20 +116,19 @@ class MetricsRegistry:
             seen_lbs = set()
             for node in nodes:
                 for port in node.ports:
-                    s = port.stats
-                    counters["ports.tx_packets"] += s.tx_packets
-                    counters["ports.tx_bytes"] += s.tx_bytes
-                    counters["ports.rx_packets"] += s.rx_packets
-                    counters["ports.rx_bytes"] += s.rx_bytes
-                    counters["ports.drops"] += s.drops
-                    counters["ports.ecn_marked"] += s.ecn_marked
+                    counters["ports.tx_packets"] += port.tx_packets
+                    counters["ports.tx_bytes"] += port.tx_bytes
+                    counters["ports.rx_packets"] += port.rx_packets
+                    counters["ports.rx_bytes"] += port.rx_bytes
+                    counters["ports.drops"] += port.drops
+                    counters["ports.ecn_marked"] += port.ecn_marked
                     counters["ports.train_frames"] += port.train_frames
-                    counters["pfc.pause_sent"] += s.pause_sent
-                    counters["pfc.pause_received"] += s.pause_received
-                    counters["pfc.resume_sent"] += s.resume_sent
-                    counters["pfc.resume_received"] += s.resume_received
-                    if s.max_qlen > gauges["ports.max_qlen"]:
-                        gauges["ports.max_qlen"] = s.max_qlen
+                    counters["pfc.pause_sent"] += port.pause_sent
+                    counters["pfc.pause_received"] += port.pause_received
+                    counters["pfc.resume_sent"] += port.resume_sent
+                    counters["pfc.resume_received"] += port.resume_received
+                    if port.max_qlen > gauges["ports.max_qlen"]:
+                        gauges["ports.max_qlen"] = port.max_qlen
                 buf = getattr(node, "buffer_used", None)
                 if buf is not None and buf > gauges["switches.buffer_used_max"]:
                     gauges["switches.buffer_used_max"] = buf

@@ -80,7 +80,6 @@ class EventTracer:
         #: total emitted per category, *including* ring-evicted events.
         self.counts: Dict[str, int] = {c: 0 for c in CATEGORIES}
         self._undo: List = []
-        self._attached = False
 
     # -- core ---------------------------------------------------------------
     def emit(self, cat: str, name: str, ts_ps: int, ph: str = "i",
@@ -117,13 +116,11 @@ class EventTracer:
                 self._hook_lb(lb)
         for host in hosts:
             self._hook_host(host)
-        self._attached = True
 
     def detach(self) -> None:
         """Unwind every installed hook (reverse order, nested-safe)."""
         while self._undo:
             self._undo.pop()()
-        self._attached = False
 
     def _hook_pfc(self, sw) -> None:
         # Instance-attribute wrapper: the fused train pipeline resolves

@@ -10,12 +10,11 @@
   flows hash onto a tree.  Symmetric by construction.
 """
 
-from repro.routing.tables import RoutingTables, build_graph_tables
+from repro.routing.tables import build_graph_tables
 from repro.routing.ecmp import install_ecmp
 from repro.routing.spanning_tree import install_spanning_trees
 
 __all__ = [
-    "RoutingTables",
     "build_graph_tables",
     "install_ecmp",
     "install_spanning_trees",

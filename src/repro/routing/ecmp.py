@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.routing.tables import RoutingTables
+from repro.routing.tables import Tables
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topo.base import Topology
 
 
-def install_ecmp(topo: "Topology") -> RoutingTables:
+def install_ecmp(topo: "Topology") -> Tables:
     """Compute tables and attach an ECMP router to every switch."""
     # Deferred: repro.lb.base imports repro.routing.tables.  The topology
     # modules import repro.lb when they load, so this finds it loaded and

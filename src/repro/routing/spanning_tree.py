@@ -11,7 +11,7 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.routing.tables import Adjacency, RoutingTables, bfs_distances, build_graph_tables
+from repro.routing.tables import Adjacency, Tables, bfs_distances, build_graph_tables
 from repro.sim.rng import stable_hash64
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,12 +61,11 @@ def tree_index(src: int, dst: int, flow_id: int, n_trees: int) -> int:
     return stable_hash64(a, b, flow_id) % n_trees
 
 
-def install_spanning_trees(topo: "Topology", seed: int = 1) -> List[RoutingTables]:
+def install_spanning_trees(topo: "Topology", seed: int = 1) -> List[Tables]:
     """Attach a router that hashes each flow onto one of :data:`N_TREES`
     spanning trees."""
     trees = build_trees(topo, N_TREES, seed)
-    per_tree = [build_graph_tables(topo, tree) for tree in trees]
-    tables = [rt.tables for rt in per_tree]
+    tables = [build_graph_tables(topo, tree) for tree in trees]
     n = len(tables)
 
     def router(sw: "Switch", pkt: "Packet") -> int:
@@ -77,4 +76,4 @@ def install_spanning_trees(topo: "Topology", seed: int = 1) -> List[RoutingTable
     for sw in topo.switches:
         sw.router = router
     topo.n_spanning_trees = n
-    return per_tree
+    return tables

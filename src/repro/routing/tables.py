@@ -18,15 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover
 # of it in the same shape (routing.spanning_tree.build_trees).
 Adjacency = Mapping[str, Mapping[str, dict]]
 
-
-class RoutingTables:
-    """Computed next-hop tables plus the graph they were derived from."""
-
-    __slots__ = ("graph", "tables")
-
-    def __init__(self, graph: Adjacency, tables: Dict[str, Dict[int, List[int]]]) -> None:
-        self.graph = graph
-        self.tables = tables
+# ``switch name -> destination host id -> egress port indices``.
+Tables = Dict[str, Dict[int, List[int]]]
 
 
 def bfs_distances(graph: Adjacency, source: str) -> Dict[str, int]:
@@ -62,9 +55,7 @@ def _next_hop_ports(g: Adjacency, switches: List[str], source: str) -> List[_Row
     return rows
 
 
-def build_graph_tables(
-    topo: "Topology", graph: Optional[Adjacency] = None
-) -> RoutingTables:
+def build_graph_tables(topo: "Topology", graph: Optional[Adjacency] = None) -> Tables:
     """Equal-cost next-hop tables on ``graph`` (default: the full topology,
     read from its adjacency map).
 
@@ -81,7 +72,7 @@ def build_graph_tables(
     """
     g = graph if graph is not None else topo.adj
     switches = [sw.name for sw in topo.switches]
-    tables: Dict[str, Dict[int, List[int]]] = {name: {} for name in switches}
+    tables: Tables = {name: {} for name in switches}
     towards: Dict[str, List[_Row]] = {}  # attachment switch -> rows, itself left out
     for host in topo.hosts:
         if host.name not in g:
@@ -100,4 +91,4 @@ def build_graph_tables(
             rows = _next_hop_ports(g, switches, host.name)
         for name, ports in rows:
             tables[name][hid] = ports[:]
-    return RoutingTables(g, tables)
+    return tables

@@ -7,7 +7,7 @@ Shards advance their event heaps in lockstep windows bounded by the cut
 links' propagation delay (the conservative lookahead) and exchange
 boundary-crossing frames as plain-data messages at each barrier.
 
-Correctness bar: byte-identical FCT and PortStats fingerprints versus
+Correctness bar: byte-identical FCT and port-counter fingerprints versus
 the serial engine — pinned by ``tests/shard``.
 """
 

@@ -49,7 +49,7 @@ def build_fct_shard(
     ``trace`` attaches an event tracer; ``crash_at_us`` schedules a crash
     on shard ``crash_shard``.  The payload ``collect()`` ships home holds
     the shard's FCT records and the counters of its owned nodes
-    (PortStats rows, PFC ledger, events)."""
+    (port-counter rows, PFC ledger, events)."""
     owned = frozenset(name for name, sid in owner.items() if sid == shard_id)
     fab = build_fct_fabric(cc, workload=workload, **kwargs)
     sim, topo, collector = fab.sim, fab.topo, fab.collector

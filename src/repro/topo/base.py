@@ -66,10 +66,9 @@ class Topology:
         self.adj: Dict[str, Dict[str, dict]] = {}
         self._dist: Dict[str, Dict[str, int]] = {}  # dst name -> hop counts
         self._by_name: Dict[str, object] = {}
-        # Set by repro.lb.install_lb: the installed strategy config and the
-        # next-hop tables it computed (None for hand-wired routing).
+        # Set by repro.lb.install_lb: the installed strategy config (None
+        # for hand-wired routing).
         self.lb_config = None
-        self.routing_tables = None
         # Bumped by install_lb on every (re)install; consumers that cache
         # routing decisions outside the switches (the flow-level path memo)
         # compare against it instead of hooking the install path.
@@ -184,18 +183,12 @@ class Topology:
             links.append((e["rate_gbps"], e["prop_delay_ps"]))
         return links
 
-    def base_rtt_ps(
-        self,
-        src_host_id: int,
-        dst_host_id: int,
-        mtu: int = DEFAULT_MTU,
-        ack_size: int = ACK_SIZE,
-    ) -> int:
+    def base_rtt_ps(self, src_host_id: int, dst_host_id: int) -> int:
         """Unloaded RTT: store-and-forward MTU frame out, ACK back.
 
         This is the ``RTT`` of Eq. 4 and the ``T`` of Alg. 3.
         """
         links = self.path_links(src_host_id, dst_host_id)
-        fwd = sum(serialization_ps(mtu, r) + d for r, d in links)
-        back = sum(serialization_ps(ack_size, r) + d for r, d in links)
+        fwd = sum(serialization_ps(DEFAULT_MTU, r) + d for r, d in links)
+        back = sum(serialization_ps(ACK_SIZE, r) + d for r, d in links)
         return fwd + back

@@ -19,7 +19,6 @@ from repro.routing.tables import bfs_distances
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.base import LinkSpec, Topology
-from repro.transport.sender import TransportConfig
 
 
 def jellyfish(
@@ -29,7 +28,6 @@ def jellyfish(
     hosts_per_switch: int = 1,
     link: Optional[LinkSpec] = None,
     switch_config: Optional[SwitchConfig] = None,
-    transport_config: Optional[TransportConfig] = None,
     seeds: Optional[SeedSequenceFactory] = None,
     cnp_enabled: bool = False,
     lb=None,
@@ -45,13 +43,7 @@ def jellyfish(
         raise ValueError("degree must be positive and below the switch count")
     if (n_switches * switch_degree) % 2:
         raise ValueError("n_switches * switch_degree must be even")
-    topo = Topology(
-        sim,
-        seeds=seeds,
-        default_link=link,
-        switch_config=switch_config,
-        transport_config=transport_config,
-    )
+    topo = Topology(sim, seeds=seeds, default_link=link, switch_config=switch_config)
     seed = topo.seeds.child_seed("jellyfish") % (2**31)
     for attempt in (seed, seed + 1):  # disconnected is rare for the sizes used
         edges = sorted(random_regular_edges(switch_degree, n_switches, random.Random(attempt)))

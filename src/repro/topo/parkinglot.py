@@ -20,7 +20,6 @@ from repro.routing import install_ecmp
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.base import LinkSpec, Topology
-from repro.transport.sender import TransportConfig
 
 LOCATIONS = ("first", "middle", "last")
 
@@ -31,7 +30,6 @@ def congestion_at(
     n_switches: int = 3,
     link: Optional[LinkSpec] = None,
     switch_config: Optional[SwitchConfig] = None,
-    transport_config: Optional[TransportConfig] = None,
     seeds: Optional[SeedSequenceFactory] = None,
     cnp_enabled: bool = False,
 ) -> Topology:
@@ -39,13 +37,7 @@ def congestion_at(
         raise ValueError(f"location must be one of {LOCATIONS}, got {location!r}")
     if n_switches < 3:
         raise ValueError("need at least 3 switches for distinct hop locations")
-    topo = Topology(
-        sim,
-        seeds=seeds,
-        default_link=link,
-        switch_config=switch_config,
-        transport_config=transport_config,
-    )
+    topo = Topology(sim, seeds=seeds, default_link=link, switch_config=switch_config)
     switches = [topo.add_switch(f"sw{i}") for i in range(n_switches)]
     sender0 = topo.add_host("sender0", cnp_enabled=cnp_enabled)
     sender1 = topo.add_host("sender1", cnp_enabled=cnp_enabled)

@@ -42,9 +42,7 @@ class PoissonWorkload:
         if n_hosts < 2:
             raise ValueError("need at least two hosts")
         self.n_hosts = n_hosts
-        self.host_rate_gbps = host_rate_gbps
         self.cdf = cdf
-        self.load = load
         self._rng = seeds.stream("traffic")
         mean_size = cdf.mean()
         bytes_per_sec = load * n_hosts * host_rate_gbps * 1e9 / 8.0

@@ -11,13 +11,11 @@ from typing import List
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
+#: Sparkline columns.
+WIDTH = 60
 
-def compare_series(
-    named_series: dict,
-    width: int = 60,
-    y_scale: float = 1.0,
-    unit: str = "",
-) -> str:
+
+def compare_series(named_series: dict, y_scale: float = 1.0, unit: str = "") -> str:
     """One labelled sparkline per series, on a shared scale."""
     if not named_series:
         return ""
@@ -27,7 +25,7 @@ def compare_series(
     hi = max(all_vals) if all_vals else 1.0
     lines = []
     for name, s in named_series.items():
-        vals = [v * y_scale for v in _resample(s.values, width)]
+        vals = [v * y_scale for v in _resample(s.values, WIDTH)]
         if hi > 0:
             idx = [int(v / hi * (len(_SPARK) - 1)) for v in vals]
         else:

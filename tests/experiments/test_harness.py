@@ -75,7 +75,7 @@ class TestOneCellShape:
         ]
         assert callers == ["build_fabric"]
         rows = sum(
-            len(re.findall(r"s\.resume_received,\s*s\.max_qlen,\s*port\.train_frames", t))
+            len(re.findall(r"port\.resume_received,\s*port\.max_qlen,\s*port\.train_frames", t))
             for t in sources.values()
         )
         assert rows == 1
@@ -89,6 +89,16 @@ class TestOneCellShape:
             "LbCellSummary", "FaultCellSummary", "MicrobenchSummary", "portstats_rows",
             "FctSummary", "FctCell", "HybridFctResult", "def compare_ccs(",
         )
+        for path, text in self._sources().items():
+            for name in gone:
+                assert name not in text, f"{path}: {name}"
+
+    def test_fabric_state_has_one_home(self):
+        """A port's counters live on the ``Port``, routing tables are the
+        dict ``install_lb`` returns, and a built cell is one ``Fabric``:
+        the types and the attribute that only held or forwarded them stay
+        gone."""
+        gone = ("PortStats", "RoutingTables", "FctFabric", "routing_tables")
         for path, text in self._sources().items():
             for name in gone:
                 assert name not in text, f"{path}: {name}"
@@ -107,6 +117,35 @@ class TestOneCellShape:
         fault = experiments[self.SRC / "experiments" / "faultmatrix.py"]
         for own_copy in ("build_fabric(", "permutation_flows(", "fattree(", "k=4"):
             assert own_copy not in fault, own_copy
+
+
+class TestPortstatsFingerprint:
+    #: The pinned row layout after (node name, port index).
+    COLUMNS = (
+        "tx_packets", "tx_bytes", "rx_packets", "rx_bytes", "drops", "ecn_marked",
+        "pause_sent", "pause_received", "resume_sent", "resume_received",
+        "max_qlen", "train_frames",
+    )
+
+    def test_every_column_is_the_same_named_port_attribute(self):
+        from repro.experiments.common import portstats_fingerprint
+        from repro.experiments.fct_experiment import run_fct_experiment
+
+        # DCQCN marks ECN, so that column is live too.
+        r = run_fct_experiment("dcqcn", k=4, load=0.5, n_flows=40, scale=0.05, seed=3)
+        rows = portstats_fingerprint(r.topo)
+        ports = {
+            (node.name, port.index): port
+            for node in list(r.topo.hosts) + list(r.topo.switches)
+            for port in node.ports
+        }
+        assert sorted(ports) == sorted(row[:2] for row in rows)
+        for row in rows:
+            port = ports[row[:2]]
+            assert row[2:] == tuple(getattr(port, c) for c in self.COLUMNS), row[:2]
+        totals = dict(zip(self.COLUMNS, map(sum, zip(*(row[2:] for row in rows)))))
+        assert totals["tx_packets"] == totals["rx_packets"] > 0
+        assert totals["ecn_marked"] > 0
 
 
 class TestMicrobench:

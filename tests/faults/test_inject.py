@@ -3,7 +3,7 @@
 The acceptance criteria pinned here:
 
 * ``faults=None`` vs an armed no-op plan → byte-identical FCT fingerprints
-  AND byte-identical PortStats (the wire-level witness);
+  AND byte-identical port counters (the wire-level witness);
 * an identical (plan, seed) pair reproduces identical fingerprints across
   runs and across ``--jobs`` pool workers;
 * a hard link failure leaves zero hung flows: every flow completes or
@@ -162,7 +162,7 @@ def test_gray_loss_armed_on_a_host_mid_run_filters_the_next_frame():
     sim.run(until=us(40) - 1)
     in_window = nic.rx_packets - arrived
     assert in_window > 10  # the wire kept delivering...
-    assert inj.counters["drops_gray"] == nic.stats.drops == in_window  # ...into the filter
+    assert inj.counters["drops_gray"] == nic.drops == in_window  # ...into the filter
     assert rqp.data_packets == seen  # and not one frame leaked past it
 
     sim.run(until=us(5_000))

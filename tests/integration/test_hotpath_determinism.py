@@ -19,7 +19,7 @@ def _micro_fingerprint(result):
             fid: tuple(series.values) for fid, series in result.rates.items()
         },
         "tx": tuple(
-            p.stats.tx_packets
+            p.tx_packets
             for sw in result.topo.switches
             for p in sw.ports
         ),

@@ -14,6 +14,7 @@ from repro.lb import (
 )
 from repro.net.packet import ACK, DATA, Packet
 from repro.routing.ecmp import install_ecmp
+from repro.routing.tables import build_graph_tables
 from repro.sim.engine import Simulator
 from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
@@ -48,7 +49,7 @@ class TestInstall:
         topo = fattree(sim, k=4)
         assert isinstance(topo.switches[0].lb, EcmpLB)
         assert topo.lb_config.strategy == "ecmp"
-        assert topo.routing_tables is not None
+        assert install_ecmp(topo) == build_graph_tables(topo)
 
     def test_per_run_ownership(self):
         """A fresh topology must never inherit a previous run's caches."""
@@ -273,25 +274,25 @@ class TestPathDiversity:
 
     def test_fattree_diversity_counts(self, sim):
         topo = fattree(sim, k=4)
-        rt = topo.routing_tables
+        tables = build_graph_tables(topo)
         inter_pod = topo.node("h_2_0_0").host_id
         intra_pod = topo.node("h_0_1_0").host_id
         same_tor = topo.node("h_0_0_1").host_id
-        assert len(rt.tables["tor_0_0"][inter_pod]) == 2  # k/2 uplinks
-        assert len(rt.tables["agg_0_0"][inter_pod]) == 2  # k/2 cores
-        assert len(rt.tables["tor_0_0"][intra_pod]) == 2
-        assert len(rt.tables["tor_0_0"][same_tor]) == 1
+        assert len(tables["tor_0_0"][inter_pod]) == 2  # k/2 uplinks
+        assert len(tables["agg_0_0"][inter_pod]) == 2  # k/2 cores
+        assert len(tables["tor_0_0"][intra_pod]) == 2
+        assert len(tables["tor_0_0"][same_tor]) == 1
 
     def test_jellyfish_has_multipath_under_lb(self, sim):
         topo = jellyfish(
             sim, n_switches=8, switch_degree=4, hosts_per_switch=2, lb=LbConfig("ecmp")
         )
-        rt = topo.routing_tables
+        tables = build_graph_tables(topo)  # what install_lb routes by
         multi = sum(
             1
             for sw in topo.switches
             for dst in range(len(topo.hosts))
-            if len(rt.tables[sw.name].get(dst, [])) > 1
+            if len(tables[sw.name].get(dst, [])) > 1
         )
         assert multi > 0  # the random regular graph offers real choices
 

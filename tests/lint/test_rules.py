@@ -313,7 +313,7 @@ def test_d104_suppressed():
 
 
 def test_d104_shipping_fault_modules_clean():
-    # The real faults/ package must satisfy its own rule (baseline empty).
+    # The real faults/ package must satisfy its own rule.
     import glob
 
     for path in sorted(glob.glob(os.path.join(_REPO_ROOT, "src/repro/faults/*.py"))):
@@ -813,19 +813,15 @@ def test_every_registered_rule_has_a_design_ref():
 # -- repo gate: the tree itself lints clean ----------------------------------
 
 
-def test_repo_lints_clean_with_empty_dh_baseline():
-    """The acceptance bar: zero unbaselined findings and no D/H debt."""
+def test_repo_lints_clean():
+    """The acceptance bar: zero findings."""
     import os
 
-    from tools.lint.baseline import load_baseline
     from tools.lint.core import lint_paths
 
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     findings = lint_paths(root, DEFAULTS["paths"], DEFAULTS)
-    baseline = load_baseline(os.path.join(root, DEFAULTS["baseline"]))
     assert findings == [], [f.format() for f in findings]
-    for key in baseline:
-        assert not key.startswith(("D", "H")), f"D/H debt must be fixed, not baselined: {key}"
 
 
 # -- CLI: a run that lints nothing is an error, not a pass ----------------------
@@ -858,9 +854,9 @@ def test_cli_configured_paths_gate_the_real_tree(capsys):
     files are linted, nothing is found."""
     from tools.lint.cli import main
 
-    assert main(["--root", _REPO_ROOT, "--check-baseline"]) == 0
+    assert main(["--root", _REPO_ROOT]) == 0
     out = capsys.readouterr().out
-    assert "OK — 0 unbaselined finding(s) across" in out
+    assert "OK — 0 finding(s) across" in out
     assert " across 0 file(s)" not in out
 
 
@@ -884,4 +880,4 @@ def test_cli_reports_a_finding_and_honours_its_suppression(tmp_path, capsys):
         "x = random.random()  # fncc-lint: allow[D101] demo value, never in a run\n"
     )
     assert main(["--root", str(tmp_path), "src/repro"]) == 0
-    assert "OK — 0 unbaselined finding(s)" in capsys.readouterr().out
+    assert "OK — 0 finding(s)" in capsys.readouterr().out

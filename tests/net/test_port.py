@@ -84,20 +84,20 @@ class TestQueueAccounting:
             pa.enqueue(data(1000))
         sim.run()
         assert pa.tx_bytes == 3000
-        assert pa.stats.tx_packets == 3
+        assert pa.tx_packets == 3
 
     def test_rx_counters(self, sim):
         a, b, pa, pb = wire(sim)
         pa.enqueue(data(1000))
         sim.run()
-        assert pb.stats.rx_packets == 1
-        assert pb.stats.rx_bytes == 1000
+        assert pb.rx_packets == 1
+        assert pb.rx_bytes == 1000
 
     def test_max_qlen_high_watermark(self, sim):
         a, b, pa, pb = wire(sim)
         for _ in range(4):
             pa.enqueue(data(1518))
-        assert pa.stats.max_qlen == 3 * 1518
+        assert pa.max_qlen == 3 * 1518
         sim.run()
 
 

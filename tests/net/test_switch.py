@@ -134,7 +134,7 @@ class TestPfc:
         sim.run(until=10_000_000)
         pauses = [p for _, p in a.arrivals if p.kind == PAUSE]
         assert len(pauses) >= 1
-        assert sw.ports[0].stats.pause_sent >= 1
+        assert sw.ports[0].pause_sent >= 1
 
     def test_resume_sent_after_drain(self, sim):
         a, sw, b = self.make(sim)
@@ -168,7 +168,7 @@ class TestPfc:
         for i in range(50):
             a.ports[0].enqueue(data(flow=i))
         sim.run(until=10_000_000)
-        assert sw.ports[0].stats.pause_sent == 0
+        assert sw.ports[0].pause_sent == 0
 
     def test_xon_must_not_exceed_xoff(self):
         with pytest.raises(ValueError):
@@ -200,12 +200,12 @@ class TestPfcFrameLedger:
         for i in range(8):
             a.ports[0].enqueue(data(flow=i))
         sim.run(until=5_000_000)
-        assert sw2.ports[0].stats.pause_sent >= 1
+        assert sw2.ports[0].pause_sent >= 1
         sw2.ports[1].resume(0)
         sim.run()
 
-        tx = sw2.ports[0].stats  # sw2's frames toward sw1
-        rx = sw1.ports[1].stats  # counted where they arrive
+        tx = sw2.ports[0]  # sw2's frames toward sw1
+        rx = sw1.ports[1]  # counted where they arrive
         assert tx.pause_sent == rx.pause_received >= 1
         assert tx.resume_sent == rx.resume_received >= 1
         assert len(b.arrivals) == 8  # lossless through the storm

@@ -3,7 +3,7 @@
 Registry/counter-level observability is pull-based: enabling a full
 :class:`repro.obs.RunObservability` bundle (registry + tracer + flight
 recorder) must leave every simulation observable byte-identical — FCT
-fingerprints, every per-port :class:`PortStats` counter, the PFC frame
+fingerprints, every per-port counter, the PFC frame
 ledger — on the fused hop path and on the classic-only reference
 (:func:`helpers.classic_hops_only`), and must NOT close the frame-train
 gate (unlike :class:`helpers.PacketTap`, which wraps ``receive`` and
@@ -32,22 +32,21 @@ def port_stats_fingerprint(topo):
     out = []
     for node in _nodes(topo):
         for port in node.ports:
-            s = port.stats
             out.append(
                 (
                     node.name,
                     port.index,
-                    s.tx_packets,
-                    s.tx_bytes,
-                    s.rx_packets,
-                    s.rx_bytes,
-                    s.max_qlen,
-                    s.drops,
-                    s.ecn_marked,
-                    s.pause_sent,
-                    s.pause_received,
-                    s.resume_sent,
-                    s.resume_received,
+                    port.tx_packets,
+                    port.tx_bytes,
+                    port.rx_packets,
+                    port.rx_bytes,
+                    port.max_qlen,
+                    port.drops,
+                    port.ecn_marked,
+                    port.pause_sent,
+                    port.pause_received,
+                    port.resume_sent,
+                    port.resume_received,
                 )
             )
     return tuple(out)

@@ -6,7 +6,7 @@ timestamp, a counter, an RNG draw, or an FCT.  Every test here runs the
 same scenario as shipped (the port fuses every hop it may) and again under
 :func:`helpers.classic_hops_only` (every hop on the classic per-frame
 chain — the reference) and asserts byte-identical observables — FCT
-fingerprints, every per-port :class:`PortStats` counter, ECN mark counts,
+fingerprints, every per-port counter, ECN mark counts,
 :func:`repro.metrics.pfc_frame_totals` ledgers and the sampled series —
 plus one *engagement* guard: on a train-friendly fabric the fused path must
 actually fire (``Port.train_frames > 0``), so a silently broken predicate
@@ -40,26 +40,25 @@ def _nodes(topo):
 
 
 def port_stats_fingerprint(topo):
-    """Every PortStats counter of every port, in wiring order."""
+    """Every counter of every port, in wiring order."""
     out = []
     for node in _nodes(topo):
         for port in node.ports:
-            s = port.stats
             out.append(
                 (
                     node.name,
                     port.index,
-                    s.tx_packets,
-                    s.tx_bytes,
-                    s.rx_packets,
-                    s.rx_bytes,
-                    s.max_qlen,
-                    s.drops,
-                    s.ecn_marked,
-                    s.pause_sent,
-                    s.pause_received,
-                    s.resume_sent,
-                    s.resume_received,
+                    port.tx_packets,
+                    port.tx_bytes,
+                    port.rx_packets,
+                    port.rx_bytes,
+                    port.max_qlen,
+                    port.drops,
+                    port.ecn_marked,
+                    port.pause_sent,
+                    port.pause_received,
+                    port.resume_sent,
+                    port.resume_received,
                 )
             )
     return tuple(out)
@@ -291,7 +290,7 @@ class TestCommitWindowExactness:
     def test_train_max_never_moves_a_packet_backend_result(self):
         """``TRAIN_MAX`` (how far a pause-free switch-facing port may
         batch-fill its pending window) is exact on the packet backend:
-        any value gives the same FCTs and PortStats, PFC storms included.
+        any value gives the same FCTs and port counters, PFC storms included.
         1 and 3 leave the window at ``commit_lookahead``.  (The hybrid
         backend's ``bg_drain`` is *not* window-independent — its golden
         table is pinned to the shipped 3 / 8; ROADMAP item 7.)"""
@@ -516,6 +515,6 @@ class TestSplitTriggers:
             p
             for n in _nodes(r.topo)
             for p in n.ports
-            if p.stats.pause_received > 0
+            if p.pause_received > 0
         ]
         assert paused_ports, "scenario must exercise PFC"

@@ -41,18 +41,18 @@ def trace_path(topo, src, dst, flow_id, kind=DATA):
 class TestTables:
     def test_dumbbell_next_hops(self, sim):
         topo = dumbbell(sim, n_senders=2, n_switches=3)
-        rt = build_graph_tables(topo)
+        tables = build_graph_tables(topo)
         recv = topo.hosts[-1].host_id
         # sw0 must route to the receiver via sw1 (single path).
-        ports = rt.tables["sw0"][recv]
+        ports = tables["sw0"][recv]
         assert len(ports) == 1
 
     def test_fattree_has_equal_cost_choices(self, sim):
         topo = fattree(sim, k=4)
-        rt = build_graph_tables(topo)
+        tables = build_graph_tables(topo)
         # A ToR reaching a remote pod has k/2 = 2 uplink choices.
         remote_host = topo.node("h_3_0_0").host_id
-        assert len(rt.tables["tor_0_0"][remote_host]) == 2
+        assert len(tables["tor_0_0"][remote_host]) == 2
 
 
 def per_host_tables(topo, graph=None):
@@ -99,17 +99,17 @@ class TestTablesMatchPerHostWalk:
             "jellyfish1", "jellyfish2", "jellyfish3"])
     def test_full_topology(self, sim, build):
         topo = build(sim)
-        assert same_tables(build_graph_tables(topo).tables, per_host_tables(topo))
+        assert same_tables(build_graph_tables(topo), per_host_tables(topo))
 
     def test_spanning_tree_graph(self, sim):
         topo = jellyfish(sim, n_switches=10, switch_degree=4, hosts_per_switch=2)
         for tree in build_trees(topo, 3, seed=1):
-            got = build_graph_tables(topo, tree).tables
+            got = build_graph_tables(topo, tree)
             assert same_tables(got, per_host_tables(topo, tree))
 
     def test_entries_do_not_alias(self, sim):
         topo = fattree(sim, k=4)
-        tables = build_graph_tables(topo).tables
+        tables = build_graph_tables(topo)
         a, b = topo.node("h_0_0_0").host_id, topo.node("h_0_0_1").host_id
         assert tables["core_0_0"][a] == tables["core_0_0"][b]
         assert tables["core_0_0"][a] is not tables["core_0_0"][b]
@@ -127,7 +127,7 @@ class TestTablesMatchPerHostWalk:
         topo, g, wire = self._dumbbell_adj(sim)
         wire(topo.hosts[0].name, "sw2")
         want = per_host_tables(topo, g)
-        assert same_tables(build_graph_tables(topo, g).tables, want)
+        assert same_tables(build_graph_tables(topo, g), want)
         # The second uplink really is a shorter way in: sw2 now reaches
         # the host directly, where the attachment-switch walk would not.
         assert want["sw2"][topo.hosts[0].host_id] == [80]
@@ -136,18 +136,18 @@ class TestTablesMatchPerHostWalk:
         topo, g, wire = self._dumbbell_adj(sim)
         a, b = topo.hosts[0].name, topo.hosts[1].name
         wire(a, b)
-        assert same_tables(build_graph_tables(topo, g).tables, per_host_tables(topo, g))
+        assert same_tables(build_graph_tables(topo, g), per_host_tables(topo, g))
         # Now b hangs off a alone: single-homed, but not to a switch.
         (sw,) = (v for v in g[b] if v != a)
         del g[sw][b], g[b][sw]
-        assert same_tables(build_graph_tables(topo, g).tables, per_host_tables(topo, g))
+        assert same_tables(build_graph_tables(topo, g), per_host_tables(topo, g))
 
     def test_host_missing_from_graph_gets_no_entries(self, sim):
         topo, g, _wire = self._dumbbell_adj(sim)
         gone = topo.hosts[1]
         for v in g.pop(gone.name):
             del g[v][gone.name]
-        got = build_graph_tables(topo, g).tables
+        got = build_graph_tables(topo, g)
         assert same_tables(got, per_host_tables(topo, g))
         assert all(gone.host_id not in entry for entry in got.values())
 

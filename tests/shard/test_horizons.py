@@ -3,7 +3,7 @@ takes and nothing else.
 
 ``run_sharded`` is compared with :func:`run_every_window` — the same
 stop checks, one barrier per window, no skipping — on whole collect
-payloads (FCT records, every PortStats counter, the PFC ledger, event
+payloads (FCT records, every port counter, the PFC ledger, event
 counts), and with the serial engine through the merged results.
 """
 

@@ -1,7 +1,7 @@
 """Byte-identity: sharded runs reproduce the serial engine exactly.
 
 The acceptance bar for the whole shard subsystem (DESIGN.md §11): FCT
-fingerprints, every PortStats counter and the PFC ledger must match the
+fingerprints, every port counter and the PFC ledger must match the
 serial engine byte for byte, in-process AND process-backed, fused AND on
 the classic-only reference path, including runs where PFC PAUSE/RESUME
 frames cross the cut.

@@ -12,8 +12,6 @@ Layout:
   per-file analysis context.
 * :mod:`tools.lint.config` — ``DEFAULTS``, the repo policy (allow-lists,
   owner maps, hot-module lists), in one place.
-* :mod:`tools.lint.baseline` — the checked-in findings baseline: existing
-  debt fails CI only when it grows.
 * ``rules_*`` modules — the D/P/H/O rule families.  Importing this package
   registers them all.
 """

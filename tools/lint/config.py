@@ -42,11 +42,10 @@ _ENTROPY_CALLS: List[str] = [
     "secrets.randbelow",
 ]
 
-#: Repo policy.  Keys are lower-cased rule names; ``paths``/``baseline`` are
-#: tool-level.  Path values are repo-relative posix paths.
+#: Repo policy.  Keys are lower-cased rule names; ``paths`` is tool-level.
+#: Path values are repo-relative posix paths.
 DEFAULTS: Dict[str, Any] = {
     "paths": ["src/repro"],
-    "baseline": "tools/lint/baseline.json",
     "d101": {
         # The sanctioned seeded-RNG module (DESIGN.md §4): named streams
         # derived from the run seed.  Everything else draws through it.
