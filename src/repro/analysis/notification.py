@@ -22,8 +22,6 @@ for the last hop.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.units import ACK_SIZE, DEFAULT_MTU, serialization_ps, us
 
 

@@ -111,9 +111,6 @@ class Rocc(CongestionControl):
 
     name = "rocc"
 
-    def __init__(self) -> None:
-        self.last_advertised: Optional[float] = None
-
     def on_flow_start(self, qp: "SenderQP") -> None:
         qp.window = UNLIMITED_WINDOW
         qp.rate_gbps = qp.line_rate_gbps
@@ -121,5 +118,4 @@ class Rocc(CongestionControl):
     def on_ack(self, qp: "SenderQP", ack: "Packet") -> None:
         rate = ack.rocc_rate_gbps
         if rate is not None:
-            self.last_advertised = rate
             qp.rate_gbps = min(qp.line_rate_gbps, rate)

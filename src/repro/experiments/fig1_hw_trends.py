@@ -4,7 +4,7 @@ shrinking.  A static dataset, reproduced for completeness."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.traffic.distributions import NVIDIA_SWITCH_TRENDS, buffer_per_capacity_us
 

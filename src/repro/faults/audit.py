@@ -23,7 +23,7 @@ running it from the flight recorder cannot perturb a run.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 __all__ = ["FaultAuditor"]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import build_cc_env
 from repro.experiments.fct_experiment import run_fct_experiment

@@ -22,7 +22,7 @@ import enum
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.net.node import Node
-from repro.net.packet import ACK, CNP, DATA, PAUSE, RESUME, INTRecord, Packet
+from repro.net.packet import ACK, DATA, PAUSE, RESUME, INTRecord, Packet
 from repro.net.port import EcnConfig, Port
 from repro.units import DEFAULT_MTU, KB, MB, PAUSE_FRAME_SIZE
 

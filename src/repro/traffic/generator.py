@@ -13,7 +13,7 @@ traffic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.sim.rng import SeedSequenceFactory
 from repro.traffic.cdf import PiecewiseCdf

@@ -1,36 +1,28 @@
-"""Golden hybrid cells: what ``golden_hybrid.json`` records and how.
+"""Golden hybrid cells: the ``golden_hybrid`` and ``golden_trajectory``
+tables of the identity store (``tools/golden.py``).
 
-The table pins the hybrid backend's simulated output *across commits*
-(ROADMAP aim 3, byte identity across commits): per cell, the FCT
-fingerprint, a digest of every port counter, and the phase-stats dict.
-``test_golden.py`` recomputes each cell and demands equality; re-bless only
-when a change is *meant* to move simulated numbers, and justify it in
-CHANGES.md::
-
-    PYTHONPATH=src python tests/hybrid/golden.py --rebless
-
-``golden_trajectory.json`` pins the fluid engine one level down.  An FCT
-fingerprint is a trajectory *rounded* to integer picoseconds, so a rewrite
-of the waterfill can move a rate by one ulp and still pass the table above;
-the trajectory table digests what the engine actually computed — every
-committed rate change, every float finish time, the congestion intervals
-and the event counters of whole classification passes.  It was recorded
-from the commit before the waterfill kept only binding heap entries.
+``golden_hybrid`` pins the hybrid backend's simulated output across
+commits (ROADMAP aim 3): per cell, the FCT fingerprint, a digest of every
+port counter, and the phase-stats dict.  Its slow ``strict_10k`` row is
+DESIGN.md §6's 10k-flow recipe, whose 20k fluid events reach tie paths the
+800-flow cells rarely do.  ``golden_trajectory`` pins the fluid engine one
+level down: an FCT is rounded to integer picoseconds, so a waterfill rewrite
+can move a rate by one ulp and still pass ``golden_hybrid``; the trajectory
+digests every committed rate change, float finish time and congestion
+interval of whole classification passes, recorded from the commit before
+the waterfill kept only binding heap entries.  It is an identity pin: an
+edit that moves it is dropped, not re-blessed.
 """
 
 import hashlib
-import json
 import random
-import sys
 from pathlib import Path
 
 from repro.analysis.flowsim import from_topology
 from repro.experiments.common import portstats_fingerprint
 from repro.experiments.fct_experiment import build_fct_fabric
 from repro.hybrid.backend import HybridConfig, run_fct_hybrid
-
-GOLDEN_PATH = Path(__file__).with_name("golden_hybrid.json")
-TRAJECTORY_PATH = Path(__file__).with_name("golden_trajectory.json")
+from tools.golden import Table
 
 #: Diagnostics added after the table was first recorded; they describe how
 #: the answer was computed, not the answer, so they sit outside the pin.
@@ -52,24 +44,29 @@ def _coin_flip(seed: int):
     return lambda flow: random.Random(f"{seed}:{flow.flow_id}").random() < 0.5
 
 
-def _strict(seed: int):
+def _strict(seed: int, n_flows=800, load=0.4):
     return lambda: run_fct_hybrid(
-        "fncc", workload="websearch", k=8, load=0.4, n_flows=800, scale=0.01,
+        "fncc", workload="websearch", k=8, load=load, n_flows=n_flows, scale=0.01,
         seed=seed, config=_strict_config(),
     )
 
 
-#: name -> zero-argument runner.  ``default_refining`` is DCQCN because only
-#: ECN marks / PFC pauses / drops trigger refinement and FNCC cells of this
-#: size produce none.
+def _refining():
+    # DCQCN because only ECN marks / PFC pauses / drops trigger refinement,
+    # and FNCC cells of this size produce none.  A refining cell that stops
+    # refining pins nothing about refine rounds.
+    result = run_fct_hybrid("dcqcn", workload="websearch", k=4, load=0.3, n_flows=60,
+                            scale=0.3, seed=2, config=HybridConfig())
+    assert result.stats["refine_rounds"] >= 1
+    return result
+
+
+#: name -> zero-argument runner.
 CELLS = {
     "strict_1001": _strict(1001),
     "strict_1002": _strict(1002),
     "strict_1003": _strict(1003),
-    "default_refining": lambda: run_fct_hybrid(
-        "dcqcn", workload="websearch", k=4, load=0.3, n_flows=60, scale=0.3,
-        seed=2, config=HybridConfig(),
-    ),
+    "default_refining": _refining,
     "classify_fn_coin_flip": lambda: run_fct_hybrid(
         "fncc", workload="websearch", k=4, load=0.5, n_flows=30, scale=0.1,
         seed=2, classify_fn=_coin_flip(0),
@@ -93,13 +90,6 @@ def observe(result) -> dict:
             k: v for k, v in sorted(result.stats.items()) if k not in UNPINNED_STATS
         },
     }
-
-
-def record() -> dict:
-    table = {name: observe(run()) for name, run in CELLS.items()}
-    # A refining cell that stops refining pins nothing about refine rounds.
-    assert table["default_refining"]["stats"]["refine_rounds"] >= 1
-    return table
 
 
 def _pass(seed, n_flows=800, load=0.4, rate_eps=0.02, ripple_rounds=2, cap_entries=0):
@@ -158,13 +148,21 @@ def observe_trajectory(result) -> dict:
     }
 
 
-def record_trajectory() -> dict:
-    return {name: observe_trajectory(run()) for name, run in TRAJECTORY_CELLS.items()}
+def _observed(view, run):
+    return lambda: view(run())
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--rebless"]:
-        sys.exit(__doc__)
-    for path, table in ((GOLDEN_PATH, record()), (TRAJECTORY_PATH, record_trajectory())):
-        path.write_text(json.dumps(table, separators=(",", ":")) + "\n")
-        print(f"wrote {path}")
+TABLES = (
+    Table(
+        Path(__file__).with_name("golden_hybrid.json"),
+        rows={**{name: _observed(observe, run) for name, run in CELLS.items()},
+              # Too large to keep whole: the digest of its FCT fingerprint.
+              "strict_10k": _observed(lambda result: {"fct_sha1": _sha1(result.fct_fingerprint())},
+                                      _strict(1, 10_000, load=0.2))},
+        slow=frozenset({"strict_10k"}),
+    ),
+    Table(
+        Path(__file__).with_name("golden_trajectory.json"),
+        rows={name: _observed(observe_trajectory, run) for name, run in TRAJECTORY_CELLS.items()},
+    ),
+)

@@ -801,10 +801,75 @@ def test_s501_suppressible_with_justification():
     ) == []
 
 
+# -- N601: an import nothing reads -------------------------------------------
+
+
+def test_n601_violation():
+    findings = run(
+        """
+        from typing import TYPE_CHECKING, List, Optional
+        from repro.net.packet import ACK, CNP
+        if TYPE_CHECKING:
+            from repro.sim.engine import Simulator
+        def first(pkts: List[int]) -> Optional[int]:
+            return ACK
+        """,
+        rules=["N601"],
+    )
+    assert [(f.line, f.message.split()[0]) for f in findings] == [
+        (3, "'CNP'"), (5, "'Simulator'"),
+    ]
+
+
+def test_n601_quoted_annotations_and_aliases_count_as_use():
+    assert rules_hit(
+        """
+        from typing import TYPE_CHECKING, Callable
+        if TYPE_CHECKING:
+            from repro.net.host import Host
+            from repro.sim.engine import Simulator
+        Factory = Callable[["Host"], None]
+        def run(sim: "Simulator") -> None:
+            pass
+        """,
+        rules=["N601"],
+    ) == []
+
+
+def test_n601_a_plain_string_naming_the_import_is_no_use():
+    findings = run(
+        """
+        from repro.net.packet import CNP
+        LOG = "sent a CNP"
+        def count(stats):
+            return stats["CNP"]
+        """,
+        rules=["N601"],
+    )
+    assert [(f.line, f.message.split()[0]) for f in findings] == [(2, "'CNP'")]
+
+
+def test_n601_reexports_are_exempt():
+    assert rules_hit("from repro.units import us\n__all__ = ['us']\n", rules=["N601"]) == []
+    assert rules_hit(
+        "from repro.units import us\n", relpath="src/repro/net/__init__.py", rules=["N601"]
+    ) == []
+
+
+def test_n601_suppressed():
+    assert rules_hit(
+        """
+        # fncc-lint: allow[N601] imported for its registration side effect
+        import repro.cc.fncc
+        """,
+        rules=["N601"],
+    ) == []
+
+
 def test_every_registered_rule_has_a_design_ref():
     assert set(RULES) >= {
         "D101", "D102", "D103", "P201", "P202", "H301", "H302", "H303", "O401", "O402",
-        "S501",
+        "S501", "N601",
     }
     for name, (_, summary, ref) in RULES.items():
         assert summary and ref.startswith("DESIGN.md"), name

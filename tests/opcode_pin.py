@@ -1,5 +1,5 @@
-"""Exact interpreter work, per package: what ``opcode_pin.json`` records
-and how.
+"""Exact interpreter work, per package: the ``opcode_pin`` table of the
+identity store (``tools/golden.py``).
 
 For the smoke cell of each in-process benchmark workload — the cell
 ``python tools/profile.py --workload W --opcodes`` counts, after the same
@@ -11,28 +11,26 @@ Everything else — the suite's own code, the standard library — is one
 bucket, ``other``.  Code of installed packages (numpy, in the suite's
 reduction) is left out: its version is the environment's, not the
 commit's.  Each workload is counted in a fresh interpreter, so nothing an
-earlier test cached moves a count.
-
-The count is exact and repeats run to run (and across ``PYTHONHASHSEED``),
-so ``test_opcode_pin.py`` demands equality: a non-perf change shows it
-moved no layer's work in seconds, and a perf change names the package whose
-count it moved.  Bytecode differs between CPython versions, so the table
-records the one it was counted on and the test skips on any other.  A
-change that moves a count writes the per-package before and after into
-CHANGES.md first — the recorder refuses to write until the newest
-CHANGES.md entry names the table::
-
-    python tests/opcode_pin.py --rebless
+earlier test cached moves a count.  The count is exact and repeats run to
+run, so a change that moves it writes the per-package before and after
+into CHANGES.md before it re-blesses; a failing row and the re-bless show
+both per unit of work (:func:`per_unit`).  Bytecode differs between CPython
+versions, so the table records the one it was counted on, and its rows are
+checked and re-blessed on no other.
 """
 
+import functools
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+from tools.golden import Table
+
 ROOT = Path(__file__).resolve().parents[1]
 PIN_PATH = Path(__file__).with_name("opcode_pin.json")
-CHANGES_PATH = ROOT / "CHANGES.md"
 PKG = ROOT / "src" / "repro"
 
 #: The workloads whose cell runs in the counting process.
@@ -61,9 +59,6 @@ def installed(filename: str) -> bool:
 
 def count(workload: str) -> dict:
     """Warm up, then count one smoke cell of ``workload`` in this process."""
-    for p in (ROOT / "src", ROOT):
-        if str(p) not in sys.path:
-            sys.path.insert(0, str(p))
     from benchmarks.suite.cells import IMPL
     from benchmarks.suite.specs import SMOKE, sub_seed
     from benchmarks.suite.trace import Spans
@@ -83,38 +78,49 @@ def count(workload: str) -> dict:
 
 
 def count_fresh(workload: str) -> dict:
-    """:func:`count` in a new interpreter."""
+    """:func:`count` in a new interpreter, given the package, the suite and the store."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--count", workload],
         capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((str(ROOT), str(ROOT / "src")))},
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{workload}: counting failed\n{proc.stderr[-3000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def per_unit(row: dict) -> dict:
-    """Opcodes per unit of work, per package and in total."""
-    ops = row["opcodes"]
-    out = {k: round(n / row["work"], 1) for k, n in ops.items()}
-    out["total"] = round(sum(ops.values()) / row["work"], 1)
-    return out
+def per_unit(row):
+    """How a moved row is shown: opcodes per unit of work, per package and
+    in total (anything else, such as the ``python`` field, as it is)."""
+    if not isinstance(row, dict):
+        return row
+    ops, work = row["opcodes"], row["work"]
+    per = {k: round(n / work, 1) for k, n in ops.items()}
+    return {"work": work, **per, "total": round(sum(ops.values()) / work, 1)}
+
+
+def _skip():
+    if importlib.util.find_spec("numpy") is None:
+        return "the benchmark suite's cells need numpy"
+    recorded = json.loads(PIN_PATH.read_text())["python"]
+    if interpreter() != recorded:
+        return f"opcode counts are recorded on {recorded}; bytecode differs on {interpreter()}"
+    return None
+
+
+TABLES = (
+    Table(
+        PIN_PATH,
+        rows={workload: functools.partial(count_fresh, workload) for workload in WORKLOADS},
+        document=lambda rows: {"python": interpreter(), "workloads": rows},
+        groups=("workloads",),
+        skip=_skip,
+        show=per_unit,
+    ),
+)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--count"] and len(sys.argv) == 3:
-        print(json.dumps(count(sys.argv[2])))
-        sys.exit(0)
-    if sys.argv[1:] != ["--rebless"]:
-        sys.exit(__doc__)
-    if PIN_PATH.name not in CHANGES_PATH.read_text().rstrip().splitlines()[-1]:
-        sys.exit(
-            f"refusing: the newest CHANGES.md entry does not name {PIN_PATH.name}; "
-            "write down which package's count moved and why, then re-bless"
-        )
-    table = {"python": interpreter(), "workloads": {}}
-    for workload in WORKLOADS:
-        row = table["workloads"][workload] = count_fresh(workload)
-        print(f"{workload}: {per_unit(row)}")
-    PIN_PATH.write_text(json.dumps(table, indent=1) + "\n")
-    print(f"wrote {PIN_PATH}")
+    if sys.argv[1:2] != ["--count"] or len(sys.argv) != 3:
+        sys.exit("usage: opcode_pin.py --count WORKLOAD  (what tools/golden.py runs per row)")
+    print(json.dumps(count(sys.argv[2])))

@@ -29,7 +29,7 @@ def test_every_definition_is_in_the_census():
     gone = [key for key in listed if key not in defs]
     assert not unlisted and not gone, (
         f"not in tests/census.json: {unlisted}; listed but no longer defined: "
-        f"{gone} — re-run python -m tools.census --rebless"
+        f"{gone} — re-bless with python -m tools.golden --rebless census"
     )
     assert list(listed) == list(defs), "tests/census.json is not in source order"
 
@@ -41,7 +41,7 @@ def test_every_knob_is_in_the_census():
     gone = [key for key in listed if key not in params]
     assert not unlisted and not gone, (
         f"defaulted parameters not in tests/census.json: {unlisted}; listed but "
-        f"no longer defined: {gone} — re-run python -m tools.census --rebless"
+        f"no longer defined: {gone} — re-bless with python -m tools.golden --rebless census"
     )
     assert list(listed) == list(params), "tests/census.json knobs are not in source order"
     known = set(CENSUS["entry_points"])

@@ -48,13 +48,14 @@ call in a process that turns it; after that the hook stops looking at it.
 
 Usage, from the repository root::
 
-    python -m tools.census              # run the census, print it
-    python -m tools.census --check      # run it, diff against tests/census.json
-    python -m tools.census --rebless    # run it, rewrite tests/census.json
+    python -m tools.census                    # run the census, print it
+    python -m tools.census --check            # run it, diff against tests/census.json
+    python -m tools.golden --rebless census   # run it, rewrite tests/census.json
 
-``--rebless`` refuses until the newest CHANGES.md entry names
-``census.json`` and says why the reach or a knob moved.  A full run takes six
-to eight minutes on two vCPUs, two entry points at a time.
+``tests/census.json`` is the ``census`` table of the identity store
+(``tools/golden.py``), which refuses to re-bless it until CHANGES.md says why
+the reach or a knob moved.  A full run takes six to eight minutes on two
+vCPUs, two entry points at a time.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ import types
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from tools import golden
+
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "repro"
 CENSUS_PATH = ROOT / "tests" / "census.json"
-CHANGES_PATH = ROOT / "CHANGES.md"
 
 #: Set in every process of an entry point's run: the log its reach goes to.
 LOG_ENV = "REPRO_CENSUS_LOG"
@@ -516,70 +518,37 @@ def census(reached: Dict[str, set]) -> Tuple[dict, List[str]]:
     return doc, problems
 
 
-#: The tables of the census document, one row a line in the file.
-TABLES = ("definitions", "knobs")
-
-
-def dumps(doc: dict) -> str:
-    """One row per line, so a re-bless diffs line by line."""
-    lines = ["{"]
-    for name in ("about", "reasons", "entry_points"):
-        lines.append(f"  {json.dumps(name)}: {json.dumps(doc[name])},")
-    for t, table in enumerate(TABLES):
-        lines.append(f"  {json.dumps(table)}: {{")
-        items = list(doc[table].items())
-        for i, (key, value) in enumerate(items):
-            comma = "," if i < len(items) - 1 else ""
-            lines.append(f"    {json.dumps(key)}: {json.dumps(value)}{comma}")
-        lines.append("  }," if t < len(TABLES) - 1 else "  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument("--check", action="store_true",
-                      help="fail when a fresh census differs from tests/census.json")
-    mode.add_argument("--rebless", action="store_true",
-                      help="rewrite tests/census.json (CHANGES.md must say why)")
-    args = ap.parse_args(argv)
-
-    if args.rebless and CENSUS_PATH.name not in CHANGES_PATH.read_text().rstrip().splitlines()[-1]:
-        sys.exit(f"refusing: the newest CHANGES.md entry does not name {CENSUS_PATH.name}; "
-                 "write down why the reach moved, then re-bless")
+def document(_rows: dict) -> dict:
+    """The census document, freshly run (it has no rows of its own to
+    compute); exits on problems, listing them."""
     doc, problems = census(run())
-    text = dumps(doc)
     if problems:
         print("the census has problems (delete what nothing reaches, or give it a "
               "KEEP reason; drop KEEP entries that keep nothing):", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
-    if args.rebless:
-        if problems:
-            return 1
-        CENSUS_PATH.write_text(text)
-        print(f"wrote {CENSUS_PATH.relative_to(ROOT)}", file=sys.stderr)
+        raise SystemExit(1)
+    return doc
+
+
+CENSUS = golden.Table(CENSUS_PATH, document=document, groups=("definitions", "knobs"))
+TABLES = (CENSUS,)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="fail when a fresh census differs from tests/census.json")
+    if not ap.parse_args(argv).check:
+        sys.stdout.write(golden.dumps(CENSUS, document({})))
         return 0
-    if args.check:
-        committed = json.loads(CENSUS_PATH.read_text())
-        diff = []
-        for table in TABLES:
-            old, new = committed.get(table, {}), doc[table]
-            diff += [
-                f"  {key}: {json.dumps(old.get(key))} -> {json.dumps(new.get(key))}"
-                for key in sorted(set(old) | set(new)) if old.get(key) != new.get(key)
-            ]
-        if diff or problems or text != CENSUS_PATH.read_text():
-            print(f"the census moved ({len(diff)} rows); re-bless with "
-                  "python -m tools.census --rebless after saying why in CHANGES.md",
-                  file=sys.stderr)
-            print("\n".join(diff), file=sys.stderr)
-            return 1
-        print("census unchanged", file=sys.stderr)
-        return 0
-    sys.stdout.write(text)
-    return 1 if problems else 0
+    diff = golden.check(CENSUS)
+    for key, old, new, _ in diff:
+        print(f"  {key}: {json.dumps(old)} -> {json.dumps(new)}", file=sys.stderr)
+    print(f"the census moved ({len(diff)} rows); say why in CHANGES.md, naming census.json, "
+          "then re-bless with python -m tools.golden --rebless census" if diff
+          else "census unchanged", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -12,13 +12,14 @@ Layout:
   per-file analysis context.
 * :mod:`tools.lint.config` — ``DEFAULTS``, the repo policy (allow-lists,
   owner maps, hot-module lists), in one place.
-* ``rules_*`` modules — the D/P/H/O rule families.  Importing this package
+* ``rules_*`` modules — the D/P/H/O/N/S rule families.  Importing this package
   registers them all.
 """
 
 from tools.lint import (  # noqa: F401  (import-for-registration)
     rules_determinism,
     rules_hotpath,
+    rules_necessity,
     rules_obs,
     rules_pickle,
     rules_shard,
