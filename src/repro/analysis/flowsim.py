@@ -81,14 +81,12 @@ class FlowLevelSimulator:
         if rate_gbps <= 0:
             raise ValueError("rate must be positive")
         for key in ((u, v), (v, u)):
+            if key in self._link_ids:
+                raise ValueError(f"link {key} added twice")
             self._link_attrs[key] = (rate_gbps, prop_delay_ps)
-            lid = self._link_ids.get(key)
-            if lid is None:
-                self._link_ids[key] = len(self._caps)
-                self._caps.append(rate_gbps / 8000.0)
-                self._id_to_key.append(key)
-            else:
-                self._caps[lid] = rate_gbps / 8000.0
+            self._link_ids[key] = len(self._caps)
+            self._caps.append(rate_gbps / 8000.0)
+            self._id_to_key.append(key)
 
     # -- event loop ------------------------------------------------------------------
     def run(
@@ -254,14 +252,10 @@ def from_topology(topo) -> Tuple[FlowLevelSimulator, PathFn]:
             hit = state["memo"].get((flow.src, flow.dst, flow.flow_id))
             if hit is not None:
                 return hit
-            pkt = probe
-            pkt.flow_id = flow.flow_id
-            pkt.src = flow.src
-            pkt.dst = flow.dst
-        else:
-            # Dynamic strategies may mutate the frame they route; give
-            # them a fresh one like the packet engine would.
-            pkt = Packet(DATA, flow_id=flow.flow_id, src=flow.src, dst=flow.dst)
+        pkt = probe
+        pkt.flow_id = flow.flow_id
+        pkt.src = flow.src
+        pkt.dst = flow.dst
         src_name = topo.hosts[flow.src].name
         dst_name = topo.hosts[flow.dst].name
         current = next(iter(topo.adj[src_name]))
@@ -288,6 +282,7 @@ def from_topology(topo) -> Tuple[FlowLevelSimulator, PathFn]:
         if static:
             memo = state["memo"]
             if len(memo) >= _PATH_MEMO_MAX:
+                # census: a full path memo — tests/analysis/test_flowsim.py::TestFromTopology::test_path_memo_is_bounded
                 memo.clear()
             memo[(flow.src, flow.dst, flow.flow_id)] = hops
         return hops

@@ -156,6 +156,7 @@ class Dcqcn(CongestionControl):
         if self.time_stage < f and self.byte_stage < f:
             pass  # fast recovery: Rt unchanged
         elif self.time_stage >= f and self.byte_stage >= f:
+            # census: both stage counters past the threshold — tests/cc/test_dcqcn.py::TestRateRecovery::test_hyper_increase_engages_past_threshold
             self.rt = min(qp.line_rate_gbps, self.rt + cfg.rhai_gbps)
         else:
             self.rt = min(qp.line_rate_gbps, self.rt + cfg.rai_gbps)

@@ -76,14 +76,17 @@ class Fncc(Hpcc):
         if hop == len(prev) - 1 and u_max > cfg.alpha and cfg.lhcs_enabled:
             n = ack.n_flows
             if n < 1:
+                # census: an ACK that carries N = 0 — tests/cc/test_fncc.py::TestLhcs::test_n_floor_of_one
                 n = 1
             # B is the last hop's bandwidth from its own INT record (Alg. 3
             # line 25 uses ack.L[0].B — the record the last-hop switch wrote).
             target = (prev[-1].bandwidth_gbps / 8000.0) * self.t_ps * cfg.beta / n
             wc = target
             if wc < cfg.min_window_bytes:
+                # census: a target below the window floor — tests/cc/test_reference_oracle.py::test_fncc_fold_matches_decomposed_alg2_and_alg3
                 wc = cfg.min_window_bytes
             elif wc > self.w_init:
+                # census: a last hop faster than the NIC — tests/cc/test_fncc.py::TestLhcs::test_a_last_hop_faster_than_the_nic_is_clamped_to_w_init
                 wc = self.w_init
             self.wc = wc
             self.last_lhcs_target = target

@@ -94,6 +94,7 @@ class Hpcc(CongestionControl):
         self.w_init = qp.line_rate_gbps / 8000.0 * self.t_ps
         cfg = self.config
         self.wai = (
+            # census: a configured additive step — tests/cc/test_hpcc.py::TestInit::test_explicit_wai
             cfg.wai_bytes
             if cfg.wai_bytes is not None
             else self.w_init * (1.0 - cfg.eta) / cfg.wai_flows
@@ -112,6 +113,7 @@ class Hpcc(CongestionControl):
         oracle and every float expression here is in that order."""
         recs = ack.int_records
         if not recs:
+            # census: an ACK without INT records — tests/cc/test_hpcc.py::TestRobustness::test_ack_without_int_ignored
             return
         if self.reversed_int:
             recs = recs[::-1]

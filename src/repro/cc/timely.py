@@ -78,6 +78,7 @@ class Timely(CongestionControl):
         gradient = self._rtt_diff_ewma / max(1, qp.base_rtt_ps)
         rate = qp.rate_gbps
         if rtt < cfg.t_low_ps:
+            # census: an RTT below T_low — tests/cc/test_delay_based.py::TestTimely::test_additive_increase_below_t_low
             rate += cfg.add_step_gbps
         elif rtt > cfg.t_high_ps:
             rate *= 1.0 - cfg.beta * (1.0 - cfg.t_high_ps / rtt)

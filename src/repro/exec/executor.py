@@ -87,6 +87,7 @@ def _execute(index: int, spec: RunSpec) -> RunResult:
     t0 = time.perf_counter()
     try:
         value = spec.run()
+    # census: a spec that raises — tests/exec/test_executor.py::TestInProcessFallback::test_error_raises_sweep_error_with_traceback
     except Exception:
         return RunResult(
             key=key,
@@ -115,6 +116,7 @@ def _pool_execute(index: int, spec: RunSpec) -> RunResult:
     if result.ok:
         try:
             pickle.dumps(result.value)
+        # census: an unpicklable return value — tests/exec/test_executor.py::TestProcessPool::test_unpicklable_return_value_is_clean_error
         except Exception as exc:
             result = RunResult(
                 key=result.key,
@@ -161,6 +163,7 @@ class SweepExecutor:
         """Run every spec; return results in spec order."""
         spec_list = list(specs)
         if not spec_list:
+            # census: an empty sweep — tests/exec/test_executor.py::TestInProcessFallback::test_empty_sweep
             return []
         if self.jobs == 1 or len(spec_list) == 1:
             results = [_execute(i, s) for i, s in enumerate(spec_list)]
@@ -191,6 +194,7 @@ class SweepExecutor:
         for i, spec in enumerate(spec_list):
             try:
                 pickle.dumps(spec)
+            # census: an unpicklable spec — tests/exec/test_executor.py::TestProcessPool::test_unpicklable_spec_rejected_with_attribution
             except Exception as exc:
                 results[i] = RunResult(
                     key=spec.key if spec.key is not None else i,

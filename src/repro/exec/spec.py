@@ -34,6 +34,7 @@ def resolve_callable(ref: FnRef) -> Callable[..., Any]:
     attribute path.
     """
     if callable(ref):
+        # census: a callable, not a 'module:qualname' name — tests/exec/test_executor.py::TestInProcessFallback::test_jobs1_accepts_unpicklable_fn
         return ref
     if isinstance(ref, str):
         mod_name, sep, qualname = ref.partition(":")

@@ -47,8 +47,6 @@ ECN_KMIN_100G = 100 * KB
 ECN_KMAX_100G = 400 * KB
 ECN_PMAX = 0.2
 
-WINDOW_BASED = {"hpcc", "fncc", "swift"}
-
 
 class CcEnv:
     """Everything needed to instantiate one CC scheme on a fabric."""

@@ -135,6 +135,7 @@ def run_fct_summary(
     worker so the snapshot rides home on the result and the reduce step
     can merge snapshots across workers.
     """
+    # census: a pooled cell that returns a registry snapshot — tests/obs/test_metrics_registry.py::TestWorkerSnapshots::test_serial_and_pooled_merge_identically
     if obs is None and obs_snapshot:
         from repro.obs import MetricsRegistry, RunObservability
 
@@ -276,6 +277,7 @@ def run_fct_experiment(
     :func:`build_fct_fabric` for the remaining knobs.
     """
     fab = build_fct_fabric(cc, workload=workload, **kwargs)
+    # census: an armed fault plan — tests/faults/test_inject.py::test_noop_plan_is_zero_perturbation
     if faults is not None:
         from repro.faults import FaultInjector
 
@@ -303,6 +305,7 @@ def compare_ccs_sweep(
     # (DESIGN.md §5.4).  A packet cell needs neither.
     if kwargs.get("backend", "packet") != "packet":
         import repro.hybrid.backend
+    # census: pooled cells that return registry snapshots — tests/obs/test_metrics_registry.py::TestWorkerSnapshots::test_serial_and_pooled_merge_identically
     if kwargs.get("obs_snapshot"):
         import repro.obs
     return sweep(

@@ -56,8 +56,6 @@ def run_fig13(
 def queue_reduction_pct(hpcc: MicrobenchResult, fncc: MicrobenchResult) -> float:
     """Peak-queue reduction of FNCC relative to HPCC (the Fig. 13 metric)."""
     base = hpcc.peak_queue_bytes
-    if base <= 0:
-        return 0.0
     return 100.0 * (base - fncc.peak_queue_bytes) / base
 
 

@@ -54,13 +54,8 @@ class FairnessResult:
 
     def jain_index_at(self, t_ps: int) -> float:
         """Jain's fairness index over the flows active at ``t_ps``."""
-        active = self.active_flows_at(t_ps)
-        if not active:
-            return 1.0
-        xs = [self.rates[i].value_at(t_ps) for i in active]
+        xs = [self.rates[i].value_at(t_ps) for i in self.active_flows_at(t_ps)]
         s = total(xs)
-        if s == 0:
-            return 1.0
         return s**2 / (len(xs) * total(x * x for x in xs))
 
     def epoch_probe_times(self) -> List[int]:

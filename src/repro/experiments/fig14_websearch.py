@@ -127,11 +127,6 @@ def main(
 ) -> None:
     n_flows = 60 if quick else 200
     if trace or progress:
-        if jobs != 1:
-            print(
-                "note: --trace/--progress run in-process; ignoring --jobs",
-                file=sys.stderr,
-            )
         results = _run_fig14_observed(
             CCS, seed=seed, backend=backend, n_flows=n_flows,
             trace=trace, progress=progress,

@@ -194,15 +194,6 @@ def main(jobs: int = 1, seed: int = 1, quick: bool = False) -> None:
     print("CC × LB matrix (FCTs in µs; lower is better)")
     print(format_matrix(cells, "mean_fct_us"))
     print(format_matrix(cells, "p99_fct_us"))
-    incomplete = {
-        k: (c.completed(), c.n_flows)
-        for k, c in cells.items()
-        if c.completed() < c.n_flows
-    }
-    if incomplete:
-        print("\ncells with stragglers (completed/total):")
-        for k, (done, total) in incomplete.items():
-            print(f"  {k}: {done}/{total}")
     perm = {
         k: c for k, c in cells.items() if k[0] == "fattree" and k[1] == "permutation"
     }

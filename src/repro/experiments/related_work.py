@@ -32,19 +32,16 @@ def main() -> None:
             f"{resp if resp is not None else -1:12.1f} "
             f"{r.utilization.mean_after(us(100)):6.3f} {r.pause_frames:7d}"
         )
-    try:
-        from repro.viz import compare_series
+    from repro.viz import compare_series
 
-        print("\nqueue-length sparklines (shared scale, KB):")
-        print(
-            compare_series(
-                {cc: r.queue for cc, r in results.items()},
-                y_scale=1 / KB,
-                unit="KB",
-            )
+    print("\nqueue-length sparklines (shared scale, KB):")
+    print(
+        compare_series(
+            {cc: r.queue for cc, r in results.items()},
+            y_scale=1 / KB,
+            unit="KB",
         )
-    except Exception:  # pragma: no cover - viz is cosmetic
-        pass
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -123,9 +123,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
+        # census: --jobs below 1 — tests/experiments/test_harness.py::TestRunnerCli::test_bad_jobs_rejected
         parser.error("--jobs must be >= 1")
     if args.seed is not None and not 0 <= args.seed < 2**63:
         # SeedSequenceFactory's rule, checked before any cell runs.
+        # census: a seed outside 63 bits — tests/experiments/test_harness.py::TestRunnerCli::test_bad_seed_rejected_before_any_cell
         parser.error("--seed must be a non-negative 63-bit integer")
 
     if args.list or not args.experiment:
@@ -137,6 +139,7 @@ def main(argv=None) -> int:
                 marker = f"[sweep: {flags}]"
             print(f"{name:<14}{marker}")
         return 0
+    # census: an unknown experiment — tests/experiments/test_harness.py::TestRunnerCli::test_unknown_experiment
     if args.experiment not in _MODULES:
         print(f"unknown experiment {args.experiment!r}; use --list", file=sys.stderr)
         return 2
@@ -144,6 +147,7 @@ def main(argv=None) -> int:
     if "trace" in opts and args.trace is not None:
         folder = os.path.dirname(os.path.abspath(args.trace))
         if not os.path.isdir(folder):
+            # census: a trace into a missing directory — tests/experiments/test_harness.py::TestRunnerCli::test_trace_into_a_missing_directory_rejected_before_any_cell
             parser.error(f"--trace: directory {folder} does not exist")
     kwargs = {}
     for opt, (not_given, note) in _OPTIONS.items():
@@ -153,6 +157,7 @@ def main(argv=None) -> int:
         if opt in opts:
             kwargs[opt] = value
         else:
+            # census: an option the experiment does not take — tests/experiments/test_harness.py::TestRunnerCli::test_jobs_on_non_sweep_experiment_noted_and_ignored
             print(f"note: {args.experiment} {note}", file=sys.stderr)
     _experiment_main(args.experiment)(**kwargs)
     return 0

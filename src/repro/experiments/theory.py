@@ -9,7 +9,7 @@ two schemes' response times in the Fig. 11 scenarios — and prints both.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.notification import NotificationModel
 from repro.experiments.fig13_congestion_location import run_location
@@ -26,7 +26,7 @@ def measured_response_gap_us(
     duration_us: float = 500.0,
     seed: int = 1,
     lhcs: bool = True,
-) -> Optional[float]:
+) -> float:
     """HPCC response time minus FNCC response time for flow0 after the join
     (positive = FNCC heard about it earlier).  ``lhcs=False`` isolates the
     pure notification-latency effect on the last hop (LHCS otherwise adds
@@ -39,7 +39,7 @@ def measured_response_gap_us(
     t_f = fncc.rates[0].first_time_below(threshold, after_ps=us(301))
     t_h = hpcc.rates[0].first_time_below(threshold, after_ps=us(301))
     if t_f < 0 or t_h < 0:
-        return None
+        raise RuntimeError(f"{location}: a rate never fell below the response threshold")
     return to_us(t_h - t_f)
 
 
@@ -58,14 +58,11 @@ def run_theory(duration_us: float = 500.0, seed: int = 1) -> Dict[str, Dict[str,
             "theory_gain_us": model.gain_ps(hop) / 1e6,
             "theory_hpcc_us": model.hpcc_delay_ps(hop) / 1e6,
             "theory_fncc_us": model.fncc_delay_ps(hop) / 1e6,
-            "measured_gap_us": gap if gap is not None else float("nan"),
+            "measured_gap_us": gap,
         }
         if loc == "last":
-            g = measured_response_gap_us(
+            out[loc]["measured_gap_with_lhcs_us"] = measured_response_gap_us(
                 loc, duration_us=duration_us, seed=seed, lhcs=True
-            )
-            out[loc]["measured_gap_with_lhcs_us"] = (
-                g if g is not None else float("nan")
             )
     return out
 
@@ -80,13 +77,12 @@ def main() -> None:
             f"{r['theory_fncc_us']:9.2f} {r['theory_gain_us']:9.2f} "
             f"{r['measured_gap_us']:13.2f}"
         )
-    lhcs_gap = rows["last"].get("measured_gap_with_lhcs_us")
-    if lhcs_gap is not None:
-        print(
-            f"last hop with LHCS enabled: measured gap {lhcs_gap:.2f} us — "
-            "larger than the pure-notification prediction, which is LHCS "
-            "doing exactly its job (Alg. 2 compensates the smallest gain)"
-        )
+    print(
+        f"last hop with LHCS enabled: measured gap "
+        f"{rows['last']['measured_gap_with_lhcs_us']:.2f} us — "
+        "larger than the pure-notification prediction, which is LHCS "
+        "doing exactly its job (Alg. 2 compensates the smallest gain)"
+    )
     print("theory: gain shrinks toward the last hop — hence LHCS (Alg. 2)")
 
 

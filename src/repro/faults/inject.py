@@ -106,8 +106,6 @@ class FaultInjector:
         self.sim = sim
         self.topo = topo
         specs = self.plan.specs
-        if seeds is None:
-            seeds = getattr(topo, "seeds", None)
         if seeds is not None:
             self._rng = seeds.stream(f"faults.{self.plan.name}")
         self._validate(specs)
@@ -146,12 +144,11 @@ class FaultInjector:
             elif kind == "pfc_storm":
                 self._node(spec["switch"])
                 self._edge_ports(spec["switch"], spec["toward"])
-            if self._rng is None and (
-                kind == "gray_loss" or (kind == "link_flap" and spec["jitter_ps"])
-            ):
+            stochastic = kind == "gray_loss" or (kind == "link_flap" and spec["jitter_ps"])
+            if stochastic and self._rng is None:
                 raise ValueError(
                     f"fault plan {self.plan.name!r} has stochastic specs but no "
-                    "seed factory; pass seeds= (or build the topology with one)"
+                    "seed factory; pass seeds="
                 )
 
     def _intercepted_nodes(self, specs) -> List[str]:
@@ -266,10 +263,12 @@ class FaultInjector:
         key = (a, b) if a <= b else (b, a)
         if down:
             if key in self._dead_links:
-                return  # overlapping flap/down specs: already dead
+                # census: overlapping flap/down specs, the link already dead — tests/faults/test_inject.py::test_overlapping_specs_fire_each_transition_once
+                return
             self._dead_links.add(key)
         else:
             if key not in self._dead_links:
+                # census: overlapping flap/down specs, the link already up — tests/faults/test_inject.py::test_overlapping_specs_fire_each_transition_once
                 return
             self._dead_links.discard(key)
         ports = self._edge_ports(a, b)
@@ -288,6 +287,7 @@ class FaultInjector:
         node = self._node(name)
         st = self._states[name]
         if st.fail_all:
+            # census: a second fail of a failed switch — tests/faults/test_inject.py::test_overlapping_specs_fire_each_transition_once
             return
         st.fail_all = True
         self._failed_switches.add(name)
@@ -349,6 +349,7 @@ class FaultInjector:
         if sim.now + interval <= until:
             sim.schedule(interval, self._storm_tick, arg)
         else:
+            # census: a storm that ends inside the run — tests/faults/test_watchdog.py::test_watchdog_restores_after_storm_ends
             self._log("pfc_storm_end", switch=sw.name, port=in_port)
 
     # ------------------------------------------------------------------

@@ -210,6 +210,7 @@ def _schedule_bg_drains(
         port, _rate = _directed_port(fab.topo, u, v)
         for e, nbytes in sorted(per_epoch.items()):
             if nbytes < 1.0:
+                # census: an epoch with under one background byte — tests/hybrid/test_backend.py::TestPassCount::test_classify_fn_cell_runs_two_passes
                 continue
             pieces = max(1, math.ceil(nbytes / quantum))
             piece = nbytes / pieces
@@ -334,6 +335,7 @@ def run_fct_hybrid(
 
     # -- degenerate tiers ---------------------------------------------------
     if classify_fn is None and thr is not None and thr <= 0:
+        # census: threshold <= 0: every flow runs as packets — tests/hybrid/test_backend.py::TestDegenerateTiers::test_threshold_zero_is_byte_identical_to_packet
         return _all_packet(0)
 
     fab = build_fct_fabric(cc, workload=workload, **fabric_kwargs)
@@ -371,6 +373,7 @@ def run_fct_hybrid(
         return _merged(fres, None, demoted=0, fluid=n_flows, refine_rounds=0,
                        fluid_events=fres.n_events)
 
+    # census: threshold = inf: every flow stays fluid — tests/hybrid/test_backend.py::TestDegenerateTiers::test_a_fluid_only_pass_is_announced
     if classify_fn is None and (
         thr is None or (isinstance(thr, float) and math.isinf(thr))
     ):
@@ -381,9 +384,11 @@ def run_fct_hybrid(
     # -- 1. classification pass --------------------------------------------
     # Either way ``cres`` is the one simulation of the whole flow set, and
     # its rate history is what every background replay below integrates.
+    # census: a caller's partition — tests/hybrid/test_backend.py::TestDegenerateTiers::test_a_fluid_only_pass_is_announced
     if classify_fn is not None:
         demoted: Set[int] = {f.flow_id for f in flows if classify_fn(f)}
         if len(demoted) == n_flows:
+            # census: a partition that demotes every flow — tests/hybrid/test_backend.py::TestPartitionInvariance::test_all_true_partition_matches_packet
             return _all_packet(0)
         # No classification pass to reuse: a plain pass supplies the
         # history (and the paths for the shared-link overlap).
@@ -544,6 +549,7 @@ def run_fct_hybrid(
     sched: List[Tuple[int, Tuple[str, str], float]] = []
     for lk, per_epoch in sampler.used.items():
         if not per_epoch:
+            # census: a link no demoted flow used — tests/hybrid/test_backend.py::TestBackendSelection::test_validate_fails_a_run_that_completes_no_flow
             continue
         _port, rate_gbps = _directed_port(fab.topo, *lk)
         floor = cfg.residual_floor * rate_gbps
@@ -552,6 +558,7 @@ def run_fct_hybrid(
             used_bytes = per_epoch.get(e, 0)
             residual = rate_gbps - used_bytes * 8000.0 / epoch_ps
             if residual < floor:
+                # census: a link the packet tier filled past the floor — tests/test_golden_store.py::test_row_matches_the_store[golden_hybrid/default_refining]
                 residual = floor
             sched.append((e * epoch_ps, lk, residual))
         sched.append(((last + 1) * epoch_ps, lk, rate_gbps))

@@ -300,8 +300,6 @@ class FluidEngine:
         def set_rate(i: int, new: float, t: float) -> None:
             nonlocal n_rate_changes
             old = rate[i]
-            if new == old:
-                return
             r = rem[i] - old * (t - upd[i])
             rem[i] = r if r > 0.0 else 0.0
             upd[i] = t
@@ -380,6 +378,7 @@ class FluidEngine:
             for l in links_used:
                 a = cap[l] - w_avail[l]
                 if a < 0.0:
+                    # census: a link a capacity cut left over-committed — tests/hybrid/test_fluid_engine.py::TestOverCommit::test_a_share_below_zero_is_clamped
                     a = 0.0
                 if w_users[l] is None:
                     w_nuf[l] = 0
@@ -568,9 +567,7 @@ class FluidEngine:
                     self.congestion_intervals.setdefault(l, []).append((t0, t))
 
     def _finalize(self, t: float) -> None:
+        # No congestion interval is open here: the last flow off a link
+        # closed it when it left.
         if self.history is not None:
             self.history.end_time = t
-        for l, t0 in list(self._cong_open.items()):
-            if t > t0:
-                self.congestion_intervals.setdefault(l, []).append((t0, t))
-        self._cong_open.clear()

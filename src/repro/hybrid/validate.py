@@ -161,6 +161,7 @@ def validate(
     for b in pres.bins:
         np_, nh = len(pvals[b]), len(hvals[b])
         if np_ == 0 or nh == 0:
+            # census: a bin one side left empty — tests/hybrid/test_backend.py::TestBackendSelection::test_validate_fails_a_run_that_completes_no_flow
             continue
         pmean = ptab.stat(b, "average")
         hmean = htab.stat(b, "average")
@@ -205,6 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         build_cc_env(args.cc)
         SeedSequenceFactory(args.seed)
         cfg = HybridConfig(threshold=args.threshold) if args.threshold is not None else None
+    # census: a bad scheme, seed or threshold — tests/hybrid/test_backend.py::TestBackendSelection::test_validate_cli_unknown_cc_is_one_line_error
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,7 +93,6 @@ class LoadBalancer:
         if max_cache_entries < 1:
             raise ValueError("max_cache_entries must be positive")
         self.max_cache_entries = max_cache_entries
-        self.switch: Optional["Switch"] = None
         # Failover state (DESIGN.md §10): the live split dict the router
         # closure captured (entries are rewritten in place on failover),
         # the pristine all-links-up copy it is recomputed from, and the
@@ -103,8 +102,7 @@ class LoadBalancer:
         self._dead_ports: set = set()
 
     def bind(self, sw: "Switch", tables: Dict[int, List[int]]) -> Router:
-        """Attach to one switch: record the binding, build the closure."""
-        self.switch = sw
+        """Attach to one switch: reset the failover state, build the closure."""
         split = split_tables(tables)
         self._split = split
         self._pristine = dict(split)
@@ -117,16 +115,12 @@ class LoadBalancer:
         it.  Destinations whose *only* path used the dead port keep their
         pristine entry (a deliberate blackhole — transport-level recovery,
         not routing, resolves a partition)."""
-        if port_idx in self._dead_ports:
-            return
         self._dead_ports.add(port_idx)
         self._remask()
         self.invalidate()
 
     def on_link_up(self, port_idx: int) -> None:
         """The link came back: fold the port into every ECMP group again."""
-        if port_idx not in self._dead_ports:
-            return
         self._dead_ports.discard(port_idx)
         self._remask()
         self.invalidate()
@@ -137,8 +131,6 @@ class LoadBalancer:
         router closure captured ``self._split`` by reference, so the next
         packet routes around the failure with no re-install."""
         split, pristine, dead = self._split, self._pristine, self._dead_ports
-        if split is None:
-            return
         for dst, entry in pristine.items():
             if type(entry) is int:
                 split[dst] = entry  # single path: dead or not, it is all we have
@@ -146,6 +138,7 @@ class LoadBalancer:
             ports, _n = entry
             live = [p for p in ports if p not in dead]
             if not live:
+                # census: every uplink toward a destination dead — tests/lb/test_strategies.py::TestEcmpBounded::test_a_destination_with_every_uplink_dead_keeps_its_pristine_entry
                 split[dst] = entry  # all paths dead: keep pristine (blackhole)
             elif len(live) == 1:
                 split[dst] = live[0]
@@ -208,6 +201,7 @@ def make_flow_hash_port(hash_cache: Dict[tuple, int], cap: int):
         h = hash_cache.get(key)
         if h is None:
             if len(hash_cache) >= cap:
+                # census: a full ACK-path hash memo — tests/lb/test_strategies.py::TestEcmpBounded::test_the_ack_path_hash_memo_is_bounded
                 hash_cache.clear()
             h = hash_cache[key] = stable_hash64(a, b, fid, 0)  # 0: as EcmpLB hashes
         return ports[h % n]
@@ -238,6 +232,7 @@ def install_lb(
     registration, which happens after topology construction).
     """
     if config is None:
+        # census: no strategy given — tests/lb/test_strategies.py::TestInstall::test_no_config_is_plain_ecmp
         config = LbConfig("ecmp", **params)
     elif isinstance(config, str):
         config = LbConfig(config, **params)

@@ -158,6 +158,7 @@ class ConWeaveLiteLB(LoadBalancer):
             state = table.get(key)
             if state is None:
                 if len(table) >= cap:
+                    # census: a full flow table — tests/lb/test_strategies.py::TestConWeaveLite::test_flow_table_bounded
                     lb._sweep(now)
                 state = table[key] = [0, now, now, now]
             else:
@@ -198,6 +199,7 @@ class ConWeaveLiteLB(LoadBalancer):
                         lb.reroutes += 1
                         cb = lb.on_reroute
                         if cb is not None:
+                            # census: a traced reroute — tests/obs/test_zero_perturbation.py::TestTraceHooksObserve::test_lb_reroute_callback_fires
                             cb(now, src, dst, fid, cur_port, best_port)
                         # The packet in hand is the old epoch's tail: it
                         # drains the old path and tells the receiver the

@@ -56,6 +56,7 @@ class EcmpLB(LoadBalancer):
             h = hash_cache.get(key)
             if h is None:
                 if len(hash_cache) >= cap:
+                    # census: a full hash memo — tests/lb/test_strategies.py::TestEcmpBounded::test_hash_cache_bounded
                     hash_cache.clear()
                 # The trailing 0 is part of the hash input (path choices
                 # are pinned across commits); it is not a knob.

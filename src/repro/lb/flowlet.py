@@ -125,6 +125,7 @@ class FlowletLB(LoadBalancer):
             state = table.get(key)
             if state is None:
                 if len(table) >= cap:
+                    # census: a full flowlet table — tests/lb/test_strategies.py::TestFlowlet::test_table_bounded
                     lb._sweep(now)
                 port = pick_port(src, dst, fid, 0, ports, n)
                 table[key] = [now, 0, port]

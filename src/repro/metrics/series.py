@@ -35,12 +35,14 @@ class TimeSeries:
         """Mean of samples at or after ``t_ps`` (skip warm-up transients)."""
         i = bisect_left(self.times, t_ps)
         if i >= len(self.values):
+            # census: a window past the last sample — tests/metrics/test_series.py::TestBasics::test_empty_series
             return 0.0
         return stats.mean(self.values[i:])
 
     def max_after(self, t_ps: int) -> float:
         i = bisect_left(self.times, t_ps)
         if i >= len(self.values):
+            # census: a window past the last sample — tests/metrics/test_series.py::TestWindows::test_max_after
             return 0.0
         return float(max(self.values[i:]))
 
@@ -49,6 +51,7 @@ class TimeSeries:
         lo = bisect_left(self.times, t0_ps)
         hi = bisect_right(self.times, t1_ps)
         if lo >= hi:
+            # census: an empty window — tests/metrics/test_series.py::TestWindows::test_max_between
             return 0.0
         return float(max(self.values[lo:hi]))
 

@@ -108,7 +108,7 @@ class Host(Node):
         would make FNCC's LHCS divide the fair share by too many flows."""
         rqp = self.receivers.get(flow_id)
         if rqp is None or rqp.completed:
-            return
+            raise ValueError(f"{self.name}: flow {flow_id} is not an open inbound flow")
         if rqp.data_packets > 0:
             self._active_inbound -= 1
         rqp.completed = True
@@ -151,4 +151,5 @@ class Host(Node):
 
     def _sender_finished(self, qp: SenderQP) -> None:
         if self.sender_done_sink is not None:
+            # census: a sender-done sink — tests/net/test_host.py::TestFlowLifecycle::test_sender_done_sink
             self.sender_done_sink(qp)

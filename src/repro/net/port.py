@@ -111,8 +111,6 @@ class EcnConfig:
             return 0.0
         if qlen_bytes >= self.kmax:
             return 1.0
-        if self.kmax == self.kmin:
-            return 1.0
         return self.pmax * (qlen_bytes - self.kmin) / (self.kmax - self.kmin)
 
 
@@ -145,18 +143,16 @@ TRAIN_MAX = 8
 # imports port for EcnConfig/Port).  Filled by _resolve_train_symbols().
 _Switch = None
 _HPCC = None
-_FNCC = None
 _NONE_INT = None
 _INT_BYTES = 8
 
 
 def _resolve_train_symbols():
-    global _Switch, _HPCC, _FNCC, _NONE_INT, _INT_BYTES
+    global _Switch, _HPCC, _NONE_INT, _INT_BYTES
     from repro.net.switch import INT_RECORD_BYTES, IntMode, Switch
 
     _Switch = Switch
     _HPCC = IntMode.HPCC
-    _FNCC = IntMode.FNCC
     _NONE_INT = IntMode.NONE
     _INT_BYTES = INT_RECORD_BYTES
     return Switch
@@ -366,6 +362,7 @@ class Port:
             ecn = self.ecn
             if qt and ecn is not None and kind == DATA and not pkt.ecn:
                 p = ecn.mark_probability(qt)
+                # census: a queue past the marking threshold — tests/net/test_port.py::TestEcnMarking::test_marks_above_kmax
                 if p > 0.0 and (p >= 1.0 or self.ecn_rng.random() < p):
                     pkt.ecn = True
                     self.ecn_marked += 1
@@ -466,6 +463,7 @@ class Port:
         if not self.queue:
             return
         now = self.sim.now
+        # census: an XON with frames committed — tests/property/test_trains.py::TestRandomizedPauseScripts::test_random_pause_script
         if self._acct:
             self._prune(now)
             self._uncommit_pending(now)
@@ -483,6 +481,7 @@ class Port:
         this is O(K), not O(backlog)."""
         acct = self._acct
         if not acct:
+            # census: a pause with no frame pending — tests/property/test_pause_storm.py::TestAgainstBruteForceReference::test_deliveries_and_accounting_never_diverge
             return
         # Pending frames chain back-to-back behind the in-flight frame, so
         # the first pending start is exactly when the serializer frees up.
@@ -495,9 +494,11 @@ class Port:
             inflight.pop()  # same frame, tail position mirrors _acct
             self._uncommitted += 1
             if pkt.kind >= PAUSE:
+                # census: a control frame in the pending window — tests/property/test_pause_storm.py::TestAgainstBruteForceReference::test_schedule_identical_for_every_lookahead
                 ctrl.appendleft(pkt)
             else:
                 queue.appendleft(pkt)
+        # census: a pause with every committed frame behind a drain — tests/net/test_port_pipeline.py::TestUncommitBehindBackgroundDrain::test_pause_with_every_committed_frame_still_waiting
         if not inflight and self._del_ev is not None:
             # The armed delivery's own frame went back to a queue (only
             # after a bg_drain: real frames leave one in service ahead of
@@ -547,6 +548,7 @@ class Port:
             # Serialization memo (same expression, same rounding on miss).
             ser = ser_map.get(pkt.size)
             if ser is None:
+                # census: a frame size this port has not serialized — tests/net/test_switch.py::TestPfc::test_resume_sent_after_drain
                 ser = ser_map[pkt.size] = round(pkt.size * 8000 / self.rate_gbps)
             nf = start + ser
             inflight.append((nf + prop, pkt))
@@ -665,6 +667,7 @@ class Port:
                     A._send_pfc(in_a, RESUME)
         else:
             hook = self._departure_hook
+            # census: a node with its own departure hook — tests/property/test_trains.py::TestScenarioEquivalence::test_fncc_snapshot_int_table
             if hook is not None:  # non-switch custom hook: honor it
                 hook(pkt, self)
                 size = pkt.size  # re-read: a custom hook may mutate the frame
@@ -689,6 +692,7 @@ class Port:
             out = rt.get(key)
             if out is None:
                 if len(rt) >= 4096:
+                    # census: a full routing memo — tests/net/test_port.py::TestRoutingMemo::test_a_full_memo_is_cleared_before_it_grows
                     rt.clear()
                 out = rt[key] = B._lb_router(B, pkt)
             if out == in_p:
@@ -747,6 +751,7 @@ class Port:
                     if pkt.rocc_rate_gbps is None or rate < pkt.rocc_rate_gbps:
                         pkt.rocc_rate_gbps = rate
             size = pkt.size  # re-read: the stamp may have grown the frame
+            # census: a full shared buffer behind the fused hop — tests/integration/test_stress.py::TestLossRecovery::test_no_pfc_small_buffer_recovers_via_go_back_n
             if B.buffer_used + size > B._buffer_bytes:  # shared-buffer admission
                 B.drops += 1
                 peer.drops += 1
@@ -776,6 +781,7 @@ class Port:
                     ecn = eg.ecn
                     if qt and ecn is not None and kind == DATA and not pkt.ecn:
                         p = ecn.mark_probability(qt)
+                        # census: a queue past the marking threshold on the fused hop — tests/net/test_port.py::TestEcnMarking::test_the_fused_switch_hop_marks_too
                         if p > 0.0 and (p >= 1.0 or eg.ecn_rng.random() < p):
                             pkt.ecn = True
                             eg.ecn_marked += 1

@@ -153,11 +153,9 @@ class Switch(Node):
         return port
 
     def set_ecn_rng(self, rng) -> None:
-        """Give the switch the RNG stream its RED markers draw from."""
+        """Give the switch the RNG stream its RED markers draw from, before
+        any port is wired (:meth:`new_port` hands it to each)."""
         self._ecn_rng = rng
-        for port in self.ports:
-            if self.config.ecn is not None:
-                port.set_ecn(self.config.ecn, rng)
 
     def start(self) -> None:
         """Arm periodic machinery (All_INT_Table refresh), if configured."""
@@ -244,6 +242,7 @@ class Switch(Node):
                 # to skip one Python call.
                 snap = self._int_snapshot
                 rec = INTRecord.__new__(INTRecord)
+                # census: a switch that stamps its periodic INT table — tests/net/test_switch.py::TestFnccIntInsertion::test_snapshot_mode_reads_stale_table
                 if snap is not None:
                     s = snap[in_p]
                     rec.bandwidth_gbps = s.bandwidth_gbps
@@ -268,11 +267,13 @@ class Switch(Node):
                 pkt.size += INT_RECORD_BYTES
         if kind == ACK:
             ctrl = self.port_controllers[in_p]
+            # census: a RoCC controller on the port — tests/net/test_switch.py::TestRoccStamping::test_ack_carries_min_fair_rate
             if ctrl is not None:
                 rate = ctrl.fair_rate_gbps
                 if pkt.rocc_rate_gbps is None or rate < pkt.rocc_rate_gbps:
                     pkt.rocc_rate_gbps = rate
         size = pkt.size
+        # census: a full shared buffer — tests/net/test_switch.py::TestSharedBuffer::test_drop_when_buffer_full
         if self.buffer_used + size > self._buffer_bytes:  # shared-buffer admission
             self.drops += 1
             self.ports[in_p].drops += 1
@@ -358,6 +359,7 @@ class Switch(Node):
             in_p = pkt.in_port
             pfc = self._pfc_bytes
             n = pfc[in_p] = pfc[in_p] - size
+            # census: a watchdog drop that frees a paused ingress — tests/faults/test_watchdog.py::test_a_watchdog_drop_below_xon_resumes_the_paused_ingress
             if n <= self._xon and self._pfc_paused_up[in_p]:
                 self._pfc_paused_up[in_p] = False
                 self._send_pfc(in_p, RESUME)
@@ -458,6 +460,7 @@ class PfcWatchdog:
         if self.storms:
             for key in list(self.storms):
                 if now - self._last_pause.get(key, 0) >= cfg.restore_ps:
+                    # census: a storm that ends — tests/faults/test_watchdog.py::test_watchdog_restores_after_storm_ends
                     self._storm_off(key, now)
         since = self._since
         for port in sw.ports:
@@ -469,6 +472,7 @@ class PfcWatchdog:
                 elif now - t0 >= cfg.detect_ps and idx not in self.storms:
                     self._storm_on(idx, now)
             elif idx in since:
+                # census: a pause shorter than the detection window — tests/faults/test_watchdog.py::test_a_pause_shorter_than_detect_resets_the_watch
                 del since[idx]
 
     def _storm_on(self, port_idx: int, now: int) -> None:

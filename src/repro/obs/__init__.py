@@ -78,11 +78,7 @@ class RunObservability:
             if self.tracer is not None:
                 self.tracer.detach()
         self._sim = sim
-        if getattr(sim, "obs", None) is not self:
-            try:
-                sim.obs = self
-            except AttributeError:  # simulator-like test doubles
-                pass
+        sim.obs = self
         if self.registry is not None:
             self.registry.bind_sim(sim)
             self.registry.bind_topo(topo)
@@ -90,6 +86,7 @@ class RunObservability:
                 self.registry.bind_fct(collector)
         if self.tracer is not None:
             self.tracer.attach(topo)
+        # census: a flight recorder in the bundle — tests/obs/test_flight.py::TestGuardDump::test_fluid_stall_dumps_state
         if self.flight is not None:
             self.flight.bind(
                 sim=sim, topo=topo, tracer=self.tracer, registry=self.registry
@@ -105,6 +102,7 @@ class RunObservability:
     def guard(self, sim=None, topo=None):
         """Flight-recorder context for a drive phase; a no-op context when
         no recorder is configured."""
+        # census: a flight recorder in the bundle — tests/obs/test_flight.py::TestGuardDump::test_fluid_stall_dumps_state
         if self.flight is not None:
             return self.flight.guard(sim=sim, topo=topo)
         return nullcontext()
@@ -122,11 +120,13 @@ class RunObservability:
         """Emit one instant event per item at simulated time 0, capped at
         :data:`PER_PHASE_EVENT_CAP` (the cap is recorded as a counter so
         truncation is never silent)."""
+        # census: a bundle without a tracer — tests/obs/test_zero_perturbation.py::TestObservabilityBundle::test_trace_each_without_a_tracer_is_a_no_op
         if self.tracer is None:
             return
         items = list(items)
         for item in items[:PER_PHASE_EVENT_CAP]:
             self.tracer.emit(cat, name, 0, args={key: item})
+        # census: more items than the cap — tests/obs/test_zero_perturbation.py::TestObservabilityBundle::test_trace_each_past_the_cap_counts_what_it_dropped
         if len(items) > PER_PHASE_EVENT_CAP and self.registry is not None:
             self.registry.counter(f"trace.{name}_truncated").inc(
                 len(items) - PER_PHASE_EVENT_CAP

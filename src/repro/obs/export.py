@@ -78,6 +78,7 @@ def export_chrome_trace(
     file answers both "what happened when" and "how much of it".
     Returns the written document.
     """
+    # census: one tracer, not labelled pairs — tests/obs/test_trace_export.py::TestChromeExport::test_export_and_validate
     if isinstance(tracers, EventTracer):
         tracers = [(None, tracers)]
     events: List[dict] = []
@@ -89,6 +90,7 @@ def export_chrome_trace(
     other: dict = {}
     if registry is not None:
         other["registry"] = registry
+    # census: a tracer whose ring evicted events — tests/obs/test_trace_export.py::TestChromeExport::test_ring_evictions_and_an_optional_registry_ride_along
     if dropped:
         other["ring_evicted_events"] = dropped
     if other:
@@ -140,6 +142,7 @@ def validate_chrome_trace(path: str, require_registry: bool = False) -> dict:
             if key not in counters:
                 raise ValueError(f"registry snapshot missing counter {key!r}")
         info["registry_counters"] = len(counters)
+    # census: a registry nobody required — tests/obs/test_trace_export.py::TestChromeExport::test_ring_evictions_and_an_optional_registry_ride_along
     elif registry is not None:
         info["registry_counters"] = len(registry.get("counters", {}))
     return info
@@ -161,6 +164,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         info = validate_chrome_trace(args.path, require_registry=args.require_registry)
+    # census: an invalid trace file — tests/obs/test_trace_export.py::TestChromeExport::test_cli_entry
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"INVALID: {exc}")
         return 1
@@ -168,6 +172,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     extra = (
         f", registry counters={info['registry_counters']}"
         if "registry_counters" in info
+        # census: a trace without a registry — tests/obs/test_trace_export.py::TestChromeExport::test_ring_evictions_and_an_optional_registry_ride_along
         else ""
     )
     print(f"OK: {info['events']} events ({cats}){extra}")

@@ -21,8 +21,6 @@ from typing import Optional
 
 
 def _fmt_rate(n: float) -> str:
-    if n >= 1e6:
-        return f"{n / 1e6:.2f}M"
     if n >= 1e3:
         return f"{n / 1e3:.1f}k"
     return f"{n:.0f}"
@@ -31,8 +29,6 @@ def _fmt_rate(n: float) -> str:
 def _fmt_eta(seconds: Optional[float]) -> str:
     if seconds is None or seconds != seconds or seconds < 0:
         return "?"
-    if seconds >= 3600:
-        return f"{seconds / 3600:.1f}h"
     if seconds >= 60:
         return f"{seconds / 60:.1f}m"
     return f"{seconds:.1f}s"

@@ -131,13 +131,15 @@ class MetricsRegistry:
                         gauges["ports.max_qlen"] = port.max_qlen
                 buf = getattr(node, "buffer_used", None)
                 if buf is not None and buf > gauges["switches.buffer_used_max"]:
+                    # census: a switch buffer in use — tests/obs/test_flight.py::TestGuardDump::test_fluid_stall_dumps_state
                     gauges["switches.buffer_used_max"] = buf
                 lb = getattr(node, "lb", None)
                 if lb is not None and id(lb) not in seen_lbs:
                     seen_lbs.add(id(lb))
-                    for attr, key in (("reroutes", "lb.reroutes"), ("probes", "lb.probes")):
-                        v = getattr(lb, attr, None)
+                    for key, v in (("lb.reroutes", getattr(lb, "reroutes", None)),
+                                   ("lb.probes", getattr(lb, "probes", None))):
                         if v is not None:
+                            # census: a strategy that counts reroutes and probes — tests/obs/test_zero_perturbation.py::TestTraceHooksObserve::test_lb_reroute_callback_fires
                             counters[key] = counters.get(key, 0) + v
             return counters, gauges
 
@@ -193,6 +195,7 @@ def merge_snapshots(snapshots: Iterable[Optional[dict]]) -> dict:
     gauges: Dict[str, float] = {}
     runs = 0
     for snap in snapshots:
+        # census: an empty snapshot — tests/obs/test_metrics_registry.py::TestMergeSnapshots::test_merge_semantics
         if not snap:
             continue
         runs += snap.get("meta", {}).get("runs", 1)

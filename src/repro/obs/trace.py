@@ -122,13 +122,24 @@ class EventTracer:
         while self._undo:
             self._undo.pop()()
 
+    def _install(self, obj, name: str, wrapper) -> None:
+        """Set ``obj.<name>`` to ``wrapper``, and queue the undo that puts
+        back the instance attribute it replaced (a tracer attached before
+        this one) or, where there was none, uncovers the class's."""
+        # census: a nested tracer — tests/obs/test_zero_perturbation.py::TestObservabilityBundle::test_a_nested_tracer_restores_the_outer_one_s_hooks
+        if name in vars(obj):
+            orig = getattr(obj, name)
+            self._undo.append(lambda: setattr(obj, name, orig))
+        else:
+            self._undo.append(lambda: delattr(obj, name))
+        setattr(obj, name, wrapper)
+
     def _hook_pfc(self, sw) -> None:
         # Instance-attribute wrapper: the fused train pipeline resolves
         # ``_send_pfc`` through the instance dict, so PAUSE/RESUME emission
         # is traced identically on the per-frame and fused paths — without
         # touching the train gate (PFC frames are rare, this is cold).
         orig = sw._send_pfc
-        had = "_send_pfc" in sw.__dict__
         sim = sw.sim
         emit = self.emit
 
@@ -141,45 +152,30 @@ class EventTracer:
             )
             _orig(port_idx, kind)
 
-        sw._send_pfc = _send_pfc
-
-        def undo(sw=sw, orig=orig, had=had):
-            if had:
-                sw._send_pfc = orig
-            else:
-                del sw._send_pfc
-
-        self._undo.append(undo)
+        self._install(sw, "_send_pfc", _send_pfc)
 
     def _hook_lb(self, lb) -> None:
         # Strategies expose an ``on_reroute`` callback slot (None when
         # nobody listens); the router closure invokes it only on the
         # reroute branch.  No wrapper on ``router`` — gate stays open for
         # train-transparent strategies.
-        if not hasattr(lb, "on_reroute") or lb.on_reroute is not None:
-            return
-        emit = self.emit
+        if hasattr(lb, "on_reroute") and lb.on_reroute is None:
+            # census: a strategy with a reroute callback — tests/obs/test_zero_perturbation.py::TestTraceHooksObserve::test_lb_reroute_callback_fires
+            self._install(lb, "on_reroute", self._on_reroute)
 
-        def on_reroute(now, src, dst, flow_id, old_port, new_port):
-            emit(
-                "lb",
-                "reroute",
-                now,
-                args={
-                    "src": src,
-                    "dst": dst,
-                    "flow": flow_id,
-                    "from_port": old_port,
-                    "to_port": new_port,
-                },
-            )
-
-        lb.on_reroute = on_reroute
-
-        def undo(lb=lb):
-            lb.on_reroute = None
-
-        self._undo.append(undo)
+    def _on_reroute(self, now, src, dst, flow_id, old_port, new_port) -> None:
+        self.emit(
+            "lb",
+            "reroute",
+            now,
+            args={
+                "src": src,
+                "dst": dst,
+                "flow": flow_id,
+                "from_port": old_port,
+                "to_port": new_port,
+            },
+        )
 
     def _hook_host(self, host) -> None:
         # Hosts never fuse, so endpoint wrappers are train-safe.
@@ -187,7 +183,6 @@ class EventTracer:
         sim = host.sim
 
         orig_start = host.start_flow
-        had_start = "start_flow" in host.__dict__
 
         def start_flow(flow, cc, base_rtt_ps, _orig=orig_start):
             emit(
@@ -204,18 +199,9 @@ class EventTracer:
             self._wrap_cc(cc, flow.flow_id, sim)
             return _orig(flow, cc, base_rtt_ps)
 
-        host.start_flow = start_flow
-
-        def undo_start(host=host, orig=orig_start, had=had_start):
-            if had:
-                host.start_flow = orig
-            else:
-                del host.start_flow
-
-        self._undo.append(undo_start)
+        self._install(host, "start_flow", start_flow)
 
         orig_recv = host.on_flow_received
-        had_recv = "on_flow_received" in host.__dict__
 
         def on_flow_received(rqp, _orig=orig_recv):
             f = rqp.flow
@@ -230,15 +216,7 @@ class EventTracer:
             )
             _orig(rqp)
 
-        host.on_flow_received = on_flow_received
-
-        def undo_recv(host=host, orig=orig_recv, had=had_recv):
-            if had:
-                host.on_flow_received = orig
-            else:
-                del host.on_flow_received
-
-        self._undo.append(undo_recv)
+        self._install(host, "on_flow_received", on_flow_received)
 
     def _wrap_cc(self, cc, flow_id: int, sim) -> None:
         # Per-flow CC objects are run-owned and discarded with the fabric,

@@ -48,6 +48,7 @@ def _next_hop_ports(g: Adjacency, switches: List[str], source: str) -> List[_Row
     for name in switches:
         d = dist.get(name)
         if d is None:
+            # census: a switch no host reaches — tests/routing/test_routing.py::TestTablesMatchPerHostWalk::test_a_switch_no_host_reaches_gets_no_entries
             continue
         nbrs = g[name]
         next_hops = sorted(v for v in nbrs if dist.get(v, 1 << 30) == d - 1)
@@ -76,6 +77,7 @@ def build_graph_tables(topo: "Topology", graph: Optional[Adjacency] = None) -> T
     towards: Dict[str, List[_Row]] = {}  # attachment switch -> rows, itself left out
     for host in topo.hosts:
         if host.name not in g:
+            # census: a host missing from the graph — tests/routing/test_routing.py::TestTablesMatchPerHostWalk::test_host_missing_from_graph_gets_no_entries
             continue
         hid = host.host_id
         nbrs = list(g[host.name])
@@ -88,6 +90,7 @@ def build_graph_tables(topo: "Topology", graph: Optional[Adjacency] = None) -> T
                 ]
             tables[s][hid] = [g[s][host.name]["ports"][s]]
         else:
+            # census: a multi-homed host — tests/routing/test_routing.py::TestTablesMatchPerHostWalk::test_multi_homed_host_keeps_its_own_walk
             rows = _next_hop_ports(g, switches, host.name)
         for name, ports in rows:
             tables[name][hid] = ports[:]

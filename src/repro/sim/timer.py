@@ -71,6 +71,7 @@ class Periodic:
 
     def start(self, offset: Optional[int] = None) -> None:
         if self._running:
+            # census: a second start — tests/sim/test_timer.py::TestPeriodic::test_start_idempotent
             return
         self._running = True
         delay = self.interval if offset is None else offset
@@ -83,8 +84,6 @@ class Periodic:
             self._event = None
 
     def _tick(self, _arg: Any) -> None:
-        if not self._running:
-            return
         # Re-arm the event object currently being dispatched (engine fast
         # path): monitors tick every microsecond, so this shaves an event
         # allocation per sample.

@@ -115,6 +115,7 @@ class Topology:
         node_b = self._by_name[b] if isinstance(b, str) else b
         rate = rate_gbps if rate_gbps is not None else self.default_link.rate_gbps
         delay = (
+            # census: a link with its own propagation delay — tests/topo/test_topologies.py::TestTopologyContainer::test_a_link_takes_its_own_delay
             prop_delay_ps
             if prop_delay_ps is not None
             else self.default_link.prop_delay_ps

@@ -59,6 +59,7 @@ def dumbbell(
     if lb is None:
         install_ecmp(topo)
     else:
+        # census: a strategy given — tests/topo/test_topologies.py::TestDumbbell::test_takes_a_strategy
         install_lb(topo, lb)
     topo.start()
     return topo

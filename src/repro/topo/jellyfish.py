@@ -87,6 +87,7 @@ def random_regular_edges(d: int, n: int, rng: random.Random) -> Set[Tuple[int, i
                 else:
                     rejected.update((a, b))
             if rejected and not _new_pair_left(rejected, edges):
+                # census: stubs no new pair can use — tests/topo/test_topologies.py::TestJellyfish::test_generator_draws_what_networkx_draws
                 break
             stubs = list(rejected.elements())
         else:
@@ -103,4 +104,5 @@ def _new_pair_left(rejected: Counter, edges: Set[Tuple[int, int]]) -> bool:
             a, b = min(a, b), max(a, b)
             if (a, b) not in edges:
                 return True
+    # census: stubs no new pair can use — tests/topo/test_topologies.py::TestJellyfish::test_generator_draws_what_networkx_draws
     return False

@@ -14,10 +14,13 @@ def _interp(x: float, xp: List[float], fp: List[float]) -> float:
     outside it), so a seeded workload draws the sizes it always drew."""
     j = bisect_right(xp, x) - 1
     if j < 0:
+        # census: an x below the table — tests/metrics/test_stats.py::test_interp_and_inversion_equal_numpy
         return fp[0]
     if j >= len(xp) - 1:
+        # census: an x at or above the table's last point — tests/metrics/test_stats.py::test_interp_and_inversion_equal_numpy
         return fp[-1]
     if xp[j] == x:
+        # census: an x on one of the table's points — tests/metrics/test_stats.py::test_interp_and_inversion_equal_numpy
         return fp[j]
     slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
     return slope * (x - xp[j]) + fp[j]

@@ -156,6 +156,7 @@ class ReceiverQP:
         self._deliver(pkt)
         if self._ooo:
             self._drain()
+            # census: a rerouted epoch's tail that leaves a hole — tests/transport/test_reorder.py::TestEpochTail::test_tail_with_unexplained_hole_hints_loss
             if self._ooo and self.reroute_tails > tails_before:
                 # A rerouted epoch's tail (epoch e) drained in order, yet a
                 # hole still holds buffered frames back.  Loss is provable
@@ -193,6 +194,7 @@ class ReceiverQP:
             # copy stays authoritative.
             self.ooo_duplicates += 1
             return
+        # census: a full reorder window — tests/transport/test_reorder.py::TestEdgeCases::test_window_overflow_drops_with_dup_ack
         if (
             seq + pkt.payload > rcv_nxt + self.reorder_window_bytes
             or len(ooo) >= REORDER_MAX_PKTS
@@ -226,6 +228,7 @@ class ReceiverQP:
         """Drop buffered copies a rewind's replay has overtaken."""
         ooo = self._ooo
         stale = [s for s in ooo if s < self.rcv_nxt]
+        # census: a stale arrival that overtook buffered copies — tests/transport/test_reorder.py::TestEdgeCases::test_a_stale_arrival_purges_copies_the_replay_overtook
         for s in stale:
             dead = ooo.pop(s)
             self._ooo_bytes -= dead.payload

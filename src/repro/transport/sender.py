@@ -149,7 +149,6 @@ class SenderQP:
         "_gap",
         "_nic",
         "on_complete",
-        "acks_received",
         "timeouts",
         "srtt_ps",
         "_consec_timeouts",
@@ -205,7 +204,6 @@ class SenderQP:
         self._retx_timer = Timer(self.sim, self._retx_fire, host.lane)
         self._pace_armed_for: Optional[int] = None
         self.on_complete: Optional[Callable[["SenderQP"], None]] = None
-        self.acks_received = 0
         self.timeouts = 0
         # Smoothed RTT (EWMA, gain 1/8) from ACK-echoed send timestamps;
         # 0 until the first sample.  Drives retransmission-timer re-arms.
@@ -224,7 +222,10 @@ class SenderQP:
 
     # -- lifecycle -----------------------------------------------------------------
     def start(self) -> None:
-        """Called by the host at the flow's start time."""
+        """Called by the host at the flow's start time (``abort`` leaves it armed)."""
+        if self.finished:
+            # census: an abort before the start time — tests/transport/test_sender.py::TestReliability::test_abort_before_the_start_time_sends_nothing
+            return
         self.cc.on_flow_start(self)
         if self.config.retx_timeout_ps > 0:
             self._retx_timer.start(self.config.retx_timeout_ps)
@@ -233,8 +234,6 @@ class SenderQP:
     # -- transmit path ---------------------------------------------------------------
     def _maybe_send(self) -> None:
         """Emit as many frames as pacing + window currently allow."""
-        if self.finished:
-            return
         flow_size = self._flow_size
         sim = self.sim
         snd_nxt = self.snd_nxt
@@ -286,6 +285,7 @@ class SenderQP:
                     self._gap_size = size
                     self._gap = gap
             else:  # fully throttled; retry in one base RTT
+                # census: a fully throttled rate — tests/transport/test_sender.py::TestPacing::test_zero_rate_throttles_fully
                 gap = self.base_rtt_ps
             self.next_tx_ps = (next_tx if next_tx > now else now) + gap
             nic = self._nic
@@ -303,7 +303,6 @@ class SenderQP:
         """Process a cumulative ACK; the sender host is its terminal sink."""
         if self.finished:
             return
-        self.acks_received += 1
         seq = ack.seq
         advanced = seq > self.snd_una
         if advanced:
@@ -341,6 +340,7 @@ class SenderQP:
                 if ack.lb_tail:
                     self._dupacks = rewind
                 elif not advanced and seq == self.snd_una:
+                    # census: a plain duplicate ACK — tests/transport/test_reorder.py::TestDupAckFastRewind::test_dup_ack_triggers_rewind
                     self._dupacks += 1
                 if self._dupacks >= rewind:
                     # Go-back-N without waiting for the timeout, at most
@@ -377,8 +377,6 @@ class SenderQP:
         return rto << (n if n < cap else cap)
 
     def _retx_fire(self, _arg) -> None:
-        if self.finished:
-            return
         self.timeouts += 1
         self._consec_timeouts += 1
         limit = self.config.retx_max_timeouts

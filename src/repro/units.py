@@ -27,8 +27,6 @@ SEC: int = 1_000_000_000_000
 KB: int = 1_000
 MB: int = 1_000_000
 GB: int = 1_000_000_000
-KiB: int = 1024
-MiB: int = 1024 * 1024
 
 #: Default Ethernet MTU used by the paper (Section 5: "MTU is set to 1518").
 DEFAULT_MTU: int = 1518

@@ -18,6 +18,7 @@ WIDTH = 60
 def compare_series(named_series: dict, y_scale: float = 1.0, unit: str = "") -> str:
     """One labelled sparkline per series, on a shared scale."""
     if not named_series:
+        # census: no series — tests/test_viz.py::TestCompareSeries::test_empty_dict
         return ""
     all_vals: List[float] = []
     for s in named_series.values():
@@ -29,6 +30,7 @@ def compare_series(named_series: dict, y_scale: float = 1.0, unit: str = "") -> 
         if hi > 0:
             idx = [int(v / hi * (len(_SPARK) - 1)) for v in vals]
         else:
+            # census: series that are all zero — tests/test_viz.py::TestCompareSeries::test_all_zero_series_draw_the_lowest_glyph
             idx = [0] * len(vals)
         spark = "".join(_SPARK[i] for i in idx)
         peak = max((v * y_scale for v in s.values), default=0.0)
@@ -40,6 +42,7 @@ def _resample(values: List[float], width: int) -> List[float]:
     """Max-pool down to ``width`` columns (peaks must stay visible)."""
     n = len(values)
     if n <= width:
+        # census: a series no wider than the plot — tests/test_viz.py::TestCompareSeries::test_one_line_per_series
         return list(values)
     out = []
     for col in range(width):

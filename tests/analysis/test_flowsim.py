@@ -132,6 +132,23 @@ class TestFromTopology:
         assert p1 == p2  # deterministic per flow
         assert len(p1) == 6  # host-tor-agg-core-agg-tor-host
 
+    def test_path_memo_is_bounded(self, monkeypatch):
+        import repro.analysis.flowsim as flowsim
+
+        monkeypatch.setattr(flowsim, "_PATH_MEMO_MAX", 2)
+        topo = fattree(Simulator(), k=4)
+        fls, path_fn = from_topology(topo)
+        a = topo.node("h_0_0_0").host_id
+        b = topo.node("h_2_1_0").host_id
+        paths = [path_fn(Flow(fid, a, b, MB)) for fid in range(5)]
+        assert paths[0] == path_fn(Flow(0, a, b, MB))  # recomputed after a clear: the same
+
+    def test_a_link_added_twice_is_refused(self):
+        fls = FlowLevelSimulator()
+        fls.add_link("a", "b", 100.0)
+        with pytest.raises(ValueError, match="added twice"):
+            fls.add_link("b", "a", 100.0)
+
     def test_fattree_flowsim_runs_at_k8(self):
         from repro.experiments.paper_scale import run_flow_level
 

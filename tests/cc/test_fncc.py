@@ -125,6 +125,16 @@ class TestLhcs:
         # N=0 on the wire is treated as 1, never a division blowup.
         assert cc.wc <= cc.w_init
 
+    def test_a_last_hop_faster_than_the_nic_is_clamped_to_w_init(self):
+        # B * T * beta / N exceeds W_init when the last hop outruns the NIC.
+        from types import SimpleNamespace
+
+        cc, qp = started()
+        prev = [SimpleNamespace(bandwidth_gbps=100.0), SimpleNamespace(bandwidth_gbps=400.0)]
+        cc._update_wc_hook(SimpleNamespace(n_flows=1), prev, 1, cc.config.alpha + 1.0)
+        assert cc.last_lhcs_target > cc.w_init
+        assert cc.wc == cc.w_init
+
     def test_beta_scales_target(self):
         lo, qlo = started(FnccConfig(beta=0.5))
         hi, qhi = started(FnccConfig(beta=0.95))

@@ -122,6 +122,20 @@ def test_link_down_then_up_heals_single_path(sim):
     assert injector.counters["drops_link_down"] > 0
 
 
+def test_overlapping_specs_fire_each_transition_once(sim):
+    # The second flap goes down while the first holds the link down; the
+    # first's up then finds the link already up.  A switch fails once.
+    plan = (FaultPlan("overlap")
+            .link_flap("sw0", "sw1", start_ps=us(5), flaps=1, down_ps=us(40), up_ps=0)
+            .link_flap("sw0", "sw1", start_ps=us(10), flaps=1, down_ps=us(10), up_ps=0)
+            .switch_fail("sw2", at_ps=us(60))
+            .switch_fail("sw2", at_ps=us(70)))
+    _topo, _qp, injector = _dumbbell_flow(sim, plan)
+    sim.run(until=us(100))
+    assert [(e["event"], e["ts_ps"]) for e in injector.timeline] == [
+        ("link_down", us(5)), ("link_up", us(20)), ("switch_fail", us(60))]
+
+
 def test_injector_rejects_unknown_node(sim):
     plan = FaultPlan("typo").link_down("sw0", "nonexistent", at_ps=0)
     seeds = SeedSequenceFactory(1)

@@ -68,6 +68,34 @@ def test_watchdog_run_is_deterministic():
     assert a.upstream_pauses == b.upstream_pauses
 
 
+def test_a_pause_shorter_than_detect_resets_the_watch(sim):
+    topo = dumbbell(sim, seeds=SeedSequenceFactory(1))
+    sw = topo.switches[0]
+    wd = arm_watchdog(sw, PfcWatchdogConfig(detect_ps=us(40)))  # polled every 10 us
+    port = sw.ports[0]
+    sim.schedule_at(us(12), lambda _: port.pause())
+    sim.schedule_at(us(33), lambda _: port.resume())
+    sim.run(until=us(25))
+    assert port.index in wd._since
+    sim.run(until=us(60))
+    assert port.index not in wd._since and not wd.storms
+
+
+def test_a_watchdog_drop_below_xon_resumes_the_paused_ingress(sim):
+    from repro.net.packet import DATA, Packet
+
+    topo = dumbbell(sim, seeds=SeedSequenceFactory(1))
+    sw = topo.switches[1]
+    pkt = Packet(DATA, size=1000)
+    pkt.in_port = 0
+    sw.buffer_used += pkt.size
+    sw._pfc_bytes[0] = pkt.size
+    sw._pfc_paused_up[0] = True
+    sw._wd_drop_frame(pkt, 1)
+    assert sw.ports[0].resume_sent == 1 and not sw._pfc_paused_up[0]
+    assert sw.ports[1].drops == 1
+
+
 def test_double_arm_rejected(sim):
     topo = dumbbell(sim, n_senders=1, n_switches=1, seeds=SeedSequenceFactory(1))
     sw = topo.switches[0]

@@ -55,6 +55,14 @@ class TestDegenerateTiers:
         want = tuple(sorted((r.flow.flow_id, r.fct_ps) for r in fres.records))
         assert hres.fct_fingerprint() == want
 
+    @pytest.mark.parametrize("tier", [dict(threshold=None), dict(classify_fn=lambda f: False)])
+    def test_a_fluid_only_pass_is_announced(self, tier):
+        from repro.obs import EventTracer, RunObservability
+
+        obs = RunObservability(tracer=EventTracer())
+        run_fct_hybrid("fncc", obs=obs, **tier, **CELL)
+        assert [e.name for e in obs.tracer.events if e.cat == "hybrid"][:1] == ["fluid"]
+
     def test_single_flow_slowdown_is_exactly_one(self):
         """An uncontended flow advances in closed form at its solo
         bottleneck rate: FCT == ideal FCT *exactly*, not approximately."""

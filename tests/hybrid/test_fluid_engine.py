@@ -252,3 +252,17 @@ class TestTierExchange:
         kept = fls.run([Flow(0, 0, 9, MB)], path_via_s, keep_history=True)
         # One flow alone: rate up at start, down at finish.
         assert len(kept.history) == 2 == kept.n_rate_changes
+
+
+class TestOverCommit:
+    def test_a_share_below_zero_is_clamped(self):
+        # With rate_eps and one ripple round, a capacity cut leaves link 2
+        # over-committed by flows the round did not move: the flows the
+        # next waterfill solves find less than nothing left, and get zero.
+        eng = FluidEngine([1.0, 0.7, 3.3], cap_schedule=[(5, 2, 0.01)],
+                          ripple_rounds=1, rate_eps=0.1)
+        flows = [([2], 64.0, 2), ([1], 117.0, 4), ([0], 151.0, 27), ([2], 41.0, 14),
+                 ([2, 0, 1], 22.0, 14), ([2], 44.0, 18), ([0, 2], 156.0, 19)]
+        for links, size, start in flows:
+            eng.add_flow(links, size, start)
+        assert len(eng.run()) == len(flows)

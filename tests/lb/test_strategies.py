@@ -39,6 +39,11 @@ class TestInstall:
         with pytest.raises(ValueError):
             LbConfig("valiant")
 
+    def test_no_config_is_plain_ecmp(self, sim):
+        topo = fattree(sim, k=4, lb="flowlet")
+        install_lb(topo)
+        assert {type(sw.lb) for sw in topo.switches} == {EcmpLB}
+
     def test_one_instance_per_switch(self, sim):
         topo = fresh_fattree(sim, "spray")
         lbs = [sw.lb for sw in topo.switches]
@@ -87,6 +92,25 @@ class TestEcmpBounded:
         for fid in range(100):  # churn the cache far past its cap
             trace_path(topo, a, b, flow_id=fid)
         assert trace_path(topo, a, b, flow_id=5) == first
+
+    def test_the_ack_path_hash_memo_is_bounded(self):
+        from repro.lb.base import make_flow_hash_port
+
+        memo = {}
+        port_of = make_flow_hash_port(memo, 2)
+        first = [port_of(0, 8, fid, [1, 2], 2) for fid in range(5)]
+        assert len(memo) <= 2
+        assert [port_of(0, 8, fid, [1, 2], 2) for fid in range(5)] == first
+
+    def test_a_destination_with_every_uplink_dead_keeps_its_pristine_entry(self, sim):
+        topo = fattree(sim, k=4, lb=LbConfig("ecmp"))
+        lb = topo.node("tor_0_0").lb
+        dst = topo.node("h_2_1_0").host_id
+        ports, _n = lb._pristine[dst]
+        lb.on_link_down(ports[0])
+        assert lb._split[dst] == ports[1]
+        lb.on_link_down(ports[1])
+        assert lb._split[dst] == lb._pristine[dst]  # a blackhole, not a reroute
 
 
 class TestSpray:

@@ -21,7 +21,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__f
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
-from tools.lint import RULES, lint_source
+from tools.lint import RULES, lint_source, rules_necessity
 from tools.lint.config import DEFAULTS
 
 #: A path inside the lint scope that is on no allow/owner/hot list.
@@ -866,10 +866,68 @@ def test_n601_suppressed():
     ) == []
 
 
+# -- N602: an attribute stored and never read ---------------------------------
+
+@pytest.fixture
+def alone(monkeypatch):
+    """Only the linted snippet's own reads count: no checkout to read."""
+    monkeypatch.setattr(rules_necessity, "_checkout_reads", frozenset)
+
+
+def n602(snippet):
+    return [(f.line, f.message.split()[0])
+            for f in lint_source(textwrap.dedent(snippet), NEUTRAL, DEFAULTS, ["N602"])]
+
+
+def test_n602_violation(alone):
+    assert n602(
+        """
+        class Qp:
+            def __init__(self):
+                self.acks = 0
+                self.rate = 1
+            def on_ack(self):
+                self.acks += 1
+                return self.rate
+        """
+    ) == [(4, "self.acks")]
+
+
+def test_n602_a_getattr_or_hasattr_string_is_a_read(alone):
+    assert n602(
+        """
+        class Lb:
+            def __init__(self):
+                self.probes = 0
+                self.reroutes = 0
+        def read(lb):
+            return getattr(lb, "probes", 0), hasattr(lb, "reroutes")
+        """
+    ) == []
+
+
+def test_n602_a_read_anywhere_in_the_checkout_counts():
+    findings = lint_source(
+        "class Qp:\n    def __init__(self):\n        self.srtt_ps = 0\n",
+        NEUTRAL, DEFAULTS, ["N602"])
+    assert findings == []  # src/repro/transport/sender.py reads .srtt_ps
+
+
+def test_n602_suppressed(alone):
+    assert n602(
+        """
+        class Qp:
+            def __init__(self):
+                # fncc-lint: allow[N602] read through vars() by the exporter
+                self.acks = 0
+        """
+    ) == []
+
+
 def test_every_registered_rule_has_a_design_ref():
     assert set(RULES) >= {
         "D101", "D102", "D103", "P201", "P202", "H301", "H302", "H303", "O401", "O402",
-        "S501", "N601",
+        "S501", "N601", "N602",
     }
     for name, (_, summary, ref) in RULES.items():
         assert summary and ref.startswith("DESIGN.md"), name

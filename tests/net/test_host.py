@@ -136,3 +136,21 @@ class TestConcurrentFlowCount:
         a.start_flow(f, CongestionControl(), us(10))
         sim.run()
         assert b._active_inbound == 0
+
+    def test_deactivating_a_settled_flow_is_refused(self, sim):
+        a, b = pair(sim)
+        f0 = Flow(0, 0, 1, 10_000)
+        f1 = Flow(1, 0, 1, 5 * MB)
+        start(sim, a, b, f0)
+        start(sim, a, b, f1)
+        sim.run(until=us(50))
+        assert b.receivers[0].completed and b._active_inbound == 1
+        with pytest.raises(ValueError, match="not an open inbound flow"):
+            b.deactivate_receiver(0)  # completed: N already counted it out
+        with pytest.raises(ValueError, match="not an open inbound flow"):
+            b.deactivate_receiver(7)  # never registered
+        assert b._active_inbound == 1
+        b.deactivate_receiver(1)
+        assert b._active_inbound == 0
+        with pytest.raises(ValueError):
+            b.deactivate_receiver(1)  # twice

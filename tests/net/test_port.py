@@ -5,7 +5,7 @@ import pytest
 from repro.net.node import Node
 from repro.net.packet import DATA, PAUSE, Packet
 from repro.net.port import EcnConfig, connect
-from repro.units import serialization_ps
+from repro.units import serialization_ps, us
 
 
 class Sink(Node):
@@ -167,6 +167,13 @@ class TestEcnMarking:
         sim.run()
         assert not any(p.ecn for _, p in b.arrivals)
 
+    def test_the_fused_switch_hop_marks_too(self, sim):
+        # Two flows converge on sw0: frames a NIC hands straight to the
+        # switch's egress (the fused hop) meet a non-empty queue there.
+        topo = _converging_flows(sim, EcnConfig(kmin=0, kmax=1, pmax=1.0))
+        sim.run(until=us(200))
+        assert sum(p.ecn_marked for p in topo.switches[0].ports) > 0
+
     def test_ecn_requires_rng(self, sim):
         a, b, pa, pb = wire(sim)
         with pytest.raises(ValueError):
@@ -199,3 +206,36 @@ class TestWiring:
             n.new_port(0, 0)
         with pytest.raises(ValueError):
             n.new_port(100.0, -5)
+
+
+def _converging_flows(sim, ecn=None):
+    """Two 100 KB DCQCN flows into one receiver across a 3-switch dumbbell."""
+    from repro.experiments.common import build_cc_env, launch_flows
+    from repro.sim.rng import SeedSequenceFactory
+    from repro.topo.base import LinkSpec
+    from repro.topo.dumbbell import dumbbell
+    from repro.transport.flow import Flow
+    from repro.units import KB
+
+    env = build_cc_env("dcqcn")
+    if ecn is not None:
+        env.switch_config.ecn = ecn
+    topo = dumbbell(sim, n_senders=2, n_switches=3, switch_config=env.switch_config,
+                    link=LinkSpec(rate_gbps=100.0, prop_delay_ps=us(1.5)),
+                    seeds=SeedSequenceFactory(1), cnp_enabled=env.cnp_enabled)
+    recv = topo.hosts[-1].host_id
+    launch_flows(topo, [Flow(0, 0, recv, 100 * KB), Flow(1, 1, recv, 100 * KB)], env)
+    return topo
+
+
+class TestRoutingMemo:
+    def test_a_full_memo_is_cleared_before_it_grows(self, sim):
+        topo = _converging_flows(sim)
+        junk = {-k: 0 for k in range(1, 4097)}  # no real (flow, dst) key is negative
+        for sw in topo.switches:
+            for port in sw.ports:
+                port._rt_cache = dict(junk)
+        sim.run(until=us(200))
+        assert all(rqp.completed for rqp in topo.hosts[-1].receivers.values())
+        cleared = [p for sw in topo.switches for p in sw.ports if -1 not in p._rt_cache]
+        assert cleared and all(len(p._rt_cache) < 4096 for p in cleared)

@@ -58,6 +58,21 @@ class TestChromeExport:
         x = [e for e in data if e["ph"] == "X"][0]
         assert x["dur"] == 7.0
 
+    def test_ring_evictions_and_an_optional_registry_ride_along(self, tmp_path, capsys):
+        from repro.obs.export import main
+
+        tr = EventTracer(capacity=2)
+        for i in range(5):
+            tr.emit("flow", f"e{i}", i)
+        path = tmp_path / "t.json"
+        doc = export_chrome_trace(str(path), tr, registry={"counters": {"a": 1}})
+        assert doc["otherData"]["ring_evicted_events"] == 3
+        assert validate_chrome_trace(str(path))["registry_counters"] == 1
+        bare = tmp_path / "bare.json"
+        export_chrome_trace(str(bare), tr)
+        assert main([str(bare)]) == 0
+        assert "registry counters" not in capsys.readouterr().out
+
     def test_multi_cell_export_with_registry(self, tmp_path):
         path = tmp_path / "t.json"
         reg = MetricsRegistry()

@@ -181,3 +181,32 @@ class TestTraceHooksObserve:
             assert obs.tracer.counts["lb"] > 0
         assert snap["counters"]["lb.probes"] > 0
         assert cell_obs[0]  # flows completed
+
+
+class TestObservabilityBundle:
+    def test_trace_each_without_a_tracer_is_a_no_op(self):
+        RunObservability(registry=MetricsRegistry()).trace_each("hybrid", "demote", [1, 2])
+
+    def test_trace_each_past_the_cap_counts_what_it_dropped(self, monkeypatch):
+        import repro.obs as obs_pkg
+
+        monkeypatch.setattr(obs_pkg, "PER_PHASE_EVENT_CAP", 2)
+        obs = RunObservability(registry=MetricsRegistry(), tracer=EventTracer())
+        obs.trace_each("hybrid", "demote", range(5), key="flow")
+        assert len(obs.tracer.events) == 2
+        assert obs.registry.snapshot()["counters"]["trace.demote_truncated"] == 3
+
+    def test_a_nested_tracer_restores_the_outer_one_s_hooks(self, sim):
+        from helpers import make_dumbbell
+
+        topo, _env = make_dumbbell(sim, cc="fncc")
+        sw, host = topo.switches[0], topo.hosts[0]
+        outer, inner = EventTracer(), EventTracer()
+        outer.attach(topo)
+        hooked = (sw._send_pfc, host.start_flow, host.on_flow_received)
+        inner.attach(topo)
+        inner.detach()
+        assert (sw._send_pfc, host.start_flow, host.on_flow_received) == hooked
+        outer.detach()
+        assert not {"_send_pfc", "start_flow", "on_flow_received"} & (
+            set(vars(sw)) | set(vars(host)))

@@ -3,20 +3,24 @@ identity store (``tools/golden.py``).
 
 For the smoke cell of each in-process benchmark workload — the cell
 ``python tools/profile.py --workload W --opcodes`` counts, after the same
-warm-up — the table holds the cell's units of work and the bytecode
-instructions it executed, counted by ``tools/profile.py``'s
-``count_opcodes`` and split by the ``src/repro`` package whose code ran
-them (a top-level module such as ``units.py`` is its own bucket).
-Everything else — the suite's own code, the standard library — is one
-bucket, ``other``.  Code of installed packages (numpy, in the suite's
-reduction) is left out: its version is the environment's, not the
-commit's.  Each workload is counted in a fresh interpreter, so nothing an
-earlier test cached moves a count.  The count is exact and repeats run to
-run, so a change that moves it writes the per-package before and after
-into CHANGES.md before it re-blesses; a failing row and the re-bless show
-both per unit of work (:func:`per_unit`).  Bytecode differs between CPython
-versions, so the table records the one it was counted on, and its rows are
-checked and re-blessed on no other.
+warm-up — the table holds the cell's units of work, the fabrics it built,
+and the bytecode instructions it executed, split twice: by phase and by
+the ``src/repro`` package whose code ran them (a top-level module such as
+``units.py`` is its own bucket).  The ``build`` phase is every
+instruction run inside a topology builder (routing install included) or a
+traffic generator (:data:`BUILDERS`); the ``run`` phase is the rest of
+the cell: launch, drive and reduce.  Everything outside ``src/repro``
+— the suite's own code, the standard library — is one bucket,
+``other``.  Code of installed packages (numpy, in the suite's reduction)
+is left out: its version is the environment's, not the commit's.  Each
+workload is counted in a fresh interpreter, so nothing an earlier test
+cached moves a count.  The count is exact and repeats run to run, so a
+change that moves it writes the per-package before and after into
+CHANGES.md before it re-blesses; a failing row and the re-bless show the
+run phase per unit of work and the build phase per fabric
+(:func:`per_unit`).  Bytecode differs between CPython versions, so the
+table records the one it was counted on, and its rows are checked and
+re-blessed on no other.
 """
 
 import functools
@@ -57,24 +61,71 @@ def installed(filename: str) -> bool:
     return "site-packages" in parts or "dist-packages" in parts
 
 
+def builders() -> dict:
+    """The code objects whose calls make the build phase -> whether a call
+    builds a fabric (a topology builder) or not (a traffic generator)."""
+    from repro.topo.fattree import fattree
+    from repro.topo.star import star
+    from repro.traffic.generator import PoissonWorkload, incast_flows
+
+    return {fattree.__code__: True, star.__code__: True,
+            PoissonWorkload.generate.__code__: False, incast_flows.__code__: False}
+
+
+def count_phases(fn):
+    """Run ``fn()`` with per-opcode tracing on; returns its result, the
+    fabrics it built, and ``{(phase, code object): executed opcodes}``,
+    where the phase is ``build`` inside a call of a :func:`builders` code
+    object and ``run`` elsewhere."""
+    build = builders()
+    counts: dict = {}
+    fabrics = 0
+    building = None  # the builder frame the build phase is in, or None
+
+    def local(frame, event, _arg):
+        nonlocal building
+        if event == "opcode":
+            key = ("run" if building is None else "build", frame.f_code)
+            counts[key] = counts.get(key, 0) + 1
+        elif event == "return" and frame is building:
+            building = None
+        return local
+
+    def on_call(frame, _event, _arg):
+        nonlocal building, fabrics
+        if building is None and frame.f_code in build:
+            building = frame
+            fabrics += build[frame.f_code]
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    sys.settrace(on_call)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(None)
+    return result, fabrics, counts
+
+
 def count(workload: str) -> dict:
     """Warm up, then count one smoke cell of ``workload`` in this process."""
     from benchmarks.suite.cells import IMPL
     from benchmarks.suite.specs import SMOKE, sub_seed
     from benchmarks.suite.trace import Spans
-    from tools.profile import count_opcodes
 
     impl, off = IMPL[workload], Spans(False)
     impl.warmup(SMOKE[workload], off)
-    cell, counts = count_opcodes(lambda: impl.cell(SMOKE[workload], sub_seed(1, 0), off))
+    cell, fabrics, counts = count_phases(lambda: impl.cell(SMOKE[workload], sub_seed(1, 0), off))
     assert not cell["problems"], cell["problems"]
-    by_package: dict = {}
-    for code, n in counts.items():
+    phases: dict = {"run": {}, "build": {}}
+    for (phase, code), n in counts.items():
         if installed(code.co_filename):
             continue
         key = bucket(code.co_filename)
-        by_package[key] = by_package.get(key, 0) + n
-    return {"work": cell["work"], "opcodes": dict(sorted(by_package.items()))}
+        phases[phase][key] = phases[phase].get(key, 0) + n
+    return {"work": cell["work"], "fabrics": fabrics,
+            **{phase: dict(sorted(ops.items())) for phase, ops in phases.items()}}
 
 
 def count_fresh(workload: str) -> dict:
@@ -90,13 +141,18 @@ def count_fresh(workload: str) -> dict:
 
 
 def per_unit(row):
-    """How a moved row is shown: opcodes per unit of work, per package and
-    in total (anything else, such as the ``python`` field, as it is)."""
-    if not isinstance(row, dict):
+    """How a moved row is shown: the run phase's opcodes per unit of work
+    and the build phase's per fabric, per package and in total (anything
+    else, such as the ``python`` field or a row of another layout, as it
+    is)."""
+    if not isinstance(row, dict) or "run" not in row:
         return row
-    ops, work = row["opcodes"], row["work"]
-    per = {k: round(n / work, 1) for k, n in ops.items()}
-    return {"work": work, **per, "total": round(sum(ops.values()) / work, 1)}
+    out = {"work": row["work"], "fabrics": row["fabrics"]}
+    for phase, per in (("run", row["work"]), ("build", row["fabrics"])):
+        ops = row[phase]
+        out[phase] = {k: round(n / per, 1) for k, n in ops.items()}
+        out[phase]["total"] = round(sum(ops.values()) / per, 1)
+    return out
 
 
 def _skip():

@@ -151,6 +151,14 @@ class TestTablesMatchPerHostWalk:
         assert same_tables(got, per_host_tables(topo, g))
         assert all(gone.host_id not in entry for entry in got.values())
 
+    def test_a_switch_no_host_reaches_gets_no_entries(self, sim):
+        topo, g, _wire = self._dumbbell_adj(sim)
+        topo.add_switch("island")
+        g["island"] = {}
+        got = build_graph_tables(topo, g)
+        assert same_tables(got, per_host_tables(topo, g))
+        assert got["island"] == {}
+
 
 class TestEcmp:
     def test_same_flow_same_path(self, sim):

@@ -8,6 +8,7 @@ so does one deleted without it.  The census itself takes minutes and runs
 in CI's ``census`` job; this reads the committed one.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -193,3 +194,121 @@ def test_a_figure_every_invocation_reaches_is_written_once():
     figures = {"fig14": ["fig14", "fig14 --quick"], "fig15": ["fig15", "fig15 --jobs 2"]}
     assert census_tool._compact(["fig14", "fig14 --quick", "fig15 --jobs 2"], figures) == [
         "fig14 *", "fig15 --jobs 2"]
+
+
+# -- the line census ---------------------------------------------------------
+
+FIXTURE = '''\
+def check(x):
+    if x < 0:
+        note = "negative"
+        raise ValueError(note)
+    if x > 100:
+        return 100
+    return x
+
+
+def spare(x):
+    if x is None:  # census: a caller may pass None — tests/test_census.py::test_an_inline_census_reason_is_accepted
+        return 0
+    return [y for y in (x, x)
+            if y]
+'''
+
+
+def _unreached(source, ran, inherited=None):
+    return census_tool.unreached(source, "fx", "fx.py", set(ran), inherited or {})
+
+
+def test_a_def_s_lines_are_its_body_and_its_comprehensions():
+    lines = _unreached(FIXTURE, ())
+    # The def lines report no line event; the comprehension's lines are spare's.
+    assert lines["fx:check"] == {1: None, 2: "crash", 3: "crash", 4: None, 5: None, 6: None}
+    assert set(lines["fx:spare"]) == {1, 2, 3, 4}
+
+
+def test_an_unreached_raise_branch_is_a_crash_path():
+    assert _unreached(FIXTURE, {2, 5, 6, 7, 11, 12, 13, 14})["fx:check"] == {
+        2: "crash", 3: "crash"}
+
+
+def test_an_unreached_plain_branch_has_no_reason():
+    assert _unreached(FIXTURE, {2, 5, 7, 11, 12, 13, 14})["fx:check"] == {
+        2: "crash", 3: "crash", 5: None}
+
+
+def test_an_inline_census_reason_is_accepted():
+    spare = _unreached(FIXTURE, {2, 5, 6, 7, 11, 13, 14})["fx:spare"]
+    reason = "a caller may pass None — tests/test_census.py::test_an_inline_census_reason_is_accepted"
+    assert spare == {2: reason}
+    assert census_tool._names_a_test(reason)
+    assert not census_tool._names_a_test("a caller may — tests/test_census.py::test_no_such_test")
+    # Alone on the line above, it covers the statement below it.
+    above = FIXTURE.replace("    if x is None:  # census:", "    # census:").replace(
+        "test_an_inline_census_reason_is_accepted\n", "test_an_inline_census_reason_is_accepted\n"
+        "    if x is None:\n", 1)
+    assert _unreached(above, {2, 5, 6, 7, 12, 14, 15})["fx:spare"] == {3: reason}
+
+
+def test_a_reason_may_not_cover_a_def_or_a_class():
+    why = "# census: spare code — tests/test_census.py::test_a_reason_may_not_cover_a_def_or_a_class"
+    source = textwrap.dedent(f'''\
+        {why}
+        def spare(x):
+            if x:
+                return 0
+            return 1
+
+
+        class Spare:  {why}
+            pass
+
+
+        def branch(x):
+            {why}
+            if x:
+                def inner():
+                    return 0
+                return inner
+            return None
+        ''')
+    reasons, refused = census_tool._source_reasons(ast.parse(source), source)
+    assert refused == [1, 8, 13]
+    assert reasons == {}
+    assert _unreached(source, {3, 5})["fx:spare"] == {2: None}
+
+
+def test_a_kept_def_s_lines_inherit_its_reason():
+    assert _unreached(FIXTURE, {11, 13, 14}, {"fx:check": "oracle"})["fx:check"] == {
+        1: "oracle", 2: "crash", 3: "crash", 4: "oracle", 5: "oracle", 6: "oracle"}
+    assert census_tool._inherited("repro.shard.engine:ShardEngine.run", ["benchmark"]) == "benchmark"
+    assert census_tool._inherited("repro.faults.audit:pfc_frame_totals", ["fig3"]) == "oracle"
+    assert census_tool._inherited("repro.sim.engine:Simulator.run", ["fig3"]) is None
+
+
+def test_moving_lines_in_one_def_changes_no_other_def_s_result():
+    ran = {2, 5, 7, 11, 13, 14}
+    before = _unreached(FIXTURE, ran)
+    moved = FIXTURE.replace("def check(x):\n", "def check(x):\n    x = int(x)\n")
+    after = _unreached(moved, {2} | {line + 1 for line in ran})
+    assert after["fx:spare"] == before["fx:spare"] == {2: before["fx:spare"][2]}
+    assert after["fx:check"] != before["fx:check"]
+
+
+def test_a_line_is_logged_the_first_time_a_process_runs_it(tmp_path):
+    first = definitions()["repro.units:to_us"][1]
+    lines = _run_under_the_hook(tmp_path, """
+        from repro import units
+        units.to_us(1_000_000)
+        units.to_us(2_000_000)
+    """)
+    ran = [line for line in lines if line.count("\t") == 1 and line.startswith("units.py\t")]
+    body = census_tool.body_lines(units_to_us_code())
+    assert {int(line.split("\t")[1]) for line in ran} >= body
+    assert len(ran) == len(set(ran))  # each once
+    assert all(line > first for line in body)
+
+
+def units_to_us_code():
+    from repro import units
+    return units.to_us.__code__

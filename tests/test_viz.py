@@ -26,3 +26,7 @@ class TestCompareSeries:
 
     def test_empty_dict(self):
         assert compare_series({}) == ""
+
+    def test_all_zero_series_draw_the_lowest_glyph(self):
+        out = compare_series({"a": series([0, 0]), "b": series([0, 0])})
+        assert {ch for ch in out.split()[1]} == {"▁"}

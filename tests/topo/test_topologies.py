@@ -35,6 +35,11 @@ class TestTopologyContainer:
         assert e["prop_delay_ps"] == us(2)
         assert e["ports"]["a"] == 0
 
+    def test_a_link_takes_its_own_delay(self, sim):
+        topo = Topology(sim, default_link=LinkSpec(200.0, us(2)))
+        topo.link(topo.add_host("a"), topo.add_switch("s"), prop_delay_ps=us(5))
+        assert topo.adj["a"]["s"]["prop_delay_ps"] == us(5)
+
     def test_link_by_name(self, sim):
         topo = Topology(sim)
         topo.add_host("a")
@@ -82,6 +87,10 @@ class TestDumbbell:
     def test_receiver_is_last_host(self, sim):
         topo = dumbbell(sim, n_senders=2)
         assert topo.hosts[-1].name == "receiver0"
+
+    def test_takes_a_strategy(self, sim):
+        topo = dumbbell(sim, n_senders=2, lb="flowlet")
+        assert {type(sw.lb).__name__ for sw in topo.switches} == {"FlowletLB"}
 
     def test_validation(self, sim):
         with pytest.raises(ValueError):

@@ -139,6 +139,18 @@ class TestEdgeCases:
         assert rqp.ooo_duplicates == 1
         assert rqp.ooo_buffered == 1
 
+    def test_a_stale_arrival_purges_copies_the_replay_overtook(self, sim):
+        a, b = pair(sim)
+        rqp = rqp_for(b)
+        rqp.on_data(seg(0))
+        rqp.on_data(seg(1))
+        # A buffered copy the in-order replay has already passed.
+        rqp._ooo[PAYLOAD] = seg(1)
+        rqp._ooo_bytes += PAYLOAD
+        rqp.on_data(seg(0))  # a stale arrival: the rare recovery path purges
+        assert not rqp._ooo and rqp._ooo_bytes == 0
+        assert rqp.ooo_duplicates == 1
+
     def test_stale_seq_dup_acks(self, sim):
         a, b = pair(sim)
         acks = acks_of(a)

@@ -304,6 +304,21 @@ class TestReliability:
         assert qp.snd_nxt == sent_at_abort
         assert qp.finished
 
+    def test_abort_before_the_start_time_sends_nothing(self, sim):
+        cfg = TransportConfig(retx_timeout_ps=us(20), retx_max_timeouts=3)
+        a, b = pair(sim, transport=cfg)
+        flow = Flow(0, 0, 1, 100 * DEFAULT_MTU, start_ps=us(10))
+        b.register_receiver(flow)
+        cc = RecordingCc()
+        qp = a.start_flow(flow, cc, us(10))
+        done = []
+        qp.on_complete = done.append
+        qp.abort()
+        sim.run()
+        assert qp.snd_nxt == 0
+        assert qp.timeouts == 0
+        assert cc.finished == 1 and done == [qp]  # the abort's teardown, once
+
 
 class TestTransportConfigValidation:
     def test_mtu_must_exceed_header(self):

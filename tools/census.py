@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Reach and value census: which ``src/repro`` definition does some entry
-point run, and which knob does it turn?
+"""Reach, value and line census: which ``src/repro`` definition does some
+entry point run, which knob does it turn, and which line does it run?
 
-Every entry point a user has is run once under ``sys.setprofile``, and every
+Every entry point a user has is run once under ``sys.settrace``, and every
 ``def`` under ``src/repro`` (``module:qualname``, methods and closures
 included) is recorded with the entry points whose run entered its body.  A
 definition no entry point enters is listed with the reason it stays, one of
@@ -17,6 +17,15 @@ it with a value other than its default — not the default object, and not
 an equal value of the same type.  A knob no entry point turns lists none;
 ``tests/test_census.py`` fails on a defaulted parameter the file does not
 list, so a new keyword lands together with a census that says who sets it.
+
+And the same runs record lines: every line of a ``def`` (its code object's
+lines, :func:`body_lines`, with those of the lambdas and comprehensions in
+it) that no entry point runs must have a reason (:func:`unreached`): a
+``raise`` or a branch ending in one is ``crash``; a line of a def kept for a
+reason, or reached by the benchmark alone, inherits it; any other needs an
+inline ``# census: <reason> — <test id>`` naming the test that runs it
+(:data:`INLINE`).  A line with none is a problem, like a dead definition.
+Nothing per line is committed.
 
 The entry points (:func:`entry_points`):
 
@@ -38,13 +47,15 @@ benchmark reaches against the ``FULL`` table of ``benchmarks/suite/specs.py``
 before deleting the knob.
 
 "Reached" means a body was entered, in the entry point's own process or in
-any process it started: forked pool and shard workers inherit the profile
+any process it started: forked pool and shard workers inherit the trace
 function; fresh interpreters (spawned workers, the suite's children) load
 it through a ``sitecustomize`` on ``PYTHONPATH``.  Each process appends a
 line per newly entered code object to the entry point's log the moment it
 enters it, so nothing depends on an exit hook — forked workers leave through
 ``os._exit``, which runs none.  A knob is logged the same way, by the first
 call in a process that turns it; after that the hook stops looking at it.
+A line is logged by the first time a process runs it; a code object with no
+line left to log runs untraced.
 
 Usage, from the repository root::
 
@@ -54,7 +65,7 @@ Usage, from the repository root::
 
 ``tests/census.json`` is the ``census`` table of the identity store
 (``tools/golden.py``), which refuses to re-bless it until CHANGES.md says why
-the reach or a knob moved.  A full run takes six to eight minutes on two
+the reach or a knob moved.  A full run takes about twelve minutes on two
 vCPUs, two entry points at a time.
 """
 
@@ -62,16 +73,21 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dis
 import gc
+import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 import types
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from tools import golden
 
@@ -81,6 +97,9 @@ CENSUS_PATH = ROOT / "tests" / "census.json"
 
 #: Set in every process of an entry point's run: the log its reach goes to.
 LOG_ENV = "REPRO_CENSUS_LOG"
+#: And the lines the entry points that finished before it started ran,
+#: which its processes need not log again.
+RAN_ENV = "REPRO_CENSUS_RAN"
 
 #: The reasons a definition no entry point reaches may stay.  The first
 #: four are for good; ``pending`` marks dead code whose deletion takes
@@ -121,7 +140,7 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.net.switch:Switch.on_departure": (
         "public", "Port inlines it for a stock switch and tests a peer's hook against it"),
     "repro.net.switch:PfcWatchdog._storm_off": ("public", "PfcWatchdog._poll, when a storm clears"),
-    "repro.obs.trace:EventTracer._hook_lb.<locals>": (
+    "repro.obs.trace:EventTracer._on_reroute": (
         "public", "a traced run whose strategy reroutes (ConWeaveLiteLB calls on_reroute)"),
     "repro.lb.base:sweep_bounded_table": ("public", "the max_cache_entries bound of FlowletLB and ConWeaveLiteLB"),
     "repro.lb.conweave:ConWeaveLiteLB._sweep": ("public", "its router, when the flow table is full"),
@@ -147,35 +166,44 @@ def _start(node) -> int:
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
-def _walk():
-    """Every ``def`` under ``src/repro``, in file and source order:
-    (``module:qualname``, path relative to the package, the line its code
-    object starts on, the ``ast`` node, whether it is nested in a def).  A
-    qualname defined twice in one module (a function defined on two
-    branches) gets ``#2`` appended."""
-    seen = set()
+def _modules():
+    """(module name, path relative to the package, source) of every module
+    under ``src/repro``, in file order."""
     for path in sorted(PKG.rglob("*.py")):
-        module = _module_name(path)
-        rel = path.relative_to(PKG).as_posix()
+        yield _module_name(path), path.relative_to(PKG).as_posix(), path.read_text(encoding="utf-8")
 
-        def walk(node, prefix: str, nested: bool):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = prefix + child.name
-                    key = f"{module}:{qualname}"
-                    n = 2
-                    while key in seen:
-                        key = f"{module}:{qualname}#{n}"
-                        n += 1
-                    seen.add(key)
-                    yield key, rel, _start(child), child, nested
-                    yield from walk(child, qualname + ".<locals>.", True)
-                elif isinstance(child, ast.ClassDef):
-                    yield from walk(child, prefix + child.name + ".", nested)
-                else:
-                    yield from walk(child, prefix, nested)
 
-        yield from walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "", False)
+def _defs(tree: ast.Module, module: str, rel: str):
+    """Every ``def`` of one module, in source order: (``module:qualname``,
+    ``rel``, the line its code object starts on, the ``ast`` node, whether
+    it is nested in a def).  A qualname defined twice in the module (a
+    function defined on two branches) gets ``#2`` appended."""
+    seen = set()
+
+    def walk(node, prefix: str, nested: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                key = f"{module}:{qualname}"
+                n = 2
+                while key in seen:
+                    key = f"{module}:{qualname}#{n}"
+                    n += 1
+                seen.add(key)
+                yield key, rel, _start(child), child, nested
+                yield from walk(child, qualname + ".<locals>.", True)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".", nested)
+            else:
+                yield from walk(child, prefix, nested)
+
+    yield from walk(tree, "", False)
+
+
+def _walk():
+    """:func:`_defs` of every module under ``src/repro``, in file order."""
+    for module, rel, source in _modules():
+        yield from _defs(ast.parse(source, rel), module, rel)
 
 
 def definitions() -> Dict[str, Tuple[str, int, str]]:
@@ -203,13 +231,23 @@ def knobs() -> Dict[str, Tuple[str, str]]:
             for param in _defaulted(node.args)}
 
 
-# -- the profile hook, in every process of a run -----------------------------
+# -- the trace hook, in every process of a run -------------------------------
 
-def profile_this_process() -> None:
+def body_lines(code) -> set:
+    """The lines of ``code``'s own instructions that report a line event
+    when they run: all but the ``RESUME`` that opens the body, which sits
+    on the ``def`` line and reports none (a one-line body shares that line
+    and keeps it)."""
+    resume = next((i.offset for i in dis.get_instructions(code) if i.opname == "RESUME"), -2)
+    return {line for _, end, line in code.co_lines() if line is not None and end > resume + 2}
+
+
+def trace_this_process() -> None:
     """Record, in the log ``$REPRO_CENSUS_LOG`` names, every ``src/repro``
-    code object this process (and any process forked from it) enters, and
-    the first call that passes each of its knobs a value other than its
-    default.  Installed by the census's ``sitecustomize``."""
+    code object this process (and any process forked from it) enters, the
+    first call that passes each of its knobs a value other than its
+    default, and each of its lines the first time it runs.  Installed by
+    the census's ``sitecustomize``."""
     import threading
 
     fd = os.open(os.environ[LOG_ENV], os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
@@ -217,40 +255,73 @@ def profile_this_process() -> None:
     # id -> (code object, which the entry keeps alive (ids unique); the
     # (param, default) pairs no call has changed yet; its log-line head;
     # the frame offset a call starts at — a generator's later resumes,
-    # whose locals the body may have rebound, start elsewhere)
+    # whose locals the body may have rebound, start elsewhere; its lines
+    # not run yet; the local trace function that logs them), or (code
+    # object,) for code outside src/repro
     seen = {}
     bearing = []  # [_knob_bearing()], built on first use (forks inherit it)
+    # path relative to the package -> the lines that need no record: the
+    # ones an earlier entry point ran, then those its source gives a reason
+    skip: Dict[str, set] = {}
+    if os.environ.get(RAN_ENV):
+        with open(os.environ[RAN_ENV]) as fh:
+            for rel, line in map(str.split, fh):
+                skip.setdefault(rel, set()).add(int(line))
+    parsed = set()  # the paths whose source gave its reasons to skip
 
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entry = seen.get(id(code))
-            if entry is None:
-                path = os.path.abspath(code.co_filename)
-                if not path.startswith(prefix):
-                    seen[id(code)] = (code, None)
-                    return
-                where = (path[len(prefix):], code.co_firstlineno, code.co_name)
-                if not bearing:
-                    bearing.append(_knob_bearing())
-                watch = _defaults(code, frame.f_globals) if where in bearing[0] else None
-                head = "\t".join(map(str, where))
-                entry = seen[id(code)] = (code, watch, head, frame.f_lasti)
-                # One write per line on an O_APPEND descriptor: lines
-                # from forked workers sharing it never interleave.
-                os.write(fd, f"{head}\n".encode())
-            watch = entry[1]
-            if watch and frame.f_lasti == entry[3]:
-                args = frame.f_locals
-                for i in range(len(watch) - 1, -1, -1):
-                    name, default = watch[i]
-                    value = args.get(name, default)
-                    if value is not default and _changed(value, default):
-                        del watch[i]  # a knob turned once is a knob: stop looking
-                        os.write(fd, f"{entry[2]}\t{name}\n".encode())
+    def line_tracer(todo: set, rel: str):
+        """The local trace function of one code object's frames: log each
+        line of ``todo`` the first time it runs, and stop asking once none
+        is left."""
+        def lines(frame, event, arg):
+            if event == "line":
+                line = frame.f_lineno
+                if line in todo:
+                    todo.discard(line)
+                    os.write(fd, f"{rel}\t{line}\n".encode())
+                    if not todo:
+                        frame.f_trace_lines = False
+            return lines
+        return lines
 
-    threading.setprofile(profile)
-    sys.setprofile(profile)
+    def trace(frame, event, arg):  # the global trace function: event is "call"
+        code = frame.f_code
+        entry = seen.get(id(code))
+        if entry is None:
+            path = os.path.abspath(code.co_filename)
+            if not path.startswith(prefix):
+                seen[id(code)] = (code,)
+                return None
+            where = (path[len(prefix):], code.co_firstlineno, code.co_name)
+            if not bearing:
+                bearing.append(_knob_bearing())
+            watch = _defaults(code, frame.f_globals) if where in bearing[0] else None
+            head = "\t".join(map(str, where))
+            if where[0] not in parsed:
+                parsed.add(where[0])
+                source = Path(path).read_text(encoding="utf-8")
+                skip.setdefault(where[0], set()).update(_source_reasons(ast.parse(source), source)[0])
+            todo = body_lines(code) - skip[where[0]]
+            entry = seen[id(code)] = (code, watch, head, frame.f_lasti, todo,
+                                      line_tracer(todo, where[0]))
+            # One write per line on an O_APPEND descriptor: lines from
+            # forked workers sharing it never interleave.
+            os.write(fd, f"{head}\n".encode())
+        elif len(entry) == 1:
+            return None
+        watch = entry[1]
+        if watch and frame.f_lasti == entry[3]:
+            args = frame.f_locals
+            for i in range(len(watch) - 1, -1, -1):
+                name, default = watch[i]
+                value = args.get(name, default)
+                if value is not default and _changed(value, default):
+                    del watch[i]  # a knob turned once is a knob: stop looking
+                    os.write(fd, f"{entry[2]}\t{name}\n".encode())
+        return entry[5] if entry[4] else None
+
+    threading.settrace(trace)
+    sys.settrace(trace)
     _keep_children_in_the_census()
 
 
@@ -336,8 +407,8 @@ def _keep_children_in_the_census() -> None:
 _SITECUSTOMIZE = """\
 import os
 if os.environ.get({env!r}):
-    from tools.census import profile_this_process
-    profile_this_process()
+    from tools.census import trace_this_process
+    trace_this_process()
 """
 
 
@@ -380,14 +451,16 @@ def entry_points(tmp: Path) -> List[Tuple[str, List[str]]]:
     return out
 
 
-def run(workers: int = 2, log=sys.stderr) -> Dict[str, set]:
+def run(workers: int = 2, log=sys.stderr) -> Tuple[Dict[str, set], Set[Tuple[str, int]]]:
     """Run every entry point, ``workers`` at a time (``repro.obs.export``
     after the rest, since it reads their trace); return the definitions
-    each one reached and the knobs (``module:qualname(param)``) it turned.
+    each one reached and the knobs (``module:qualname(param)``) it turned,
+    and the lines any of them ran, as (path relative to the package, line).
     Raises if any of them fails."""
     by_code = {(rel, str(first), name): key
                for key, (rel, first, name) in definitions().items()}
     reached: Dict[str, set] = {}
+    lines: Set[Tuple[str, int]] = set()
     failures = []
     with tempfile.TemporaryDirectory(prefix="census-") as tmpdir:
         tmp = Path(tmpdir)
@@ -396,14 +469,26 @@ def run(workers: int = 2, log=sys.stderr) -> Dict[str, set]:
         (boot / "sitecustomize.py").write_text(_SITECUSTOMIZE.format(env=LOG_ENV))
         points = entry_points(tmp)
         export = [p for p in points if p[0] == "repro.obs.export"]
-        batches = ([p for p in points if p[0] != "repro.obs.export"], export)
+        # The --quick runs go first, and ablations, the one run that turns on
+        # the periodic INT table: between them they run the lines of the
+        # hottest loops (the fused hop, Hpcc.on_ack), which the longer runs
+        # then need not trace.
+        rest = sorted((p for p in points if p[0] != "repro.obs.export"),
+                      key=lambda p: "--quick" not in p[0] and p[0] != "ablations")
+        batches = (rest, export)
         running: List[Tuple[str, subprocess.Popen, Path, float]] = []
         t_start = time.perf_counter()
 
         def start(n: int, ident: str, argv: List[str]) -> None:
             logpath = tmp / f"{n}.log"
+            # What ran already need not be traced again: the union is the
+            # same, and an entry point stops tracing a function once the
+            # lines no earlier one ran have run.
+            ran = tmp / f"{n}.ran"
+            ran.write_text("".join(f"{rel}\t{line}\n" for rel, line in sorted(lines)))
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [str(boot), str(PKG.parent), str(ROOT)]), **{LOG_ENV: str(logpath)})
+                [str(boot), str(PKG.parent), str(ROOT)]),
+                **{LOG_ENV: str(logpath), RAN_ENV: str(ran)})
             with open(tmp / f"{n}.err", "w") as err:
                 proc = subprocess.Popen([sys.executable, *argv], cwd=str(tmp), env=env,
                                         stdout=subprocess.DEVNULL, stderr=err)
@@ -416,9 +501,12 @@ def run(workers: int = 2, log=sys.stderr) -> Dict[str, set]:
                   f"{proc.returncode}", file=log, flush=True)
             if proc.returncode != 0:
                 failures.append((ident, logpath.with_suffix(".err").read_text()[-3000:]))
-            lines = logpath.read_text().splitlines() if logpath.exists() else []
+            log_lines = logpath.read_text().splitlines() if logpath.exists() else []
             hits = set()
-            for fields in map(lambda line: line.split("\t"), lines):
+            for fields in map(lambda line: line.split("\t"), log_lines):
+                if len(fields) == 2:  # a line it ran
+                    lines.add((fields[0], int(fields[1])))
+                    continue
                 key = by_code.get(tuple(fields[:3]))
                 if key is not None:  # reached, or with a 4th field: a knob it turned
                     hits.add(key if len(fields) == 3 else f"{key}({fields[3]})")
@@ -448,7 +536,7 @@ def run(workers: int = 2, log=sys.stderr) -> Dict[str, set]:
     if failures:
         raise RuntimeError("entry points failed:\n" + "\n".join(
             f"--- {ident}\n{err}" for ident, err in failures))
-    return {ident: reached[ident] for ident, _ in points}  # census order
+    return {ident: reached[ident] for ident, _ in points}, lines  # census order
 
 
 # -- the census --------------------------------------------------------------
@@ -518,13 +606,158 @@ def census(reached: Dict[str, set]) -> Tuple[dict, List[str]]:
     return doc, problems
 
 
+# -- the lines ---------------------------------------------------------------
+
+#: An inline reason an unreached line stays, on the line or alone on the
+#: line above it; it names the test that runs the line.
+INLINE = re.compile(r"#\s*census:\s*(?P<reason>\S.*?)\s+(?:—|--)\s+(?P<test>\S+\.py::\S+)\s*$")
+
+#: The branches whose last statement can make the whole branch a crash path.
+_BRANCHES = {ast.If: ("body", "orelse"), ast.ExceptHandler: ("body",),
+             ast.match_case: ("body",)}
+
+#: What a ``# census:`` reason may not cover: each has lines of its own to check.
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _span(node) -> range:
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def _source_reasons(tree: ast.Module, source: str) -> Tuple[Dict[int, str], List[int]]:
+    """Line -> the reason the source gives it to stay unreached: the text
+    of a ``# census:`` comment (:data:`INLINE`) for the lines of the
+    statement it sits on, or, alone on its line, of the statement below it;
+    else ``crash`` for a ``raise`` and for every line of a branch (an ``if``
+    or ``else`` body, an ``except`` clause, a ``case``) that ends in one.
+    And the lines of the comments it refuses: one whose statement holds a
+    ``def`` or a ``class`` would let every line of it go unchecked."""
+    reasons: Dict[int, str] = {}
+    refused: List[int] = []
+    starts: Dict[int, list] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            reasons.update(dict.fromkeys(_span(node), "crash"))
+        for field in _BRANCHES.get(type(node), ()):
+            block = getattr(node, field)
+            if block and isinstance(block[-1], ast.Raise):
+                if isinstance(node, ast.ExceptHandler):
+                    reasons.update(dict.fromkeys(_span(node), "crash"))
+                for stmt in block:
+                    reasons.update(dict.fromkeys(_span(stmt), "crash"))
+        if isinstance(node, (ast.stmt, ast.ExceptHandler)):
+            starts.setdefault(node.lineno, []).append(node)
+    text = source.splitlines()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = INLINE.search(token.string) if token.type == tokenize.COMMENT else None
+        if match is None:
+            continue
+        line = at = token.start[0]
+        if text[line - 1].lstrip().startswith("#"):  # alone on its line: the next code line
+            line = next(n for n in range(line + 1, len(text) + 1)
+                        if text[n - 1].strip() and not text[n - 1].lstrip().startswith("#"))
+        if any(isinstance(inner, _DEFS) for node in starts.get(line, ()) for inner in ast.walk(node)):
+            refused.append(at)
+            continue
+        why = f"{match['reason']} — {match['test']}"
+        reasons[line] = why
+        for node in starts.get(line, ()):
+            reasons.update(dict.fromkeys(_span(node), why))
+    return reasons, refused
+
+
+def unreached(source: str, module: str, rel: str, ran: Set[int],
+              inherited: Dict[str, str]) -> Dict[str, Dict[int, Optional[str]]]:
+    """For each ``def`` of one module (``module:qualname``, as
+    :func:`definitions` names it): the lines of its body — its code
+    object's, and those of the lambdas, comprehensions and classes inside it
+    that are no def of their own — that are not in ``ran``, each by its
+    offset from the line the def's code object starts on, with the reason
+    it stays: the source's (:func:`_source_reasons`), else the def's own in
+    ``inherited``, else None.  Offsets keep a def's result fixed when
+    another def's lines move."""
+    tree = ast.parse(source, rel)
+    firsts = {(first, node.name): (key, first) for key, _, first, node, _ in _defs(tree, module, rel)}
+    reasons, _ = _source_reasons(tree, source)
+    out: Dict[str, Dict[int, Optional[str]]] = {key: {} for key, _ in firsts.values()}
+
+    def visit(code, owner):
+        if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+            owner = firsts[code.co_firstlineno, code.co_name]
+        if owner is not None:
+            key, first = owner
+            for line in sorted(body_lines(code) - ran):
+                out[key][line - first] = reasons.get(line, inherited.get(key))
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                visit(const, owner)
+
+    visit(compile(source, rel, "exec"), None)
+    return {key: dict(sorted(lines.items())) for key, lines in out.items()}
+
+
+def _inherited(key: str, entry) -> Optional[str]:
+    """The reason every line of a def stays: the def's own, if it is kept
+    unreached; ``benchmark`` if only the benchmark reaches it; ``oracle`` or
+    ``benchmark`` if a :data:`KEEP` entry keeps its module for one."""
+    if isinstance(entry, dict):
+        return entry["keep"]
+    if entry == ["benchmark"]:
+        return "benchmark"
+    keep = _keep(key)
+    return keep[1][0] if keep and keep[1][0] in ("oracle", "benchmark") else None
+
+
+def _names_a_test(reason: str) -> bool:
+    """Whether an inline reason's test id (``path.py::[Class::]test``)
+    names a test function in a file of the repository."""
+    path, *_, name = reason.rsplit(" — ", 1)[-1].split("::")
+    target = ROOT / path
+    return target.is_file() and re.search(
+        rf"^\s*def {re.escape(name.split('[')[0])}\(", target.read_text(encoding="utf-8"),
+        re.MULTILINE) is not None
+
+
+def line_problems(table: dict, ran: Set[Tuple[str, int]], log=sys.stderr) -> List[str]:
+    """Every line of a ``def`` under ``src/repro`` that no entry point ran
+    and that has no reason to stay (:func:`unreached`; ``table`` is the
+    census's ``definitions``), every inline reason that names no test and
+    every one that would cover a ``def`` or a ``class``; prints the line
+    count by reason to ``log``."""
+    problems = []
+    counts: Dict[str, int] = {}
+    firsts = definitions()
+    for module, rel, source in _modules():
+        mine = {line for r, line in ran if r == rel}
+        inherited = {key: _inherited(key, table[key]) for key in firsts if key.startswith(module + ":")}
+        text = source.splitlines()
+        problems += [f"src/repro/{rel}:{line}: a '# census:' reason may not cover a def or a class"
+                     for line in _source_reasons(ast.parse(source, rel), source)[1]]
+        for key, lines in unreached(source, module, rel, mine, inherited).items():
+            for offset, reason in lines.items():
+                line = firsts[key][1] + offset
+                kind = reason if reason in REASONS or reason is None else "inline"
+                counts[str(kind)] = counts.get(str(kind), 0) + 1
+                where = f"src/repro/{rel}:{line}: {key} +{offset}"
+                if reason is None:
+                    problems.append(f"{where}: unreached, and no reason: {text[line - 1].strip()}")
+                elif kind == "inline" and not _names_a_test(reason):
+                    problems.append(f"{where}: its '# census:' reason names no test: {reason}")
+    print(f"census: {len(ran)} src/repro lines ran; unreached, by reason: "
+          + ", ".join(f"{k} {n}" for k, n in sorted(counts.items())), file=log, flush=True)
+    return problems
+
+
 def document(_rows: dict) -> dict:
     """The census document, freshly run (it has no rows of its own to
     compute); exits on problems, listing them."""
-    doc, problems = census(run())
+    reached, lines = run()
+    doc, problems = census(reached)
+    problems += line_problems(doc["definitions"], lines)
     if problems:
         print("the census has problems (delete what nothing reaches, or give it a "
-              "KEEP reason; drop KEEP entries that keep nothing):", file=sys.stderr)
+              "KEEP reason or, for a line, a '# census:' one; drop KEEP entries "
+              "that keep nothing):", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         raise SystemExit(1)
