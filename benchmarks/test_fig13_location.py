@@ -11,7 +11,7 @@ from repro.units import KB, us
 
 
 def test_fig13_congestion_location():
-    results = run_fig13(duration_us=800.0)
+    results = run_fig13()
 
     print("\nFig 13a-c — FNCC queue-depth reduction vs HPCC (paper: 37.5/29.5/8.4/38.5%)")
     for loc, cells in results.items():

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.hybrid.fluid import FluidEngine, RateHistory
 from repro.metrics.ideal import ideal_fct_ps
 from repro.transport.flow import Flow, FlowRecord
+from repro.transport.sender import HEADER_BYTES
 from repro.units import DEFAULT_MTU
 
 LinkKey = Tuple[Hashable, Hashable]
@@ -33,6 +34,14 @@ PathFn = Callable[[Flow], List[LinkKey]]
 #: Bound on the per-topology path memo in :func:`from_topology` (entries
 #: are (src, dst, flow_id) triples; the memo is cleared, not evicted).
 _PATH_MEMO_MAX = 1 << 18
+
+#: Ripple damping of every run: a re-solved rate within this fraction of a
+#: flow's current one is not committed (:class:`~repro.hybrid.fluid.FluidEngine`).
+RATE_EPS = 0.02
+#: Wire bytes per payload byte: flows are serviced in wire bytes (payload
+#: inflated by the per-frame header) so solo service times match the
+#: header-aware ideal FCT's transmission component.
+_WIRE_FACTOR = DEFAULT_MTU / (DEFAULT_MTU - HEADER_BYTES)
 
 
 class FlowSimResult:
@@ -93,12 +102,9 @@ class FlowLevelSimulator:
         self,
         flows: Sequence[Flow],
         path_fn: PathFn,
-        mtu: int = DEFAULT_MTU,
-        header: int = 48,
         congestion: Optional[Tuple[float, int]] = None,
         keep_history: bool = False,
         cap_schedule: Optional[Sequence[Tuple[int, LinkKey, float]]] = None,
-        rate_eps: float = 0.02,
         ripple_rounds: Optional[int] = None,
     ) -> FlowSimResult:
         """Simulate the flow set; returns completion records with slowdowns
@@ -127,14 +133,10 @@ class FlowLevelSimulator:
             congestion=congestion,
             keep_history=keep_history,
             cap_schedule=sched,
-            rate_eps=rate_eps,
+            rate_eps=RATE_EPS,
             ripple_rounds=ripple_rounds,
         )
 
-        # Flows are serviced in *wire bytes* (payload inflated by per-frame
-        # header overhead) so solo service times match the header-aware
-        # ideal FCT's transmission component.
-        wire_factor = mtu / (mtu - header)
         meta: List[Tuple[Flow, int]] = []
         for f in flows:
             path = list(path_fn(f))
@@ -147,8 +149,8 @@ class FlowLevelSimulator:
                     raise KeyError(f"flow {f.flow_id}: unknown link {lk}")
                 lids.append(lid)
             links = [self._link_attrs[lk] for lk in path]
-            ideal = ideal_fct_ps(f.size_bytes, links, mtu=mtu, header=header)
-            engine.add_flow(lids, f.size_bytes * wire_factor, f.start_ps)
+            ideal = ideal_fct_ps(f.size_bytes, links)
+            engine.add_flow(lids, f.size_bytes * _WIRE_FACTOR, f.start_ps)
             meta.append((f, ideal))
             result.paths[f.flow_id] = path
 
@@ -159,7 +161,7 @@ class FlowLevelSimulator:
                 # service ratio is exactly 1, no float residue.
                 fct = ideal
             else:
-                s_solo = (f.size_bytes * wire_factor) / r.solo_rate
+                s_solo = (f.size_bytes * _WIRE_FACTOR) / r.solo_rate
                 fct = round(ideal * ((r.finish - r.start) / s_solo))
             rec = FlowRecord(f, f.start_ps + fct)
             rec.ideal_fct_ps = ideal

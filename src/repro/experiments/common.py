@@ -203,7 +203,7 @@ def portstats_fingerprint(topo: Topology, nodes=None) -> tuple:
     ``train_frames`` rides in the last column; shard identity tests mask
     it on the cut ports only (a boundary hop cannot fuse)."""
     if nodes is None:
-        nodes = list(getattr(topo, "hosts", ())) + list(getattr(topo, "switches", ()))
+        nodes = topo.nodes()
     rows = []
     for node in nodes:
         for port in node.ports:

@@ -28,6 +28,8 @@ WORKLOADS = {
     "websearch": (websearch_cdf, SIZE_BINS_WEBSEARCH),
     "hadoop": (fb_hadoop_cdf, SIZE_BINS_HADOOP),
 }
+#: The §5.5 fabric's link and host rate.
+LINK_RATE_GBPS = 100.0
 
 
 class FctResult(_Portable):
@@ -159,9 +161,7 @@ def build_fct_fabric(
     load: float = 0.5,
     n_flows: int = 200,
     scale: float = 0.1,
-    link_rate_gbps: float = 100.0,
     seed: int = 1,
-    bins: Optional[Sequence[int]] = None,
     lb=None,
     **cc_params,
 ) -> Fabric:
@@ -175,17 +175,17 @@ def build_fct_fabric(
         raise ValueError(f"workload must be one of {sorted(WORKLOADS)}")
     cdf_fn, default_bins = WORKLOADS[workload]
     cdf = cdf_fn(scale=scale)
-    bins = list(bins) if bins is not None else [round(b * scale) for b in default_bins]
+    bins = [round(b * scale) for b in default_bins]
 
     # ``fattree`` is read off this module at call time: the benchmark suite
     # times it by replacing the attribute.
     fab = build_fabric(
-        cc, fattree, dict(k=k), seed=seed, link_rate_gbps=link_rate_gbps, lb=lb,
+        cc, fattree, dict(k=k), seed=seed, link_rate_gbps=LINK_RATE_GBPS, lb=lb,
         **cc_params,
     )
     flows = PoissonWorkload(
         n_hosts=len(fab.topo.hosts),
-        host_rate_gbps=link_rate_gbps,
+        host_rate_gbps=LINK_RATE_GBPS,
         cdf=cdf,
         load=load,
         seeds=fab.seeds,

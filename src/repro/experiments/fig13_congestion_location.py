@@ -21,7 +21,6 @@ def run_location(
     cc: str,
     location: str,
     duration_us: float = 800.0,
-    seed: int = 1,
     **cc_params,
 ) -> MicrobenchResult:
     """One cell of Fig. 13a-c: two elephants colliding at ``location``,
@@ -29,27 +28,22 @@ def run_location(
     return run_microbench(
         cc,
         duration_us=duration_us,
-        seed=seed,
         topo_builder=partial(congestion_at, location=location),
         **cc_params,
     )
 
 
-def run_fig13(
-    duration_us: float = 800.0, seed: int = 1
-) -> Dict[str, Dict[str, MicrobenchResult]]:
+def run_fig13() -> Dict[str, Dict[str, MicrobenchResult]]:
     """All Fig. 13a-c cells.  Keys: location -> scheme, where scheme is
     'hpcc', 'fncc' (LHCS on) or 'fncc_nolhcs' (last hop only)."""
     out: Dict[str, Dict[str, MicrobenchResult]] = {}
     for loc in LOCATIONS:
         out[loc] = {
-            "hpcc": run_location("hpcc", loc, duration_us=duration_us, seed=seed),
-            "fncc": run_location("fncc", loc, duration_us=duration_us, seed=seed),
+            "hpcc": run_location("hpcc", loc),
+            "fncc": run_location("fncc", loc),
         }
         if loc == "last":
-            out[loc]["fncc_nolhcs"] = run_location(
-                "fncc", loc, duration_us=duration_us, seed=seed, lhcs_enabled=False
-            )
+            out[loc]["fncc_nolhcs"] = run_location("fncc", loc, lhcs_enabled=False)
     return out
 
 

@@ -72,7 +72,6 @@ def run_fairness(
     cc: str = "fncc",
     n_flows: int = 4,
     epoch_us: float = 1000.0,
-    seed: int = 1,
     sample_us: float = 10.0,
     **cc_params,
 ) -> FairnessResult:
@@ -80,7 +79,6 @@ def run_fairness(
         cc,
         dumbbell,
         dict(n_senders=n_flows),
-        seed=seed,
         link_rate_gbps=LINK_RATE_GBPS,
         **cc_params,
     )

@@ -18,6 +18,8 @@ from repro.metrics.fct import PERCENTILE_COLUMNS
 
 CCS = ("dcqcn", "hpcc", "fncc")
 LOAD = 0.5
+#: The paper's short-flow cut-off: 100 KB.
+SHORT_FLOW_BYTES = 100_000
 
 
 def run_fig15(
@@ -47,12 +49,10 @@ def run_fig15(
     )
 
 
-def short_flow_p95_reduction(
-    results: Dict[str, FctResult], max_size: int = 100_000
-) -> Dict[str, float]:
+def short_flow_p95_reduction(results: Dict[str, FctResult]) -> Dict[str, float]:
     """FNCC's p95 slowdown reduction (%) vs each baseline for flows shorter
-    than ``max_size`` (100 KB in the paper)."""
-    return slowdown_reduction(results, "p95", max_size=max_size)
+    than :data:`SHORT_FLOW_BYTES`."""
+    return slowdown_reduction(results, "p95", max_size=SHORT_FLOW_BYTES)
 
 
 def main(jobs: int = 1, seed: int = 1, backend: str = "packet") -> None:

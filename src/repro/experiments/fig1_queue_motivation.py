@@ -19,10 +19,9 @@ CCS = ("fncc", "hpcc", "dcqcn")
 def run_fig1_queue(
     rates: Sequence[float] = RATES_GBPS,
     duration_us: float = 600.0,
-    seed: int = 1,
 ) -> Dict[float, Dict[str, MicrobenchResult]]:
     """All (rate, cc) cells of Figs. 1b-d."""
-    return microbench_grid(rates, CCS, duration_us=duration_us, seed=seed)
+    return microbench_grid(rates, CCS, duration_us=duration_us)
 
 
 def main() -> None:

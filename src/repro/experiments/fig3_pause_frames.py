@@ -14,10 +14,10 @@ RATES_GBPS = (200.0, 400.0)
 CCS = ("dcqcn", "hpcc", "fncc")
 
 
-def run_fig3(duration_us: float = 600.0, seed: int = 1) -> Dict[float, Dict[str, int]]:
+def run_fig3(duration_us: float = 600.0) -> Dict[float, Dict[str, int]]:
     """Pause-frame counts per (rate, cc), at the 500 KB PFC threshold
     :func:`~repro.experiments.common.run_microbench` sets."""
-    grid = microbench_grid(RATES_GBPS, CCS, duration_us=duration_us, seed=seed)
+    grid = microbench_grid(RATES_GBPS, CCS, duration_us=duration_us)
     return {
         rate: {cc: r.pause_frames for cc, r in per_cc.items()}
         for rate, per_cc in grid.items()

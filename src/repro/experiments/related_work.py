@@ -14,10 +14,8 @@ ALL_CCS = ("fncc", "hpcc", "dcqcn", "rocc", "timely", "swift")
 LINK_RATE_GBPS = 100.0
 
 
-def run_related_work(
-    duration_us: float = 700.0, seed: int = 1
-) -> Dict[str, MicrobenchResult]:
-    grid = microbench_grid((LINK_RATE_GBPS,), ALL_CCS, duration_us=duration_us, seed=seed)
+def run_related_work(duration_us: float = 700.0) -> Dict[str, MicrobenchResult]:
+    grid = microbench_grid((LINK_RATE_GBPS,), ALL_CCS, duration_us=duration_us)
     return grid[LINK_RATE_GBPS]
 
 

@@ -24,17 +24,14 @@ RESPONSE_FRAC = 0.8
 def measured_response_gap_us(
     location: str,
     duration_us: float = 500.0,
-    seed: int = 1,
     lhcs: bool = True,
 ) -> float:
     """HPCC response time minus FNCC response time for flow0 after the join
     (positive = FNCC heard about it earlier).  ``lhcs=False`` isolates the
     pure notification-latency effect on the last hop (LHCS otherwise adds
     its own acceleration on top of the model's prediction)."""
-    fncc = run_location(
-        "fncc", location, duration_us=duration_us, seed=seed, lhcs_enabled=lhcs
-    )
-    hpcc = run_location("hpcc", location, duration_us=duration_us, seed=seed)
+    fncc = run_location("fncc", location, duration_us=duration_us, lhcs_enabled=lhcs)
+    hpcc = run_location("hpcc", location, duration_us=duration_us)
     threshold = RESPONSE_FRAC * fncc.link_rate_gbps
     t_f = fncc.rates[0].first_time_below(threshold, after_ps=us(301))
     t_h = hpcc.rates[0].first_time_below(threshold, after_ps=us(301))
@@ -43,16 +40,14 @@ def measured_response_gap_us(
     return to_us(t_h - t_f)
 
 
-def run_theory(duration_us: float = 500.0, seed: int = 1) -> Dict[str, Dict[str, float]]:
+def run_theory(duration_us: float = 500.0) -> Dict[str, Dict[str, float]]:
     model = NotificationModel(n_switches=3)
     out: Dict[str, Dict[str, float]] = {}
     for loc in LOCATIONS:
         hop = HOP_OF_LOCATION[loc]
         # LHCS off: isolate the pure notification-latency effect the model
         # describes (LHCS adds its own last-hop acceleration on top).
-        gap = measured_response_gap_us(
-            loc, duration_us=duration_us, seed=seed, lhcs=False
-        )
+        gap = measured_response_gap_us(loc, duration_us=duration_us, lhcs=False)
         out[loc] = {
             "hop": hop,
             "theory_gain_us": model.gain_ps(hop) / 1e6,
@@ -62,7 +57,7 @@ def run_theory(duration_us: float = 500.0, seed: int = 1) -> Dict[str, Dict[str,
         }
         if loc == "last":
             out[loc]["measured_gap_with_lhcs_us"] = measured_response_gap_us(
-                loc, duration_us=duration_us, seed=seed, lhcs=True
+                loc, duration_us=duration_us, lhcs=True
             )
     return out
 

@@ -13,7 +13,7 @@ coupled tiers:
    replayed into, per (link, epoch), the bytes the *fluid* flows offer on
    links the demoted flows cross (the tier boundary's forward direction).
    No second simulation: a background pass would run the same flows on
-   the same capacities with the same ``rate_eps`` / ``ripple_rounds``, the
+   the same capacities with the same damping (:data:`RIPPLE_ROUNDS`), the
    congestion and history recorders only observe, and replay performs the
    accumulator's float operations in the same order — so the bytes are
    bit-identical to re-simulating, for round 0 and for every refine
@@ -30,7 +30,7 @@ coupled tiers:
    ``refine_rounds`` times.
 5. **Final fluid pass** — the fluid flows re-run with per-epoch *residual*
    capacities (link capacity minus measured packet bytes, floored at
-   ``residual_floor``) on the shared links: the tier boundary's reverse
+   :data:`RESIDUAL_FLOOR`) on the shared links: the tier boundary's reverse
    direction.  Packet records and fluid records merge into one result:
    the fluid ones join the packet tier's on its collector.
 
@@ -63,6 +63,13 @@ from repro.transport.flow import Flow
 from repro.units import DEFAULT_MTU, us
 
 _UNSET = object()
+
+#: The final fluid pass's capacity floor, as a fraction of the link rate:
+#: keeps fed-back residual capacities positive.
+RESIDUAL_FLOOR = 0.05
+#: Ripple rounds of every hybrid fluid pass; its rate damping is
+#: :data:`repro.analysis.flowsim.RATE_EPS`.
+RIPPLE_ROUNDS = 2
 
 
 def _check_threshold(threshold: Optional[float]) -> None:
@@ -100,9 +107,9 @@ class HybridConfig:
     packet-by-packet because one core link spent 10 µs at three-way
     sharing; a transient, by contrast, overlaps wholly or not at all).
     ``epoch_us`` is the tier-exchange granularity, ``refine_rounds``
-    bounds the PFC/ECN-triggered re-runs, ``residual_floor`` keeps
-    fed-back capacities positive, and ``rate_eps`` / ``ripple_rounds``
-    tune the fluid engine itself.
+    bounds the PFC/ECN-triggered re-runs.  The fluid engine's own damping
+    and the residual floor are the constants :data:`RIPPLE_ROUNDS`,
+    :data:`RESIDUAL_FLOOR` and :data:`repro.analysis.flowsim.RATE_EPS`.
     """
 
     __slots__ = (
@@ -110,9 +117,6 @@ class HybridConfig:
         "min_link_flows",
         "epoch_us",
         "refine_rounds",
-        "residual_floor",
-        "rate_eps",
-        "ripple_rounds",
         "bg_quantum_bytes",
         "mouse_bytes",
         "congested_frac",
@@ -124,9 +128,6 @@ class HybridConfig:
         min_link_flows: int = 3,
         epoch_us: float = 50.0,
         refine_rounds: int = 1,
-        residual_floor: float = 0.05,
-        rate_eps: float = 0.02,
-        ripple_rounds: Optional[int] = 2,
         bg_quantum_bytes: int = 4 * DEFAULT_MTU,
         mouse_bytes: Optional[int] = None,
         congested_frac: float = 0.15,
@@ -134,10 +135,6 @@ class HybridConfig:
         _check_threshold(threshold)
         if refine_rounds < 0:
             raise ValueError("refine_rounds must be non-negative")
-        if not rate_eps >= 0:
-            raise ValueError("rate_eps must be non-negative")
-        if not (0.0 <= residual_floor < 1.0):
-            raise ValueError("residual_floor must be in [0, 1)")
         if min_link_flows < 1:
             raise ValueError("min_link_flows must be positive")
         if epoch_us <= 0:
@@ -146,17 +143,12 @@ class HybridConfig:
             raise ValueError("bg_quantum_bytes must be positive")
         if mouse_bytes is not None and mouse_bytes < 0:
             raise ValueError("mouse_bytes must be non-negative")
-        if ripple_rounds is not None and ripple_rounds < 1:
-            raise ValueError("ripple_rounds must be None or >= 1")
         if not (0.0 <= congested_frac <= 1.0):
             raise ValueError("congested_frac must be in [0, 1]")
         self.threshold = threshold
         self.min_link_flows = min_link_flows
         self.epoch_us = epoch_us
         self.refine_rounds = refine_rounds
-        self.residual_floor = residual_floor
-        self.rate_eps = rate_eps
-        self.ripple_rounds = ripple_rounds
         self.bg_quantum_bytes = bg_quantum_bytes
         self.mouse_bytes = mouse_bytes
         self.congested_frac = congested_frac
@@ -191,7 +183,7 @@ def _directed_port(topo, u: str, v: str):
 def _port_link_index(topo) -> Dict[int, Tuple[str, str]]:
     """id(Port) -> directed LinkKey, for mapping PFC/ECN stats back."""
     idx: Dict[int, Tuple[str, str]] = {}
-    for node in list(topo.hosts) + list(topo.switches):
+    for node in topo.nodes():
         for p in node.ports:
             if p.peer is not None:
                 idx[id(p)] = (node.name, p.peer.node.name)
@@ -355,10 +347,7 @@ def run_fct_hybrid(
     def _fluid_pass(pass_flows, **hooks):
         stats["fluid_passes"] += 1
         with _guard():
-            return fls.run(
-                pass_flows, path_fn, rate_eps=cfg.rate_eps,
-                ripple_rounds=cfg.ripple_rounds, **hooks,
-            )
+            return fls.run(pass_flows, path_fn, ripple_rounds=RIPPLE_ROUNDS, **hooks)
 
     def _merged(fres, sim, **final: int) -> FctResult:
         # The fluid records join the packet tier's on the one collector,
@@ -523,7 +512,7 @@ def run_fct_hybrid(
             break
         port_links = _port_link_index(fab.topo)
         hot_links: Set[Tuple[str, str]] = set()
-        for node in list(fab.topo.hosts) + list(fab.topo.switches):
+        for node in fab.topo.nodes():
             for p in node.ports:
                 if p.pause_sent or p.ecn_marked or p.drops:
                     lk = port_links.get(id(p))
@@ -552,7 +541,7 @@ def run_fct_hybrid(
             # census: a link no demoted flow used — tests/hybrid/test_backend.py::TestBackendSelection::test_validate_fails_a_run_that_completes_no_flow
             continue
         _port, rate_gbps = _directed_port(fab.topo, *lk)
-        floor = cfg.residual_floor * rate_gbps
+        floor = RESIDUAL_FLOOR * rate_gbps
         last = max(per_epoch)
         for e in range(0, last + 1):
             used_bytes = per_epoch.get(e, 0)

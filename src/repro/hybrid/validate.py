@@ -3,7 +3,7 @@
 Runs one Fig. 14/15 configuration under both backends and compares
 per-size-bin slowdown statistics: the hybrid's mean must sit within
 :data:`MEAN_TOL` (relative) and its p99 within :data:`P99_TOL` of the
-packet simulator's, on every bin holding at least ``min_samples`` flows in
+packet simulator's, on every bin holding at least :data:`MIN_SAMPLES` flows in
 both runs; the whole-distribution Kolmogorov–Smirnov distance is reported
 alongside (and gated loosely, at :data:`KS_TOL` — it catches shape drift
 between the bins).
@@ -41,6 +41,11 @@ MEAN_TOL = 0.10
 P99_TOL = 0.20
 #: The whole-distribution Kolmogorov–Smirnov distance the gate allows.
 KS_TOL = 0.25
+#: The flows both runs must put in a bin to gate its mean, and its p99:
+#: below ~20 samples the 99th percentile *is* the sample maximum, and two
+#: noisy maxima differ by noise (the KS distance still covers those bins).
+MIN_SAMPLES = 8
+P99_MIN_SAMPLES = 20
 #: In the quick slice, bins rarely reach 50 samples, so the p99 check is
 #: effectively off: quick is a smoke gate on the means + KS distance; the
 #: full run is the fidelity instrument.
@@ -127,27 +132,22 @@ def validate(
     cc: str = "fncc",
     seed: int = 1,
     quick: bool = False,
-    min_samples: int = 8,
-    p99_min_samples: int = 20,
     config: Optional[HybridConfig] = None,
     **overrides,
 ) -> GateReport:
     """Run both backends on one scenario and gate the deltas.
 
-    Bins with fewer than ``min_samples`` flows in either run are reported
-    but not gated, and the p99 check additionally requires
-    ``p99_min_samples`` (below ~20 samples the 99th percentile *is* the
-    sample maximum — comparing the maxima of two noisy queueing processes
-    is noise, not signal; the KS distance still covers those bins'
-    distributions).
+    Bins with fewer than :data:`MIN_SAMPLES` flows in either run are
+    reported but not gated, and the p99 check additionally requires
+    :data:`P99_MIN_SAMPLES` (the quick slice raises both floors).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {sorted(SCENARIOS)}")
     kwargs = dict(SCENARIOS[scenario])
+    min_samples, p99_min_samples = MIN_SAMPLES, P99_MIN_SAMPLES
     if quick:
         kwargs["n_flows"] = QUICK_N_FLOWS
-        min_samples = max(min_samples, QUICK_MIN_SAMPLES)
-        p99_min_samples = max(p99_min_samples, QUICK_P99_MIN_SAMPLES)
+        min_samples, p99_min_samples = QUICK_MIN_SAMPLES, QUICK_P99_MIN_SAMPLES
     kwargs.update(overrides)
     kwargs["seed"] = seed
 

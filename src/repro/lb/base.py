@@ -15,7 +15,7 @@ Ownership rules:
 * All mutable strategy state is owned by the per-switch instance, created
   inside :func:`install_lb`.  A fresh topology therefore never inherits
   cached hashes or flowlet history from a previous run.
-* Every cache is bounded (``max_cache_entries``).  On overflow the cache is
+* Every cache is bounded (:data:`MAX_CACHE_ENTRIES`).  On overflow the cache is
   swept/cleared — safe because every cached value is recomputable from the
   packet alone (ECMP hashes) or is advisory (flowlet/epoch state, where a
   reset just starts a new flowlet/epoch).
@@ -47,6 +47,10 @@ Router = Callable[["Switch", "Packet"], int]
 #: Sized to cover several BDPs of the paper's 100 Gb/s fabric so a
 #: lossless run can never wedge on an un-fillable hole.
 DEFAULT_REORDER_WINDOW = 512 * 1024
+
+#: The bound of every per-switch strategy table and hash memo, read when a
+#: strategy binds a switch.
+MAX_CACHE_ENTRIES = 1 << 16
 
 
 class LbConfig:
@@ -89,10 +93,7 @@ class LoadBalancer:
     #: are installed on refuse train fusion and stay per-frame.
     train_transparent: bool = False
 
-    def __init__(self, max_cache_entries: int = 1 << 16) -> None:
-        if max_cache_entries < 1:
-            raise ValueError("max_cache_entries must be positive")
-        self.max_cache_entries = max_cache_entries
+    def __init__(self) -> None:
         # Failover state (DESIGN.md §10): the live split dict the router
         # closure captured (entries are rewritten in place on failover),
         # the pristine all-links-up copy it is recomputed from, and the

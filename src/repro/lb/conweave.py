@@ -17,14 +17,14 @@ What is kept from ConWeave:
   the old path; subsequent packets carry the new epoch.  The receiver's
   reorder buffer uses the in-order arrival of a tail marker as the "old
   path has drained" signal (see ``transport/receiver.py``).
-* **Reroute hysteresis.**  An epoch must live ``min_epoch_gap_ps`` before
+* **Reroute hysteresis.**  An epoch must live :data:`DEFAULT_MIN_EPOCH_GAP_PS` before
   the next reroute, bounding flap rate like ConWeave's reply-gated epochs.
 
 What is simplified (see DESIGN.md §"Load-balancing layer"):
 
 * The RTT probe is *local*: instead of a probe/reply packet pair measuring
   the full path, the ToR samples its candidate egress queues every
-  ``probe_interval_ps`` and converts backlog to delay
+  :data:`DEFAULT_PROBE_INTERVAL_PS` and converts backlog to delay
   (``bytes * 8 / rate``).  This senses uplink contention — the dominant
   term in the fat-tree scenarios — but not remote-hop congestion; full
   reply-path emulation is a ROADMAP open item.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from repro.lb import base
 from repro.lb.base import (
     LoadBalancer,
     Router,
@@ -71,19 +72,8 @@ class ConWeaveLiteLB(LoadBalancer):
     name = "conweave"
     reorders = True
 
-    def __init__(
-        self,
-        probe_interval_ps: int = DEFAULT_PROBE_INTERVAL_PS,
-        threshold_ps: int = DEFAULT_THRESHOLD_PS,
-        min_epoch_gap_ps: int = DEFAULT_MIN_EPOCH_GAP_PS,
-        max_cache_entries: int = 1 << 16,
-    ) -> None:
-        super().__init__(max_cache_entries=max_cache_entries)
-        if probe_interval_ps <= 0 or min_epoch_gap_ps <= 0:
-            raise ValueError("probe interval and epoch gap must be positive")
-        self.probe_interval_ps = probe_interval_ps
-        self.threshold_ps = threshold_ps
-        self.min_epoch_gap_ps = min_epoch_gap_ps
+    def __init__(self) -> None:
+        super().__init__()
         #: (src, dst, flow_id) -> [epoch, last_probe, epoch_start, last_seen]
         self.flows: Dict[tuple, list] = {}
         self.hash_cache: Dict[tuple, int] = {}
@@ -98,9 +88,9 @@ class ConWeaveLiteLB(LoadBalancer):
     def _sweep(self, now: int) -> None:
         """Evict flows idle for > 8 epoch gaps (their next packet simply
         restarts at epoch 0 — the receiver treats epochs as advisory)."""
-        idle = 8 * self.min_epoch_gap_ps
+        idle = 8 * DEFAULT_MIN_EPOCH_GAP_PS
         sweep_bounded_table(
-            self.flows, self.max_cache_entries, lambda v: now - v[_SEEN] > idle
+            self.flows, base.MAX_CACHE_ENTRIES, lambda v: now - v[_SEEN] > idle
         )
 
     def invalidate(self) -> None:
@@ -111,14 +101,14 @@ class ConWeaveLiteLB(LoadBalancer):
         super().invalidate()
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
-        cap = self.max_cache_entries
+        cap = base.MAX_CACHE_ENTRIES
         table = self.flows
         flow_hash_port = make_flow_hash_port(self.hash_cache, cap)
         sim = sw.sim
         ports_list = sw.ports
-        probe_every = self.probe_interval_ps
-        threshold = self.threshold_ps
-        min_gap = self.min_epoch_gap_ps
+        probe_every = DEFAULT_PROBE_INTERVAL_PS
+        threshold = DEFAULT_THRESHOLD_PS
+        min_gap = DEFAULT_MIN_EPOCH_GAP_PS
         lb = self
 
         def tag_port(src: int, dst: int, fid: int, tag: int, ports, n: int) -> int:

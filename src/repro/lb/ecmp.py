@@ -9,14 +9,15 @@ The flow-hash memo is *bounded*: keys accumulate per flow, so an open-loop
 run generating millions of flows used to grow the old closure-scoped cache
 without limit.  The cache is owned by the per-switch instance (a fresh
 topology never inherits stale entries) and is cleared when it reaches
-``max_cache_entries`` — safe, because the hash is a pure function of the
-packet and is simply recomputed on the next miss.
+:data:`~repro.lb.base.MAX_CACHE_ENTRIES` — safe, because the hash is a
+pure function of the packet and is simply recomputed on the next miss.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from repro.lb import base
 from repro.lb.base import LoadBalancer, Router, register
 from repro.sim.rng import stable_hash64
 
@@ -36,13 +37,13 @@ class EcmpLB(LoadBalancer):
     # memo does not break this — a cleared entry recomputes identically.
     train_transparent = True
 
-    def __init__(self, max_cache_entries: int = 1 << 16) -> None:
-        super().__init__(max_cache_entries=max_cache_entries)
+    def __init__(self) -> None:
+        super().__init__()
         self.hash_cache: Dict[tuple, int] = {}
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
         hash_cache = self.hash_cache
-        cap = self.max_cache_entries
+        cap = base.MAX_CACHE_ENTRIES
 
         def router(sw: "Switch", pkt: "Packet") -> int:
             entry = split[pkt.dst]

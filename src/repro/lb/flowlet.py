@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from repro.lb import base
 from repro.lb.base import (
     LoadBalancer,
     Router,
@@ -58,12 +59,8 @@ class FlowletLB(LoadBalancer):
     name = "flowlet"
     reorders = True
 
-    def __init__(
-        self,
-        gap_ps: int = DEFAULT_GAP_PS,
-        max_cache_entries: int = 1 << 16,
-    ) -> None:
-        super().__init__(max_cache_entries=max_cache_entries)
+    def __init__(self, gap_ps: int = DEFAULT_GAP_PS) -> None:
+        super().__init__()
         if gap_ps <= 0:
             raise ValueError("flowlet gap must be positive")
         self.gap_ps = gap_ps
@@ -75,7 +72,7 @@ class FlowletLB(LoadBalancer):
     def _sweep(self, now: int) -> None:
         gap = self.gap_ps
         sweep_bounded_table(
-            self.flowlets, self.max_cache_entries, lambda v: now - v[0] > gap
+            self.flowlets, base.MAX_CACHE_ENTRIES, lambda v: now - v[0] > gap
         )
 
     def invalidate(self) -> None:
@@ -87,7 +84,7 @@ class FlowletLB(LoadBalancer):
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
         gap = self.gap_ps
-        cap = self.max_cache_entries
+        cap = base.MAX_CACHE_ENTRIES
         table = self.flowlets
         flow_hash_port = make_flow_hash_port(self.hash_cache, cap)
         sim = sw.sim

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from repro.lb import base
 from repro.lb.base import LoadBalancer, Router, make_flow_hash_port, register
 from repro.net.packet import DATA
 
@@ -31,15 +32,15 @@ class SprayLB(LoadBalancer):
     name = "spray"
     reorders = True
 
-    def __init__(self, max_cache_entries: int = 1 << 16) -> None:
-        super().__init__(max_cache_entries=max_cache_entries)
+    def __init__(self) -> None:
+        super().__init__()
         #: dst -> next round-robin offset.
         self.rr_state: Dict[int, int] = {}
         self.hash_cache: Dict[tuple, int] = {}
 
     def make_router(self, sw: "Switch", split: Dict[int, object]) -> Router:
         # Canonical symmetric flow hash for the non-sprayed kinds.
-        flow_hash_port = make_flow_hash_port(self.hash_cache, self.max_cache_entries)
+        flow_hash_port = make_flow_hash_port(self.hash_cache, base.MAX_CACHE_ENTRIES)
         rr = self.rr_state
 
         def router(sw: "Switch", pkt: "Packet") -> int:

@@ -122,9 +122,8 @@ def frame_hops(nodes: Iterable[object]) -> int:
 
 
 def topo_frame_hops(topo) -> int:
-    """:func:`frame_hops` over every node of a topology-like object (all
-    hosts and switches) — the one place the node-list expansion lives."""
-    return frame_hops(list(getattr(topo, "hosts", ())) + list(getattr(topo, "switches", ())))
+    """:func:`frame_hops` over every node of a topology."""
+    return frame_hops(topo.nodes())
 
 
 def pfc_frame_totals(nodes: Iterable[object]) -> Dict[str, int]:

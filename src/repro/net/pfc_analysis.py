@@ -57,13 +57,11 @@ def buffer_dependency_graph(
     return g
 
 
-def find_deadlock_cycles(
-    paths: Sequence[PathNames], classes: Optional[Sequence[int]] = None
-) -> List[List[Buffer]]:
+def find_deadlock_cycles(paths: Sequence[PathNames]) -> List[List[Buffer]]:
     """All elementary cyclic buffer dependencies among the given paths, each
     starting at its first-seen buffer, listed in the order those were first
     seen: the answer depends on the paths alone, never on hash order."""
-    g = buffer_dependency_graph(paths, classes)
+    g = buffer_dependency_graph(paths)
     waiters = _waiters(g)
     rank = {b: i for i, b in enumerate(g)}
     cycles = []

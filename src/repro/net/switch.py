@@ -301,6 +301,7 @@ class Switch(Node):
             in_p = pkt.in_port
             pfc = self._pfc_bytes
             n = pfc[in_p] = pfc[in_p] - size
+            # census: a watchdog drop that frees a paused ingress — tests/faults/test_watchdog.py::test_a_watchdog_drop_below_xon_resumes_the_paused_ingress
             if n <= self._xon and self._pfc_paused_up[in_p]:
                 self._pfc_paused_up[in_p] = False
                 self._send_pfc(in_p, RESUME)
@@ -348,21 +349,11 @@ class Switch(Node):
     # -- PFC-storm watchdog hooks (DESIGN.md §10) ---------------------------------
     def _wd_drop_frame(self, pkt: Packet, port_idx: int) -> None:
         """Reverse the shared-buffer + PFC admission for a frame the
-        watchdog's storm action drops at egress — the exact accounting
-        mirror of :meth:`on_departure`, minus telemetry stamping (the
-        frame never reaches a wire).  May emit an upstream RESUME, which
+        watchdog's storm action drops at egress: :meth:`on_departure`'s
+        release, then the drop counts.  May emit an upstream RESUME, which
         is the isolation payoff: draining the stormed queue un-wedges the
         ingress that was pushing it."""
-        size = pkt.size
-        self.buffer_used -= size
-        if self._pfc_on and pkt.kind < PAUSE:
-            in_p = pkt.in_port
-            pfc = self._pfc_bytes
-            n = pfc[in_p] = pfc[in_p] - size
-            # census: a watchdog drop that frees a paused ingress — tests/faults/test_watchdog.py::test_a_watchdog_drop_below_xon_resumes_the_paused_ingress
-            if n <= self._xon and self._pfc_paused_up[in_p]:
-                self._pfc_paused_up[in_p] = False
-                self._send_pfc(in_p, RESUME)
+        self.on_departure(pkt, None)
         self.drops += 1
         self.ports[port_idx].drops += 1
 

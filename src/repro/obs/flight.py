@@ -154,10 +154,6 @@ class FlightRecorder:
             d["sweep_key"] = repr(key)
         return d
 
-    def _nodes(self):
-        topo = self.topo
-        return list(getattr(topo, "hosts", ())) + list(getattr(topo, "switches", ()))
-
     def _fault_states(self) -> dict:
         """The ``faults`` section: active fault timeline + watchdog state,
         present only when the run armed either (DESIGN.md §10)."""
@@ -176,7 +172,7 @@ class FlightRecorder:
 
     def _port_states(self) -> list:
         rows = []
-        for node in self._nodes():
+        for node in self.topo.nodes():
             for port in node.ports:
                 qbytes = getattr(port, "qbytes_total", 0)
                 row = {

@@ -93,7 +93,7 @@ class MetricsRegistry:
 
     def bind_topo(self, topo) -> None:
         """Aggregate every port's counters, switch buffer state
-        and any LB strategy counters of a topology-like object."""
+        and any LB strategy counters of a topology."""
 
         def read():
             counters = {
@@ -110,11 +110,8 @@ class MetricsRegistry:
                 "pfc.resume_received": 0,
             }
             gauges = {"ports.max_qlen": 0, "switches.buffer_used_max": 0}
-            nodes = list(getattr(topo, "hosts", ())) + list(
-                getattr(topo, "switches", ())
-            )
             seen_lbs = set()
-            for node in nodes:
+            for node in topo.nodes():
                 for port in node.ports:
                     counters["ports.tx_packets"] += port.tx_packets
                     counters["ports.tx_bytes"] += port.tx_bytes

@@ -15,7 +15,7 @@ class Timer:
     """A restartable one-shot timer.
 
     ``start`` (re-)arms the timer; ``cancel`` disarms it.  The callback is
-    invoked with the payload given at ``start`` time.
+    invoked with None, the engine's event argument.
     """
 
     __slots__ = ("_sim", "_fn", "_event", "_lane")
@@ -28,10 +28,10 @@ class Timer:
         self._lane = lane
         self._event: Optional[Event] = None
 
-    def start(self, delay: int, arg: Any = None) -> None:
+    def start(self, delay: int) -> None:
         """Arm (or re-arm) the timer ``delay`` ps from now."""
         self.cancel()
-        self._event = self._sim.schedule(delay, self._fire, arg, self._lane)
+        self._event = self._sim.schedule(delay, self._fire, None, self._lane)
 
     def cancel(self) -> None:
         if self._event is not None:

@@ -91,10 +91,10 @@ class Topology:
         self._dist.clear()
         return host
 
-    def add_switch(self, name: str, config: Optional[SwitchConfig] = None) -> Switch:
+    def add_switch(self, name: str) -> Switch:
         if name in self._by_name:
             raise ValueError(f"duplicate node name {name}")
-        sw = Switch(self.sim, name, config or self.switch_config)
+        sw = Switch(self.sim, name, self.switch_config)
         if sw.config.ecn is not None:
             sw.set_ecn_rng(self.seeds.stream(f"ecn.{name}"))
         self.switches.append(sw)
@@ -146,6 +146,10 @@ class Topology:
 
     def node(self, name: str):
         return self._by_name[name]
+
+    def nodes(self) -> list:
+        """Every node: the hosts, then the switches."""
+        return self.hosts + self.switches
 
     def start(self) -> None:
         """Arm periodic switch machinery (INT table refresh, etc.)."""

@@ -17,7 +17,9 @@ edit that moves it is dropped, not re-blessed.
 import hashlib
 import random
 from pathlib import Path
+from unittest import mock
 
+from repro.analysis import flowsim
 from repro.analysis.flowsim import from_topology
 from repro.experiments.common import portstats_fingerprint
 from repro.experiments.fct_experiment import build_fct_fabric
@@ -92,11 +94,12 @@ def observe(result) -> dict:
     }
 
 
-def _pass(seed, n_flows=800, load=0.4, rate_eps=0.02, ripple_rounds=2, cap_entries=0):
+def _pass(seed, n_flows=800, load=0.4, rate_eps=flowsim.RATE_EPS, ripple_rounds=2, cap_entries=0):
     """One classification pass of a strict cell (the defaults are
-    ``_strict``'s fabric and ``_strict_config``'s engine knobs), run the way
-    ``run_fct_hybrid`` runs it; ``cap_entries`` adds that many random
-    capacity changes spread over the arrival span."""
+    ``_strict``'s fabric and the hybrid's engine damping), run the way
+    ``run_fct_hybrid`` runs it; ``rate_eps`` stands in for
+    ``flowsim.RATE_EPS`` during the run, and ``cap_entries`` adds that many
+    random capacity changes spread over the arrival span."""
 
     def run():
         fab = build_fct_fabric(
@@ -112,10 +115,11 @@ def _pass(seed, n_flows=800, load=0.4, rate_eps=0.02, ripple_rounds=2, cap_entri
              rng.uniform(5.0, 100.0))
             for _ in range(cap_entries)
         ]
-        return fls.run(
-            fab.flows, path_fn, congestion=(0.99, 10), keep_history=True,
-            cap_schedule=sched, rate_eps=rate_eps, ripple_rounds=ripple_rounds,
-        )
+        with mock.patch.object(flowsim, "RATE_EPS", rate_eps):
+            return fls.run(
+                fab.flows, path_fn, congestion=(0.99, 10), keep_history=True,
+                cap_schedule=sched, ripple_rounds=ripple_rounds,
+            )
 
     return run
 

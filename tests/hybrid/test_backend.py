@@ -15,7 +15,7 @@ from repro.experiments.fct_experiment import (
     run_fct_experiment,
     run_fct_summary,
 )
-from repro.hybrid.backend import HybridConfig, run_fct_hybrid
+from repro.hybrid.backend import RIPPLE_ROUNDS, HybridConfig, run_fct_hybrid
 from repro.metrics.fct import FctCollector
 from repro.sim.engine import Simulator as EventSimulator
 from repro.topo.dumbbell import dumbbell
@@ -46,12 +46,9 @@ class TestDegenerateTiers:
         hres = run_fct_hybrid("fncc", threshold=None, **CELL)
         assert hres.stats["fluid"] == CELL["n_flows"]
 
-        cfg = HybridConfig()
         fab = build_fct_fabric("fncc", **CELL)
         fls, path_fn = from_topology(fab.topo)
-        fres = fls.run(
-            fab.flows, path_fn, rate_eps=cfg.rate_eps, ripple_rounds=cfg.ripple_rounds
-        )
+        fres = fls.run(fab.flows, path_fn, ripple_rounds=RIPPLE_ROUNDS)
         want = tuple(sorted((r.flow.flow_id, r.fct_ps) for r in fres.records))
         assert hres.fct_fingerprint() == want
 
@@ -232,20 +229,13 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             HybridConfig(min_link_flows=0)
         with pytest.raises(ValueError):
-            HybridConfig(residual_floor=1.0)
-        with pytest.raises(ValueError):
             HybridConfig(epoch_us=0)
         with pytest.raises(ValueError):
             HybridConfig(mouse_bytes=-1)
         with pytest.raises(ValueError):
             HybridConfig(congested_frac=1.5)
-        with pytest.raises(ValueError):
-            HybridConfig(ripple_rounds=0)
-        # Knobs that used to reach the run: rate_eps < 0 failed inside the
-        # first fluid pass (after the fabric build), refine_rounds=-1 ran
-        # as 0, threshold=nan compared false everywhere and demoted nothing.
-        with pytest.raises(ValueError, match="rate_eps"):
-            HybridConfig(rate_eps=-0.01)
+        # Knobs that used to reach the run: refine_rounds=-1 ran as 0,
+        # threshold=nan compared false everywhere and demoted nothing.
         with pytest.raises(ValueError, match="refine_rounds"):
             HybridConfig(refine_rounds=-1)
         with pytest.raises(ValueError, match="threshold"):

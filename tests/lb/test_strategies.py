@@ -10,6 +10,8 @@ from repro.lb import (
     LbConfig,
     SprayLB,
     STRATEGIES,
+    base,
+    conweave,
     install_lb,
 )
 from repro.net.packet import ACK, DATA, Packet
@@ -76,8 +78,9 @@ class TestInstall:
 
 
 class TestEcmpBounded:
-    def test_hash_cache_bounded(self, sim):
-        topo = fattree(sim, k=4, lb=LbConfig("ecmp", max_cache_entries=32))
+    def test_hash_cache_bounded(self, sim, monkeypatch):
+        monkeypatch.setattr(base, "MAX_CACHE_ENTRIES", 32)
+        topo = fattree(sim, k=4, lb=LbConfig("ecmp"))
         tor = topo.node("tor_0_0")
         # More distinct flows than the cap: the cache must stay bounded.
         for fid in range(400):
@@ -85,8 +88,9 @@ class TestEcmpBounded:
             tor.router(tor, pkt)
         assert len(tor.lb.hash_cache) <= 32
 
-    def test_bounded_cache_keeps_per_flow_stability(self, sim):
-        topo = fattree(sim, k=4, lb=LbConfig("ecmp", max_cache_entries=8))
+    def test_bounded_cache_keeps_per_flow_stability(self, sim, monkeypatch):
+        monkeypatch.setattr(base, "MAX_CACHE_ENTRIES", 8)
+        topo = fattree(sim, k=4, lb=LbConfig("ecmp"))
         a, b = 0, 8
         first = trace_path(topo, a, b, flow_id=5)
         for fid in range(100):  # churn the cache far past its cap
@@ -189,8 +193,9 @@ class TestFlowlet:
         second = tor.router(tor, data_pkt(0, remote, 1))
         assert second != first
 
-    def test_table_bounded(self, sim):
-        topo = fattree(sim, k=4, lb=LbConfig("flowlet", max_cache_entries=16))
+    def test_table_bounded(self, sim, monkeypatch):
+        monkeypatch.setattr(base, "MAX_CACHE_ENTRIES", 16)
+        topo = fattree(sim, k=4, lb=LbConfig("flowlet"))
         tor = topo.node("tor_0_0")
         remote = topo.node("h_2_0_0").host_id
         for fid in range(200):
@@ -199,8 +204,16 @@ class TestFlowlet:
 
 
 class TestConWeaveLite:
-    def build(self, sim, **kw):
-        return fattree(sim, k=4, lb=LbConfig("conweave", **kw))
+    def build(self, sim):
+        return fattree(sim, k=4, lb=LbConfig("conweave"))
+
+    @staticmethod
+    def quick_probes(monkeypatch, min_epoch_gap_ps):
+        """Probe every microsecond, reroute on any asymmetry, and let an
+        epoch live ``min_epoch_gap_ps`` before the next reroute."""
+        monkeypatch.setattr(conweave, "DEFAULT_PROBE_INTERVAL_PS", us(1))
+        monkeypatch.setattr(conweave, "DEFAULT_THRESHOLD_PS", 0)
+        monkeypatch.setattr(conweave, "DEFAULT_MIN_EPOCH_GAP_PS", min_epoch_gap_ps)
 
     def test_tor_stamps_epoch_tag(self, sim):
         topo = self.build(sim)
@@ -233,10 +246,9 @@ class TestConWeaveLite:
             pkt2.lb_tag = tag
             assert agg.router(agg, pkt2) == port
 
-    def test_reroute_marks_tail_and_bumps_epoch(self, sim):
-        topo = self.build(
-            sim, probe_interval_ps=us(1), min_epoch_gap_ps=us(1), threshold_ps=0
-        )
+    def test_reroute_marks_tail_and_bumps_epoch(self, sim, monkeypatch):
+        self.quick_probes(monkeypatch, us(1))
+        topo = self.build(sim)
         tor = topo.node("tor_0_0")
         remote = topo.node("h_2_0_0").host_id
         p0 = data_pkt(0, remote, 1)
@@ -262,10 +274,9 @@ class TestConWeaveLite:
         assert p2.lb_tail is False
         assert new_port != first_port
 
-    def test_epoch_hysteresis(self, sim):
-        topo = self.build(
-            sim, probe_interval_ps=us(1), min_epoch_gap_ps=us(1000), threshold_ps=0
-        )
+    def test_epoch_hysteresis(self, sim, monkeypatch):
+        self.quick_probes(monkeypatch, us(1000))
+        topo = self.build(sim)
         tor = topo.node("tor_0_0")
         remote = topo.node("h_2_0_0").host_id
         p = data_pkt(0, remote, 1)
@@ -281,8 +292,9 @@ class TestConWeaveLite:
         tor.router(tor, p1)
         assert tor.lb.reroutes == 0  # epoch too young to reroute
 
-    def test_flow_table_bounded(self, sim):
-        topo = self.build(sim, max_cache_entries=16)
+    def test_flow_table_bounded(self, sim, monkeypatch):
+        monkeypatch.setattr(base, "MAX_CACHE_ENTRIES", 16)
+        topo = self.build(sim)
         tor = topo.node("tor_0_0")
         remote = topo.node("h_2_0_0").host_id
         for fid in range(200):

@@ -1,7 +1,7 @@
 """Fixture-snippet suite for every fncc-lint rule (DESIGN.md §9).
 
 One violating, one clean, and one suppressed case per rule, driven through
-:func:`tools.lint.lint_source` with the compiled-in policy config and
+:func:`tools.lint.lint_source` with the rule modules' own policy and
 synthetic repo paths — the same entry point the CLI uses, minus the
 filesystem walk.
 """
@@ -22,14 +22,13 @@ if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
 from tools.lint import RULES, lint_source, rules_necessity
-from tools.lint.config import DEFAULTS
 
 #: A path inside the lint scope that is on no allow/owner/hot list.
 NEUTRAL = "src/repro/experiments/fixture_mod.py"
 
 
 def run(snippet, relpath=NEUTRAL, rules=None):
-    return lint_source(textwrap.dedent(snippet), relpath, DEFAULTS, rules)
+    return lint_source(textwrap.dedent(snippet), relpath, rules)
 
 
 def rules_hit(snippet, relpath=NEUTRAL, rules=None):
@@ -319,7 +318,7 @@ def test_d104_shipping_fault_modules_clean():
     for path in sorted(glob.glob(os.path.join(_REPO_ROOT, "src/repro/faults/*.py"))):
         rel = os.path.relpath(path, _REPO_ROOT).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as fh:
-            findings = lint_source(fh.read(), rel, DEFAULTS, ["D104"])
+            findings = lint_source(fh.read(), rel, ["D104"])
         assert findings == [], f"{rel}: {[str(f) for f in findings]}"
 
 
@@ -876,7 +875,7 @@ def alone(monkeypatch):
 
 def n602(snippet):
     return [(f.line, f.message.split()[0])
-            for f in lint_source(textwrap.dedent(snippet), NEUTRAL, DEFAULTS, ["N602"])]
+            for f in lint_source(textwrap.dedent(snippet), NEUTRAL, ["N602"])]
 
 
 def test_n602_violation(alone):
@@ -909,7 +908,7 @@ def test_n602_a_getattr_or_hasattr_string_is_a_read(alone):
 def test_n602_a_read_anywhere_in_the_checkout_counts():
     findings = lint_source(
         "class Qp:\n    def __init__(self):\n        self.srtt_ps = 0\n",
-        NEUTRAL, DEFAULTS, ["N602"])
+        NEUTRAL, ["N602"])
     assert findings == []  # src/repro/transport/sender.py reads .srtt_ps
 
 
@@ -936,15 +935,11 @@ def test_every_registered_rule_has_a_design_ref():
 # -- repo gate: the tree itself lints clean ----------------------------------
 
 
-def test_repo_lints_clean():
-    """The acceptance bar: zero findings."""
-    import os
+def test_repo_lints_clean(capsys):
+    """The acceptance bar: zero findings, from the run CI's lint step makes."""
+    from tools.lint.cli import main
 
-    from tools.lint.core import lint_paths
-
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    findings = lint_paths(root, DEFAULTS["paths"], DEFAULTS)
-    assert findings == [], [f.format() for f in findings]
+    assert main(["--root", _REPO_ROOT]) == 0, capsys.readouterr().out
 
 
 # -- CLI: a run that lints nothing is an error, not a pass ----------------------

@@ -50,6 +50,9 @@ class TestRunBinding:
             hosts = ()
             switches = ()
 
+            def nodes(self):
+                return []
+
         obs = RunObservability(registry=MetricsRegistry())
         obs.attach(sim, _Topo())
         sim2 = Simulator()

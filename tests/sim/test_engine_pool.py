@@ -134,8 +134,8 @@ class TestEventPool:
 
     def test_fired_timer_handle_is_inert(self, sim):
         log = []
-        timer = Timer(sim, log.append)
-        timer.start(10, "timeout")
+        timer = Timer(sim, lambda _arg: log.append("timeout"))
+        timer.start(10)
         fired = timer._event
         sim.run()
         assert log == ["timeout"]

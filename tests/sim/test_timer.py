@@ -8,19 +8,19 @@ import pytest
 class TestTimer:
     def test_fires_once(self, sim):
         log = []
-        t = Timer(sim, log.append)
-        t.start(100, "payload")
+        t = Timer(sim, lambda arg: log.append((sim.now, arg)))
+        t.start(100)
         sim.run()
-        assert log == ["payload"]
+        assert log == [(100, None)]
         assert t._event is None
 
     def test_restart_supersedes(self, sim):
         log = []
-        t = Timer(sim, log.append)
-        t.start(100, "first")
-        t.start(50, "second")
+        t = Timer(sim, lambda arg: log.append(sim.now))
+        t.start(100)
+        t.start(50)
         sim.run()
-        assert log == ["second"]
+        assert log == [50]
 
     def test_cancel(self, sim):
         log = []

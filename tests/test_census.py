@@ -115,8 +115,7 @@ def _run_under_the_hook(tmp_path, body: str) -> list:
     entry point; return the log lines its processes wrote."""
     boot = tmp_path / "boot"
     boot.mkdir()
-    (boot / "sitecustomize.py").write_text(
-        census_tool._SITECUSTOMIZE.format(env=census_tool.LOG_ENV))
+    (boot / "sitecustomize.py").write_text(census_tool._SITECUSTOMIZE)
     log = tmp_path / "reach.log"
     src, root = census_tool.PKG.parent, census_tool.ROOT
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (boot, src, root))),
@@ -152,21 +151,22 @@ def test_a_child_handed_its_own_pythonpath_is_counted(tmp_path):
 
 
 def test_a_knob_is_logged_by_the_first_call_that_turns_it(tmp_path):
-    first = definitions()["repro.lb.flowlet:FlowletLB.__init__"][1]
-    base = definitions()["repro.lb.base:LoadBalancer.__init__"][1]
+    first = definitions()["repro.cc.fncc:FnccConfig.__init__"][1]
+    base = definitions()["repro.cc.hpcc:HpccConfig.__init__"][1]
     lines = _run_under_the_hook(tmp_path, """
-        from repro.lb.flowlet import DEFAULT_GAP_PS, FlowletLB
-        FlowletLB()                                    # defaults
-        FlowletLB(gap_ps=int(str(DEFAULT_GAP_PS)))     # an equal int: no change
-        FlowletLB(max_cache_entries=float(1 << 16))    # equal, but a float
-        FlowletLB(gap_ps=7)
-        FlowletLB(gap_ps=9)                            # already logged
+        from repro.cc.fncc import FnccConfig
+        FnccConfig()                                   # defaults
+        FnccConfig(alpha=float(str(1.05)))             # an equal float: no change
+        FnccConfig(lhcs_enabled=1)                     # equal, but an int
+        FnccConfig(eta=0.5)                            # handed on
+        FnccConfig(beta=0.5)
+        FnccConfig(beta=0.6)                           # already logged
     """)
     knob_lines = [line for line in lines if line.count("\t") == 3]
     assert knob_lines == [
-        f"lb/flowlet.py\t{first}\t__init__\tmax_cache_entries",
-        f"lb/base.py\t{base}\t__init__\tmax_cache_entries",  # handed on
-        f"lb/flowlet.py\t{first}\t__init__\tgap_ps",
+        f"cc/fncc.py\t{first}\t__init__\tlhcs_enabled",
+        f"cc/hpcc.py\t{base}\t__init__\teta",
+        f"cc/fncc.py\t{first}\t__init__\tbeta",
     ]
 
 
@@ -176,7 +176,7 @@ def test_the_census_records_which_entry_points_turn_a_knob():
                "benchmark": set()}
     doc, _ = census_tool.census(reached)
     assert doc["knobs"]["repro.lb.flowlet:FlowletLB.__init__(gap_ps)"] == ["fig15 *"]
-    assert doc["knobs"]["repro.lb.flowlet:FlowletLB.__init__(max_cache_entries)"] == []
+    assert doc["knobs"]["repro.routing.spanning_tree:install_spanning_trees(seed)"] == []
     assert list(doc["knobs"]) == list(knobs())
 
 
@@ -312,3 +312,12 @@ def test_a_line_is_logged_the_first_time_a_process_runs_it(tmp_path):
 def units_to_us_code():
     from repro import units
     return units.to_us.__code__
+
+
+def test_a_reason_whose_test_does_not_run_its_line_is_refused():
+    (line,) = census_tool.body_lines(units_to_us_code())
+    runs = "tests/test_units.py::TestTimeConversions::test_us_round_trip"
+    skips = "tests/test_units.py::TestTimeConversions::test_ms"
+    problems = census_tool.reason_problems([("units.py", line, runs), ("units.py", line, skips)])
+    assert problems == [
+        f"src/repro/units.py:{line}: its '# census:' reason's test does not run it: {skips}"]

@@ -25,7 +25,10 @@ it) that no entry point runs must have a reason (:func:`unreached`): a
 reason, or reached by the benchmark alone, inherits it; any other needs an
 inline ``# census: <reason> — <test id>`` naming the test that runs it
 (:data:`INLINE`).  A line with none is a problem, like a dead definition.
-Nothing per line is committed.
+Nothing per line is committed.  The named tests then run once each, in one
+pytest child traced on the first line each reason excuses
+(:func:`reason_problems`): a reason whose test does not run its line is a
+problem too.
 
 The entry points (:func:`entry_points`):
 
@@ -100,6 +103,10 @@ LOG_ENV = "REPRO_CENSUS_LOG"
 #: And the lines the entry points that finished before it started ran,
 #: which its processes need not log again.
 RAN_ENV = "REPRO_CENSUS_RAN"
+#: Set in every process of the reason-test run: the file of the lines to
+#: watch; each process appends the line and the test that ran it to
+#: ``<file>.log``.
+REASONS_ENV = "REPRO_CENSUS_REASONS"
 
 #: The reasons a definition no entry point reaches may stay.  The first
 #: four are for good; ``pending`` marks dead code whose deletion takes
@@ -137,8 +144,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.cc.base:CongestionControl.on_cnp": (
         "public", "SenderQP.on_cnp hands every CNP to its cc; DCQCN's is the override"),
     "repro.net.node:Node.on_departure": ("public", "Port.__init__ tests a node's hook against it"),
-    "repro.net.switch:Switch.on_departure": (
-        "public", "Port inlines it for a stock switch and tests a peer's hook against it"),
     "repro.net.switch:PfcWatchdog._storm_off": ("public", "PfcWatchdog._poll, when a storm clears"),
     "repro.obs.trace:EventTracer._on_reroute": (
         "public", "a traced run whose strategy reroutes (ConWeaveLiteLB calls on_reroute)"),
@@ -322,7 +327,7 @@ def trace_this_process() -> None:
 
     threading.settrace(trace)
     sys.settrace(trace)
-    _keep_children_in_the_census()
+    _keep_children_in_the_census(LOG_ENV)
 
 
 def _changed(value, default) -> bool:
@@ -385,16 +390,17 @@ def _function_of(code, namespace: dict):
                  if isinstance(f, types.FunctionType) and f.__code__ is code), None)
 
 
-def _keep_children_in_the_census() -> None:
+def _keep_children_in_the_census(env_name: str) -> None:
     """A caller that hands a child its own ``PYTHONPATH`` (the suite runs
     its children on ``src`` alone) would drop the ``sitecustomize``: put it
-    back in front, with the repository root it imports this module from."""
+    back in front, with the repository root it imports this module from,
+    for a child whose environment still sets ``env_name``."""
     boot = os.path.dirname(sys.modules["sitecustomize"].__file__)
     init = subprocess.Popen.__init__
 
     def __init__(self, args, *a, **kw):
         env = kw.get("env")
-        if env is not None and LOG_ENV in env:
+        if env is not None and env_name in env:
             path = env.get("PYTHONPATH", "")
             if boot not in path.split(os.pathsep):
                 kw["env"] = dict(env, PYTHONPATH=os.pathsep.join(
@@ -404,11 +410,58 @@ def _keep_children_in_the_census() -> None:
     subprocess.Popen.__init__ = __init__
 
 
-_SITECUSTOMIZE = """\
+def trace_reason_lines() -> None:
+    """Append the path relative to the package, the line and the test id,
+    tab-separated, to ``$REPRO_CENSUS_REASONS.log`` the first time this
+    process (or one forked from it) runs each line the
+    ``$REPRO_CENSUS_REASONS`` file lists, the test id read from
+    ``PYTEST_CURRENT_TEST`` (which a child inherits).  Code objects with no
+    listed line run untraced."""
+    import threading
+
+    targets: Dict[str, set] = {}
+    with open(os.environ[REASONS_ENV]) as fh:
+        for rel, line in map(str.split, fh):
+            targets.setdefault(rel, set()).add(int(line))
+    fd = os.open(os.environ[REASONS_ENV] + ".log", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    prefix = str(PKG) + os.sep
+    logged = set()
+    tracers = {}  # id(code) -> (code, its local trace function or None)
+
+    def line_tracer(rel: str, watch: set):
+        def lines(frame, event, arg):
+            if event == "line" and frame.f_lineno in watch:
+                test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+                if (rel, frame.f_lineno, test) not in logged:
+                    logged.add((rel, frame.f_lineno, test))
+                    os.write(fd, f"{rel}\t{frame.f_lineno}\t{test}\n".encode())
+            return lines
+        return lines
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        entry = tracers.get(id(code))
+        if entry is None:
+            path = os.path.abspath(code.co_filename)
+            rel = path[len(prefix):] if path.startswith(prefix) else None
+            watch = targets.get(rel)
+            mine = watch and {line for _, _, line in code.co_lines()} & watch
+            entry = tracers[id(code)] = (code, line_tracer(rel, mine) if mine else None)
+        return entry[1]
+
+    threading.settrace(trace)
+    sys.settrace(trace)
+    _keep_children_in_the_census(REASONS_ENV)
+
+
+_SITECUSTOMIZE = f"""\
 import os
-if os.environ.get({env!r}):
+if os.environ.get({LOG_ENV!r}):
     from tools.census import trace_this_process
     trace_this_process()
+elif os.environ.get({REASONS_ENV!r}):
+    from tools.census import trace_reason_lines
+    trace_reason_lines()
 """
 
 
@@ -466,7 +519,7 @@ def run(workers: int = 2, log=sys.stderr) -> Tuple[Dict[str, set], Set[Tuple[str
         tmp = Path(tmpdir)
         boot = tmp / "boot"
         boot.mkdir()
-        (boot / "sitecustomize.py").write_text(_SITECUSTOMIZE.format(env=LOG_ENV))
+        (boot / "sitecustomize.py").write_text(_SITECUSTOMIZE)
         points = entry_points(tmp)
         export = [p for p in points if p[0] == "repro.obs.export"]
         # The --quick runs go first, and ablations, the one run that turns on
@@ -633,8 +686,6 @@ def _source_reasons(tree: ast.Module, source: str) -> Tuple[Dict[int, str], List
     And the lines of the comments it refuses: one whose statement holds a
     ``def`` or a ``class`` would let every line of it go unchecked."""
     reasons: Dict[int, str] = {}
-    refused: List[int] = []
-    starts: Dict[int, list] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise):
             reasons.update(dict.fromkeys(_span(node), "crash"))
@@ -645,6 +696,24 @@ def _source_reasons(tree: ast.Module, source: str) -> Tuple[Dict[int, str], List
                     reasons.update(dict.fromkeys(_span(node), "crash"))
                 for stmt in block:
                     reasons.update(dict.fromkeys(_span(stmt), "crash"))
+    refused: List[int] = []
+    for at, why, covered, _ in _inline_reasons(tree, source):
+        if covered is None:
+            refused.append(at)
+        else:
+            reasons.update(dict.fromkeys(covered, why))
+    return reasons, refused
+
+
+def _inline_reasons(tree: ast.Module, source: str):
+    """Each ``# census:`` comment of a module, in source order: (the line
+    it sits on, its reason, the lines it covers in order — its line, or
+    alone on its line the next code line, and the statements starting
+    there — or None if one of those holds a ``def`` or a ``class``, and
+    the line it explains: that line, or for a compound statement (an
+    ``if``, a loop, an ``except`` clause) the first line of its body)."""
+    starts: Dict[int, list] = {}
+    for node in ast.walk(tree):
         if isinstance(node, (ast.stmt, ast.ExceptHandler)):
             starts.setdefault(node.lineno, []).append(node)
     text = source.splitlines()
@@ -656,14 +725,13 @@ def _source_reasons(tree: ast.Module, source: str) -> Tuple[Dict[int, str], List
         if text[line - 1].lstrip().startswith("#"):  # alone on its line: the next code line
             line = next(n for n in range(line + 1, len(text) + 1)
                         if text[n - 1].strip() and not text[n - 1].lstrip().startswith("#"))
-        if any(isinstance(inner, _DEFS) for node in starts.get(line, ()) for inner in ast.walk(node)):
-            refused.append(at)
+        nodes = starts.get(line, ())
+        if any(isinstance(inner, _DEFS) for node in nodes for inner in ast.walk(node)):
+            yield at, None, None, None
             continue
-        why = f"{match['reason']} — {match['test']}"
-        reasons[line] = why
-        for node in starts.get(line, ()):
-            reasons.update(dict.fromkeys(_span(node), why))
-    return reasons, refused
+        covered = sorted({line}.union(*map(_span, nodes)))
+        body = getattr(nodes[0], "body", None) if nodes else None
+        yield at, f"{match['reason']} — {match['test']}", covered, body[0].lineno if body else line
 
 
 def unreached(source: str, module: str, rel: str, ran: Set[int],
@@ -721,18 +789,19 @@ def _names_a_test(reason: str) -> bool:
 def line_problems(table: dict, ran: Set[Tuple[str, int]], log=sys.stderr) -> List[str]:
     """Every line of a ``def`` under ``src/repro`` that no entry point ran
     and that has no reason to stay (:func:`unreached`; ``table`` is the
-    census's ``definitions``), every inline reason that names no test and
-    every one that would cover a ``def`` or a ``class``; prints the line
-    count by reason to ``log``."""
+    census's ``definitions``), every inline reason that names no test,
+    every one that would cover a ``def`` or a ``class``, and every one
+    whose test does not run the first line it excuses from the one it
+    explains on (:func:`reason_problems`); prints the line count by reason to ``log``."""
     problems = []
     counts: Dict[str, int] = {}
     firsts = definitions()
+    targets: List[Tuple[str, int, str]] = []
     for module, rel, source in _modules():
         mine = {line for r, line in ran if r == rel}
         inherited = {key: _inherited(key, table[key]) for key in firsts if key.startswith(module + ":")}
         text = source.splitlines()
-        problems += [f"src/repro/{rel}:{line}: a '# census:' reason may not cover a def or a class"
-                     for line in _source_reasons(ast.parse(source, rel), source)[1]]
+        excused: Dict[int, str] = {}  # line -> the inline reason naming a test
         for key, lines in unreached(source, module, rel, mine, inherited).items():
             for offset, reason in lines.items():
                 line = firsts[key][1] + offset
@@ -743,9 +812,56 @@ def line_problems(table: dict, ran: Set[Tuple[str, int]], log=sys.stderr) -> Lis
                     problems.append(f"{where}: unreached, and no reason: {text[line - 1].strip()}")
                 elif kind == "inline" and not _names_a_test(reason):
                     problems.append(f"{where}: its '# census:' reason names no test: {reason}")
+                elif kind == "inline":
+                    excused[line] = reason
+        for at, why, covered, explained in _inline_reasons(ast.parse(source, rel), source):
+            if covered is None:
+                problems.append(f"src/repro/{rel}:{at}: a '# census:' reason may not cover a def or a class")
+                continue
+            first = next((line for line in covered if line >= explained and excused.get(line) == why), None)
+            if first is not None:
+                targets.append((rel, first, why.rsplit(" — ", 1)[1]))
     print(f"census: {len(ran)} src/repro lines ran; unreached, by reason: "
           + ", ".join(f"{k} {n}" for k, n in sorted(counts.items())), file=log, flush=True)
-    return problems
+    return problems + reason_problems(targets, log)
+
+
+def reason_problems(targets: List[Tuple[str, int, str]], log=sys.stderr) -> List[str]:
+    """Run each test the ``targets`` name once, all in one pytest child
+    whose processes trace the targets' lines (:func:`trace_reason_lines`),
+    and return a problem for each target whose test did not run its line.
+    A target is (path relative to the package, the first line an inline
+    reason excuses, the test id the reason names); a test id without
+    ``[params]`` is run, and matched, with every parametrization."""
+    if not targets:
+        return []
+    tests = sorted({test for _, _, test in targets})
+    with tempfile.TemporaryDirectory(prefix="census-reasons-") as tmpdir:
+        tmp = Path(tmpdir)
+        (tmp / "boot").mkdir()
+        (tmp / "boot" / "sitecustomize.py").write_text(_SITECUSTOMIZE)
+        watch = tmp / "lines"
+        watch.write_text("".join(f"{rel}\t{line}\n" for rel, line, _ in targets))
+        env = {k: v for k, v in os.environ.items() if k != LOG_ENV}
+        env.update(PYTHONPATH=os.pathsep.join([str(tmp / "boot"), str(PKG.parent), str(ROOT)]),
+                   **{REASONS_ENV: str(watch)})
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                              cwd=str(ROOT), env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        print(f"census: {len(tests)} reason tests: {time.perf_counter() - t0:.1f} s, exit "
+              f"{proc.returncode}", file=log, flush=True)
+        if proc.returncode not in (0, 1):  # 1: a test failed; tier-1 reports that
+            raise RuntimeError(f"the reason tests did not run:\n{proc.stdout[-3000:]}")
+        log_path = Path(f"{watch}.log")
+        hits = log_path.read_text().splitlines() if log_path.exists() else []
+    ran: Dict[Tuple[str, int], set] = {}
+    for rel, line, test in (hit.split("\t") for hit in hits):
+        ran.setdefault((rel, int(line)), set()).add(test)
+    return [f"src/repro/{rel}:{line}: its '# census:' reason's test does not run it: {test}"
+            for rel, line, test in targets
+            if not any(t == test or ("[" not in test and t.split("[")[0] == test)
+                       for t in ran.get((rel, line), ()))]
 
 
 def document(_rows: dict) -> dict:

@@ -10,10 +10,9 @@ Layout:
 
 * :mod:`tools.lint.core` — finding/rule registry, suppression comments,
   per-file analysis context.
-* :mod:`tools.lint.config` — ``DEFAULTS``, the repo policy (allow-lists,
-  owner maps, hot-module lists), in one place.
-* ``rules_*`` modules — the D/P/H/O/N/S rule families.  Importing this package
-  registers them all.
+* ``rules_*`` modules — the D/P/H/O/N/S rule families, each with its own
+  policy (allow-lists, owner maps, hot-module lists) as module constants.
+  Importing this package registers them all.
 """
 
 from tools.lint import (  # noqa: F401  (import-for-registration)
@@ -24,4 +23,4 @@ from tools.lint import (  # noqa: F401  (import-for-registration)
     rules_pickle,
     rules_shard,
 )
-from tools.lint.core import RULES, Finding, lint_paths, lint_source  # noqa: F401
+from tools.lint.core import RULES, Finding, lint_source  # noqa: F401

@@ -2,7 +2,7 @@
 
 Modes::
 
-    fncc-lint                      # lint the configured paths
+    fncc-lint                      # lint src/repro
     fncc-lint src/repro/net        # explicit paths
     fncc-lint --list-rules         # rule catalog with DESIGN.md references
 
@@ -19,7 +19,6 @@ import sys
 from typing import List
 
 from tools.lint import RULES  # imports register all rule modules
-from tools.lint.config import DEFAULTS
 from tools.lint.core import Finding, iter_py_files, lint_source
 
 
@@ -40,11 +39,8 @@ def main(argv: List[str] = None) -> int:
         prog="fncc-lint",
         description="invariant-enforcing static analysis (DESIGN.md §9)",
     )
-    ap.add_argument("paths", nargs="*", help="repo-relative paths (default: config)")
+    ap.add_argument("paths", nargs="*", help="repo-relative paths (default: src/repro)")
     ap.add_argument("--root", default=None, help="repo root (default: auto-detect)")
-    ap.add_argument(
-        "--rules", default=None, help="comma-separated rule subset (default: all)"
-    )
     ap.add_argument("--list-rules", action="store_true", help="print the rule catalog")
     args = ap.parse_args(argv)
 
@@ -55,16 +51,9 @@ def main(argv: List[str] = None) -> int:
         return 0
 
     root = args.root or find_repo_root(os.getcwd())
-    paths = args.paths or DEFAULTS["paths"]
-    rules = None
-    if args.rules:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = [r for r in rules if r not in RULES]
-        if unknown:
-            print(f"fncc-lint: unknown rule(s): {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    paths = args.paths or ["src/repro"]
 
-    # A mistyped path (or a package renamed away from DEFAULTS["paths"])
+    # A mistyped path (or a package renamed away from src/repro)
     # must not turn the gate green by linting nothing.
     try:
         files = list(iter_py_files(root, paths))
@@ -83,7 +72,7 @@ def main(argv: List[str] = None) -> int:
         with open(abspath, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
-            findings.extend(lint_source(text, relpath, DEFAULTS, rules))
+            findings.extend(lint_source(text, relpath))
         except SyntaxError as exc:
             print(f"fncc-lint: {relpath}: does not parse: {exc.msg}", file=sys.stderr)
             return 2

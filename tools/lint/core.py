@@ -2,10 +2,11 @@
 
 A *rule* is a function ``check(ctx) -> Iterable[Finding]`` registered with
 the :func:`rule` decorator; ``ctx`` is a :class:`FileContext` carrying the
-parsed AST, source lines, repo-relative path and config.  Rules are
-pure — all repo-specific policy (sanctioned modules, ownership maps) comes
-in through config, which is what makes the fixture tests in ``tests/lint/``
-able to exercise each rule on synthetic snippets with synthetic paths.
+parsed AST, source lines and repo-relative path.  Each rule module holds
+its own policy (sanctioned modules, ownership maps) as module constants
+keyed by repo-relative path, which is what lets the fixture tests in
+``tests/lint/`` exercise each rule on synthetic snippets with synthetic
+paths.
 
 Suppressions (DESIGN.md §9): ``# fncc-lint: allow[RULE]`` (or
 ``allow[R1,R2]``) on the offending line or the line directly above it.
@@ -67,12 +68,11 @@ def rule(name: str, summary: str, design_ref: str):
 class FileContext:
     """Everything a rule needs to analyze one file."""
 
-    def __init__(self, relpath: str, text: str, cfg: dict) -> None:
+    def __init__(self, relpath: str, text: str) -> None:
         self.relpath = relpath.replace(os.sep, "/")
         self.text = text
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=relpath)
-        self.cfg = cfg
         self.import_aliases = self._collect_imports(self.tree)
 
     @staticmethod
@@ -105,9 +105,6 @@ class FileContext:
         base = self.import_aliases.get(node.id, node.id)
         parts.append(base)
         return ".".join(reversed(parts))
-
-    def rule_cfg(self, name: str) -> dict:
-        return self.cfg.get(name.lower(), {})
 
     def in_paths(self, paths: Iterable[str]) -> bool:
         """Is this file one of / under any of the given repo-relative paths?"""
@@ -159,7 +156,6 @@ def parse_suppressions(
 def lint_source(
     text: str,
     relpath: str,
-    cfg: dict,
     rules: Optional[Iterable[str]] = None,
 ) -> List[Finding]:
     """Lint one source string as if it lived at ``relpath``.
@@ -169,7 +165,7 @@ def lint_source(
     valid inline suppression on the same or preceding line are dropped;
     LINT000 meta findings are always kept.
     """
-    ctx = FileContext(relpath, text, cfg)
+    ctx = FileContext(relpath, text)
     supp, findings = parse_suppressions(ctx.lines, ctx.relpath)
     names = sorted(RULES) if rules is None else list(rules)
     for name in names:
@@ -201,29 +197,3 @@ def iter_py_files(root: str, paths: Iterable[str]) -> Iterator[Tuple[str, str]]:
                     full = os.path.join(dirpath, fn)
                     rel = os.path.relpath(full, root).replace(os.sep, "/")
                     yield full, rel
-
-
-def lint_paths(
-    root: str,
-    paths: Iterable[str],
-    cfg: dict,
-    rules: Optional[Iterable[str]] = None,
-) -> List[Finding]:
-    """Lint every Python file under ``paths`` (repo-relative, from ``root``)."""
-    findings: List[Finding] = []
-    for abspath, relpath in iter_py_files(root, paths):
-        with open(abspath, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            findings.extend(lint_source(text, relpath, cfg, rules))
-        except SyntaxError as exc:
-            findings.append(
-                Finding(
-                    META_RULE,
-                    relpath,
-                    exc.lineno or 1,
-                    exc.offset or 1,
-                    f"file does not parse: {exc.msg}",
-                )
-            )
-    return findings

@@ -15,6 +15,56 @@ from typing import Iterator, List
 
 from tools.lint.core import FileContext, Finding, rule
 
+#: The sanctioned seeded-RNG module (DESIGN.md §4): named streams derived
+#: from the run seed.  Everything else draws through it.
+RNG_MODULES = ("src/repro/sim/rng.py",)
+
+#: Ambient entropy / wall-clock sources banned outside :data:`RNG_MODULES`
+#: (D101 everywhere; D104 re-bans them in fault modules with the stricter
+#: no-ad-hoc-RNG policy layered on top).
+ENTROPY_CALLS = frozenset({
+    "random.random",
+    "random.randint",
+    "random.randrange",
+    "random.choice",
+    "random.choices",
+    "random.shuffle",
+    "random.sample",
+    "random.uniform",
+    "random.gauss",
+    "random.normalvariate",
+    "random.expovariate",
+    "random.betavariate",
+    "random.paretovariate",
+    "random.triangular",
+    "random.vonmisesvariate",
+    "random.seed",
+    "random.getrandbits",
+    "time.time",
+    "time.time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+    "os.urandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.randbelow",
+})
+
+#: Fault-schedule modules (DESIGN.md §10): every draw must come from the
+#: plan's named stream off the topology seed factory.  No allow-list:
+#: nothing in faults/ is exempt.
+FAULT_MODULES = ("src/repro/faults",)
+
+#: Calls that put an event on the queue (D102) and whose first argument is
+#: its key (D103); ``schedule_reuse(ev, delay)`` keys on its second.
+SCHEDULE_CALLS = frozenset({"schedule", "schedule_at"})
+ARG1_SCHEDULE_CALLS = frozenset({"schedule_reuse"})
+HEAP_CALLS = frozenset({"heapq.heappush", "heappush"})
+
 
 @rule(
     "D101",
@@ -23,15 +73,13 @@ from tools.lint.core import FileContext, Finding, rule
     "DESIGN.md §4",
 )
 def check_d101(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("d101")
-    if ctx.in_paths(cfg.get("allow_modules", ())):
+    if ctx.in_paths(RNG_MODULES):
         return
-    banned = set(cfg.get("banned_calls", ()))
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         dotted = ctx.dotted(node.func)
-        if dotted in banned:
+        if dotted in ENTROPY_CALLS:
             yield Finding(
                 "D101",
                 ctx.relpath,
@@ -95,16 +143,14 @@ def _is_set_producing(ctx: FileContext, expr: ast.AST) -> str:
 
 
 def _body_schedules(ctx: FileContext, body: List[ast.stmt]) -> bool:
-    cfg = ctx.rule_cfg("d102")
-    sched = set(cfg.get("schedule_calls", ()))
-    heaps = set(cfg.get("heap_calls", ()))
+    sched = SCHEDULE_CALLS | ARG1_SCHEDULE_CALLS
     for stmt in body:
         for node in ast.walk(stmt):
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute) and node.func.attr in sched:
                 return True
-            if ctx.dotted(node.func) in heaps:
+            if ctx.dotted(node.func) in HEAP_CALLS:
                 return True
     return False
 
@@ -159,15 +205,13 @@ def check_d104(ctx: FileContext) -> Iterator[Finding]:
     named stream (``seeds.stream("faults.<plan>")``) — module-level
     ``random.*``, wall-clock sources, and privately constructed RNGs all
     break it, ambient or not."""
-    cfg = ctx.rule_cfg("d104")
-    if not ctx.in_paths(cfg.get("fault_modules", ())):
+    if not ctx.in_paths(FAULT_MODULES):
         return
-    banned = set(cfg.get("banned_calls", ()))
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         dotted = ctx.dotted(node.func)
-        if dotted in banned:
+        if dotted in ENTROPY_CALLS:
             yield Finding(
                 "D104",
                 ctx.relpath,
@@ -216,16 +260,13 @@ def _float_in_key_expr(expr: ast.AST) -> bool:
     "DESIGN.md §4",
 )
 def check_d103(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("d103")
-    sched = set(cfg.get("schedule_calls", ()))
-    arg1 = set(cfg.get("arg1_calls", ()))
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
             continue
         name = node.func.attr
-        if name in sched and node.args:
+        if name in SCHEDULE_CALLS and node.args:
             key_expr = node.args[0]
-        elif name in arg1 and len(node.args) >= 2:
+        elif name in ARG1_SCHEDULE_CALLS and len(node.args) >= 2:
             key_expr = node.args[1]
         else:
             continue

@@ -19,6 +19,52 @@ from typing import Iterable, Iterator
 
 from tools.lint.core import FileContext, Finding, rule
 
+#: Protected attribute -> the modules allowed to assign it (H301).
+#: port.py is a sanctioned friend of the engine: Port._tx_deliver inlines
+#: schedule_reuse's body (documented at both sites).
+OWNERS = {
+    "_heap": ("src/repro/sim/engine.py", "src/repro/net/port.py"),
+    "_seq": ("src/repro/sim/engine.py", "src/repro/net/port.py"),
+    "_running": ("src/repro/sim/engine.py",),
+    "_stopped": ("src/repro/sim/engine.py",),
+    "alive": ("src/repro/sim/engine.py", "src/repro/net/port.py"),
+    "_acct": ("src/repro/net/port.py",),
+    "_inflight": ("src/repro/net/port.py",),
+    "_del_ev": ("src/repro/net/port.py",),
+    "_queued_bytes": ("src/repro/net/port.py",),
+    "_uncommitted": ("src/repro/net/port.py",),
+    "_ser": ("src/repro/net/port.py",),
+    "_rt_cache": ("src/repro/net/port.py",),
+    "next_free_ps": ("src/repro/net/port.py",),
+}
+
+#: Modules whose classes are instantiated per frame / per event (H302): an
+#: instance __dict__ here is a real memory + attribute-lookup cost.
+#: switch.py/node.py are deliberately absent — the train-gate protocol
+#: installs instance-dict receive wrappers on them (DESIGN.md §8).
+HOT_MODULES = (
+    "src/repro/sim/engine.py",
+    "src/repro/sim/timer.py",
+    "src/repro/net/packet.py",
+    "src/repro/net/port.py",
+    "src/repro/transport/flow.py",
+)
+EXEMPT_BASES = frozenset({
+    "Exception",
+    "RuntimeError",
+    "ValueError",
+    "Enum",
+    "IntEnum",
+    "NamedTuple",
+    "Protocol",
+})
+
+#: Libraries no paper figure's packet path executes (H303, DESIGN.md §5.4):
+#: imported inside the functions that use them, never at module import, so
+#: `import repro` and every spawn worker skip them.  numpy's reductions
+#: live in metrics/stats.py, bit-equal.
+DEFERRED_IMPORTS = frozenset({"scipy", "networkx", "numpy"})
+
 
 @rule(
     "H301",
@@ -26,9 +72,6 @@ from tools.lint.core import FileContext, Finding, rule
     "DESIGN.md §2",
 )
 def check_h301(ctx: FileContext) -> Iterator[Finding]:
-    owners = ctx.rule_cfg("h301").get("owners", {})
-    if not owners:
-        return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -48,7 +91,7 @@ def check_h301(ctx: FileContext) -> Iterator[Finding]:
                 # into OTHER objects' internals: sim._heap, ev.alive, ...
                 if isinstance(t.value, ast.Name) and t.value.id in ("self", "cls"):
                     continue
-                allowed = owners.get(t.attr)
+                allowed = OWNERS.get(t.attr)
                 if allowed is None or ctx.in_paths(allowed):
                     continue
                 yield Finding(
@@ -59,7 +102,7 @@ def check_h301(ctx: FileContext) -> Iterator[Finding]:
                     f"write to protected attribute {t.attr!r} from a "
                     f"non-owning module (owners: {', '.join(allowed)}); go "
                     f"through the owner's API or land an ownership grant in "
-                    "DEFAULTS['h301']['owners'] in tools/lint/config.py",
+                    "OWNERS in tools/lint/rules_hotpath.py",
                 )
 
 
@@ -77,15 +120,13 @@ def _last_attr(expr: ast.AST) -> str:
     "DESIGN.md §2",
 )
 def check_h302(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("h302")
-    if not ctx.in_paths(cfg.get("hot_modules", ())):
+    if not ctx.in_paths(HOT_MODULES):
         return
-    exempt = set(cfg.get("exempt_bases", ()))
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef):
             continue
         bases = {_last_attr(b) for b in node.bases}
-        if any(b in exempt or b.endswith(("Error", "Exception")) for b in bases):
+        if any(b in EXEMPT_BASES or b.endswith(("Error", "Exception")) for b in bases):
             continue
         has_slots = any(
             isinstance(stmt, ast.Assign)
@@ -129,9 +170,6 @@ def _import_time_stmts(body: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
     "DESIGN.md §5.4",
 )
 def check_h303(ctx: FileContext) -> Iterator[Finding]:
-    deferred = tuple(ctx.rule_cfg("h303").get("deferred_imports", ()))
-    if not deferred:
-        return
     for stmt in _import_time_stmts(ctx.tree.body):
         if isinstance(stmt, ast.Import):
             modules = [a.name for a in stmt.names]
@@ -141,7 +179,7 @@ def check_h303(ctx: FileContext) -> Iterator[Finding]:
             continue
         for mod in modules:
             top = mod.split(".")[0]
-            if top in deferred:
+            if top in DEFERRED_IMPORTS:
                 yield Finding(
                     "H303",
                     ctx.relpath,

@@ -16,6 +16,20 @@ from typing import Iterator
 
 from tools.lint.core import FileContext, Finding, rule
 
+#: Collector/exporter modules consume registry snapshots; mutating a metric
+#: from one would double-count on re-export (DESIGN.md §8: reads are
+#: pull-based, writes belong to the instrumented code).
+COLLECTOR_MODULES = (
+    "src/repro/obs/export.py",
+    "src/repro/obs/flight.py",
+    "src/repro/obs/progress.py",
+)
+MUTATORS = frozenset({"inc", "observe", "set"})
+
+#: Switch owns the train gate.  Tap-like hooks elsewhere must go through
+#: that protocol (§8) and carry a justified suppression.
+GATE_OWNER_MODULES = ("src/repro/net/switch.py",)
+
 
 @rule(
     "O401",
@@ -24,15 +38,13 @@ from tools.lint.core import FileContext, Finding, rule
     "DESIGN.md §8",
 )
 def check_o401(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("o401")
-    if not ctx.in_paths(cfg.get("collector_modules", ())):
+    if not ctx.in_paths(COLLECTOR_MODULES):
         return
-    mutators = set(cfg.get("mutators", ()))
     for node in ast.walk(ctx.tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in mutators
+            and node.func.attr in MUTATORS
         ):
             yield Finding(
                 "O401",
@@ -51,8 +63,7 @@ def check_o401(ctx: FileContext) -> Iterator[Finding]:
     "DESIGN.md §8",
 )
 def check_o402(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("o402")
-    if ctx.in_paths(cfg.get("owner_modules", ())):
+    if ctx.in_paths(GATE_OWNER_MODULES):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Assign):

@@ -14,16 +14,18 @@ from typing import Iterator, Optional
 
 from tools.lint.core import FileContext, Finding, rule
 
+#: The classes whose instances are pickled to a spawned worker.
+SPEC_CLASSES = frozenset({"RunSpec"})
 
-def _spec_calls(ctx: FileContext, spec_classes) -> Iterator[ast.Call]:
-    names = set(spec_classes)
+
+def _spec_calls(ctx: FileContext) -> Iterator[ast.Call]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         f = node.func
-        if isinstance(f, ast.Name) and f.id in names:
+        if isinstance(f, ast.Name) and f.id in SPEC_CLASSES:
             yield node
-        elif isinstance(f, ast.Attribute) and f.attr in names:
+        elif isinstance(f, ast.Attribute) and f.attr in SPEC_CLASSES:
             yield node
 
 
@@ -48,8 +50,7 @@ def _kwargs_arg(call: ast.Call) -> Optional[ast.AST]:
     "DESIGN.md §5",
 )
 def check_p201(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("p201")
-    for call in _spec_calls(ctx, cfg.get("spec_classes", ())):
+    for call in _spec_calls(ctx):
         fn = _fn_arg(call)
         if fn is None:
             continue
@@ -80,8 +81,7 @@ def check_p201(ctx: FileContext) -> Iterator[Finding]:
     "DESIGN.md §5",
 )
 def check_p202(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("p202")
-    for call in _spec_calls(ctx, cfg.get("spec_classes", ())):
+    for call in _spec_calls(ctx):
         kwargs = _kwargs_arg(call)
         if kwargs is None:
             continue

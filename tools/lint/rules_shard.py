@@ -18,6 +18,13 @@ from typing import Iterator
 
 from tools.lint.core import FileContext, Finding, rule
 
+#: Shard isolation (DESIGN.md §11): only the boundary adapter may reach
+#: into fabric objects' private machinery; everything else in the shard
+#: package drives fabrics through their public surface so the in-process
+#: and process-backed runtimes stay interchangeable.
+SHARD_MODULES = ("src/repro/shard",)
+ADAPTER_MODULES = ("src/repro/shard/boundary.py",)
+
 
 def _is_private(attr: str) -> bool:
     return attr.startswith("_") and not (attr.startswith("__") and attr.endswith("__"))
@@ -30,11 +37,7 @@ def _is_private(attr: str) -> bool:
     "DESIGN.md §11",
 )
 def check_s501(ctx: FileContext) -> Iterator[Finding]:
-    cfg = ctx.rule_cfg("s501")
-    prefixes = tuple(cfg.get("shard_modules", ()))
-    adapters = set(cfg.get("adapter_modules", ()))
-    path = ctx.relpath.replace("\\", "/")
-    if not path.startswith(prefixes) or path in adapters:
+    if not ctx.in_paths(SHARD_MODULES) or ctx.in_paths(ADAPTER_MODULES):
         return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Attribute) or not _is_private(node.attr):
