@@ -139,11 +139,11 @@ class Dcqcn(CongestionControl):
                 self._increase(qp)
 
     # -- timers ----------------------------------------------------------------------
-    def _alpha_fire(self, _arg) -> None:
+    def _alpha_fire(self) -> None:
         self.alpha *= 1.0 - self.config.g
         self._alpha_timer.start(self.config.alpha_timer_ps)
 
-    def _inc_fire(self, _arg) -> None:
+    def _inc_fire(self) -> None:
         self.time_stage += 1
         if self._qp is not None and not self._qp.finished:
             self._increase(self._qp)

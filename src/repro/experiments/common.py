@@ -30,7 +30,7 @@ from repro.metrics.monitors import (
     pause_frame_count,
 )
 from repro.metrics.series import TimeSeries
-from repro.net.port import EcnConfig
+from repro.net.port import EcnConfig, read_counters
 from repro.net.switch import IntMode, SwitchConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeedSequenceFactory
@@ -196,36 +196,20 @@ def launch_flows(
 
 
 def portstats_fingerprint(topo: Topology, nodes=None) -> tuple:
-    """Every port counter of every node (or of ``nodes``, a shard's share)
-    as one sorted, hashable tuple — the port-counter half of the
+    """Every port of every node (or of ``nodes``, a shard's share) as a
+    ``(node name, port index) + COUNTERS`` row (:data:`repro.net.port.COUNTERS`),
+    in one sorted, hashable tuple — the port-counter half of the
     zero-perturbation witness (DESIGN.md §10): two runs are byte-identical
     at the wire iff their FCT fingerprints *and* these counters match.
     ``train_frames`` rides in the last column; shard identity tests mask
     it on the cut ports only (a boundary hop cannot fuse)."""
     if nodes is None:
         nodes = topo.nodes()
-    rows = []
-    for node in nodes:
-        for port in node.ports:
-            rows.append(
-                (
-                    node.name,
-                    port.index,
-                    port.tx_packets,
-                    port.tx_bytes,
-                    port.rx_packets,
-                    port.rx_bytes,
-                    port.drops,
-                    port.ecn_marked,
-                    port.pause_sent,
-                    port.pause_received,
-                    port.resume_sent,
-                    port.resume_received,
-                    port.max_qlen,
-                    port.train_frames,
-                )
-            )
-    return tuple(sorted(rows))
+    return tuple(sorted([
+        (node.name, port.index) + read_counters(port)
+        for node in nodes
+        for port in node.ports
+    ]))
 
 
 def sweep(

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.exec import SweepExecutor
 from repro.experiments.common import Fabric, _Portable, build_fabric, launch_flows, sweep
 from repro.metrics.fct import SIZE_BINS_HADOOP, SIZE_BINS_WEBSEARCH, FctCollector
-from repro.metrics.monitors import topo_frame_hops
+from repro.metrics.monitors import port_totals
 from repro.metrics.stats import mean, percentile
 from repro.sim.engine import Simulator
 from repro.topo.fattree import fattree
@@ -69,9 +69,8 @@ class FctResult(_Portable):
         self.failed = failed
         self._fingerprint = collector.fingerprint()
         self.events_dispatched = sim.events_dispatched if sim is not None else 0
-        # Frames delivered across any link (sum of per-port tx counters) —
-        # the simulated-work unit.
-        self.frame_hops = topo_frame_hops(topo) if topo is not None else 0
+        # Frames delivered across any link — the simulated-work unit.
+        self.frame_hops = port_totals(topo.nodes())["tx_packets"] if topo is not None else 0
         self.stats: Dict[str, int] = {}
         self.collector = collector
         self.sim = sim
@@ -260,7 +259,6 @@ def run_fct_experiment(
     workload: str = "websearch",
     max_horizon_ms: float = 50.0,
     obs=None,
-    faults=None,
     **kwargs,
 ) -> FctResult:
     """Run one (CC, workload) cell of Figs. 14/15.
@@ -270,18 +268,10 @@ def run_fct_experiment(
     ``obs`` attaches a :class:`repro.obs.RunObservability` bundle to the
     cell (registry snapshot, trace hooks, flight guard, progress) —
     registry/tracer observability is byte-identical and train-safe
-    (``tests/obs`` pins it).  ``faults`` arms a
-    :class:`repro.faults.FaultPlan` against the freshly built fabric
-    before any flow launches; None (and the no-op plan) is provably
-    zero-perturbation (``tests/faults/test_inject.py``).  See
-    :func:`build_fct_fabric` for the remaining knobs.
+    (``tests/obs`` pins it).  See :func:`build_fct_fabric` for the
+    remaining knobs.
     """
     fab = build_fct_fabric(cc, workload=workload, **kwargs)
-    # census: an armed fault plan — tests/faults/test_inject.py::test_noop_plan_is_zero_perturbation
-    if faults is not None:
-        from repro.faults import FaultInjector
-
-        FaultInjector(faults).arm(fab.sim, fab.topo, seeds=fab.topo.seeds)
     launch_and_drive(fab, max_horizon_ms, obs=obs)
     return FctResult(
         cc, workload, fab.collector, fab.bins, len(fab.flows), fab.sim, topo=fab.topo

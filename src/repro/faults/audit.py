@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.net.port import PFC_COUNTERS
+
 __all__ = ["FaultAuditor"]
 
 
@@ -119,25 +121,20 @@ class FaultAuditor:
         exported but not yet injected plus frames still on a cut wire
         past the final barrier.
         """
-        totals = {
-            "pause_sent": 0,
-            "pause_received": 0,
-            "resume_sent": 0,
-            "resume_received": 0,
-        }
+        payloads = list(payloads.values() if isinstance(payloads, dict) else payloads)
+        pause_sent, pause_received, resume_sent, resume_received = (
+            sum(payload["pfc"][name] for payload in payloads) for name in PFC_COUNTERS
+        )
         exported = injected = in_flight = 0
-        for payload in payloads.values() if isinstance(payloads, dict) else payloads:
-            pfc = payload["pfc"]
-            for key in totals:
-                totals[key] += pfc[key]
+        for payload in payloads:
             b = payload.get("boundary", {})
             exported += b.get("exported", 0)
             injected += b.get("injected", 0)
             in_flight += b.get("in_flight", 0)
 
         v: List[str] = []
-        pause_gap = totals["pause_sent"] - totals["pause_received"]
-        resume_gap = totals["resume_sent"] - totals["resume_received"]
+        pause_gap = pause_sent - pause_received
+        resume_gap = resume_sent - resume_received
         if pause_gap < 0:
             v.append(
                 f"merged ledger: {-pause_gap} more PAUSE received than sent"

@@ -62,23 +62,12 @@ from repro.experiments.fct_experiment import (
 from repro.transport.flow import Flow
 from repro.units import DEFAULT_MTU, us
 
-_UNSET = object()
-
 #: The final fluid pass's capacity floor, as a fraction of the link rate:
 #: keeps fed-back residual capacities positive.
 RESIDUAL_FLOOR = 0.05
 #: Ripple rounds of every hybrid fluid pass; its rate damping is
 #: :data:`repro.analysis.flowsim.RATE_EPS`.
 RIPPLE_ROUNDS = 2
-
-
-def _check_threshold(threshold: Optional[float]) -> None:
-    """The demotion threshold's rule, for :class:`HybridConfig` and
-    :func:`run_fct_hybrid`'s ``threshold=`` override alike."""
-    if threshold is not None and math.isnan(threshold):
-        raise ValueError("threshold must not be NaN (None or inf keeps everything fluid)")
-    if threshold is not None and threshold < 0:
-        raise ValueError(f"threshold must be >= 0 (0 demotes every flow), got {threshold}")
 
 
 class HybridConfig:
@@ -132,7 +121,10 @@ class HybridConfig:
         mouse_bytes: Optional[int] = None,
         congested_frac: float = 0.15,
     ) -> None:
-        _check_threshold(threshold)
+        if threshold is not None and math.isnan(threshold):
+            raise ValueError("threshold must not be NaN (None or inf keeps everything fluid)")
+        if threshold is not None and threshold < 0:
+            raise ValueError(f"threshold must be >= 0 (0 demotes every flow), got {threshold}")
         if refine_rounds < 0:
             raise ValueError("refine_rounds must be non-negative")
         if min_link_flows < 1:
@@ -281,7 +273,6 @@ def run_fct_hybrid(
     workload: str = "websearch",
     max_horizon_ms: float = 50.0,
     config: Optional[HybridConfig] = None,
-    threshold=_UNSET,
     classify_fn: Optional[Callable[[Flow], bool]] = None,
     obs=None,
     **fabric_kwargs,
@@ -292,18 +283,16 @@ def run_fct_hybrid(
     refine rounds used, ...), and its ``sim`` is None when nothing ran as
     packets.
 
-    ``threshold`` overrides ``config.threshold``; ``classify_fn(flow) ->
-    bool`` (True = demote to packet) replaces the congestion-overlap
-    predicate entirely — the partition-invariance test hook.  ``obs`` is
-    an optional :class:`repro.obs.RunObservability` bundle: it rides the
-    packet-phase fabric (re-attached on refine-round rebuilds), the
-    epoch-exchange sampler heartbeats its progress reporter, every phase
-    transition is announced, and the phase-stats dict lands in its
-    registry before each return.
+    ``classify_fn(flow) -> bool`` (True = demote to packet) replaces the
+    congestion-overlap predicate entirely — the partition-invariance test
+    hook.  ``obs`` is an optional :class:`repro.obs.RunObservability`
+    bundle: it rides the packet-phase fabric (re-attached on refine-round
+    rebuilds), the epoch-exchange sampler heartbeats its progress
+    reporter, every phase transition is announced, and the phase-stats
+    dict lands in its registry before each return.
     """
     cfg = config or HybridConfig()
-    thr = cfg.threshold if threshold is _UNSET else threshold
-    _check_threshold(thr)
+    thr = cfg.threshold
 
     # Where the fluid time went: FlowLevelSimulator.run calls made, and
     # rate-history entries walked by background replays.

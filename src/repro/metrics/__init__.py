@@ -15,8 +15,7 @@ from repro.metrics.monitors import (
     UtilizationSampler,
     pause_frame_count,
     pfc_frame_totals,
-    frame_hops,
-    topo_frame_hops,
+    port_totals,
 )
 from repro.metrics.ideal import ideal_fct_ps
 from repro.metrics.fct import FctCollector, SlowdownTable, SIZE_BINS_WEBSEARCH, SIZE_BINS_HADOOP
@@ -28,8 +27,7 @@ __all__ = [
     "UtilizationSampler",
     "pause_frame_count",
     "pfc_frame_totals",
-    "frame_hops",
-    "topo_frame_hops",
+    "port_totals",
     "ideal_fct_ps",
     "FctCollector",
     "SlowdownTable",

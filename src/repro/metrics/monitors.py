@@ -4,7 +4,8 @@
 * :class:`RateSampler` — a sender QP's pacing rate in Gb/s (Figs. 9b/d/f, 13d/e).
 * :class:`UtilizationSampler` — bytes actually transmitted on a port per
   interval over capacity (Figs. 9g-h, 13a-c).
-* :func:`pause_frame_count` — PAUSE frames emitted by a switch (Fig. 3).
+* :func:`port_totals` — every port counter summed over a set of nodes.
+* :func:`pause_frame_count` — PAUSE frames emitted by switches (Fig. 3).
 * :func:`pfc_frame_totals` — fabric-wide PAUSE/RESUME tx-vs-rx ledger, for
   reconciling the Fig. 3 counts (every sent frame must be received by the
   peer once the run drains).
@@ -12,9 +13,11 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable
 
 from repro.metrics.series import TimeSeries
+from repro.net.port import COUNTERS, PFC_COUNTERS
 from repro.sim.timer import Periodic
 from repro.units import serialization_ps, us
 
@@ -103,32 +106,24 @@ class UtilizationSampler(_PeriodicSampler):
         self.series.append(now, min(1.0, capacity_time / self.interval_ps))
 
 
+def port_totals(nodes: Iterable[object]) -> Dict[str, int]:
+    """Each of :data:`~repro.net.port.COUNTERS` summed over every port of
+    ``nodes`` (hosts and switches alike).  ``tx_packets`` is the
+    simulated-work unit, frames delivered across any link (frame-hops):
+    frames that rode the fused train path count individually, as the train
+    machinery increments the same per-frame counters."""
+    ports = [port for node in nodes for port in node.ports]
+    return {name: sum(map(attrgetter(name), ports)) for name in COUNTERS}
+
+
 def pause_frame_count(switches: Iterable["Switch"]) -> int:
     """Total PAUSE frames emitted by the given switches (Fig. 3's metric)."""
-    return sum(sw.total_pause_frames() for sw in switches)
-
-
-def frame_hops(nodes: Iterable[object]) -> int:
-    """Total frames delivered across any link by ``nodes``' ports (sum of
-    per-port tx counters) — the engine-representation-independent unit of
-    simulated work the perf harness records as ``frame_hops``.  Frames
-    that rode the fused train path count individually here (the train
-    machinery increments the same per-frame counters)."""
-    total = 0
-    for node in nodes:
-        for port in node.ports:
-            total += port.tx_packets
-    return total
-
-
-def topo_frame_hops(topo) -> int:
-    """:func:`frame_hops` over every node of a topology."""
-    return frame_hops(topo.nodes())
+    return port_totals(switches)["pause_sent"]
 
 
 def pfc_frame_totals(nodes: Iterable[object]) -> Dict[str, int]:
-    """Sum the four PFC frame counters over every port of ``nodes``
-    (hosts and switches alike).
+    """The :data:`~repro.net.port.PFC_COUNTERS` entries of
+    :func:`port_totals`.
 
     On a drained fabric the ledger balances: ``pause_sent ==
     pause_received`` and ``resume_sent == resume_received`` (each control
@@ -136,16 +131,5 @@ def pfc_frame_totals(nodes: Iterable[object]) -> Dict[str, int]:
     finished run means frames were stranded on a wire or a counter went
     asymmetric — the bug the ``resume_received`` counter was added to
     catch."""
-    totals = {
-        "pause_sent": 0,
-        "pause_received": 0,
-        "resume_sent": 0,
-        "resume_received": 0,
-    }
-    for node in nodes:
-        for port in node.ports:
-            totals["pause_sent"] += port.pause_sent
-            totals["pause_received"] += port.pause_received
-            totals["resume_sent"] += port.resume_sent
-            totals["resume_received"] += port.resume_received
-    return totals
+    totals = port_totals(nodes)
+    return {name: totals[name] for name in PFC_COUNTERS}

@@ -178,6 +178,7 @@ def run_storm_isolation(
     """
     from repro.cc.registry import make_cc_factory
     from repro.faults import FaultInjector, FaultPlan
+    from repro.metrics.monitors import pause_frame_count
     from repro.net.switch import PfcWatchdogConfig, SwitchConfig, arm_watchdog
     from repro.sim.engine import Simulator
     from repro.sim.rng import SeedSequenceFactory
@@ -235,7 +236,7 @@ def run_storm_isolation(
 
     # Every PAUSE the ToR itself emitted is the storm spreading to an
     # innocent neighbour (its own buffer filled behind the stuck queue).
-    upstream_pauses = sum(p.pause_sent for p in tor.ports)
+    upstream_pauses = pause_frame_count([tor])
     return StormIsolationResult(
         innocent_fct_ps=(
             fct[innocent.flow_id] - innocent.start_ps

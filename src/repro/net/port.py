@@ -79,6 +79,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappush
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import ACK, DATA, PAUSE, RESUME, INTRecord, Packet
@@ -158,6 +159,22 @@ def _resolve_train_symbols():
     return Switch
 
 
+#: The PFC ledger: control frames a port sent (egress) and got (ingress),
+#: PAUSE then RESUME.  On a drained fabric every one sent is received once.
+PFC_COUNTERS = ("pause_sent", "pause_received", "resume_sent", "resume_received")
+#: Every counter a :class:`Port` keeps, in the column order of
+#: :func:`repro.experiments.common.portstats_fingerprint`'s rows.  Each
+#: fabric-wide reader (the fingerprint, the registry, the flight dump,
+#: :func:`repro.metrics.monitors.port_totals`) derives from this list.
+COUNTERS = (
+    ("tx_packets", "tx_bytes", "rx_packets", "rx_bytes", "drops", "ecn_marked")
+    + PFC_COUNTERS
+    + ("max_qlen", "train_frames")
+)
+#: ``read_counters(port)`` -> the port's :data:`COUNTERS` values, in order.
+read_counters = attrgetter(*COUNTERS)
+
+
 class Port:
     """One end of a full-duplex link, owned by a :class:`~repro.net.node.Node`."""
 
@@ -173,22 +190,10 @@ class Port:
         "queue",
         "ctrl",
         "paused",
-        "tx_bytes",
-        "tx_packets",
-        "rx_packets",
-        "rx_bytes",
-        "max_qlen",
-        "pause_sent",
-        "resume_sent",
-        "pause_received",
-        "resume_received",
-        "drops",
-        "ecn_marked",
         "ecn",
         "ecn_rng",
         "next_free_ps",
         "commit_lookahead",
-        "train_frames",
         "_inflight",
         "_acct",
         "_queued_bytes",
@@ -200,7 +205,7 @@ class Port:
         "_peer_sw",
         "_rt_cache",
         "wd_drop",
-    )
+    ) + COUNTERS
 
     def __init__(
         self,

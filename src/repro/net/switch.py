@@ -343,9 +343,6 @@ class Switch(Node):
             and (self._wd is None or not self._wd.storms)
         )
 
-    def total_pause_frames(self) -> int:
-        return sum(p.pause_sent for p in self.ports)
-
     # -- PFC-storm watchdog hooks (DESIGN.md §10) ---------------------------------
     def _wd_drop_frame(self, pkt: Packet, port_idx: int) -> None:
         """Reverse the shared-buffer + PFC admission for a frame the

@@ -171,28 +171,19 @@ class FlightRecorder:
         return doc
 
     def _port_states(self) -> list:
-        rows = []
+        from repro.net.port import COUNTERS, read_counters
+
+        ranked = []
         for node in self.topo.nodes():
             for port in node.ports:
                 qbytes = getattr(port, "qbytes_total", 0)
-                row = {
-                    "node": node.name,
-                    "port": port.index,
-                    "qbytes": qbytes,
-                    "tx_packets": port.tx_packets,
-                    "rx_packets": port.rx_packets,
-                    "drops": port.drops,
-                    "pause_sent": port.pause_sent,
-                    "resume_sent": port.resume_sent,
-                    "max_qlen": port.max_qlen,
-                    "paused": port.paused,
-                }
-                rows.append(row)
+                row = {"node": node.name, "port": port.index, "qbytes": qbytes}
+                row.update(zip(COUNTERS, read_counters(port)))
+                row["paused"] = port.paused
+                ranked.append(((qbytes, port.drops, port.pause_sent), row))
         # Busiest first (backlog, then drops/pauses), bounded.
-        rows.sort(
-            key=lambda r: (r["qbytes"], r["drops"], r["pause_sent"]), reverse=True
-        )
-        return rows[:MAX_ITEMS]
+        ranked.sort(key=lambda kr: kr[0], reverse=True)
+        return [row for _key, row in ranked[:MAX_ITEMS]]
 
     def _flow_states(self) -> list:
         rows = []

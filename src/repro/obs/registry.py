@@ -93,39 +93,30 @@ class MetricsRegistry:
 
     def bind_topo(self, topo) -> None:
         """Aggregate every port's counters, switch buffer state
-        and any LB strategy counters of a topology."""
+        and any LB strategy counters of a topology.  Each of
+        :data:`repro.net.port.COUNTERS` is a ``ports.<name>`` counter (the
+        PFC ledger's four are ``pfc.<name>``), except ``ports.max_qlen``, a
+        high watermark, which is a gauge: the max over ports."""
+        from repro.metrics.monitors import port_totals
+        from repro.net.port import COUNTERS, PFC_COUNTERS
 
         def read():
-            counters = {
-                "ports.tx_packets": 0,
-                "ports.tx_bytes": 0,
-                "ports.rx_packets": 0,
-                "ports.rx_bytes": 0,
-                "ports.drops": 0,
-                "ports.ecn_marked": 0,
-                "ports.train_frames": 0,
-                "pfc.pause_sent": 0,
-                "pfc.pause_received": 0,
-                "pfc.resume_sent": 0,
-                "pfc.resume_received": 0,
+            nodes = topo.nodes()
+            gauges = {
+                "ports.max_qlen": max(
+                    (port.max_qlen for node in nodes for port in node.ports), default=0
+                ),
+                "switches.buffer_used_max": 0,
             }
-            gauges = {"ports.max_qlen": 0, "switches.buffer_used_max": 0}
+            totals = port_totals(nodes)
+            counters = {
+                "ports." + name: totals[name]
+                for name in COUNTERS
+                if name not in PFC_COUNTERS and "ports." + name not in gauges
+            }
+            counters.update(("pfc." + name, totals[name]) for name in PFC_COUNTERS)
             seen_lbs = set()
-            for node in topo.nodes():
-                for port in node.ports:
-                    counters["ports.tx_packets"] += port.tx_packets
-                    counters["ports.tx_bytes"] += port.tx_bytes
-                    counters["ports.rx_packets"] += port.rx_packets
-                    counters["ports.rx_bytes"] += port.rx_bytes
-                    counters["ports.drops"] += port.drops
-                    counters["ports.ecn_marked"] += port.ecn_marked
-                    counters["ports.train_frames"] += port.train_frames
-                    counters["pfc.pause_sent"] += port.pause_sent
-                    counters["pfc.pause_received"] += port.pause_received
-                    counters["pfc.resume_sent"] += port.resume_sent
-                    counters["pfc.resume_received"] += port.resume_received
-                    if port.max_qlen > gauges["ports.max_qlen"]:
-                        gauges["ports.max_qlen"] = port.max_qlen
+            for node in nodes:
                 buf = getattr(node, "buffer_used", None)
                 if buf is not None and buf > gauges["switches.buffer_used_max"]:
                     # census: a switch buffer in use — tests/obs/test_flight.py::TestGuardDump::test_fluid_stall_dumps_state

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.net.port import PFC_COUNTERS
 from repro.shard.partition import PartitionPlan, fattree_plan
 from repro.shard.runtime import (
     InProcessShards,
@@ -31,14 +32,6 @@ from repro.sim.engine import Simulator
 from repro.topo.base import LinkSpec
 from repro.topo.fattree import fattree_wiring
 from repro.units import MS, us
-
-
-def _merge_pfc(payloads: Dict[int, dict]) -> Dict[str, int]:
-    totals = {"pause_sent": 0, "pause_received": 0, "resume_sent": 0, "resume_received": 0}
-    for payload in payloads.values():
-        for key in totals:
-            totals[key] += payload["pfc"][key]
-    return totals
 
 
 class _TracerShim:
@@ -97,7 +90,9 @@ class ShardedFctResult:
         self.portstats: List[tuple] = sorted(
             row for p in payloads.values() for row in p["portstats"]
         )
-        self.pfc = _merge_pfc(payloads)
+        self.pfc = {
+            name: sum(p["pfc"][name] for p in payloads.values()) for name in PFC_COUNTERS
+        }
         self.events_by_shard = {
             sid: p["events_dispatched"] for sid, p in payloads.items()
         }

@@ -14,14 +14,14 @@ from repro.sim.engine import Event, Simulator
 class Timer:
     """A restartable one-shot timer.
 
-    ``start`` (re-)arms the timer; ``cancel`` disarms it.  The callback is
-    invoked with None, the engine's event argument.
+    ``start`` (re-)arms the timer; ``cancel`` disarms it.  The callback
+    takes no argument.
     """
 
     __slots__ = ("_sim", "_fn", "_event", "_lane")
 
     def __init__(
-        self, sim: Simulator, fn: Callable[[Any], None], lane: int = 0
+        self, sim: Simulator, fn: Callable[[], None], lane: int = 0
     ) -> None:
         self._sim = sim
         self._fn = fn
@@ -38,9 +38,9 @@ class Timer:
             self._event.cancel()
             self._event = None
 
-    def _fire(self, arg: Any) -> None:
+    def _fire(self, _arg: Any) -> None:
         self._event = None
-        self._fn(arg)
+        self._fn()
 
 
 class Periodic:

@@ -376,7 +376,7 @@ class SenderQP:
         cap = self.config.retx_backoff_cap
         return rto << (n if n < cap else cap)
 
-    def _retx_fire(self, _arg) -> None:
+    def _retx_fire(self) -> None:
         self.timeouts += 1
         self._consec_timeouts += 1
         limit = self.config.retx_max_timeouts

@@ -1,6 +1,7 @@
 """Experiment harness: CC environment wiring and the per-figure runners
 (scaled down so the whole file stays test-suite fast)."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -74,11 +75,34 @@ class TestOneCellShape:
             for m in [re.match(r"(?:def|class) (\w+)", chunk)]
         ]
         assert callers == ["build_fabric"]
-        rows = sum(
-            len(re.findall(r"port\.resume_received,\s*port\.max_qlen,\s*port\.train_frames", t))
-            for t in sources.values()
-        )
-        assert rows == 1
+        # The port counters are named once, in net/port.py's ``COUNTERS``;
+        # every other reader derives from it.  Naming one is no list: a
+        # class's own ``__slots__`` (a stub port, an INT record) and the
+        # single total a ``port_totals(...)[name]`` read picks.
+        from repro.net.port import COUNTERS
+
+        named = []
+        for path, text in sources.items():
+            if path == self.SRC / "net" / "port.py":
+                continue
+            tree = ast.parse(text)
+            allowed = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in node.targets
+                ):
+                    allowed.update(map(id, ast.walk(node.value)))
+                elif isinstance(node, ast.Subscript) and (
+                    getattr(getattr(node.value, "func", None), "id", None) == "port_totals"
+                ):
+                    allowed.add(id(node.slice))
+            named += [
+                f"{path.relative_to(self.SRC)}:{node.lineno}: {node.value!r}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in COUNTERS
+                and id(node) not in allowed
+            ]
+        assert named == []
 
     def test_fingerprint_tuple_lives_on_the_collector(self):
         for path, text in self._sources("experiments", "hybrid", "shard").items():
@@ -130,6 +154,9 @@ class TestPortstatsFingerprint:
     def test_every_column_is_the_same_named_port_attribute(self):
         from repro.experiments.common import portstats_fingerprint
         from repro.experiments.fct_experiment import run_fct_experiment
+        from repro.net.port import COUNTERS
+
+        assert self.COLUMNS == COUNTERS
 
         # DCQCN marks ECN, so that column is live too.
         r = run_fct_experiment("dcqcn", k=4, load=0.5, n_flows=40, scale=0.05, seed=3)
@@ -146,6 +173,37 @@ class TestPortstatsFingerprint:
         totals = dict(zip(self.COLUMNS, map(sum, zip(*(row[2:] for row in rows)))))
         assert totals["tx_packets"] == totals["rx_packets"] > 0
         assert totals["ecn_marked"] > 0
+
+    def test_every_fabric_wide_read_agrees(self):
+        """The fingerprint's column sums, :func:`port_totals`, the registry
+        snapshot and the PFC ledger are one set of totals."""
+        from repro.experiments.common import portstats_fingerprint
+        from repro.experiments.fct_experiment import run_fct_experiment
+        from repro.metrics import pfc_frame_totals, port_totals
+        from repro.net.port import PFC_COUNTERS
+        from repro.obs import MetricsRegistry, RunObservability
+
+        obs = RunObservability(registry=MetricsRegistry())
+        # A tight XOFF threshold: real PAUSE/RESUME traffic.
+        r = run_fct_experiment(
+            "fncc", n_flows=40, seed=3, max_horizon_ms=30.0, pfc_xoff=40_000, obs=obs
+        )
+        obs.detach()
+        totals = port_totals(r.topo.nodes())
+        rows = portstats_fingerprint(r.topo)
+        assert totals == dict(zip(self.COLUMNS, map(sum, zip(*(row[2:] for row in rows)))))
+        assert totals["pause_sent"] > 0
+
+        snap = obs.snapshot()
+        assert {k: v for k, v in snap["counters"].items() if k.startswith(("ports.", "pfc."))} == {
+            ("pfc." if k in PFC_COUNTERS else "ports.") + k: v
+            for k, v in totals.items()
+            if k != "max_qlen"
+        }
+        # A high watermark: the registry's gauge is the max over ports.
+        qlen = 2 + self.COLUMNS.index("max_qlen")
+        assert snap["gauges"]["ports.max_qlen"] == max(row[qlen] for row in rows)
+        assert pfc_frame_totals(r.topo.nodes()) == {k: totals[k] for k in PFC_COUNTERS}
 
 
 class TestMicrobench:

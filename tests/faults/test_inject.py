@@ -23,7 +23,7 @@ from repro.experiments.faultmatrix import (
     run_fault_cell,
     run_faultmatrix,
 )
-from repro.experiments.fct_experiment import run_fct_experiment
+from repro.experiments.fct_experiment import build_fct_fabric, launch_and_drive
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim.rng import SeedSequenceFactory
 from repro.topo.dumbbell import dumbbell
@@ -31,13 +31,15 @@ from repro.transport.flow import Flow
 from repro.transport.sender import TransportConfig
 from repro.units import KB, us
 
-CELL = dict(cc="fncc", n_flows=40, max_horizon_ms=10.0, seed=3)
+CELL = dict(cc="fncc", n_flows=40, seed=3)
 
 
 def test_noop_plan_is_zero_perturbation():
-    off = run_fct_experiment(faults=None, **CELL)
-    armed = run_fct_experiment(faults=FaultPlan.noop(), **CELL)
-    assert off.fct_fingerprint() == armed.fct_fingerprint()
+    off, armed = build_fct_fabric(**CELL), build_fct_fabric(**CELL)
+    FaultInjector(FaultPlan.noop()).arm(armed.sim, armed.topo, seeds=armed.seeds)
+    for fab in (off, armed):
+        launch_and_drive(fab, max_horizon_ms=10.0)
+    assert off.collector.fingerprint() == armed.collector.fingerprint()
     assert portstats_fingerprint(off.topo) == portstats_fingerprint(armed.topo)
 
 

@@ -36,14 +36,14 @@ class TestDegenerateTiers:
         """threshold=0 demotes everything: the hybrid *is* the packet
         engine, and the FCT fingerprint must match byte for byte."""
         pres = run_fct_experiment("fncc", **CELL)
-        hres = run_fct_hybrid("fncc", threshold=0, **CELL)
+        hres = run_fct_hybrid("fncc", config=HybridConfig(threshold=0), **CELL)
         assert hres.stats["demoted"] == CELL["n_flows"]
         assert hres.fct_fingerprint() == packet_fingerprint(pres)
 
     def test_threshold_inf_reproduces_flowsim(self):
         """threshold=∞ keeps everything fluid: identical to running the
         flow-level simulator directly on the same fabric and flow set."""
-        hres = run_fct_hybrid("fncc", threshold=None, **CELL)
+        hres = run_fct_hybrid("fncc", config=HybridConfig(threshold=None), **CELL)
         assert hres.stats["fluid"] == CELL["n_flows"]
 
         fab = build_fct_fabric("fncc", **CELL)
@@ -52,7 +52,9 @@ class TestDegenerateTiers:
         want = tuple(sorted((r.flow.flow_id, r.fct_ps) for r in fres.records))
         assert hres.fct_fingerprint() == want
 
-    @pytest.mark.parametrize("tier", [dict(threshold=None), dict(classify_fn=lambda f: False)])
+    @pytest.mark.parametrize(
+        "tier", [dict(config=HybridConfig(threshold=None)), dict(classify_fn=lambda f: False)]
+    )
     def test_a_fluid_only_pass_is_announced(self, tier):
         from repro.obs import EventTracer, RunObservability
 
@@ -148,7 +150,7 @@ class TestPassCount:
         assert res.stats["demoted"] == 0
         assert len(fluid_passes) == 1 == res.stats["fluid_passes"]
         assert res.stats["bg_replay_entries"] == 0
-        pure = run_fct_hybrid("fncc", threshold=None, **CELL)
+        pure = run_fct_hybrid("fncc", config=HybridConfig(threshold=None), **CELL)
         assert res.fct_fingerprint() == pure.fct_fingerprint()
         assert res.stats["fluid_events"] == pure.stats["fluid_events"]
 
@@ -248,13 +250,6 @@ class TestBackendSelection:
         # The documented "keep everything fluid" spellings stay legal.
         HybridConfig(threshold=None)
         HybridConfig(threshold=float("inf"))
-        # run_fct_hybrid's threshold= override obeys the same rule, before
-        # any fabric is built: threshold=-1 ran the packet experiment and
-        # returned it as a hybrid cell with every flow demoted.
-        with pytest.raises(ValueError, match="threshold must be >= 0"):
-            run_fct_hybrid("fncc", threshold=-1, **CELL)
-        with pytest.raises(ValueError, match="threshold must not be NaN"):
-            run_fct_hybrid("fncc", threshold=float("nan"), **CELL)
 
     def test_validate_cli_unknown_cc_is_one_line_error(self, capsys):
         """``python -m repro.hybrid.validate --cc nope`` (and a seed or a

@@ -58,8 +58,8 @@ class TestFctDeterminism:
         a = run_fct_experiment("fncc", **kw)
         b = run_fct_experiment("fncc", **kw)
         # pause counts per switch, order-sensitive
-        pa = [sw.total_pause_frames() for sw in a_topo_switches(a)]
-        pb = [sw.total_pause_frames() for sw in a_topo_switches(b)]
+        pa = [pause_frame_count([sw]) for sw in a_topo_switches(a)]
+        pb = [pause_frame_count([sw]) for sw in a_topo_switches(b)]
         assert pa == pb
 
 

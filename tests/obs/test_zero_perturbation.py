@@ -18,42 +18,21 @@ from contextlib import nullcontext
 import pytest
 
 from helpers import classic_hops_only
+from repro.experiments.common import portstats_fingerprint
 from repro.experiments.fct_experiment import run_fct_experiment
 from repro.experiments.lbmatrix import run_lb_cell
-from repro.metrics import pfc_frame_totals
+from repro.metrics import pfc_frame_totals, port_totals
 from repro.obs import EventTracer, FlightRecorder, MetricsRegistry, RunObservability
 
 
-def _nodes(topo):
-    return list(topo.hosts) + list(topo.switches)
-
-
 def port_stats_fingerprint(topo):
-    out = []
-    for node in _nodes(topo):
-        for port in node.ports:
-            out.append(
-                (
-                    node.name,
-                    port.index,
-                    port.tx_packets,
-                    port.tx_bytes,
-                    port.rx_packets,
-                    port.rx_bytes,
-                    port.max_qlen,
-                    port.drops,
-                    port.ecn_marked,
-                    port.pause_sent,
-                    port.pause_received,
-                    port.resume_sent,
-                    port.resume_received,
-                )
-            )
-    return tuple(out)
+    """:func:`portstats_fingerprint` without its ``train_frames`` column,
+    which the classic-only reference leaves at zero."""
+    return tuple(row[:-1] for row in portstats_fingerprint(topo))
 
 
 def train_frames_total(topo):
-    return sum(p.train_frames for n in _nodes(topo) for p in n.ports)
+    return port_totals(topo.nodes())["train_frames"]
 
 
 def _full_bundle(tmp_path=None):
@@ -74,7 +53,7 @@ def _fig14_obs(obs):
     return (
         r.fct_fingerprint(),
         port_stats_fingerprint(r.topo),
-        pfc_frame_totals(_nodes(r.topo)),
+        pfc_frame_totals(r.topo.nodes()),
         train_frames_total(r.topo),
     )
 
@@ -91,7 +70,7 @@ def _pause_storm_obs(obs):
     return (
         r.fct_fingerprint(),
         port_stats_fingerprint(r.topo),
-        pfc_frame_totals(_nodes(r.topo)),
+        pfc_frame_totals(r.topo.nodes()),
         train_frames_total(r.topo),
     )
 
@@ -105,7 +84,7 @@ def _lb_cell_obs(obs):
     return (
         cell.fct_fingerprint(),
         port_stats_fingerprint(cell.topo),
-        pfc_frame_totals(_nodes(cell.topo)),
+        pfc_frame_totals(cell.topo.nodes()),
         train_frames_total(cell.topo),
     )
 

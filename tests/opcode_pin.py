@@ -8,10 +8,11 @@ and the bytecode instructions it executed, split twice: by phase and by
 the ``src/repro`` package whose code ran them (a top-level module such as
 ``units.py`` is its own bucket).  The ``build`` phase is every
 instruction run inside a topology builder (routing install included) or a
-traffic generator (:data:`BUILDERS`); the ``run`` phase is the rest of
-the cell: launch, drive and reduce.  Everything outside ``src/repro``
-— the suite's own code, the standard library — is one bucket,
-``other``.  Code of installed packages (numpy, in the suite's reduction)
+traffic generator (:func:`tools.profile.builders`; the counter is
+:func:`tools.profile.count_phases`, which ``--opcodes`` prints); the
+``run`` phase is the rest of the cell: launch, drive and reduce.
+Everything outside ``src/repro`` — the suite's own code, the standard
+library — is one bucket, ``other``.  Code of installed packages (numpy, in the suite's reduction)
 is left out: its version is the environment's, not the commit's.  Each
 workload is counted in a fresh interpreter, so nothing an earlier test
 cached moves a count.  The count is exact and repeats run to run, so a
@@ -32,14 +33,11 @@ import sys
 from pathlib import Path
 
 from tools.golden import Table
+from tools.profile import WORKLOADS, count_phases
 
 ROOT = Path(__file__).resolve().parents[1]
 PIN_PATH = Path(__file__).with_name("opcode_pin.json")
 PKG = ROOT / "src" / "repro"
-
-#: The workloads whose cell runs in the counting process.
-WORKLOADS = ("websearch_fattree", "incast_lasthop", "hybrid_fluid_5k")
-
 
 def interpreter() -> str:
     """The bytecode dialect a count belongs to."""
@@ -59,53 +57,6 @@ def installed(filename: str) -> bool:
     """Whether ``filename`` belongs to an installed third-party package."""
     parts = Path(filename).parts
     return "site-packages" in parts or "dist-packages" in parts
-
-
-def builders() -> dict:
-    """The code objects whose calls make the build phase -> whether a call
-    builds a fabric (a topology builder) or not (a traffic generator)."""
-    from repro.topo.fattree import fattree
-    from repro.topo.star import star
-    from repro.traffic.generator import PoissonWorkload, incast_flows
-
-    return {fattree.__code__: True, star.__code__: True,
-            PoissonWorkload.generate.__code__: False, incast_flows.__code__: False}
-
-
-def count_phases(fn):
-    """Run ``fn()`` with per-opcode tracing on; returns its result, the
-    fabrics it built, and ``{(phase, code object): executed opcodes}``,
-    where the phase is ``build`` inside a call of a :func:`builders` code
-    object and ``run`` elsewhere."""
-    build = builders()
-    counts: dict = {}
-    fabrics = 0
-    building = None  # the builder frame the build phase is in, or None
-
-    def local(frame, event, _arg):
-        nonlocal building
-        if event == "opcode":
-            key = ("run" if building is None else "build", frame.f_code)
-            counts[key] = counts.get(key, 0) + 1
-        elif event == "return" and frame is building:
-            building = None
-        return local
-
-    def on_call(frame, _event, _arg):
-        nonlocal building, fabrics
-        if building is None and frame.f_code in build:
-            building = frame
-            fabrics += build[frame.f_code]
-        frame.f_trace_opcodes = True
-        frame.f_trace_lines = False
-        return local
-
-    sys.settrace(on_call)
-    try:
-        result = fn()
-    finally:
-        sys.settrace(None)
-    return result, fabrics, counts
 
 
 def count(workload: str) -> dict:

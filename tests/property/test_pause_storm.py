@@ -18,7 +18,7 @@ same phase the arithmetic port implements implicitly.
 import random
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.node import Node
@@ -205,6 +205,9 @@ def run_ref(rate, prop, ops):
 
 class TestAgainstBruteForceReference:
     @given(seed=st.integers(min_value=0, max_value=10**9))
+    # Seed 1 pauses a port with no frame pending, the line of
+    # Port._uncommit_pending whose census reason names this test.
+    @example(seed=1)
     @settings(max_examples=40, deadline=None)
     def test_deliveries_and_accounting_never_diverge(self, seed):
         rng = random.Random(seed)

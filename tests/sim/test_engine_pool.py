@@ -134,16 +134,16 @@ class TestEventPool:
 
     def test_fired_timer_handle_is_inert(self, sim):
         log = []
-        timer = Timer(sim, lambda _arg: log.append("timeout"))
+        timer = Timer(sim, lambda *args: log.append(("timeout", args)))
         timer.start(10)
         fired = timer._event
         sim.run()
-        assert log == ["timeout"]
+        assert log == [("timeout", ())]
         sim.schedule(1, log.append, "later")
         fired.cancel()  # stale: the timer already fired
         timer.cancel()
         sim.run()
-        assert log == ["timeout", "later"]
+        assert log == [("timeout", ()), "later"]
 
     def test_stopped_periodic_handle_is_inert(self, sim):
         ticks, log = [], []

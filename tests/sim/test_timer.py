@@ -8,15 +8,15 @@ import pytest
 class TestTimer:
     def test_fires_once(self, sim):
         log = []
-        t = Timer(sim, lambda arg: log.append((sim.now, arg)))
+        t = Timer(sim, lambda *args: log.append((sim.now, args)))
         t.start(100)
         sim.run()
-        assert log == [(100, None)]
+        assert log == [(100, ())]
         assert t._event is None
 
     def test_restart_supersedes(self, sim):
         log = []
-        t = Timer(sim, lambda arg: log.append(sim.now))
+        t = Timer(sim, lambda: log.append(sim.now))
         t.start(100)
         t.start(50)
         sim.run()
@@ -24,7 +24,7 @@ class TestTimer:
 
     def test_cancel(self, sim):
         log = []
-        t = Timer(sim, log.append)
+        t = Timer(sim, lambda: log.append(sim.now))
         t.start(100)
         t.cancel()
         sim.run()
@@ -33,7 +33,7 @@ class TestTimer:
     def test_rearm_from_callback(self, sim):
         log = []
 
-        def fire(arg):
+        def fire():
             log.append(sim.now)
             if len(log) < 3:
                 t.start(10)

@@ -18,7 +18,9 @@ Usage::
 
 ``--opcodes`` counts instead of timing: it runs the workload's *smoke*
 cell under ``sys.settrace`` with ``f_trace_opcodes`` and prints executed
-bytecode instructions per unit of work, in total and per function.  The
+bytecode instructions per unit of work, in total, per phase (the run
+phase per unit of work, the build phase per fabric: :func:`count_phases`,
+the counter ``tests/opcode_pin.py`` pins) and per function.  The
 count is exact and repeats run to run, so it answers "did this edit
 remove interpreter work" on a box whose clock swings 1.5x within minutes;
 it says nothing about what an instruction costs (a call is one opcode),
@@ -39,41 +41,51 @@ Works both installed and from a bare checkout.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
-# This file is named profile.py, which would shadow the stdlib ``profile``
-# module that ``cProfile`` imports internally — scrub the script directory
-# (sys.path[0] when run as ``python tools/profile.py``) before touching
-# the profiler machinery.
-_HERE = str(Path(__file__).resolve().parent)
-sys.path[:] = [p for p in sys.path if p not in ("", _HERE)]
-
-import argparse  # noqa: E402
-import cProfile  # noqa: E402
-import pstats  # noqa: E402
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
-for p in (REPO_ROOT / "src", REPO_ROOT):
-    if str(p) not in sys.path:
-        sys.path.insert(0, str(p))
 
+#: The workloads whose cell runs in the counting process.
 WORKLOADS = ("websearch_fattree", "incast_lasthop", "hybrid_fluid_5k")
 
 
-def count_opcodes(fn):
-    """Run ``fn()`` with per-opcode tracing on; returns its result and a
-    ``{code object: executed opcodes}`` dict over every python frame it
-    entered."""
+def builders() -> dict:
+    """The code objects whose calls make the build phase -> whether a call
+    builds a fabric (a topology builder) or not (a traffic generator)."""
+    from repro.topo.fattree import fattree
+    from repro.topo.star import star
+    from repro.traffic.generator import PoissonWorkload, incast_flows
+
+    return {fattree.__code__: True, star.__code__: True,
+            PoissonWorkload.generate.__code__: False, incast_flows.__code__: False}
+
+
+def count_phases(fn):
+    """Run ``fn()`` with per-opcode tracing on; returns its result, the
+    fabrics it built, and ``{(phase, code object): executed opcodes}``
+    over every python frame it entered, where the phase is ``build``
+    inside a call of a :func:`builders` code object and ``run`` elsewhere."""
+    build = builders()
     counts: dict = {}
+    fabrics = 0
+    building = None  # the builder frame the build phase is in, or None
 
     def local(frame, event, _arg):
+        nonlocal building
         if event == "opcode":
-            code = frame.f_code
-            counts[code] = counts.get(code, 0) + 1
+            key = ("run" if building is None else "build", frame.f_code)
+            counts[key] = counts.get(key, 0) + 1
+        elif event == "return" and frame is building:
+            building = None
         return local
 
     def on_call(frame, _event, _arg):
+        nonlocal building, fabrics
+        if building is None and frame.f_code in build:
+            building = frame
+            fabrics += build[frame.f_code]
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
@@ -83,23 +95,27 @@ def count_opcodes(fn):
         result = fn()
     finally:
         sys.settrace(None)
-    return result, counts
+    return result, fabrics, counts
 
 
-def print_opcodes(workload: str, cell: dict, counts: dict, top: int) -> None:
+def print_opcodes(workload: str, cell: dict, fabrics: int, counts: dict, top: int) -> None:
     work, total = cell["work"], sum(counts.values())
     print(
-        f"# workload={workload} (smoke cell) work={work} "
+        f"# workload={workload} (smoke cell) work={work} fabrics={fabrics} "
         f"completed={cell['completed']}/{cell['attempted']}\n"
-        f"# executed opcodes: {total} total, {total / work:.1f} per unit of work\n"
+        f"# executed opcodes: {total} total, {total / work:.1f} per unit of work"
     )
-    print(f"== top {top} functions by executed opcodes ==")
-    print(f"{'opcodes':>10} {'per work':>9} {'share':>6}  function")
+    for phase, per, unit in (("run", work, "unit of work"), ("build", fabrics, "fabric")):
+        ops = {code: n for (p, code), n in counts.items() if p == phase}
+        n_phase = sum(ops.values())
+        print(f"# {phase} phase: {n_phase}, {n_phase / per:.1f} per {unit}")
+    print(f"\n== top {top} functions by executed opcodes ==")
+    print(f"{'opcodes':>10} {'per work':>9} {'share':>6} {'phase':>5}  function")
     rows = sorted(
         counts.items(),
-        key=lambda kv: (-kv[1], kv[0].co_filename, kv[0].co_firstlineno),
+        key=lambda kv: (-kv[1], kv[0][0], kv[0][1].co_filename, kv[0][1].co_firstlineno),
     )
-    for code, n in rows[:top]:
+    for (phase, code), n in rows[:top]:
         # co_qualname is 3.11+; the supported floor is 3.9.
         name = getattr(code, "co_qualname", code.co_name)
         try:
@@ -107,7 +123,7 @@ def print_opcodes(workload: str, cell: dict, counts: dict, top: int) -> None:
         except ValueError:
             where = Path(code.co_filename).name
         print(
-            f"{n:>10} {n / work:>9.1f} {n / total:>6.1%}  "
+            f"{n:>10} {n / work:>9.1f} {n / total:>6.1%} {phase:>5}  "
             f"{where}:{code.co_firstlineno}({name})"
         )
 
@@ -142,6 +158,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Import late so --help works even on a broken checkout.
+    import cProfile
+    import pstats
+
     from benchmarks.suite.cells import IMPL
     from benchmarks.suite.specs import FULL, SMOKE, sub_seed
     from benchmarks.suite.trace import Spans
@@ -150,10 +169,10 @@ def main(argv=None) -> int:
     impl.warmup(SMOKE[args.workload], off)  # imports, allocator steady state
 
     if args.opcodes:
-        cell, counts = count_opcodes(
+        cell, fabrics, counts = count_phases(
             lambda: impl.cell(SMOKE[args.workload], sub_seed(1, 0), off)
         )
-        print_opcodes(args.workload, cell, counts, args.top)
+        print_opcodes(args.workload, cell, fabrics, counts, args.top)
         return 1 if cell["problems"] else 0
 
     prof = cProfile.Profile()
@@ -183,4 +202,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # This file is named profile.py, which would shadow the stdlib
+    # ``profile`` module that ``cProfile`` imports internally — scrub the
+    # script directory (sys.path[0] when run as ``python tools/profile.py``)
+    # before :func:`main` touches the profiler machinery.
+    _here = str(Path(__file__).resolve().parent)
+    sys.path[:] = [p for p in sys.path if p not in ("", _here)]
+    for p in (REPO_ROOT / "src", REPO_ROOT):
+        if str(p) not in sys.path:
+            sys.path.insert(0, str(p))
     raise SystemExit(main())
