@@ -118,17 +118,12 @@ def summarize_fct_result(result: FctResult, seed: int, obs=None) -> FctResult:
 def run_fct_summary(
     cc: str,
     seed: int = 1,
-    backend: str = "packet",
     obs=None,
     obs_snapshot: bool = False,
     **kwargs,
 ) -> FctResult:
-    """Sweep-spec target: one (CC, workload) cell, stamped by
-    :func:`summarize_fct_result`.
-
-    ``backend`` selects the simulation tier: ``"packet"`` (discrete-event,
-    the default) or ``"hybrid"`` (packet-level only across congested
-    links, DESIGN.md §6).
+    """Sweep-spec target: one packet-level (CC, workload) cell of
+    :func:`run_fct_experiment`, stamped by :func:`summarize_fct_result`.
 
     ``obs`` is a live :class:`repro.obs.RunObservability` bundle (in-
     process callers only — it is not picklable); ``obs_snapshot=True`` is
@@ -141,15 +136,7 @@ def run_fct_summary(
         from repro.obs import MetricsRegistry, RunObservability
 
         obs = RunObservability(registry=MetricsRegistry())
-    if backend == "packet":
-        result = run_fct_experiment(cc, seed=seed, obs=obs, **kwargs)
-    elif backend == "hybrid":
-        # Deferred import: repro.hybrid.backend imports this module.
-        from repro.hybrid.backend import run_fct_hybrid
-
-        result = run_fct_hybrid(cc, seed=seed, obs=obs, **kwargs)
-    else:
-        raise ValueError(f"backend must be one of ('packet', 'hybrid'), got {backend!r}")
+    result = run_fct_experiment(cc, seed=seed, obs=obs, **kwargs)
     return summarize_fct_result(result, seed, obs=obs)
 
 
@@ -289,12 +276,9 @@ def compare_ccs_sweep(
     """One Figs. 14/15 panel family: the same workload under each CC, one
     spec per CC, reduced in CC order regardless of completion order.
     ``jobs=1`` runs the cells in this process, without pickling."""
-    # What a cell imports past the packet path — the fluid engines its
-    # backend names, the obs package a snapshot needs — is imported here,
-    # so forked workers inherit it instead of each importing it
-    # (DESIGN.md §5.4).  A packet cell needs neither.
-    if kwargs.get("backend", "packet") != "packet":
-        import repro.hybrid.backend
+    # What a cell imports past the packet path — the obs package a
+    # snapshot needs — is imported here, so forked workers inherit it
+    # instead of each importing it (DESIGN.md §5.4).
     # census: pooled cells that return registry snapshots — tests/obs/test_metrics_registry.py::TestWorkerSnapshots::test_serial_and_pooled_merge_identically
     if kwargs.get("obs_snapshot"):
         import repro.obs

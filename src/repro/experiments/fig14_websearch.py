@@ -36,14 +36,10 @@ def run_fig14(
     scale: float = SCALE,
     seed: int = 1,
     jobs: int = 1,
-    backend: str = "packet",
     **kwargs,
 ) -> Dict[str, FctResult]:
     """Per-CC runs are independent, so they fan out over ``jobs`` worker
-    processes (``jobs=1`` = in-process; identical results either way).
-    ``backend`` selects the simulation engine per cell (packet / hybrid —
-    see DESIGN.md §6; hybrid fidelity on this scenario is gated by
-    ``repro.hybrid.validate``)."""
+    processes (``jobs=1`` = in-process; identical results either way)."""
     return compare_ccs_sweep(
         CCS,
         workload="websearch",
@@ -53,7 +49,6 @@ def run_fig14(
         scale=scale,
         seed=seed,
         jobs=jobs,
-        backend=backend,
         **kwargs,
     )
 
@@ -67,7 +62,6 @@ def long_flow_median_reduction(results: Dict[str, FctResult]) -> Dict[str, float
 def _run_fig14_observed(
     ccs: Sequence[str],
     seed: int,
-    backend: str,
     n_flows: int,
     trace: Optional[str],
     progress: bool,
@@ -97,7 +91,6 @@ def _run_fig14_observed(
         results[cc] = run_fct_summary(
             cc,
             seed=seed,
-            backend=backend,
             obs=obs,
             workload="websearch",
             k=K,
@@ -120,7 +113,6 @@ def _run_fig14_observed(
 def main(
     jobs: int = 1,
     seed: int = 1,
-    backend: str = "packet",
     quick: bool = False,
     trace: Optional[str] = None,
     progress: bool = False,
@@ -128,11 +120,10 @@ def main(
     n_flows = 60 if quick else 200
     if trace or progress:
         results = _run_fig14_observed(
-            CCS, seed=seed, backend=backend, n_flows=n_flows,
-            trace=trace, progress=progress,
+            CCS, seed=seed, n_flows=n_flows, trace=trace, progress=progress,
         )
     else:
-        results = run_fig14(seed=seed, jobs=jobs, backend=backend, n_flows=n_flows)
+        results = run_fig14(seed=seed, jobs=jobs, n_flows=n_flows)
     for col in PERCENTILE_COLUMNS:
         print(format_panel(results, col, f"\nFig 14 ({col}) — WebSearch @50% load, FCT slowdown"))
     completed = {cc: r.completed() for cc, r in results.items()}

@@ -28,13 +28,11 @@ def run_fig15(
     scale: float = 1.0,
     seed: int = 1,
     jobs: int = 1,
-    backend: str = "packet",
     **kwargs,
 ) -> Dict[str, FctResult]:
     # Hadoop flows are small (median ~1 KB), so no size scaling is needed
     # even in pure Python — we run the distribution as published.  Per-CC
-    # runs fan out over ``jobs`` worker processes (jobs=1 = in-process);
-    # ``backend`` selects the engine per cell (DESIGN.md §6).
+    # runs fan out over ``jobs`` worker processes (jobs=1 = in-process).
     return compare_ccs_sweep(
         CCS,
         workload="hadoop",
@@ -44,7 +42,6 @@ def run_fig15(
         scale=scale,
         seed=seed,
         jobs=jobs,
-        backend=backend,
         **kwargs,
     )
 
@@ -55,8 +52,8 @@ def short_flow_p95_reduction(results: Dict[str, FctResult]) -> Dict[str, float]:
     return slowdown_reduction(results, "p95", max_size=SHORT_FLOW_BYTES)
 
 
-def main(jobs: int = 1, seed: int = 1, backend: str = "packet") -> None:
-    results = run_fig15(seed=seed, jobs=jobs, backend=backend)
+def main(jobs: int = 1, seed: int = 1) -> None:
+    results = run_fig15(seed=seed, jobs=jobs)
     for col in PERCENTILE_COLUMNS:
         print(format_panel(results, col, f"\nFig 15 ({col}) — FB_Hadoop @50% load, FCT slowdown"))
     completed = {cc: r.completed() for cc, r in results.items()}

@@ -47,7 +47,6 @@ _OPTIONS = {
     "jobs": (1, "is not sweep-enabled; ignoring --jobs"),
     "seed": (None, "does not take --seed; ignoring"),
     "quick": (False, "has no --quick slice; ignoring"),
-    "backend": (None, "does not take --backend; ignoring"),
     "trace": (None, "does not take --trace; ignoring"),
     "progress": (False, "does not take --progress; ignoring"),
 }
@@ -97,14 +96,6 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help="reduced slice for experiments that support it (see --list)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("packet", "hybrid"),
-        default=None,
-        help="simulation backend for experiments that support it (fig14/"
-        "fig15): packet = discrete-event ground truth, hybrid = packet/flow "
-        "co-simulation (DESIGN.md §6)",
     )
     parser.add_argument(
         "--trace",

@@ -9,17 +9,20 @@ epoch boundaries: fluid background load is presented to packet-tier ports
 as serializer-time drains, and measured packet throughput is fed back to
 the fluid tier as residual link capacities.
 
+A library and scale tool: ``fncc-exp`` runs the packet engine alone,
+since at the figures' sizes the default :class:`~repro.hybrid.backend.HybridConfig`
+demotes 92–99.6 % of the flows and the cell is no faster (DESIGN.md §6).
+
 Entry points:
 
 * :func:`repro.hybrid.backend.run_fct_hybrid` — one (CC, workload) cell
-  under the hybrid backend, mirroring ``run_fct_experiment``.
-* :func:`repro.experiments.fct_experiment.run_fct_summary` — its
-  ``backend="packet"|"hybrid"`` argument (the runner's ``--backend``) is
-  the backend selection.  An all-fluid run (no CC dynamics, so every CC
-  gives the same FCTs) is ``HybridConfig(threshold=None)``, which the
-  fidelity gate reaches as ``--threshold inf``; ``fncc-exp`` offers none.
+  under the hybrid backend, mirroring ``run_fct_experiment``.  An
+  all-fluid run (no CC dynamics, so every CC gives the same FCTs) is
+  ``HybridConfig(threshold=None)``, which the fidelity gate reaches as
+  ``--threshold inf``.
 * ``python -m repro.hybrid.validate`` — the fidelity gate against
   packet-level ground truth.
+* The 10 k / 100 k-flow strict recipe of DESIGN.md §6.
 """
 
 from repro.hybrid.fluid import FluidEngine, FluidStallError

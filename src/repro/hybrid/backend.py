@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flowsim import from_topology
@@ -208,25 +207,11 @@ def _schedule_bg_drains(
 
 class _ResidualSampler:
     """Per-epoch ``tx_bytes`` deltas on the shared links: what the packet
-    tier actually used, fed back to the fluid tier as reduced capacity.
+    tier actually used, fed back to the fluid tier as reduced capacity."""
 
-    This is the hybrid backend's epoch loop, so it doubles as the epoch-
-    exchange observation point: with ``obs`` attached, each tick emits a
-    ``hybrid``-category trace event and heartbeats the progress reporter.
-    Observation is read-only (the counters are read either way), so the
-    schedule is identical with obs on or off.
-    """
-
-    def __init__(
-        self,
-        fab: Fabric,
-        links: Sequence[Tuple[str, str]],
-        epoch_ps: int,
-        obs=None,
-    ) -> None:
+    def __init__(self, fab: Fabric, links: Sequence[Tuple[str, str]], epoch_ps: int) -> None:
         self.sim = fab.sim
         self.epoch_ps = epoch_ps
-        self.obs = obs
         self.ports = {lk: _directed_port(fab.topo, *lk)[0] for lk in links}
         self.prev = {lk: 0 for lk in self.ports}
         #: LinkKey -> {epoch index: packet-tier bytes}
@@ -238,27 +223,13 @@ class _ResidualSampler:
 
     def _tick(self, _arg) -> None:
         e = self._epoch
-        epoch_bytes = 0
         for lk, port in self.ports.items():
             tx = port.tx_bytes
             d = tx - self.prev[lk]
             if d:
                 self.used[lk][e] = d
                 self.prev[lk] = tx
-                epoch_bytes += d
         self._epoch = e + 1
-        obs = self.obs
-        if obs is not None:
-            if obs.tracer is not None:
-                obs.tracer.emit(
-                    "hybrid",
-                    "epoch",
-                    self.sim.now,
-                    args={"epoch": e, "links": len(self.ports),
-                          "packet_bytes": epoch_bytes},
-                )
-            if obs.progress is not None:
-                obs.progress.tick(self.sim)
         if not self._stopped:
             self.sim.schedule_at((self._epoch + 1) * self.epoch_ps, self._tick, None)
 
@@ -274,7 +245,6 @@ def run_fct_hybrid(
     max_horizon_ms: float = 50.0,
     config: Optional[HybridConfig] = None,
     classify_fn: Optional[Callable[[Flow], bool]] = None,
-    obs=None,
     **fabric_kwargs,
 ) -> FctResult:
     """One (CC, workload) cell under the hybrid backend; mirrors
@@ -285,11 +255,7 @@ def run_fct_hybrid(
 
     ``classify_fn(flow) -> bool`` (True = demote to packet) replaces the
     congestion-overlap predicate entirely — the partition-invariance test
-    hook.  ``obs`` is an optional :class:`repro.obs.RunObservability`
-    bundle: it rides the packet-phase fabric (re-attached on refine-round
-    rebuilds), the epoch-exchange sampler heartbeats its progress
-    reporter, every phase transition is announced, and the phase-stats
-    dict lands in its registry before each return.
+    hook.
     """
     cfg = config or HybridConfig()
     thr = cfg.threshold
@@ -298,20 +264,14 @@ def run_fct_hybrid(
     # rate-history entries walked by background replays.
     stats: Dict[str, int] = {"fluid_passes": 0, "bg_replay_entries": 0}
 
-    def _observed(**final: int) -> Dict[str, int]:
-        stats.update(final)
-        if obs is not None:
-            obs.observe_hybrid(stats)
-        return stats
-
     def _all_packet(rounds_used: int) -> FctResult:
         # Everything demoted: the packet experiment verbatim, so the FCT
         # fingerprint is byte-identical by construction.
         res = run_fct_experiment(
-            cc, workload=workload, max_horizon_ms=max_horizon_ms, obs=obs,
-            **fabric_kwargs,
+            cc, workload=workload, max_horizon_ms=max_horizon_ms, **fabric_kwargs
         )
-        res.stats = _observed(demoted=res.n_flows, fluid=0, refine_rounds=rounds_used)
+        stats.update(demoted=res.n_flows, fluid=0, refine_rounds=rounds_used)
+        res.stats = stats
         return res
 
     # -- degenerate tiers ---------------------------------------------------
@@ -320,30 +280,22 @@ def run_fct_hybrid(
         return _all_packet(0)
 
     fab = build_fct_fabric(cc, workload=workload, **fabric_kwargs)
-    if obs is not None:
-        # Bind the bundle even on paths that never drive the packet sim
-        # (all-fluid) so the registry snapshot always carries the engine
-        # and port keys; re-attached below whenever the fabric rebuilds.
-        obs.attach(fab.sim, fab.topo, collector=fab.collector)
     fls, path_fn = from_topology(fab.topo)
     flows = fab.flows
     n_flows = len(flows)
     epoch_ps = us(cfg.epoch_us)
 
-    def _guard():
-        return obs.guard(sim=fab.sim, topo=fab.topo) if obs is not None else nullcontext()
-
     def _fluid_pass(pass_flows, **hooks):
         stats["fluid_passes"] += 1
-        with _guard():
-            return fls.run(pass_flows, path_fn, ripple_rounds=RIPPLE_ROUNDS, **hooks)
+        return fls.run(pass_flows, path_fn, ripple_rounds=RIPPLE_ROUNDS, **hooks)
 
     def _merged(fres, sim, **final: int) -> FctResult:
         # The fluid records join the packet tier's on the one collector,
         # after them; ``sim`` is None when nothing ran as packets.
         fab.collector.records.extend(fres.records)
         res = FctResult(cc, workload, fab.collector, fab.bins, n_flows, sim, topo=fab.topo)
-        res.stats = _observed(**final)
+        stats.update(final)
+        res.stats = stats
         return res
 
     def _all_fluid(fres) -> FctResult:
@@ -351,18 +303,16 @@ def run_fct_hybrid(
         return _merged(fres, None, demoted=0, fluid=n_flows, refine_rounds=0,
                        fluid_events=fres.n_events)
 
-    # census: threshold = inf: every flow stays fluid — tests/hybrid/test_backend.py::TestDegenerateTiers::test_a_fluid_only_pass_is_announced
+    # census: threshold = inf: every flow stays fluid — tests/hybrid/test_backend.py::TestDegenerateTiers::test_threshold_inf_reproduces_flowsim
     if classify_fn is None and (
         thr is None or (isinstance(thr, float) and math.isinf(thr))
     ):
-        if obs is not None:
-            obs.phase("fluid", flows=n_flows)
         return _all_fluid(_fluid_pass(flows))
 
     # -- 1. classification pass --------------------------------------------
     # Either way ``cres`` is the one simulation of the whole flow set, and
     # its rate history is what every background replay below integrates.
-    # census: a caller's partition — tests/hybrid/test_backend.py::TestDegenerateTiers::test_a_fluid_only_pass_is_announced
+    # census: a caller's partition — tests/hybrid/test_backend.py::TestPassCount::test_degenerate_partitions_skip_what_they_do_not_need
     if classify_fn is not None:
         demoted: Set[int] = {f.flow_id for f in flows if classify_fn(f)}
         if len(demoted) == n_flows:
@@ -370,13 +320,9 @@ def run_fct_hybrid(
             return _all_packet(0)
         # No classification pass to reuse: a plain pass supplies the
         # history (and the paths for the shared-link overlap).
-        if obs is not None:
-            obs.phase("fluid", flows=n_flows)
         cres = _fluid_pass(flows, keep_history=True)
         paths = cres.paths
     else:
-        if obs is not None:
-            obs.phase("classify", flows=n_flows, threshold=thr)
         cres = _fluid_pass(
             flows, congestion=(thr, cfg.min_link_flows), keep_history=True
         )
@@ -431,9 +377,6 @@ def run_fct_hybrid(
         stats["congested_links"] = len(cres.congestion_intervals)
         stats["classify_events"] = cres.n_events
 
-    if obs is not None:
-        obs.trace_each("hybrid", "demote", sorted(demoted), key="flow")
-
     if not demoted:
         # Without demoted flows there is no tier boundary, and the final
         # pass would repeat the pass above capacity for capacity.
@@ -444,7 +387,8 @@ def run_fct_hybrid(
     while True:
         fluid_ids = [f.flow_id for f in flows if f.flow_id not in demoted]
         if not fluid_ids:
-            # Refinement (or the classifier) demoted everything.
+            # Refinement demoted everything.
+            # census: a refine round that demotes the rest — tests/hybrid/test_backend.py::TestPartitionInvariance::test_a_refine_that_demotes_the_rest_matches_packet
             return _all_packet(rounds_used)
         demoted_flows = [f for f in flows if f.flow_id in demoted]
 
@@ -460,49 +404,33 @@ def run_fct_hybrid(
         shared = sorted(shared_links)
 
         # -- 2. background replay ----------------------------------------
-        if obs is not None:
-            obs.phase(
-                "background", round=rounds_used, shared_links=len(shared)
-            )
-        with _guard():
-            bg_bytes = fls.replay_bg(cres, epoch_ps, shared, fluid_ids)
+        bg_bytes = fls.replay_bg(cres, epoch_ps, shared, fluid_ids)
         stats["bg_replay_entries"] += len(cres.history)
 
         # -- 3. packet phase ---------------------------------------------
+        # census: a refine round's rebuilt fabric — tests/hybrid/test_backend.py::TestPassCount::test_refining_cell_still_runs_two_passes
         if rounds_used > 0:
             # The previous fabric has been driven; rebuild an identical one
             # (all RNG streams are name-derived, so same seed -> same
             # fabric, flows and routing).
             fab = build_fct_fabric(cc, workload=workload, **fabric_kwargs)
             demoted_flows = [f for f in fab.flows if f.flow_id in demoted]
-            if obs is not None:
-                obs.attach(fab.sim, fab.topo, collector=fab.collector)
         stats["bg_drain_events"] = _schedule_bg_drains(
             fab, bg_bytes, epoch_ps, cfg.bg_quantum_bytes
         )
-        sampler = _ResidualSampler(fab, shared, epoch_ps, obs=obs)
-        if obs is not None:
-            obs.phase(
-                "packet", round=rounds_used, demoted=len(demoted_flows)
-            )
-        with _guard():
-            launch_flows(fab.topo, demoted_flows, fab.env)
-            drive_fct(
-                fab.sim,
-                fab.collector,
-                len(demoted_flows),
-                max_horizon_ms,
-                progress=obs.progress if obs is not None else None,
-            )
+        sampler = _ResidualSampler(fab, shared, epoch_ps)
+        launch_flows(fab.topo, demoted_flows, fab.env)
+        drive_fct(fab.sim, fab.collector, len(demoted_flows), max_horizon_ms)
         sampler.stop()
 
         # -- 4. refine: packet-only effects the fluid tier can't see ------
         if rounds_used >= cfg.refine_rounds:
-            break
+            break  # census: the refine rounds are spent — tests/hybrid/test_backend.py::TestPassCount::test_refining_cell_still_runs_two_passes
         port_links = _port_link_index(fab.topo)
         hot_links: Set[Tuple[str, str]] = set()
         for node in fab.topo.nodes():
             for p in node.ports:
+                # census: a port with PFC, ECN or drops — tests/hybrid/test_backend.py::TestPassCount::test_refining_cell_still_runs_two_passes
                 if p.pause_sent or p.ecn_marked or p.drops:
                     lk = port_links.get(id(p))
                     if lk is not None:
@@ -511,17 +439,13 @@ def run_fct_hybrid(
                         hot_links.add((lk[1], lk[0]))
         grew = False
         for fid in fluid_ids:
+            # census: a fluid flow on a hot link — tests/hybrid/test_backend.py::TestPassCount::test_refining_cell_still_runs_two_passes
             if any(lk in hot_links for lk in paths[fid]):
                 demoted.add(fid)
                 grew = True
         if not grew:
             break
-        rounds_used += 1
-        if obs is not None:
-            obs.phase(
-                "refine", round=rounds_used, hot_links=len(hot_links),
-                demoted=len(demoted),
-            )
+        rounds_used += 1  # census: a refine round — tests/hybrid/test_backend.py::TestPassCount::test_refining_cell_still_runs_two_passes
 
     # -- 5. final fluid pass with residual capacities ----------------------
     sched: List[Tuple[int, Tuple[str, str], float]] = []
@@ -541,12 +465,7 @@ def run_fct_hybrid(
             sched.append((e * epoch_ps, lk, residual))
         sched.append(((last + 1) * epoch_ps, lk, rate_gbps))
 
-    fluid_flows = [by_id[fid] for fid in fluid_ids]
-    if obs is not None:
-        obs.phase(
-            "final-fluid", flows=len(fluid_flows), cap_entries=len(sched)
-        )
-    fres = _fluid_pass(fluid_flows, cap_schedule=sched)
+    fres = _fluid_pass([by_id[fid] for fid in fluid_ids], cap_schedule=sched)
 
     return _merged(
         fres,

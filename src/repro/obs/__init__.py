@@ -36,12 +36,6 @@ __getattr__, __dir__ = _lazy_exports(
     },
 )[:2]
 
-#: Cap on per-item trace emissions from aggregate phases (e.g. one event
-#: per demoted flow in the hybrid classify pass) so a 100k-flow demotion
-#: burst cannot monopolize the ring.
-PER_PHASE_EVENT_CAP = 512
-
-
 class RunObservability:
     """The bundle one run carries: any subset of registry / tracer /
     flight recorder / progress reporter.
@@ -64,21 +58,11 @@ class RunObservability:
         self.tracer = tracer
         self.flight = flight
         self.progress = progress
-        self._sim = None  # last-attached simulator (rebuild detection)
 
     # -- wiring -------------------------------------------------------------
     def attach(self, sim, topo, collector=None) -> "RunObservability":
-        """Bind the bundle to a run's simulator + fabric.  Called again on
-        a rebuilt fabric (hybrid refine rounds) it re-binds everything to
-        the new one — the discarded fabric's collectors and tracer hooks
-        are dropped first so it stops contributing to snapshots."""
-        if self._sim is not None and self._sim is not sim:
-            if self.registry is not None:
-                self.registry.reset_run_bindings()
-            if self.tracer is not None:
-                self.tracer.detach()
-        self._sim = sim
-        sim.obs = self
+        """Bind the bundle to a run's simulator + fabric (one run: a
+        registry refuses a second simulator)."""
         if self.registry is not None:
             self.registry.bind_sim(sim)
             self.registry.bind_topo(topo)
@@ -106,35 +90,6 @@ class RunObservability:
         if self.flight is not None:
             return self.flight.guard(sim=sim, topo=topo)
         return nullcontext()
-
-    # -- cold-path emission helpers ----------------------------------------
-    def phase(self, name: str, **info) -> None:
-        """Announce a phase transition: progress line + hybrid trace event
-        (at simulated time 0: the hybrid phases sit between simulations)."""
-        if self.progress is not None:
-            self.progress.phase(name, **info)
-        if self.tracer is not None:
-            self.tracer.emit("hybrid", name, 0, args=info or None)
-
-    def trace_each(self, cat: str, name: str, items, key: str = "id") -> None:
-        """Emit one instant event per item at simulated time 0, capped at
-        :data:`PER_PHASE_EVENT_CAP` (the cap is recorded as a counter so
-        truncation is never silent)."""
-        # census: a bundle without a tracer — tests/obs/test_zero_perturbation.py::TestObservabilityBundle::test_trace_each_without_a_tracer_is_a_no_op
-        if self.tracer is None:
-            return
-        items = list(items)
-        for item in items[:PER_PHASE_EVENT_CAP]:
-            self.tracer.emit(cat, name, 0, args={key: item})
-        # census: more items than the cap — tests/obs/test_zero_perturbation.py::TestObservabilityBundle::test_trace_each_past_the_cap_counts_what_it_dropped
-        if len(items) > PER_PHASE_EVENT_CAP and self.registry is not None:
-            self.registry.counter(f"trace.{name}_truncated").inc(
-                len(items) - PER_PHASE_EVENT_CAP
-            )
-
-    def observe_hybrid(self, stats) -> None:
-        if self.registry is not None:
-            self.registry.observe_hybrid(stats)
 
     def snapshot(self) -> Optional[dict]:
         return self.registry.snapshot() if self.registry is not None else None

@@ -68,8 +68,7 @@ class FlightRecorder:
         self.dumped_path: Optional[str] = None
 
     def bind(self, sim=None, topo=None, tracer=None, registry=None) -> None:
-        """(Re-)bind live run state; the hybrid backend re-binds on every
-        rebuilt packet fabric so a crash always dumps the current one."""
+        """Bind live run state, so a crash dumps the run it happened in."""
         if sim is not None:
             self.sim = sim
         if topo is not None:

@@ -1,12 +1,12 @@
 """Live progress heartbeats for long runs (DESIGN.md §8).
 
-A 100k-flow hybrid cell runs three minutes with zero feedback; a heartbeat
-every few wall-seconds — sim-time advance, events/s, flows completed, ETA
-— turns "is it stuck?" into a glance.  :class:`ProgressReporter` is wall-
-clock rate-limited (the drive loops call :meth:`tick` every sim-time
-chunk / hybrid epoch; almost all calls return without formatting
-anything), writes to stderr so piped experiment output stays clean, and
-is wired in by ``fncc-exp --progress``.
+A long packet cell runs minutes with zero feedback; a heartbeat every few
+wall-seconds — sim-time advance, events/s, flows completed, ETA — turns
+"is it stuck?" into a glance.  :class:`ProgressReporter` is wall-clock
+rate-limited (the drive loop calls :meth:`tick` every sim-time chunk;
+almost all calls return without formatting anything), writes to stderr
+so piped experiment output stays clean, and is wired in by ``fncc-exp
+--progress``.
 
 ETA comes from the sim-time advance rate against the drive horizon; once
 flows complete, the flow completion rate usually beats the horizon bound
@@ -23,14 +23,14 @@ from typing import Optional
 def _fmt_rate(n: float) -> str:
     if n >= 1e3:
         return f"{n / 1e3:.1f}k"
-    return f"{n:.0f}"
+    return f"{n:.0f}"  # census: under a thousand a second — tests/obs/test_progress.py::TestHeartbeat::test_rate_and_eta_formats
 
 
 def _fmt_eta(seconds: Optional[float]) -> str:
     if seconds is None or seconds != seconds or seconds < 0:
-        return "?"
+        return "?"  # census: nothing to extrapolate from — tests/obs/test_progress.py::TestHeartbeat::test_rate_and_eta_formats
     if seconds >= 60:
-        return f"{seconds / 60:.1f}m"
+        return f"{seconds / 60:.1f}m"  # census: an ETA past a minute — tests/obs/test_progress.py::TestHeartbeat::test_rate_and_eta_formats
     return f"{seconds:.1f}s"
 
 
@@ -80,12 +80,6 @@ class ProgressReporter:
         dt = wall - self._last_wall
         devents = sim.events_dispatched - self._last_events
         dsim = sim.now - self._last_now
-        if devents < 0 or dsim < 0:
-            # A fresh simulator behind the same reporter (bench warmup,
-            # sweep cells): restart the rate baselines instead of showing
-            # a negative rate.
-            devents = sim.events_dispatched
-            dsim = sim.now
         eps = devents / dt if dt > 1e-9 else 0.0
         self._last_wall = wall
         self._last_events = sim.events_dispatched
@@ -105,6 +99,7 @@ class ProgressReporter:
                 f" ({100.0 * sim.now / horizon:.1f}%)"
             )
         else:
+            # census: a tick before the drive loop names its horizon — tests/obs/test_progress.py::TestHeartbeat::test_heartbeat_without_horizon_or_flows
             parts.append(f"sim={sim.now / 1e9:.2f}ms")
         parts.append(f"events/s={_fmt_rate(events_per_s)}")
         eta = None
@@ -118,14 +113,6 @@ class ProgressReporter:
             eta = horizon_eta if eta is None else min(eta, horizon_eta)
         parts.append(f"eta={_fmt_eta(eta)}")
         print(" ".join(parts), file=self.stream, flush=True)
-
-    # -- phase transitions (hybrid backend, sweep cells) --------------------
-    def phase(self, name: str, **info) -> None:
-        """Always-printed phase line, e.g. hybrid classify/refine/final."""
-        prefix = f"[progress] {self.label} " if self.label else "[progress] "
-        detail = " ".join(f"{k}={v}" for k, v in info.items())
-        print(f"{prefix}phase {name}" + (f": {detail}" if detail else ""),
-              file=self.stream, flush=True)
 
     def finish(self, sim=None, completed: Optional[int] = None,
                total: Optional[int] = None) -> None:

@@ -5,10 +5,10 @@ it, bind the run's simulator/fabric, and ship the :meth:`snapshot` dict
 with the run's summary.  Aggregation is **pull-based** — the registry
 never wraps anything on the hot path; at snapshot time it reads the
 counters the fabric already maintains (each :class:`repro.net.port.Port`'s,
-engine dispatch/heap counters, LB reroute tallies, hybrid phase
-stats).  That is what makes registry-level observability byte-identical
-and train-safe by construction: enabling it changes no event, no RNG
-draw, and no wire timestamp (pinned by ``tests/obs``).
+engine dispatch/heap counters, LB reroute tallies).  That is what makes
+registry-level observability byte-identical and train-safe by
+construction: enabling it changes no event, no RNG draw, and no wire
+timestamp (pinned by ``tests/obs``).
 
 The push-style instrument, :class:`Counter`, exists for *cold* paths —
 phase transitions, flight dumps, per-flow completions — and for
@@ -61,16 +61,6 @@ class MetricsRegistry:
         return c
 
     # -- pull collectors ----------------------------------------------------
-    def reset_run_bindings(self) -> None:
-        """Drop the pull collectors and simulator binding, keeping the
-        counters.  For re-attaching the bundle to a *rebuilt* fabric of
-        the same run (hybrid refine rounds rebuild the packet fabric, and
-        the discarded one must stop contributing to snapshots or its
-        counters double-count) — NOT for sharing a registry across runs;
-        cross-run aggregation goes through :func:`merge_snapshots`."""
-        self._collectors.clear()
-        self._sim = None
-
     def bind_sim(self, sim) -> None:
         """Aggregate the engine's own counters at snapshot time."""
         if self._sim is not None and self._sim is not sim:
@@ -141,15 +131,6 @@ class MetricsRegistry:
             return {"flows.completed": collector.completed()}, {}
 
         self._collectors.append(read)
-
-    def observe_hybrid(self, stats: Dict[str, int]) -> None:
-        """Fold a hybrid backend's phase-stats dict into the snapshot
-        (``hybrid.demoted``, ``hybrid.fluid``, ``hybrid.refine_rounds``,
-        epoch-exchange event counts...)."""
-        for key, value in stats.items():
-            if isinstance(value, (int, float)):
-                c = self.counter(f"hybrid.{key}")
-                c.value = value
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:

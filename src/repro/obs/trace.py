@@ -5,7 +5,6 @@ Categories map to the run's decision points:
 * ``flow``   — flow lifecycle (start instants, completion spans with FCT)
 * ``pfc``    — PAUSE/RESUME frame emission at switches
 * ``lb``     — load-balancer reroute decisions (ConWeave-lite epochs)
-* ``hybrid`` — tier demotions and epoch-exchange ticks of the hybrid backend
 * ``cc``     — congestion-control pacing-rate changes
 
 A tracer records every category; the ``cc`` hook is the only per-ACK one.
@@ -39,7 +38,7 @@ from typing import Dict, List, Optional
 from repro.net.packet import PAUSE
 
 #: The categories, all train-safe.
-CATEGORIES = ("flow", "pfc", "lb", "hybrid", "cc")
+CATEGORIES = ("flow", "pfc", "lb", "cc")
 
 
 class TraceEvent:
@@ -101,9 +100,7 @@ class EventTracer:
     # -- hook installation (train-safe) -------------------------------------
     def attach(self, topo) -> None:
         """Install the train-safe hooks on a topology-like object
-        (``.hosts`` / ``.switches``).  May be called for several fabrics
-        (the hybrid backend rebuilds its packet fabric between refine
-        rounds); :meth:`detach` unwinds everything."""
+        (``.hosts`` / ``.switches``); :meth:`detach` unwinds every hook."""
         switches = list(getattr(topo, "switches", ()))
         hosts = list(getattr(topo, "hosts", ()))
         for sw in switches:

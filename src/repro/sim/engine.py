@@ -109,7 +109,6 @@ class Simulator:
         "_lanes",
         "_running",
         "events_dispatched",
-        "obs",
         "monitors",
         "faults",
     )
@@ -121,10 +120,6 @@ class Simulator:
         self._lanes: int = 0
         self._running: bool = False
         self.events_dispatched: int = 0
-        # The run's observability bundle (repro.obs.RunObservability), set
-        # by its attach(); None on un-instrumented runs.  Registry reads are
-        # pull-based, so this costs nothing on the dispatch path.
-        self.obs = None
         # The run's armed FaultInjector (repro.faults), set by its arm();
         # None on healthy runs.  Read only by cold paths (flight dumps,
         # audits), never by the dispatch loop.

@@ -391,8 +391,8 @@ class TestRunnerCli:
             "fig9          [sweep: --jobs/--seed]\n"
             "fig13         \n"
             "fig13e        \n"
-            "fig14         [sweep: --jobs/--seed/--quick/--backend/--trace/--progress]\n"
-            "fig15         [sweep: --jobs/--seed/--backend]\n"
+            "fig14         [sweep: --jobs/--seed/--quick/--trace/--progress]\n"
+            "fig15         [sweep: --jobs/--seed]\n"
             "headline      [sweep: --jobs/--seed]\n"
             "lbmatrix      [sweep: --jobs/--seed/--quick]\n"
             "faultmatrix   [sweep: --jobs/--seed/--quick]\n"
@@ -469,7 +469,6 @@ class TestRunnerCli:
             (["--jobs", "2"], "is not sweep-enabled; ignoring --jobs"),
             (["--seed", "9"], "does not take --seed; ignoring"),
             (["--quick"], "has no --quick slice; ignoring"),
-            (["--backend", "hybrid"], "does not take --backend; ignoring"),
             (["--trace", "/nonexistent/t.json"], "does not take --trace; ignoring"),
             (["--progress"], "does not take --progress; ignoring"),
         )
@@ -478,7 +477,7 @@ class TestRunnerCli:
             captured = capsys.readouterr()
             assert captured.err == f"note: fig1a {note}\n", argv
             assert "spectrum" in captured.out, argv  # ran all the same
-        # All six at once, given in reverse: one note each, in table order.
+        # All five at once, given in reverse: one note each, in table order.
         assert main(["fig1a", *(a for argv, _ in reversed(cases) for a in argv)]) == 0
         assert capsys.readouterr().err == "".join(
             f"note: fig1a {note}\n" for _, note in cases
@@ -501,19 +500,23 @@ class TestRunnerCli:
             assert err.splitlines()[-1].startswith("fncc-exp: error:"), seed
             assert "--seed" in err.splitlines()[-1], seed
 
-    def test_flow_backend_rejected_before_any_cell(self, capsys, monkeypatch):
-        # The all-fluid tier has no CC dynamics, so its per-CC rows were
-        # identical; it is no --backend choice.
+    def test_backend_rejected_before_any_cell(self, capsys, monkeypatch):
+        # The figures run the packet engine alone: the hybrid demoted
+        # 92-99.6 % of their flows and was no faster, and the all-fluid
+        # tier has no CC dynamics.  --backend is no option.
         from repro.experiments import runner
 
         ran = []
         monkeypatch.setattr(runner, "_experiment_main",
                             lambda name: lambda **kw: ran.append(name))
-        with pytest.raises(SystemExit) as exc:
-            runner.main(["fig14", "--backend", "flow"])
-        assert exc.value.code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("fncc-exp: error:") and "--backend" in last, last
+        for argv in (["fig14", "--backend", "hybrid"], ["fig15", "--backend", "hybrid"],
+                     ["fig14", "--quick", "--backend", "flow"]):
+            with pytest.raises(SystemExit) as exc:
+                runner.main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert err[-1].startswith("fncc-exp: error: unrecognized arguments: --backend"), err
+            assert not [line for line in err if "Traceback" in line], err
         assert ran == []
 
     def test_trace_into_a_missing_directory_rejected_before_any_cell(

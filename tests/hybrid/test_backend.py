@@ -10,11 +10,7 @@ import pytest
 
 from repro.analysis.flowsim import from_topology
 from repro.experiments.common import launch_flows
-from repro.experiments.fct_experiment import (
-    build_fct_fabric,
-    run_fct_experiment,
-    run_fct_summary,
-)
+from repro.experiments.fct_experiment import build_fct_fabric, run_fct_experiment
 from repro.hybrid.backend import RIPPLE_ROUNDS, HybridConfig, run_fct_hybrid
 from repro.metrics.fct import FctCollector
 from repro.sim.engine import Simulator as EventSimulator
@@ -52,16 +48,6 @@ class TestDegenerateTiers:
         want = tuple(sorted((r.flow.flow_id, r.fct_ps) for r in fres.records))
         assert hres.fct_fingerprint() == want
 
-    @pytest.mark.parametrize(
-        "tier", [dict(config=HybridConfig(threshold=None)), dict(classify_fn=lambda f: False)]
-    )
-    def test_a_fluid_only_pass_is_announced(self, tier):
-        from repro.obs import EventTracer, RunObservability
-
-        obs = RunObservability(tracer=EventTracer())
-        run_fct_hybrid("fncc", obs=obs, **tier, **CELL)
-        assert [e.name for e in obs.tracer.events if e.cat == "hybrid"][:1] == ["fluid"]
-
     def test_single_flow_slowdown_is_exactly_one(self):
         """An uncontended flow advances in closed form at its solo
         bottleneck rate: FCT == ideal FCT *exactly*, not approximately."""
@@ -95,6 +81,15 @@ class TestPartitionInvariance:
     def test_all_true_partition_matches_packet(self):
         res = run_fct_hybrid("fncc", classify_fn=lambda f: True, **CELL)
         pres = run_fct_experiment("fncc", **CELL)
+        assert res.fct_fingerprint() == packet_fingerprint(pres)
+
+    def test_a_refine_that_demotes_the_rest_matches_packet(self):
+        # Flow 1 alone stays fluid, and DCQCN's ECN marks on its path
+        # demote it in the refine round: every flow then runs as packets.
+        cell = dict(CELL, seed=1)
+        res = run_fct_hybrid("dcqcn", classify_fn=lambda f: f.flow_id != 1, **cell)
+        assert (res.stats["refine_rounds"], res.stats["fluid"]) == (1, 0)
+        pres = run_fct_experiment("dcqcn", **cell)
         assert res.fct_fingerprint() == packet_fingerprint(pres)
 
     def test_all_false_partition_is_pure_fluid(self):
@@ -216,17 +211,6 @@ class TestPfcBehindBackgroundDrains:
 
 
 class TestBackendSelection:
-    def test_run_fct_summary_backend_dispatch(self):
-        kw = dict(workload="websearch", k=4, load=0.5, n_flows=8, scale=0.1)
-        s = run_fct_summary("fncc", seed=4, backend="hybrid", **kw)
-        assert s.stats["fluid_passes"] >= 1
-        assert s.completed() == 8
-        # The all-fluid tier has no CC dynamics (every CC gave the same
-        # FCTs), so it is no backend choice.
-        for backend in ("flow", "ns3"):
-            with pytest.raises(ValueError, match=r"\('packet', 'hybrid'\)"):
-                run_fct_summary("fncc", backend=backend, **kw)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HybridConfig(min_link_flows=0)

@@ -32,18 +32,7 @@ class TestRunBinding:
         with pytest.raises(ValueError):
             reg.bind_sim(Simulator())
 
-    def test_reset_run_bindings_allows_rebuild(self, sim):
-        from repro.sim.engine import Simulator
-
-        reg = MetricsRegistry()
-        reg.counter("kept").inc(3)
-        reg.bind_sim(sim)
-        reg.reset_run_bindings()
-        reg.bind_sim(Simulator())  # rebuilt fabric of the same run
-        snap = reg.snapshot()
-        assert snap["counters"]["kept"] == 3  # push instruments survive
-
-    def test_attach_rebinds_on_new_sim(self, sim):
+    def test_attach_to_a_second_sim_is_refused(self, sim):
         from repro.sim.engine import Simulator
 
         class _Topo:
@@ -55,10 +44,9 @@ class TestRunBinding:
 
         obs = RunObservability(registry=MetricsRegistry())
         obs.attach(sim, _Topo())
-        sim2 = Simulator()
-        obs.attach(sim2, _Topo())  # must not raise; drops the old collectors
-        snap = obs.snapshot()
-        assert snap["counters"]["engine.events_dispatched"] == 0
+        # One bundle, one run: a rebuilt fabric gets a fresh bundle.
+        with pytest.raises(ValueError, match="per-run"):
+            obs.attach(Simulator(), _Topo())
 
     def test_run_snapshot_keys(self):
         obs = RunObservability(registry=MetricsRegistry())

@@ -51,13 +51,15 @@ class TestHeartbeat:
         assert "eta=?" in line  # nothing to extrapolate from
 
 
-class TestPhaseAndFinish:
-    def test_phase_line_always_prints(self):
-        out = io.StringIO()
-        prog = ProgressReporter(label="hybrid", stream=out, interval_s=3600.0)
-        prog.phase("refine", round=2, hot_links=4)
-        assert out.getvalue() == "[progress] hybrid phase refine: round=2 hot_links=4\n"
+    def test_rate_and_eta_formats(self):
+        from repro.obs.progress import _fmt_eta, _fmt_rate
 
+        assert [_fmt_rate(n) for n in (0, 999.4, 1500)] == ["0", "999", "1.5k"]
+        etas = (None, float("nan"), -1.0, 12.34, 90.0)
+        assert [_fmt_eta(s) for s in etas] == ["?", "?", "?", "12.3s", "1.5m"]
+
+
+class TestPhaseAndFinish:
     def test_finish_summarizes_run(self, sim):
         out = io.StringIO()
         prog = ProgressReporter(stream=out)

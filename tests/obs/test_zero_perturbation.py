@@ -133,7 +133,7 @@ class TestObsIsByteIdentical:
 
         plain = fig14.run_fig14(n_flows=60)
         traced = fig14._run_fig14_observed(
-            fig14.CCS, seed=1, backend="packet", n_flows=60,
+            fig14.CCS, seed=1, n_flows=60,
             trace=str(tmp_path / "fig14.json"), progress=False,
         )
         for cc in fig14.CCS:
@@ -163,18 +163,6 @@ class TestTraceHooksObserve:
 
 
 class TestObservabilityBundle:
-    def test_trace_each_without_a_tracer_is_a_no_op(self):
-        RunObservability(registry=MetricsRegistry()).trace_each("hybrid", "demote", [1, 2])
-
-    def test_trace_each_past_the_cap_counts_what_it_dropped(self, monkeypatch):
-        import repro.obs as obs_pkg
-
-        monkeypatch.setattr(obs_pkg, "PER_PHASE_EVENT_CAP", 2)
-        obs = RunObservability(registry=MetricsRegistry(), tracer=EventTracer())
-        obs.trace_each("hybrid", "demote", range(5), key="flow")
-        assert len(obs.tracer.events) == 2
-        assert obs.registry.snapshot()["counters"]["trace.demote_truncated"] == 3
-
     def test_a_nested_tracer_restores_the_outer_one_s_hooks(self, sim):
         from helpers import make_dumbbell
 

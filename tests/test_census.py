@@ -9,6 +9,7 @@ in CI's ``census`` job; this reads the committed one.
 """
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -17,7 +18,10 @@ import sys
 import textwrap
 import types
 
+import pytest
+
 from tools import census as census_tool
+from tools import golden
 from tools.census import CENSUS_PATH, REASONS, definitions, knobs
 
 CENSUS = json.loads(CENSUS_PATH.read_text(encoding="utf-8"))
@@ -76,12 +80,36 @@ def test_each_definition_is_reached_or_kept_for_a_reason():
 
 def test_the_census_runs_what_a_user_can_run():
     entry_points = set(CENSUS["entry_points"])
-    assert {"fig15", "fig15 --jobs 2", "fig14 --backend hybrid",
+    assert {"fig15", "fig15 --jobs 2", "fig14 --quick",
             "fig14 --trace --progress", "lbmatrix --quick"} <= entry_points
+    assert not [ident for ident in entry_points if "--backend" in ident]
     assert {"examples/quickstart.py", "repro.hybrid.validate --quick",
             "repro.obs.export", "benchmark"} <= entry_points
     # A forked pool worker's reach is recorded: only a worker runs this.
     assert "fig15 --jobs 2" in CENSUS["definitions"]["repro.exec.executor:_pool_execute"]
+
+
+def test_a_tree_edited_during_the_run_is_refused_and_nothing_is_written(tmp_path, monkeypatch):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    module = pkg / "spare.py"
+    module.write_text("def spare():\n    return 1\n")
+    monkeypatch.setattr(census_tool, "PKG", pkg)
+
+    def run():  # the entry points run; meanwhile someone edits a module
+        module.write_text("def spare():\n    return 2\n")
+        return {"benchmark": set()}, set()
+
+    monkeypatch.setattr(census_tool, "run", run)
+    changes = tmp_path / "CHANGES.md"
+    changes.write_text("census.json moved: a def was deleted\n")
+    monkeypatch.setattr(golden, "CHANGES_PATH", changes)
+    table = dataclasses.replace(census_tool.CENSUS, path=tmp_path / "census.json")
+    table.path.write_text("{}\n")
+    with pytest.raises(SystemExit) as exc:
+        golden.rebless(table)
+    assert "src/repro changed while its entry points ran" in str(exc.value.code)
+    assert table.path.read_text() == "{}\n"
 
 
 def _code_objects(code):

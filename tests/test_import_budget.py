@@ -254,12 +254,34 @@ def test_shard_worker_builds_and_advances_without_networkx():
 
 def test_hybrid_cell_loads_neither():
     body = f"""
-    from repro.experiments.fct_experiment import run_fct_summary
+    from repro.hybrid.backend import run_fct_hybrid
 
-    summary = run_fct_summary("fncc", backend="hybrid", **{SMALL_CELL!r})
-    assert summary.completed() == 12
+    result = run_fct_hybrid("fncc", **{SMALL_CELL!r})
+    assert result.completed() == 12 and result.stats["fluid_passes"] >= 1
     """
     assert run_probe(body) == []
+
+
+@FORK_ONLY
+def test_hybrid_cell_in_a_pool_worker_loads_neither():
+    body = f"""
+    import repro.experiments.runner
+    from repro.exec import RunSpec, SweepExecutor
+
+    def hybrid_cell_then_heavy_loaded(cc):
+        from repro.hybrid.backend import run_fct_hybrid
+
+        assert run_fct_hybrid(cc, **{SMALL_CELL!r}).completed() == 12
+        return heavy_loaded()
+
+    specs = [
+        RunSpec(fn=hybrid_cell_then_heavy_loaded, kwargs={{"cc": cc}})
+        for cc in ("fncc", "dcqcn")
+    ]
+    results = SweepExecutor(jobs=2).map(specs)
+    assert [r.value for r in results] == [[], []], results
+    """
+    assert run_probe(HEAVY, body) == []
 
 
 def test_faultmatrix_quick_loads_neither():
@@ -347,12 +369,10 @@ def test_a_figure_cell_imports_nothing_its_module_did_not():
 
 
 @FORK_ONLY
-@pytest.mark.parametrize("cell", [
-    dict(backend="hybrid"), dict(obs_snapshot=True),
-], ids=["hybrid", "traced"])
+@pytest.mark.parametrize("cell", [dict(obs_snapshot=True)], ids=["traced"])
 def test_a_pooled_cell_imports_nothing_after_the_fork(cell):
-    # The fluid engines and the obs package are imported inside the cell;
-    # the sweep resolves them in the parent, so a forked worker has them.
+    # The obs package is imported inside the cell; the sweep resolves it
+    # in the parent, so a forked worker has it.
     body = f"""
     import json, os, sys, tempfile
     import repro.experiments.fct_experiment as fct_experiment

@@ -34,8 +34,7 @@ The entry points (:func:`entry_points`):
 
 * every figure of ``runner._MODULES``: the default invocation, and one per
   option set its ``main`` accepts (``runner._accepted_options``) —
-  ``--quick``, ``--backend hybrid``, ``--trace PATH --progress`` alone and
-  with it, and ``--jobs 2``;
+  ``--quick``, ``--trace PATH --progress`` and ``--jobs 2``;
 * every script under ``examples/``;
 * ``python -m repro.hybrid.validate --quick``, and ``python -m
   repro.obs.export`` on the trace a ``--trace`` run wrote;
@@ -78,6 +77,7 @@ import argparse
 import ast
 import dis
 import gc
+import hashlib
 import inspect
 import io
 import json
@@ -145,6 +145,10 @@ KEEP: Dict[str, Tuple[str, str]] = {
         "public", "SenderQP.on_cnp hands every CNP to its cc; DCQCN's is the override"),
     "repro.net.node:Node.on_departure": ("public", "Port.__init__ tests a node's hook against it"),
     "repro.net.switch:PfcWatchdog._storm_off": ("public", "PfcWatchdog._poll, when a storm clears"),
+    "repro.hybrid.backend:run_fct_hybrid.<locals>._all_packet": (
+        "public", "run_fct_hybrid, when every flow runs as packets: HybridConfig(threshold=0) "
+        "(validate --threshold 0), a classify_fn that demotes all, or a refine round that "
+        "demotes the rest"),
     "repro.obs.trace:EventTracer._on_reroute": (
         "public", "a traced run whose strategy reroutes (ConWeaveLiteLB calls on_reroute)"),
     "repro.lb.base:sweep_bounded_table": ("public", "the max_cache_entries bound of FlowletLB and ConWeaveLiteLB"),
@@ -478,9 +482,7 @@ def entry_points(tmp: Path) -> List[Tuple[str, List[str]]]:
 
     variants = (
         ({"quick"}, ["--quick"]),
-        ({"backend"}, ["--backend", "hybrid"]),
         ({"trace"}, ["--trace", None, "--progress"]),
-        ({"backend", "trace"}, ["--backend", "hybrid", "--trace", None, "--progress"]),
         ({"jobs"}, ["--jobs", "2"]),
     )
     out = []
@@ -799,7 +801,7 @@ def line_problems(table: dict, ran: Set[Tuple[str, int]], log=sys.stderr) -> Lis
     targets: List[Tuple[str, int, str]] = []
     for module, rel, source in _modules():
         mine = {line for r, line in ran if r == rel}
-        inherited = {key: _inherited(key, table[key]) for key in firsts if key.startswith(module + ":")}
+        inherited = {key: _inherited(key, table.get(key)) for key in firsts if key.startswith(module + ":")}
         text = source.splitlines()
         excused: Dict[int, str] = {}  # line -> the inline reason naming a test
         for key, lines in unreached(source, module, rel, mine, inherited).items():
@@ -864,12 +866,28 @@ def reason_problems(targets: List[Tuple[str, int, str]], log=sys.stderr) -> List
                        for t in ran.get((rel, line), ()))]
 
 
+def source_digest() -> str:
+    """sha1 over the path and the bytes of every module under ``src/repro``."""
+    digest = hashlib.sha1()
+    for path in sorted(PKG.rglob("*.py")):
+        digest.update(path.relative_to(PKG).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def document(_rows: dict) -> dict:
     """The census document, freshly run (it has no rows of its own to
-    compute); exits on problems, listing them."""
+    compute); exits on problems, listing them.  Each traced child reads
+    ``src/repro`` afresh, so a tree edited while they run would record the
+    reach of no one tree: :func:`source_digest` before the first child and
+    after the last one must agree, or it exits and nothing is written."""
+    before = source_digest()
     reached, lines = run()
     doc, problems = census(reached)
     problems += line_problems(doc["definitions"], lines)
+    if source_digest() != before:
+        raise SystemExit("the census refuses: src/repro changed while its entry points "
+                         "ran; re-run it on a tree nobody edits")
     if problems:
         print("the census has problems (delete what nothing reaches, or give it a "
               "KEEP reason or, for a line, a '# census:' one; drop KEEP entries "
