@@ -1,27 +1,21 @@
 """Exact interpreter work, per package: the ``opcode_pin`` table of the
 identity store (``tools/golden.py``).
 
-For the smoke cell of each in-process benchmark workload — the cell
-``python tools/profile.py --workload W --opcodes`` counts, after the same
-warm-up — the table holds the cell's units of work, the fabrics it built,
-and the bytecode instructions it executed, split twice: by phase and by
-the ``src/repro`` package whose code ran them (a top-level module such as
-``units.py`` is its own bucket).  The ``build`` phase is every
-instruction run inside a topology builder (routing install included) or a
-traffic generator (:func:`tools.profile.builders`; the counter is
-:func:`tools.profile.count_phases`, which ``--opcodes`` prints); the
-``run`` phase is the rest of the cell: launch, drive and reduce.
-Everything outside ``src/repro`` — the suite's own code, the standard
-library — is one bucket, ``other``.  Code of installed packages (numpy, in the suite's reduction)
-is left out: its version is the environment's, not the commit's.  Each
-workload is counted in a fresh interpreter, so nothing an earlier test
-cached moves a count.  The count is exact and repeats run to run, so a
-change that moves it writes the per-package before and after into
-CHANGES.md before it re-blesses; a failing row and the re-bless show the
-run phase per unit of work and the build phase per fabric
-(:func:`per_unit`).  Bytecode differs between CPython versions, so the
-table records the one it was counted on, and its rows are checked and
-re-blessed on no other.
+For the smoke cell of each in-process benchmark workload, after the
+warm-up ``python tools/profile.py --workload W --opcodes`` runs too, the
+table holds the cell's units of work, the fabrics it built, and the
+bytecode instructions it executed (:func:`tools.trace.count_phases`) by
+phase and by :func:`bucket`: the ``src/repro`` package whose code ran them,
+``net/port.py`` and ``net/switch.py`` apart, or ``other``.  ``build`` is
+every instruction inside a topology builder (routing install included) or
+a traffic generator (:func:`tools.profile.builders`), ``run`` the rest of
+the cell.  Code of installed packages (numpy) is left out: its version is
+the environment's.  Each workload is counted in a fresh interpreter.  The
+count is exact, so a change that moves it writes the per-package before
+and after into CHANGES.md before it re-blesses; a moved row shows the run
+phase per unit of work and the build phase per fabric (:func:`per_unit`).
+Bytecode differs between CPython versions, so the table records the one
+it was counted on, and its rows are checked on no other.
 """
 
 import functools
@@ -33,7 +27,8 @@ import sys
 from pathlib import Path
 
 from tools.golden import Table
-from tools.profile import WORKLOADS, count_phases
+from tools.profile import WORKLOADS
+from tools.trace import count_phases
 
 ROOT = Path(__file__).resolve().parents[1]
 PIN_PATH = Path(__file__).with_name("opcode_pin.json")
@@ -45,18 +40,15 @@ def interpreter() -> str:
 
 
 def bucket(filename: str) -> str:
-    """``src/repro/<package>/...`` -> ``<package>``; anything else -> ``other``."""
+    """``src/repro/<package>/...`` -> ``<package>``, but the port and switch
+    hot paths, where FNCC's ACK-path INT stamp lives, -> ``net.port`` and
+    ``net.switch``; anything else -> ``other``."""
     try:
         rel = Path(filename).resolve().relative_to(PKG)
     except ValueError:
         return "other"
-    return rel.parts[0].removesuffix(".py")
-
-
-def installed(filename: str) -> bool:
-    """Whether ``filename`` belongs to an installed third-party package."""
-    parts = Path(filename).parts
-    return "site-packages" in parts or "dist-packages" in parts
+    split = {"net/port.py": "net.port", "net/switch.py": "net.switch"}
+    return split.get(rel.as_posix(), rel.parts[0].removesuffix(".py"))
 
 
 def count(workload: str) -> dict:
@@ -71,8 +63,8 @@ def count(workload: str) -> dict:
     assert not cell["problems"], cell["problems"]
     phases: dict = {"run": {}, "build": {}}
     for (phase, code), n in counts.items():
-        if installed(code.co_filename):
-            continue
+        if {"site-packages", "dist-packages"} & set(Path(code.co_filename).parts):
+            continue  # an installed third-party package
         key = bucket(code.co_filename)
         phases[phase][key] = phases[phase].get(key, 0) + n
     return {"work": cell["work"], "fabrics": fabrics,

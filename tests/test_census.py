@@ -1,18 +1,13 @@
-"""The reach and value census (``tools/census.py``, DESIGN.md §9.2) as a
-tier-1 gate: every ``def`` under ``src/repro`` is listed in
-``tests/census.json``, either with the entry points that reach it or with
-the reason an unreached one stays, and so is every defaulted parameter,
-with the entry points that pass it another value.  A function or keyword
-added without a re-run census that says who calls or sets it fails here;
-so does one deleted without it.  The census itself takes minutes and runs
-in CI's ``census`` job; this reads the committed one.
+"""The census (``tools/census.py``, DESIGN.md §9.2) as a tier-1 gate: every
+``def`` and every defaulted parameter under ``src/repro`` is listed in
+``tests/census.json``, so one added or deleted without a re-run census
+fails here; and the rules and the tracer the census runs on, on fixtures.
 """
 
 import ast
 import dataclasses
 import inspect
 import json
-import os
 import subprocess
 import sys
 import textwrap
@@ -22,36 +17,35 @@ import pytest
 
 from tools import census as census_tool
 from tools import golden
+from tools import trace as tracing
 from tools.census import CENSUS_PATH, REASONS, definitions, knobs
 
 CENSUS = json.loads(CENSUS_PATH.read_text(encoding="utf-8"))
 
 
-def test_every_definition_is_in_the_census():
-    listed = CENSUS["definitions"]
-    defs = definitions()
-    unlisted = [key for key in defs if key not in listed]
-    gone = [key for key in listed if key not in defs]
+def _listed_in_source_order(group: str, current: dict) -> None:
+    listed = CENSUS[group]
+    unlisted = [key for key in current if key not in listed]
+    gone = [key for key in listed if key not in current]
     assert not unlisted and not gone, (
-        f"not in tests/census.json: {unlisted}; listed but no longer defined: "
-        f"{gone} — re-bless with python -m tools.golden --rebless census"
-    )
-    assert list(listed) == list(defs), "tests/census.json is not in source order"
+        f"{group} not in tests/census.json: {unlisted}; listed but no longer defined: "
+        f"{gone} — re-bless with python -m tools.golden --rebless census")
+    assert list(listed) == list(current), f"tests/census.json {group} are not in source order"
+
+
+def _known() -> set:
+    """The entry points a reach list may name, ``<figure> *`` included."""
+    known = set(CENSUS["entry_points"])
+    return known | {ident.split(" ")[0] + " *" for ident in known}
+
+
+def test_every_definition_is_in_the_census():
+    _listed_in_source_order("definitions", definitions())
 
 
 def test_every_knob_is_in_the_census():
-    listed = CENSUS["knobs"]
-    params = knobs()
-    unlisted = [key for key in params if key not in listed]
-    gone = [key for key in listed if key not in params]
-    assert not unlisted and not gone, (
-        f"defaulted parameters not in tests/census.json: {unlisted}; listed but "
-        f"no longer defined: {gone} — re-bless with python -m tools.golden --rebless census"
-    )
-    assert list(listed) == list(params), "tests/census.json knobs are not in source order"
-    known = set(CENSUS["entry_points"])
-    known |= {ident.split(" ")[0] + " *" for ident in known}
-    bad = {key: by for key, by in listed.items() if not set(by) <= known}
+    _listed_in_source_order("knobs", knobs())
+    bad = {key: by for key, by in CENSUS["knobs"].items() if not set(by) <= _known()}
     assert not bad, bad
 
 
@@ -66,8 +60,7 @@ def test_knobs_are_the_defaulted_parameters_of_unnested_defs():
 
 
 def test_each_definition_is_reached_or_kept_for_a_reason():
-    known = set(CENSUS["entry_points"])
-    known |= {ident.split(" ")[0] + " *" for ident in known}
+    known = _known()
     problems = []
     for key, entry in CENSUS["definitions"].items():
         if isinstance(entry, list):
@@ -98,7 +91,7 @@ def test_a_tree_edited_during_the_run_is_refused_and_nothing_is_written(tmp_path
 
     def run():  # the entry points run; meanwhile someone edits a module
         module.write_text("def spare():\n    return 2\n")
-        return {"benchmark": set()}, set()
+        return {"benchmark": set()}, set(), {}
 
     monkeypatch.setattr(census_tool, "run", run)
     changes = tmp_path / "CHANGES.md"
@@ -138,16 +131,12 @@ def test_every_def_maps_to_its_code_object():
                 assert key.split(":")[1].split("#")[0] == code.co_qualname, key
 
 
-def _run_under_the_hook(tmp_path, body: str) -> list:
-    """Run ``body`` in a fresh interpreter the way the census runs an
-    entry point; return the log lines its processes wrote."""
-    boot = tmp_path / "boot"
-    boot.mkdir()
-    (boot / "sitecustomize.py").write_text(census_tool._SITECUSTOMIZE)
+def _run_under_the_hook(tmp_path, body: str, target="tools.census:trace_this_process",
+                        **env) -> list:
+    """Run ``body`` in a fresh interpreter the way the census runs an entry
+    point (or its reason tests); return the log lines its processes wrote."""
     log = tmp_path / "reach.log"
-    src, root = census_tool.PKG.parent, census_tool.ROOT
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (boot, src, root))),
-               **{census_tool.LOG_ENV: str(log)})
+    env = tracing.child_env(tmp_path, target, **{census_tool.LOG_ENV: str(log)}, **env)
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(body)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -155,16 +144,26 @@ def _run_under_the_hook(tmp_path, body: str) -> list:
 
 
 def test_a_forked_worker_that_leaves_through_os_exit_is_counted(tmp_path):
-    lines = _run_under_the_hook(tmp_path, """
+    test = "tests/test_units.py::TestTimeConversions::test_us_round_trip"
+    fork = f"""
         import os
         from repro import units
+        os.environ["PYTEST_CURRENT_TEST"] = "{test} (call)"  # as pytest sets it
         pid = os.fork()
         if pid == 0:
             units.to_us(1_000_000)  # only the child calls it
             os._exit(0)
         assert os.waitpid(pid, 0)[1] == 0
-    """)
+    """
+    lines = _run_under_the_hook(tmp_path, fork)
     assert "units.py\t{}\tto_us".format(definitions()["repro.units:to_us"][1]) in lines
+    # In the reason tests, the child's line is tagged with the test it ran in.
+    (line,) = census_tool.body_lines(units_to_us_code())
+    (tmp_path / "reasons").mkdir()
+    (tmp_path / "reasons" / "lines").write_text(f"units.py\t{line}\n")
+    lines = _run_under_the_hook(tmp_path / "reasons", fork, "tools.census:trace_reason_lines",
+                                **{census_tool.REASONS_ENV: str(tmp_path / "reasons" / "lines")})
+    assert lines == [f"units.py\t{line}\t{test}"]
 
 
 def test_a_child_handed_its_own_pythonpath_is_counted(tmp_path):
@@ -299,11 +298,49 @@ def test_a_reason_may_not_cover_a_def_or_a_class():
                     return 0
                 return inner
             return None
+
+
+        def other(x):
+            if x:  {why}
+                return None
+            else:
+                def inner(): return 0
         ''')
-    reasons, refused = census_tool._source_reasons(ast.parse(source), source)
-    assert refused == [1, 8, 13]
-    assert reasons == {}
+    inline = list(census_tool._inline_reasons(ast.parse(source), source))
+    assert [at for at, why, _, _ in inline if why is None] == [1, 8, 13]
+    # A def in the else the reason does not cover is no bar to its body.
+    assert census_tool._source_reasons(ast.parse(source), source) == {23: why.removeprefix("# census: ")}
     assert _unreached(source, {3, 5})["fx:spare"] == {2: None}
+
+
+BRANCHES = '''\
+def pick(x):
+    # census: a negative x — tests/test_census.py::test_a_reason_excuses_one_block
+    if x < 0:
+        y = -x
+    else:
+        y = x
+    try:  # census: an abs — tests/test_census.py::test_a_reason_excuses_one_block
+        y = abs(y)
+    except TypeError:  # census: a failing abs — tests/test_census.py::test_a_reason_excuses_one_block
+        y = 0
+    return y
+'''
+
+
+def test_a_reason_excuses_one_block():
+    why = "— tests/test_census.py::test_a_reason_excuses_one_block"
+    negative, guarded, failing = (f"{reason} {why}" for reason in ("a negative x", "an abs", "a failing abs"))
+    # Nothing ran: the if's header and else, the try line and the return are reported.
+    assert _unreached(BRANCHES, ())["fx:pick"] == {
+        2: None, 3: negative, 5: None, 6: None, 7: guarded, 8: failing, 9: failing, 10: None}
+    # So the hook traces them: the source excuses the blocks alone.
+    assert census_tool._source_reasons(ast.parse(BRANCHES), BRANCHES) == {
+        4: negative, 8: guarded, 9: failing, 10: failing}
+    # Each reason's test must run the first line of its block: for the
+    # except clause, of its body; the header runs for any exception.
+    assert [(covered, first) for _, _, covered, first in census_tool._inline_reasons(
+        ast.parse(BRANCHES), BRANCHES)] == [([4], 4), ([8], 8), ([9, 10], 10)]
 
 
 def test_a_kept_def_s_lines_inherit_its_reason():
@@ -342,10 +379,14 @@ def units_to_us_code():
     return units.to_us.__code__
 
 
-def test_a_reason_whose_test_does_not_run_its_line_is_refused():
+def test_a_reason_whose_test_does_not_run_its_line_is_refused(monkeypatch):
     (line,) = census_tool.body_lines(units_to_us_code())
     runs = "tests/test_units.py::TestTimeConversions::test_us_round_trip"
     skips = "tests/test_units.py::TestTimeConversions::test_ms"
-    problems = census_tool.reason_problems([("units.py", line, runs), ("units.py", line, skips)])
-    assert problems == [
+    targets = [("units.py", line, runs), ("units.py", line, skips)]
+    monkeypatch.setattr(census_tool, "entry_points", lambda tmp: [])
+    monkeypatch.setattr(census_tool, "reason_targets", lambda: targets)
+    _, _, by_test = census_tool.run()
+    assert by_test == {("units.py", line): {runs}}
+    assert census_tool.reason_problems(targets, by_test) == [
         f"src/repro/units.py:{line}: its '# census:' reason's test does not run it: {skips}"]

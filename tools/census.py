@@ -1,63 +1,27 @@
 #!/usr/bin/env python
 """Reach, value and line census: which ``src/repro`` definition does some
 entry point run, which knob does it turn, and which line does it run?
+DESIGN.md §9.2 has the rules and their costs.
 
-Every entry point a user has is run once under ``sys.settrace``, and every
-``def`` under ``src/repro`` (``module:qualname``, methods and closures
-included) is recorded with the entry points whose run entered its body.  A
-definition no entry point enters is listed with the reason it stays, one of
-:data:`REASONS` given by :data:`KEEP`; one with no reason is dead code, and
-the census refuses to record it.  The committed result is ``tests/census.json``;
-``tests/test_census.py`` fails on any definition it does not list, so a new
-function lands together with a re-run census that says who calls it.
+Every entry point a user has (:func:`entry_points`: each figure of
+``runner._MODULES`` under each option set its ``main`` accepts, the
+``examples/``, ``repro.hybrid.validate --quick``, ``repro.obs.export`` and
+the suite's ``--smoke --trace 1``, recorded as ``benchmark``) runs once
+under the trace function :func:`trace_this_process` in every process it
+starts (:mod:`tools.trace` carries it there).  Each process logs, the moment
+it happens, every ``src/repro`` code object it enters, the first call that
+passes a knob (:func:`knobs`) a value other than its default, and each line
+(:func:`body_lines`) the first time it runs it.
 
-The same runs record values: for every parameter with a default of a
-``def`` not nested in a def (:func:`knobs`), the entry points that called
-it with a value other than its default — not the default object, and not
-an equal value of the same type.  A knob no entry point turns lists none;
-``tests/test_census.py`` fails on a defaulted parameter the file does not
-list, so a new keyword lands together with a census that says who sets it.
-
-And the same runs record lines: every line of a ``def`` (its code object's
-lines, :func:`body_lines`, with those of the lambdas and comprehensions in
-it) that no entry point runs must have a reason (:func:`unreached`): a
-``raise`` or a branch ending in one is ``crash``; a line of a def kept for a
-reason, or reached by the benchmark alone, inherits it; any other needs an
-inline ``# census: <reason> — <test id>`` naming the test that runs it
-(:data:`INLINE`).  A line with none is a problem, like a dead definition.
-Nothing per line is committed.  The named tests then run once each, in one
-pytest child traced on the first line each reason excuses
-(:func:`reason_problems`): a reason whose test does not run its line is a
-problem too.
-
-The entry points (:func:`entry_points`):
-
-* every figure of ``runner._MODULES``: the default invocation, and one per
-  option set its ``main`` accepts (``runner._accepted_options``) —
-  ``--quick``, ``--trace PATH --progress`` and ``--jobs 2``;
-* every script under ``examples/``;
-* ``python -m repro.hybrid.validate --quick``, and ``python -m
-  repro.obs.export`` on the trace a ``--trace`` run wrote;
-* ``python -m benchmarks.suite --smoke --trace 1``, recorded as the source
-  ``benchmark``: a definition only it reaches is kept for the benchmark.
-
-The suite runs at ``--smoke`` sizes only, so a knob that only its full
-specs turn reads ``[]``: ``build_fct_fabric(k)`` does, although the full
-``hybrid_fluid_5k`` runs ``run_fct_hybrid(k=8)``, which calls
-``build_fct_fabric(k=8)``.  Check a ``[]`` row of a definition the
-benchmark reaches against the ``FULL`` table of ``benchmarks/suite/specs.py``
-before deleting the knob.
-
-"Reached" means a body was entered, in the entry point's own process or in
-any process it started: forked pool and shard workers inherit the trace
-function; fresh interpreters (spawned workers, the suite's children) load
-it through a ``sitecustomize`` on ``PYTHONPATH``.  Each process appends a
-line per newly entered code object to the entry point's log the moment it
-enters it, so nothing depends on an exit hook — forked workers leave through
-``os._exit``, which runs none.  A knob is logged the same way, by the first
-call in a process that turns it; after that the hook stops looking at it.
-A line is logged by the first time a process runs it; a code object with no
-line left to log runs untraced.
+``tests/census.json`` lists every ``def`` with the entry points that reach
+it, or the reason (:data:`REASONS`, given by :data:`KEEP`) an unreached one
+stays, and every knob with the entry points that turn it.  A line no entry
+point runs needs a reason too (:func:`unreached`): ``crash``, one its def
+inherits, or an inline ``# census: <reason> — <test id>`` (:data:`INLINE`)
+that covers one block; the named tests run once each, in one pytest child
+among the entry points (:func:`trace_reason_lines`), and each must run the
+first line of its reason's block.  A dead def, an unexcused line or a
+reason whose test does not run its line is a problem.
 
 Usage, from the repository root::
 
@@ -67,8 +31,8 @@ Usage, from the repository root::
 
 ``tests/census.json`` is the ``census`` table of the identity store
 (``tools/golden.py``), which refuses to re-bless it until CHANGES.md says why
-the reach or a knob moved.  A full run takes about twelve minutes on two
-vCPUs, two entry points at a time.
+the reach or a knob moved.  A full run takes seven to twelve minutes on two
+vCPUs, two children at a time.
 """
 
 from __future__ import annotations
@@ -93,31 +57,23 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from tools import golden
+from tools import trace as tracing
 
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "repro"
 CENSUS_PATH = ROOT / "tests" / "census.json"
 
-#: Set in every process of an entry point's run: the log its reach goes to.
-LOG_ENV = "REPRO_CENSUS_LOG"
-#: And the lines the entry points that finished before it started ran,
-#: which its processes need not log again.
-RAN_ENV = "REPRO_CENSUS_RAN"
-#: Set in every process of the reason-test run: the file of the lines to
-#: watch; each process appends the line and the test that ran it to
-#: ``<file>.log``.
-REASONS_ENV = "REPRO_CENSUS_REASONS"
+#: Set in every traced process: its log; the lines the entry points done
+#: before it ran, which it need not log again; the reason tests' lines.
+LOG_ENV, RAN_ENV, REASONS_ENV = "REPRO_CENSUS_LOG", "REPRO_CENSUS_RAN", "REPRO_CENSUS_REASONS"
 
-#: The reasons a definition no entry point reaches may stay.  The first
-#: four are for good; ``pending`` marks dead code whose deletion takes
-#: tests with it and is scheduled (ROADMAP item 10), and only
-#: definitions listed in :data:`KEEP` can carry it.
+#: The reasons a definition no entry point reaches may stay, given by
+#: :data:`KEEP`.
 REASONS = {
     "crash": "a crash path: runs only when a run dies",
     "oracle": "an oracle kept in src on purpose (ROADMAP item 12 wires it in)",
     "benchmark": "reached only by the benchmark (repro/shard: ROADMAP item 11 decides)",
     "public": "a public name with a named user that is not a test",
-    "pending": "used by tests only; its deletion is scheduled (ROADMAP item 10)",
 }
 
 #: Unreached definitions that stay: ``module`` or ``module:qualname``
@@ -251,14 +207,13 @@ def body_lines(code) -> set:
     return {line for _, end, line in code.co_lines() if line is not None and end > resume + 2}
 
 
-def trace_this_process() -> None:
-    """Record, in the log ``$REPRO_CENSUS_LOG`` names, every ``src/repro``
-    code object this process (and any process forked from it) enters, the
-    first call that passes each of its knobs a value other than its
-    default, and each of its lines the first time it runs.  Installed by
-    the census's ``sitecustomize``."""
-    import threading
-
+def trace_this_process():
+    """The global trace function that records, in the log
+    ``$REPRO_CENSUS_LOG`` names, every ``src/repro`` code object this
+    process (and any process forked from it) enters, the first call that
+    passes each of its knobs a value other than its default, and each of
+    its lines the first time it runs.  Every process of an entry point's
+    run installs it at start-up (:func:`tools.trace.boot`)."""
     fd = os.open(os.environ[LOG_ENV], os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     prefix = str(PKG) + os.sep
     # id -> (code object, which the entry keeps alive (ids unique); the
@@ -309,7 +264,7 @@ def trace_this_process() -> None:
             if where[0] not in parsed:
                 parsed.add(where[0])
                 source = Path(path).read_text(encoding="utf-8")
-                skip.setdefault(where[0], set()).update(_source_reasons(ast.parse(source), source)[0])
+                skip.setdefault(where[0], set()).update(_source_reasons(ast.parse(source), source))
             todo = body_lines(code) - skip[where[0]]
             entry = seen[id(code)] = (code, watch, head, frame.f_lasti, todo,
                                       line_tracer(todo, where[0]))
@@ -329,9 +284,7 @@ def trace_this_process() -> None:
                     os.write(fd, f"{entry[2]}\t{name}\n".encode())
         return entry[5] if entry[4] else None
 
-    threading.settrace(trace)
-    sys.settrace(trace)
-    _keep_children_in_the_census(LOG_ENV)
+    return trace
 
 
 def _changed(value, default) -> bool:
@@ -367,11 +320,8 @@ def _function_of(code, namespace: dict):
     """The function object whose code is ``code``: a module-level function
     or a method (static, class, property accessor, or behind a
     ``functools.wraps`` wrapper) of a class the module defines.
-
-    ``gc.get_referrers`` alone finds every one of them, but it scans the
-    whole heap per call: under the hook on a 2-vCPU x86 box, ``fig14
-    --quick`` took 6.2-7.7 s with it alone against 4.9-5.6 s with this
-    walk first (three alternating runs each, the same knob lines)."""
+    ``gc.get_referrers`` alone would find all, scanning the whole heap per
+    call (DESIGN.md §9.2, "The value census")."""
     module = namespace.get("__name__")
     stack = list(namespace.values())
     classes = set()
@@ -394,40 +344,19 @@ def _function_of(code, namespace: dict):
                  if isinstance(f, types.FunctionType) and f.__code__ is code), None)
 
 
-def _keep_children_in_the_census(env_name: str) -> None:
-    """A caller that hands a child its own ``PYTHONPATH`` (the suite runs
-    its children on ``src`` alone) would drop the ``sitecustomize``: put it
-    back in front, with the repository root it imports this module from,
-    for a child whose environment still sets ``env_name``."""
-    boot = os.path.dirname(sys.modules["sitecustomize"].__file__)
-    init = subprocess.Popen.__init__
-
-    def __init__(self, args, *a, **kw):
-        env = kw.get("env")
-        if env is not None and env_name in env:
-            path = env.get("PYTHONPATH", "")
-            if boot not in path.split(os.pathsep):
-                kw["env"] = dict(env, PYTHONPATH=os.pathsep.join(
-                    [boot, str(ROOT)] + ([path] if path else [])))
-        init(self, args, *a, **kw)
-
-    subprocess.Popen.__init__ = __init__
-
-
-def trace_reason_lines() -> None:
-    """Append the path relative to the package, the line and the test id,
-    tab-separated, to ``$REPRO_CENSUS_REASONS.log`` the first time this
-    process (or one forked from it) runs each line the
-    ``$REPRO_CENSUS_REASONS`` file lists, the test id read from
-    ``PYTEST_CURRENT_TEST`` (which a child inherits).  Code objects with no
-    listed line run untraced."""
-    import threading
-
+def trace_reason_lines():
+    """The global trace function that appends the path relative to the
+    package, the line and the test id, tab-separated, to
+    ``$REPRO_CENSUS_LOG`` the first time each test (``$PYTEST_CURRENT_TEST``,
+    which a child inherits) runs, in this process or one forked from it,
+    each line the ``$REPRO_CENSUS_REASONS`` file lists.  Code objects with
+    no listed line run untraced.  Every process of the reason tests
+    installs it at start-up (:func:`tools.trace.boot`)."""
     targets: Dict[str, set] = {}
     with open(os.environ[REASONS_ENV]) as fh:
         for rel, line in map(str.split, fh):
             targets.setdefault(rel, set()).add(int(line))
-    fd = os.open(os.environ[REASONS_ENV] + ".log", os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    fd = os.open(os.environ[LOG_ENV], os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     prefix = str(PKG) + os.sep
     logged = set()
     tracers = {}  # id(code) -> (code, its local trace function or None)
@@ -453,20 +382,7 @@ def trace_reason_lines() -> None:
             entry = tracers[id(code)] = (code, line_tracer(rel, mine) if mine else None)
         return entry[1]
 
-    threading.settrace(trace)
-    sys.settrace(trace)
-    _keep_children_in_the_census(REASONS_ENV)
-
-
-_SITECUSTOMIZE = f"""\
-import os
-if os.environ.get({LOG_ENV!r}):
-    from tools.census import trace_this_process
-    trace_this_process()
-elif os.environ.get({REASONS_ENV!r}):
-    from tools.census import trace_reason_lines
-    trace_reason_lines()
-"""
+    return trace
 
 
 # -- the entry points --------------------------------------------------------
@@ -506,30 +422,42 @@ def entry_points(tmp: Path) -> List[Tuple[str, List[str]]]:
     return out
 
 
-def run(workers: int = 2, log=sys.stderr) -> Tuple[Dict[str, set], Set[Tuple[str, int]]]:
+#: The ident of the pytest child that runs the tests inline reasons name.
+REASON_TESTS = "reason tests"
+
+
+def run(workers: int = 2, log=sys.stderr
+        ) -> Tuple[Dict[str, set], Set[Tuple[str, int]], Dict[Tuple[str, int], set]]:
     """Run every entry point, ``workers`` at a time (``repro.obs.export``
-    after the rest, since it reads their trace); return the definitions
-    each one reached and the knobs (``module:qualname(param)``) it turned,
-    and the lines any of them ran, as (path relative to the package, line).
-    Raises if any of them fails."""
+    last: it reads their trace), and among them one pytest child of the
+    tests the inline reasons name (:func:`reason_targets`, traced by
+    :func:`trace_reason_lines`).  Return the definitions each entry point
+    reached and the knobs (``module:qualname(param)``) it turned; the
+    (path relative to the package, line) any of them ran; and per target
+    line, the tests that ran it.  Raises if an entry point fails or the
+    tests do not run."""
     by_code = {(rel, str(first), name): key
                for key, (rel, first, name) in definitions().items()}
     reached: Dict[str, set] = {}
     lines: Set[Tuple[str, int]] = set()
+    by_test: Dict[Tuple[str, int], set] = {}
     failures = []
     with tempfile.TemporaryDirectory(prefix="census-") as tmpdir:
         tmp = Path(tmpdir)
-        boot = tmp / "boot"
-        boot.mkdir()
-        (boot / "sitecustomize.py").write_text(_SITECUSTOMIZE)
-        points = entry_points(tmp)
-        export = [p for p in points if p[0] == "repro.obs.export"]
+        listed = entry_points(tmp)
+        watch = reason_targets()
+        export = [p for p in listed if p[0] == "repro.obs.export"]
         # The --quick runs go first, and ablations, the one run that turns on
         # the periodic INT table: between them they run the lines of the
         # hottest loops (the fused hop, Hpcc.on_ack), which the longer runs
-        # then need not trace.
-        rest = sorted((p for p in points if p[0] != "repro.obs.export"),
+        # then need not trace.  The reason tests follow them.
+        rest = sorted((p for p in listed if p[0] != "repro.obs.export"),
                       key=lambda p: "--quick" not in p[0] and p[0] != "ablations")
+        if watch:
+            tests = sorted({test for _, _, test in watch})
+            first = sum("--quick" in p[0] or p[0] == "ablations" for p in rest)
+            rest.insert(first, (REASON_TESTS, ["-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]))
+            (tmp / "watch").write_text("".join(f"{rel}\t{line}\n" for rel, line, _ in watch))
         batches = (rest, export)
         running: List[Tuple[str, subprocess.Popen, Path, float]] = []
         t_start = time.perf_counter()
@@ -541,12 +469,13 @@ def run(workers: int = 2, log=sys.stderr) -> Tuple[Dict[str, set], Set[Tuple[str
             # lines no earlier one ran have run.
             ran = tmp / f"{n}.ran"
             ran.write_text("".join(f"{rel}\t{line}\n" for rel, line in sorted(lines)))
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [str(boot), str(PKG.parent), str(ROOT)]),
-                **{LOG_ENV: str(logpath), RAN_ENV: str(ran)})
+            reasons = ident == REASON_TESTS
+            env = tracing.child_env(
+                tmp, "tools.census:" + ("trace_reason_lines" if reasons else "trace_this_process"),
+                **{LOG_ENV: str(logpath), RAN_ENV: str(ran), REASONS_ENV: str(tmp / "watch")})
             with open(tmp / f"{n}.err", "w") as err:
-                proc = subprocess.Popen([sys.executable, *argv], cwd=str(tmp), env=env,
-                                        stdout=subprocess.DEVNULL, stderr=err)
+                proc = subprocess.Popen([sys.executable, *argv], cwd=str(ROOT if reasons else tmp),
+                                        env=env, stderr=err, stdout=err if reasons else subprocess.DEVNULL)
             running.append((ident, proc, logpath, time.perf_counter()))
 
         def reap(item) -> None:
@@ -554,9 +483,14 @@ def run(workers: int = 2, log=sys.stderr) -> Tuple[Dict[str, set], Set[Tuple[str
             running.remove(item)
             print(f"census: {ident}: {time.perf_counter() - t0:.1f} s, exit "
                   f"{proc.returncode}", file=log, flush=True)
-            if proc.returncode != 0:
+            # 1 from the reason tests: a test failed, which tier-1 reports
+            if proc.returncode not in ((0, 1) if ident == REASON_TESTS else (0,)):
                 failures.append((ident, logpath.with_suffix(".err").read_text()[-3000:]))
             log_lines = logpath.read_text().splitlines() if logpath.exists() else []
+            if ident == REASON_TESTS:
+                for rel, line, test in map(lambda line: line.split("\t"), log_lines):
+                    by_test.setdefault((rel, int(line)), set()).add(test)
+                return
             hits = set()
             for fields in map(lambda line: line.split("\t"), log_lines):
                 if len(fields) == 2:  # a line it ran
@@ -586,12 +520,12 @@ def run(workers: int = 2, log=sys.stderr) -> Tuple[Dict[str, set], Set[Tuple[str
             for _, proc, _, _ in running:
                 proc.kill()
                 proc.wait()
-        print(f"census: {len(points)} entry points in "
+        print(f"census: {len(listed)} entry points in "
               f"{time.perf_counter() - t_start:.0f} s", file=log, flush=True)
     if failures:
         raise RuntimeError("entry points failed:\n" + "\n".join(
             f"--- {ident}\n{err}" for ident, err in failures))
-    return {ident: reached[ident] for ident, _ in points}, lines  # census order
+    return {ident: reached[ident] for ident, _ in listed}, lines, by_test  # census order
 
 
 # -- the census --------------------------------------------------------------
@@ -679,14 +613,11 @@ def _span(node) -> range:
     return range(node.lineno, node.end_lineno + 1)
 
 
-def _source_reasons(tree: ast.Module, source: str) -> Tuple[Dict[int, str], List[int]]:
-    """Line -> the reason the source gives it to stay unreached: the text
-    of a ``# census:`` comment (:data:`INLINE`) for the lines of the
-    statement it sits on, or, alone on its line, of the statement below it;
-    else ``crash`` for a ``raise`` and for every line of a branch (an ``if``
-    or ``else`` body, an ``except`` clause, a ``case``) that ends in one.
-    And the lines of the comments it refuses: one whose statement holds a
-    ``def`` or a ``class`` would let every line of it go unchecked."""
+def _source_reasons(tree: ast.Module, source: str) -> Dict[int, str]:
+    """Line -> the reason the source gives it to stay unreached: a ``#
+    census:`` comment's for the lines it covers (:func:`_inline_reasons`);
+    else ``crash`` for a ``raise`` and every line of a branch (an ``if`` or
+    ``else`` body, an ``except`` clause, a ``case``) that ends in one."""
     reasons: Dict[int, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise):
@@ -698,22 +629,21 @@ def _source_reasons(tree: ast.Module, source: str) -> Tuple[Dict[int, str], List
                     reasons.update(dict.fromkeys(_span(node), "crash"))
                 for stmt in block:
                     reasons.update(dict.fromkeys(_span(stmt), "crash"))
-    refused: List[int] = []
-    for at, why, covered, _ in _inline_reasons(tree, source):
-        if covered is None:
-            refused.append(at)
-        else:
-            reasons.update(dict.fromkeys(covered, why))
-    return reasons, refused
+    for _, why, covered, _ in _inline_reasons(tree, source):
+        reasons.update(dict.fromkeys(covered or (), why))
+    return reasons
 
 
 def _inline_reasons(tree: ast.Module, source: str):
-    """Each ``# census:`` comment of a module, in source order: (the line
-    it sits on, its reason, the lines it covers in order — its line, or
-    alone on its line the next code line, and the statements starting
-    there — or None if one of those holds a ``def`` or a ``class``, and
-    the line it explains: that line, or for a compound statement (an
-    ``if``, a loop, an ``except`` clause) the first line of its body)."""
+    """Each ``# census:`` comment of a module, in source order: (its line,
+    its reason, the lines it covers, the line its test must run), or (its
+    line, None, None, None) if what it covers holds a ``def`` or a
+    ``class``.  It covers one block of the statement it is about (its
+    line's, or alone on its line the next one's): a simple statement, an
+    ``except`` clause, or a compound statement's body (DESIGN.md §9.2).
+    Its test must run the block's first line; for an ``except`` clause the
+    first of its body, since the header runs for any exception that
+    reaches it, of whatever type."""
     starts: Dict[int, list] = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.stmt, ast.ExceptHandler)):
@@ -727,13 +657,17 @@ def _inline_reasons(tree: ast.Module, source: str):
         if text[line - 1].lstrip().startswith("#"):  # alone on its line: the next code line
             line = next(n for n in range(line + 1, len(text) + 1)
                         if text[n - 1].strip() and not text[n - 1].lstrip().startswith("#"))
-        nodes = starts.get(line, ())
-        if any(isinstance(inner, _DEFS) for node in nodes for inner in ast.walk(node)):
+        nodes = starts.get(line, [])
+        body = getattr(nodes[0], "body", None) if nodes else None
+        if body and not isinstance(nodes[0], _DEFS):  # an except clause whole, else the body
+            block = nodes[:1] if isinstance(nodes[0], ast.ExceptHandler) else body
+            first = body[0].lineno
+        else:
+            block, first = nodes, line
+        if any(isinstance(inner, _DEFS) for stmt in block for inner in ast.walk(stmt)):
             yield at, None, None, None
             continue
-        covered = sorted({line}.union(*map(_span, nodes)))
-        body = getattr(nodes[0], "body", None) if nodes else None
-        yield at, f"{match['reason']} — {match['test']}", covered, body[0].lineno if body else line
+        yield at, f"{match['reason']} — {match['test']}", sorted({first}.union(*map(_span, block))), first
 
 
 def unreached(source: str, module: str, rel: str, ran: Set[int],
@@ -748,7 +682,7 @@ def unreached(source: str, module: str, rel: str, ran: Set[int],
     another def's lines move."""
     tree = ast.parse(source, rel)
     firsts = {(first, node.name): (key, first) for key, _, first, node, _ in _defs(tree, module, rel)}
-    reasons, _ = _source_reasons(tree, source)
+    reasons = _source_reasons(tree, source)
     out: Dict[str, Dict[int, Optional[str]]] = {key: {} for key, _ in firsts.values()}
 
     def visit(code, owner):
@@ -788,82 +722,58 @@ def _names_a_test(reason: str) -> bool:
         re.MULTILINE) is not None
 
 
-def line_problems(table: dict, ran: Set[Tuple[str, int]], log=sys.stderr) -> List[str]:
-    """Every line of a ``def`` under ``src/repro`` that no entry point ran
-    and that has no reason to stay (:func:`unreached`; ``table`` is the
-    census's ``definitions``), every inline reason that names no test,
-    every one that would cover a ``def`` or a ``class``, and every one
-    whose test does not run the first line it excuses from the one it
-    explains on (:func:`reason_problems`); prints the line count by reason to ``log``."""
+def reason_targets() -> List[Tuple[str, int, str]]:
+    """(path relative to the package, line, test id) of each inline reason
+    under ``src/repro`` that names a test: the line its test must run
+    (:func:`_inline_reasons`, :func:`reason_problems`)."""
+    return [(rel, first, why.rsplit(" — ", 1)[1])
+            for _, rel, source in _modules()
+            for _, why, _, first in _inline_reasons(ast.parse(source, rel), source)
+            if why is not None and _names_a_test(why)]
+
+
+def line_problems(table: dict, ran: Set[Tuple[str, int]], by_test: Dict[Tuple[str, int], set],
+                  log=sys.stderr) -> List[str]:
+    """Every ``src/repro`` line no entry point ran that has no reason to stay
+    (:func:`unreached`; ``table`` is the census's ``definitions``), and
+    every inline reason that names no test, would cover a ``def`` or a
+    ``class``, or whose test does not run its line (:func:`reason_problems`);
+    prints the line count by reason to ``log``."""
     problems = []
     counts: Dict[str, int] = {}
     firsts = definitions()
-    targets: List[Tuple[str, int, str]] = []
     for module, rel, source in _modules():
         mine = {line for r, line in ran if r == rel}
         inherited = {key: _inherited(key, table.get(key)) for key in firsts if key.startswith(module + ":")}
         text = source.splitlines()
-        excused: Dict[int, str] = {}  # line -> the inline reason naming a test
         for key, lines in unreached(source, module, rel, mine, inherited).items():
             for offset, reason in lines.items():
                 line = firsts[key][1] + offset
                 kind = reason if reason in REASONS or reason is None else "inline"
                 counts[str(kind)] = counts.get(str(kind), 0) + 1
-                where = f"src/repro/{rel}:{line}: {key} +{offset}"
                 if reason is None:
-                    problems.append(f"{where}: unreached, and no reason: {text[line - 1].strip()}")
-                elif kind == "inline" and not _names_a_test(reason):
-                    problems.append(f"{where}: its '# census:' reason names no test: {reason}")
-                elif kind == "inline":
-                    excused[line] = reason
-        for at, why, covered, explained in _inline_reasons(ast.parse(source, rel), source):
-            if covered is None:
+                    problems.append(f"src/repro/{rel}:{line}: {key} +{offset}: unreached, and "
+                                    f"no reason: {text[line - 1].strip()}")
+        for at, why, _, _ in _inline_reasons(ast.parse(source, rel), source):
+            if why is None:
                 problems.append(f"src/repro/{rel}:{at}: a '# census:' reason may not cover a def or a class")
-                continue
-            first = next((line for line in covered if line >= explained and excused.get(line) == why), None)
-            if first is not None:
-                targets.append((rel, first, why.rsplit(" — ", 1)[1]))
+            elif not _names_a_test(why):
+                problems.append(f"src/repro/{rel}:{at}: its '# census:' reason names no test: {why}")
     print(f"census: {len(ran)} src/repro lines ran; unreached, by reason: "
           + ", ".join(f"{k} {n}" for k, n in sorted(counts.items())), file=log, flush=True)
-    return problems + reason_problems(targets, log)
+    return problems + reason_problems(reason_targets(), by_test)
 
 
-def reason_problems(targets: List[Tuple[str, int, str]], log=sys.stderr) -> List[str]:
-    """Run each test the ``targets`` name once, all in one pytest child
-    whose processes trace the targets' lines (:func:`trace_reason_lines`),
-    and return a problem for each target whose test did not run its line.
-    A target is (path relative to the package, the first line an inline
-    reason excuses, the test id the reason names); a test id without
-    ``[params]`` is run, and matched, with every parametrization."""
-    if not targets:
-        return []
-    tests = sorted({test for _, _, test in targets})
-    with tempfile.TemporaryDirectory(prefix="census-reasons-") as tmpdir:
-        tmp = Path(tmpdir)
-        (tmp / "boot").mkdir()
-        (tmp / "boot" / "sitecustomize.py").write_text(_SITECUSTOMIZE)
-        watch = tmp / "lines"
-        watch.write_text("".join(f"{rel}\t{line}\n" for rel, line, _ in targets))
-        env = {k: v for k, v in os.environ.items() if k != LOG_ENV}
-        env.update(PYTHONPATH=os.pathsep.join([str(tmp / "boot"), str(PKG.parent), str(ROOT)]),
-                   **{REASONS_ENV: str(watch)})
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-                              cwd=str(ROOT), env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True)
-        print(f"census: {len(tests)} reason tests: {time.perf_counter() - t0:.1f} s, exit "
-              f"{proc.returncode}", file=log, flush=True)
-        if proc.returncode not in (0, 1):  # 1: a test failed; tier-1 reports that
-            raise RuntimeError(f"the reason tests did not run:\n{proc.stdout[-3000:]}")
-        log_path = Path(f"{watch}.log")
-        hits = log_path.read_text().splitlines() if log_path.exists() else []
-    ran: Dict[Tuple[str, int], set] = {}
-    for rel, line, test in (hit.split("\t") for hit in hits):
-        ran.setdefault((rel, int(line)), set()).add(test)
+def reason_problems(targets: List[Tuple[str, int, str]],
+                    by_test: Dict[Tuple[str, int], set]) -> List[str]:
+    """A problem for each target (:func:`reason_targets`) whose test did not
+    run its line; ``by_test`` holds, per line, the ids of the tests that
+    ran it.  A test id without ``[params]`` is run, and matched, with
+    every parametrization."""
     return [f"src/repro/{rel}:{line}: its '# census:' reason's test does not run it: {test}"
             for rel, line, test in targets
             if not any(t == test or ("[" not in test and t.split("[")[0] == test)
-                       for t in ran.get((rel, line), ()))]
+                       for t in by_test.get((rel, line), ()))]
 
 
 def source_digest() -> str:
@@ -876,15 +786,13 @@ def source_digest() -> str:
 
 
 def document(_rows: dict) -> dict:
-    """The census document, freshly run (it has no rows of its own to
-    compute); exits on problems, listing them.  Each traced child reads
-    ``src/repro`` afresh, so a tree edited while they run would record the
-    reach of no one tree: :func:`source_digest` before the first child and
-    after the last one must agree, or it exits and nothing is written."""
+    """The census document, freshly run; exits on problems, listing them,
+    or when :func:`source_digest` moved between the first traced child and
+    the last (each reads ``src/repro`` afresh), writing nothing."""
     before = source_digest()
-    reached, lines = run()
+    reached, lines, by_test = run()
     doc, problems = census(reached)
-    problems += line_problems(doc["definitions"], lines)
+    problems += line_problems(doc["definitions"], lines, by_test)
     if source_digest() != before:
         raise SystemExit("the census refuses: src/repro changed while its entry points "
                          "ran; re-run it on a tree nobody edits")

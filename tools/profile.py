@@ -16,15 +16,13 @@ Usage::
     python tools/profile.py --workload hybrid_fluid_5k --out hybrid.pstats
     python tools/profile.py --workload incast_lasthop --opcodes
 
-``--opcodes`` counts instead of timing: it runs the workload's *smoke*
-cell under ``sys.settrace`` with ``f_trace_opcodes`` and prints executed
-bytecode instructions per unit of work, in total, per phase (the run
-phase per unit of work, the build phase per fabric: :func:`count_phases`,
-the counter ``tests/opcode_pin.py`` pins) and per function.  The
-count is exact and repeats run to run, so it answers "did this edit
-remove interpreter work" on a box whose clock swings 1.5x within minutes;
-it says nothing about what an instruction costs (a call is one opcode),
-so the benchmark still judges the gain.
+``--opcodes`` counts instead of timing: it prints the executed bytecode
+instructions of the workload's *smoke* cell in total, per phase (run per
+unit of work, build per fabric) and per function, counted by
+``tools.trace.count_phases``, the counter ``tests/opcode_pin.py`` pins.
+The count is exact and repeats run to run, so it answers "did this edit
+remove interpreter work" on a box whose clock swings; it says nothing of
+what an instruction costs, so the benchmark still judges the gain.
 
 Only the workloads whose cell runs in this process are offered:
 ``cli_fig15_jobs2`` and ``shard_fattree_2proc`` do their work in child
@@ -60,42 +58,6 @@ def builders() -> dict:
 
     return {fattree.__code__: True, star.__code__: True,
             PoissonWorkload.generate.__code__: False, incast_flows.__code__: False}
-
-
-def count_phases(fn):
-    """Run ``fn()`` with per-opcode tracing on; returns its result, the
-    fabrics it built, and ``{(phase, code object): executed opcodes}``
-    over every python frame it entered, where the phase is ``build``
-    inside a call of a :func:`builders` code object and ``run`` elsewhere."""
-    build = builders()
-    counts: dict = {}
-    fabrics = 0
-    building = None  # the builder frame the build phase is in, or None
-
-    def local(frame, event, _arg):
-        nonlocal building
-        if event == "opcode":
-            key = ("run" if building is None else "build", frame.f_code)
-            counts[key] = counts.get(key, 0) + 1
-        elif event == "return" and frame is building:
-            building = None
-        return local
-
-    def on_call(frame, _event, _arg):
-        nonlocal building, fabrics
-        if building is None and frame.f_code in build:
-            building = frame
-            fabrics += build[frame.f_code]
-        frame.f_trace_opcodes = True
-        frame.f_trace_lines = False
-        return local
-
-    sys.settrace(on_call)
-    try:
-        result = fn()
-    finally:
-        sys.settrace(None)
-    return result, fabrics, counts
 
 
 def print_opcodes(workload: str, cell: dict, fabrics: int, counts: dict, top: int) -> None:
@@ -169,6 +131,8 @@ def main(argv=None) -> int:
     impl.warmup(SMOKE[args.workload], off)  # imports, allocator steady state
 
     if args.opcodes:
+        from tools.trace import count_phases
+
         cell, fabrics, counts = count_phases(
             lambda: impl.cell(SMOKE[args.workload], sub_seed(1, 0), off)
         )
@@ -203,9 +167,10 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     # This file is named profile.py, which would shadow the stdlib
-    # ``profile`` module that ``cProfile`` imports internally — scrub the
-    # script directory (sys.path[0] when run as ``python tools/profile.py``)
-    # before :func:`main` touches the profiler machinery.
+    # ``profile`` module that ``cProfile`` imports internally (and
+    # tools/trace.py the stdlib ``trace``) — scrub the script directory
+    # (sys.path[0] when run as ``python tools/profile.py``) before
+    # :func:`main` touches the profiler machinery.
     _here = str(Path(__file__).resolve().parent)
     sys.path[:] = [p for p in sys.path if p not in ("", _here)]
     for p in (REPO_ROOT / "src", REPO_ROOT):
