@@ -9,11 +9,7 @@ whose paused buffers wait on each other in a ring.  This example:
 2. verifies the repository's fat-tree ECMP routing is CBD-free
    (up-down routing never turns downward-then-up), and
 3. verifies spanning-tree routing keeps a random Jellyfish fabric CBD-free
-   — the TCP-Bolt property the paper leans on,
-4. runs the PFC-*storm* companion pathology live: a wedged NIC sprays
-   stuck-XOFF at its ToR and stalls an innocent bystander flow until the
-   SONiC-style watchdog (repro.net.switch.arm_watchdog) isolates the
-   stormed queue.
+   — the TCP-Bolt property the paper leans on.
 
 Run:  python examples/deadlock_analysis.py
 """
@@ -22,9 +18,7 @@ from repro.net.pfc_analysis import (
     all_pairs_paths,
     find_deadlock_cycles,
     routing_is_deadlock_free,
-    run_storm_isolation,
 )
-from repro.units import us
 from repro.sim.engine import Simulator
 from repro.topo.fattree import fattree
 from repro.topo.jellyfish import jellyfish
@@ -64,30 +58,6 @@ def main() -> None:
         "\nsharing one lossless class can — which is why TCP-Bolt (and"
         "\nFNCC's Observation 2 by citation) gives each tree its own"
         "\npriority class."
-    )
-
-    print("\n4) PFC storm: wedged NIC vs the per-queue watchdog (k=4 fat-tree)")
-    for armed in (False, True):
-        r = run_storm_isolation(watchdog=armed)
-        innocent = (
-            f"{r.innocent_fct_ps / us(1):.1f} us"
-            if r.innocent_fct_ps is not None
-            else "NEVER (victimized)"
-        )
-        victim = "flow-failed (graceful)" if r.victim_failed else "hung"
-        print(f"   watchdog {'ON ' if armed else 'OFF'}: innocent flow FCT = {innocent};"
-              f" victim flow = {victim}")
-        if r.wd_state:
-            print(
-                f"      storms detected={r.wd_state['storms_detected']}"
-                f" pauses absorbed={r.wd_state['pauses_ignored']}"
-                f" frames dropped={r.wd_state['pkts_dropped']}"
-            )
-
-    print(
-        "\nDeadlock needs a buffer *cycle*; a storm needs only one stuck"
-        "\nqueue.  Routing discipline prevents the former, the per-queue"
-        "\nwatchdog contains the latter — the two guards are orthogonal."
     )
 
 

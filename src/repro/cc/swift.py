@@ -69,15 +69,16 @@ class Swift(CongestionControl):
         target = cfg.base_target_ps + cfg.per_hop_ps * max(1, ack.n_hops)
         target += qp.base_rtt_ps
         w = qp.window
-        if rtt < target:
-            # Additive increase, scaled per-ACK as in Swift.
-            w += cfg.ai_bytes * (DEFAULT_MTU / max(w, 1.0))
-            w = min(w, self._w_max)
-        else:
+        # census: a delay above the target, which related-work's dumbbell never builds — tests/cc/test_delay_based.py::TestSwift::test_decrease_above_target
+        if rtt >= target:
             # At most one multiplicative decrease per RTT.
             if qp.sim.now - self._last_decrease_ps >= qp.base_rtt_ps:
                 self._last_decrease_ps = qp.sim.now
                 mdf = min(cfg.max_mdf, cfg.md_beta * (rtt - target) / rtt)
                 w *= 1.0 - mdf
+        else:
+            # Additive increase, scaled per-ACK as in Swift.
+            w += cfg.ai_bytes * (DEFAULT_MTU / max(w, 1.0))
+            w = min(w, self._w_max)
         w = max(cfg.min_window_bytes, w)
         self.set_window(qp, w, qp.base_rtt_ps)

@@ -40,8 +40,7 @@ from typing import Dict, List, Optional
 
 from repro.faults.audit import FaultAuditor
 from repro.faults.plan import FaultPlan
-from repro.net.packet import PAUSE, Packet
-from repro.units import PAUSE_FRAME_SIZE
+from repro.net.packet import PAUSE
 
 __all__ = ["FaultInjector"]
 
@@ -51,7 +50,6 @@ COUNTERS = (
     "drops_link_down",
     "drops_switch_fail",
     "drops_gray",
-    "storm_pauses",
 )
 
 
@@ -141,9 +139,6 @@ class FaultInjector:
                 self._edge_ports(spec["a"], spec["b"])
             elif kind == "switch_fail":
                 self._node(spec["switch"])
-            elif kind == "pfc_storm":
-                self._node(spec["switch"])
-                self._edge_ports(spec["switch"], spec["toward"])
             stochastic = kind == "gray_loss" or (kind == "link_flap" and spec["jitter_ps"])
             if stochastic and self._rng is None:
                 raise ValueError(
@@ -239,16 +234,6 @@ class FaultInjector:
             arg = (spec["b"], ports[spec["b"]], rec, win)
             sim.schedule_at(spec["start_ps"], self._fire_loss_on, arg)
             sim.schedule_at(spec["end_ps"], self._fire_loss_off, arg)
-        elif kind == "pfc_storm":
-            ports = self._edge_ports(spec["switch"], spec["toward"])
-            until = spec["start_ps"] + spec["duration_ps"]
-            arg = (
-                self._node(spec["switch"]),
-                ports[spec["switch"]],
-                until,
-                spec["interval_ps"],
-            )
-            sim.schedule_at(spec["start_ps"], self._fire_storm_start, arg)
 
     # -- event handlers --------------------------------------------------
 
@@ -332,25 +317,6 @@ class FaultInjector:
         if win in self._loss_active:
             self._loss_active.remove(win)
         self._log("loss_off", kind=win["kind"], a=win["a"], b=win["b"])
-
-    def _fire_storm_start(self, arg) -> None:
-        sw, in_port, until, interval = arg
-        self._log("pfc_storm_start", switch=sw.name, port=in_port)
-        self._storm_tick(arg)
-
-    def _storm_tick(self, arg) -> None:
-        sw, in_port, until, interval = arg
-        frame = Packet(PAUSE, size=PAUSE_FRAME_SIZE)
-        # Delivered through the ordinary control path: the victim's PFC
-        # watchdog (if armed) sees exactly what a hung neighbour produces.
-        sw.receive(frame, in_port)
-        self.counters["storm_pauses"] += 1
-        sim = self.sim
-        if sim.now + interval <= until:
-            sim.schedule(interval, self._storm_tick, arg)
-        else:
-            # census: a storm that ends inside the run — tests/faults/test_watchdog.py::test_watchdog_restores_after_storm_ends
-            self._log("pfc_storm_end", switch=sw.name, port=in_port)
 
     # ------------------------------------------------------------------
     # reporting

@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is a plain-data, picklable description of *what goes
 wrong and when*: link down events, down/up flap trains, switch
-fail-stop, unidirectional (gray) loss windows, and seeded PFC pause
-storms.  It holds no simulator references, so it can be built once in a
-parent process and shipped to ``--jobs`` workers unchanged.
+fail-stop, and unidirectional (gray) loss windows.  It holds no
+simulator references, so it can be built once in a parent process and
+shipped to ``--jobs`` workers unchanged.
 
 Nothing in a plan draws randomness at build time.  Every stochastic
 element (flap jitter, loss sampling) names only *parameters*; the draws
@@ -32,7 +32,6 @@ KINDS = (
     "link_flap",
     "switch_fail",
     "gray_loss",
-    "pfc_storm",
 )
 
 
@@ -147,30 +146,6 @@ class FaultPlan:
             start_ps=_check_time("start_ps", start_ps),
             end_ps=_check_time("end_ps", end_ps),
             prob=_check_prob(prob),
-        )
-
-    def pfc_storm(
-        self,
-        switch: str,
-        toward: str,
-        start_ps: int,
-        duration_ps: int,
-        interval_ps: int,
-    ) -> "FaultPlan":
-        """A stuck-XOFF storm: the neighbour ``toward`` is modelled as
-        emitting PAUSE frames at the victim ``switch`` every
-        ``interval_ps`` for ``duration_ps`` — the repeated-refresh pattern
-        a hung receiver produces, and exactly what the PFC watchdog
-        (net/switch.py) exists to detect and isolate."""
-        if not isinstance(interval_ps, int) or interval_ps < 1:
-            raise ValueError(f"interval_ps must be a positive int, got {interval_ps!r}")
-        return self._add(
-            "pfc_storm",
-            switch=_check_name("switch", switch),
-            toward=_check_name("toward", toward),
-            start_ps=_check_time("start_ps", start_ps),
-            duration_ps=_check_time("duration_ps", duration_ps),
-            interval_ps=interval_ps,
         )
 
 

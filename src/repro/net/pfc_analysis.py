@@ -132,123 +132,6 @@ def all_pairs_paths(topo) -> List[List[Hashable]]:
     return paths
 
 
-class StormIsolationResult:
-    """Outcome of :func:`run_storm_isolation` — one run, with or without
-    the watchdog armed."""
-
-    def __init__(
-        self,
-        innocent_fct_ps: Optional[int],
-        victim_failed: bool,
-        wd_state: Optional[dict],
-        upstream_pauses: int,
-    ) -> None:
-        #: FCT of the bystander flow (None = never completed — victimized).
-        self.innocent_fct_ps = innocent_fct_ps
-        self.victim_failed = victim_failed
-        self.wd_state = wd_state
-        #: PAUSE frames the ToR propagated upstream (victim spreading).
-        self.upstream_pauses = upstream_pauses
-
-
-#: When the wedged NIC starts its storm.
-STORM_START_US = 5.0
-
-
-def run_storm_isolation(
-    seed: int = 1,
-    watchdog: bool = True,
-    detect_us: float = 30.0,
-    restore_us: float = 60.0,
-    storm_duration_us: float = 6000.0,
-    duration_us: float = 6000.0,
-) -> StormIsolationResult:
-    """The PFC-storm victimization scenario the watchdog exists for
-    (DESIGN.md §10): on a k=4 fat-tree, host ``h_0_0_0``'s NIC wedges and
-    sprays stuck-XOFF PAUSE at its ToR (a :meth:`FaultPlan.pfc_storm`).
-    A *victim* flow keeps sending into the dead host; its frames pile up
-    in ``tor_0_0`` until PFC back-pressures every upstream — stalling an
-    *innocent* flow that merely transits the same ToR.
-
-    Without the watchdog the stall is permanent (the dead NIC never sends
-    RESUME).  With :func:`repro.net.switch.arm_watchdog` the stuck queue
-    is detected within ``detect_ps + poll_ps``, force-resumed and
-    isolated: the innocent flow finishes at a healthy FCT and the victim's
-    sender degrades to flow-failed via its RTO budget instead of hanging.
-    """
-    from repro.cc.registry import make_cc_factory
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.metrics.monitors import pause_frame_count
-    from repro.net.switch import PfcWatchdogConfig, SwitchConfig, arm_watchdog
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import SeedSequenceFactory
-    from repro.topo.fattree import fattree
-    from repro.transport.flow import Flow
-    from repro.transport.sender import TransportConfig
-    from repro.units import KB, MB, us
-
-    sim = Simulator()
-    seeds = SeedSequenceFactory(seed)
-    topo = fattree(
-        sim,
-        k=4,
-        seeds=seeds,
-        # Low XOFF so the victim's stuck backlog back-pressures the ToR's
-        # ingresses quickly — the victimization the watchdog must stop.
-        switch_config=SwitchConfig(pfc_xoff=50 * KB),
-        transport_config=TransportConfig(
-            retx_timeout_ps=us(150), retx_backoff_cap=3, retx_max_timeouts=6
-        ),
-    )
-    tor = topo.node("tor_0_0")
-    wd = None
-    if watchdog:
-        wd = arm_watchdog(
-            tor, PfcWatchdogConfig(detect_ps=us(detect_us), restore_ps=us(restore_us))
-        )
-
-    plan = FaultPlan("nic-storm").pfc_storm(
-        "tor_0_0",
-        toward="h_0_0_0",
-        start_ps=us(STORM_START_US),
-        duration_ps=us(storm_duration_us),
-        interval_ps=us(10),
-    )
-    FaultInjector(plan).arm(sim, topo, seeds=seeds)
-
-    # Victim sends into the wedged host; the innocent bystander shares the
-    # victim's source NIC and ToR but exits the pod upward.
-    victim = Flow(0, src=1, dst=0, size_bytes=2 * MB)
-    innocent = Flow(1, src=1, dst=2, size_bytes=500 * KB)
-    fct: dict = {}
-    for host in topo.hosts:
-        host.fct_sink = lambda rqp: fct.__setitem__(rqp.flow.flow_id, rqp.finish_ps)
-    qps = {}
-    for flow in (victim, innocent):
-        topo.hosts[flow.dst].register_receiver(flow)
-        src = topo.hosts[flow.src]
-        cc = make_cc_factory("swift")(flow, src)
-        qps[flow.flow_id] = src.start_flow(
-            flow, cc, topo.base_rtt_ps(flow.src, flow.dst)
-        )
-    sim.run(until=us(duration_us))
-    sim.stop_monitors()
-
-    # Every PAUSE the ToR itself emitted is the storm spreading to an
-    # innocent neighbour (its own buffer filled behind the stuck queue).
-    upstream_pauses = pause_frame_count([tor])
-    return StormIsolationResult(
-        innocent_fct_ps=(
-            fct[innocent.flow_id] - innocent.start_ps
-            if innocent.flow_id in fct
-            else None
-        ),
-        victim_failed=bool(getattr(qps[victim.flow_id], "failed", False)),
-        wd_state=wd.state() if wd is not None else None,
-        upstream_pauses=upstream_pauses,
-    )
-
-
 def all_pairs_paths_with_tree_classes(topo) -> Tuple[List[List[Hashable]], List[int]]:
     """Paths plus the per-tree traffic class of each (for topologies routed
     with :func:`repro.routing.install_spanning_trees`)."""

@@ -70,8 +70,8 @@ per frame from state it already observes — there is no user switch — and
 any per-frame mechanism puts the hop back on the classic chain the moment
 it needs frame granularity: control frames, a PFC-paused or previously
 XOFF'd port, a fault filter or test spy wrapping ``receive``, a per-packet LB
-strategy (spray/flowlet/conweave), a watchdog-isolated storm, or a host
-endpoint (ACK/CC semantics are per-frame by construction).
+strategy (spray/flowlet/conweave), or a host endpoint (ACK/CC semantics
+are per-frame by construction).
 """
 
 from __future__ import annotations
@@ -204,7 +204,6 @@ class Port:
         "_own_sw",
         "_peer_sw",
         "_rt_cache",
-        "wd_drop",
     ) + COUNTERS
 
     def __init__(
@@ -267,14 +266,6 @@ class Port:
         # new strategy is installed, and it is bounded (cleared on
         # overflow — every entry is recomputable from the packet alone).
         self._rt_cache: dict = {}
-        # PFC-watchdog storm action (net/switch.py PfcWatchdog): when a
-        # stuck-XOFF storm is isolated on this egress port, the watchdog
-        # installs a ``wd_drop(pkt)`` handler here; enqueue hands every
-        # data frame to it instead of queueing it.  None (one load +
-        # branch) on healthy ports.  Control frames are exempt — the
-        # check sits after the control branch so the victim's own
-        # PAUSE/RESUME ledger stays balanced.
-        self.wd_drop = None
         # Committed frames, in service order: (arrival_ps, pkt).  The single
         # delivery event (_del_ev) is armed for the head entry.
         self._inflight: deque = deque()
@@ -342,10 +333,6 @@ class Port:
                 # them at the next frame boundary.
                 self._uncommit_pending(now)
             self._commit(now)
-            return
-        h = self.wd_drop
-        if h is not None:
-            h(pkt)
             return
         size = pkt.size
         if (
@@ -609,7 +596,7 @@ class Port:
         or the stock ``Switch.on_departure``; the peer side when the peer
         node is a switch whose class-level ``receive`` is the stock one.
         The *dynamic* split triggers — a wrapped ``receive``, router identity,
-        strategy staticness, watchdog storms — live in the peer switch's
+        strategy staticness — live in the peer switch's
         ``_train_ok`` flag plus the per-frame router identity compare;
         class-level overrides follow the same bind-once discipline as
         ``_departure_hook``."""
@@ -642,7 +629,7 @@ class Port:
         names its twin — change them together).  Same order, same
         timestamps, same RNG draws: byte-identical observables, pinned by
         tests/property/test_trains.py.  Any split trigger (control frame,
-        tap, per-packet LB, watchdog storm, host peer) takes the one
+        tap, per-packet LB, host peer) takes the one
         delivery call every tap and fault wrapper hooks,
         ``peer.node.receive(pkt, in_port)`` (DESIGN.md §2.6)."""
         inflight = self._inflight
@@ -683,7 +670,7 @@ class Port:
         if (
             B is not None
             and kind < PAUSE  # control frames always go per-frame
-            and B._train_ok  # static LB, untapped, no storm (live)
+            and B._train_ok  # static LB, untapped (live)
             and B.router is B._lb_router  # router not swapped by hand
         ):
             # ---- fused frame-train hop --------------------------------

@@ -110,8 +110,8 @@ class Switch(Node):
         # is the exact closure the installed strategy produced (set by
         # repro.lb.install_lb); ``_train_ok`` is the live gate the fused
         # frame-train path in net/port.py reads per frame: it is True only
-        # while a *static per-flow* strategy is installed on an untapped,
-        # storm-free switch.  install_lb derives it from the strategy's
+        # while a *static per-flow* strategy is installed on an untapped
+        # switch.  install_lb derives it from the strategy's
         # ``train_transparent`` flag.  A router swapped in by hand no
         # longer matches ``_lb_router`` and splits trains per-frame
         # regardless; anything that wraps ``receive`` on a *switch* (the
@@ -120,9 +120,6 @@ class Switch(Node):
         # hosts).
         self._lb_router: Optional[Callable[["Switch", Packet], int]] = None
         self._train_ok = False
-        # PFC-storm watchdog (arm_watchdog); None on healthy switches.  The
-        # data path never reads it — only the control-frame branch does.
-        self._wd: Optional["PfcWatchdog"] = None
         self.buffer_used = 0
         self.drops = 0
         # PFC state, indexed by ingress port: admitted bytes, and whether
@@ -177,9 +174,6 @@ class Switch(Node):
             p = self.ports[in_port]
             if kind == PAUSE:
                 p.pause_received += 1
-                wd = self._wd
-                if wd is not None and wd.on_pause(in_port):
-                    return  # storm action: the stuck-XOFF pause is ignored
                 p.pause()
             else:
                 p.resume()
@@ -294,14 +288,15 @@ class Switch(Node):
         # property the shard boundary export relies on (DESIGN.md §11).
         # The frame's size therefore no longer changes between admission
         # and here: one read balances both.  (Port._tx_deliver inlines
-        # this body for every stock switch — change them together.)
+        # this body for every stock switch, so only the equivalence
+        # tests' classic reference side calls it — change them together.)
         size = pkt.size
         self.buffer_used -= size
         if self._pfc_on and pkt.kind < PAUSE:  # non-control, single compare
             in_p = pkt.in_port
             pfc = self._pfc_bytes
             n = pfc[in_p] = pfc[in_p] - size
-            # census: a watchdog drop that frees a paused ingress — tests/faults/test_watchdog.py::test_a_watchdog_drop_below_xon_resumes_the_paused_ingress
+            # census: the reference side's release that frees a paused ingress — tests/property/test_trains.py::TestDepartureCopy::test_reference_calls_on_departure_where_the_product_inlines_it
             if n <= self._xon and self._pfc_paused_up[in_p]:
                 self._pfc_paused_up[in_p] = False
                 self._send_pfc(in_p, RESUME)
@@ -338,177 +333,4 @@ class Switch(Node):
             and getattr(lb, "train_transparent", False)
             and self.router is self._lb_router
             and "receive" not in self.__dict__
-            # A watchdog-isolated storm must see every frame per-port so
-            # its drop action applies; the gate reopens on restoration.
-            and (self._wd is None or not self._wd.storms)
         )
-
-    # -- PFC-storm watchdog hooks (DESIGN.md §10) ---------------------------------
-    def _wd_drop_frame(self, pkt: Packet, port_idx: int) -> None:
-        """Reverse the shared-buffer + PFC admission for a frame the
-        watchdog's storm action drops at egress: :meth:`on_departure`'s
-        release, then the drop counts.  May emit an upstream RESUME, which
-        is the isolation payoff: draining the stormed queue un-wedges the
-        ingress that was pushing it."""
-        self.on_departure(pkt, None)
-        self.drops += 1
-        self.ports[port_idx].drops += 1
-
-
-class PfcWatchdogConfig:
-    """Thresholds for :class:`PfcWatchdog`, following the SONiC pfc_wd
-    model (detection time, restoration time) with its default storm
-    action, ``drop``: data on the stormed queue is dropped so it cannot
-    back-pressure the fabric.
-
-    * ``detect_ps`` — a queue continuously paused this long is a storm.
-      The dwell is sampled every ``poll_ps = detect_ps // 4``, so detection
-      latency is bounded by ``detect_ps + poll_ps``.
-    * ``restore_ps`` — once no further PAUSE refresh has arrived for this
-      long, the storm is declared over and normal PFC resumes.
-    """
-
-    __slots__ = ("detect_ps", "poll_ps", "restore_ps")
-
-    def __init__(
-        self,
-        detect_ps: int = 200_000_000,
-        restore_ps: Optional[int] = None,
-    ) -> None:
-        if detect_ps <= 0:
-            raise ValueError("detect_ps must be positive")
-        self.detect_ps = detect_ps
-        self.poll_ps = max(1, detect_ps // 4)
-        self.restore_ps = restore_ps if restore_ps is not None else 2 * detect_ps
-        if self.restore_ps <= 0:
-            raise ValueError("restore_ps must be positive")
-
-
-class PfcWatchdog:
-    """Per-switch stuck-XOFF detector with SONiC-style storm isolation.
-
-    A periodic poller samples every egress port's pause flag; a port
-    paused continuously for ``detect_ps`` is declared stormed: it is
-    force-resumed (so the victim's throughput recovers), subsequent PAUSE
-    refreshes for it are absorbed (``Switch.receive`` asks
-    :meth:`on_pause` first), and data frames admitted toward the stormed
-    port are dropped with full accounting reversal
-    (``Switch._wd_drop_frame``) so they cannot re-wedge the shared buffer.
-    Once PAUSE refreshes stop for ``restore_ps``, the storm is restored and
-    ordinary PFC semantics return.
-
-    Registered as an engine monitor (``sim.register_monitor``) so flight
-    dumps and run teardown disarm the poller.
-    """
-
-    def __init__(self, sw: Switch, config: PfcWatchdogConfig) -> None:
-        self.sw = sw
-        self.config = config
-        #: active storms: port_idx -> storm-start timestamp.
-        self.storms: dict = {}
-        self._since: dict = {}  # port_idx -> first-seen-paused ts
-        self._last_pause: dict = {}  # port_idx -> last PAUSE refresh ts
-        self.storms_detected = 0
-        self.storms_restored = 0
-        self.pauses_ignored = 0
-        self.pkts_dropped = 0
-        self._poller = None
-
-    # -- lifecycle -----------------------------------------------------------
-    def start(self) -> None:
-        from repro.sim.timer import Periodic
-
-        self._poller = Periodic(
-            self.sw.sim, self.config.poll_ps, self._poll, self.sw.lane
-        )
-        self._poller.start()
-        self.sw.sim.register_monitor(self)
-
-    def stop(self) -> None:
-        """Engine-monitor contract: idempotent disarm."""
-        if self._poller is not None:
-            self._poller.stop()
-            self._poller = None
-
-    # -- hot hooks (control path only) ---------------------------------------
-    def on_pause(self, port_idx: int) -> bool:
-        """Called by ``Switch.receive`` for every PAUSE.  True = absorb
-        (storm active on this port); False = apply normally."""
-        self._last_pause[port_idx] = self.sw.sim.now
-        if port_idx in self.storms:
-            self.pauses_ignored += 1
-            return True
-        return False
-
-    # -- polling -------------------------------------------------------------
-    def _poll(self, _now: int) -> None:
-        sw = self.sw
-        now = sw.sim.now
-        cfg = self.config
-        if self.storms:
-            for key in list(self.storms):
-                if now - self._last_pause.get(key, 0) >= cfg.restore_ps:
-                    # census: a storm that ends — tests/faults/test_watchdog.py::test_watchdog_restores_after_storm_ends
-                    self._storm_off(key, now)
-        since = self._since
-        for port in sw.ports:
-            idx = port.index
-            if port.paused:
-                t0 = since.get(idx)
-                if t0 is None:
-                    since[idx] = now
-                elif now - t0 >= cfg.detect_ps and idx not in self.storms:
-                    self._storm_on(idx, now)
-            elif idx in since:
-                # census: a pause shorter than the detection window — tests/faults/test_watchdog.py::test_a_pause_shorter_than_detect_resets_the_watch
-                del since[idx]
-
-    def _storm_on(self, port_idx: int, now: int) -> None:
-        sw = self.sw
-        self.storms[port_idx] = now
-        self._since.pop(port_idx, None)
-        self.storms_detected += 1
-        port = sw.ports[port_idx]
-        # Un-wedge the victim port: force XON.  While the storm lasts,
-        # on_pause absorbs every refresh, so the port stays runnable.
-        port.resume()
-        port.wd_drop = self._make_drop(port_idx)
-        sw._recompute_train_ok()
-
-    def _storm_off(self, port_idx: int, now: int) -> None:
-        sw = self.sw
-        del self.storms[port_idx]
-        self.storms_restored += 1
-        sw.ports[port_idx].wd_drop = None
-        sw._recompute_train_ok()
-
-    def _make_drop(self, port_idx: int):
-        sw = self.sw
-
-        def wd_drop(pkt) -> None:
-            sw._wd_drop_frame(pkt, port_idx)
-            self.pkts_dropped += 1
-
-        return wd_drop
-
-    # -- reporting -----------------------------------------------------------
-    def state(self) -> dict:
-        """Flight-dump / metrics view of the watchdog."""
-        return {
-            "switch": self.sw.name,
-            "storms_detected": self.storms_detected,
-            "storms_restored": self.storms_restored,
-            "pauses_ignored": self.pauses_ignored,
-            "pkts_dropped": self.pkts_dropped,
-            "active": sorted(self.storms),
-        }
-
-
-def arm_watchdog(sw: Switch, config: Optional[PfcWatchdogConfig] = None) -> PfcWatchdog:
-    """Attach and start a :class:`PfcWatchdog` on one switch."""
-    if sw._wd is not None:
-        raise RuntimeError(f"{sw.name}: watchdog already armed")
-    wd = PfcWatchdog(sw, config or PfcWatchdogConfig())
-    sw._wd = wd
-    wd.start()
-    return wd

@@ -17,13 +17,12 @@ File format (all keys optional except ``exception``)::
       "flows":     [{"flow", "host", "size", "acked", "rate_gbps"}, ...],
       "trace_tail": [last-N TraceEvent dicts, oldest first],
       "registry":  <MetricsRegistry snapshot>,
-      "faults":    {"plan", "counters", "timeline", "active", "audit",
-                    "watchdogs": [<PfcWatchdog.state()>, ...]}
+      "faults":    {"plan", "counters", "timeline", "active", "audit"}
     }
 
 The ``faults`` section appears only when the run armed a
-:class:`~repro.faults.FaultInjector` (``sim.faults``) or a PFC-storm
-watchdog on some switch — healthy runs dump the same schema as before.
+:class:`~repro.faults.FaultInjector` (``sim.faults``) — healthy runs dump
+the same schema as before.
 
 ``ports`` and ``flows`` are bounded (busiest/unfinished first) so a dump
 at million-flow scale stays readable and quick to write.
@@ -121,9 +120,9 @@ class FlightRecorder:
             doc["trace_counts"] = dict(self.tracer.counts)
         if self.registry is not None:
             doc["registry"] = self.registry.snapshot()
-        faults = self._fault_states()
-        if faults:
-            doc["faults"] = faults
+        inj = getattr(sim, "faults", None)
+        if inj is not None:
+            doc["faults"] = inj.flight_state()
         path = self.path or os.path.join(
             tempfile.gettempdir(), f"flightrec-{os.getpid()}.json"
         )
@@ -152,22 +151,6 @@ class FlightRecorder:
         if key is not None:
             d["sweep_key"] = repr(key)
         return d
-
-    def _fault_states(self) -> dict:
-        """The ``faults`` section: active fault timeline + watchdog state,
-        present only when the run armed either (DESIGN.md §10)."""
-        doc: dict = {}
-        inj = getattr(self.sim, "faults", None)
-        if inj is not None:
-            doc.update(inj.flight_state())
-        watchdogs = []
-        for sw in getattr(self.topo, "switches", ()) if self.topo is not None else ():
-            wd = getattr(sw, "_wd", None)
-            if wd is not None:
-                watchdogs.append(wd.state())
-        if watchdogs:
-            doc["watchdogs"] = watchdogs
-        return doc
 
     def _port_states(self) -> list:
         from repro.net.port import COUNTERS, read_counters

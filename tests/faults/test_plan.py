@@ -15,17 +15,13 @@ def build_reference_plan():
         .link_flap("a", "c", start_ps=us(5), flaps=3, down_ps=us(2), up_ps=us(2))
         .switch_fail("s1", at_ps=us(30))
         .gray_loss("a", "b", start_ps=us(1), end_ps=us(9), prob=0.05)
-        .pfc_storm(
-            "s1", toward="h0", start_ps=us(2), duration_ps=us(8),
-            interval_ps=us(1),
-        )
     )
 
 
 def test_builders_chain_and_record_specs():
     plan = build_reference_plan()
     kinds = [s["kind"] for s in plan.specs]
-    assert kinds == ["link_down", "link_flap", "switch_fail", "gray_loss", "pfc_storm"]
+    assert kinds == ["link_down", "link_flap", "switch_fail", "gray_loss"]
 
 
 def test_validation_rejects_bad_fields():

@@ -104,7 +104,7 @@ def train_gate_open(sw) -> bool:
     """Whether the frame-train fast path may forward fused bursts through
     ``sw`` (recomputed from live state, as ``Switch._recompute_train_ok``
     defines it): a static per-flow strategy installed and unswapped on an
-    untapped, storm-free switch."""
+    untapped switch."""
     sw._recompute_train_ok()
     return sw._train_ok
 

@@ -10,10 +10,15 @@ phase and by :func:`bucket`: the ``src/repro`` package whose code ran them,
 every instruction inside a topology builder (routing install included) or
 a traffic generator (:func:`tools.profile.builders`), ``run`` the rest of
 the cell.  Code of installed packages (numpy) is left out: its version is
-the environment's.  Each workload is counted in a fresh interpreter.  The
-count is exact, so a change that moves it writes the per-package before
-and after into CHANGES.md before it re-blesses; a moved row shows the run
-phase per unit of work and the build phase per fabric (:func:`per_unit`).
+the environment's.  ``websearch_fattree_classic`` counts the
+``websearch_fattree`` cell again under ``tests/helpers.classic_hops_only()``,
+so every switch hop runs ``Switch.receive`` and ``Switch.on_departure``
+rather than the fused copy in ``Port._tx_deliver``: an edit to either
+body moves its ``net.switch`` bucket.  Each row is counted in a fresh
+interpreter.  The count is exact, so a change that moves it writes the
+per-package before and after into CHANGES.md before it re-blesses; a moved
+row shows the run phase per unit of work and the build phase per fabric
+(:func:`per_unit`).
 Bytecode differs between CPython versions, so the table records the one
 it was counted on, and its rows are checked on no other.
 """
@@ -51,15 +56,27 @@ def bucket(filename: str) -> str:
     return split.get(rel.as_posix(), rel.parts[0].removesuffix(".py"))
 
 
-def count(workload: str) -> dict:
-    """Warm up, then count one smoke cell of ``workload`` in this process."""
+#: Row name -> the workload whose smoke cell it counts, every hop classic
+#: or not.
+ROWS = {**{workload: (workload, False) for workload in WORKLOADS},
+        "websearch_fattree_classic": ("websearch_fattree", True)}
+
+
+def count(row: str) -> dict:
+    """Warm up, then count the smoke cell of ``row`` in this process."""
+    from contextlib import nullcontext
+
     from benchmarks.suite.cells import IMPL
     from benchmarks.suite.specs import SMOKE, sub_seed
     from benchmarks.suite.trace import Spans
+    from tests.helpers import classic_hops_only
 
+    workload, classic = ROWS[row]
     impl, off = IMPL[workload], Spans(False)
     impl.warmup(SMOKE[workload], off)
-    cell, fabrics, counts = count_phases(lambda: impl.cell(SMOKE[workload], sub_seed(1, 0), off))
+    with classic_hops_only() if classic else nullcontext():
+        cell, fabrics, counts = count_phases(
+            lambda: impl.cell(SMOKE[workload], sub_seed(1, 0), off))
     assert not cell["problems"], cell["problems"]
     phases: dict = {"run": {}, "build": {}}
     for (phase, code), n in counts.items():
@@ -71,15 +88,15 @@ def count(workload: str) -> dict:
             **{phase: dict(sorted(ops.items())) for phase, ops in phases.items()}}
 
 
-def count_fresh(workload: str) -> dict:
+def count_fresh(row: str) -> dict:
     """:func:`count` in a new interpreter, given the package, the suite and the store."""
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--count", workload],
+        [sys.executable, str(Path(__file__).resolve()), "--count", row],
         capture_output=True, text=True, timeout=600,
         env={**os.environ, "PYTHONPATH": os.pathsep.join((str(ROOT), str(ROOT / "src")))},
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{workload}: counting failed\n{proc.stderr[-3000:]}")
+        raise RuntimeError(f"{row}: counting failed\n{proc.stderr[-3000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -110,7 +127,7 @@ def _skip():
 TABLES = (
     Table(
         PIN_PATH,
-        rows={workload: functools.partial(count_fresh, workload) for workload in WORKLOADS},
+        rows={row: functools.partial(count_fresh, row) for row in ROWS},
         document=lambda rows: {"python": interpreter(), "workloads": rows},
         groups=("workloads",),
         skip=_skip,
@@ -121,5 +138,5 @@ TABLES = (
 
 if __name__ == "__main__":
     if sys.argv[1:2] != ["--count"] or len(sys.argv) != 3:
-        sys.exit("usage: opcode_pin.py --count WORKLOAD  (what tools/golden.py runs per row)")
+        sys.exit("usage: opcode_pin.py --count ROW  (what tools/golden.py runs per row)")
     print(json.dumps(count(sys.argv[2])))

@@ -71,7 +71,8 @@ LOG_ENV, RAN_ENV, REASONS_ENV = "REPRO_CENSUS_LOG", "REPRO_CENSUS_RAN", "REPRO_C
 #: :data:`KEEP`.
 REASONS = {
     "crash": "a crash path: runs only when a run dies",
-    "oracle": "an oracle kept in src on purpose (ROADMAP item 12 wires it in)",
+    "oracle": "an oracle or reference copy kept in src on purpose: a test checks the product "
+              "against it (ROADMAP item 12 wires the oracles into runs)",
     "benchmark": "reached only by the benchmark (repro/shard: ROADMAP item 11 decides)",
     "public": "a public name with a named user that is not a test",
 }
@@ -88,11 +89,17 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.faults.inject:FaultInjector.flight_state": ("crash", "the flight dump's faults section"),
     "repro.metrics.monitors:_PeriodicSampler.stop": (
         "crash", "Simulator.stop_monitors, which the flight recorder calls"),
+    "repro.sim.engine:Simulator.stop_monitors": ("crash", "the flight recorder, before it dumps"),
+    "repro.sim.timer:Periodic.stop": (
+        "crash", "_PeriodicSampler.stop, when the flight recorder stops the monitors"),
     "repro.exec.executor:SweepError.__init__": ("crash", "a sweep spec that raises"),
     "repro.net.packet:Packet.__repr__": (
         "crash", "the routing-loop RuntimeError of Switch.receive and of Port._tx_deliver's fused hop"),
     # oracles
     "repro.faults.audit": ("oracle", "FaultAuditor: the quiescence oracle"),
+    "repro.net.switch:Switch.on_departure": (
+        "oracle", "the reference twin of the release Port._tx_deliver inlines; the classic side "
+        "of tests/property/test_trains.py::TestDepartureCopy calls it"),
     # the benchmark's
     "repro.shard": ("benchmark", "the sharded engine: shard_fattree_2proc"),
     # public, with a user in src that no entry point drives there
@@ -100,7 +107,6 @@ KEEP: Dict[str, Tuple[str, str]] = {
     "repro.cc.base:CongestionControl.on_cnp": (
         "public", "SenderQP.on_cnp hands every CNP to its cc; DCQCN's is the override"),
     "repro.net.node:Node.on_departure": ("public", "Port.__init__ tests a node's hook against it"),
-    "repro.net.switch:PfcWatchdog._storm_off": ("public", "PfcWatchdog._poll, when a storm clears"),
     "repro.hybrid.backend:run_fct_hybrid.<locals>._all_packet": (
         "public", "run_fct_hybrid, when every flow runs as packets: HybridConfig(threshold=0) "
         "(validate --threshold 0), a classify_fn that demotes all, or a refine round that "
