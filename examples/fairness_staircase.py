@@ -4,7 +4,7 @@
 Four long-lived flows share one bottleneck.  A new flow joins every epoch;
 then flows leave one per epoch.  A fair CC shows a clean rate staircase
 100 -> 50 -> 33 -> 25 -> 33 -> 50 -> 100 Gb/s with Jain index ~ 1 at every
-step.  Try swapping the scheme to "dcqcn" or "timely" to see rougher
+step.  Try swapping the scheme to "dcqcn" or "rocc" to see rougher
 staircases.
 
 Run:  python examples/fairness_staircase.py [cc]

@@ -13,7 +13,7 @@ Public surface:
 * ``repro.net`` — lossless Ethernet: ports, PFC, ECN, switches with
   HPCC/FNCC INT insertion, hosts.
 * ``repro.transport`` — RDMA-style QPs (sender RP / receiver ACK point).
-* ``repro.cc`` — FNCC and the baselines (HPCC, DCQCN, RoCC, Timely, Swift).
+* ``repro.cc`` — FNCC and the baselines (HPCC, DCQCN, RoCC).
 * ``repro.topo`` / ``repro.routing`` — fabrics and symmetric routing.
 * ``repro.lb`` — pluggable load balancing (ECMP, spray, flowlet,
   ConWeave-lite) with reorder-tolerant receivers.

@@ -9,8 +9,6 @@ it compares against:
 * :mod:`repro.cc.dcqcn` — DCQCN (Zhu et al., SIGCOMM'15), ECN/CNP based.
 * :mod:`repro.cc.rocc` — RoCC (Taheri et al., CoNEXT'20), switch-resident
   PI fair-rate controller.
-* :mod:`repro.cc.timely`, :mod:`repro.cc.swift` — delay-based schemes from
-  the related-work section, provided as extensions.
 
 Use :func:`repro.cc.registry.make_cc_factory` to construct a per-flow
 factory from an algorithm name and parameter overrides.
@@ -21,8 +19,6 @@ from repro.cc.hpcc import Hpcc, HpccConfig
 from repro.cc.fncc import Fncc, FnccConfig
 from repro.cc.dcqcn import Dcqcn, DcqcnConfig
 from repro.cc.rocc import Rocc, RoccConfig, RoccPortController, install_rocc
-from repro.cc.timely import Timely, TimelyConfig
-from repro.cc.swift import Swift, SwiftConfig
 from repro.cc.registry import make_cc_factory, ALGORITHMS
 
 __all__ = [
@@ -37,10 +33,6 @@ __all__ = [
     "RoccConfig",
     "RoccPortController",
     "install_rocc",
-    "Timely",
-    "TimelyConfig",
-    "Swift",
-    "SwiftConfig",
     "make_cc_factory",
     "ALGORITHMS",
 ]

@@ -3,8 +3,8 @@
 One instance exists per flow (per sender QP).  The QP calls the hooks; the
 CC responds by mutating ``qp.window`` (bytes) and ``qp.rate_gbps``.  Rate
 and window are always kept consistent via ``R = W / T`` for window-based
-schemes (Alg. 3 line 47); rate-only schemes (DCQCN, RoCC, Timely, Swift)
-leave the window unlimited.
+schemes (Alg. 3 line 47); rate-only schemes (DCQCN, RoCC) leave the
+window unlimited.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ from repro.cc.dcqcn import Dcqcn, DcqcnConfig
 from repro.cc.fncc import Fncc, FnccConfig
 from repro.cc.hpcc import Hpcc, HpccConfig
 from repro.cc.rocc import Rocc
-from repro.cc.swift import Swift, SwiftConfig
-from repro.cc.timely import Timely, TimelyConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cc.base import CongestionControl
@@ -30,8 +28,6 @@ ALGORITHMS: Dict[str, Tuple[type, type]] = {
     "fncc": (Fncc, FnccConfig),
     "dcqcn": (Dcqcn, DcqcnConfig),
     "rocc": (Rocc, None),
-    "timely": (Timely, TimelyConfig),
-    "swift": (Swift, SwiftConfig),
 }
 
 

@@ -98,8 +98,6 @@ def build_cc_env(
         def post(topo: Topology) -> None:
             install_rocc(topo.switches)
 
-    elif name in ("timely", "swift"):
-        pass
     else:
         raise ValueError(f"unknown CC scheme {cc!r}")
 

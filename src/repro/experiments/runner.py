@@ -15,8 +15,8 @@ from typing import Callable, Dict
 
 # Experiment name -> module under repro.experiments (each exposes main()).
 # Only the one asked for is imported: a figure's process pays for its own
-# module graph, not for all fifteen, and --list imports none (it reads each
-# main()'s parameters from the module's source).
+# module graph, not for every figure module's, and --list imports none (it
+# reads each main()'s parameters from the module's source).
 _MODULES: Dict[str, str] = {
     "fig1a": "fig1_hw_trends",
     "fig1": "fig1_queue_motivation",
@@ -31,7 +31,6 @@ _MODULES: Dict[str, str] = {
     "faultmatrix": "faultmatrix",
     "ablations": "ablations",
     "theory": "theory",
-    "related-work": "related_work",
     "paper-scale": "paper_scale",
 }
 
@@ -62,7 +61,7 @@ def _accepted_options(name: str) -> set:
     with open(path, encoding="utf-8") as f:
         source = f.read()
     # Parse from ``def main`` on: the module above it is not needed, and
-    # parsing all of it would make --list's reading of fifteen signatures
+    # parsing all of it would make --list's reading of every signature
     # four times as slow.
     start = source.find("\ndef main(")
     if start < 0:

@@ -26,14 +26,6 @@ from typing import List
 
 __all__ = ["FaultPlan"]
 
-#: spec kinds understood by the injector, in documentation order.
-KINDS = (
-    "link_down",
-    "link_flap",
-    "switch_fail",
-    "gray_loss",
-)
-
 
 def _check_time(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:

@@ -67,4 +67,5 @@ class TimeSeries:
         for i in range(bisect_left(self.times, after_ps), len(values)):
             if values[i] < threshold:
                 return self.times[i]
+        # census: a series that never drops below the threshold — tests/metrics/test_series.py::TestThresholdScans::test_first_time_below
         return -1

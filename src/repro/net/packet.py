@@ -100,7 +100,7 @@ class Packet:
         self.n_flows = 0  # FNCC receiver's N field (Fig. 7)
         self.rocc_rate_gbps: Optional[float] = None  # RoCC advertised fair rate
         self.last = False  # final DATA packet of the flow / its ACK
-        self.sent_ts = 0  # sender timestamp (Timely/Swift RTT measurement)
+        self.sent_ts = 0  # sender timestamp (the RTO's RTT sample)
         self.echo_sent_ts = 0  # sender timestamp echoed back on the ACK
         self.in_port = -1  # ingress port at the node currently holding it
         self.fncc_in_port = -1  # Alg. 1 line 3: ACK input port metadata
@@ -111,11 +111,6 @@ class Packet:
         # receiver — survives cumulative-ACK coalescing, unlike inferring
         # "duplicate" from the seq field alone.
         self.lb_tail = False
-
-    # -- helpers -------------------------------------------------------------
-    @property
-    def n_hops(self) -> int:
-        return 0 if self.int_records is None else len(self.int_records)
 
     def __repr__(self) -> str:  # the routing-loop RuntimeError names the frame
         return (

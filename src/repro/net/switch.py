@@ -2,7 +2,7 @@
 
 This is the Congestion Point of the paper.  Three INT modes:
 
-* ``IntMode.NONE`` — plain switch (DCQCN/RoCC/Timely need no INT).
+* ``IntMode.NONE`` — plain switch (DCQCN/RoCC need no INT).
 * ``IntMode.HPCC`` — append an INT record to every departing **data** packet
   (HPCC's request-path telemetry; the receiver echoes it in the ACK).
 * ``IntMode.FNCC`` — Alg. 1: record each ACK's input port on ingress, and on

@@ -309,9 +309,9 @@ class SenderQP:
             self.snd_una = seq
             self._dupacks = 0
             if self._retx_ps > 0:
-                # Track the current RTT from the echoed send timestamp
-                # (<= 0: gratuitous ACK, no sample — same convention as
-                # Timely/Swift) and re-arm from it: max(initial RTO,
+                # Track the current RTT from the echoed send timestamp,
+                # which serves only this sample (<= 0: gratuitous ACK, no
+                # sample), and re-arm from it: max(initial RTO,
                 # 2*srtt), so a congested path widens the timer instead
                 # of firing spurious go-back-N rewinds at the
                 # connection-initial RTO.  Progress resets the backoff.

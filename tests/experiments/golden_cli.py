@@ -41,7 +41,6 @@ SLOW_ROWS = (
     "fig15 --seed 7",
     "headline",
     "theory",
-    "related-work",
     "ablations",
     "lbmatrix",
     "faultmatrix",

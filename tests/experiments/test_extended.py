@@ -1,9 +1,8 @@
-"""Theory, related-work, and paper-scale experiment modules."""
+"""Theory and paper-scale experiment modules."""
 
 import pytest
 
 from repro.experiments.paper_scale import run_flow_level, shape_correlation
-from repro.experiments.related_work import run_related_work
 from repro.experiments.theory import HOP_OF_LOCATION, run_theory
 
 
@@ -29,16 +28,6 @@ class TestTheoryExperiment:
         assert (
             rows["last"]["measured_gap_with_lhcs_us"]
             >= rows["last"]["measured_gap_us"]
-        )
-
-
-class TestRelatedWork:
-    def test_all_six_schemes_run(self):
-        res = run_related_work(duration_us=400.0)
-        assert set(res) == {"fncc", "hpcc", "dcqcn", "rocc", "timely", "swift"}
-        # FNCC shallowest among all six.
-        assert res["fncc"].peak_queue_bytes == min(
-            r.peak_queue_bytes for r in res.values()
         )
 
 

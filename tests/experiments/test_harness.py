@@ -380,7 +380,7 @@ class TestRunnerCli:
 
     def test_list_output_is_pinned(self, capsys):
         """Byte-for-byte what the runner printed when ``--list`` read the
-        signatures off an eagerly imported table of all fifteen mains."""
+        signatures off an eagerly imported table of every main."""
         from repro.experiments.runner import main
 
         assert main(["--list"]) == 0
@@ -398,7 +398,6 @@ class TestRunnerCli:
             "faultmatrix   [sweep: --jobs/--seed/--quick]\n"
             "ablations     [sweep: --jobs]\n"
             "theory        \n"
-            "related-work  \n"
             "paper-scale   [sweep: --jobs/--seed]\n"
         )
 
@@ -414,14 +413,14 @@ class TestRunnerCli:
             _experiment_main,
         )
 
-        assert len(_MODULES) == 15
+        assert len(_MODULES) == 14
         for name in _MODULES:
             params = inspect.signature(_experiment_main(name)).parameters
             assert _accepted_options(name) == set(_OPTIONS) & set(params), name
 
     def test_running_one_experiment_imports_only_its_module(self):
         """A figure's process pays for its own module graph: after
-        ``fncc-exp fig1a`` none of the other fourteen figure modules is
+        ``fncc-exp fig1a`` none of the other thirteen figure modules is
         loaded (``common``/``fct_experiment`` are shared infrastructure)."""
         import json
         import subprocess
@@ -441,7 +440,7 @@ class TestRunnerCli:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout.splitlines()[-1]))
         figure_modules = {f"repro.experiments.{m}" for m in _MODULES.values()}
-        assert len(figure_modules) == 15
+        assert len(figure_modules) == 14
         assert loaded & figure_modules == {"repro.experiments.fig1_hw_trends"}
 
     def test_fig1a_runs(self, capsys):

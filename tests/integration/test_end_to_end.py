@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import make_dumbbell, run_one_flow
+from repro.cc import ALGORITHMS
 from repro.experiments.common import build_cc_env, launch_flows
 from repro.metrics.fct import FctCollector
 from repro.sim.engine import Simulator
@@ -14,17 +15,15 @@ from repro.traffic.generator import incast_flows, permutation_flows
 from repro.transport.flow import Flow
 from repro.units import KB, MB, us
 
-ALL_CCS = ["fncc", "hpcc", "dcqcn", "rocc", "timely", "swift"]
-
 
 class TestSingleFlowAllCcs:
-    @pytest.mark.parametrize("cc", ALL_CCS)
+    @pytest.mark.parametrize("cc", sorted(ALGORITHMS))
     def test_flow_completes(self, sim, cc):
         topo, env = make_dumbbell(sim, cc=cc)
         rqp = run_one_flow(sim, topo, env, size_bytes=1 * MB)
         assert rqp.completed
 
-    @pytest.mark.parametrize("cc", ALL_CCS)
+    @pytest.mark.parametrize("cc", sorted(ALGORITHMS))
     def test_no_drops_with_pfc(self, sim, cc):
         topo, env = make_dumbbell(sim, cc=cc)
         run_one_flow(sim, topo, env, size_bytes=1 * MB)

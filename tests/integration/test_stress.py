@@ -96,9 +96,9 @@ class TestCoexistence:
         topo.hosts[recv].register_receiver(f0)
         topo.hosts[recv].register_receiver(f1)
         fncc = env.cc_factory(f0, topo.hosts[0])
-        swift = make_cc_factory("swift")(f1, topo.hosts[1])
+        hpcc = make_cc_factory("hpcc")(f1, topo.hosts[1])
         topo.hosts[0].start_flow(f0, fncc, topo.base_rtt_ps(0, recv))
-        topo.hosts[1].start_flow(f1, swift, topo.base_rtt_ps(1, recv))
+        topo.hosts[1].start_flow(f1, hpcc, topo.base_rtt_ps(1, recv))
         sim.run(until=us(30_000))
         assert topo.hosts[recv].receivers[0].completed
         assert topo.hosts[recv].receivers[1].completed

@@ -14,7 +14,6 @@ class TestPacket:
         assert p.kind == DATA
         assert not p.ecn and not p.ecn_echo
         assert p.int_records is None
-        assert p.n_hops == 0
         assert p.hops == 0
 
     def test_control_detection(self):
